@@ -19,7 +19,7 @@ import mpmath
 
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
-from .estimator import eo_estimate, schrijver_bounds
+from .estimator import eo_estimate, require_precision, schrijver_bounds
 from .graphs import (Graph, all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
 from .taillab import check_tail_bound, instance_from_json
@@ -38,7 +38,7 @@ def _envelope(command: str, inputs: dict, result: dict, t0: float,
         "command": command,
         "inputs": inputs,
         "result": result,
-        "timing_ms": round(1000 * (time.time() - t0), 3),
+        "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
         "precision": {"bits": bits},
     }
 
@@ -103,6 +103,8 @@ def _cmd_exact(args):
 
 
 def _cmd_expand(args):
+    if args.eval is not None:
+        require_precision(args.bits)
     res = expansion.expansion_series(args.family, args.order)
     payload = res.to_json()
     bits = None
@@ -136,6 +138,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_bounds(args):
+    require_precision(args.bits)
     g = _load_graph_arg(args.graph)
     lower, upper_sq = schrijver_bounds(g)
     with mpmath.workprec(args.bits):
@@ -173,14 +176,15 @@ def _cmd_graphinfo(args):
         "connected": g.is_connected(),
         "tau": str(spanning_tree_count(g)),
     }
-    try:
-        h = cheeger_constant(g)
-        result["cheeger"] = str(h)
-        d = g.max_degree()
-        result["cheeger_over_max_degree"] = str(h / d) if d else None
-    except SizeLimitError:
-        result["cheeger"] = None
-        result["cheeger_over_max_degree"] = None
+    h = None
+    if g.n >= 2:  # the Cheeger constant needs a nonempty proper subset
+        try:
+            h = cheeger_constant(g)
+        except SizeLimitError:
+            pass
+    d = g.max_degree()
+    result["cheeger"] = str(h) if h is not None else None
+    result["cheeger_over_max_degree"] = str(h / d) if h is not None and d else None
     return {"graph": args.graph}, result, None
 
 
@@ -238,7 +242,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "threads must be >= 1", "code": EXIT_DOMAIN}),
               file=sys.stderr)
         return EXIT_DOMAIN
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         inputs, result, bits = args.handler(args)
     except DomainError as exc:

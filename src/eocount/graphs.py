@@ -245,44 +245,38 @@ def spanning_tree_count(g: Graph, delete_index: int = 0) -> int:
 def cheeger_constant(g: Graph) -> Fraction:
     """min over nonempty U with |U| <= n/2 of |boundary(U)| / |U|, exact.
 
-    Exhaustive: subsets are visited in Gray-code order with incremental cut
-    updates, so each step costs O(deg).
+    Exhaustive: subsets S of {0..n-2} are visited in Gray-code order with
+    incremental cut updates from neighbor bitmasks, so each step costs a
+    few integer operations.  The candidate for S is whichever of S and its
+    complement has at most n/2 vertices; ratios are compared as integer
+    pairs by cross-multiplication.
     """
     n = g.n
     if n < 2:
         raise DomainError("Cheeger constant needs n >= 2")
     if n > CHEEGER_MAX_N:
         raise SizeLimitError(f"exhaustive Cheeger scan capped at n={CHEEGER_MAX_N}")
-    adj = adjacency_lists(g)
-    # iterate subsets S of {0..n-2}; candidates are S itself (small side) and
-    # its complement in [n] (which contains vertex n-1)
-    in_set = [False] * n
+    nbr = [sum(1 << w for w in adj) for adj in adjacency_lists(g)]
+    deg = g.degrees
+    mask = 0
     cut = 0
     size = 0
-    best = None
-    half2 = n  # compare 2*|U| <= n
+    best_cut, best_size = 1, 0  # the ratio 1/0 stands for +infinity
     for step in range(1, 1 << (n - 1)):
         v = (step & -step).bit_length() - 1  # Gray code: flip lowest set bit
-        if in_set[v]:
-            in_set[v] = False
-            size -= 1
-            for w in adj[v]:
-                cut += 1 if in_set[w] else -1
-        else:
-            in_set[v] = True
+        bit = 1 << v
+        mask ^= bit
+        delta = deg[v] - 2 * (nbr[v] & mask).bit_count()
+        if mask & bit:
             size += 1
-            for w in adj[v]:
-                cut += -1 if in_set[w] else 1
-        if size >= 1 and 2 * size <= half2:
-            r = Fraction(cut, size)
-            if best is None or r < best:
-                best = r
-        co = n - size
-        if 2 * co <= half2:
-            r = Fraction(cut, co)
-            if best is None or r < best:
-                best = r
-    return best
+            cut += delta
+        else:
+            size -= 1
+            cut -= delta
+        small = size if 2 * size <= n else n - size
+        if cut * best_size < best_cut * small:
+            best_cut, best_size = cut, small
+    return Fraction(best_cut, best_size)
 
 
 def all_degrees_even(g: Graph) -> bool:

@@ -141,3 +141,28 @@ def test_formats(capsys, c5_json_file):
     code = main(["--format", "csv", "graphinfo", "--graph", c5_json_file])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("key,value") and "tau,5" in out
+
+
+def test_graphinfo_single_vertex(capsys, tmp_path):
+    p = tmp_path / "k1.edges"
+    p.write_text("1\n")
+    code, env = run_json(capsys, ["graphinfo", "--graph", str(p)])
+    assert code == 0
+    res = env["result"]
+    assert res["n"] == 1 and res["tau"] == "1" and res["connected"] is True
+    assert res["cheeger"] is None and res["cheeger_over_max_degree"] is None
+
+
+def test_precision_floor_exit_code(capsys, k5_file, monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("series computed before the precision check")
+
+    monkeypatch.setattr("eocount.expansion.expansion_series", no_series)
+    for argv in (["estimate", "--graph", k5_file, "--bits", "16"],
+                 ["bounds", "--graph", k5_file, "--bits", "127"],
+                 ["expand", "rt", "--order", "3", "--eval", "21", "--bits", "16"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out.strip()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["kind"] == "domain"

@@ -5,13 +5,14 @@ import pytest
 
 from eocount.cumulants import double_factorial
 from eocount.errors import DomainError
-from eocount.estimator import (covariance_sigma, default_w,
+from eocount.estimator import (MIN_BITS, covariance_sigma, default_w,
                                degree_sum_reference, edge_difference_cov,
                                eo_estimate, eo_hat_log, exact_inverse,
                                kappa1_f, kappa2_f, schrijver_bounds)
 from eocount.exact import eo_count_bruteforce, rt_count
 from eocount.graphs import (Graph, circulant_graph, complete_graph,
                             cycle_graph, laplacian, octahedron_graph)
+from oracles import bivariate_even_moment, kappa2_pairwise
 
 TIGHT = mpmath.mpf(2) ** -200
 
@@ -38,6 +39,40 @@ def test_covariance_matches_exact_inverse():
                     assert abs(sigma[i, j] - expect) < TIGHT
             exact_norm = max(sum(abs(x) for x in row) for row in inv)
             assert abs(norm - mpmath.mpf(exact_norm.numerator) / exact_norm.denominator) < TIGHT
+
+
+def test_integer_sigma_matches_exact_inverse():
+    # every connected graph of this file with n <= 12
+    graphs = ([Graph.from_edges(2, [(0, 1)]), cycle_graph(4), cycle_graph(6),
+               octahedron_graph(), circulant_graph(8, (1, 2))]
+              + [complete_graph(n) for n in range(3, 13)])
+    tol = mpmath.mpf(2) ** -250
+    for g in graphs:
+        for w in {default_w(g), Fraction(1), Fraction(3, 7)}:
+            L = laplacian(g)
+            inv = exact_inverse([[L[i][j] + w for j in range(g.n)]
+                                 for i in range(g.n)])
+            sigma, norm = covariance_sigma(g, w)
+            with mpmath.workprec(256):
+                for i in range(g.n):
+                    for j in range(g.n):
+                        x = inv[i][j]
+                        assert abs(sigma[i, j] - mpmath.mpf(x.numerator)
+                                   / x.denominator) < tol, (g, w, i, j)
+                exact_norm = max(sum(abs(x) for x in row) for row in inv)
+                assert abs(norm - mpmath.mpf(exact_norm.numerator)
+                           / exact_norm.denominator) < tol
+
+
+def test_precision_floor():
+    g = complete_graph(5)
+    with pytest.raises(DomainError):
+        covariance_sigma(g, bits=MIN_BITS - 1)
+    with pytest.raises(DomainError):
+        eo_estimate(g, bits=MIN_BITS - 1)
+    with pytest.raises(DomainError):
+        eo_hat_log(g, bits=MIN_BITS - 1)
+    assert eo_estimate(g, M=1, K=2, bits=MIN_BITS).bits == MIN_BITS
 
 
 def test_covariance_complete_graph_symmetry():
@@ -82,9 +117,9 @@ def test_kappa1_single_edge_formula():
     with mpmath.workprec(256):
         sigma, _ = covariance_sigma(g, Fraction(1))
         see = edge_difference_cov(sigma, (0, 1), (0, 1))
-        k1, ref = kappa1_f(g, sigma, 2)
+        k1 = kappa1_f(g, sigma, 2)
         assert abs(k1 - Fraction(-1, 12) * 3 * see**2) < TIGHT
-        assert ref == degree_sum_reference(g) == -Fraction(1)
+        assert degree_sum_reference(g) == -Fraction(1)
 
 
 def test_kappa1_w_invariance():
@@ -92,8 +127,8 @@ def test_kappa1_w_invariance():
     with mpmath.workprec(256):
         s1, _ = covariance_sigma(g, Fraction(1))
         s2, _ = covariance_sigma(g, Fraction(3))
-        a, _ = kappa1_f(g, s1, 4)
-        b, _ = kappa1_f(g, s2, 4)
+        a = kappa1_f(g, s1, 4)
+        b = kappa1_f(g, s2, 4)
         assert abs(a - b) < TIGHT
 
 
@@ -104,7 +139,8 @@ def test_kappa1_consistency_envelope():
         g = complete_graph(n)
         sigma, norm = covariance_sigma(g)
         K = max(2, min(4, g.min_degree() // 2))
-        k1, ref = kappa1_f(g, sigma, K)
+        k1 = kappa1_f(g, sigma, K)
+        ref = degree_sum_reference(g)
         d, delta = g.max_degree(), g.min_degree()
         envelope = (mpmath.mpf(n) / delta * norm
                     + mpmath.mpf(n) * d / delta**2 * norm**2)
@@ -115,19 +151,17 @@ def test_kappa1_consistency_envelope():
 def test_kappa2_disconnected_edges_contribute_zero():
     # independent edge differences: joint part cancels exactly
     suu = mpmath.mpf(1) / 3
-    from eocount.estimator import _bivariate_even_moment
-    joint = _bivariate_even_moment(4, 6, suu, suu, mpmath.mpf(0))
+    joint = bivariate_even_moment(4, 6, suu, suu, mpmath.mpf(0))
     assert abs(joint - (3 * suu**2) * (15 * suu**3)) < TIGHT
 
 
 def test_kappa2_diagonal_matches_univariate():
     # e = f: kappa(X^2l1, X^2l2) = E X^(2l1+2l2) - E X^2l1 E X^2l2
-    from eocount.estimator import _bivariate_even_moment
     with mpmath.workprec(256):
         s = mpmath.mpf(2) / 5
         for l1 in (2, 3):
             for l2 in (2, 4):
-                joint = _bivariate_even_moment(2 * l1, 2 * l2, s, s, s)
+                joint = bivariate_even_moment(2 * l1, 2 * l2, s, s, s)
                 expect = double_factorial(2 * (l1 + l2) - 1) * s ** (l1 + l2)
                 assert abs(joint - expect) < TIGHT
 
@@ -141,6 +175,28 @@ def test_kappa2_within_second_order_bound():
         bound = (mpmath.mpf(n) / (2 * delta) * (mpmath.mpf(5 * d) / delta) ** r
                  * norm ** (r - 1) * double_factorial(4 * r - 1))
         assert abs(k2) <= bound
+
+
+def test_kappa2_matches_pairwise_oracle():
+    rel = mpmath.mpf(2) ** -200
+    graphs = [complete_graph(5), complete_graph(7), complete_graph(9),
+              octahedron_graph(), circulant_graph(8, (1, 2)),
+              circulant_graph(13, (1, 2, 3))]
+    for g in graphs:
+        sigma, _ = covariance_sigma(g)
+        # K = 8 only where the per-pair oracle stays cheap
+        for K in (2, 4) + ((8,) if g.edge_count <= 16 else ()):
+            fast = kappa2_f(g, sigma, K)
+            slow = kappa2_pairwise(g, sigma, K)
+            assert abs(fast - slow) <= rel * abs(slow), (g, K)
+
+
+def test_estimate_uses_K_for_kappa2():
+    g = complete_graph(5)
+    rep = eo_estimate(g, M=2, K=8)
+    sigma, _ = covariance_sigma(g, default_w(g))
+    assert rep.kappa[2] == kappa2_f(g, sigma, 8)
+    assert rep.kappa[2] != kappa2_f(g, sigma, 6)
 
 
 def test_schrijver_bounds_bracket_exact_counts():

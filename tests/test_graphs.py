@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eocount.errors import DomainError, SizeLimitError
 from eocount.graphs import (Graph, all_degrees_even, cheeger_constant,
@@ -110,6 +112,20 @@ def test_cheeger_matches_bruteforce_on_assorted_graphs():
     for g in [cycle_graph(6), octahedron_graph(), circulant_graph(8, (1, 2)),
               path_graph(5)]:
         assert cheeger_constant(g) == cheeger_bruteforce(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_cheeger_matches_bruteforce_on_random_graphs(g):
+    assert cheeger_constant(g) == cheeger_bruteforce(g)
 
 
 def test_cheeger_preconditions():
