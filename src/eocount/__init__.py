@@ -1,11 +1,12 @@
 """Exact and asymptotic counting of Eulerian orientations.
 
-Subpackages by area: graphs (Laplacian, spanning trees, Cheeger constant),
-exact (brute-force and recurrence counters, quadrature cross-check),
-cumulants (Isserlis sums, connected pairings, moment/cumulant conversion),
-powersums (Gaussian power-sum moments via partition types), expansion (the
-RT/ED/EOG asymptotic series), estimator (general-graph estimates and sandwich
-bounds), taillab (exhaustive checks of the cumulant tail bound).
+Modules by area: graphs (Laplacian, spanning trees, Cheeger constant), exact
+(one backtracking counter, the tournament recurrence, quadrature
+cross-check), cumulants (Isserlis sums, connected pairings, the
+moment-to-cumulant recursion), powersums (Gaussian power-sum moments by
+integration by parts; partition-type enumeration), expansion (the RT/ED/EOG
+asymptotic series), estimator (general-graph estimates and sandwich bounds),
+taillab (exhaustive checks of the cumulant tail bound).
 """
 
 from .errors import DomainError, SizeLimitError

@@ -3,7 +3,8 @@
 Every command prints one OutputEnvelope: command, echoed inputs, result
 payload, timing and precision metadata.  Big integers are decimal strings,
 rationals are "p/q", floats carry an explicit precision field.  Exit codes:
-0 success, 2 domain error, 3 size cap, 4 I/O error.
+0 success, 2 usage or domain error, 3 size cap, 4 I/O error; every failure
+prints one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import mpmath
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
 from .estimator import eo_estimate, require_precision, schrijver_bounds
-from .graphs import (Graph, all_degrees_even, cheeger_constant, load_graph,
+from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
 from .taillab import check_tail_bound, instance_from_json
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_DOMAIN = 2
 EXIT_SIZE = 3
 EXIT_IO = 4
@@ -69,13 +71,6 @@ def _emit(env: dict, fmt: str) -> None:
             print(f"{k}={v}")
 
 
-def _load_graph_arg(path: str) -> Graph:
-    try:
-        return load_graph(path)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (inputs, result, bits-or-None)
 
@@ -84,27 +79,28 @@ def _cmd_exact(args):
     if subject == "rt":
         if args.n is None:
             raise DomainError("rt needs --n")
-        count = exact.OrientationCount(exact.rt_count(args.n), "dp")
+        value, method = exact.rt_count(args.n), "dp"
         inputs = {"subject": subject, "n": args.n}
     elif subject in ("ed", "eog"):
         if args.n is None:
             raise DomainError(f"{subject} needs --n")
         fn = (exact.eulerian_digraph_count_bruteforce if subject == "ed"
               else exact.eulerian_oriented_count_bruteforce)
-        count = exact.OrientationCount(fn(args.n), "bruteforce")
+        value, method = fn(args.n), "bruteforce"
         inputs = {"subject": subject, "n": args.n}
     else:  # eo
         if not args.graph:
             raise DomainError("eo needs --graph")
-        g = _load_graph_arg(args.graph)
-        count = exact.OrientationCount(exact.eo_count_bruteforce(g), "bruteforce")
+        g = load_graph(args.graph)
+        value, method = exact.eo_count_bruteforce(g), "bruteforce"
         inputs = {"subject": subject, "graph": args.graph}
-    return inputs, {"value": str(count.value), "method": count.method}, None
+    return inputs, {"value": str(value), "method": method}, None
 
 
 def _cmd_expand(args):
     if args.eval is not None:
         require_precision(args.bits)
+        expansion.require_eval_point(args.family.upper(), args.eval)
     res = expansion.expansion_series(args.family, args.order)
     payload = res.to_json()
     bits = None
@@ -128,7 +124,7 @@ def _cmd_expand(args):
 
 
 def _cmd_estimate(args):
-    g = _load_graph_arg(args.graph)
+    g = load_graph(args.graph)
     w = Fraction(args.w) if args.w else None
     rep = eo_estimate(g, M=args.M, K=args.K, w=w, bits=args.bits,
                       graph_id=args.graph)
@@ -139,7 +135,7 @@ def _cmd_estimate(args):
 
 def _cmd_bounds(args):
     require_precision(args.bits)
-    g = _load_graph_arg(args.graph)
+    g = load_graph(args.graph)
     lower, upper_sq = schrijver_bounds(g)
     with mpmath.workprec(args.bits):
         result = {
@@ -157,8 +153,6 @@ def _cmd_taillab(args):
     try:
         with open(args.instance) as fh:
             obj = json.load(fh)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"bad instance JSON: {exc}") from exc
     space, table = instance_from_json(obj)
@@ -167,7 +161,7 @@ def _cmd_taillab(args):
 
 
 def _cmd_graphinfo(args):
-    g = _load_graph_arg(args.graph)
+    g = load_graph(args.graph)
     result = {
         "n": g.n,
         "edges": g.edge_count,
@@ -188,14 +182,20 @@ def _cmd_graphinfo(args):
     return {"graph": args.graph}, result, None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one JSON line on stderr (subparsers inherit
+    the class)."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, json.dumps({"error": message, "kind": "usage",
+                                          "code": EXIT_USAGE}) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="eocount",
         description="Exact and asymptotic counting of Eulerian orientations.")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface stability; results are "
-                        "identical for any value")
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("exact", help="exact counters")
@@ -238,10 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(json.dumps({"error": "threads must be >= 1", "code": EXIT_DOMAIN}),
-              file=sys.stderr)
-        return EXIT_DOMAIN
     t0 = time.perf_counter()
     try:
         inputs, result, bits = args.handler(args)
@@ -253,7 +249,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "kind": "size-limit",
                           "code": EXIT_SIZE}), file=sys.stderr)
         return EXIT_SIZE
-    except (IOError, OSError) as exc:
+    except OSError as exc:
         print(json.dumps({"error": str(exc), "kind": "io",
                           "code": EXIT_IO}), file=sys.stderr)
         return EXIT_IO

@@ -3,15 +3,14 @@
 Moments of products of centered jointly Gaussian variables are pairing sums
 over the covariance (Isserlis/Wick); joint cumulants of monomials keep only
 the pairings whose block-contraction graph is connected.  A generic
-moment-to-cumulant conversion by formal log works over any commutative ring
-supporting +, * and division by integers (exact rationals, floats, truncated
-series), so the same code path serves numeric estimation and series work.
+moment-to-cumulant recursion works over any commutative ring supporting +, -
+and * (exact rationals, floats, truncated series), so the same code path
+serves numeric estimation and series work.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import Iterator, Sequence
 
 from .errors import SizeLimitError
@@ -79,36 +78,12 @@ def bell_number(s: int) -> int:
     return row[0]
 
 
-def stirling_second(m: int, k: int) -> int:
-    """Number of partitions of an m-set into k nonempty blocks."""
-    if k < 0 or k > m:
-        return 0
-    if m == 0:
-        return 1
-    # S(m,k) = k*S(m-1,k) + S(m-1,k-1)
-    row = [1] + [0] * m
-    for i in range(1, m + 1):
-        new = [0] * (m + 1)
-        for j in range(1, i + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return row[k]
-
-
 def double_factorial(m: int) -> int:
     r = 1
     while m > 1:
         r *= m
         m -= 2
     return r
-
-
-def partition_factorial_sum(s: int) -> Fraction:
-    """sum over set partitions of [s] of (|blocks| - 1)!, exactly."""
-    total = 0
-    for part in enumerate_partitions(s):
-        total += factorial(len(part) - 1)
-    return Fraction(total)
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +111,6 @@ def isserlis_moment(cov: Sequence[Sequence], indices: Sequence[int]):
             term = term * cov[indices[i]][indices[j]]
         total = total + term
     return total
-
-
-def _pairing_connects(pairing, block_of, r) -> bool:
-    """Is the contraction multigraph of the pairing connected across r blocks?"""
-    parent = list(range(r))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = r
-    for i, j in pairing:
-        a, b = find(block_of[i]), find(block_of[j])
-        if a != b:
-            parent[a] = b
-            comps -= 1
-    return comps == 1
 
 
 def connected_pairings(parts: Sequence[Sequence[int]]) -> Iterator[list[tuple[int, int]]]:
@@ -228,61 +184,20 @@ def joint_cumulant_connected(cov, parts: Sequence[Sequence[int]]):
     return total
 
 
-def joint_cumulant_partition_sum(cov, parts: Sequence[Sequence[int]]):
-    """Same joint cumulant via the partition sum
-    sum_tau (-1)^(|tau|-1) (|tau|-1)! prod_B E[prod over merged blocks]."""
-    r = len(parts)
-    total = 0
-    for tau in enumerate_partitions(r):
-        term = Fraction((-1) ** (len(tau) - 1) * factorial(len(tau) - 1))
-        for block in tau:
-            merged = [v for bi in block for v in parts[bi]]
-            term = term * isserlis_moment(cov, merged)
-        total = total + term
-    return total
-
-
-def cumulant_via_both_routes_check(cov, parts) -> bool:
-    """Consistency harness: connected-pairing route equals partition-sum route."""
-    return joint_cumulant_connected(cov, parts) == joint_cumulant_partition_sum(cov, parts)
-
-
 # ---------------------------------------------------------------------------
 # generic moment -> cumulant conversion
 
 def moments_to_cumulants(moments: Sequence) -> list:
-    """kappa_1..kappa_r from raw moments m_1..m_r of a single variable.
+    """kappa_1..kappa_r from raw moments m_1..m_r of a single variable, by
+    kappa_r = m_r - sum_{j<r} C(r-1, j-1) kappa_j m_{r-j}.
 
-    kappa_r = r! [t^r] log(sum_k m_k t^k / k!).  Ring elements only need
-    +, -, * among themselves and division by Python ints, so Fractions,
-    floats, mpmath numbers and truncated Laurent series all work.
+    Ring elements only need +, -, * among themselves and by Python ints, so
+    Fractions, floats, mpmath numbers and truncated Laurent series all work.
     """
-    r = len(moments)
-    if r == 0:
-        return []
-    # u_k = m_k / k!, k = 1..r   (constant term of the MGF is 1)
-    u = [None] + [moments[k - 1] / factorial(k) for k in range(1, r + 1)]
-    # log(1 + u) = sum_j (-1)^(j-1) u^j / j, truncated at t^r
-    log_coeffs: list = [None] + [None] * r
-    upow = u[:]
-    sign = 1
-    for j in range(1, r + 1):
-        for k in range(j, r + 1):
-            if upow[k] is None:
-                continue
-            contrib = upow[k] / j if sign > 0 else -(upow[k] / j)
-            log_coeffs[k] = contrib if log_coeffs[k] is None else log_coeffs[k] + contrib
-        if j < r:
-            new = [None] * (r + 1)
-            for i in range(j, r + 1):
-                if upow[i] is None:
-                    continue
-                for k in range(1, r + 1 - i):
-                    if u[k] is None:
-                        continue
-                    prod = upow[i] * u[k]
-                    tgt = i + k
-                    new[tgt] = prod if new[tgt] is None else new[tgt] + prod
-            upow = new
-        sign = -sign
-    return [log_coeffs[k] * factorial(k) for k in range(1, r + 1)]
+    kappas: list = []
+    for r in range(1, len(moments) + 1):
+        k = moments[r - 1]
+        for j in range(1, r):
+            k = k - comb(r - 1, j - 1) * kappas[j - 1] * moments[r - j - 1]
+        kappas.append(k)
+    return kappas

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
@@ -44,33 +43,6 @@ def _rational_mpf(num: int, den: int, bits: int):
 
 # ---------------------------------------------------------------------------
 # linear algebra
-
-def exact_inverse(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse over exact rationals; raises on singular input.
-
-    Intended as a small-n oracle (n <= 12) against the floating route.
-    """
-    n = len(matrix)
-    if n > 12:
-        raise SizeLimitError("exact inverse capped at n=12")
-    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise DomainError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
 
 def default_w(g: Graph) -> Fraction:
     """2 d / n, the shift under which the estimator's analysis inverts the
@@ -189,11 +161,18 @@ def degree_sum_reference(g: Graph) -> Fraction:
 # ---------------------------------------------------------------------------
 # cumulant corrections
 
+def _require_cumulant_args(g: Graph, K: int, M: int) -> None:
+    """K >= 2 for any cumulant (M >= 1), and the edge-pair cap for kappa_2."""
+    if M >= 1 and K < 2:
+        raise DomainError("K must be >= 2")
+    if M >= 2 and g.edge_count ** 2 > KAPPA2_MAX_EDGE_PAIRS:
+        raise SizeLimitError("edge-pair cap exceeded")
+
+
 def kappa1_f(g: Graph, sigma, K: int, bits: int = DEFAULT_BITS):
     """The exact first cumulant
     sum_{l=2}^K c_{2l} (2l-1)!! sum_{jk} sigma_{jk,jk}^l."""
-    if K < 2:
-        raise DomainError("K must be >= 2")
+    _require_cumulant_args(g, K, 1)
     cs = log_cos_coeffs(K)
     with mpmath.workprec(bits):
         total = mpmath.mpf(0)
@@ -223,12 +202,8 @@ def kappa2_f(g: Graph, sigma, K: int, bits: int = DEFAULT_BITS):
     with S the edge-difference covariance matrix and S^(o j) its j-th
     Hadamard power.  The cost is O(m^2 K).
     """
-    if K < 2:
-        raise DomainError("K must be >= 2")
+    _require_cumulant_args(g, K, 2)
     edges = sorted(g.edges)
-    m = len(edges)
-    if m * m > KAPPA2_MAX_EDGE_PAIRS:
-        raise SizeLimitError("edge-pair cap exceeded")
     cs = log_cos_coeffs(K)
     with mpmath.workprec(bits):
         # upper[e][i] = S[e][e + i]; S is symmetric
@@ -326,7 +301,10 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     if M not in (0, 1, 2):
         raise DomainError("M must be 0, 1 or 2")
     require_precision(bits)
+    if g.n < 2:
+        raise DomainError("estimate needs at least 2 vertices")
     _require_eulerian(g)
+    _require_cumulant_args(g, K, M)
     wf = default_w(g) if w is None else Fraction(w)
     lower, upper_sq = schrijver_bounds(g)
     try:

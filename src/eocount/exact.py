@@ -1,14 +1,14 @@
-"""Ground-truth exact counters: Eulerian orientations of small graphs by
-pruned backtracking, regular tournaments by a residual-degree recurrence, and
-balanced digraph/oriented-graph counts by exhaustive scan.  Also a product
-trapezoid quadrature for the circle-integral representations of these counts,
-usable as a low-dimensional numeric cross-check.
+"""Ground-truth exact counters: Eulerian orientations of small graphs and
+balanced digraph/oriented-graph counts by one pruned backtracking counter
+over vertex pairs, regular tournaments by a residual-degree recurrence.  Also
+a product trapezoid quadrature for the circle-integral representations of
+these counts, usable as a low-dimensional numeric cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -46,66 +46,59 @@ RT_KNOWN_COUNTS: dict[int, int] = {
 }
 
 
-@dataclass(frozen=True)
-class OrientationCount:
-    """An exact count together with the method that produced it."""
-
-    value: int
-    method: str  # "bruteforce" | "dp" | "integral-approx"
-
-
 # ---------------------------------------------------------------------------
-# Eulerian orientations by backtracking
+# Balanced assignments by backtracking
+
+def _balanced_count(n: int, pairs: list[tuple[int, int]], moves) -> int:
+    """Weighted count of the ways to give every pair (j, k) one move that
+    leave all n vertices balanced.
+
+    A move (d, weight) adds d to the imbalance of j and -d to that of k, with
+    |d| <= 1; the moves must be closed under d -> -d with equal weights.  A
+    branch is pruned as soon as some vertex has a larger imbalance than it
+    has pairs left.  Reversing every move is an involution, so the first
+    pair takes only d >= 0, with the weight doubled when d > 0.
+    """
+    rem = [0] * n   # pairs still to assign at each vertex
+    for j, k in pairs:
+        rem[j] += 1
+        rem[k] += 1
+    imb = [0] * n
+    m = len(pairs)
+
+    def count_from(idx: int, choices) -> int:
+        if idx == m:
+            return 1
+        j, k = pairs[idx]
+        rem[j] -= 1
+        rem[k] -= 1
+        total = 0
+        for d, weight in choices:
+            imb[j] += d
+            imb[k] -= d
+            if abs(imb[j]) <= rem[j] and abs(imb[k]) <= rem[k]:
+                total += weight * count_from(idx + 1, moves)
+            imb[j] -= d
+            imb[k] += d
+        rem[j] += 1
+        rem[k] += 1
+        return total
+
+    return count_from(0, [(d, 2 * w if d else w) for d, w in moves if d >= 0])
+
 
 def eo_count_bruteforce(g: Graph) -> int:
     """Exact number of Eulerian orientations by vertex-major backtracking.
 
-    Edges are processed grouped by vertex so each vertex's balance closes
-    early; a branch is pruned as soon as some endpoint cannot return to
-    balance.  The first edge is fixed and the result doubled (reversing all
-    edges is an involution).
+    Edges are taken in sorted order, so all edges at the smallest vertex come
+    first and its balance closes early; each edge gets one of two
+    directions.
     """
     if g.edge_count > EO_MAX_EDGES:
         raise SizeLimitError(f"brute force capped at {EO_MAX_EDGES} edges")
     if any(d % 2 for d in g.degrees):
         return 0
-    if g.edge_count == 0:
-        return 1
-
-    # vertex-major edge order: all edges at the smallest incident vertex first
-    edges = sorted(g.edges)
-    rem = list(g.degrees)   # undirected edges still incident
-    imb = [0] * g.n         # out-degree minus in-degree so far
-    m = len(edges)
-
-    def count_from(idx: int) -> int:
-        if idx == m:
-            return 1
-        u, v = edges[idx]
-        total = 0
-        # orient u -> v
-        for a, b in ((u, v), (v, u)):
-            imb[a] += 1
-            imb[b] -= 1
-            rem[u] -= 1
-            rem[v] -= 1
-            if abs(imb[u]) <= rem[u] and abs(imb[v]) <= rem[v]:
-                total += count_from(idx + 1)
-            imb[a] -= 1
-            imb[b] += 1
-            rem[u] += 1
-            rem[v] += 1
-        return total
-
-    # fix the first edge's direction, double at the end
-    u, v = edges[0]
-    imb[u] += 1
-    imb[v] -= 1
-    rem[u] -= 1
-    rem[v] -= 1
-    if abs(imb[u]) > rem[u] or abs(imb[v]) > rem[v]:
-        return 0
-    return 2 * count_from(1)
+    return _balanced_count(g.n, sorted(g.edges), ((1, 1), (-1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +112,9 @@ def rt_count(n: int) -> int:
     States are sorted residual multisets; choices within a block of equal
     residuals are aggregated by binomial weights.
     """
-    if n % 2 == 0:
-        raise DomainError("regular tournaments need an odd vertex count")
-    if not (1 <= n <= RT_MAX_N):
+    if n < 1 or n % 2 == 0:
+        raise DomainError("regular tournaments need a positive odd vertex count")
+    if n > RT_MAX_N:
         raise SizeLimitError(f"rt_count capped at n={RT_MAX_N}")
     s = (n - 1) // 2
     layer: dict[tuple[int, ...], int] = {(s,) * n: 1}
@@ -167,55 +160,27 @@ def rt_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Balanced digraphs / oriented graphs, exhaustive with pruning
+# Balanced digraphs / oriented graphs: every vertex pair of K_n
 
-def _balanced_pair_scan(n: int, pair_states) -> int:
-    """Count assignments of states to all vertex pairs keeping in = out.
-
-    pair_states: per-pair options as (delta_j, delta_k) imbalance increments.
-    """
+def _all_pairs(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise DomainError("need n >= 1")
     if n > BALANCED_SCAN_MAX_N:
         raise SizeLimitError(f"exhaustive scan capped at n={BALANCED_SCAN_MAX_N}")
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    m = len(pairs)
-    # remaining pair slots touching each vertex, for pruning
-    rem = [n - 1] * n
-    imb = [0] * n
-
-    def rec(idx: int) -> int:
-        if idx == m:
-            return 1
-        j, k = pairs[idx]
-        rem[j] -= 1
-        rem[k] -= 1
-        total = 0
-        for dj, dk in pair_states:
-            imb[j] += dj
-            imb[k] += dk
-            if abs(imb[j]) <= rem[j] and abs(imb[k]) <= rem[k]:
-                total += rec(idx + 1)
-            imb[j] -= dj
-            imb[k] -= dk
-        rem[j] += 1
-        rem[k] += 1
-        return total
-
-    return rec(0)
+    return list(combinations(range(n), 2))
 
 
 def eulerian_digraph_count_bruteforce(n: int) -> int:
     """Balanced digraphs on n labelled vertices: each unordered pair carries
-    any subset of the two opposite arcs (2-cycles allowed)."""
-    # states: none, j->k, k->j, both
-    return _balanced_pair_scan(n, [(0, 0), (1, -1), (-1, 1), (0, 0)])
+    any subset of the two opposite arcs (2-cycles allowed).  "No arc" and
+    "both arcs" leave the balance alone and form one move of weight 2."""
+    return _balanced_count(n, _all_pairs(n), ((0, 2), (1, 1), (-1, 1)))
 
 
 def eulerian_oriented_count_bruteforce(n: int) -> int:
     """Balanced oriented graphs on n labelled vertices: at most one arc per
     unordered pair."""
-    return _balanced_pair_scan(n, [(0, 0), (1, -1), (-1, 1)])
+    return _balanced_count(n, _all_pairs(n), ((0, 1), (1, 1), (-1, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ components of variance v/n and
 
 with e_{2l} the Taylor coefficients of log(a + b cos x).  Everything is exact:
 moments of f_K^r are assembled from power-sum moments as truncated Laurent
-series in 1/n, cumulants are extracted by a formal logarithm, and the closed
--form prefactors are attached symbolically.
+series in 1/n, turned into cumulants by the moment-to-cumulant recursion, and
+the closed-form prefactors are attached symbolically.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Mapping
 
 import mpmath
 
@@ -86,37 +85,21 @@ def log_cos_coeffs(L: int) -> list[Fraction]:
             for l in range(1, L + 1)]
 
 
-def log_cos_coeffs_series(L: int) -> list[Fraction]:
-    """Same coefficients by a direct formal log of the cosine series; used to
-    cross-validate the Bernoulli route."""
-    return weight_log_coeffs(WeightSpec(Fraction(0), Fraction(1), "RT"), L)
-
-
 def weight_log_coeffs(w: WeightSpec, L: int) -> list[Fraction]:
     """e_2, e_4, ..., e_{2L}: Taylor coefficients of log(a + b cos x) at 0
-    (odd coefficients vanish).  Formal log of 1 + b(cos x - 1), exact."""
+    (odd coefficients vanish), exact.
+
+    In y = x^2, a + b cos x = 1 + sum_k b (-1)^k y^k / (2k)! is a moment
+    generating series with moments m_k = b (-1)^k k! / (2k)!, so its log has
+    coefficients kappa_k / k!.
+    """
     a, b = w.a, w.b
     if a + b != 1:
         raise DomainError("representation requires value 1 at x = 0")
-    # u[k] = coefficient of x^{2k} in b (cos x - 1)
-    u = [Fraction(0)] * (L + 1)
-    for k in range(1, L + 1):
-        u[k] = b * Fraction((-1) ** k, factorial(2 * k))
-    out = [Fraction(0)] * (L + 1)
-    upow = u[:]
-    sign = 1
-    for j in range(1, L + 1):
-        for k in range(j, L + 1):
-            out[k] += Fraction(sign, j) * upow[k]
-        new = [Fraction(0)] * (L + 1)
-        for i in range(j, L + 1):
-            if upow[i] == 0:
-                continue
-            for k in range(1, L + 1 - i):
-                new[i + k] += upow[i] * u[k]
-        upow = new
-        sign = -sign
-    return out[1:]
+    moments = [b * Fraction((-1) ** k * factorial(k), factorial(2 * k))
+               for k in range(1, L + 1)]
+    return [kap / factorial(k)
+            for k, kap in enumerate(moments_to_cumulants(moments), start=1)]
 
 
 def family_variance(w: WeightSpec) -> Fraction:
@@ -160,53 +143,8 @@ def f_as_mu_polynomial(w: WeightSpec, K: int,
     return {m: s for m, s in poly.items() if s}
 
 
-def evaluate_mu_polynomial(poly: Mapping[tuple[int, ...], LaurentSeries],
-                           xs: list[Fraction]) -> Fraction:
-    """Exact evaluation at a rational point (n = len(xs)); test hook."""
-    n = len(xs)
-    total = Fraction(0)
-    for mono, coeff in poly.items():
-        val = coeff.evaluate(n)
-        for k in mono:
-            val *= sum(Fraction(x) ** k for x in xs)
-        total += val
-    return total
-
-
-def f_direct(w: WeightSpec, K: int, xs: list[Fraction],
-             variance_scale: Fraction | None = None) -> Fraction:
-    """Edge-sum definition of f_K on the complete graph, for cross-checks."""
-    v = Fraction(1) if variance_scale is None else Fraction(variance_scale)
-    e = weight_log_coeffs(w, K)
-    n = len(xs)
-    total = Fraction(0)
-    for l in range(2, K + 1):
-        s = Fraction(0)
-        for j in range(n):
-            for k in range(j + 1, n):
-                s += (Fraction(xs[j]) - Fraction(xs[k])) ** (2 * l)
-        total += e[l - 1] * v**l * s
-    return total
-
-
 # ---------------------------------------------------------------------------
 # order selection
-
-def orders_for_precision(n: float, d: float, c: float) -> tuple[int, int]:
-    """Moment order M and Taylor order K needed for a target error n^(-c):
-    M = floor((c+1) log n / (log d - 2 log log n)),
-    K = floor((c+1) log n / (log d - log log n))."""
-    ln = mpmath.log(n)
-    lld = mpmath.log(d)
-    lll = mpmath.log(ln)
-    dM = lld - 2 * lll
-    dK = lld - lll
-    if dM <= 0 or dK <= 0:
-        raise DomainError("order formulas need d > (log n)^2")
-    M = int(mpmath.floor((c + 1) * ln / dM))
-    K = int(mpmath.floor((c + 1) * ln / dK))
-    return M, K
-
 
 def family_orders(c: int) -> tuple[int, int]:
     """For the dense families the error target n^(-c) is met with
@@ -293,8 +231,8 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     """Exponent-series coefficients through n^-(c-1), exact rationals.
 
     The moments E[f_K^r], r <= M, are computed in the power-sum basis with
-    truncation pruning, converted to cumulants by the formal logarithm over
-    the series ring, and summed as sum_r kappa_r / r!.
+    truncation pruning, converted to cumulants over the series ring, and
+    summed as sum_r kappa_r / r!.
     """
     if c > MAX_ORDER:
         raise SizeLimitError(f"expansion order capped at c={MAX_ORDER}")
@@ -337,6 +275,15 @@ def log_prefactor(family: str, n: int) -> mpmath.mpf:
     raise DomainError("no closed-form prefactor for a custom weight")
 
 
+def require_eval_point(family: str, n: int) -> None:
+    """Reject an evaluation point outside the family's domain: n >= 1, and n
+    odd for regular tournaments."""
+    if n < 1:
+        raise DomainError("evaluation needs n >= 1")
+    if family == "RT" and n % 2 == 0:
+        raise DomainError("regular tournaments need odd n")
+
+
 def evaluate_expansion(result: ExpansionResult, n: int, bits: int = 256,
                        max_power: int | None = None):
     """(value, log_value) of prefactor * exp(truncated series) at this n.
@@ -346,8 +293,7 @@ def evaluate_expansion(result: ExpansionResult, n: int, bits: int = 256,
     """
     if bits < 128:
         raise DomainError("bits must be >= 128")
-    if result.family == "RT" and n % 2 == 0:
-        raise DomainError("regular tournaments need odd n")
+    require_eval_point(result.family, n)
     if result.family == "custom":
         raise DomainError("custom weights expose only the exponent series")
     with mpmath.workprec(bits):

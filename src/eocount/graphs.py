@@ -55,15 +55,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.degrees, default=0)
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True

@@ -2,19 +2,18 @@
 centered Gaussians with variance 1/n, as truncated Laurent series in 1/n.
 
 A monomial is a multiset of exponents >= 1, written as a sorted tuple, e.g.
-``(2, 2, 4)`` for mu_2^2 mu_4.  Three independent routes are implemented:
+``(2, 2, 4)`` for mu_2^2 mu_4.  The moments come from one route, Gaussian
+integration by parts, which peels one factor at a time
+(E[mu_k G] = (k-1)/n E[mu_{k-2} G] + (1/n) sum_a a E[mu_{a+k-2} G/mu_a])
+with results memoized per monomial.  The partition-type sum and the
+set-partition sum over factor positions live in the tests as independent
+cross-checks.
 
-* ``mu_moment`` - fast engine: Gaussian integration by parts peels one factor
-  at a time (E[mu_k G] = (k-1)/n E[mu_{k-2} G] + (1/n) sum_a a E[mu_{a+k-2}
-  G/mu_a]) with results memoized per monomial;
-* ``mu_moment_via_types`` - sum over partition types T of A_T * B_T * prod of
-  single-variable moments, pruned below the truncation order;
-* ``set_partition_moment_oracle`` - slow sum over all set partitions of the
-  factor positions (test oracle, <= 10 factors).
-
-A partition type is a multiset of cell types; a cell type is a multiset of
-exponents sharing one coordinate index.  Cells with odd exponent sum
-contribute zero, so type enumeration prunes them by default.
+The module also enumerates and counts partition types, with their index and
+position weights A_T and B_T.  A partition type is a multiset of cell types;
+a cell type is a multiset of exponents sharing one coordinate index.  Cells
+with odd exponent sum contribute zero, so type enumeration prunes them by
+default.
 """
 
 from __future__ import annotations
@@ -23,12 +22,11 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Iterator, Mapping
 
-from .cumulants import double_factorial, enumerate_partitions
+from .cumulants import double_factorial
 from .errors import SizeLimitError
 from .laurent import LaurentSeries
 
 TYPE_ENUM_MAX_FACTORS = 26
-ORACLE_MAX_FACTORS = 10
 
 CellType = tuple[int, ...]          # ascending exponents sharing one index
 PartitionType = tuple[CellType, ...]  # cells in descending canonical order
@@ -201,45 +199,6 @@ def _cell_multiplicities(ptype: PartitionType) -> list[int]:
     return mults
 
 
-def realization_count(ptype: PartitionType) -> int:
-    """Number of set partitions of the factor positions with this type:
-    b_coeff / prod eta!."""
-    den = prod(factorial(m) for m in _cell_multiplicities(ptype))
-    b = b_coeff(ptype)
-    assert b % den == 0
-    return b // den
-
-
-def realization_sum(mono) -> int:
-    """Sum of realization counts over all types (odd cells included); equals
-    the Bell number of the factor count.  Memoized recursion, exact."""
-    mono = mu_monomial(mono)
-    counts = _counts_of(mono)
-    memo: dict = {}
-
-    def rec(remaining, cap, run):
-        if not any(c for _, c in remaining):
-            return Fraction(1)
-        key = (remaining, cap, run)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = Fraction(0)
-        for vec, _s in _subcells(remaining, cap, even_only=False):
-            w = Fraction(1, prod(factorial(c) for c in vec))
-            rem2 = tuple((e, c - v) for (e, c), v in zip(remaining, vec))
-            if cap is not None and vec == cap:
-                total += w * rec(rem2, vec, run + 1) / (run + 1)
-            else:
-                total += w * rec(rem2, vec, 1)
-        memo[key] = total
-        return total
-
-    s = rec(counts, None, 0) * prod(factorial(c) for _, c in counts)
-    assert s.denominator == 1
-    return int(s)
-
-
 # ---------------------------------------------------------------------------
 # single-variable moments and falling factorials
 
@@ -279,13 +238,10 @@ def _falling_factorial_series(q: int) -> LaurentSeries:
 _MOM_CACHE: dict[tuple[int, ...], tuple[int, dict[int, Fraction]]] = {}
 
 
-def clear_moment_cache() -> None:
-    _MOM_CACHE.clear()
-
-
-def _mu_rec(mono: tuple[int, ...], cut: int) -> dict[int, Fraction]:
+def mu_moment_dict(mono: tuple[int, ...], cut: int) -> dict[int, Fraction]:
     """E[prod mu_j] as {p: coeff of n^-p}, complete for p <= cut (entries with
-    p > cut may be absent; callers filter)."""
+    p > cut may be absent; callers filter).  Memoized per monomial; the
+    internal format of the series engine's hot loop."""
     if not mono:
         return {0: Fraction(1)}
     cached = _MOM_CACHE.get(mono)
@@ -301,11 +257,11 @@ def _mu_rec(mono: tuple[int, ...], cut: int) -> dict[int, Fraction]:
 
     # replace mu_k by (k-1) mu_{k-2} / n;  mu_0 = n cancels the 1/n
     if k == 2:
-        for p, c in _mu_rec(rest, cut).items():
+        for p, c in mu_moment_dict(rest, cut).items():
             if p <= cut:
                 out[p] = out.get(p, Fraction(0)) + c
     elif k > 2:
-        sub = _mu_rec(tuple(sorted(rest + (k - 2,))), cut - 1)
+        sub = mu_moment_dict(tuple(sorted(rest + (k - 2,))), cut - 1)
         w = k - 1
         for p, c in sub.items():
             if p + 1 <= cut:
@@ -323,12 +279,12 @@ def _mu_rec(mono: tuple[int, ...], cut: int) -> dict[int, Fraction]:
         base = rest[:i] + rest[i + 1:]
         merged = a + k - 2
         if merged >= 1:
-            sub = _mu_rec(tuple(sorted(base + (merged,))), cut - 1)
+            sub = mu_moment_dict(tuple(sorted(base + (merged,))), cut - 1)
             for p, c in sub.items():
                 if p + 1 <= cut:
                     out[p + 1] = out.get(p + 1, Fraction(0)) + w * c
         else:  # merged exponent 0: mu_0 = n cancels the 1/n
-            for p, c in _mu_rec(base, cut).items():
+            for p, c in mu_moment_dict(base, cut).items():
                 if p <= cut:
                     out[p] = out.get(p, Fraction(0)) + w * c
         i = j
@@ -344,81 +300,5 @@ def mu_moment(mono, p_max: int | None = None) -> LaurentSeries:
     if len(mono) > TYPE_ENUM_MAX_FACTORS:
         raise SizeLimitError(f"mu_moment capped at {TYPE_ENUM_MAX_FACTORS} factors")
     cut = sum(mono) // 2 if p_max is None else p_max
-    full = _mu_rec(mono, cut)
+    full = mu_moment_dict(mono, cut)
     return LaurentSeries({p: c for p, c in full.items() if p <= cut}, p_max)
-
-
-def mu_moment_dict(mono: tuple[int, ...], cut: int) -> dict[int, Fraction]:
-    """Internal-format variant for hot loops; complete for p <= cut."""
-    return _mu_rec(mono, cut)
-
-
-# ---------------------------------------------------------------------------
-# type-sum route
-
-def mu_moment_via_types(mono, p_max: int | None = None) -> LaurentSeries:
-    """Same moment via the partition-type sum A_T B_T prod E[X^{sum cell}].
-
-    Types whose cell count q satisfies q < deg/2 - p_max cannot reach the kept
-    orders and are pruned during enumeration.
-    """
-    mono = mu_monomial(mono)
-    D = sum(mono)
-    if D % 2:
-        return LaurentSeries.zero(p_max)
-    cut = D // 2 if p_max is None else p_max
-    min_cells = max(0, D // 2 - cut)
-    counts = _counts_of(mono)
-    norm = prod(factorial(c) for _, c in counts)
-
-    # accumulate sum over types of prod_cells[(S-1)!!/prod nu!]/prod eta! per q
-    per_q: dict[int, Fraction] = {}
-
-    def rec(remaining, cap, run, q, weight):
-        if not any(c for _, c in remaining):
-            per_q[q] = per_q.get(q, Fraction(0)) + weight
-            return
-        if q + _max_cells(remaining, even_only=True) < min_cells:
-            return
-        for vec, s in _subcells(remaining, cap, even_only=True):
-            w = weight * Fraction(double_factorial(s - 1),
-                                  prod(factorial(c) for c in vec))
-            rem2 = tuple((e, c - v) for (e, c), v in zip(remaining, vec))
-            if cap is not None and vec == cap:
-                rec(rem2, vec, run + 1, q + 1, w / (run + 1))
-            else:
-                rec(rem2, vec, 1, q + 1, w)
-
-    rec(counts, None, 0, 0, Fraction(1))
-
-    series: dict[int, Fraction] = {}
-    for q, wsum in per_q.items():
-        if wsum == 0:
-            continue
-        for t, fc in _falling_factorial_coeffs(q).items():
-            p = D // 2 - t
-            if p <= cut:
-                series[p] = series.get(p, Fraction(0)) + norm * wsum * fc
-    return LaurentSeries(series, p_max)
-
-
-# ---------------------------------------------------------------------------
-# set-partition oracle
-
-def set_partition_moment_oracle(mono) -> LaurentSeries:
-    """Exact moment by summing over all set partitions of the factor
-    positions: sum_pi (n)_{|pi|} prod_blocks E[X^{sum of exponents}]."""
-    mono = mu_monomial(mono)
-    if len(mono) > ORACLE_MAX_FACTORS:
-        raise SizeLimitError(f"oracle capped at {ORACLE_MAX_FACTORS} factors")
-    total = LaurentSeries.zero()
-    for part in enumerate_partitions(len(mono)):
-        term = _falling_factorial_series(len(part))
-        for block in part:
-            s = sum(mono[i] for i in block)
-            if s % 2:
-                term = LaurentSeries.zero()
-                break
-            term = term * gaussian_power_moment(s)
-        total = total + term
-    return total

@@ -159,18 +159,6 @@ def delta_V(space: DiscreteProductSpace, table, V) -> Fraction:
     return Fraction(best, den)
 
 
-def conditional_expectation(space: DiscreteProductSpace, table, j: int):
-    """E^j[f]: average coordinate j out with its weights; returns a table."""
-    arr = np.array(table, dtype=object).reshape(space.sizes)
-    ws = space.weights[j]
-    acc = None
-    for y, w in enumerate(ws):
-        sl = np.take(arr, y, axis=j) * w
-        acc = sl if acc is None else acc + sl
-    out = np.broadcast_to(np.expand_dims(acc, j), space.sizes)
-    return tuple(out.reshape(-1))
-
-
 def alpha(space: DiscreteProductSpace, table, m: int) -> Fraction:
     """max over v <= m and coordinates j of sum_{|V| = v, j in V} Delta_V."""
     if m < 1:

@@ -1,19 +1,292 @@
-"""Slow reference routes kept for the tests.
+"""Slow or independent reference routes kept for the tests.
 
-``kappa2_pairwise`` is the per-pair route to the second cumulant of f_K: for
-every ordered edge pair it sums c_{2l1} c_{2l2} times the joint moment
-E[X_e^{2l1} X_f^{2l2}] minus the product of the univariate moments.  The
-shipped ``kappa2_f`` computes the same quantity as Hadamard-power
-contractions, without the j = 0 term that cancels here.
+The package ships one route per computation; these are the second routes the
+tests check it against:
+
+* power-sum moments: the partition-type sum ``mu_moment_via_types`` and the
+  set-partition sum ``set_partition_moment_oracle`` (against the
+  integration-by-parts recurrence ``mu_moment``), with the realization counts
+  of partition types;
+* joint cumulants: the partition sum ``joint_cumulant_partition_sum``
+  (against the connected-pairing sum), with ``stirling_second`` and
+  ``partition_factorial_sum``;
+* the series engine's inputs: ``f_direct`` and ``evaluate_mu_polynomial``
+  (f_K by its edge-sum definition and in the power-sum basis),
+  ``log_cos_coeffs_series`` (against the Bernoulli closed form) and the
+  general order formulas ``orders_for_precision``;
+* the estimator: ``exact_inverse`` (Gauss-Jordan over rationals, against the
+  integer adjugate) and the per-pair route to kappa_2, ``kappa2_pairwise``:
+  for every ordered edge pair it sums c_{2l1} c_{2l2} times the joint moment
+  E[X_e^{2l1} X_f^{2l2}] minus the product of the univariate moments.  The
+  shipped ``kappa2_f`` computes the same quantity as Hadamard-power
+  contractions, without the j = 0 term that cancels here;
+* the tail lab: the averaging operator ``conditional_expectation``.
 """
 
-from math import comb
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import mpmath
+import numpy as np
 
-from eocount.cumulants import double_factorial
+from eocount.cumulants import (double_factorial, enumerate_partitions,
+                               isserlis_moment, joint_cumulant_connected)
+from eocount.errors import DomainError, SizeLimitError
 from eocount.estimator import DEFAULT_BITS, edge_difference_cov
-from eocount.expansion import log_cos_coeffs
+from eocount.expansion import WeightSpec, log_cos_coeffs, weight_log_coeffs
+from eocount.laurent import LaurentSeries
+from eocount.powersums import (_cell_multiplicities, _counts_of,
+                               _falling_factorial_coeffs, _max_cells,
+                               _subcells, b_coeff, mu_monomial)
+
+ORACLE_MAX_FACTORS = 10
+
+
+# ---------------------------------------------------------------------------
+# power-sum moments
+
+def set_partition_moment_oracle(mono) -> LaurentSeries:
+    """Exact moment by summing over all set partitions pi of the factor
+    positions: sum_pi (n)_{|pi|} prod_blocks E[X^{s_b}], s_b the block's
+    exponent sum.
+
+    E[X^s] = (s-1)!! n^(-s/2) for even s and 0 for odd s, so every nonzero
+    term carries n^(-D/2), D the total degree.  The double-factorial products
+    are summed as ints per block count q and multiplied by the falling
+    factorial (n)_q once at the end.
+    """
+    mono = mu_monomial(mono)
+    if len(mono) > ORACLE_MAX_FACTORS:
+        raise SizeLimitError(f"oracle capped at {ORACLE_MAX_FACTORS} factors")
+    half, odd = divmod(sum(mono), 2)
+    if odd:
+        return LaurentSeries.zero()
+    per_q: dict[int, int] = {}
+    for part in enumerate_partitions(len(mono)):
+        term = 1
+        for block in part:
+            s = sum(mono[i] for i in block)
+            if s % 2:
+                break
+            term *= double_factorial(s - 1)
+        else:
+            per_q[len(part)] = per_q.get(len(part), 0) + term
+    series: dict[int, int] = {}
+    for q, total in per_q.items():
+        for t, c in _falling_factorial_coeffs(q).items():
+            series[half - t] = series.get(half - t, 0) + total * c
+    return LaurentSeries(series)
+
+
+def mu_moment_via_types(mono, p_max: int | None = None) -> LaurentSeries:
+    """Same moment via the partition-type sum A_T B_T prod E[X^{sum cell}].
+
+    Types whose cell count q satisfies q < deg/2 - p_max cannot reach the kept
+    orders and are pruned during enumeration.
+    """
+    mono = mu_monomial(mono)
+    D = sum(mono)
+    if D % 2:
+        return LaurentSeries.zero(p_max)
+    cut = D // 2 if p_max is None else p_max
+    min_cells = max(0, D // 2 - cut)
+    counts = _counts_of(mono)
+    norm = prod(factorial(c) for _, c in counts)
+
+    # accumulate sum over types of prod_cells[(S-1)!!/prod nu!]/prod eta! per q
+    per_q: dict[int, Fraction] = {}
+
+    def rec(remaining, cap, run, q, weight):
+        if not any(c for _, c in remaining):
+            per_q[q] = per_q.get(q, Fraction(0)) + weight
+            return
+        if q + _max_cells(remaining, even_only=True) < min_cells:
+            return
+        for vec, s in _subcells(remaining, cap, even_only=True):
+            w = weight * Fraction(double_factorial(s - 1),
+                                  prod(factorial(c) for c in vec))
+            rem2 = tuple((e, c - v) for (e, c), v in zip(remaining, vec))
+            if cap is not None and vec == cap:
+                rec(rem2, vec, run + 1, q + 1, w / (run + 1))
+            else:
+                rec(rem2, vec, 1, q + 1, w)
+
+    rec(counts, None, 0, 0, Fraction(1))
+
+    series: dict[int, Fraction] = {}
+    for q, wsum in per_q.items():
+        if wsum == 0:
+            continue
+        for t, fc in _falling_factorial_coeffs(q).items():
+            p = D // 2 - t
+            if p <= cut:
+                series[p] = series.get(p, Fraction(0)) + norm * wsum * fc
+    return LaurentSeries(series, p_max)
+
+
+def realization_count(ptype) -> int:
+    """Number of set partitions of the factor positions with this type:
+    b_coeff / prod eta!."""
+    den = prod(factorial(m) for m in _cell_multiplicities(ptype))
+    b = b_coeff(ptype)
+    assert b % den == 0
+    return b // den
+
+
+def realization_sum(mono) -> int:
+    """Sum of realization counts over all types (odd cells included); equals
+    the Bell number of the factor count.  Memoized recursion, exact."""
+    mono = mu_monomial(mono)
+    counts = _counts_of(mono)
+    memo: dict = {}
+
+    def rec(remaining, cap, run):
+        if not any(c for _, c in remaining):
+            return Fraction(1)
+        key = (remaining, cap, run)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        total = Fraction(0)
+        for vec, _s in _subcells(remaining, cap, even_only=False):
+            w = Fraction(1, prod(factorial(c) for c in vec))
+            rem2 = tuple((e, c - v) for (e, c), v in zip(remaining, vec))
+            if cap is not None and vec == cap:
+                total += w * rec(rem2, vec, run + 1) / (run + 1)
+            else:
+                total += w * rec(rem2, vec, 1)
+        memo[key] = total
+        return total
+
+    s = rec(counts, None, 0) * prod(factorial(c) for _, c in counts)
+    assert s.denominator == 1
+    return int(s)
+
+
+# ---------------------------------------------------------------------------
+# joint cumulants and partition counts
+
+def joint_cumulant_partition_sum(cov, parts):
+    """Joint cumulant of the monomials prod_{i in P_1} Z_i, ... via the
+    partition sum sum_tau (-1)^(|tau|-1) (|tau|-1)! prod_B E[prod over merged
+    blocks]."""
+    r = len(parts)
+    total = 0
+    for tau in enumerate_partitions(r):
+        term = Fraction((-1) ** (len(tau) - 1) * factorial(len(tau) - 1))
+        for block in tau:
+            merged = [v for bi in block for v in parts[bi]]
+            term = term * isserlis_moment(cov, merged)
+        total = total + term
+    return total
+
+
+def cumulant_via_both_routes_check(cov, parts) -> bool:
+    """Connected-pairing route equals partition-sum route."""
+    return joint_cumulant_connected(cov, parts) == joint_cumulant_partition_sum(cov, parts)
+
+
+def stirling_second(m: int, k: int) -> int:
+    """Number of partitions of an m-set into k nonempty blocks."""
+    if k < 0 or k > m:
+        return 0
+    if m == 0:
+        return 1
+    # S(m,k) = k*S(m-1,k) + S(m-1,k-1)
+    row = [1] + [0] * m
+    for i in range(1, m + 1):
+        new = [0] * (m + 1)
+        for j in range(1, i + 1):
+            new[j] = j * row[j] + row[j - 1]
+        row = new
+    return row[k]
+
+
+def partition_factorial_sum(s: int) -> int:
+    """sum over set partitions of [s] of (|blocks| - 1)!, grouped by block
+    count: sum_k S(s, k) (k - 1)!."""
+    return sum(stirling_second(s, k) * factorial(k - 1) for k in range(1, s + 1))
+
+
+# ---------------------------------------------------------------------------
+# series-engine inputs
+
+def log_cos_coeffs_series(L: int) -> list[Fraction]:
+    """Taylor coefficients of log cos x by the formal log of the cosine
+    series; cross-validates the Bernoulli route."""
+    return weight_log_coeffs(WeightSpec(Fraction(0), Fraction(1), "RT"), L)
+
+
+def evaluate_mu_polynomial(poly, xs) -> Fraction:
+    """Exact value of a power-sum polynomial at a rational point
+    (n = len(xs))."""
+    n = len(xs)
+    total = Fraction(0)
+    for mono, coeff in poly.items():
+        val = coeff.evaluate(n)
+        for k in mono:
+            val *= sum(Fraction(x) ** k for x in xs)
+        total += val
+    return total
+
+
+def f_direct(w: WeightSpec, K: int, xs, variance_scale=None) -> Fraction:
+    """Edge-sum definition of f_K on the complete graph."""
+    v = Fraction(1) if variance_scale is None else Fraction(variance_scale)
+    e = weight_log_coeffs(w, K)
+    n = len(xs)
+    total = Fraction(0)
+    for l in range(2, K + 1):
+        s = Fraction(0)
+        for j in range(n):
+            for k in range(j + 1, n):
+                s += (Fraction(xs[j]) - Fraction(xs[k])) ** (2 * l)
+        total += e[l - 1] * v**l * s
+    return total
+
+
+def orders_for_precision(n: float, d: float, c: float) -> tuple[int, int]:
+    """Moment order M and Taylor order K needed for a target error n^(-c):
+    M = floor((c+1) log n / (log d - 2 log log n)),
+    K = floor((c+1) log n / (log d - log log n))."""
+    ln = mpmath.log(n)
+    lld = mpmath.log(d)
+    lll = mpmath.log(ln)
+    dM = lld - 2 * lll
+    dK = lld - lll
+    if dM <= 0 or dK <= 0:
+        raise DomainError("order formulas need d > (log n)^2")
+    M = int(mpmath.floor((c + 1) * ln / dM))
+    K = int(mpmath.floor((c + 1) * ln / dK))
+    return M, K
+
+
+# ---------------------------------------------------------------------------
+# estimator
+
+def exact_inverse(matrix) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse over exact rationals; raises on singular input.
+    Capped at n = 12."""
+    n = len(matrix)
+    if n > 12:
+        raise SizeLimitError("exact inverse capped at n=12")
+    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise DomainError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = a[col][col]
+        a[col] = [x / scale for x in a[col]]
+        inv[col] = [x / scale for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
 
 
 def bivariate_even_moment(p: int, q: int, suu, svv, suv):
@@ -52,3 +325,18 @@ def kappa2_pairwise(g, sigma, K: int, bits: int = DEFAULT_BITS):
                         pair += cvals[l1 - 1] * cvals[l2 - 1] * disc
                 total += pair if i == j else 2 * pair
         return total
+
+
+# ---------------------------------------------------------------------------
+# tail lab
+
+def conditional_expectation(space, table, j: int):
+    """E^j[f]: average coordinate j out with its weights; returns a table."""
+    arr = np.array(table, dtype=object).reshape(space.sizes)
+    ws = space.weights[j]
+    acc = None
+    for y, w in enumerate(ws):
+        sl = np.take(arr, y, axis=j) * w
+        acc = sl if acc is None else acc + sl
+    out = np.broadcast_to(np.expand_dims(acc, j), space.sizes)
+    return tuple(out.reshape(-1))

@@ -23,12 +23,12 @@ from eocount.expansion import evaluate_expansion, expansion_series
 from eocount.graphs import (circulant_graph, complete_graph, cycle_graph,
                             octahedron_graph)
 from eocount.powersums import (count_partition_types,
-                               enumerate_partition_types, mu_moment,
-                               realization_sum, set_partition_moment_oracle)
+                               enumerate_partition_types, mu_moment)
 from eocount.taillab import DiscreteProductSpace, alpha, check_tail_bound
-from eocount.cumulants import (cumulant_via_both_routes_check,
-                               isserlis_moment)
+from eocount.cumulants import isserlis_moment
 
+from oracles import (cumulant_via_both_routes_check, realization_sum,
+                     set_partition_moment_oracle)
 from golden import (BELL_22, ED_SERIES, EOG_COUNTS, EOG_SERIES,
                     PARTITION_TYPES_22, RT_COUNTS, RT_SERIES)
 

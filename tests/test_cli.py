@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from eocount.cli import main
-from eocount.graphs import complete_graph, cycle_graph, graph_to_json
+from eocount.cli import build_parser, main
+from eocount.graphs import (circulant_graph, complete_graph, cycle_graph,
+                            graph_to_json)
 from eocount.taillab import DiscreteProductSpace, instance_to_json
 
 
@@ -21,6 +22,27 @@ def c5_json_file(tmp_path):
     p = tmp_path / "c5.json"
     p.write_text(json.dumps(graph_to_json(cycle_graph(5))))
     return str(p)
+
+
+def write_edges(path, g):
+    lines = [str(g.n)] + [f"{u + 1} {v + 1}" for u, v in sorted(g.edges)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def fail_if_called(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} reached before the precondition check")
+    return fail
+
+
+def assert_one_error_line(captured, kind):
+    assert not captured.out.strip()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["kind"] == kind and err["code"] == 2
+    return err
 
 
 def run_json(capsys, argv):
@@ -123,17 +145,6 @@ def test_round_trip_rationals(capsys, c5_json_file):
     assert Fraction(env2["result"]["cheeger"]) == Fraction(env["result"]["cheeger"])
 
 
-def test_threads_do_not_change_payload(capsys, k5_file):
-    _, env1 = run_json(capsys, ["--threads", "1", "exact", "eo",
-                                "--graph", k5_file])
-    _, env2 = run_json(capsys, ["--threads", "4", "exact", "eo",
-                                "--graph", k5_file])
-    assert env1["result"] == env2["result"]
-    code = main(["--threads", "0", "exact", "rt", "--n", "3"])
-    assert code == 2
-    capsys.readouterr()
-
-
 def test_formats(capsys, c5_json_file):
     code = main(["--format", "plain", "graphinfo", "--graph", c5_json_file])
     out = capsys.readouterr().out
@@ -166,3 +177,49 @@ def test_precision_floor_exit_code(capsys, k5_file, monkeypatch):
         assert code == 2 and not captured.out.strip()
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["kind"] == "domain"
+
+
+def test_estimate_rejects_empty_graph(capsys, tmp_path):
+    p = tmp_path / "k0.edges"
+    p.write_text("0\n")
+    code = main(["estimate", "--graph", str(p)])
+    assert code == 2
+    assert_one_error_line(capsys.readouterr(), "domain")
+
+
+def test_estimate_parameters_checked_first(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("eocount.estimator.cheeger_constant",
+                        fail_if_called("the Cheeger scan"))
+    monkeypatch.setattr("eocount.estimator.covariance_sigma",
+                        fail_if_called("Sigma"))
+    c22 = write_edges(tmp_path / "c22.edges", circulant_graph(22, (1, 2)))
+    code = main(["estimate", "--graph", c22, "--K", "1", "--M", "1"])
+    assert code == 2
+    assert_one_error_line(capsys.readouterr(), "domain")
+    # K47: 1081 edges, over the kappa_2 edge-pair cap
+    k47 = write_edges(tmp_path / "k47.edges", complete_graph(47))
+    code = main(["estimate", "--graph", k47, "--M", "2"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3 and err["kind"] == "size-limit"
+
+
+def test_eval_point_checked_before_series(capsys, monkeypatch):
+    monkeypatch.setattr("eocount.expansion.expansion_series",
+                        fail_if_called("the series"))
+    for argv in (["expand", "ed", "--order", "3", "--eval", "0"],
+                 ["expand", "eog", "--order", "3", "--eval", "-4"],
+                 ["expand", "rt", "--order", "8", "--eval", "2"],
+                 ["exact", "rt", "--n", "-3"]):
+        code = main(argv)
+        assert code == 2, argv
+        assert_one_error_line(capsys.readouterr(), "domain")
+
+
+def test_usage_errors_are_one_json_line(capsys):
+    for argv in (["exact", "rt", "--n", "abc"],
+                 ["--threads", "2", "exact", "rt", "--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert_one_error_line(capsys.readouterr(), "usage")
+    assert "--threads" not in build_parser().format_help()

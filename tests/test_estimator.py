@@ -7,12 +7,12 @@ from eocount.cumulants import double_factorial
 from eocount.errors import DomainError
 from eocount.estimator import (MIN_BITS, covariance_sigma, default_w,
                                degree_sum_reference, edge_difference_cov,
-                               eo_estimate, eo_hat_log, exact_inverse,
-                               kappa1_f, kappa2_f, schrijver_bounds)
+                               eo_estimate, eo_hat_log, kappa1_f, kappa2_f,
+                               schrijver_bounds)
 from eocount.exact import eo_count_bruteforce, rt_count
 from eocount.graphs import (Graph, circulant_graph, complete_graph,
                             cycle_graph, laplacian, octahedron_graph)
-from oracles import bivariate_even_moment, kappa2_pairwise
+from oracles import bivariate_even_moment, exact_inverse, kappa2_pairwise
 
 TIGHT = mpmath.mpf(2) ** -200
 
@@ -263,3 +263,6 @@ def test_estimate_preconditions():
         eo_estimate(Graph.from_edges(4, [(0, 1), (2, 3)]))
     with pytest.raises(DomainError):
         eo_estimate(complete_graph(5), M=3)
+    for n in (0, 1):
+        with pytest.raises(DomainError):
+            eo_estimate(Graph.from_edges(n, []))

@@ -52,6 +52,8 @@ def test_rt_golden_small():
 def test_rt_parity_and_cap():
     with pytest.raises(DomainError):
         rt_count(4)
+    with pytest.raises(DomainError):
+        rt_count(-3)
     with pytest.raises(SizeLimitError):
         rt_count(23)
 

@@ -7,12 +7,13 @@ import pytest
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import (WeightSpec, bernoulli_numbers,
                                evaluate_expansion, expansion_series,
-                               f_as_mu_polynomial, f_direct, family_orders,
-                               family_variance, evaluate_mu_polynomial,
-                               log_cos_coeffs, log_cos_coeffs_series,
-                               orders_for_precision, weight_log_coeffs)
+                               f_as_mu_polynomial, family_orders,
+                               family_variance, log_cos_coeffs,
+                               weight_log_coeffs)
 
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
+from oracles import (evaluate_mu_polynomial, f_direct, log_cos_coeffs_series,
+                     orders_for_precision)
 
 
 def test_log_cos_displayed_coefficients():
@@ -170,6 +171,12 @@ def test_custom_family_exposes_series_only():
     assert r.coeffs[0] != 0
     with pytest.raises(DomainError):
         evaluate_expansion(r, 11)
+
+
+def test_evaluate_rejects_points_outside_the_domain():
+    for fam, n in (("ED", 0), ("EOG", -4), ("RT", 2)):
+        with pytest.raises(DomainError):
+            evaluate_expansion(expansion_series(fam, 3), n)
 
 
 def test_series_json_shape():

@@ -10,9 +10,10 @@ from eocount.laurent import LaurentSeries
 from eocount.powersums import (a_coeff, b_coeff, count_partition_types,
                                enumerate_partition_types,
                                gaussian_power_moment, monomial_order_bound,
-                               mu_moment, mu_moment_via_types, mu_monomial,
-                               realization_count, realization_sum,
-                               set_partition_moment_oracle)
+                               mu_moment, mu_monomial)
+
+from oracles import (mu_moment_via_types, realization_count, realization_sum,
+                     set_partition_moment_oracle)
 
 
 def test_mu_monomial_normalization():
