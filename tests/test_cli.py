@@ -9,12 +9,15 @@ from eocount.graphs import (circulant_graph, complete_graph, cycle_graph,
 from eocount.taillab import DiscreteProductSpace, instance_to_json
 
 
+def write_edges(path, g):
+    lines = [str(g.n)] + [f"{u + 1} {v + 1}" for u, v in sorted(g.edges)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 @pytest.fixture
 def k5_file(tmp_path):
-    p = tmp_path / "k5.edges"
-    lines = ["5"] + [f"{u + 1} {v + 1}" for u, v in sorted(complete_graph(5).edges)]
-    p.write_text("\n".join(lines) + "\n")
-    return str(p)
+    return write_edges(tmp_path / "k5.edges", complete_graph(5))
 
 
 @pytest.fixture
@@ -22,12 +25,6 @@ def c5_json_file(tmp_path):
     p = tmp_path / "c5.json"
     p.write_text(json.dumps(graph_to_json(cycle_graph(5))))
     return str(p)
-
-
-def write_edges(path, g):
-    lines = [str(g.n)] + [f"{u + 1} {v + 1}" for u, v in sorted(g.edges)]
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
 
 
 def fail_if_called(what):
@@ -42,7 +39,6 @@ def assert_one_error_line(captured, kind):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["kind"] == kind and err["code"] == 2
-    return err
 
 
 def run_json(capsys, argv):
