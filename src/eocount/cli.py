@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -20,7 +19,8 @@ import mpmath
 
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
-from .estimator import eo_estimate, require_precision, schrijver_bounds
+from .estimator import (DEFAULT_BITS, eo_estimate, require_precision,
+                        schrijver_bounds)
 from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
 from .taillab import check_tail_bound, instance_from_json
@@ -30,8 +30,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 2
 EXIT_SIZE = 3
 EXIT_IO = 4
-
-DEFAULT_BITS = int(os.environ.get("EOCOUNT_BITS", "256"))
 
 
 def _envelope(command: str, inputs: dict, result: dict, t0: float,
@@ -123,6 +121,16 @@ def _cmd_expand(args):
     return inputs, payload, bits
 
 
+def rational(text: str) -> str:
+    """Checks that an argument is a rational (int, decimal or p/q); keeps the
+    text as given."""
+    try:
+        Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+    return text
+
+
 def _cmd_estimate(args):
     g = load_graph(args.graph)
     w = Fraction(args.w) if args.w else None
@@ -150,12 +158,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_taillab(args):
-    try:
-        with open(args.instance) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"bad instance JSON: {exc}") from exc
-    space, table = instance_from_json(obj)
+    with open(args.instance) as fh:
+        space, table = instance_from_json(fh.read())
     rep = check_tail_bound(space, table, args.m)
     return {"instance": args.instance, "m": args.m}, rep.to_json(), None
 
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--graph", required=True)
     ps.add_argument("--M", type=int, default=2)
     ps.add_argument("--K", type=int, default=4)
-    ps.add_argument("--w", default=None)
+    ps.add_argument("--w", type=rational, default=None)
     ps.add_argument("--bits", type=int, default=DEFAULT_BITS)
     ps.set_defaults(handler=_cmd_estimate)
 
@@ -241,7 +245,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         inputs, result, bits = args.handler(args)
-    except DomainError as exc:
+    except (DomainError, UnicodeDecodeError) as exc:  # bad values, garbled files
         print(json.dumps({"error": str(exc), "kind": "domain",
                           "code": EXIT_DOMAIN}), file=sys.stderr)
         return EXIT_DOMAIN

@@ -36,6 +36,11 @@ def require_precision(bits: int) -> None:
         raise DomainError(f"precision must be at least {MIN_BITS} bits, got {bits}")
 
 
+def _require_vertices(g: Graph) -> None:
+    if g.n < 2:
+        raise DomainError("estimate needs at least 2 vertices")
+
+
 def _rational_mpf(num: int, den: int, bits: int):
     """num/den rounded once to the nearest mpf of the given precision."""
     return mpmath.mpf(from_rational(num, den, bits, round_nearest))
@@ -86,6 +91,7 @@ def covariance_sigma(g: Graph, w=None, bits: int = DEFAULT_BITS):
     bounds assume it is at most 1/2).
     """
     require_precision(bits)
+    _require_vertices(g)
     wf = default_w(g) if w is None else Fraction(w)
     if wf <= 0:
         raise DomainError("w must be positive")
@@ -125,6 +131,7 @@ def schrijver_bounds(g: Graph) -> tuple[Fraction, int]:
 # first-order closed form
 
 def _require_eulerian(g: Graph) -> None:
+    _require_vertices(g)
     if not g.is_connected():
         raise DomainError("estimate needs a connected graph")
     if not all(d % 2 == 0 for d in g.degrees):
@@ -301,8 +308,6 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     if M not in (0, 1, 2):
         raise DomainError("M must be 0, 1 or 2")
     require_precision(bits)
-    if g.n < 2:
-        raise DomainError("estimate needs at least 2 vertices")
     _require_eulerian(g)
     _require_cumulant_args(g, K, M)
     wf = default_w(g) if w is None else Fraction(w)

@@ -1,17 +1,14 @@
 """Ground-truth exact counters: Eulerian orientations of small graphs and
 balanced digraph/oriented-graph counts by one pruned backtracking counter
-over vertex pairs, regular tournaments by a residual-degree recurrence.  Also
-a product trapezoid quadrature for the circle-integral representations of
-these counts, usable as a low-dimensional numeric cross-check.
+over vertex pairs, regular tournaments by a residual-degree recurrence.  The
+numeric cross-check by torus quadrature lives in the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
-
-import numpy as np
 
 from .errors import DomainError, SizeLimitError
 from .graphs import Graph
@@ -19,7 +16,6 @@ from .graphs import Graph
 EO_MAX_EDGES = 40
 RT_MAX_N = 21
 BALANCED_SCAN_MAX_N = 5
-TORUS_MAX_N = 4
 
 # Exact counts of labelled regular tournaments, for cross-checks and CLI
 # reporting.  Entries for n <= 21 are reproduced by rt_count.
@@ -181,45 +177,3 @@ def eulerian_oriented_count_bruteforce(n: int) -> int:
     """Balanced oriented graphs on n labelled vertices: at most one arc per
     unordered pair."""
     return _balanced_count(n, _all_pairs(n), ((0, 1), (1, 1), (-1, 1)))
-
-
-# ---------------------------------------------------------------------------
-# torus quadrature cross-check
-
-def torus_integral_estimate(g: Graph, w, grid: int = 256) -> float:
-    """Quadrature value of the circle-integral representation of the weighted
-    orientation count: (2/b)^|E| times the mean over the torus of
-    prod_{jk in E} (a + b cos(theta_j - theta_k)).
-
-    w is a pair (a, b) of rationals with a + b = 1, b > 0.  One angle is fixed
-    at 0 (the integrand only depends on differences), and the product
-    trapezoid rule on a periodic analytic integrand converges spectrally in
-    the grid size.
-    """
-    a, b = Fraction(w[0]), Fraction(w[1])
-    if a + b != 1 or b <= 0 or a < 0:
-        raise DomainError("weights must satisfy a + b = 1, b > 0, a >= 0")
-    if g.n > TORUS_MAX_N:
-        raise SizeLimitError(f"quadrature capped at n={TORUS_MAX_N}")
-    if grid < 64:
-        raise DomainError("grid must be at least 64")
-    if g.n == 0:
-        return 1.0
-    dims = g.n - 1
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    af, bf = float(a), float(b)
-
-    def axis_view(v: int):
-        # angle of vertex v broadcast over the grid^dims lattice; vertex n-1 pinned at 0
-        if v == g.n - 1:
-            return 0.0
-        shape = [1] * dims
-        shape[v] = grid
-        return theta.reshape(shape)
-
-    prod = np.ones((grid,) * dims) if dims else np.ones(())
-    for u, v in sorted(g.edges):
-        prod = prod * (af + bf * np.cos(axis_view(u) - axis_view(v)))
-    mean = float(prod.mean())
-    scale = float(2 / b) ** g.edge_count
-    return scale * mean

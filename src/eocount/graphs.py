@@ -123,6 +123,39 @@ def circulant_graph(n: int, offsets) -> Graph:
 # ---------------------------------------------------------------------------
 # I/O: plain-text edge list and JSON, both 1-based
 
+def _label(value) -> int:
+    """A vertex count or label from a file: a JSON integer or a string of
+    decimal digits, never a truncated float."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"not an integer: {value!r}")
+
+
+def _graph_from_labels(n, pairs) -> Graph:
+    """Graph on n vertices from 1-based label pairs; a repeated edge is an
+    error (a multigraph is not a simple graph)."""
+    n = _label(n)
+    seen = set()
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise DomainError(f"bad edge: {pair!r}")
+        j, k = _label(pair[0]), _label(pair[1])
+        if not (1 <= j <= n and 1 <= k <= n):
+            raise DomainError(f"edge ({j}, {k}) out of range 1..{n}")
+        if j == k:
+            raise DomainError(f"self-loop at vertex {j}")
+        edge = (min(j, k) - 1, max(j, k) - 1)
+        if edge in seen:
+            raise DomainError(f"repeated edge ({j}, {k})")
+        seen.add(edge)
+    return Graph(n, frozenset(seen))
+
+
 def parse_edge_list(text: str) -> Graph:
     """First line is the vertex count, then one 'j k' pair per line, 1-based.
 
@@ -132,30 +165,20 @@ def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise DomainError("empty graph file")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise DomainError(f"bad edge line: {ln!r}")
-        j, k = int(parts[0]), int(parts[1])
-        if not (1 <= j <= n and 1 <= k <= n):
-            raise DomainError(f"edge ({j}, {k}) out of range 1..{n}")
-        edges.append((j - 1, k - 1))
-    return Graph.from_edges(n, edges)
+    return _graph_from_labels(lines[0], [ln.split() for ln in lines[1:]])
 
 
 def parse_graph_json(obj) -> Graph:
     """{"n": N, "edges": [[j, k], ...]} with 1-based vertex labels."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
-    n = int(obj["n"])
-    edges = []
-    for j, k in obj["edges"]:
-        if not (1 <= j <= n and 1 <= k <= n):
-            raise DomainError(f"edge ({j}, {k}) out of range 1..{n}")
-        edges.append((int(j) - 1, int(k) - 1))
-    return Graph.from_edges(n, edges)
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"bad graph JSON: {exc}") from None
+    if not isinstance(obj, dict) or "n" not in obj \
+            or not isinstance(obj.get("edges"), list):
+        raise DomainError('graph JSON needs "n" and a list "edges"')
+    return _graph_from_labels(obj["n"], obj["edges"])
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -2,12 +2,14 @@
 product spaces.
 
 A DiscreteProductSpace holds independent coordinates with rational weights and
-a rational function table.  Everything the bound needs is computed exactly:
-the iterated-difference suprema Delta_V, the smoothness number alpha, the
-cumulants (full enumeration, then the generic moment-to-cumulant conversion),
-and the defect delta with E[e^f] = (1+delta)^n exp(sum kappa_r/r!).  The only
-transcendental comparison (the delta inequality) runs in interval arithmetic
-with outward rounding, so a reported pass is rigorous.
+a rational function table.  Everything the bound needs is computed exactly,
+on Python ints over one common denominator of the table: the
+iterated-difference suprema Delta_V (one pair-difference step per coordinate
+of V), the smoothness number alpha, the cumulants (the distribution of f,
+then the generic moment-to-cumulant conversion), and the defect delta with
+E[e^f] = (1+delta)^n exp(sum kappa_r/r!).  The only transcendental comparison
+(the delta inequality) runs in interval arithmetic with outward rounding, so
+a reported pass is rigorous.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, gcd, prod
+from math import factorial, lcm, prod
+from operator import sub
 
-import numpy as np
 from mpmath import iv, mpf
 
 from .cumulants import moments_to_cumulants
@@ -56,8 +58,8 @@ class DiscreteProductSpace:
 
     @classmethod
     def make(cls, alphabets, weights) -> "DiscreteProductSpace":
-        return cls(tuple(tuple(Fraction(v) for v in a) for a in alphabets),
-                   tuple(tuple(Fraction(w) for w in ws) for ws in weights))
+        return cls(tuple(_rationals(a, "an alphabet") for a in alphabets),
+                   tuple(_rationals(ws, "a weight list") for ws in weights))
 
     @classmethod
     def uniform_bits(cls, n: int) -> "DiscreteProductSpace":
@@ -88,7 +90,27 @@ class DiscreteProductSpace:
 
     @classmethod
     def from_json(cls, obj) -> "DiscreteProductSpace":
-        return cls.make(obj["alphabets"], obj["weights"])
+        return cls.make(_json_list(obj, "alphabets"), _json_list(obj, "weights"))
+
+
+def _rationals(items, what: str) -> tuple[Fraction, ...]:
+    """A list of rationals (numbers or "p/q" strings) as Fractions."""
+    if not isinstance(items, (list, tuple)):
+        raise DomainError(f"{what} must be a list")
+    out = []
+    for v in items:
+        try:
+            out.append(Fraction(v))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise DomainError(f"{what} has a non-rational entry {v!r}") from None
+    return tuple(out)
+
+
+def _json_list(obj, key: str) -> list:
+    """obj[key] of an instance object; it must be present and a list."""
+    if not isinstance(obj, dict) or not isinstance(obj.get(key), list):
+        raise DomainError(f"instance needs a list {key!r}")
+    return obj[key]
 
 
 def table_to_json(table) -> list[str]:
@@ -96,7 +118,7 @@ def table_to_json(table) -> list[str]:
 
 
 def table_from_json(items) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in items)
+    return _rationals(items, "the table f")
 
 
 def instance_to_json(space: DiscreteProductSpace, table) -> dict:
@@ -107,105 +129,113 @@ def instance_to_json(space: DiscreteProductSpace, table) -> dict:
 
 def instance_from_json(obj):
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"bad instance JSON: {exc}") from None
     space = DiscreteProductSpace.from_json(obj)
-    table = table_from_json(obj["f"])
+    table = table_from_json(_json_list(obj, "f"))
     if len(table) != prod(space.sizes):
         raise DomainError("function table length mismatch")
     return space, table
 
 
 # ---------------------------------------------------------------------------
-# difference operators
+# the table on ints
 
-def _scaled_int_table(space, table):
-    """(numpy int64 array shaped by the space, common denominator)."""
+def _scaled_int_table(space, table) -> tuple[list[int], int]:
+    """(numerators, den): the table as ints over one common denominator."""
     table = tuple(Fraction(v) for v in table)
     if len(table) != prod(space.sizes):
         raise DomainError("function table length mismatch")
-    den = 1
-    for v in table:
-        den = den * v.denominator // gcd(den, v.denominator)
-    arr = np.array([int(v * den) for v in table], dtype=np.int64)
-    return arr.reshape(space.sizes), den
+    den = lcm(*(v.denominator for v in table))
+    return [v.numerator * (den // v.denominator) for v in table], den
+
+
+def _difference(vals: list[int], shape: tuple[int, ...], j: int):
+    """One difference step along axis j of a row-major table: for each pair
+    of values a < b of coordinate j, f(..a..) - f(..b..).  Swapping a and b
+    only flips the sign and a = b gives 0, so these pairs carry every
+    |difference|.  Axis j of the new shape has one entry per pair (none for
+    a one-value coordinate).  Steps go in increasing axis order, so the axes
+    after j still have their nonzero sizes."""
+    k, inner = shape[j], prod(shape[j + 1:])
+    pairs = list(combinations(range(k), 2))
+    out: list[int] = []
+    for start in range(0, len(vals), k * inner):
+        rows = [vals[start + a * inner:start + (a + 1) * inner] for a in range(k)]
+        for a, b in pairs:
+            out += map(sub, rows[a], rows[b])
+    return out, shape[:j] + (len(pairs),) + shape[j + 1:]
 
 
 def delta_V(space: DiscreteProductSpace, table, V) -> Fraction:
     """sup over x, y of |iterated difference of f over the coordinates in V|,
     exact (integer arithmetic over a common denominator)."""
-    V = tuple(sorted(set(V)))
-    arr, den = _scaled_int_table(space, table)
-    if not V:
-        return Fraction(int(np.abs(arr).max()), den)
+    V = sorted(set(V))
     for j in V:
         if not 0 <= j < space.n:
             raise DomainError(f"coordinate {j} out of range")
-
-    best = 0
-
-    def rec(a: np.ndarray, axes: tuple[int, ...]):
-        nonlocal best
-        if not axes:
-            m = int(np.abs(a).max())
-            if m > best:
-                best = m
-            return
-        ax = axes[0]
-        for y in range(space.sizes[ax]):
-            slice_y = np.take(a, y, axis=ax)
-            rec(a - np.expand_dims(slice_y, ax), axes[1:])
-
-    rec(arr, V)
-    return Fraction(best, den)
+    vals, den = _scaled_int_table(space, table)
+    shape = space.sizes
+    for j in V:
+        vals, shape = _difference(vals, shape, j)
+    return Fraction(max(map(abs, vals), default=0), den)
 
 
 def alpha(space: DiscreteProductSpace, table, m: int) -> Fraction:
-    """max over v <= m and coordinates j of sum_{|V| = v, j in V} Delta_V."""
+    """max over v <= m and coordinates j of sum_{|V| = v, j in V} Delta_V.
+
+    The subsets V are visited depth-first in increasing order, so the
+    differences over V + (j,) are one step from those over V.
+    """
     if m < 1:
         raise DomainError("m must be >= 1")
     n = space.n
-    deltas: dict[tuple[int, ...], Fraction] = {}
-    for v in range(1, min(m, n) + 1):
-        for V in combinations(range(n), v):
-            deltas[V] = delta_V(space, table, V)
-    best = Fraction(0)
-    for v in range(1, min(m, n) + 1):
-        for j in range(n):
-            s = sum((d for V, d in deltas.items() if len(V) == v and j in V),
-                    Fraction(0))
-            if s > best:
-                best = s
-    return best
+    depth = min(m, n)
+    vals, den = _scaled_int_table(space, table)
+    # sums[v - 1][j]: den times the sum of Delta_V over |V| = v with j in V
+    sums = [[0] * n for _ in range(depth)]
+
+    def visit(vals, shape, V):
+        for j in range(V[-1] + 1 if V else 0, n):
+            d_vals, d_shape = _difference(vals, shape, j)
+            W = V + (j,)
+            d = max(map(abs, d_vals), default=0)
+            for i in W:
+                sums[len(W) - 1][i] += d
+            if len(W) < depth:
+                visit(d_vals, d_shape, W)
+
+    visit(vals, space.sizes, ())
+    return Fraction(max((s for row in sums for s in row), default=0), den)
 
 
 # ---------------------------------------------------------------------------
 # exact cumulants and the tail report
 
-def _weight_numerators(space):
-    dens = [1] * space.n
-    for i, ws in enumerate(space.weights):
-        for w in ws:
-            dens[i] = dens[i] * w.denominator // gcd(dens[i], w.denominator)
-    nums = [[int(w * dens[i]) for w in ws] for i, ws in enumerate(space.weights)]
-    return nums, prod(dens)
+def _distribution(space: DiscreteProductSpace, table):
+    """(dist, den, wden): f(X) = v/den with probability dist[v]/wden, where
+    the values v and the weight numerators dist[v] are ints."""
+    vals, den = _scaled_int_table(space, table)
+    weights = [1]
+    wden = 1
+    for ws in space.weights:
+        d = lcm(*(w.denominator for w in ws))
+        nums = [w.numerator * (d // w.denominator) for w in ws]
+        weights = [x * y for x in weights for y in nums]
+        wden *= d
+    dist: dict[int, int] = {}
+    for v, w in zip(vals, weights):
+        dist[v] = dist.get(v, 0) + w
+    return dist, den, wden
 
 
 def exact_moments_discrete(space: DiscreteProductSpace, table, r_max: int) -> list[Fraction]:
-    """E[f^r], r = 1..r_max, by full enumeration; exact."""
-    arr, den = _scaled_int_table(space, table)
-    nums, wden = _weight_numerators(space)
-    flat = arr.reshape(-1)
-    sums = [0] * (r_max + 1)
-    for idx, x in enumerate(space.points()):
-        w = 1
-        for i, xi in enumerate(x):
-            w *= nums[i][xi]
-        fv = int(flat[idx])
-        p = w
-        for r in range(1, r_max + 1):
-            p *= fv
-            sums[r] += p
-    return [Fraction(sums[r], wden * den**r) for r in range(1, r_max + 1)]
+    """E[f^r], r = 1..r_max, from the distribution of f; exact."""
+    dist, den, wden = _distribution(space, table)
+    return [Fraction(sum(w * v**r for v, w in dist.items()), wden * den**r)
+            for r in range(1, r_max + 1)]
 
 
 def exact_cumulants_discrete(space: DiscreteProductSpace, table, r_max: int) -> list[Fraction]:
@@ -269,23 +299,14 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int,
         kappa_bounds.append(bound)
         kappa_holds.append(abs(kappas[r - 1]) <= bound)
 
-    arr, den = _scaled_int_table(space, table)
-    nums, wden = _weight_numerators(space)
-    flat = arr.reshape(-1)
+    dist, den, wden = _distribution(space, table)
 
     old_prec = iv.prec
     iv.prec = prec
     try:
-        # E e^f: group equal scaled values, then few interval exps
-        groups: dict[int, int] = {}
-        for idx, x in enumerate(space.points()):
-            w = 1
-            for i, xi in enumerate(x):
-                w *= nums[i][xi]
-            fv = int(flat[idx])
-            groups[fv] = groups.get(fv, 0) + w
+        # E e^f: one interval exp per distinct value of f
         total = iv.mpf(0)
-        for fv, w in sorted(groups.items()):
+        for fv, w in sorted(dist.items()):
             total += iv.mpf(w) * iv.exp(iv.mpf(fv) / den)
         mean = total / iv.mpf(wden)
         log_mgf = iv.log(mean)

@@ -20,7 +20,10 @@ tests check it against:
   E[X_e^{2l1} X_f^{2l2}] minus the product of the univariate moments.  The
   shipped ``kappa2_f`` computes the same quantity as Hadamard-power
   contractions, without the j = 0 term that cancels here;
-* the tail lab: the averaging operator ``conditional_expectation``.
+* the tail lab: the averaging operator ``conditional_expectation``;
+* the exact counters: ``torus_integral_estimate``, a product trapezoid
+  quadrature of the circle-integral representation of the weighted
+  orientation count (against the backtracking and recurrence counts).
 """
 
 from fractions import Fraction
@@ -40,6 +43,7 @@ from eocount.powersums import (_cell_multiplicities, _counts_of,
                                _subcells, b_coeff, mu_monomial)
 
 ORACLE_MAX_FACTORS = 10
+TORUS_MAX_N = 4
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +344,45 @@ def conditional_expectation(space, table, j: int):
         acc = sl if acc is None else acc + sl
     out = np.broadcast_to(np.expand_dims(acc, j), space.sizes)
     return tuple(out.reshape(-1))
+
+
+# ---------------------------------------------------------------------------
+# exact counts: torus quadrature
+
+def torus_integral_estimate(g, w, grid: int = 256) -> float:
+    """Quadrature value of the circle-integral representation of the weighted
+    orientation count: (2/b)^|E| times the mean over the torus of
+    prod_{jk in E} (a + b cos(theta_j - theta_k)).
+
+    w is a pair (a, b) of rationals with a + b = 1, b > 0.  One angle is fixed
+    at 0 (the integrand only depends on differences), and the product
+    trapezoid rule on a periodic analytic integrand converges spectrally in
+    the grid size.
+    """
+    a, b = Fraction(w[0]), Fraction(w[1])
+    if a + b != 1 or b <= 0 or a < 0:
+        raise DomainError("weights must satisfy a + b = 1, b > 0, a >= 0")
+    if g.n > TORUS_MAX_N:
+        raise SizeLimitError(f"quadrature capped at n={TORUS_MAX_N}")
+    if grid < 64:
+        raise DomainError("grid must be at least 64")
+    if g.n == 0:
+        return 1.0
+    dims = g.n - 1
+    theta = 2.0 * np.pi * np.arange(grid) / grid
+    af, bf = float(a), float(b)
+
+    def axis_view(v: int):
+        # angle of vertex v broadcast over the grid^dims lattice; vertex n-1 pinned at 0
+        if v == g.n - 1:
+            return 0.0
+        shape = [1] * dims
+        shape[v] = grid
+        return theta.reshape(shape)
+
+    prod = np.ones((grid,) * dims) if dims else np.ones(())
+    for u, v in sorted(g.edges):
+        prod = prod * (af + bf * np.cos(axis_view(u) - axis_view(v)))
+    mean = float(prod.mean())
+    scale = float(2 / b) ** g.edge_count
+    return scale * mean

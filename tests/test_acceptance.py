@@ -17,8 +17,7 @@ import pytest
 from eocount.cumulants import bell_number
 from eocount.estimator import default_w, eo_estimate, schrijver_bounds
 from eocount.exact import (eo_count_bruteforce,
-                           eulerian_oriented_count_bruteforce, rt_count,
-                           torus_integral_estimate)
+                           eulerian_oriented_count_bruteforce, rt_count)
 from eocount.expansion import evaluate_expansion, expansion_series
 from eocount.graphs import (circulant_graph, complete_graph, cycle_graph,
                             octahedron_graph)
@@ -28,7 +27,7 @@ from eocount.taillab import DiscreteProductSpace, alpha, check_tail_bound
 from eocount.cumulants import isserlis_moment
 
 from oracles import (cumulant_via_both_routes_check, realization_sum,
-                     set_partition_moment_oracle)
+                     set_partition_moment_oracle, torus_integral_estimate)
 from golden import (BELL_22, ED_SERIES, EOG_COUNTS, EOG_SERIES,
                     PARTITION_TYPES_22, RT_COUNTS, RT_SERIES)
 

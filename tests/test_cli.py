@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import eocount
 from eocount.cli import build_parser, main
+from eocount.estimator import DEFAULT_BITS
 from eocount.graphs import (circulant_graph, complete_graph, cycle_graph,
                             graph_to_json)
-from eocount.taillab import DiscreteProductSpace, instance_to_json
+from eocount.taillab import (DiscreteProductSpace, exact_cumulants_discrete,
+                             instance_to_json)
 
 
 def write_edges(path, g):
@@ -45,6 +51,15 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def fresh_python(args, **env):
+    """Run the interpreter on args in a new process that imports this
+    checkout's package."""
+    src = os.path.dirname(os.path.dirname(eocount.__file__))
+    return subprocess.run([sys.executable] + args, capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src, **env))
 
 
 def test_exact_rt(capsys):
@@ -134,6 +149,81 @@ def test_taillab_command(capsys, tmp_path):
     assert env["result"]["delta_holds"] is True
 
 
+def test_taillab_large_entries_stay_exact(capsys, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(instance_to_json(
+        DiscreteProductSpace.uniform_bits(2),
+        [2**62, -2**62, -2**62, 2**62])))
+    code, env = run_json(capsys, ["taillab", "--instance", str(big), "--m", "2"])
+    assert code == 0 and env["result"]["alpha"] == str(2**64)
+    three = DiscreteProductSpace.uniform_bits(3)
+    table = [Fraction(1, p) for p in (999983, 999979, 999961, 999959,
+                                      999953, 999931, 999917, 999907)]
+    inv = tmp_path / "inverse_primes.json"
+    inv.write_text(json.dumps(instance_to_json(three, table)))
+    code, env = run_json(capsys, ["taillab", "--instance", str(inv), "--m", "2"])
+    assert code == 0
+    assert env["result"]["kappas"] == [str(k) for k in
+                                       exact_cumulants_discrete(three, table, 2)]
+
+
+MALFORMED_GRAPHS = {
+    "count.edges": "abc\n1 2\n",
+    "label.edges": "3\n1 x\n",
+    "repeated.edges": "3\n1 2\n1 2\n2 3\n1 3\n",
+    "reversed.edges": "3\n1 2\n2 1\n2 3\n1 3\n",
+    "no_edges.json": '{"n": 3}',
+    "no_n.json": '{"edges": [[1, 2]]}',
+    "label.json": '{"n": 3, "edges": [[1, "x"]]}',
+    "float_label.json": '{"n": 3, "edges": [[1, 2.5]]}',
+    "repeated.json": '{"n": 3, "edges": [[1, 2], [2, 3], [3, 1], [2, 1]]}',
+    "triple.json": '{"n": 3, "edges": [[1, 2, 3]]}',
+    "truncated.json": '{"n": 3, "edges": [[1,',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS))
+def test_malformed_graph_file_is_one_json_line(capsys, tmp_path, name):
+    p = tmp_path / name
+    p.write_text(MALFORMED_GRAPHS[name])
+    for argv in (["exact", "eo"], ["graphinfo"]):
+        assert main(argv + ["--graph", str(p)]) == 2
+        assert_one_error_line(capsys.readouterr(), "domain")
+
+
+def test_undecodable_file_is_one_json_line(capsys, tmp_path):
+    p = tmp_path / "binary.edges"
+    p.write_bytes(b"\xff\xfe\x00")
+    assert main(["graphinfo", "--graph", str(p)]) == 2
+    assert_one_error_line(capsys.readouterr(), "domain")
+
+
+def test_malformed_instance_is_one_json_line(capsys, tmp_path):
+    good = instance_to_json(DiscreteProductSpace.uniform_bits(1), [0, 1])
+    bad = [{k: v for k, v in good.items() if k != key}
+           for key in ("alphabets", "weights", "f")]
+    bad += [dict(good, f=["0", "x"]), dict(good, weights=[["1/2", "1/0"]])]
+    for text in [json.dumps(obj) for obj in bad] + ['{"alphabets": [']:
+        p = tmp_path / "inst.json"
+        p.write_text(text)
+        assert main(["taillab", "--instance", str(p), "--m", "1"]) == 2
+        assert_one_error_line(capsys.readouterr(), "domain")
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = fresh_python(["-c", "import sys, eocount.cli; "
+                               "sys.exit('numpy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bits_default_is_not_read_from_the_environment():
+    proc = fresh_python(["-m", "eocount.cli", "exact", "rt", "--n", "3"],
+                        EOCOUNT_BITS="abc")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["value"] == "2"
+    assert build_parser().parse_args(["bounds", "--graph", "g"]).bits == DEFAULT_BITS
+
+
 def test_round_trip_rationals(capsys, c5_json_file):
     _, env = run_json(capsys, ["graphinfo", "--graph", c5_json_file])
     blob = json.dumps(env)
@@ -213,7 +303,9 @@ def test_eval_point_checked_before_series(capsys, monkeypatch):
 
 def test_usage_errors_are_one_json_line(capsys):
     for argv in (["exact", "rt", "--n", "abc"],
-                 ["--threads", "2", "exact", "rt", "--n", "3"]):
+                 ["--threads", "2", "exact", "rt", "--n", "3"],
+                 ["estimate", "--graph", "g.edges", "--w", "abc"],
+                 ["estimate", "--graph", "g.edges", "--w", "1/0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -264,5 +264,6 @@ def test_estimate_preconditions():
     with pytest.raises(DomainError):
         eo_estimate(complete_graph(5), M=3)
     for n in (0, 1):
-        with pytest.raises(DomainError):
-            eo_estimate(Graph.from_edges(n, []))
+        for fn in (eo_estimate, eo_hat_log, covariance_sigma):
+            with pytest.raises(DomainError):
+                fn(Graph.from_edges(n, []))

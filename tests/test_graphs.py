@@ -153,10 +153,12 @@ def test_graph_validation():
 def test_parse_edge_list():
     g = parse_edge_list("3\n1 2\n2 3\n")
     assert g.n == 3 and g.edges == frozenset({(0, 1), (1, 2)})
-    with pytest.raises(DomainError):
-        parse_edge_list("2\n1 3\n")
-    with pytest.raises(DomainError):
-        parse_edge_list("")
+    for text in ("2\n1 3\n", "", "abc\n", "3\n1 x\n", "3\n1 2 3\n",
+                 "3\n1 2\n2 1\n"):
+        with pytest.raises(DomainError):
+            parse_edge_list(text)
+    with pytest.raises(DomainError, match="self-loop at vertex 2"):
+        parse_edge_list("3\n2 2\n")  # the file's 1-based label
 
 
 def test_json_round_trip():

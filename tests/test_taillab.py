@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -31,6 +32,32 @@ def random_space(rng, n):
         tot = sum(raw)
         weights.append([Fraction(r, tot) for r in raw])
     return DiscreteProductSpace.make(alphabets, weights)
+
+
+def delta_bruteforce(space, table, V):
+    """Delta_V by its definition: the sup over all points x, y of
+    |sum over S subset V of (-1)^|S| f(x with x_S replaced by y_S)|."""
+    index = {x: i for i, x in enumerate(space.points())}
+    best = 0
+    for x in space.points():
+        for y in space.points():
+            total = 0
+            for k in range(len(V) + 1):
+                for S in itertools.combinations(V, k):
+                    z = list(x)
+                    for j in S:
+                        z[j] = y[j]
+                    total += (-1) ** k * table[index[tuple(z)]]
+            best = max(best, abs(total))
+    return best
+
+
+def alpha_bruteforce(space, table, m):
+    top = min(m, space.n)
+    deltas = {V: delta_bruteforce(space, table, V) for v in range(1, top + 1)
+              for V in itertools.combinations(range(space.n), v)}
+    return max((sum(d for V, d in deltas.items() if len(V) == v and j in V)
+                for v in range(1, top + 1) for j in range(space.n)), default=0)
 
 
 def random_sparse_quadratic(rng, space, eps):
@@ -64,23 +91,19 @@ def test_delta_product_function():
     assert delta_V(sp, f, (0, 1)) == 1
     assert delta_V(sp, f, (0, 2)) == 0
     assert delta_V(sp, f, (0,)) == 1
-    # exhaustive definition check on the pair (0, 1)
-    vals = {}
-    for x in sp.points():
-        vals[x] = f[sum(xi * s for xi, s in
-                        zip(x, (8, 4, 2, 1)))]
-    best = Fraction(0)
-    for x in sp.points():
-        for y in sp.points():
-            # partial difference over V = {0, 1}
-            def sub(w):
-                return vals[tuple(w)]
-            x0y = list(x); x0y[0] = y[0]
-            x1y = list(x); x1y[1] = y[1]
-            xy = list(x); xy[0] = y[0]; xy[1] = y[1]
-            d = sub(x) - sub(x0y) - sub(x1y) + sub(xy)
-            best = max(best, abs(d))
-    assert best == delta_V(sp, f, (0, 1))
+    # the definition, on this f and on random tables, half of them with
+    # entries near 2^62 over small denominators (beyond int64 once scaled)
+    cases = [(sp, f, (0, 1))]
+    rng = random.Random(11)
+    for t in range(8):
+        space = random_space(rng, rng.randint(1, 3))
+        top = 9 * 2**62 if t % 2 else 9
+        table = tuple(Fraction(rng.randint(-top, top), rng.randint(1, 6))
+                      for _ in range(prod(space.sizes)))
+        cases += [(space, table, V) for v in range(space.n + 1)
+                  for V in itertools.combinations(range(space.n), v)]
+    for space, table, V in cases:
+        assert delta_V(space, table, V) == delta_bruteforce(space, table, V)
 
 
 def test_delta_triangle_inequality():
@@ -169,6 +192,26 @@ def test_exact_cumulants_examples():
     assert exact_cumulants_discrete(two, fsum, 4) == [x + y for x, y in zip(ka, kb)]
 
 
+def test_large_entries_stay_exact():
+    # (2^62, -2^62, -2^62, 2^62): the iterated difference is 2^64
+    two = bits(2)
+    big = (Fraction(2**62), Fraction(-2**62), Fraction(-2**62), Fraction(2**62))
+    assert delta_V(two, big, (0, 1)) == 2**64
+    assert alpha(two, big, 2) == 2**64
+    # 1/p for eight primes near 10^6: the common denominator is about 10^48
+    three = bits(3)
+    primes = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907)
+    table = tuple(Fraction(1, p) for p in primes)
+    mean = sum(table) / 8
+    var = sum(v * v for v in table) / 8 - mean**2
+    assert exact_cumulants_discrete(three, table, 2) == [mean, var]
+    for m in (1, 2, 3):
+        assert alpha(three, table, m) == alpha_bruteforce(three, table, m)
+    rep = check_tail_bound(three, table, 2)
+    assert rep.kappas == [mean, var]
+    assert rep.alpha == alpha_bruteforce(three, table, 2)
+
+
 def test_tail_theorem_zero_function():
     sp = bits(4)
     rep = check_tail_bound(sp, tuple(Fraction(0) for _ in range(16)), 2)
@@ -220,3 +263,12 @@ def test_space_validation():
         DiscreteProductSpace.make([[0]], [[Fraction(1), Fraction(0)]])
     with pytest.raises(DomainError):
         check_tail_bound(bits(2), tuple(Fraction(0) for _ in range(4)), 0)
+    good = instance_to_json(bits(1), (Fraction(0), Fraction(1)))
+    bad = [{k: v for k, v in good.items() if k != key}
+           for key in ("alphabets", "weights", "f")]
+    bad += [dict(good, f=["0", "x"]), dict(good, f=["0", "1/0"]),
+            dict(good, weights=[["1/2", None]]), dict(good, alphabets="01"),
+            ["not", "an", "object"]]
+    for obj in bad:
+        with pytest.raises(DomainError):
+            instance_from_json(obj)
