@@ -123,37 +123,29 @@ def circulant_graph(n: int, offsets) -> Graph:
 # ---------------------------------------------------------------------------
 # I/O: plain-text edge list and JSON, both 1-based
 
-def _label(value) -> int:
-    """A vertex count or label from a file: a JSON integer or a string of
-    decimal digits, never a truncated float."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise DomainError(f"not an integer: {value!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _graph_from_labels(n, pairs) -> Graph:
-    """Graph on n vertices from 1-based label pairs; a repeated edge is an
-    error (a multigraph is not a simple graph)."""
-    n = _label(n)
+    """Graph on n vertices from 1-based integer label pairs; a repeated edge
+    is an error (a multigraph is not a simple graph)."""
+    if not _is_int(n):
+        raise DomainError(f"vertex count is not an integer: {n!r}")
     seen = set()
     for pair in pairs:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(map(_is_int, pair))):
             raise DomainError(f"bad edge: {pair!r}")
-        j, k = _label(pair[0]), _label(pair[1])
+        j, k = pair
         if not (1 <= j <= n and 1 <= k <= n):
             raise DomainError(f"edge ({j}, {k}) out of range 1..{n}")
         if j == k:
             raise DomainError(f"self-loop at vertex {j}")
-        edge = (min(j, k) - 1, max(j, k) - 1)
-        if edge in seen:
+        if frozenset(pair) in seen:
             raise DomainError(f"repeated edge ({j}, {k})")
-        seen.add(edge)
-    return Graph(n, frozenset(seen))
+        seen.add(frozenset(pair))
+    return Graph.from_edges(n, [(j - 1, k - 1) for j, k in pairs])
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -165,7 +157,13 @@ def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise DomainError("empty graph file")
-    return _graph_from_labels(lines[0], [ln.split() for ln in lines[1:]])
+    try:
+        first, *pairs = [[int(tok) for tok in ln.split()] for ln in lines]
+    except ValueError:
+        raise DomainError("graph file has a token that is not an integer") from None
+    if len(first) != 1:
+        raise DomainError(f"first line is not a vertex count: {lines[0]!r}")
+    return _graph_from_labels(first[0], pairs)
 
 
 def parse_graph_json(obj) -> Graph:

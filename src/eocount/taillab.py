@@ -4,9 +4,10 @@ product spaces.
 A DiscreteProductSpace holds independent coordinates with rational weights and
 a rational function table.  Everything the bound needs is computed exactly,
 on Python ints over one common denominator of the table: the
-iterated-difference suprema Delta_V (one pair-difference step per coordinate
-of V), the smoothness number alpha, the cumulants (the distribution of f,
-then the generic moment-to-cumulant conversion), and the defect delta with
+iterated-difference suprema Delta_V (pair-difference steps over all but one
+coordinate of V, then the spread max - min along the last), the smoothness
+number alpha, the cumulants (the distribution of f, then the generic
+moment-to-cumulant conversion), and the defect delta with
 E[e^f] = (1+delta)^n exp(sum kappa_r/r!).  The only transcendental comparison
 (the delta inequality) runs in interval arithmetic with outward rounding, so
 a reported pass is rigorous.
@@ -152,62 +153,111 @@ def _scaled_int_table(space, table) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in table], den
 
 
-def _difference(vals: list[int], shape: tuple[int, ...], j: int):
-    """One difference step along axis j of a row-major table: for each pair
-    of values a < b of coordinate j, f(..a..) - f(..b..).  Swapping a and b
-    only flips the sign and a = b gives 0, so these pairs carry every
-    |difference|.  Axis j of the new shape has one entry per pair (none for
-    a one-value coordinate).  Steps go in increasing axis order, so the axes
-    after j still have their nonzero sizes."""
+def _rows(vals: list[int], shape: tuple[int, ...], j: int) -> list[list[int]]:
+    """A row-major table cut along axis j: rows[a] is f(..a..) over the
+    other axes, in row-major order.  Each row is filled by slices over the
+    shorter of the outer and inner index ranges."""
     k, inner = shape[j], prod(shape[j + 1:])
-    pairs = list(combinations(range(k), 2))
-    out: list[int] = []
-    for start in range(0, len(vals), k * inner):
-        rows = [vals[start + a * inner:start + (a + 1) * inner] for a in range(k)]
-        for a, b in pairs:
-            out += map(sub, rows[a], rows[b])
-    return out, shape[:j] + (len(pairs),) + shape[j + 1:]
+    step = k * inner
+    outer = len(vals) // step
+    rows = []
+    for a in range(k):
+        row = [0] * (outer * inner)
+        if inner <= outer:
+            for t in range(inner):
+                row[t::inner] = vals[a * inner + t::step]
+        else:
+            for o in range(outer):
+                lo = o * step + a * inner
+                row[o * inner:(o + 1) * inner] = vals[lo:lo + inner]
+        rows.append(row)
+    return rows
+
+
+def _spread(rows: list[list[int]]) -> int:
+    """max over the other coordinates of max_a f(..a..) - min_b f(..b..):
+    the largest |f(..a..) - f(..b..)|, without building the differences."""
+    if len(rows) < 2:
+        return 0
+    return max(map(sub, map(max, *rows), map(min, *rows)))
+
+
+def _pair_slices(rows: list[list[int]]):
+    """One difference step: for each pair of values a < b, the table
+    f(..a..) - f(..b..) with the axis removed.  Swapping a and b only flips
+    the sign and a = b gives 0, so these pairs carry every |difference|.
+    The slices come one at a time, so a walk holds one per level, none
+    larger than the table."""
+    for a, b in combinations(range(len(rows)), 2):
+        yield list(map(sub, rows[a], rows[b]))
+
+
+def _drop(items: tuple, i: int) -> tuple:
+    return items[:i] + items[i + 1:]
+
+
+def _narrow_first(space: DiscreteProductSpace, coords) -> list[int]:
+    """Coordinates by increasing alphabet size.  Differences over V may be
+    taken in any order; the last one is a spread, so leaving the widest
+    coordinate for it keeps the pair slices few."""
+    return sorted(coords, key=lambda i: (space.sizes[i], i))
 
 
 def delta_V(space: DiscreteProductSpace, table, V) -> Fraction:
     """sup over x, y of |iterated difference of f over the coordinates in V|,
     exact (integer arithmetic over a common denominator)."""
-    V = sorted(set(V))
+    V = set(V)
     for j in V:
         if not 0 <= j < space.n:
             raise DomainError(f"coordinate {j} out of range")
     vals, den = _scaled_int_table(space, table)
-    shape = space.sizes
-    for j in V:
-        vals, shape = _difference(vals, shape, j)
-    return Fraction(max(map(abs, vals), default=0), den)
+    if not V:
+        return Fraction(max(map(abs, vals)), den)
+
+    def walk(vals, axes, shape, rest):
+        pos = axes.index(rest[0])
+        rows = _rows(vals, shape, pos)
+        if len(rest) == 1:
+            return _spread(rows)
+        return max((walk(s, _drop(axes, pos), _drop(shape, pos), rest[1:])
+                    for s in _pair_slices(rows)), default=0)
+
+    return Fraction(walk(vals, tuple(range(space.n)), space.sizes,
+                         _narrow_first(space, V)), den)
 
 
 def alpha(space: DiscreteProductSpace, table, m: int) -> Fraction:
     """max over v <= m and coordinates j of sum_{|V| = v, j in V} Delta_V.
 
-    The subsets V are visited depth-first in increasing order, so the
-    differences over V + (j,) are one step from those over V.
+    The subsets V are visited depth-first, narrowest coordinate first: a
+    subset's Delta is the spread along its last coordinate, taken over every
+    pair slice of the subset it extends, so each slice serves all the
+    subsets that extend it.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
     n = space.n
     depth = min(m, n)
     vals, den = _scaled_int_table(space, table)
+    best: dict[tuple[int, ...], int] = {}  # den * Delta_V
+
+    def visit(vals, axes, shape, rest, V):
+        # axes: the coordinates left in vals; rest: those that may extend V
+        for i, j in enumerate(rest):
+            pos = axes.index(j)
+            rows = _rows(vals, shape, pos)
+            W = V + (j,)
+            best[W] = max(best.get(W, 0), _spread(rows))
+            if len(W) < depth:
+                for s in _pair_slices(rows):
+                    visit(s, _drop(axes, pos), _drop(shape, pos), rest[i + 1:], W)
+
+    visit(vals, tuple(range(n)), space.sizes, _narrow_first(space, range(n)), ())
     # sums[v - 1][j]: den times the sum of Delta_V over |V| = v with j in V
     sums = [[0] * n for _ in range(depth)]
-
-    def visit(vals, shape, V):
-        for j in range(V[-1] + 1 if V else 0, n):
-            d_vals, d_shape = _difference(vals, shape, j)
-            W = V + (j,)
-            d = max(map(abs, d_vals), default=0)
-            for i in W:
-                sums[len(W) - 1][i] += d
-            if len(W) < depth:
-                visit(d_vals, d_shape, W)
-
-    visit(vals, space.sizes, ())
+    for V, d in best.items():
+        for j in V:
+            sums[len(V) - 1][j] += d
     return Fraction(max((s for row in sums for s in row), default=0), den)
 
 

@@ -176,6 +176,7 @@ MALFORMED_GRAPHS = {
     "no_n.json": '{"edges": [[1, 2]]}',
     "label.json": '{"n": 3, "edges": [[1, "x"]]}',
     "float_label.json": '{"n": 3, "edges": [[1, 2.5]]}',
+    "string_label.json": '{"n": "3", "edges": [["1", "2"]]}',
     "repeated.json": '{"n": 3, "edges": [[1, 2], [2, 3], [3, 1], [2, 1]]}',
     "triple.json": '{"n": 3, "edges": [[1, 2, 3]]}',
     "truncated.json": '{"n": 3, "edges": [[1,',

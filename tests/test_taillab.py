@@ -102,6 +102,11 @@ def test_delta_product_function():
                       for _ in range(prod(space.sizes)))
         cases += [(space, table, V) for v in range(space.n + 1)
                   for V in itertools.combinations(range(space.n), v)]
+    wide = DiscreteProductSpace.make([list(range(3)), list(range(25))],
+                                     [[Fraction(1, 3)] * 3, [Fraction(1, 25)] * 25])
+    table = tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 6))
+                  for _ in range(75))
+    cases += [(wide, table, V) for V in [(), (0,), (1,), (0, 1)]]
     for space, table, V in cases:
         assert delta_V(space, table, V) == delta_bruteforce(space, table, V)
 
@@ -166,6 +171,27 @@ def test_alpha_examples():
     quad = quadratic_table(sp, eps, [(i, j) for i in range(4)
                                      for j in range(i + 1, 4)])
     assert alpha(sp, quad, 2) == 3 * eps
+
+
+def test_alpha_wide_alphabet():
+    # f = g(x_0) h(x_1): Delta_0 = osc(g) max|h|, Delta_1 = max|g| osc(h),
+    # Delta_01 = osc(g) osc(h); one coordinate takes 200 values
+    rng = random.Random(3)
+    g = [rng.randint(-50, 50) for _ in range(200)]
+    h = [rng.randint(-50, 50) for _ in range(5)]
+    osc_g, osc_h = max(g) - min(g), max(h) - min(h)
+    d0 = osc_g * max(map(abs, h))
+    d1 = max(map(abs, g)) * osc_h
+    for sizes, gs, hs in [((200, 5), g, h), ((5, 200), h, g)]:
+        space = DiscreteProductSpace.make(
+            [list(range(s)) for s in sizes], [[Fraction(1, s)] * s for s in sizes])
+        table = tuple(Fraction(a * b) for a in gs for b in hs)
+        wide = sizes.index(200)
+        assert delta_V(space, table, (wide,)) == d0
+        assert delta_V(space, table, (1 - wide,)) == d1
+        assert delta_V(space, table, (0, 1)) == osc_g * osc_h
+        assert alpha(space, table, 1) == max(d0, d1)
+        assert alpha(space, table, 2) == max(d0, d1, osc_g * osc_h)
 
 
 def test_alpha_m1_is_max_oscillation():
