@@ -159,7 +159,7 @@ def _cmd_bounds(args):
 
 def _cmd_taillab(args):
     with open(args.instance) as fh:
-        space, table = instance_from_json(fh.read())
+        space, table = instance_from_json(fh.read(), args.m)
     rep = check_tail_bound(space, table, args.m)
     return {"instance": args.instance, "m": args.m}, rep.to_json(), None
 

@@ -11,14 +11,17 @@ components of variance v/n and
 with e_{2l} the Taylor coefficients of log(a + b cos x).  Everything is exact:
 moments of f_K^r are assembled from power-sum moments as truncated Laurent
 series in 1/n, turned into cumulants by the moment-to-cumulant recursion, and
-the closed-form prefactors are attached symbolically.
+the closed-form prefactors are attached symbolically.  The hot loops run on
+Python ints: the coefficients of f_K are scaled once to ints over their
+common denominator D, the products of f_K^r and the power-sum moments are
+ints, and E[f_K^r] is divided by D^r once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import mpmath
 
@@ -189,41 +192,45 @@ PREFACTORS = {
 
 def _moments_of_f(poly, M: int, p_max: int):
     """E[f^r] for r = 1..M as truncated coefficient dicts, by expanding
-    products of the base monomials with order-bound pruning."""
+    products of the base monomials with order-bound pruning.
+
+    The coefficients of f are scaled once to ints over their common
+    denominator D, so the products and the moment sums run on ints; E[f^r]
+    is divided by D^r once, at the end.
+    """
+    D = lcm(*(c.denominator for s in poly.values() for c in s.coeffs.values()))
     items = []
     for mono, coeff in poly.items():
-        for npow, c in ((-p, v) for p, v in coeff.coeffs.items()):
+        for p, c in coeff.coeffs.items():
+            npow = -p
             bound = monomial_order_bound(mono) - npow
-            items.append((mono, npow, c, bound))
+            items.append((mono, npow, c.numerator * (D // c.denominator), bound))
     items.sort(key=lambda it: it[3])
 
     moments = []
-    P: dict[tuple[tuple[int, ...], int], Fraction] = {((), 0): Fraction(1)}
-    for _r in range(1, M + 1):
-        nxt: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    P: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}  # D^r f^r
+    for r in range(1, M + 1):
+        nxt: dict[tuple[tuple[int, ...], int], int] = {}
         for (mono, npow), c in P.items():
             base_bound = monomial_order_bound(mono) - npow
             for m2, npow2, c2, bound2 in items:
                 if base_bound + bound2 > p_max:
                     break
                 key = (tuple(sorted(mono + m2)), npow + npow2)
-                val = c * c2
-                if key in nxt:
-                    nxt[key] += val
-                else:
-                    nxt[key] = val
+                nxt[key] = nxt.get(key, 0) + c * c2
         P = {k: v for k, v in nxt.items() if v != 0}
 
-        mr: dict[int, Fraction] = {}
+        mr: dict[int, int] = {}
         for (mono, npow), c in P.items():
             for p, mc in mu_moment_dict(mono, p_max + npow).items():
                 pp = p - npow
                 if pp <= p_max:
-                    mr[pp] = mr.get(pp, Fraction(0)) + c * mc
-        mr = {p: c for p, c in mr.items() if c != 0}
-        if any(p < 0 for p in mr):
+                    mr[pp] = mr.get(pp, 0) + c * mc
+        if any(p < 0 for p, c in mr.items() if c):
             raise AssertionError("moment of f has a positive power of n")
-        moments.append(LaurentSeries(mr, p_max))
+        Dr = D**r
+        moments.append(LaurentSeries({p: Fraction(c, Dr) for p, c in mr.items()},
+                                     p_max))
     return moments
 
 

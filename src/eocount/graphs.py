@@ -15,6 +15,10 @@ from itertools import combinations
 from .errors import DomainError, SizeLimitError
 
 CHEEGER_MAX_N = 22  # exhaustive 2^(n-1) scan
+# Graph files may name at most this many vertices: a degree list of 10^6
+# entries is a few MiB, and bounds and graphinfo stay usable on large sparse
+# graphs.  Checked before any per-vertex list is built.
+GRAPH_FILE_MAX_N = 10**6
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,8 @@ def _graph_from_labels(n, pairs) -> Graph:
     is an error (a multigraph is not a simple graph)."""
     if not _is_int(n):
         raise DomainError(f"vertex count is not an integer: {n!r}")
+    if n > GRAPH_FILE_MAX_N:
+        raise SizeLimitError(f"graph files are capped at {GRAPH_FILE_MAX_N} vertices")
     seen = set()
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2

@@ -5,9 +5,12 @@ A monomial is a multiset of exponents >= 1, written as a sorted tuple, e.g.
 ``(2, 2, 4)`` for mu_2^2 mu_4.  The moments come from one route, Gaussian
 integration by parts, which peels one factor at a time
 (E[mu_k G] = (k-1)/n E[mu_{k-2} G] + (1/n) sum_a a E[mu_{a+k-2} G/mu_a])
-with results memoized per monomial.  The partition-type sum and the
-set-partition sum over factor positions live in the tests as independent
-cross-checks.
+with results memoized per monomial.  The weights k-1 and a are ints and the
+base case is 1, so the recurrence and its memo run on Python ints; only
+``mu_moment`` turns them into a rational LaurentSeries.  The memo is
+module-global on purpose: the families share it, so a series after the
+first meets it warm.  The partition-type sum and the set-partition sum over
+factor positions live in the tests as independent cross-checks.
 
 The module also enumerates and counts partition types, with their index and
 position weights A_T and B_T.  A partition type is a multiset of cell types;
@@ -18,7 +21,6 @@ default.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Iterator, Mapping
 
@@ -118,20 +120,35 @@ def enumerate_partition_types(mono, even_cells_only: bool = True,
             cell.extend([e] * c)
         return tuple(cell)
 
-    def rec(remaining, cap, cells):
+    # (remaining, cap) -> [(child remaining, cap vector, cell, its max cells)];
+    # the same states recur across branches, so each step list is built once
+    steps: dict = {}
+
+    def children(remaining, cap):
+        key = (remaining, cap)
+        out = steps.get(key)
+        if out is None:
+            out = []
+            for vec, _s in _subcells(remaining, cap, even_cells_only):
+                rem2 = tuple((e, c - v) for (e, c), v in zip(remaining, vec))
+                out.append((rem2, vec, to_cell(vec),
+                            _max_cells(rem2, even_cells_only)))
+            steps[key] = out
+        return out
+
+    def rec(remaining, cap, room, cells):
         if not any(c for _, c in remaining):
             if len(cells) >= min_cells:
                 yield tuple(cells)
             return
-        if len(cells) + _max_cells(remaining, even_cells_only) < min_cells:
+        if len(cells) + room < min_cells:
             return
-        for vec, _s in _subcells(remaining, cap, even_cells_only):
-            rem2 = tuple((e, c - v) for (e, c), v in zip(remaining, vec))
-            cells.append(to_cell(vec))
-            yield from rec(rem2, vec, cells)
+        for rem2, vec, cell, room2 in children(remaining, cap):
+            cells.append(cell)
+            yield from rec(rem2, vec, room2, cells)
             cells.pop()
 
-    yield from rec(counts, None, [])
+    yield from rec(counts, None, _max_cells(counts, even_cells_only), [])
 
 
 def count_partition_types(mono, even_cells_only: bool = True) -> int:
@@ -228,22 +245,22 @@ def _falling_factorial_coeffs(q: int) -> dict[int, int]:
 
 
 def _falling_factorial_series(q: int) -> LaurentSeries:
-    return LaurentSeries({-t: Fraction(c)
-                          for t, c in _falling_factorial_coeffs(q).items() if c})
+    return LaurentSeries({-t: c for t, c in _falling_factorial_coeffs(q).items()})
 
 
 # ---------------------------------------------------------------------------
 # fast engine: integration-by-parts recurrence
 
-_MOM_CACHE: dict[tuple[int, ...], tuple[int, dict[int, Fraction]]] = {}
+_MOM_CACHE: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
 
 
-def mu_moment_dict(mono: tuple[int, ...], cut: int) -> dict[int, Fraction]:
-    """E[prod mu_j] as {p: coeff of n^-p}, complete for p <= cut (entries with
-    p > cut may be absent; callers filter).  Memoized per monomial; the
-    internal format of the series engine's hot loop."""
+def mu_moment_dict(mono: tuple[int, ...], cut: int) -> dict[int, int]:
+    """E[prod mu_j] as {p: int coeff of n^-p}, complete for p <= cut (entries
+    with p > cut may be absent; callers filter).  Memoized per monomial; the
+    internal format of the series engine's hot loop.  The recurrence has int
+    weights and the base case 1, so every coefficient is an int."""
     if not mono:
-        return {0: Fraction(1)}
+        return {0: 1}
     cached = _MOM_CACHE.get(mono)
     if cached is not None and cached[0] >= cut:
         return cached[1]
@@ -251,7 +268,7 @@ def mu_moment_dict(mono: tuple[int, ...], cut: int) -> dict[int, Fraction]:
         _MOM_CACHE[mono] = (cut, {})
         return {}
 
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     k = mono[-1]  # peel the largest exponent
     rest = mono[:-1]
 
@@ -259,13 +276,13 @@ def mu_moment_dict(mono: tuple[int, ...], cut: int) -> dict[int, Fraction]:
     if k == 2:
         for p, c in mu_moment_dict(rest, cut).items():
             if p <= cut:
-                out[p] = out.get(p, Fraction(0)) + c
+                out[p] = out.get(p, 0) + c
     elif k > 2:
         sub = mu_moment_dict(tuple(sorted(rest + (k - 2,))), cut - 1)
         w = k - 1
         for p, c in sub.items():
             if p + 1 <= cut:
-                out[p + 1] = out.get(p + 1, Fraction(0)) + w * c
+                out[p + 1] = out.get(p + 1, 0) + w * c
 
     # merge mu_k with one other factor mu_a into mu_{a+k-2} / n
     i = 0
@@ -282,11 +299,11 @@ def mu_moment_dict(mono: tuple[int, ...], cut: int) -> dict[int, Fraction]:
             sub = mu_moment_dict(tuple(sorted(base + (merged,))), cut - 1)
             for p, c in sub.items():
                 if p + 1 <= cut:
-                    out[p + 1] = out.get(p + 1, Fraction(0)) + w * c
+                    out[p + 1] = out.get(p + 1, 0) + w * c
         else:  # merged exponent 0: mu_0 = n cancels the 1/n
             for p, c in mu_moment_dict(base, cut).items():
                 if p <= cut:
-                    out[p] = out.get(p, Fraction(0)) + w * c
+                    out[p] = out.get(p, 0) + w * c
         i = j
 
     out = {p: c for p, c in out.items() if c != 0}

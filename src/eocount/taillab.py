@@ -10,7 +10,9 @@ number alpha, the cumulants (the distribution of f, then the generic
 moment-to-cumulant conversion), and the defect delta with
 E[e^f] = (1+delta)^n exp(sum kappa_r/r!).  The only transcendental comparison
 (the delta inequality) runs in interval arithmetic with outward rounding, so
-a reported pass is rigorous.
+a reported pass is rigorous.  Two caps apply before any work: the space has
+at most SPACE_MAX_POINTS points, and the alpha walk at the requested order
+reads at most ALPHA_MAX_READS table entries (``alpha_reads``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .cumulants import moments_to_cumulants
 from .errors import DomainError, SizeLimitError
 
 SPACE_MAX_POINTS = 10**6
+# Cap on alpha_reads, about half a minute of walk on one core: 16 fair bits at
+# m = 3 read 1.4e7 entries in 3.4 s and 18 bits 7.8e7 in 21 s; 19 fair bits
+# at m = 3, inside SPACE_MAX_POINTS, would read 1.8e8.
+ALPHA_MAX_READS = 10**8
 DELTA_IV_PREC = 256
 
 
@@ -128,13 +134,18 @@ def instance_to_json(space: DiscreteProductSpace, table) -> dict:
     return out
 
 
-def instance_from_json(obj):
+def instance_from_json(obj, m: int | None = None):
+    """(space, table) from an instance object or its JSON text.  With the
+    order m at which the instance will be checked, the work caps of
+    ``check_tail_bound`` apply before the table is parsed."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
         except json.JSONDecodeError as exc:
             raise DomainError(f"bad instance JSON: {exc}") from None
     space = DiscreteProductSpace.from_json(obj)
+    if m is not None:
+        _require_alpha_work(space, m)
     table = table_from_json(_json_list(obj, "f"))
     if len(table) != prod(space.sizes):
         raise DomainError("function table length mismatch")
@@ -226,6 +237,32 @@ def delta_V(space: DiscreteProductSpace, table, V) -> Fraction:
                          _narrow_first(space, V)), den)
 
 
+def alpha_reads(sizes, m: int) -> int:
+    """Table entries that the depth-first walk of ``alpha`` reads at order m,
+    from the alphabet sizes k_i alone: N points times the sum, over subsets W
+    with |W| <= m, of the product of (k_i - 1)/2 over W without its widest
+    coordinate.  A step along a k-value coordinate turns a table of T entries
+    into C(k, 2) pair slices of T/k entries, T (k - 1)/2 in all, and the walk
+    reads each slice once per coordinate that may extend it."""
+    # e[v]: the sum over v-subsets of the narrower coordinates of their product
+    e = [Fraction(1)]
+    total = Fraction(0)
+    for k in sorted(sizes):
+        total += sum(e[:m])
+        g = Fraction(k - 1, 2)
+        if g:
+            e = [a + g * b for a, b in zip(e + [0], [0] + e)][:m]
+    return int(prod(sizes) * total)
+
+
+def _require_alpha_work(space: DiscreteProductSpace, m: int) -> None:
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    if alpha_reads(space.sizes, m) > ALPHA_MAX_READS:
+        raise SizeLimitError(f"alpha at m={m} would read more than "
+                             f"{ALPHA_MAX_READS:.0e} table entries")
+
+
 def alpha(space: DiscreteProductSpace, table, m: int) -> Fraction:
     """max over v <= m and coordinates j of sum_{|V| = v, j in V} Delta_V.
 
@@ -234,8 +271,7 @@ def alpha(space: DiscreteProductSpace, table, m: int) -> Fraction:
     pair slice of the subset it extends, so each slice serves all the
     subsets that extend it.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    _require_alpha_work(space, m)
     n = space.n
     depth = min(m, n)
     vals, den = _scaled_int_table(space, table)
@@ -335,8 +371,7 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int,
     inequality is checked with interval arithmetic, the cumulant inequalities
     with exact rationals.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    _require_alpha_work(space, m)
     kappas = exact_cumulants_discrete(space, table, m)
     a = alpha(space, table, m)
     n = space.n

@@ -11,7 +11,9 @@ tests check it against:
   (against the connected-pairing sum), with ``stirling_second`` and
   ``partition_factorial_sum``;
 * the series engine's inputs: ``f_direct`` and ``evaluate_mu_polynomial``
-  (f_K by its edge-sum definition and in the power-sum basis),
+  (f_K by its edge-sum definition and in the power-sum basis), and its
+  moments ``moments_of_f_via_series`` (the powers of f on LaurentSeries
+  coefficients, against the integer product expansion),
   ``log_cos_coeffs_series`` (against the Bernoulli closed form) and the
   general order formulas ``orders_for_precision``;
 * the estimator: ``exact_inverse`` (Gauss-Jordan over rationals, against the
@@ -40,7 +42,7 @@ from eocount.expansion import WeightSpec, log_cos_coeffs, weight_log_coeffs
 from eocount.laurent import LaurentSeries
 from eocount.powersums import (_cell_multiplicities, _counts_of,
                                _falling_factorial_coeffs, _max_cells,
-                               _subcells, b_coeff, mu_monomial)
+                               _subcells, b_coeff, mu_moment, mu_monomial)
 
 ORACLE_MAX_FACTORS = 10
 TORUS_MAX_N = 4
@@ -247,6 +249,28 @@ def f_direct(w: WeightSpec, K: int, xs, variance_scale=None) -> Fraction:
                 s += (Fraction(xs[j]) - Fraction(xs[k])) ** (2 * l)
         total += e[l - 1] * v**l * s
     return total
+
+
+def moments_of_f_via_series(poly, M: int, p_max: int) -> list[LaurentSeries]:
+    """E[f^r], r = 1..M, truncated at n^-p_max: the power-sum polynomial of f
+    raised to the r-th power with its LaurentSeries coefficients multiplied
+    as they stand (no common denominator, no pruning), then mu_moment of
+    each product monomial.  A product coefficient carries powers down to
+    n^r, so its moment is kept to n^-(p_max + r)."""
+    moments = []
+    power = {(): LaurentSeries.one()}
+    for r in range(1, M + 1):
+        nxt: dict = {}
+        for mono, s in power.items():
+            for m2, s2 in poly.items():
+                key = tuple(sorted(mono + m2))
+                nxt[key] = nxt.get(key, LaurentSeries.zero()) + s * s2
+        power = nxt
+        total = LaurentSeries.zero(p_max)
+        for mono, s in power.items():
+            total = total + s * mu_moment(mono, p_max + r)
+        moments.append(total)
+    return moments
 
 
 def orders_for_precision(n: float, d: float, c: float) -> tuple[int, int]:

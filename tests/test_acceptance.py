@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py -v` to see the per-criterion
-lines; the exponent-series computation (criterion 3) is minutes-scale and is
+lines; the exponent-series computation (criterion 3, about 50 s on 2 cores) is
 shared with criterion 4 through a module fixture.
 """
 
@@ -197,8 +197,11 @@ def test_criterion_9_tail_bound_batch():
             eps = Fraction(1, rng.randint(1500, 4000))
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.4]
-            table = space.tabulate(
-                lambda *xs: eps * sum(xs[i] * xs[j] for i, j in pairs))
+            # the alphabet values are the indices 0..s-1: sum the pairs on
+            # ints, then scale each distinct sum by eps once
+            sums = [sum(x[i] * x[j] for i, j in pairs) for x in space.points()]
+            scaled = {v: eps * v for v in set(sums)}
+            table = tuple(scaled[v] for v in sums)
             m = rng.randint(1, 3)
             if alpha(space, table, m) >= Fraction(1, 200):
                 continue

@@ -44,7 +44,8 @@ def assert_one_error_line(captured, kind):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    assert err["kind"] == kind and err["code"] == 2
+    assert err["kind"] == kind
+    assert err["code"] == {"usage": 2, "domain": 2, "size-limit": 3}[kind]
 
 
 def run_json(capsys, argv):
@@ -192,6 +193,20 @@ def test_malformed_graph_file_is_one_json_line(capsys, tmp_path, name):
         assert_one_error_line(capsys.readouterr(), "domain")
 
 
+def test_huge_vertex_count_is_rejected_before_any_graph(capsys, tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr("eocount.graphs.Graph.from_edges",
+                        fail_if_called("the graph"))
+    files = {"huge.edges": "10000000000\n",
+             "huge.json": '{"n": 10000000000, "edges": []}'}
+    for name, text in files.items():
+        p = tmp_path / name
+        p.write_text(text)
+        for argv in (["graphinfo"], ["bounds"], ["exact", "eo"]):
+            assert main(argv + ["--graph", str(p)]) == 3
+            assert_one_error_line(capsys.readouterr(), "size-limit")
+
+
 def test_undecodable_file_is_one_json_line(capsys, tmp_path):
     p = tmp_path / "binary.edges"
     p.write_bytes(b"\xff\xfe\x00")
@@ -209,6 +224,19 @@ def test_malformed_instance_is_one_json_line(capsys, tmp_path):
         p.write_text(text)
         assert main(["taillab", "--instance", str(p), "--m", "1"]) == 2
         assert_one_error_line(capsys.readouterr(), "domain")
+
+
+def test_taillab_work_cap_is_checked_before_the_table(capsys, tmp_path,
+                                                      monkeypatch):
+    # 19 fair bits fit the space cap, but alpha at m = 3 would read about
+    # 1.8e8 table entries
+    inst = tmp_path / "bits19.json"
+    inst.write_text(json.dumps(instance_to_json(
+        DiscreteProductSpace.uniform_bits(19), [0] * 2**19)))
+    monkeypatch.setattr("eocount.taillab.table_from_json",
+                        fail_if_called("the table"))
+    assert main(["taillab", "--instance", str(inst), "--m", "3"]) == 3
+    assert_one_error_line(capsys.readouterr(), "size-limit")
 
 
 def test_cli_import_leaves_numpy_out():

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from eocount.errors import DomainError, SizeLimitError
-from eocount.expansion import (WeightSpec, bernoulli_numbers,
+from eocount.expansion import (WeightSpec, _moments_of_f, bernoulli_numbers,
                                evaluate_expansion, expansion_series,
                                f_as_mu_polynomial, family_orders,
                                family_variance, log_cos_coeffs,
@@ -13,7 +13,7 @@ from eocount.expansion import (WeightSpec, bernoulli_numbers,
 
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
 from oracles import (evaluate_mu_polynomial, f_direct, log_cos_coeffs_series,
-                     orders_for_precision)
+                     moments_of_f_via_series, orders_for_precision)
 
 
 def test_log_cos_displayed_coefficients():
@@ -99,6 +99,18 @@ def test_f_polynomial_excludes_quadratic_term():
     assert poly[(2, 2)].coeffs == {0: 3 * c4}
     assert poly[(1, 3)].coeffs == {0: -4 * c4}
     assert poly[(4,)].coeffs == {-1: c4}
+
+
+def test_moments_of_f_custom_weight_matches_series_products():
+    # denominators 5 and 7, coprime to the families' 2 and 3: the common
+    # denominator D of f is not 1, so E[f^r] must be divided by D^r
+    w = WeightSpec(Fraction(2, 7), Fraction(5, 7))
+    for c in range(1, 7):
+        _, K = family_orders(c)
+        poly = f_as_mu_polynomial(w, K, variance_scale=family_variance(w))
+        got = _moments_of_f(poly, 3, c - 1)
+        assert got == moments_of_f_via_series(poly, 3, c - 1), c
+        assert all(m.p_max == c - 1 for m in got)
 
 
 def test_orders_for_precision():

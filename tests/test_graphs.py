@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eocount.errors import DomainError, SizeLimitError
-from eocount.graphs import (Graph, all_degrees_even, cheeger_constant,
-                            circulant_graph, complete_graph, cycle_graph,
-                            graph_to_json, laplacian, octahedron_graph,
-                            parse_edge_list, parse_graph_json, path_graph,
-                            spanning_tree_count)
+from eocount.graphs import (GRAPH_FILE_MAX_N, Graph, all_degrees_even,
+                            cheeger_constant, circulant_graph, complete_graph,
+                            cycle_graph, graph_to_json, laplacian,
+                            octahedron_graph, parse_edge_list,
+                            parse_graph_json, path_graph, spanning_tree_count)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,12 @@ def test_parse_edge_list():
             parse_edge_list(text)
     with pytest.raises(DomainError, match="self-loop at vertex 2"):
         parse_edge_list("3\n2 2\n")  # the file's 1-based label
+    assert parse_edge_list(f"{GRAPH_FILE_MAX_N}\n").n == GRAPH_FILE_MAX_N
+    for text in (f"{GRAPH_FILE_MAX_N + 1}\n", "10000000000\n1 2\n"):
+        with pytest.raises(SizeLimitError):
+            parse_edge_list(text)
+    with pytest.raises(SizeLimitError):
+        parse_graph_json({"n": 10**10, "edges": []})
 
 
 def test_json_round_trip():

@@ -3,6 +3,8 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eocount.cumulants import bell_number
 from eocount.errors import SizeLimitError
@@ -10,7 +12,7 @@ from eocount.laurent import LaurentSeries
 from eocount.powersums import (a_coeff, b_coeff, count_partition_types,
                                enumerate_partition_types,
                                gaussian_power_moment, monomial_order_bound,
-                               mu_moment, mu_monomial)
+                               mu_moment, mu_moment_dict, mu_monomial)
 
 from oracles import (mu_moment_via_types, realization_count, realization_sum,
                      set_partition_moment_oracle)
@@ -96,6 +98,16 @@ def test_mu_moment_truncation_consistency():
         for p_max in range(4):
             assert mu_moment(mono, p_max) == full.truncate(p_max)
             assert mu_moment_via_types(mono, p_max) == full.truncate(p_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+def test_mu_moment_is_int_and_matches_types_at_every_truncation(exps):
+    mono = mu_monomial(exps)
+    for p_max in [*range(sum(mono) // 2 + 1), None]:
+        cut = sum(mono) // 2 if p_max is None else p_max
+        assert all(type(c) is int for c in mu_moment_dict(mono, cut).values())
+        assert mu_moment(mono, p_max) == mu_moment_via_types(mono, p_max), p_max
 
 
 def test_parity_vanishing():

@@ -6,10 +6,12 @@ from math import prod
 
 import pytest
 
-from eocount.errors import DomainError
-from eocount.taillab import (DiscreteProductSpace, alpha, check_tail_bound,
-                             delta_V, exact_cumulants_discrete,
-                             instance_from_json, instance_to_json)
+import eocount.taillab as taillab
+from eocount.errors import DomainError, SizeLimitError
+from eocount.taillab import (ALPHA_MAX_READS, DiscreteProductSpace, alpha,
+                             alpha_reads, check_tail_bound, delta_V,
+                             exact_cumulants_discrete, instance_from_json,
+                             instance_to_json)
 
 from oracles import conditional_expectation
 
@@ -192,6 +194,47 @@ def test_alpha_wide_alphabet():
         assert delta_V(space, table, (0, 1)) == osc_g * osc_h
         assert alpha(space, table, 1) == max(d0, d1)
         assert alpha(space, table, 2) == max(d0, d1, osc_g * osc_h)
+
+
+def test_alpha_reads_counts_the_walk(monkeypatch):
+    read = []
+    rows = taillab._rows
+
+    def counted_rows(vals, shape, j):
+        read.append(len(vals))
+        return rows(vals, shape, j)
+
+    monkeypatch.setattr(taillab, "_rows", counted_rows)
+    rng = random.Random(7)
+    for _ in range(40):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(0, 5))]
+        space = DiscreteProductSpace.make(
+            [list(range(s)) for s in sizes], [[Fraction(1, s)] * s for s in sizes])
+        table = [rng.randint(-9, 9) for _ in range(prod(sizes))]
+        for m in (1, 2, 3, 6):
+            read.clear()
+            alpha(space, table, m)
+            assert sum(read) == alpha_reads(sizes, m), (sizes, m)
+    # 16 fair bits at m = 3: 65,536 * (16 + 120/2 + 560/4)
+    assert alpha_reads((2,) * 16, 3) == 65536 * 216
+
+
+def test_alpha_work_cap_comes_before_any_work(monkeypatch):
+    # 19 fair bits fit the space cap; at m = 3 the walk would read 1.8e8
+    space = DiscreteProductSpace.uniform_bits(19)
+    assert (alpha_reads(space.sizes, 2) <= ALPHA_MAX_READS
+            < alpha_reads(space.sizes, 3))
+    table = (Fraction(0),) * 2**19
+
+    def fail(*args):
+        pytest.fail("work started before the size check")
+
+    for name in ("_scaled_int_table", "exact_cumulants_discrete"):
+        monkeypatch.setattr(taillab, name, fail)
+    with pytest.raises(SizeLimitError):
+        alpha(space, table, 3)
+    with pytest.raises(SizeLimitError):
+        check_tail_bound(space, table, 3)
 
 
 def test_alpha_m1_is_max_oscillation():
