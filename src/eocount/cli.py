@@ -166,13 +166,18 @@ def _cmd_taillab(args):
 
 def _cmd_graphinfo(args):
     g = load_graph(args.graph)
+    try:
+        tau, tau_skipped = str(spanning_tree_count(g)), None
+    except SizeLimitError as exc:  # above graphs.DENSE_MAX_N
+        tau, tau_skipped = None, str(exc)
     result = {
         "n": g.n,
         "edges": g.edge_count,
         "degrees": list(g.degrees),
         "all_degrees_even": all_degrees_even(g),
         "connected": g.is_connected(),
-        "tau": str(spanning_tree_count(g)),
+        "tau": tau,
+        "tau_skipped": tau_skipped,
     }
     h = None
     if g.n >= 2:  # the Cheeger constant needs a nonempty proper subset

@@ -2,32 +2,38 @@
 -tree/Gaussian closed form, cumulant corrections of order one and two, and the
 classical sandwich bounds from central binomial coefficients.
 
-The Gaussian covariance Sigma = (L + wJ)^(-1) is computed exactly, as the
-integer adjugate of q (L + wJ) over its determinant (w = p/q), and each entry
-is rounded once to the caller's precision (at least MIN_BITS = 128 bits).
-Its edge-difference covariances do not depend on w (any w > 0 gives the same
-estimates).  The cumulants are mpmath sums at that precision; kappa_2 is a
-short sum of contractions A_j^T (S o ... o S) A_j over Hadamard powers of the
-edge-difference covariance matrix S, with no per-pair work.
+One elimination of the integer matrix L + J gives tau and adj(L + J), hence
+Sigma_w = (L + wJ)^(-1) = adj/(n^2 tau) + (1/w - 1) J/n^2 for every w > 0.
+The edge-difference covariances are w-free: M/tau for the integer matrix
+M = B^T adj B / n^2 (B the signed incidence matrix).  kappa_1 and kappa_2 are
+exact Fractions of ints built from M and tau, kappa_2 a short sum of Hadamard
+-power contractions with no per-pair work; ``eo_estimate`` rounds each result
+once, to at least MIN_BITS = 128 bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
 
 from .errors import DomainError, SizeLimitError
-from .expansion import log_cos_coeffs
-from .graphs import Graph, cheeger_constant, laplacian, spanning_tree_count
+from .expansion import WeightSpec, weight_log_coeffs
+from .graphs import (Graph, cheeger_constant, l_plus_j_adjugate,
+                     spanning_tree_count)
 from .cumulants import double_factorial
 
 DEFAULT_BITS = 256
 MIN_BITS = 128
 KAPPA2_MAX_EDGE_PAIRS = 10**6
+# Largest truncation order K of f_K, checked before any work: kappa_2's ints
+# grow as tau^(2K).  64 is the order the estimator has always accepted.
+ESTIMATE_MAX_K = 64
+_LOG_COS = WeightSpec.for_family("RT")  # log cos x = log(0 + 1 cos x)
 
 
 def require_precision(bits: int) -> None:
@@ -41,13 +47,20 @@ def _require_vertices(g: Graph) -> None:
         raise DomainError("estimate needs at least 2 vertices")
 
 
-def _rational_mpf(num: int, den: int, bits: int):
-    """num/den rounded once to the nearest mpf of the given precision."""
-    return mpmath.mpf(from_rational(num, den, bits, round_nearest))
+def _positive(w) -> Fraction:
+    w = Fraction(w)
+    if w <= 0:
+        raise DomainError("w must be positive")
+    return w
+
+
+def _round(x: Fraction, bits: int):
+    """x rounded once to the nearest mpf of the given precision."""
+    return mpmath.mpf(from_rational(x.numerator, x.denominator, bits, round_nearest))
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
+# covariance
 
 def default_w(g: Graph) -> Fraction:
     """2 d / n, the shift under which the estimator's analysis inverts the
@@ -55,62 +68,54 @@ def default_w(g: Graph) -> Fraction:
     return Fraction(2 * g.max_degree(), g.n)
 
 
-def _adjugate(a: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(det, adj) of an integer matrix whose leading principal minors are all
-    positive, by fraction-free (Bareiss) Gauss-Jordan elimination.
+@dataclass(frozen=True)
+class Covariance:
+    """The Gaussian covariance Sigma_w = (L + wJ)^(-1) of a connected graph,
+    for every w > 0, from one elimination of L + J.
 
-    The pivot at step k is the leading principal minor of order k + 1 and
-    every division is exact.  Column k is dropped once it is eliminated, so
-    the rows end as the adjugate.  A zero pivot means the matrix is singular
-    (for a positive semidefinite one, every later minor vanishes too) and
-    raises DomainError.
+    ``edge`` is the integer matrix M = B^T adj B / n^2 over the sorted edges,
+    stored as upper rows (edge[e][i] = M[e][e + i]); M/tau is the w-free
+    covariance of the edge differences X_j - X_k.
     """
-    n = len(a)
-    rows = [row[:] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        pk = rows[k]
-        piv = pk[0]
-        if piv == 0:
-            raise DomainError("covariance needs a connected graph (L + wJ singular)")
-        tail = pk[1:]
-        rows = [tail if i == k else
-                [(piv * x - r[0] * y) // prev for x, y in zip(r[1:], tail)]
-                for i, r in enumerate(rows)]
-        prev = piv
-    return prev, rows
+
+    n: int
+    tau: int                  # spanning trees; det(L + J) = n^2 tau
+    adj: list[list[int]]      # adjugate of L + J
+    edge: list[list[int]]
+
+    def _scaled(self, w) -> tuple[list[list[int]], int]:
+        """Sigma_w as integer rows over one denominator: with w = p/q,
+        Sigma_w = (p adj + (q - p) tau J) / (p n^2 tau)."""
+        p, q = _positive(w).as_integer_ratio()
+        shift = (q - p) * self.tau
+        return ([[p * x + shift for x in row] for row in self.adj],
+                p * self.n ** 2 * self.tau)
+
+    def sigma(self, w) -> list[list[Fraction]]:
+        """Sigma_w, exact."""
+        rows, den = self._scaled(w)
+        return [[Fraction(x, den) for x in row] for row in rows]
+
+    def norm_inf(self, w) -> Fraction:
+        """||Sigma_w||_inf, which the cumulant bounds assume is at most 1/2."""
+        rows, den = self._scaled(w)
+        return Fraction(max(sum(map(abs, row)) for row in rows), den)
 
 
-def covariance_sigma(g: Graph, w=None, bits: int = DEFAULT_BITS):
-    """(Sigma, norm) with Sigma = (L + w J)^(-1) and norm = ||Sigma||_inf.
-
-    With w = p/q, Sigma = q adj(A) / det(A) for the integer matrix
-    A = q (L + wJ), which is positive definite exactly when the graph is
-    connected.  Sigma and the norm are rounded once, to ``bits``.  The
-    infinity norm feeds the estimate's validity diagnostics (the cumulant
-    bounds assume it is at most 1/2).
-    """
-    require_precision(bits)
+def covariance_sigma(g: Graph) -> Covariance:
+    """Sigma_w for every w, tau and M from one elimination of L + J;
+    DomainError unless the graph is connected."""
     _require_vertices(g)
-    wf = default_w(g) if w is None else Fraction(w)
-    if wf <= 0:
-        raise DomainError("w must be positive")
-    p, q = wf.numerator, wf.denominator
-    det, adj = _adjugate([[q * x + p for x in row] for row in laplacian(g)])
-    with mpmath.workprec(bits):
-        sigma = mpmath.matrix(g.n)
-        for i, row in enumerate(adj):
-            for j, x in enumerate(row):
-                sigma[i, j] = _rational_mpf(q * x, det, bits)
-        norm = _rational_mpf(q * max(sum(map(abs, row)) for row in adj), det, bits)
-        return sigma, norm
-
-
-def edge_difference_cov(sigma, e: tuple[int, int], f: tuple[int, int]):
-    """Cov(X_j - X_k, X_s - X_t) = sigma_js - sigma_jt - sigma_ks + sigma_kt."""
-    j, k = e
-    s, t = f
-    return sigma[j, s] - sigma[j, t] - sigma[k, s] + sigma[k, t]
+    tau, adj = l_plus_j_adjugate(g)
+    if not tau:
+        raise DomainError("covariance needs a connected graph (L + J singular)")
+    n2 = g.n ** 2
+    edges = sorted(g.edges)
+    diff = [[a - b for a, b in zip(adj[j], adj[k])] for j, k in edges]
+    upper = [[d[s] - d[t] for s, t in edges[e:]] for e, d in enumerate(diff)]
+    if any(x % n2 for row in upper for x in row):
+        raise ArithmeticError("B^T adj(L + J) B is not divisible by n^2")
+    return Covariance(g.n, tau, adj, [[x // n2 for x in row] for row in upper])
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +150,7 @@ def _closed_form_logs(g: Graph, tau: int, bits: int):
     with mpmath.workprec(bits):
         base = (g.edge_count * mpmath.log(2) - mpmath.log(tau) / 2
                 + (g.n - 1) / mpmath.mpf(2) * mpmath.log(2 / mpmath.pi))
-        return base, base + _rational_mpf(corr.numerator, corr.denominator, bits)
+        return base, base + _round(corr, bits)
 
 
 def eo_hat_log(g: Graph, bits: int = DEFAULT_BITS):
@@ -169,32 +174,28 @@ def degree_sum_reference(g: Graph) -> Fraction:
 # cumulant corrections
 
 def _require_cumulant_args(g: Graph, K: int, M: int) -> None:
-    """K >= 2 for any cumulant (M >= 1), and the edge-pair cap for kappa_2."""
+    """2 <= K <= ESTIMATE_MAX_K for any cumulant (M >= 1), and the edge-pair
+    cap for kappa_2."""
     if M >= 1 and K < 2:
         raise DomainError("K must be >= 2")
+    if M >= 1 and K > ESTIMATE_MAX_K:
+        raise SizeLimitError(f"K is capped at {ESTIMATE_MAX_K}")
     if M >= 2 and g.edge_count ** 2 > KAPPA2_MAX_EDGE_PAIRS:
         raise SizeLimitError("edge-pair cap exceeded")
 
 
-def kappa1_f(g: Graph, sigma, K: int, bits: int = DEFAULT_BITS):
+def kappa1_f(g: Graph, cov: Covariance, K: int) -> Fraction:
     """The exact first cumulant
-    sum_{l=2}^K c_{2l} (2l-1)!! sum_{jk} sigma_{jk,jk}^l."""
+    sum_{l=2}^K c_{2l} (2l-1)!! sum_{jk} S_{jk,jk}^l, with S = M/tau."""
     _require_cumulant_args(g, K, 1)
-    cs = log_cos_coeffs(K)
-    with mpmath.workprec(bits):
-        total = mpmath.mpf(0)
-        for e in sorted(g.edges):
-            s = edge_difference_cov(sigma, e, e)
-            sp = s * s
-            for l in range(2, K + 1):
-                c = cs[l - 1]
-                total += (mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                          * double_factorial(2 * l - 1) * sp)
-                sp *= s
-        return total
+    cs = weight_log_coeffs(_LOG_COS, K)
+    var = [row[0] for row in cov.edge]
+    return sum((cs[l - 1] * double_factorial(2 * l - 1)
+                * Fraction(sum(x ** l for x in var), cov.tau ** l)
+                for l in range(2, K + 1)), Fraction(0))
 
 
-def kappa2_f(g: Graph, sigma, K: int, bits: int = DEFAULT_BITS):
+def kappa2_f(g: Graph, cov: Covariance, K: int) -> Fraction:
     """Second cumulant of f_K: the sum over ordered edge pairs (e, f) and
     orders l1, l2 of c_{2l1} c_{2l2} Cov(X_e^{2l1}, X_f^{2l2}).
 
@@ -206,37 +207,34 @@ def kappa2_f(g: Graph, sigma, K: int, bits: int = DEFAULT_BITS):
     over l1 and l2 therefore separates:
         kappa_2 = sum_{j=2,4,..,2K} j! A_j^T S^(o j) A_j,
         A_j[e] = sum_l c_{2l} C(2l, j) (2l-j-1)!! S_ee^{l-j/2},
-    with S the edge-difference covariance matrix and S^(o j) its j-th
-    Hadamard power.  The cost is O(m^2 K).
+    with S = M/tau the edge-difference covariance matrix and S^(o j) its j-th
+    Hadamard power.  On ints: D_j tau^(K-j/2) A_j is an integer vector (D_j
+    the common denominator of its coefficients), so each term is an integer
+    contraction with M^(o j) over D_j^2 tau^(2K).  The cost is O(m^2 K).
     """
     _require_cumulant_args(g, K, 2)
-    edges = sorted(g.edges)
-    cs = log_cos_coeffs(K)
-    with mpmath.workprec(bits):
-        # upper[e][i] = S[e][e + i]; S is symmetric
-        rows = sigma.tolist()
-        diff = [[a - b for a, b in zip(rows[j], rows[k])] for j, k in edges]
-        upper = [[d[s] - d[t] for s, t in edges[e:]] for e, d in enumerate(diff)]
-        var_pow = [[row[0] ** p for p in range(K + 1)] for row in upper]
-        square = [[x * x for x in row] for row in upper]
-        hadamard = square
-        total = mpmath.mpf(0)
-        for h in range(1, K + 1):
-            j = 2 * h
-            if h > 1:
-                hadamard = [[x * y for x, y in zip(a, b)]
-                            for a, b in zip(hadamard, square)]
-            weights = []
-            for l in range(max(2, h), K + 1):
-                c = cs[l - 1] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
-                weights.append((_rational_mpf(c.numerator, c.denominator, bits),
-                                l - h))
-            A = [mpmath.fsum(wt * pw[p] for wt, p in weights) for pw in var_pow]
-            quad = mpmath.fsum(
-                A[e] * (2 * mpmath.fdot(row, A[e:]) - row[0] * A[e])
-                for e, row in enumerate(hadamard))
-            total += factorial(j) * quad
-        return total
+    cs = weight_log_coeffs(_LOG_COS, K)
+    tau = cov.tau
+    var = [row[0] for row in cov.edge]
+    square = [[x * x for x in row] for row in cov.edge]
+    hadamard = square
+    total = Fraction(0)
+    for h in range(1, K + 1):
+        j = 2 * h
+        if h > 1:
+            hadamard = [[x * y for x, y in zip(a, b)]
+                        for a, b in zip(hadamard, square)]
+        # coefficient of S_ee^p in A_j, p = l - h
+        ws = [cs[l - 1] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
+              if l >= 2 else Fraction(0) for l in range(h, K + 1)]
+        den = lcm(*(c.denominator for c in ws))
+        coef = [c.numerator * (den // c.denominator) * tau ** (K - h - p)
+                for p, c in enumerate(ws)]
+        A = [sum(c * v ** p for p, c in enumerate(coef)) for v in var]
+        quad = sum(a * (2 * sum(map(mul, row, A[e:])) - row[0] * a)
+                   for e, (a, row) in enumerate(zip(A, hadamard)))
+        total += Fraction(factorial(j) * quad, den * den)
+    return total / tau ** (2 * K)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +247,10 @@ class EstimateReport:
     edge_count: int
     w: Fraction
     bits: int
-    sigma_norm_inf: object          # mpf
+    sigma_norm_inf: Fraction        # exact ||Sigma_w||_inf
     in_hypothesis: bool             # ||Sigma_w||_inf <= 1/2
     log_eo_hat: object              # mpf
-    kappa: dict[int, object]        # r -> mpf correction
+    kappa: dict[int, Fraction]      # r -> exact cumulant kappa_r
     log_corrected: dict[int, object]  # r -> mpf, cumulative through order r
     schrijver_lower: Fraction       # also the Pauling estimate
     schrijver_upper_sq: int         # exact square of the upper bound
@@ -269,32 +267,36 @@ class EstimateReport:
         return self.log_corrected[M]
 
     def to_json(self) -> dict:
-        def fstr(x):
-            return mpmath.nstr(x, 30) if x is not None else None
+        def fstr(x):  # an exact value is rounded once, at the report's bits
+            if isinstance(x, Fraction):
+                x = _round(x, self.bits)
+            return mpmath.nstr(x, 30)
 
-        lower = fstr(mpmath.mpf(self.schrijver_lower.numerator)
-                     / self.schrijver_lower.denominator)
-        return {
-            "graph": self.graph_id,
-            "n": self.n,
-            "edges": self.edge_count,
-            "w": str(self.w),
-            "precision_bits": self.bits,
-            "sigma_norm_inf": fstr(self.sigma_norm_inf),
-            "in_hypothesis": self.in_hypothesis,
-            "log_eo_hat": fstr(self.log_eo_hat),
-            "eo_hat": fstr(mpmath.exp(self.log_eo_hat)),
-            "kappa": {str(r): fstr(v) for r, v in self.kappa.items()},
-            "log_corrected": {str(r): fstr(v) for r, v in self.log_corrected.items()},
-            "corrected": {str(r): fstr(mpmath.exp(v))
-                          for r, v in self.log_corrected.items()},
-            "schrijver_lower": lower,
-            "schrijver_upper": fstr(mpmath.sqrt(mpmath.mpf(self.schrijver_upper_sq))),
-            "pauling": lower,
-            "cheeger": str(self.cheeger) if self.cheeger is not None else None,
-            "cheeger_over_max_degree": (str(self.cheeger_ratio)
-                                        if self.cheeger_ratio is not None else None),
-        }
+        lower = fstr(self.schrijver_lower)
+        with mpmath.workprec(self.bits):
+            return {
+                "graph": self.graph_id,
+                "n": self.n,
+                "edges": self.edge_count,
+                "w": str(self.w),
+                "precision_bits": self.bits,
+                "sigma_norm_inf": fstr(self.sigma_norm_inf),
+                "in_hypothesis": self.in_hypothesis,
+                "log_eo_hat": fstr(self.log_eo_hat),
+                "eo_hat": fstr(mpmath.exp(self.log_eo_hat)),
+                "kappa": {str(r): fstr(v) for r, v in self.kappa.items()},
+                "log_corrected": {str(r): fstr(v)
+                                  for r, v in self.log_corrected.items()},
+                "corrected": {str(r): fstr(mpmath.exp(v))
+                              for r, v in self.log_corrected.items()},
+                "schrijver_lower": lower,
+                "schrijver_upper": fstr(mpmath.sqrt(self.schrijver_upper_sq)),
+                "pauling": lower,
+                "cheeger": str(self.cheeger) if self.cheeger is not None else None,
+                "cheeger_over_max_degree": (str(self.cheeger_ratio)
+                                            if self.cheeger_ratio is not None
+                                            else None),
+            }
 
 
 def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
@@ -302,15 +304,16 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     """Estimate with up to two cumulant corrections.
 
     M = 0 reports just the closed form; M = 1 replaces its exponent with the
-    exact kappa_1; M = 2 adds kappa_2/2.  Both cumulants use the same K.
-    Corrections beyond 2 cost |E|^r edge tuples and are out of scope here.
+    exact kappa_1; M = 2 adds kappa_2/2.  Both cumulants use the same K.  The
+    exponent sum_{r<=M} kappa_r/r! is exact and rounded once.  Corrections
+    beyond 2 cost |E|^r edge tuples and are out of scope here.
     """
     if M not in (0, 1, 2):
         raise DomainError("M must be 0, 1 or 2")
     require_precision(bits)
     _require_eulerian(g)
     _require_cumulant_args(g, K, M)
-    wf = default_w(g) if w is None else Fraction(w)
+    wf = default_w(g) if w is None else _positive(w)
     lower, upper_sq = schrijver_bounds(g)
     try:
         h = cheeger_constant(g)
@@ -318,24 +321,26 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     except SizeLimitError:
         h = None
         ratio = None
-    sigma, norm = covariance_sigma(g, wf, bits)
-    base, log_eo_hat = _closed_form_logs(g, spanning_tree_count(g), bits)
+    cov = covariance_sigma(g)
+    norm = cov.norm_inf(wf)
+    base, log_eo_hat = _closed_form_logs(g, cov.tau, bits)
+    kappa: dict[int, Fraction] = {}
+    if M >= 1:
+        kappa[1] = kappa1_f(g, cov, K)
+    if M >= 2:
+        kappa[2] = kappa2_f(g, cov, K)
+    log_corr: dict[int, object] = {}
+    exponent = Fraction(0)
     with mpmath.workprec(bits):
-        kappa: dict[int, object] = {}
-        log_corr: dict[int, object] = {}
-        if M >= 1:
-            kappa[1] = kappa1_f(g, sigma, K, bits)
-            log_corr[1] = base + kappa[1]
-        if M >= 2:
-            kappa[2] = kappa2_f(g, sigma, K, bits)
-            log_corr[2] = base + kappa[1] + kappa[2] / 2
-        return EstimateReport(
-            graph_id=graph_id or f"graph(n={g.n}, m={g.edge_count})",
-            n=g.n, edge_count=g.edge_count, w=wf, bits=bits,
-            sigma_norm_inf=norm,
-            in_hypothesis=bool(norm <= mpmath.mpf(1) / 2),
-            log_eo_hat=log_eo_hat,
-            kappa=kappa, log_corrected=log_corr,
-            schrijver_lower=lower, schrijver_upper_sq=upper_sq,
-            cheeger=h, cheeger_ratio=ratio,
-        )
+        for r, k in kappa.items():
+            exponent += k / factorial(r)
+            log_corr[r] = base + _round(exponent, bits)
+    return EstimateReport(
+        graph_id=graph_id or f"graph(n={g.n}, m={g.edge_count})",
+        n=g.n, edge_count=g.edge_count, w=wf, bits=bits,
+        sigma_norm_inf=norm, in_hypothesis=norm <= Fraction(1, 2),
+        log_eo_hat=log_eo_hat,
+        kappa=kappa, log_corrected=log_corr,
+        schrijver_lower=lower, schrijver_upper_sq=upper_sq,
+        cheeger=h, cheeger_ratio=ratio,
+    )

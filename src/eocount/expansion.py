@@ -65,28 +65,7 @@ class WeightSpec:
 
 
 # ---------------------------------------------------------------------------
-# log cos and log(a + b cos) Taylor coefficients
-
-def bernoulli_numbers(m: int) -> list[Fraction]:
-    """B_0..B_m by the defining recurrence (B_1 = -1/2)."""
-    B = [Fraction(1)]
-    for j in range(1, m + 1):
-        acc = Fraction(0)
-        for k in range(j):
-            acc += comb(j + 1, k) * B[k]
-        B.append(-acc / (j + 1))
-    return B
-
-
-def log_cos_coeffs(L: int) -> list[Fraction]:
-    """c_2, c_4, ..., c_{2L}: Taylor coefficients of log cos x at 0, from the
-    Bernoulli closed form c_{2l} = -4^l (4^l - 1) |B_{2l}| / (2l (2l)!)."""
-    if L > 64:
-        raise SizeLimitError("log cos coefficients capped at L=64")
-    B = bernoulli_numbers(2 * L)
-    return [-Fraction(4**l * (4**l - 1) * abs(B[2 * l]), 2 * l * factorial(2 * l))
-            for l in range(1, L + 1)]
-
+# log(a + b cos) Taylor coefficients
 
 def weight_log_coeffs(w: WeightSpec, L: int) -> list[Fraction]:
     """e_2, e_4, ..., e_{2L}: Taylor coefficients of log(a + b cos x) at 0
@@ -169,9 +148,6 @@ class ExpansionResult:
     prefactor: str                  # formula tag, see log_prefactor()
     coeffs: dict[int, Fraction]     # p -> coefficient of n^-p, p in 0..order-1
     cumulants: tuple[LaurentSeries, ...] = field(default=(), compare=False)
-
-    def exponent_series(self) -> LaurentSeries:
-        return LaurentSeries(self.coeffs, self.order - 1)
 
     def to_json(self) -> dict:
         return {

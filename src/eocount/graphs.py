@@ -1,5 +1,6 @@
 """Simple undirected graphs and the exact quantities the estimators need:
-Laplacian, spanning-tree count, Cheeger constant, degree predicates.
+Laplacian, the one elimination of L + J (spanning-tree count and adjugate),
+Cheeger constant, degree predicates.
 
 Vertices are 0-based contiguous integers internally; the text/JSON formats use
 1-based labels.
@@ -19,6 +20,11 @@ CHEEGER_MAX_N = 22  # exhaustive 2^(n-1) scan
 # entries is a few MiB, and bounds and graphinfo stay usable on large sparse
 # graphs.  Checked before any per-vertex list is built.
 GRAPH_FILE_MAX_N = 10**6
+# Dense n x n integer algebra (the Laplacian and the elimination of L + J, the
+# only route to tau and Sigma) is refused above this many vertices, before any
+# n x n list is built.  On a degree-6 circulant the elimination takes 0.6 s at
+# n = 100, 11 s at n = 200 and 57 s at n = 300 (2 shared cores, CPython 3.11).
+DENSE_MAX_N = 300
 
 
 @dataclass(frozen=True)
@@ -213,48 +219,44 @@ def laplacian(g: Graph) -> list[list[int]]:
     return L
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant; exact for integer matrices."""
-    a = [row[:] for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def l_plus_j_adjugate(g: Graph) -> tuple[int, list[list[int]] | None]:
+    """(tau, adj): the spanning-tree count and the adjugate of L + J (J all
+    ones), by one fraction-free (Bareiss) Gauss-Jordan elimination.
 
-
-def spanning_tree_count(g: Graph, delete_index: int = 0) -> int:
-    """Number of spanning trees via the matrix-tree theorem.
-
-    Returns 0 for disconnected graphs (the cofactor vanishes).  The deleted
-    row/column index does not affect the result.
+    L + J is positive semidefinite, and definite with det = n^2 tau exactly
+    when the graph is connected (n replaces L's eigenvalue 0).  Its leading
+    minors are then positive, so the pivot at step k is the minor of order
+    k + 1 and every division is exact.  Each row holds the columns of L + J
+    not yet eliminated, then the identity columns already reached (the later
+    ones are the pivot times a unit vector), so the rows end as the adjugate.
+    A zero pivot means a singular L + J, a disconnected graph: (0, None), as
+    for the empty graph.
     """
-    if g.n == 0:
-        return 0
-    if g.n == 1:
-        return 1
-    if not (0 <= delete_index < g.n):
-        raise DomainError("delete_index out of range")
-    L = laplacian(g)
-    minor = [[L[i][j] for j in range(g.n) if j != delete_index]
-             for i in range(g.n) if i != delete_index]
-    return _bareiss_det(minor)
+    n = g.n
+    if n > DENSE_MAX_N:
+        raise SizeLimitError(f"dense linear algebra is capped at n={DENSE_MAX_N}")
+    if n == 0:
+        return 0, None
+    rows = [[x + 1 for x in row] for row in laplacian(g)]
+    prev = 1
+    for k in range(n):
+        pk = rows[k]
+        piv = pk[0]
+        if piv == 0:
+            return 0, None
+        tail = pk[1:]
+        rows = [tail + [prev] if i == k else
+                [(piv * x - r[0] * y) // prev for x, y in zip(r[1:], tail)]
+                + [-r[0]]
+                for i, r in enumerate(rows)]
+        prev = piv
+    return prev // (n * n), rows
+
+
+def spanning_tree_count(g: Graph) -> int:
+    """Number of spanning trees, det(L + J)/n^2 by the matrix-tree theorem;
+    0 for a disconnected graph (and for the empty one)."""
+    return l_plus_j_adjugate(g)[0]
 
 
 # ---------------------------------------------------------------------------

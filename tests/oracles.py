@@ -13,15 +13,16 @@ tests check it against:
 * the series engine's inputs: ``f_direct`` and ``evaluate_mu_polynomial``
   (f_K by its edge-sum definition and in the power-sum basis), and its
   moments ``moments_of_f_via_series`` (the powers of f on LaurentSeries
-  coefficients, against the integer product expansion),
-  ``log_cos_coeffs_series`` (against the Bernoulli closed form) and the
-  general order formulas ``orders_for_precision``;
+  coefficients, against the integer product expansion), the Bernoulli closed
+  form ``log_cos_coeffs`` with ``bernoulli_numbers`` (against the formal log
+  of the cosine series, ``weight_log_coeffs`` for RT) and the general order
+  formulas ``orders_for_precision``;
 * the estimator: ``exact_inverse`` (Gauss-Jordan over rationals, against the
-  integer adjugate) and the per-pair route to kappa_2, ``kappa2_pairwise``:
-  for every ordered edge pair it sums c_{2l1} c_{2l2} times the joint moment
-  E[X_e^{2l1} X_f^{2l2}] minus the product of the univariate moments.  The
-  shipped ``kappa2_f`` computes the same quantity as Hadamard-power
-  contractions, without the j = 0 term that cancels here;
+  integer adjugate) and the per-pair route to kappa_2, ``kappa2_pairwise``,
+  on Fractions: for every ordered edge pair it sums c_{2l1} c_{2l2} times
+  the joint moment E[X_e^{2l1} X_f^{2l2}] minus the product of the univariate
+  moments.  The shipped ``kappa2_f`` computes the same quantity as
+  Hadamard-power contractions, without the j = 0 term that cancels here;
 * the tail lab: the averaging operator ``conditional_expectation``;
 * the exact counters: ``torus_integral_estimate``, a product trapezoid
   quadrature of the circle-integral representation of the weighted
@@ -37,8 +38,7 @@ import numpy as np
 from eocount.cumulants import (double_factorial, enumerate_partitions,
                                isserlis_moment, joint_cumulant_connected)
 from eocount.errors import DomainError, SizeLimitError
-from eocount.estimator import DEFAULT_BITS, edge_difference_cov
-from eocount.expansion import WeightSpec, log_cos_coeffs, weight_log_coeffs
+from eocount.expansion import WeightSpec, weight_log_coeffs
 from eocount.laurent import LaurentSeries
 from eocount.powersums import (_cell_multiplicities, _counts_of,
                                _falling_factorial_coeffs, _max_cells,
@@ -217,10 +217,25 @@ def partition_factorial_sum(s: int) -> int:
 # ---------------------------------------------------------------------------
 # series-engine inputs
 
-def log_cos_coeffs_series(L: int) -> list[Fraction]:
-    """Taylor coefficients of log cos x by the formal log of the cosine
-    series; cross-validates the Bernoulli route."""
-    return weight_log_coeffs(WeightSpec(Fraction(0), Fraction(1), "RT"), L)
+def bernoulli_numbers(m: int) -> list[Fraction]:
+    """B_0..B_m by the defining recurrence (B_1 = -1/2)."""
+    B = [Fraction(1)]
+    for j in range(1, m + 1):
+        acc = Fraction(0)
+        for k in range(j):
+            acc += comb(j + 1, k) * B[k]
+        B.append(-acc / (j + 1))
+    return B
+
+
+def log_cos_coeffs(L: int) -> list[Fraction]:
+    """c_2, c_4, ..., c_{2L}: Taylor coefficients of log cos x at 0, from the
+    Bernoulli closed form c_{2l} = -4^l (4^l - 1) |B_{2l}| / (2l (2l)!)."""
+    if L > 64:
+        raise SizeLimitError("log cos coefficients capped at L=64")
+    B = bernoulli_numbers(2 * L)
+    return [-Fraction(4**l * (4**l - 1) * abs(B[2 * l]), 2 * l * factorial(2 * l))
+            for l in range(1, L + 1)]
 
 
 def evaluate_mu_polynomial(poly, xs) -> Fraction:
@@ -318,41 +333,45 @@ def exact_inverse(matrix) -> list[list[Fraction]]:
 
 
 def bivariate_even_moment(p: int, q: int, suu, svv, suv):
-    """E[U^p V^q] for centered jointly Gaussian (U, V), p + q even."""
-    total = mpmath.mpf(0)
+    """E[U^p V^q] for centered jointly Gaussian (U, V), p + q even; exact
+    for Fraction (co)variances."""
+    total = Fraction(0)
     jstart = (p % 2)
     for j in range(jstart, min(p, q) + 1, 2):
-        term = (comb(p, j) * comb(q, j) * mpmath.factorial(j)
+        term = (comb(p, j) * comb(q, j) * factorial(j)
                 * double_factorial(p - j - 1) * double_factorial(q - j - 1))
         total += (term * suu ** ((p - j) // 2) * svv ** ((q - j) // 2)
                   * suv ** j)
     return total
 
 
-def kappa2_pairwise(g, sigma, K: int, bits: int = DEFAULT_BITS):
+def kappa2_pairwise(g, sigma, K: int) -> Fraction:
     """Second cumulant of f_K: sum over ordered edge pairs and orders of
-    c_{2l1} c_{2l2} [E[X_e^{2l1} X_f^{2l2}] - E[X_e^{2l1}] E[X_f^{2l2}]]."""
+    c_{2l1} c_{2l2} [E[X_e^{2l1} X_f^{2l2}] - E[X_e^{2l1}] E[X_f^{2l2}]],
+    exact for a Fraction covariance matrix ``sigma`` (nested lists)."""
+    def cov(e, f):
+        (j, k), (s, t) = e, f
+        return sigma[j][s] - sigma[j][t] - sigma[k][s] + sigma[k][t]
+
     edges = sorted(g.edges)
     cs = log_cos_coeffs(K)
-    with mpmath.workprec(bits):
-        cvals = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in cs]
-        var = [edge_difference_cov(sigma, e, e) for e in edges]
-        # univariate moments E[X_e^{2l}]
-        mom = [[double_factorial(2 * l - 1) * var[i] ** l for l in range(2, K + 1)]
-               for i in range(len(edges))]
-        total = mpmath.mpf(0)
-        for i in range(len(edges)):
-            for j in range(i, len(edges)):
-                suv = edge_difference_cov(sigma, edges[i], edges[j])
-                pair = mpmath.mpf(0)
-                for l1 in range(2, K + 1):
-                    for l2 in range(2, K + 1):
-                        joint = bivariate_even_moment(2 * l1, 2 * l2,
-                                                      var[i], var[j], suv)
-                        disc = joint - mom[i][l1 - 2] * mom[j][l2 - 2]
-                        pair += cvals[l1 - 1] * cvals[l2 - 1] * disc
-                total += pair if i == j else 2 * pair
-        return total
+    var = [cov(e, e) for e in edges]
+    # univariate moments E[X_e^{2l}]
+    mom = [[double_factorial(2 * l - 1) * var[i] ** l for l in range(2, K + 1)]
+           for i in range(len(edges))]
+    total = Fraction(0)
+    for i in range(len(edges)):
+        for j in range(i, len(edges)):
+            suv = cov(edges[i], edges[j])
+            pair = Fraction(0)
+            for l1 in range(2, K + 1):
+                for l2 in range(2, K + 1):
+                    joint = bivariate_even_moment(2 * l1, 2 * l2,
+                                                  var[i], var[j], suv)
+                    disc = joint - mom[i][l1 - 2] * mom[j][l2 - 2]
+                    pair += cs[l1 - 1] * cs[l2 - 1] * disc
+            total += pair if i == j else 2 * pair
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_graphinfo(capsys, c5_json_file):
     code, env = run_json(capsys, ["graphinfo", "--graph", c5_json_file])
     assert code == 0
     res = env["result"]
-    assert res["tau"] == "5"
+    assert res["tau"] == "5" and res["tau_skipped"] is None
     assert res["all_degrees_even"] is True
     assert Fraction(res["cheeger"]) == Fraction(2, 2)
 
@@ -316,6 +316,36 @@ def test_estimate_parameters_checked_first(capsys, tmp_path, monkeypatch):
     code = main(["estimate", "--graph", k47, "--M", "2"])
     err = json.loads(capsys.readouterr().err)
     assert code == 3 and err["kind"] == "size-limit"
+
+
+def test_estimate_K_cap_checked_first(capsys, tmp_path, monkeypatch):
+    from eocount import estimator
+    monkeypatch.setattr("eocount.estimator.cheeger_constant",
+                        fail_if_called("the Cheeger scan"))
+    monkeypatch.setattr("eocount.estimator.covariance_sigma",
+                        fail_if_called("Sigma"))
+    c9 = write_edges(tmp_path / "c9.edges", circulant_graph(9, (1, 2)))
+    code = main(["estimate", "--graph", c9, "--M", "1", "--K", "65"])
+    assert code == 3
+    assert_one_error_line(capsys.readouterr(), "size-limit")
+    assert estimator.ESTIMATE_MAX_K == 64
+
+
+def test_dense_cap_checked_before_the_laplacian(capsys, tmp_path, monkeypatch):
+    # a 10^5-vertex cycle: the Laplacian alone would hold 10^10 list slots
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("eocount") and hasattr(mod, "laplacian"):
+            monkeypatch.setattr(mod, "laplacian", fail_if_called("the Laplacian"))
+    n = 10**5
+    p = tmp_path / "c100000.edges"
+    p.write_text(f"{n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1)))
+    code = main(["estimate", "--graph", str(p), "--M", "1"])
+    assert code == 3
+    assert_one_error_line(capsys.readouterr(), "size-limit")
+    code, env = run_json(capsys, ["graphinfo", "--graph", str(p)])
+    res = env["result"]
+    assert code == 0 and res["n"] == n and res["connected"] is True
+    assert res["tau"] is None and "dense" in res["tau_skipped"]
 
 
 def test_eval_point_checked_before_series(capsys, monkeypatch):

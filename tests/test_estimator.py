@@ -4,17 +4,31 @@ import mpmath
 import pytest
 
 from eocount.cumulants import double_factorial
-from eocount.errors import DomainError
-from eocount.estimator import (MIN_BITS, covariance_sigma, default_w,
-                               degree_sum_reference, edge_difference_cov,
-                               eo_estimate, eo_hat_log, kappa1_f, kappa2_f,
+from eocount.errors import DomainError, SizeLimitError
+from eocount.estimator import (ESTIMATE_MAX_K, MIN_BITS, covariance_sigma,
+                               default_w, degree_sum_reference, eo_estimate,
+                               eo_hat_log, kappa1_f, kappa2_f,
                                schrijver_bounds)
 from eocount.exact import eo_count_bruteforce, rt_count
 from eocount.graphs import (Graph, circulant_graph, complete_graph,
                             cycle_graph, laplacian, octahedron_graph)
-from oracles import bivariate_even_moment, exact_inverse, kappa2_pairwise
+from oracles import (bivariate_even_moment, exact_inverse, kappa2_pairwise,
+                     log_cos_coeffs)
 
-TIGHT = mpmath.mpf(2) ** -200
+
+def inverse_of_shifted_laplacian(g, w):
+    L = laplacian(g)
+    return exact_inverse([[L[i][j] + w for j in range(g.n)] for i in range(g.n)])
+
+
+def edge_cov(sigma, e, f):
+    """Cov(X_j - X_k, X_s - X_t) read off a covariance matrix."""
+    (j, k), (s, t) = e, f
+    return sigma[j][s] - sigma[j][t] - sigma[k][s] + sigma[k][t]
+
+
+def norm_inf(matrix):
+    return max(sum(abs(x) for x in row) for row in matrix)
 
 
 def test_exact_inverse_oracle():
@@ -26,19 +40,12 @@ def test_exact_inverse_oracle():
 
 
 def test_covariance_matches_exact_inverse():
-    with mpmath.workprec(256):
-        for g, w in ((complete_graph(3), default_w(complete_graph(3))),
-                     (cycle_graph(4), Fraction(1))):
-            L = laplacian(g)
-            M = [[Fraction(L[i][j]) + w for j in range(g.n)] for i in range(g.n)]
-            inv = exact_inverse(M)
-            sigma, norm = covariance_sigma(g, w)
-            for i in range(g.n):
-                for j in range(g.n):
-                    expect = mpmath.mpf(inv[i][j].numerator) / inv[i][j].denominator
-                    assert abs(sigma[i, j] - expect) < TIGHT
-            exact_norm = max(sum(abs(x) for x in row) for row in inv)
-            assert abs(norm - mpmath.mpf(exact_norm.numerator) / exact_norm.denominator) < TIGHT
+    for g, w in ((complete_graph(3), default_w(complete_graph(3))),
+                 (cycle_graph(4), Fraction(1))):
+        inv = inverse_of_shifted_laplacian(g, w)
+        cov = covariance_sigma(g)
+        assert cov.sigma(w) == inv
+        assert cov.norm_inf(w) == norm_inf(inv)
 
 
 def test_integer_sigma_matches_exact_inverse():
@@ -46,28 +53,21 @@ def test_integer_sigma_matches_exact_inverse():
     graphs = ([Graph.from_edges(2, [(0, 1)]), cycle_graph(4), cycle_graph(6),
                octahedron_graph(), circulant_graph(8, (1, 2))]
               + [complete_graph(n) for n in range(3, 13)])
-    tol = mpmath.mpf(2) ** -250
     for g in graphs:
+        cov = covariance_sigma(g)
         for w in {default_w(g), Fraction(1), Fraction(3, 7)}:
-            L = laplacian(g)
-            inv = exact_inverse([[L[i][j] + w for j in range(g.n)]
-                                 for i in range(g.n)])
-            sigma, norm = covariance_sigma(g, w)
-            with mpmath.workprec(256):
-                for i in range(g.n):
-                    for j in range(g.n):
-                        x = inv[i][j]
-                        assert abs(sigma[i, j] - mpmath.mpf(x.numerator)
-                                   / x.denominator) < tol, (g, w, i, j)
-                exact_norm = max(sum(abs(x) for x in row) for row in inv)
-                assert abs(norm - mpmath.mpf(exact_norm.numerator)
-                           / exact_norm.denominator) < tol
+            inv = inverse_of_shifted_laplacian(g, w)
+            assert cov.sigma(w) == inv, (g, w)
+            assert cov.norm_inf(w) == norm_inf(inv), (g, w)
+        # the integer edge matrix over tau is the edge-difference covariance
+        edges = sorted(g.edges)
+        for e, row in enumerate(cov.edge):
+            for i, x in enumerate(row):
+                assert Fraction(x, cov.tau) == edge_cov(inv, edges[e], edges[e + i])
 
 
 def test_precision_floor():
     g = complete_graph(5)
-    with pytest.raises(DomainError):
-        covariance_sigma(g, bits=MIN_BITS - 1)
     with pytest.raises(DomainError):
         eo_estimate(g, bits=MIN_BITS - 1)
     with pytest.raises(DomainError):
@@ -76,28 +76,28 @@ def test_precision_floor():
 
 
 def test_covariance_complete_graph_symmetry():
-    g = complete_graph(5)
-    with mpmath.workprec(256):
-        sigma, _ = covariance_sigma(g, Fraction(2))
-        diag = {mpmath.nstr(sigma[i, i], 25) for i in range(5)}
-        off = {mpmath.nstr(sigma[i, j], 25) for i in range(5) for j in range(5) if i != j}
-        assert len(diag) == 1 and len(off) == 1
+    sigma = covariance_sigma(complete_graph(5)).sigma(Fraction(2))
+    diag = {sigma[i][i] for i in range(5)}
+    off = {sigma[i][j] for i in range(5) for j in range(5) if i != j}
+    assert len(diag) == 1 and len(off) == 1
 
 
 def test_covariance_requires_connected():
     with pytest.raises(DomainError):
         covariance_sigma(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    cov = covariance_sigma(complete_graph(4))
+    for w in (0, Fraction(-1, 2)):
+        with pytest.raises(DomainError):
+            cov.norm_inf(w)
 
 
 def test_edge_covariance_w_invariance():
     g = complete_graph(4)
-    with mpmath.workprec(256):
-        s1, _ = covariance_sigma(g, Fraction(1))
-        s2, _ = covariance_sigma(g, default_w(g))
-        for e in ((0, 1), (1, 2)):
-            for f in ((0, 1), (2, 3), (0, 2)):
-                assert abs(edge_difference_cov(s1, e, f)
-                           - edge_difference_cov(s2, e, f)) < TIGHT
+    cov = covariance_sigma(g)
+    s1, s2 = cov.sigma(Fraction(1)), cov.sigma(default_w(g))
+    for e in ((0, 1), (1, 2)):
+        for f in ((0, 1), (2, 3), (0, 2)):
+            assert edge_cov(s1, e, f) == edge_cov(s2, e, f)
 
 
 def test_eo_hat_examples():
@@ -114,22 +114,22 @@ def test_eo_hat_examples():
 def test_kappa1_single_edge_formula():
     # one edge: kappa_1 = sum_l c_2l (2l-1)!! sigma_ee^l; check K=2 term shape
     g = Graph.from_edges(2, [(0, 1)])
-    with mpmath.workprec(256):
-        sigma, _ = covariance_sigma(g, Fraction(1))
-        see = edge_difference_cov(sigma, (0, 1), (0, 1))
-        k1 = kappa1_f(g, sigma, 2)
-        assert abs(k1 - Fraction(-1, 12) * 3 * see**2) < TIGHT
-        assert degree_sum_reference(g) == -Fraction(1)
+    cov = covariance_sigma(g)
+    see = edge_cov(cov.sigma(Fraction(1)), (0, 1), (0, 1))
+    assert kappa1_f(g, cov, 2) == Fraction(-1, 12) * 3 * see**2
+    assert degree_sum_reference(g) == -Fraction(1)
 
 
 def test_kappa1_w_invariance():
+    # the definition on Sigma_w's edge variances gives kappa_1 for every w
     g = complete_graph(6)
-    with mpmath.workprec(256):
-        s1, _ = covariance_sigma(g, Fraction(1))
-        s2, _ = covariance_sigma(g, Fraction(3))
-        a = kappa1_f(g, s1, 4)
-        b = kappa1_f(g, s2, 4)
-        assert abs(a - b) < TIGHT
+    cov = covariance_sigma(g)
+    cs = log_cos_coeffs(4)
+    for w in (Fraction(1), Fraction(3)):
+        sigma = cov.sigma(w)
+        direct = sum(cs[l - 1] * double_factorial(2 * l - 1) * edge_cov(sigma, e, e) ** l
+                     for e in g.edges for l in range(2, 5))
+        assert kappa1_f(g, cov, 4) == direct
 
 
 def test_kappa1_consistency_envelope():
@@ -137,66 +137,76 @@ def test_kappa1_consistency_envelope():
     # -norm envelope, K capped at delta/2
     for n in range(4, 16):
         g = complete_graph(n)
-        sigma, norm = covariance_sigma(g)
+        cov = covariance_sigma(g)
+        norm = cov.norm_inf(default_w(g))
         K = max(2, min(4, g.min_degree() // 2))
-        k1 = kappa1_f(g, sigma, K)
+        k1 = kappa1_f(g, cov, K)
         ref = degree_sum_reference(g)
         d, delta = g.max_degree(), g.min_degree()
-        envelope = (mpmath.mpf(n) / delta * norm
-                    + mpmath.mpf(n) * d / delta**2 * norm**2)
-        gap = abs(k1 - mpmath.mpf(ref.numerator) / ref.denominator)
+        envelope = (Fraction(n, delta) * norm
+                    + Fraction(n * d, delta**2) * norm**2)
+        gap = abs(k1 - ref)
         assert gap <= 2 * envelope, (n, float(gap), float(envelope))
 
 
 def test_kappa2_disconnected_edges_contribute_zero():
     # independent edge differences: joint part cancels exactly
-    suu = mpmath.mpf(1) / 3
-    joint = bivariate_even_moment(4, 6, suu, suu, mpmath.mpf(0))
-    assert abs(joint - (3 * suu**2) * (15 * suu**3)) < TIGHT
+    suu = Fraction(1, 3)
+    joint = bivariate_even_moment(4, 6, suu, suu, Fraction(0))
+    assert joint == (3 * suu**2) * (15 * suu**3)
 
 
 def test_kappa2_diagonal_matches_univariate():
     # e = f: kappa(X^2l1, X^2l2) = E X^(2l1+2l2) - E X^2l1 E X^2l2
-    with mpmath.workprec(256):
-        s = mpmath.mpf(2) / 5
-        for l1 in (2, 3):
-            for l2 in (2, 4):
-                joint = bivariate_even_moment(2 * l1, 2 * l2, s, s, s)
-                expect = double_factorial(2 * (l1 + l2) - 1) * s ** (l1 + l2)
-                assert abs(joint - expect) < TIGHT
+    s = Fraction(2, 5)
+    for l1 in (2, 3):
+        for l2 in (2, 4):
+            joint = bivariate_even_moment(2 * l1, 2 * l2, s, s, s)
+            assert joint == double_factorial(2 * (l1 + l2) - 1) * s ** (l1 + l2)
 
 
 def test_kappa2_within_second_order_bound():
     for n in (5, 7, 9):
         g = complete_graph(n)
-        sigma, norm = covariance_sigma(g)
-        k2 = kappa2_f(g, sigma, 4)
+        cov = covariance_sigma(g)
+        norm = cov.norm_inf(default_w(g))
+        k2 = kappa2_f(g, cov, 4)
         d, delta, r = g.max_degree(), g.min_degree(), 2
-        bound = (mpmath.mpf(n) / (2 * delta) * (mpmath.mpf(5 * d) / delta) ** r
+        bound = (Fraction(n, 2 * delta) * Fraction(5 * d, delta) ** r
                  * norm ** (r - 1) * double_factorial(4 * r - 1))
         assert abs(k2) <= bound
 
 
 def test_kappa2_matches_pairwise_oracle():
-    rel = mpmath.mpf(2) ** -200
     graphs = [complete_graph(5), complete_graph(7), complete_graph(9),
               octahedron_graph(), circulant_graph(8, (1, 2)),
               circulant_graph(13, (1, 2, 3))]
     for g in graphs:
-        sigma, _ = covariance_sigma(g)
+        cov = covariance_sigma(g)
+        sigma = cov.sigma(default_w(g))
         # K = 8 only where the per-pair oracle stays cheap
         for K in (2, 4) + ((8,) if g.edge_count <= 16 else ()):
-            fast = kappa2_f(g, sigma, K)
-            slow = kappa2_pairwise(g, sigma, K)
-            assert abs(fast - slow) <= rel * abs(slow), (g, K)
+            assert kappa2_f(g, cov, K) == kappa2_pairwise(g, sigma, K), (g, K)
 
 
 def test_estimate_uses_K_for_kappa2():
     g = complete_graph(5)
     rep = eo_estimate(g, M=2, K=8)
-    sigma, _ = covariance_sigma(g, default_w(g))
-    assert rep.kappa[2] == kappa2_f(g, sigma, 8)
-    assert rep.kappa[2] != kappa2_f(g, sigma, 6)
+    cov = covariance_sigma(g)
+    assert rep.kappa[2] == kappa2_f(g, cov, 8)
+    assert rep.kappa[2] != kappa2_f(g, cov, 6)
+
+
+def test_cumulant_order_cap():
+    g = complete_graph(5)
+    cov = covariance_sigma(g)
+    assert isinstance(kappa1_f(g, cov, ESTIMATE_MAX_K), Fraction)
+    for fn in (kappa1_f, kappa2_f):
+        with pytest.raises(SizeLimitError):
+            fn(g, cov, ESTIMATE_MAX_K + 1)
+    with pytest.raises(SizeLimitError):
+        eo_estimate(g, M=1, K=ESTIMATE_MAX_K + 1)
+    assert eo_estimate(g, M=0, K=ESTIMATE_MAX_K + 1).kappa == {}
 
 
 def test_schrijver_bounds_bracket_exact_counts():
@@ -250,10 +260,9 @@ def test_estimate_m1_improves_on_closed_form_for_k7():
 def test_estimate_w_invariance():
     g = circulant_graph(8, (1, 2))
     a = eo_estimate(g, M=2, K=4, w=Fraction(1))
-    b = eo_estimate(g, M=2, K=4, w=default_w(g))
-    for r in (1, 2):
-        rel = abs(a.log_corrected[r] - b.log_corrected[r]) / abs(a.log_corrected[r])
-        assert rel < 1e-9
+    for w in (default_w(g), Fraction(1, 3)):
+        b = eo_estimate(g, M=2, K=4, w=w)
+        assert a.kappa == b.kappa and a.log_corrected == b.log_corrected
 
 
 def test_estimate_preconditions():
@@ -263,6 +272,8 @@ def test_estimate_preconditions():
         eo_estimate(Graph.from_edges(4, [(0, 1), (2, 3)]))
     with pytest.raises(DomainError):
         eo_estimate(complete_graph(5), M=3)
+    with pytest.raises(DomainError):
+        eo_estimate(complete_graph(5), w=0)
     for n in (0, 1):
         for fn in (eo_estimate, eo_hat_log, covariance_sigma):
             with pytest.raises(DomainError):

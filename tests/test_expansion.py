@@ -5,15 +5,15 @@ import mpmath
 import pytest
 
 from eocount.errors import DomainError, SizeLimitError
-from eocount.expansion import (WeightSpec, _moments_of_f, bernoulli_numbers,
-                               evaluate_expansion, expansion_series,
-                               f_as_mu_polynomial, family_orders,
-                               family_variance, log_cos_coeffs,
+from eocount.expansion import (WeightSpec, _moments_of_f, evaluate_expansion,
+                               expansion_series, f_as_mu_polynomial,
+                               family_orders, family_variance,
                                weight_log_coeffs)
 
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
-from oracles import (evaluate_mu_polynomial, f_direct, log_cos_coeffs_series,
-                     moments_of_f_via_series, orders_for_precision)
+from oracles import (bernoulli_numbers, evaluate_mu_polynomial, f_direct,
+                     log_cos_coeffs, moments_of_f_via_series,
+                     orders_for_precision)
 
 
 def test_log_cos_displayed_coefficients():
@@ -30,7 +30,7 @@ def test_bernoulli_basics():
 
 
 def test_bernoulli_route_equals_series_route():
-    assert log_cos_coeffs(32) == log_cos_coeffs_series(32)
+    assert log_cos_coeffs(32) == weight_log_coeffs(WeightSpec.for_family("RT"), 32)
 
 
 def test_weight_log_coeffs_families():

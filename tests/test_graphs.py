@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eocount.errors import DomainError, SizeLimitError
-from eocount.graphs import (GRAPH_FILE_MAX_N, Graph, all_degrees_even,
-                            cheeger_constant, circulant_graph, complete_graph,
-                            cycle_graph, graph_to_json, laplacian,
+from eocount.graphs import (DENSE_MAX_N, GRAPH_FILE_MAX_N, Graph,
+                            all_degrees_even, cheeger_constant,
+                            circulant_graph, complete_graph, cycle_graph,
+                            graph_to_json, l_plus_j_adjugate, laplacian,
                             octahedron_graph, parse_edge_list,
                             parse_graph_json, path_graph, spanning_tree_count)
 
@@ -89,10 +90,24 @@ def test_spanning_tree_disconnected_is_zero():
     assert spanning_tree_count(g) == 0
 
 
-def test_spanning_tree_delete_index_free():
-    g = circulant_graph(7, (1, 2))
-    vals = {spanning_tree_count(g, delete_index=i) for i in range(g.n)}
-    assert len(vals) == 1
+def test_elimination_gives_tau_and_adjugate():
+    graphs = [path_graph(6), cycle_graph(5), complete_graph(5),
+              octahedron_graph(), circulant_graph(7, (1, 2)),
+              circulant_graph(8, (1, 2)), Graph.from_edges(2, [(0, 1)])]
+    for g in graphs:
+        tau, adj = l_plus_j_adjugate(g)
+        assert tau == spanning_trees_bruteforce(g)
+        # adj (L + J) = det(L + J) I with det = n^2 tau
+        A = [[x + 1 for x in row] for row in laplacian(g)]
+        assert [[sum(adj[i][k] * A[k][j] for k in range(g.n))
+                 for j in range(g.n)] for i in range(g.n)] == \
+            [[g.n ** 2 * tau * (i == j) for j in range(g.n)] for i in range(g.n)]
+    for g in (Graph.from_edges(4, [(0, 1), (2, 3)]),
+              Graph.from_edges(5, [(1, 2), (2, 3), (3, 1)]), Graph(0, frozenset())):
+        assert l_plus_j_adjugate(g) == (0, None)
+    assert l_plus_j_adjugate(Graph(1, frozenset())) == (1, [[1]])
+    with pytest.raises(SizeLimitError):
+        spanning_tree_count(Graph(DENSE_MAX_N + 1, frozenset()))
 
 
 def test_cheeger_examples():
