@@ -179,15 +179,14 @@ def _cmd_graphinfo(args):
         "tau": tau,
         "tau_skipped": tau_skipped,
     }
-    h = None
-    if g.n >= 2:  # the Cheeger constant needs a nonempty proper subset
-        try:
-            h = cheeger_constant(g)
-        except SizeLimitError:
-            pass
+    try:
+        h, cheeger_skipped = cheeger_constant(g), None
+    except (DomainError, SizeLimitError) as exc:  # n < 2, or above CHEEGER_MAX_N
+        h, cheeger_skipped = None, str(exc)
     d = g.max_degree()
     result["cheeger"] = str(h) if h is not None else None
     result["cheeger_over_max_degree"] = str(h / d) if h is not None and d else None
+    result["cheeger_skipped"] = cheeger_skipped
     return {"graph": args.graph}, result, None
 
 

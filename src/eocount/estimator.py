@@ -256,6 +256,7 @@ class EstimateReport:
     schrijver_upper_sq: int         # exact square of the upper bound
     cheeger: Fraction | None
     cheeger_ratio: Fraction | None  # h(G)/d
+    cheeger_skipped: str | None     # why cheeger is None
 
     def log_estimate(self, M: int | None = None):
         if M is None or M == max(self.log_corrected, default=0):
@@ -296,6 +297,7 @@ class EstimateReport:
                 "cheeger_over_max_degree": (str(self.cheeger_ratio)
                                             if self.cheeger_ratio is not None
                                             else None),
+                "cheeger_skipped": self.cheeger_skipped,
             }
 
 
@@ -316,11 +318,10 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     wf = default_w(g) if w is None else _positive(w)
     lower, upper_sq = schrijver_bounds(g)
     try:
-        h = cheeger_constant(g)
+        h, skipped = cheeger_constant(g), None
         ratio = h / g.max_degree()
-    except SizeLimitError:
-        h = None
-        ratio = None
+    except SizeLimitError as exc:  # above graphs.CHEEGER_MAX_N
+        h, ratio, skipped = None, None, str(exc)
     cov = covariance_sigma(g)
     norm = cov.norm_inf(wf)
     base, log_eo_hat = _closed_form_logs(g, cov.tau, bits)
@@ -342,5 +343,5 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
         log_eo_hat=log_eo_hat,
         kappa=kappa, log_corrected=log_corr,
         schrijver_lower=lower, schrijver_upper_sq=upper_sq,
-        cheeger=h, cheeger_ratio=ratio,
+        cheeger=h, cheeger_ratio=ratio, cheeger_skipped=skipped,
     )

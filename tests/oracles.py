@@ -17,6 +17,9 @@ tests check it against:
   form ``log_cos_coeffs`` with ``bernoulli_numbers`` (against the formal log
   of the cosine series, ``weight_log_coeffs`` for RT) and the general order
   formulas ``orders_for_precision``;
+* the graph layer: ``cheeger_gray_code``, one Gray-code step per subset of
+  {0..n-2} with incremental cut updates (against the lane-parallel
+  ``cheeger_constant``);
 * the estimator: ``exact_inverse`` (Gauss-Jordan over rationals, against the
   integer adjugate) and the per-pair route to kappa_2, ``kappa2_pairwise``,
   on Fractions: for every ordered edge pair it sums c_{2l1} c_{2l2} times
@@ -39,6 +42,7 @@ from eocount.cumulants import (double_factorial, enumerate_partitions,
                                isserlis_moment, joint_cumulant_connected)
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import WeightSpec, weight_log_coeffs
+from eocount.graphs import CHEEGER_MAX_N, adjacency_lists
 from eocount.laurent import LaurentSeries
 from eocount.powersums import (_cell_multiplicities, _counts_of,
                                _falling_factorial_coeffs, _max_cells,
@@ -302,6 +306,46 @@ def orders_for_precision(n: float, d: float, c: float) -> tuple[int, int]:
     M = int(mpmath.floor((c + 1) * ln / dM))
     K = int(mpmath.floor((c + 1) * ln / dK))
     return M, K
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+def cheeger_gray_code(g) -> Fraction:
+    """min over nonempty U with |U| <= n/2 of |boundary(U)| / |U|, exact.
+
+    Exhaustive: subsets S of {0..n-2} are visited in Gray-code order with
+    incremental cut updates from neighbor bitmasks, so each step costs a
+    few integer operations.  The candidate for S is whichever of S and its
+    complement has at most n/2 vertices; ratios are compared as integer
+    pairs by cross-multiplication.
+    """
+    n = g.n
+    if n < 2:
+        raise DomainError("Cheeger constant needs n >= 2")
+    if n > CHEEGER_MAX_N:
+        raise SizeLimitError(f"exhaustive Cheeger scan capped at n={CHEEGER_MAX_N}")
+    nbr = [sum(1 << w for w in adj) for adj in adjacency_lists(g)]
+    deg = g.degrees
+    mask = 0
+    cut = 0
+    size = 0
+    best_cut, best_size = 1, 0  # the ratio 1/0 stands for +infinity
+    for step in range(1, 1 << (n - 1)):
+        v = (step & -step).bit_length() - 1  # Gray code: flip lowest set bit
+        bit = 1 << v
+        mask ^= bit
+        delta = deg[v] - 2 * (nbr[v] & mask).bit_count()
+        if mask & bit:
+            size += 1
+            cut += delta
+        else:
+            size -= 1
+            cut -= delta
+        small = size if 2 * size <= n else n - size
+        if cut * best_size < best_cut * small:
+            best_cut, best_size = cut, small
+    return Fraction(best_cut, best_size)
 
 
 # ---------------------------------------------------------------------------

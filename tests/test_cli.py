@@ -105,6 +105,7 @@ def test_graphinfo(capsys, c5_json_file):
     assert res["tau"] == "5" and res["tau_skipped"] is None
     assert res["all_degrees_even"] is True
     assert Fraction(res["cheeger"]) == Fraction(2, 2)
+    assert res["cheeger_skipped"] is None
 
 
 def test_bounds(capsys, k5_file):
@@ -277,6 +278,36 @@ def test_graphinfo_single_vertex(capsys, tmp_path):
     res = env["result"]
     assert res["n"] == 1 and res["tau"] == "1" and res["connected"] is True
     assert res["cheeger"] is None and res["cheeger_over_max_degree"] is None
+    assert "n >= 2" in res["cheeger_skipped"]
+
+
+def test_graphinfo_empty_graph(capsys, tmp_path):
+    # no vertices, no spanning tree: not connected, tau 0
+    p = tmp_path / "k0.edges"
+    p.write_text("0\n")
+    code, env = run_json(capsys, ["graphinfo", "--graph", str(p)])
+    assert code == 0
+    res = env["result"]
+    assert res["n"] == 0 and res["tau"] == "0" and res["connected"] is False
+    assert res["cheeger"] is None and "n >= 2" in res["cheeger_skipped"]
+
+
+def test_cheeger_skipped_above_the_size_cap(capsys, tmp_path):
+    c23 = write_edges(tmp_path / "c23.edges", cycle_graph(23))
+    code, env = run_json(capsys, ["graphinfo", "--graph", c23])
+    res = env["result"]
+    assert code == 0 and res["tau"] == "23"
+    assert res["cheeger"] is None and res["cheeger_over_max_degree"] is None
+    assert "capped at n=22" in res["cheeger_skipped"]
+    code, env = run_json(capsys, ["estimate", "--graph", c23, "--M", "1"])
+    res = env["result"]
+    assert code == 0 and res["cheeger"] is None
+    assert "capped at n=22" in res["cheeger_skipped"]
+    c22 = write_edges(tmp_path / "c22.edges", cycle_graph(22))
+    code, env = run_json(capsys, ["estimate", "--graph", c22, "--M", "0"])
+    res = env["result"]
+    assert code == 0 and res["cheeger"] == "2/11"
+    assert res["cheeger_skipped"] is None
 
 
 def test_precision_floor_exit_code(capsys, k5_file, monkeypatch):
@@ -299,7 +330,9 @@ def test_estimate_rejects_empty_graph(capsys, tmp_path):
     p.write_text("0\n")
     code = main(["estimate", "--graph", str(p)])
     assert code == 2
-    assert_one_error_line(capsys.readouterr(), "domain")
+    captured = capsys.readouterr()
+    assert_one_error_line(captured, "domain")
+    assert "at least 2 vertices" in json.loads(captured.err)["error"]
 
 
 def test_estimate_parameters_checked_first(capsys, tmp_path, monkeypatch):

@@ -226,6 +226,7 @@ def test_estimate_report_k5():
     assert 24 * 24 < rep.schrijver_upper_sq
     assert rep.in_hypothesis
     assert rep.cheeger_ratio == Fraction(3, 4)
+    assert rep.cheeger_skipped is None
     js = rep.to_json()
     assert js["graph"] == "k5"
     assert set(js["kappa"]) == {"1", "2"}

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eocount.errors import DomainError, SizeLimitError
-from eocount.graphs import (DENSE_MAX_N, GRAPH_FILE_MAX_N, Graph,
+from eocount.graphs import (DENSE_MAX_N, GRAPH_FILE_MAX_N, LANE_BITS, Graph,
                             all_degrees_even, cheeger_constant,
                             circulant_graph, complete_graph, cycle_graph,
                             graph_to_json, l_plus_j_adjugate, laplacian,
                             octahedron_graph, parse_edge_list,
                             parse_graph_json, path_graph, spanning_tree_count)
+from oracles import cheeger_gray_code
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +131,43 @@ def test_cheeger_matches_bruteforce_on_assorted_graphs():
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=2, max_value=9))
+def random_graphs(draw, max_n):
+    n = draw(st.integers(min_value=2, max_value=max_n))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_graphs())
+@given(random_graphs(9))
 def test_cheeger_matches_bruteforce_on_random_graphs(g):
     assert cheeger_constant(g) == cheeger_bruteforce(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(16))
+def test_cheeger_matches_gray_code_scan_on_random_graphs(g):
+    # n > LANE_BITS + 1 walks the vertices above the lanes
+    assert cheeger_constant(g) == cheeger_gray_code(g)
+
+
+def test_cheeger_fixed_cases():
+    for n in (2, 5, LANE_BITS + 1, LANE_BITS + 3, 16):
+        assert cheeger_constant(Graph(n, frozenset())) == 0  # edgeless
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
+                                         (3, 4), (4, 5), (3, 5)])
+    assert cheeger_constant(two_triangles) == 0
+    rng = random.Random(7)
+    for n in (LANE_BITS + 1, LANE_BITS + 2):  # walks of one and two vertices
+        for p in (0.3, 0.6):
+            g = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                     if rng.random() < p])
+            assert cheeger_constant(g) == cheeger_gray_code(g)
+        assert cheeger_constant(cycle_graph(n)) == Fraction(2, n // 2)
+    c18 = circulant_graph(18, (1, 4, 7))
+    assert cheeger_constant(c18) == cheeger_gray_code(c18)
+    # K22: m = 231, the largest lane values (2m = 462) the size cap allows
+    assert cheeger_constant(complete_graph(22)) == 11
 
 
 def test_cheeger_preconditions():
@@ -148,6 +175,15 @@ def test_cheeger_preconditions():
         cheeger_constant(complete_graph(1))
     with pytest.raises(SizeLimitError):
         cheeger_constant(path_graph(30))
+
+
+def test_connectivity_of_tiny_graphs():
+    # the empty graph has no spanning tree, so it is not connected
+    assert not Graph(0, frozenset()).is_connected()
+    assert spanning_tree_count(Graph(0, frozenset())) == 0
+    assert Graph(1, frozenset()).is_connected()
+    assert spanning_tree_count(Graph(1, frozenset())) == 1
+    assert not Graph(2, frozenset()).is_connected()
 
 
 def test_all_degrees_even():
