@@ -1,10 +1,9 @@
 """Exact and asymptotic counting of Eulerian orientations.
 
 Modules by area: graphs (Laplacian, spanning trees, Cheeger constant), exact
-(one backtracking counter, the tournament recurrence), cumulants (Isserlis
-sums, connected pairings, the moment-to-cumulant recursion), powersums
-(Gaussian power-sum moments by integration by parts; partition-type
-enumeration), expansion (the RT/ED/EOG asymptotic series), estimator
+(one backtracking counter, the tournament recurrence), cumulants (the
+moment-to-cumulant recursion), powersums (Gaussian power-sum moments by
+integration by parts), expansion (the RT/ED/EOG asymptotic series), estimator
 (general-graph estimates and sandwich bounds), taillab (exhaustive checks of
 the cumulant tail bound).
 """

@@ -15,8 +15,6 @@ import sys
 import time
 from fractions import Fraction
 
-import mpmath
-
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
 from .estimator import (DEFAULT_BITS, eo_estimate, require_precision,
@@ -44,6 +42,8 @@ def _envelope(command: str, inputs: dict, result: dict, t0: float,
 
 
 def _flatten(prefix: str, obj, rows: list):
+    """(key, text) rows of the leaves; a non-string scalar is spelled as in
+    the JSON envelope (null, true, false, numbers)."""
     if isinstance(obj, dict):
         for k in sorted(obj):
             _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], rows)
@@ -51,7 +51,7 @@ def _flatten(prefix: str, obj, rows: list):
         for i, v in enumerate(obj):
             _flatten(f"{prefix}[{i}]", v, rows)
     else:
-        rows.append((prefix, obj))
+        rows.append((prefix, obj if isinstance(obj, str) else json.dumps(obj)))
 
 
 def _emit(env: dict, fmt: str) -> None:
@@ -61,9 +61,11 @@ def _emit(env: dict, fmt: str) -> None:
     rows: list = []
     _flatten("", env["result"], rows)
     if fmt == "csv":
-        print("key,value")
-        for k, v in rows:
-            print(f"{k},{v}")
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        writer.writerows(rows)
     else:  # plain
         for k, v in rows:
             print(f"{k}={v}")
@@ -103,6 +105,8 @@ def _cmd_expand(args):
     payload = res.to_json()
     bits = None
     if args.eval is not None:
+        import mpmath
+
         bits = args.bits
         value, logv = expansion.evaluate_expansion(res, args.eval, bits)
         payload["eval"] = {
@@ -145,6 +149,8 @@ def _cmd_bounds(args):
     require_precision(args.bits)
     g = load_graph(args.graph)
     lower, upper_sq = schrijver_bounds(g)
+    import mpmath
+
     with mpmath.workprec(args.bits):
         result = {
             "lower": str(lower),

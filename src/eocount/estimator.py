@@ -18,9 +18,6 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
 
-import mpmath
-from mpmath.libmp import from_rational, round_nearest
-
 from .errors import DomainError, SizeLimitError
 from .expansion import WeightSpec, weight_log_coeffs
 from .graphs import (Graph, cheeger_constant, l_plus_j_adjugate,
@@ -56,6 +53,9 @@ def _positive(w) -> Fraction:
 
 def _round(x: Fraction, bits: int):
     """x rounded once to the nearest mpf of the given precision."""
+    import mpmath
+    from mpmath.libmp import from_rational, round_nearest
+
     return mpmath.mpf(from_rational(x.numerator, x.denominator, bits, round_nearest))
 
 
@@ -146,6 +146,8 @@ def _require_eulerian(g: Graph) -> None:
 def _closed_form_logs(g: Graph, tau: int, bits: int):
     """(base, log_eo_hat): base = |E| log 2 - log(tau)/2 + (n-1)/2 log(2/pi),
     and log_eo_hat = base plus the degree-sum exponent."""
+    import mpmath
+
     corr = degree_sum_reference(g)
     with mpmath.workprec(bits):
         base = (g.edge_count * mpmath.log(2) - mpmath.log(tau) / 2
@@ -267,7 +269,22 @@ class EstimateReport:
             return self.log_eo_hat
         return self.log_corrected[M]
 
+    def within_sandwich(self) -> dict[int, bool]:
+        """M -> whether the log estimate at that M lies in
+        [log schrijver_lower, log(schrijver_upper_sq)/2], compared at the
+        report's bits."""
+        import mpmath
+
+        with mpmath.workprec(self.bits):
+            lower = self.schrijver_lower
+            lo = mpmath.log(lower.numerator) - mpmath.log(lower.denominator)
+            hi = mpmath.log(self.schrijver_upper_sq) / 2
+            logs = {0: self.log_eo_hat, **self.log_corrected}
+            return {M: bool(lo <= v <= hi) for M, v in logs.items()}
+
     def to_json(self) -> dict:
+        import mpmath
+
         def fstr(x):  # an exact value is rounded once, at the report's bits
             if isinstance(x, Fraction):
                 x = _round(x, self.bits)
@@ -293,6 +310,8 @@ class EstimateReport:
                 "schrijver_lower": lower,
                 "schrijver_upper": fstr(mpmath.sqrt(self.schrijver_upper_sq)),
                 "pauling": lower,
+                "within_sandwich": {str(M): inside for M, inside
+                                    in self.within_sandwich().items()},
                 "cheeger": str(self.cheeger) if self.cheeger is not None else None,
                 "cheeger_over_max_degree": (str(self.cheeger_ratio)
                                             if self.cheeger_ratio is not None
@@ -330,6 +349,8 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
         kappa[1] = kappa1_f(g, cov, K)
     if M >= 2:
         kappa[2] = kappa2_f(g, cov, K)
+    import mpmath
+
     log_corr: dict[int, object] = {}
     exponent = Fraction(0)
     with mpmath.workprec(bits):

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-import mpmath
-
 from .errors import DomainError, SizeLimitError
 from .laurent import LaurentSeries
 from .cumulants import moments_to_cumulants
@@ -242,8 +240,11 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-def log_prefactor(family: str, n: int) -> mpmath.mpf:
-    """Natural log of the closed-form prefactor at a concrete n."""
+def log_prefactor(family: str, n: int):
+    """Natural log of the closed-form prefactor at a concrete n, an mpf at
+    the working precision."""
+    import mpmath
+
     nf = mpmath.mpf(n)
     half = (nf - 1) / 2
     if family == "RT":
@@ -279,6 +280,8 @@ def evaluate_expansion(result: ExpansionResult, n: int, bits: int = 256,
     require_eval_point(result.family, n)
     if result.family == "custom":
         raise DomainError("custom weights expose only the exponent series")
+    import mpmath
+
     with mpmath.workprec(bits):
         log_val = log_prefactor(result.family, n)
         nf = mpmath.mpf(n)

@@ -24,8 +24,6 @@ from itertools import combinations, product
 from math import factorial, lcm, prod
 from operator import sub
 
-from mpmath import iv, mpf
-
 from .cumulants import moments_to_cumulants
 from .errors import DomainError, SizeLimitError
 
@@ -344,6 +342,8 @@ class TailReport:
     holds: bool
 
     def to_json(self) -> dict:
+        from mpmath import mpf
+
         return {
             "n": self.n,
             "m": self.m,
@@ -360,6 +360,8 @@ class TailReport:
 
 
 def _iv_from_fraction(q: Fraction):
+    from mpmath import iv
+
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
@@ -385,6 +387,8 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int,
         kappa_holds.append(abs(kappas[r - 1]) <= bound)
 
     dist, den, wden = _distribution(space, table)
+
+    from mpmath import iv
 
     old_prec = iv.prec
     iv.prec = prec

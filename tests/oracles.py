@@ -1,8 +1,19 @@
 """Slow or independent reference routes kept for the tests.
 
 The package ships one route per computation; these are the second routes the
-tests check it against:
+tests check it against, and the combinatorics only they use:
 
+* Gaussian pairing sums: the set-partition and perfect-matching streams
+  ``enumerate_partitions`` and ``enumerate_pairings`` (at most
+  ``ENUMERATION_MAX`` points) with ``bell_number``, the Isserlis moment
+  ``isserlis_moment`` and the connected-pairing joint cumulant
+  ``joint_cumulant_connected`` over ``connected_pairings``;
+* partition types of a power-sum monomial: ``enumerate_partition_types``
+  and ``count_partition_types`` with the index and position weights
+  ``a_coeff`` and ``b_coeff`` (a partition type is a multiset of cells, a
+  cell a multiset of exponents sharing one coordinate index; cells with odd
+  exponent sum contribute zero, so enumeration prunes them by default), the
+  univariate ``gaussian_power_moment`` and the falling factorials;
 * power-sum moments: the partition-type sum ``mu_moment_via_types`` and the
   set-partition sum ``set_partition_moment_oracle`` (against the
   integration-by-parts recurrence ``mu_moment``), with the realization counts
@@ -34,22 +45,372 @@ tests check it against:
 
 from fractions import Fraction
 from math import comb, factorial, prod
+from typing import Iterator, Sequence
 
 import mpmath
 import numpy as np
 
-from eocount.cumulants import (double_factorial, enumerate_partitions,
-                               isserlis_moment, joint_cumulant_connected)
+from eocount.cumulants import double_factorial
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import WeightSpec, weight_log_coeffs
 from eocount.graphs import CHEEGER_MAX_N, adjacency_lists
 from eocount.laurent import LaurentSeries
-from eocount.powersums import (_cell_multiplicities, _counts_of,
-                               _falling_factorial_coeffs, _max_cells,
-                               _subcells, b_coeff, mu_moment, mu_monomial)
+from eocount.powersums import TYPE_ENUM_MAX_FACTORS, mu_moment, mu_monomial
 
+ENUMERATION_MAX = 16
 ORACLE_MAX_FACTORS = 10
 TORUS_MAX_N = 4
+
+CellType = tuple[int, ...]          # ascending exponents sharing one index
+PartitionType = tuple[CellType, ...]  # cells in descending canonical order
+
+
+# ---------------------------------------------------------------------------
+# combinatorial streams and counts
+
+def enumerate_pairings(k: int) -> Iterator[list[tuple[int, int]]]:
+    """All perfect matchings of {0..k-1}, each exactly once ((k-1)!! of them)."""
+    if k > ENUMERATION_MAX:
+        raise SizeLimitError(f"pairing enumeration capped at k={ENUMERATION_MAX}")
+    if k % 2:
+        return
+    items = list(range(k))
+
+    def rec(rest):
+        if not rest:
+            yield []
+            return
+        a = rest[0]
+        for i in range(1, len(rest)):
+            b = rest[i]
+            for tail in rec(rest[1:i] + rest[i + 1:]):
+                yield [(a, b)] + tail
+
+    yield from rec(items)
+
+
+def enumerate_partitions(s: int) -> Iterator[list[list[int]]]:
+    """All set partitions of {0..s-1} into nonempty blocks (Bell(s) of them)."""
+    if s > ENUMERATION_MAX:
+        raise SizeLimitError(f"partition enumeration capped at s={ENUMERATION_MAX}")
+    if s == 0:
+        yield []
+        return
+
+    def rec(i, blocks):
+        if i == s:
+            yield [b[:] for b in blocks]
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
+def bell_number(s: int) -> int:
+    """Bell numbers by the Bell triangle; no enumeration involved."""
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    row = [1]
+    for _ in range(s):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+# ---------------------------------------------------------------------------
+# Isserlis / Wick pairing sums
+
+def isserlis_moment(cov: Sequence[Sequence], indices: Sequence[int]):
+    """E of a product of centered jointly Gaussian variables.
+
+    cov[u][v] is the covariance; indices is the variable multiset (0-based,
+    repetitions allowed).  Zero for odd length, pairing sum otherwise.
+    """
+    k = len(indices)
+    N = len(cov)
+    for v in indices:
+        if not 0 <= v < N:
+            raise IndexError(f"variable index {v} out of range")
+    if k % 2:
+        return 0
+    if k == 0:
+        return 1
+    total = 0
+    for pairing in enumerate_pairings(k):
+        term = 1
+        for i, j in pairing:
+            term = term * cov[indices[i]][indices[j]]
+        total = total + term
+    return total
+
+
+def connected_pairings(parts: Sequence[Sequence[int]]) -> Iterator[list[tuple[int, int]]]:
+    """Pairings of the disjoint union of the parts whose contraction graph on
+    the parts is connected.
+
+    Enumeration pairs the lowest unpaired point first and prunes a branch as
+    soon as some union-find component has no unpaired point left while other
+    parts remain outside it.
+    """
+    sizes = [len(p) for p in parts]
+    k = sum(sizes)
+    if k > ENUMERATION_MAX:
+        raise SizeLimitError(f"pairing enumeration capped at k={ENUMERATION_MAX}")
+    if k % 2:
+        return
+    r = len(parts)
+    block_of = []
+    for bi, sz in enumerate(sizes):
+        block_of.extend([bi] * sz)
+
+    parent = list(range(r))
+    open_count = sizes[:]  # unpaired points per union-find root
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def rec(unpaired: list[int]):
+        if not unpaired:
+            root = find(0)
+            if all(find(b) == root for b in range(r)):
+                yield []
+            return
+        a = unpaired[0]
+        ba = block_of[a]
+        for idx in range(1, len(unpaired)):
+            b = unpaired[idx]
+            bb = block_of[b]
+            ra, rb = find(ba), find(bb)
+            # tentative union + open-count update
+            saved = (parent[ra], parent[rb], open_count[ra], open_count[rb])
+            if ra != rb:
+                parent[ra] = rb
+                open_count[rb] += open_count[ra]
+            root = find(ba)
+            open_count[root] -= 2
+            # prune: a closed component that is not everything is stuck
+            viable = open_count[root] > 0 or all(find(x) == root for x in range(r))
+            if viable:
+                rest = unpaired[1:idx] + unpaired[idx + 1:]
+                for tail in rec(rest):
+                    yield [(a, b)] + tail
+            open_count[root] += 2
+            if ra != rb:
+                parent[ra], open_count[rb] = saved[0], saved[3]
+    yield from rec(list(range(k)))
+
+
+def joint_cumulant_connected(cov, parts: Sequence[Sequence[int]]):
+    """Joint cumulant of the monomials prod_{i in P_1} Z_i, ..., via the
+    connected-pairing sum. Zero when the total index count is odd."""
+    flat = [v for part in parts for v in part]
+    total = 0
+    for pairing in connected_pairings(parts):
+        term = 1
+        for i, j in pairing:
+            term = term * cov[flat[i]][flat[j]]
+        total = total + term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# partition-type enumeration
+
+def _counts_of(mono: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    out = []
+    for e in sorted(set(mono)):
+        out.append((e, mono.count(e)))
+    return tuple(out)
+
+
+def _subcells(remaining, cap, even_only):
+    """Nonempty sub-multisets of `remaining` (as count vectors), optionally
+    restricted to even exponent sum and to cells lexicographically <= cap."""
+    k = len(remaining)
+    exps = [e for e, _ in remaining]
+    out = []
+
+    def rec(i, acc, s, tied):
+        if i == k:
+            if any(acc) and not (even_only and s % 2):
+                out.append((tuple(acc), s))
+            return
+        hi = remaining[i][1]
+        if tied:
+            hi = min(hi, cap[i])
+        for c in range(hi, -1, -1):
+            acc.append(c)
+            rec(i + 1, acc, s + exps[i] * c, tied and c == cap[i])
+            acc.pop()
+
+    rec(0, [], 0, cap is not None)
+    return out
+
+
+def _max_cells(remaining, even_only) -> int:
+    """Upper bound on how many cells the rest of a type can still have."""
+    ev = sum(c for e, c in remaining if e % 2 == 0)
+    od = sum(c for e, c in remaining if e % 2 == 1)
+    return ev + od // 2 if even_only else ev + od
+
+
+def enumerate_partition_types(mono, even_cells_only: bool = True,
+                              min_cells: int = 0) -> Iterator[PartitionType]:
+    """Every partition type of the monomial exactly once, cells in descending
+    canonical order.
+
+    ``even_cells_only`` drops types containing an odd-sum cell (their moment
+    contribution is zero); ``min_cells`` prunes types with fewer cells, which
+    implements truncation of the moment series.
+    """
+    mono = mu_monomial(mono)
+    if len(mono) > TYPE_ENUM_MAX_FACTORS:
+        raise SizeLimitError(f"type enumeration capped at {TYPE_ENUM_MAX_FACTORS} factors")
+    counts = _counts_of(mono)
+    exps = [e for e, _ in counts]
+
+    def to_cell(vec) -> CellType:
+        cell = []
+        for e, c in zip(exps, vec):
+            cell.extend([e] * c)
+        return tuple(cell)
+
+    # (remaining, cap) -> [(child remaining, cap vector, cell, its max cells)];
+    # the same states recur across branches, so each step list is built once
+    steps: dict = {}
+
+    def children(remaining, cap):
+        key = (remaining, cap)
+        out = steps.get(key)
+        if out is None:
+            out = []
+            for vec, _s in _subcells(remaining, cap, even_cells_only):
+                rem2 = tuple((e, c - v) for (e, c), v in zip(remaining, vec))
+                out.append((rem2, vec, to_cell(vec),
+                            _max_cells(rem2, even_cells_only)))
+            steps[key] = out
+        return out
+
+    def rec(remaining, cap, room, cells):
+        if not any(c for _, c in remaining):
+            if len(cells) >= min_cells:
+                yield tuple(cells)
+            return
+        if len(cells) + room < min_cells:
+            return
+        for rem2, vec, cell, room2 in children(remaining, cap):
+            cells.append(cell)
+            yield from rec(rem2, vec, room2, cells)
+            cells.pop()
+
+    yield from rec(counts, None, _max_cells(counts, even_cells_only), [])
+
+
+def count_partition_types(mono, even_cells_only: bool = True) -> int:
+    """Number of partition types, by memoized recursion (no materialization)."""
+    mono = mu_monomial(mono)
+    if len(mono) > TYPE_ENUM_MAX_FACTORS:
+        raise SizeLimitError(f"type enumeration capped at {TYPE_ENUM_MAX_FACTORS} factors")
+    counts = _counts_of(mono)
+    memo: dict = {}
+
+    def rec(remaining, cap):
+        if not any(c for _, c in remaining):
+            return 1
+        key = (remaining, cap)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        total = 0
+        for vec, _s in _subcells(remaining, cap, even_cells_only):
+            rem2 = tuple((e, c - v) for (e, c), v in zip(remaining, vec))
+            total += rec(rem2, vec)
+        memo[key] = total
+        return total
+
+    return rec(counts, None)
+
+
+def a_coeff(ptype: PartitionType) -> LaurentSeries:
+    """Index-assignment factor of a type: n(n-1)...(n-q+1) / prod eta!, as an
+    exact polynomial in n (q = number of cells, eta = cell multiplicities)."""
+    q = len(ptype)
+    poly = _falling_factorial_series(q)
+    for eta in _cell_multiplicities(ptype):
+        poly = poly / factorial(eta)
+    return poly
+
+
+def b_coeff(ptype: PartitionType) -> int:
+    """Position-assignment factor: per exponent k, multinomial of the k-count
+    over the cells."""
+    total: dict[int, int] = {}
+    for cell in ptype:
+        for e in cell:
+            total[e] = total.get(e, 0) + 1
+    num = prod(factorial(c) for c in total.values())
+    den = 1
+    for cell in ptype:
+        per: dict[int, int] = {}
+        for e in cell:
+            per[e] = per.get(e, 0) + 1
+        den *= prod(factorial(c) for c in per.values())
+    return num // den
+
+
+def _cell_multiplicities(ptype: PartitionType) -> list[int]:
+    cells = sorted(ptype)  # group identical cells regardless of input order
+    mults = []
+    i = 0
+    while i < len(cells):
+        j = i
+        while j < len(cells) and cells[j] == cells[i]:
+            j += 1
+        mults.append(j - i)
+        i = j
+    return mults
+
+
+# ---------------------------------------------------------------------------
+# single-variable moments and falling factorials
+
+def gaussian_power_moment(m: int) -> LaurentSeries:
+    """E[X^m] for X ~ N(0, 1/n): (m-1)!! n^(-m/2) for even m, else 0."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m % 2:
+        return LaurentSeries.zero()
+    return LaurentSeries.term(double_factorial(m - 1), m // 2)
+
+
+_FALLING: list[dict[int, int]] = [{0: 1}]
+
+
+def _falling_factorial_coeffs(q: int) -> dict[int, int]:
+    """n(n-1)...(n-q+1) as {power_of_n: int coefficient}."""
+    while len(_FALLING) <= q:
+        prev = _FALLING[-1]
+        j = len(_FALLING) - 1
+        out: dict[int, int] = {}
+        for t, c in prev.items():  # multiply by (n - j)
+            out[t + 1] = out.get(t + 1, 0) + c
+            out[t] = out.get(t, 0) - c * j
+        _FALLING.append(out)
+    return _FALLING[q]
+
+
+def _falling_factorial_series(q: int) -> LaurentSeries:
+    return LaurentSeries({-t: c for t, c in _falling_factorial_coeffs(q).items()})
 
 
 # ---------------------------------------------------------------------------

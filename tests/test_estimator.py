@@ -232,6 +232,21 @@ def test_estimate_report_k5():
     assert set(js["kappa"]) == {"1", "2"}
 
 
+def test_within_sandwich_k9():
+    rep = eo_estimate(complete_graph(9), M=2, K=4)
+    assert rep.within_sandwich() == {0: True, 1: True, 2: True}
+    assert rep.to_json()["within_sandwich"] == {"0": True, "1": True, "2": True}
+
+
+def test_within_sandwich_c20_m2_lies_above_the_upper_bound():
+    rep = eo_estimate(circulant_graph(20, [1, 2]), M=2, K=4)
+    upper_log = mpmath.log(rep.schrijver_upper_sq) / 2
+    assert abs(rep.log_estimate(2) - mpmath.mpf("32.59")) < 0.01
+    assert abs(upper_log - mpmath.mpf("17.92")) < 0.01
+    assert rep.within_sandwich()[2] is False
+    assert rep.to_json()["within_sandwich"]["2"] is False
+
+
 def test_estimate_octahedron_vs_bruteforce():
     g = octahedron_graph()
     exact = eo_count_bruteforce(g)

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eocount.cumulants import bell_number
 from eocount.errors import SizeLimitError
 from eocount.laurent import LaurentSeries
-from eocount.powersums import (a_coeff, b_coeff, count_partition_types,
-                               enumerate_partition_types,
-                               gaussian_power_moment, monomial_order_bound,
-                               mu_moment, mu_moment_dict, mu_monomial)
+from eocount.powersums import (monomial_order_bound, mu_moment,
+                               mu_moment_dict, mu_monomial)
 
-from oracles import (mu_moment_via_types, realization_count, realization_sum,
+from oracles import (a_coeff, b_coeff, bell_number, count_partition_types,
+                     enumerate_partition_types, gaussian_power_moment,
+                     mu_moment_via_types, realization_count, realization_sum,
                      set_partition_moment_oracle)
 
 
