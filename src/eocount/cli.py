@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
-from .estimator import (DEFAULT_BITS, eo_estimate, require_precision,
-                        schrijver_bounds)
+from .estimator import DEFAULT_BITS, eo_estimate, schrijver_bounds
 from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
 from .taillab import check_tail_bound, instance_from_json
@@ -99,7 +98,7 @@ def _cmd_exact(args):
 
 def _cmd_expand(args):
     if args.eval is not None:
-        require_precision(args.bits)
+        expansion.require_precision(args.bits)
         expansion.require_eval_point(args.family.upper(), args.eval)
     res = expansion.expansion_series(args.family, args.order)
     payload = res.to_json()
@@ -146,7 +145,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_bounds(args):
-    require_precision(args.bits)
+    expansion.require_precision(args.bits)
     g = load_graph(args.graph)
     lower, upper_sq = schrijver_bounds(g)
     import mpmath

@@ -8,7 +8,7 @@ The edge-difference covariances are w-free: M/tau for the integer matrix
 M = B^T adj B / n^2 (B the signed incidence matrix).  kappa_1 and kappa_2 are
 exact Fractions of ints built from M and tau, kappa_2 a short sum of Hadamard
 -power contractions with no per-pair work; ``eo_estimate`` rounds each result
-once, to at least MIN_BITS = 128 bits.
+once, to at least ``expansion.MIN_BITS`` = 128 bits.
 """
 
 from __future__ import annotations
@@ -19,24 +19,17 @@ from math import comb, factorial, lcm
 from operator import mul
 
 from .errors import DomainError, SizeLimitError
-from .expansion import WeightSpec, weight_log_coeffs
-from .graphs import (Graph, cheeger_constant, l_plus_j_adjugate,
-                     spanning_tree_count)
+from .expansion import WeightSpec, require_precision, weight_log_coeffs
+from .graphs import (Graph, all_degrees_even, cheeger_constant,
+                     l_plus_j_adjugate, spanning_tree_count)
 from .cumulants import double_factorial
 
 DEFAULT_BITS = 256
-MIN_BITS = 128
 KAPPA2_MAX_EDGE_PAIRS = 10**6
 # Largest truncation order K of f_K, checked before any work: kappa_2's ints
 # grow as tau^(2K).  64 is the order the estimator has always accepted.
 ESTIMATE_MAX_K = 64
 _LOG_COS = WeightSpec.for_family("RT")  # log cos x = log(0 + 1 cos x)
-
-
-def require_precision(bits: int) -> None:
-    """Reject a working precision below the estimator's 128-bit floor."""
-    if bits < MIN_BITS:
-        raise DomainError(f"precision must be at least {MIN_BITS} bits, got {bits}")
 
 
 def _require_vertices(g: Graph) -> None:
@@ -124,7 +117,7 @@ def covariance_sigma(g: Graph) -> Covariance:
 def schrijver_bounds(g: Graph) -> tuple[Fraction, int]:
     """(lower, B) with lower = prod C(d_i, d_i/2) / 2^|E| (also the Pauling
     estimate) and upper = sqrt(B), B = prod C(d_i, d_i/2) kept exact."""
-    if not all(d % 2 == 0 for d in g.degrees):
+    if not all_degrees_even(g):
         raise DomainError("bounds need all degrees even")
     B = 1
     for d in g.degrees:
@@ -139,7 +132,7 @@ def _require_eulerian(g: Graph) -> None:
     _require_vertices(g)
     if not g.is_connected():
         raise DomainError("estimate needs a connected graph")
-    if not all(d % 2 == 0 for d in g.degrees):
+    if not all_degrees_even(g):
         raise DomainError("estimate needs all degrees even")
 
 

@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, SizeLimitError
-from .graphs import Graph
+from .graphs import Graph, all_degrees_even
 
 EO_MAX_EDGES = 40
 RT_MAX_N = 21
@@ -92,7 +92,7 @@ def eo_count_bruteforce(g: Graph) -> int:
     """
     if g.edge_count > EO_MAX_EDGES:
         raise SizeLimitError(f"brute force capped at {EO_MAX_EDGES} edges")
-    if any(d % 2 for d in g.degrees):
+    if not all_degrees_even(g):
         return 0
     return _balanced_count(g.n, sorted(g.edges), ((1, 1), (-1, 1)))
 

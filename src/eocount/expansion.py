@@ -9,12 +9,14 @@ components of variance v/n and
     f_K(x) = sum_{l=2}^{K} e_{2l} sum_{j<k} (x_j - x_k)^{2l},
 
 with e_{2l} the Taylor coefficients of log(a + b cos x).  Everything is exact:
-moments of f_K^r are assembled from power-sum moments as truncated Laurent
-series in 1/n, turned into cumulants by the moment-to-cumulant recursion, and
-the closed-form prefactors are attached symbolically.  The hot loops run on
-Python ints: the coefficients of f_K are scaled once to ints over their
-common denominator D, the products of f_K^r and the power-sum moments are
-ints, and E[f_K^r] is divided by D^r once.
+f_K is a map from power-sum monomials to Fractions, in which the exponent 0
+stands for the factor mu_0 = n; moments of f_K^r are assembled from
+power-sum moments as truncated Laurent series in 1/n, turned into cumulants
+by the moment-to-cumulant recursion, and the closed-form prefactors are
+attached symbolically.  The hot loops run on Python ints: the coefficients
+of f_K are scaled once to ints over their common denominator D, the products
+of f_K^r and the power-sum moments are ints, and E[f_K^r] is divided by D^r
+once.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .powersums import monomial_order_bound, mu_moment_dict
 
 MAX_ORDER = 12
 MAX_K = 16
+MIN_BITS = 128
 
 FAMILY_WEIGHTS = {
     "RT": (Fraction(0), Fraction(1)),
@@ -62,6 +65,12 @@ class WeightSpec:
         return cls(a, b, key)
 
 
+def require_precision(bits: int) -> None:
+    """Reject a working precision below the 128-bit floor."""
+    if bits < MIN_BITS:
+        raise DomainError(f"precision must be at least {MIN_BITS} bits, got {bits}")
+
+
 # ---------------------------------------------------------------------------
 # log(a + b cos) Taylor coefficients
 
@@ -73,10 +82,7 @@ def weight_log_coeffs(w: WeightSpec, L: int) -> list[Fraction]:
     generating series with moments m_k = b (-1)^k k! / (2k)!, so its log has
     coefficients kappa_k / k!.
     """
-    a, b = w.a, w.b
-    if a + b != 1:
-        raise DomainError("representation requires value 1 at x = 0")
-    moments = [b * Fraction((-1) ** k * factorial(k), factorial(2 * k))
+    moments = [w.b * Fraction((-1) ** k * factorial(k), factorial(2 * k))
                for k in range(1, L + 1)]
     return [kap / factorial(k)
             for k, kap in enumerate(moments_to_cumulants(moments), start=1)]
@@ -91,36 +97,26 @@ def family_variance(w: WeightSpec) -> Fraction:
 # ---------------------------------------------------------------------------
 # f_K as a polynomial in power sums
 
-def f_as_mu_polynomial(w: WeightSpec, K: int,
-                       variance_scale: Fraction | None = None
-                       ) -> dict[tuple[int, ...], LaurentSeries]:
-    """f_K over the complete graph in the power-sum basis.
+def f_as_mu_polynomial(w: WeightSpec, K: int) -> dict[tuple[int, int], Fraction]:
+    """f_K over the complete graph in the power-sum basis, {(t, 2l-t): coeff}.
 
-    Uses sum_{j<k}(x_j-x_k)^{2l} = (1/2) sum_t (-1)^t C(2l,t) mu_t mu_{2l-t}
-    with mu_0 replaced by the literal n (carried in the coefficient series).
-    ``variance_scale`` v rescales x -> sqrt(v) x so that downstream moments
-    can assume component variance exactly 1/n.
+    Uses sum_{j<k}(x_j-x_k)^{2l} = (1/2) sum_t (-1)^t C(2l,t) mu_t mu_{2l-t};
+    the exponent 0 stands for mu_0 = n.  x is rescaled by sqrt(1/b), the
+    family variance, so that downstream moments can assume component
+    variance exactly 1/n.
     """
     if not 2 <= K <= MAX_K:
         raise DomainError(f"K must be in 2..{MAX_K}")
-    v = Fraction(1) if variance_scale is None else Fraction(variance_scale)
+    v = family_variance(w)
     e = weight_log_coeffs(w, K)
-    poly: dict[tuple[int, ...], LaurentSeries] = {}
+    poly: dict[tuple[int, int], Fraction] = {}
     for l in range(2, K + 1):
         cl = e[l - 1] * v**l
-        for t in range(0, l + 1):
-            if t == l:
-                coef = cl * Fraction((-1) ** l * comb(2 * l, l), 2)
-            else:
-                # t and 2l - t give identical monomials; fold the half in
-                coef = cl * Fraction((-1) ** t * comb(2 * l, t))
-            if t == 0:
-                mono, npow = (2 * l,), 1
-            else:
-                mono, npow = tuple(sorted((t, 2 * l - t))), 0
-            term = LaurentSeries({-npow: coef})
-            poly[mono] = poly.get(mono, LaurentSeries.zero()) + term
-    return {m: s for m, s in poly.items() if s}
+        for t in range(0, l):
+            # t and 2l - t give identical monomials; fold the half in
+            poly[(t, 2 * l - t)] = cl * (-1) ** t * comb(2 * l, t)
+        poly[(l, l)] = cl * Fraction((-1) ** l * comb(2 * l, l), 2)
+    return {m: c for m, c in poly.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +135,6 @@ def family_orders(c: int) -> tuple[int, int]:
 class ExpansionResult:
     family: str
     order: int                      # series exact through n^-(order-1)
-    weight: WeightSpec
-    variance: Fraction              # component variance times n
     M: int
     K: int
     prefactor: str                  # formula tag, see log_prefactor()
@@ -170,34 +164,32 @@ def _moments_of_f(poly, M: int, p_max: int):
 
     The coefficients of f are scaled once to ints over their common
     denominator D, so the products and the moment sums run on ints; E[f^r]
-    is divided by D^r once, at the end.
+    is divided by D^r once, at the end.  A product monomial's z leading
+    zeros are the factor n^z: the recurrence gets the rest, z orders deeper.
     """
-    D = lcm(*(c.denominator for s in poly.values() for c in s.coeffs.values()))
-    items = []
-    for mono, coeff in poly.items():
-        for p, c in coeff.coeffs.items():
-            npow = -p
-            bound = monomial_order_bound(mono) - npow
-            items.append((mono, npow, c.numerator * (D // c.denominator), bound))
-    items.sort(key=lambda it: it[3])
+    D = lcm(*(c.denominator for c in poly.values()))
+    items = sorted(((mono, c.numerator * (D // c.denominator),
+                     monomial_order_bound(mono)) for mono, c in poly.items()),
+                   key=lambda it: it[2])
 
     moments = []
-    P: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}  # D^r f^r
+    P: dict[tuple[int, ...], int] = {(): 1}  # D^r f^r
     for r in range(1, M + 1):
-        nxt: dict[tuple[tuple[int, ...], int], int] = {}
-        for (mono, npow), c in P.items():
-            base_bound = monomial_order_bound(mono) - npow
-            for m2, npow2, c2, bound2 in items:
+        nxt: dict[tuple[int, ...], int] = {}
+        for mono, c in P.items():
+            base_bound = monomial_order_bound(mono)
+            for m2, c2, bound2 in items:
                 if base_bound + bound2 > p_max:
                     break
-                key = (tuple(sorted(mono + m2)), npow + npow2)
+                key = tuple(sorted(mono + m2))
                 nxt[key] = nxt.get(key, 0) + c * c2
         P = {k: v for k, v in nxt.items() if v != 0}
 
         mr: dict[int, int] = {}
-        for (mono, npow), c in P.items():
-            for p, mc in mu_moment_dict(mono, p_max + npow).items():
-                pp = p - npow
+        for mono, c in P.items():
+            z = mono.count(0)
+            for p, mc in mu_moment_dict(mono[z:], p_max + z).items():
+                pp = p - z
                 if pp <= p_max:
                     mr[pp] = mr.get(pp, 0) + c * mc
         if any(p < 0 for p, c in mr.items() if c):
@@ -222,8 +214,7 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     w = WeightSpec.for_family(family) if isinstance(family, str) else family
     M, K = family_orders(c)
     p_max = c - 1
-    v = family_variance(w)
-    poly = f_as_mu_polynomial(w, K, variance_scale=v)
+    poly = f_as_mu_polynomial(w, K)
     moments = _moments_of_f(poly, M, p_max)
     kappas = moments_to_cumulants(moments)
     total = LaurentSeries.zero(p_max)
@@ -231,7 +222,7 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
         total = total + kap / factorial(r)
     coeffs = {p: total[p] for p in range(0, p_max + 1) if total[p] != 0}
     return ExpansionResult(
-        family=w.family, order=c, weight=w, variance=v, M=M, K=K,
+        family=w.family, order=c, M=M, K=K,
         prefactor=PREFACTORS.get(w.family, ""), coeffs=coeffs,
         cumulants=tuple(kappas),
     )
@@ -275,8 +266,7 @@ def evaluate_expansion(result: ExpansionResult, n: int, bits: int = 256,
     ``max_power`` restricts the series to powers n^0..n^-max_power so the
     effect of successive terms can be observed.
     """
-    if bits < 128:
-        raise DomainError("bits must be >= 128")
+    require_precision(bits)
     require_eval_point(result.family, n)
     if result.family == "custom":
         raise DomainError("custom weights expose only the exponent series")

@@ -43,10 +43,6 @@ class LaurentSeries:
     def zero(cls, p_max: int | None = None) -> "LaurentSeries":
         return cls({}, p_max)
 
-    @classmethod
-    def one(cls, p_max: int | None = None) -> "LaurentSeries":
-        return cls({0: Fraction(1)}, p_max)
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -89,12 +85,6 @@ class LaurentSeries:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
@@ -120,38 +110,11 @@ class LaurentSeries:
             return self * (1 / Fraction(other))
         return NotImplemented
 
-    def shift(self, dp: int) -> "LaurentSeries":
-        """Multiply by n**(-dp)."""
-        pm = None if self.p_max is None else self.p_max
-        out = {}
-        for p, v in self.coeffs.items():
-            q = p + dp
-            if pm is None or q <= pm:
-                out[q] = v
-        return LaurentSeries(out, pm)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def evaluate(self, n) -> Fraction:
-        """Exact value at a rational n (finitely many terms, so always exact)."""
-        n = Fraction(n)
-        return sum((v * n ** (-p) for p, v in self.coeffs.items()), Fraction(0))
-
-    def to_coeff_map(self) -> dict[str, str]:
-        """JSON-friendly map {power: "num/den"}, powers as strings."""
-        return {str(p): str(self.coeffs[p]) for p in sorted(self.coeffs)}
-
-    @classmethod
-    def from_coeff_map(cls, m: Mapping[str, str],
-                       p_max: int | None = None) -> "LaurentSeries":
-        return cls({int(p): Fraction(v) for p, v in m.items()}, p_max)
 
     def __repr__(self):
         if not self.coeffs:

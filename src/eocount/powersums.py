@@ -9,30 +9,32 @@ with results memoized per monomial.  The weights k-1 and a are ints and the
 base case is 1, so the recurrence and its memo run on Python ints; only
 ``mu_moment`` turns them into a rational LaurentSeries.  The memo is
 module-global on purpose: the families share it, so a series after the
-first meets it warm.  The partition-type sum and the set-partition sum over
-factor positions live in the tests as independent cross-checks, with the
-partition-type enumeration and its weights.
+first meets it warm.  Exponents are >= 1 here; the series engine carries
+mu_0 = n as the exponent 0 and strips it before calling in.  ``mu_moment``
+caps the factor count and the total degree before any work.  The
+partition-type sum and the set-partition sum over factor positions live in
+the tests as independent cross-checks, with the partition-type enumeration
+and its weights.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import SizeLimitError
 from .laurent import LaurentSeries
 
 TYPE_ENUM_MAX_FACTORS = 26
+# Largest total degree ``mu_moment`` accepts.  The recurrence recurses once
+# per degree step of 2; with CPython 3.11's default recursion limit of 1000,
+# (1990,) still works from a bare interpreter and (2000,) raises
+# RecursionError, so 1000 (about 500 frames) leaves room for the caller's
+# own stack.
+MU_MOMENT_MAX_DEGREE = 1000
 
 
 def mu_monomial(source) -> tuple[int, ...]:
-    """Normalize a monomial given as exponent sequence or {exponent: mult} map."""
-    if isinstance(source, Mapping):
-        exps = []
-        for k, mult in source.items():
-            if k < 1 or mult < 0:
-                raise ValueError("exponents must be >= 1, multiplicities >= 0")
-            exps.extend([int(k)] * int(mult))
-        return tuple(sorted(exps))
+    """Normalize a monomial given as a sequence of exponents >= 1."""
     exps = tuple(sorted(int(k) for k in source))
     if exps and exps[0] < 1:
         raise ValueError("exponents must be >= 1")
@@ -41,7 +43,8 @@ def mu_monomial(source) -> tuple[int, ...]:
 
 def monomial_order_bound(mono: Iterable[int]) -> int:
     """Lower bound on the leading power p of E[monomial] as a series in 1/n:
-    p >= deg/2 - #even - #odd/2 (and the moment is 0 for odd total degree)."""
+    p >= deg/2 - #even - #odd/2 (and the moment is 0 for odd total degree).
+    An exponent 0 counts as even: it is the factor mu_0 = n, exactly -1."""
     mono = tuple(mono)
     odd = sum(1 for x in mono if x % 2)
     even = len(mono) - odd
@@ -116,6 +119,8 @@ def mu_moment(mono, p_max: int | None = None) -> LaurentSeries:
     mono = mu_monomial(mono)
     if len(mono) > TYPE_ENUM_MAX_FACTORS:
         raise SizeLimitError(f"mu_moment capped at {TYPE_ENUM_MAX_FACTORS} factors")
+    if sum(mono) > MU_MOMENT_MAX_DEGREE:
+        raise SizeLimitError(f"mu_moment capped at total degree {MU_MOMENT_MAX_DEGREE}")
     cut = sum(mono) // 2 if p_max is None else p_max
     full = mu_moment_dict(mono, cut)
     return LaurentSeries({p: c for p, c in full.items() if p <= cut}, p_max)

@@ -365,8 +365,7 @@ def _iv_from_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def check_tail_bound(space: DiscreteProductSpace, table, m: int,
-                       prec: int = DELTA_IV_PREC) -> TailReport:
+def check_tail_bound(space: DiscreteProductSpace, table, m: int) -> TailReport:
     """Exact verification of the tail bound at order m.
 
     delta is extracted as exp((log E e^f - sum kappa_r/r!)/n) - 1; its
@@ -391,7 +390,7 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int,
     from mpmath import iv
 
     old_prec = iv.prec
-    iv.prec = prec
+    iv.prec = DELTA_IV_PREC
     try:
         # E e^f: one interval exp per distinct value of f
         total = iv.mpf(0)

@@ -604,12 +604,11 @@ def log_cos_coeffs(L: int) -> list[Fraction]:
 
 
 def evaluate_mu_polynomial(poly, xs) -> Fraction:
-    """Exact value of a power-sum polynomial at a rational point
-    (n = len(xs))."""
-    n = len(xs)
+    """Exact value of a power-sum polynomial at a rational point; an exponent
+    0 sums x^0 = 1, giving mu_0 = n = len(xs)."""
     total = Fraction(0)
     for mono, coeff in poly.items():
-        val = coeff.evaluate(n)
+        val = coeff
         for k in mono:
             val *= sum(Fraction(x) ** k for x in xs)
         total += val
@@ -633,22 +632,24 @@ def f_direct(w: WeightSpec, K: int, xs, variance_scale=None) -> Fraction:
 
 def moments_of_f_via_series(poly, M: int, p_max: int) -> list[LaurentSeries]:
     """E[f^r], r = 1..M, truncated at n^-p_max: the power-sum polynomial of f
-    raised to the r-th power with its LaurentSeries coefficients multiplied
-    as they stand (no common denominator, no pruning), then mu_moment of
-    each product monomial.  A product coefficient carries powers down to
-    n^r, so its moment is kept to n^-(p_max + r)."""
+    raised to the r-th power with its Fraction coefficients multiplied as
+    they stand (no common denominator, no pruning), then mu_moment of each
+    product monomial.  The z exponents 0 of a product monomial are the
+    factor n^z, so the rest's moment is kept to n^-(p_max + z)."""
     moments = []
-    power = {(): LaurentSeries.one()}
+    power = {(): Fraction(1)}
     for r in range(1, M + 1):
         nxt: dict = {}
         for mono, s in power.items():
             for m2, s2 in poly.items():
                 key = tuple(sorted(mono + m2))
-                nxt[key] = nxt.get(key, LaurentSeries.zero()) + s * s2
+                nxt[key] = nxt.get(key, 0) + s * s2
         power = nxt
         total = LaurentSeries.zero(p_max)
         for mono, s in power.items():
-            total = total + s * mu_moment(mono, p_max + r)
+            z = sum(1 for k in mono if k == 0)
+            rest = tuple(k for k in mono if k != 0)
+            total = total + s * LaurentSeries({-z: 1}) * mu_moment(rest, p_max + z)
         moments.append(total)
     return moments
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from eocount import powersums
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import (WeightSpec, _moments_of_f, evaluate_expansion,
                                expansion_series, f_as_mu_polynomial,
@@ -88,17 +89,15 @@ def test_f_polynomial_matches_direct_definition():
         for n in (3, 4):
             xs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                   for _ in range(n)]
-            assert evaluate_mu_polynomial(poly, xs) == f_direct(w, K, xs)
+            assert evaluate_mu_polynomial(poly, xs) == f_direct(
+                w, K, xs, family_variance(w))
 
 
 def test_f_polynomial_excludes_quadratic_term():
     poly = f_as_mu_polynomial(WeightSpec.for_family("RT"), 2)
-    assert set(poly) == {(4,), (1, 3), (2, 2)}
-    # leading term: c_4 (mu_0 mu_4 - 4 mu_1 mu_3 + 3 mu_2^2)
+    # leading term: c_4 (mu_0 mu_4 - 4 mu_1 mu_3 + 3 mu_2^2), mu_0 = n
     c4 = Fraction(-1, 12)
-    assert poly[(2, 2)].coeffs == {0: 3 * c4}
-    assert poly[(1, 3)].coeffs == {0: -4 * c4}
-    assert poly[(4,)].coeffs == {-1: c4}
+    assert poly == {(0, 4): c4, (1, 3): -4 * c4, (2, 2): 3 * c4}
 
 
 def test_moments_of_f_custom_weight_matches_series_products():
@@ -107,10 +106,17 @@ def test_moments_of_f_custom_weight_matches_series_products():
     w = WeightSpec(Fraction(2, 7), Fraction(5, 7))
     for c in range(1, 7):
         _, K = family_orders(c)
-        poly = f_as_mu_polynomial(w, K, variance_scale=family_variance(w))
+        poly = f_as_mu_polynomial(w, K)
         got = _moments_of_f(poly, 3, c - 1)
         assert got == moments_of_f_via_series(poly, 3, c - 1), c
         assert all(m.p_max == c - 1 for m in got)
+
+
+def test_series_memo_size_after_order_7():
+    powersums._MOM_CACHE.clear()
+    for fam in ("RT", "ED", "EOG"):
+        expansion_series(fam, 7)
+    assert len(powersums._MOM_CACHE) == 13030
 
 
 def test_orders_for_precision():

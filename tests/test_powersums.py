@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eocount.cumulants import double_factorial
 from eocount.errors import SizeLimitError
 from eocount.laurent import LaurentSeries
-from eocount.powersums import (monomial_order_bound, mu_moment,
-                               mu_moment_dict, mu_monomial)
+from eocount.powersums import (MU_MOMENT_MAX_DEGREE, monomial_order_bound,
+                               mu_moment, mu_moment_dict, mu_monomial)
 
 from oracles import (a_coeff, b_coeff, bell_number, count_partition_types,
                      enumerate_partition_types, gaussian_power_moment,
@@ -19,7 +20,6 @@ from oracles import (a_coeff, b_coeff, bell_number, count_partition_types,
 
 def test_mu_monomial_normalization():
     assert mu_monomial([3, 1, 2, 1]) == (1, 1, 2, 3)
-    assert mu_monomial({2: 2, 4: 1}) == (2, 2, 4)
     with pytest.raises(ValueError):
         mu_monomial([0, 1])
 
@@ -129,3 +129,16 @@ def test_factor_caps():
         set_partition_moment_oracle((2,) * 11)
     with pytest.raises(SizeLimitError):
         mu_moment((2,) * 27)
+
+
+def test_degree_cap_rejects_before_the_recurrence_overflows():
+    # without the cap, (2400,) overflows the recursion limit: one frame per
+    # degree step of 2
+    for mono in [(2400,), (1, MU_MOMENT_MAX_DEGREE)]:
+        with pytest.raises(SizeLimitError):
+            mu_moment(mono)
+    # at the cap the full recurrence, about 500 frames deep, still completes:
+    # E[mu_k] = n (k-1)!! n^(-k/2)
+    k = MU_MOMENT_MAX_DEGREE
+    assert mu_moment((k,)) == LaurentSeries({k // 2 - 1: double_factorial(k - 1)})
+    assert mu_moment((2, k - 2)).leading_order() == k // 2 - 2
