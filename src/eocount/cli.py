@@ -4,7 +4,8 @@ Every command prints one OutputEnvelope: command, echoed inputs, result
 payload, timing and precision metadata.  Big integers are decimal strings,
 rationals are "p/q", floats carry an explicit precision field.  Exit codes:
 0 success, 2 usage or domain error, 3 size cap, 4 I/O error; every failure
-prints one JSON line on stderr.
+prints one JSON line on stderr.  An integer longer than MAX_DIGITS decimal
+digits is a size cap, found from its bit length before any str().
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from fractions import Fraction
 
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
-from .estimator import DEFAULT_BITS, eo_estimate, schrijver_bounds
+from .estimator import (DEFAULT_BITS, eo_estimate, schrijver_bounds,
+                        schrijver_upper_squared)
 from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
 from .taillab import check_tail_bound, instance_from_json
@@ -27,6 +29,17 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 2
 EXIT_SIZE = 3
 EXIT_IO = 4
+# Longest decimal integer a result may hold, under CPython's default limit of
+# 4300 digits on int -> str (which is quadratic in the length); the count
+# comes from the bit length and may be one too high.
+MAX_DIGITS = 4000
+
+
+def _require_digits(what: str, *values: int) -> None:
+    for x in values:
+        if abs(x).bit_length() * 30103 // 100000 + 1 > MAX_DIGITS:
+            raise SizeLimitError(f"{what} would print more than {MAX_DIGITS} "
+                                 "decimal digits")
 
 
 def _envelope(command: str, inputs: dict, result: dict, t0: float,
@@ -147,6 +160,8 @@ def _cmd_estimate(args):
 def _cmd_bounds(args):
     expansion.require_precision(args.bits)
     g = load_graph(args.graph)
+    # lower = B / 2^|E| in lowest terms: no part is longer than B or 2^|E|
+    _require_digits("the bounds", schrijver_upper_squared(g), 1 << g.edge_count)
     lower, upper_sq = schrijver_bounds(g)
     import mpmath
 
@@ -166,6 +181,9 @@ def _cmd_taillab(args):
     with open(args.instance) as fh:
         space, table = instance_from_json(fh.read(), args.m)
     rep = check_tail_bound(space, table, args.m)
+    exact_values = (rep.alpha, *rep.kappas, *rep.kappa_bounds)
+    _require_digits("the tail report", *(part for q in exact_values
+                                         for part in q.as_integer_ratio()))
     return {"instance": args.instance, "m": args.m}, rep.to_json(), None
 
 

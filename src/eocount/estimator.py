@@ -13,9 +13,10 @@ once, to at least ``expansion.MIN_BITS`` = 128 bits.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .errors import DomainError, SizeLimitError
@@ -114,14 +115,18 @@ def covariance_sigma(g: Graph) -> Covariance:
 # ---------------------------------------------------------------------------
 # sandwich bounds
 
-def schrijver_bounds(g: Graph) -> tuple[Fraction, int]:
-    """(lower, B) with lower = prod C(d_i, d_i/2) / 2^|E| (also the Pauling
-    estimate) and upper = sqrt(B), B = prod C(d_i, d_i/2) kept exact."""
+def schrijver_upper_squared(g: Graph) -> int:
+    """B = prod C(d_i, d_i/2), the square of the upper bound, as one power
+    per distinct degree."""
     if not all_degrees_even(g):
         raise DomainError("bounds need all degrees even")
-    B = 1
-    for d in g.degrees:
-        B *= comb(d, d // 2)
+    return prod(comb(d, d // 2) ** k for d, k in Counter(g.degrees).items())
+
+
+def schrijver_bounds(g: Graph) -> tuple[Fraction, int]:
+    """(lower, B) with lower = B / 2^|E| (also the Pauling estimate) and
+    upper = sqrt(B), B = prod C(d_i, d_i/2) kept exact."""
+    B = schrijver_upper_squared(g)
     return Fraction(B, 2 ** g.edge_count), B
 
 

@@ -191,7 +191,9 @@ def parse_graph_json(obj) -> Graph:
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
+        # a JSONDecodeError, an integer past the int -> str digit limit, or
+        # nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise DomainError(f"bad graph JSON: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj \
             or not isinstance(obj.get("edges"), list):

@@ -10,9 +10,10 @@ number alpha, the cumulants (the distribution of f, then the generic
 moment-to-cumulant conversion), and the defect delta with
 E[e^f] = (1+delta)^n exp(sum kappa_r/r!).  The only transcendental comparison
 (the delta inequality) runs in interval arithmetic with outward rounding, so
-a reported pass is rigorous.  Two caps apply before any work: the space has
-at most SPACE_MAX_POINTS points, and the alpha walk at the requested order
-reads at most ALPHA_MAX_READS table entries (``alpha_reads``).
+a reported pass is rigorous.  Three caps apply before any work: the space
+has at most SPACE_MAX_POINTS points, the order m is at most TAIL_MAX_M, and
+the alpha walk at the requested order reads at most ALPHA_MAX_READS table
+entries (``alpha_reads``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ SPACE_MAX_POINTS = 10**6
 # m = 3 read 1.4e7 entries in 3.4 s and 18 bits 7.8e7 in 21 s; 19 fair bits
 # at m = 3, inside SPACE_MAX_POINTS, would read 1.8e8.
 ALPHA_MAX_READS = 10**8
+# Largest order m.  The cumulants, their bounds (80 alpha)^r and their digits
+# grow with m: on a one-coordinate instance m = 100 takes 0.2 s, m = 400
+# 3 s, and at m = 1000 the kappa bounds pass 4300 decimal digits.
+TAIL_MAX_M = 100
 DELTA_IV_PREC = 256
 
 
@@ -139,7 +144,9 @@ def instance_from_json(obj, m: int | None = None):
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
+        # a JSONDecodeError, an integer past the int -> str digit limit, or
+        # nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise DomainError(f"bad instance JSON: {exc}") from None
     space = DiscreteProductSpace.from_json(obj)
     if m is not None:
@@ -256,6 +263,8 @@ def alpha_reads(sizes, m: int) -> int:
 def _require_alpha_work(space: DiscreteProductSpace, m: int) -> None:
     if m < 1:
         raise DomainError("m must be >= 1")
+    if m > TAIL_MAX_M:
+        raise SizeLimitError(f"m is capped at {TAIL_MAX_M}, got {m}")
     if alpha_reads(space.sizes, m) > ALPHA_MAX_READS:
         raise SizeLimitError(f"alpha at m={m} would read more than "
                              f"{ALPHA_MAX_READS:.0e} table entries")

@@ -4,17 +4,21 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eocount
 from eocount.cli import build_parser, main
 from eocount.estimator import DEFAULT_BITS
+from eocount.expansion import MAX_BITS
 from eocount.graphs import (circulant_graph, complete_graph, cycle_graph,
                             graph_to_json)
-from eocount.taillab import (DiscreteProductSpace, exact_cumulants_discrete,
-                             instance_to_json)
+from eocount.taillab import (TAIL_MAX_M, DiscreteProductSpace,
+                             exact_cumulants_discrete, instance_to_json)
 
 
 def write_edges(path, g):
@@ -242,6 +246,50 @@ def test_taillab_work_cap_is_checked_before_the_table(capsys, tmp_path,
     assert_one_error_line(capsys.readouterr(), "size-limit")
 
 
+def test_taillab_m_cap_is_checked_before_the_table(capsys, tmp_path,
+                                                   monkeypatch):
+    inst = tmp_path / "one.json"
+    inst.write_text(json.dumps(instance_to_json(
+        DiscreteProductSpace.make([[0, 1]], [["1/3", "2/3"]]), ["0", "1/1000"])))
+    with monkeypatch.context() as patch:
+        patch.setattr("eocount.taillab.table_from_json",
+                      fail_if_called("the table"))
+        for m in (TAIL_MAX_M + 1, 1000):
+            assert main(["taillab", "--instance", str(inst), "--m", str(m)]) == 3
+            assert_one_error_line(capsys.readouterr(), "size-limit")
+    code, env = run_json(capsys, ["taillab", "--instance", str(inst),
+                                  "--m", str(TAIL_MAX_M)])
+    assert code == 0 and len(env["result"]["kappas"]) == TAIL_MAX_M
+
+
+def test_taillab_report_digit_cap(capsys, tmp_path):
+    # alpha = 10^-60: (80 alpha)^100 has about 5900 digits in its denominator
+    inst = tmp_path / "tiny.json"
+    inst.write_text(json.dumps(instance_to_json(
+        DiscreteProductSpace.uniform_bits(1), ["0", f"1/{10**60}"])))
+    assert main(["taillab", "--instance", str(inst), "--m", "100"]) == 3
+    assert_one_error_line(capsys.readouterr(), "size-limit")
+    code, env = run_json(capsys, ["taillab", "--instance", str(inst),
+                                  "--m", "20"])
+    assert code == 0 and len(env["result"]["kappa_bounds"]) == 20
+
+
+def test_bounds_digit_cap_on_a_large_cycle(capsys, tmp_path, monkeypatch):
+    # C_20000 is a legal graph file, but upper_squared = 2^20000 has 6021
+    # digits, past CPython's 4300-digit limit on int -> str
+    c20000 = write_edges(tmp_path / "c20000.edges", cycle_graph(20000))
+    with monkeypatch.context() as patch:
+        patch.setattr("eocount.cli.schrijver_bounds",
+                      fail_if_called("the bounds"))
+        assert main(["bounds", "--graph", c20000]) == 3
+        assert_one_error_line(capsys.readouterr(), "size-limit")
+    # 2^13000 has 3914 digits, inside the cap
+    c13000 = write_edges(tmp_path / "c13000.edges", cycle_graph(13000))
+    code, env = run_json(capsys, ["bounds", "--graph", c13000])
+    assert code == 0 and env["result"]["upper_squared"] == str(2**13000)
+    assert env["result"]["lower"] == "1"
+
+
 def test_cli_import_leaves_numpy_out():
     proc = fresh_python(["-c", "import sys, eocount.cli; "
                                "sys.exit('numpy' in sys.modules)"])
@@ -436,14 +484,23 @@ def test_precision_floor_exit_code(capsys, k5_file, monkeypatch):
         raise AssertionError("series computed before the precision check")
 
     monkeypatch.setattr("eocount.expansion.expansion_series", no_series)
-    for argv in (["estimate", "--graph", k5_file, "--bits", "16"],
-                 ["bounds", "--graph", k5_file, "--bits", "127"],
-                 ["expand", "rt", "--order", "3", "--eval", "21", "--bits", "16"]):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2 and not captured.out.strip()
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["kind"] == "domain"
+    monkeypatch.setattr("eocount.estimator.spanning_tree_count",
+                        fail_if_called("tau"))
+    monkeypatch.setattr("eocount.cli.schrijver_bounds",
+                        fail_if_called("the bounds"))
+    too_many = str(MAX_BITS + 1)
+    for argv, kind in (
+            (["estimate", "--graph", k5_file, "--bits", "16"], "domain"),
+            (["bounds", "--graph", k5_file, "--bits", "127"], "domain"),
+            (["expand", "rt", "--order", "3", "--eval", "21", "--bits", "16"],
+             "domain"),
+            # the ceiling: 5e7 bits ran past 20 s before it existed
+            (["estimate", "--graph", k5_file, "--bits", too_many], "size-limit"),
+            (["bounds", "--graph", k5_file, "--bits", too_many], "size-limit"),
+            (["expand", "rt", "--order", "2", "--eval", "3",
+              "--bits", "50000000"], "size-limit")):
+        assert main(argv) == {"domain": 2, "size-limit": 3}[kind], argv
+        assert_one_error_line(capsys.readouterr(), kind)
 
 
 def test_estimate_rejects_empty_graph(capsys, tmp_path):
@@ -524,3 +581,52 @@ def test_usage_errors_are_one_json_line(capsys):
         assert exc.value.code == 2, argv
         assert_one_error_line(capsys.readouterr(), "usage")
     assert "--threads" not in build_parser().format_help()
+
+
+# every command that reads a file, with the file path last
+FILE_COMMANDS = [["exact", "eo", "--graph"], ["estimate", "--graph"],
+                 ["bounds", "--graph"], ["graphinfo", "--graph"],
+                 ["taillab", "--m", "2", "--instance"]]
+VALID_FILES = [
+    "5\n1 2\n2 3\n3 4\n4 5\n5 1\n1 3\n3 5\n5 2\n2 4\n4 1\n".encode(),
+    json.dumps(graph_to_json(cycle_graph(5))).encode(),
+    json.dumps(instance_to_json(DiscreteProductSpace.uniform_bits(2),
+                                ["0", "1/400", "1/400", "1/200"])).encode(),
+]
+
+
+def garble(seed_and_edits):
+    """A valid file with byte runs inserted and deleted at given places."""
+    data, edits = seed_and_edits
+    for pos, insert, drop in edits:
+        pos %= len(data) + 1
+        data = data[:pos] + insert + data[pos + drop:]
+    return data
+
+
+garbled_files = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(st.sampled_from(VALID_FILES),
+              st.lists(st.tuples(st.integers(0, 400), st.binary(max_size=2),
+                                 st.integers(0, 3)), min_size=1, max_size=4)
+              ).map(garble))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=garbled_files)
+def test_garbled_files_exit_with_one_json_line(tmp_path, data):
+    path = tmp_path / "garbled"
+    path.write_bytes(data)
+    for argv in FILE_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + [str(path)])
+        assert code in (0, 2, 3, 4), (argv, data)
+        shown, silent = (out, err) if code == 0 else (err, out)
+        lines = shown.getvalue().splitlines()
+        assert len(lines) == 1 and not silent.getvalue(), (argv, data)
+        if code:
+            assert json.loads(lines[0])["code"] == code
+        else:
+            assert json.loads(lines[0])["command"] == argv[0]

@@ -6,10 +6,11 @@ import pytest
 
 from eocount import powersums
 from eocount.errors import DomainError, SizeLimitError
-from eocount.expansion import (WeightSpec, _moments_of_f, evaluate_expansion,
-                               expansion_series, f_as_mu_polynomial,
-                               family_orders, family_variance,
-                               weight_log_coeffs)
+from eocount.expansion import (MAX_K, WeightSpec, _moments_of_f,
+                               evaluate_expansion, expansion_series,
+                               f_as_mu_polynomial, family_orders,
+                               family_variance, weight_log_coeffs)
+from eocount.powersums import monomial_order_bound
 
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
 from oracles import (bernoulli_numbers, evaluate_mu_polynomial, f_direct,
@@ -110,6 +111,31 @@ def test_moments_of_f_custom_weight_matches_series_products():
         got = _moments_of_f(poly, 3, c - 1)
         assert got == moments_of_f_via_series(poly, 3, c - 1), c
         assert all(m.p_max == c - 1 for m in got)
+
+
+@pytest.mark.parametrize("family", ["RT", "ED", "EOG"])
+def test_order_bound_adds_up_over_products_of_f_monomials(family):
+    # _moments_of_f buckets the products of f_K^r by the sum of their
+    # factors' bounds, so that sum must be the product's bound
+    w = WeightSpec.for_family(family)
+    for K in range(2, MAX_K + 1):
+        monos = list(f_as_mu_polynomial(w, K))
+        bounds = [monomial_order_bound(m) for m in monos]
+        for i, m1 in enumerate(monos):
+            for m2, b2 in zip(monos[i:], bounds[i:]):
+                assert monomial_order_bound(m1 + m2) == bounds[i] + b2, (K, m1, m2)
+
+
+def test_moments_of_f_at_full_M_match_series_products():
+    # the series itself takes M = c + 1, past the M = 3 of the test above
+    weights = [WeightSpec.for_family(f) for f in ("RT", "ED", "EOG")]
+    weights.append(WeightSpec(Fraction(2, 7), Fraction(5, 7)))
+    cases = [(w, c) for w in weights for c in (1, 2, 3)] + [(weights[0], 4)]
+    for w, c in cases:
+        M, K = family_orders(c)
+        poly = f_as_mu_polynomial(w, K)
+        assert _moments_of_f(poly, M, c - 1) == moments_of_f_via_series(
+            poly, M, c - 1), (w, c)
 
 
 def test_series_memo_size_after_order_7():
