@@ -2,7 +2,10 @@
 
 Every command prints one OutputEnvelope: command, echoed inputs, result
 payload, timing and precision metadata.  Big integers are decimal strings,
-rationals are "p/q", floats carry an explicit precision field.  Exit codes:
+rationals are "p/q", floats carry an explicit precision field.  Numeric work
+runs at the fixed DEFAULT_BITS = 256 bits, reported as precision.bits, and
+prints 30 significant digits (40 for expand --eval).  Each exact subject
+takes only its own flag: rt, ed and eog --n, eo --graph.  Exit codes:
 0 success, 2 usage or domain error, 3 size cap, 4 I/O error; every failure
 prints one JSON line on stderr.  An integer longer than MAX_DIGITS decimal
 digits is a size cap, found from its bit length before any str().
@@ -86,55 +89,47 @@ def _emit(env: dict, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (inputs, result, bits-or-None)
 
+# subject -> (its one flag, the counter's name in `exact`, method); the counter
+# is looked up when called, so a wrapper installed on `exact` is seen
+EXACT_SUBJECTS = {
+    "rt": ("n", "rt_count", "dp"),
+    "eo": ("graph", "eo_count_bruteforce", "bruteforce"),
+    "ed": ("n", "eulerian_digraph_count_bruteforce", "bruteforce"),
+    "eog": ("n", "eulerian_oriented_count_bruteforce", "bruteforce"),
+}
+
+
 def _cmd_exact(args):
-    subject = args.subject
-    if subject == "rt":
-        if args.n is None:
-            raise DomainError("rt needs --n")
-        value, method = exact.rt_count(args.n), "dp"
-        inputs = {"subject": subject, "n": args.n}
-    elif subject in ("ed", "eog"):
-        if args.n is None:
-            raise DomainError(f"{subject} needs --n")
-        fn = (exact.eulerian_digraph_count_bruteforce if subject == "ed"
-              else exact.eulerian_oriented_count_bruteforce)
-        value, method = fn(args.n), "bruteforce"
-        inputs = {"subject": subject, "n": args.n}
-    else:  # eo
-        if not args.graph:
-            raise DomainError("eo needs --graph")
-        g = load_graph(args.graph)
-        value, method = exact.eo_count_bruteforce(g), "bruteforce"
-        inputs = {"subject": subject, "graph": args.graph}
-    return inputs, {"value": str(value), "method": method}, None
+    flag, counter, method = EXACT_SUBJECTS[args.subject]
+    arg = getattr(args, flag)
+    value = getattr(exact, counter)(load_graph(arg) if flag == "graph" else arg)
+    return ({"subject": args.subject, flag: arg},
+            {"value": str(value), "method": method}, None)
 
 
 def _cmd_expand(args):
-    if args.eval is not None:
-        expansion.require_precision(args.bits)
-        expansion.require_eval_point(args.family.upper(), args.eval)
-    res = expansion.expansion_series(args.family, args.order)
-    payload = res.to_json()
-    bits = None
-    if args.eval is not None:
-        import mpmath
-
-        bits = args.bits
-        value, logv = expansion.evaluate_expansion(res, args.eval, bits)
-        payload["eval"] = {
-            "n": args.eval,
-            "value": mpmath.nstr(value, 40),
-            "log_value": mpmath.nstr(logv, 40),
-        }
-        known = exact.RT_KNOWN_COUNTS.get(args.eval) if res.family == "RT" else None
-        if known is not None:
-            with mpmath.workprec(bits):
-                payload["eval"]["log_ratio_to_exact"] = mpmath.nstr(
-                    mpmath.log(mpmath.mpf(known)) - logv, 10)
     inputs = {"family": args.family, "order": args.order}
     if args.eval is not None:
-        inputs.update({"eval": args.eval, "bits": args.bits})
-    return inputs, payload, bits
+        expansion.require_eval_point(args.family.upper(), args.eval)
+        inputs["eval"] = args.eval
+    res = expansion.expansion_series(args.family, args.order)
+    payload = res.to_json()
+    if args.eval is None:
+        return inputs, payload, None
+    import mpmath
+
+    value, logv = expansion.evaluate_expansion(res, args.eval, DEFAULT_BITS)
+    payload["eval"] = {
+        "n": args.eval,
+        "value": mpmath.nstr(value, 40),
+        "log_value": mpmath.nstr(logv, 40),
+    }
+    known = exact.RT_KNOWN_COUNTS.get(args.eval) if res.family == "RT" else None
+    if known is not None:
+        with mpmath.workprec(DEFAULT_BITS):
+            payload["eval"]["log_ratio_to_exact"] = mpmath.nstr(
+                mpmath.log(mpmath.mpf(known)) - logv, 10)
+    return inputs, payload, DEFAULT_BITS
 
 
 def rational(text: str) -> str:
@@ -150,22 +145,19 @@ def rational(text: str) -> str:
 def _cmd_estimate(args):
     g = load_graph(args.graph)
     w = Fraction(args.w) if args.w else None
-    rep = eo_estimate(g, M=args.M, K=args.K, w=w, bits=args.bits,
-                      graph_id=args.graph)
-    inputs = {"graph": args.graph, "M": args.M, "K": args.K,
-              "w": args.w, "bits": args.bits}
-    return inputs, rep.to_json(), args.bits
+    rep = eo_estimate(g, M=args.M, K=args.K, w=w, graph_id=args.graph)
+    inputs = {"graph": args.graph, "M": args.M, "K": args.K, "w": args.w}
+    return inputs, rep.to_json(), rep.bits
 
 
 def _cmd_bounds(args):
-    expansion.require_precision(args.bits)
     g = load_graph(args.graph)
     # lower = B / 2^|E| in lowest terms: no part is longer than B or 2^|E|
     _require_digits("the bounds", schrijver_upper_squared(g), 1 << g.edge_count)
     lower, upper_sq = schrijver_bounds(g)
     import mpmath
 
-    with mpmath.workprec(args.bits):
+    with mpmath.workprec(DEFAULT_BITS):
         result = {
             "lower": str(lower),
             "lower_decimal": mpmath.nstr(mpmath.mpf(lower.numerator)
@@ -174,7 +166,7 @@ def _cmd_bounds(args):
             "upper_decimal": mpmath.nstr(mpmath.sqrt(mpmath.mpf(upper_sq)), 30),
             "pauling": str(lower),
         }
-    return {"graph": args.graph, "bits": args.bits}, result, args.bits
+    return {"graph": args.graph}, result, DEFAULT_BITS
 
 
 def _cmd_taillab(args):
@@ -230,16 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("exact", help="exact counters")
-    pe.add_argument("subject", choices=("rt", "eo", "ed", "eog"))
-    pe.add_argument("--n", type=int)
-    pe.add_argument("--graph")
     pe.set_defaults(handler=_cmd_exact)
+    subjects = pe.add_subparsers(dest="subject", required=True)
+    for subject, (flag, _, _) in EXACT_SUBJECTS.items():
+        subjects.add_parser(subject).add_argument(
+            f"--{flag}", required=True, type=int if flag == "n" else str)
 
     px = sub.add_parser("expand", help="asymptotic exponent series")
     px.add_argument("family", choices=("rt", "ed", "eog"))
     px.add_argument("--order", type=int, default=12)
     px.add_argument("--eval", type=int, default=None)
-    px.add_argument("--bits", type=int, default=DEFAULT_BITS)
     px.set_defaults(handler=_cmd_expand)
 
     ps = sub.add_parser("estimate", help="general-graph estimate")
@@ -247,12 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--M", type=int, default=2)
     ps.add_argument("--K", type=int, default=4)
     ps.add_argument("--w", type=rational, default=None)
-    ps.add_argument("--bits", type=int, default=DEFAULT_BITS)
     ps.set_defaults(handler=_cmd_estimate)
 
     pb = sub.add_parser("bounds", help="sandwich bounds")
     pb.add_argument("--graph", required=True)
-    pb.add_argument("--bits", type=int, default=DEFAULT_BITS)
     pb.set_defaults(handler=_cmd_bounds)
 
     pt = sub.add_parser("taillab", help="cumulant tail-bound check")

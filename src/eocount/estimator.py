@@ -22,7 +22,7 @@ from operator import mul
 from .errors import DomainError, SizeLimitError
 from .expansion import WeightSpec, require_precision, weight_log_coeffs
 from .graphs import (Graph, all_degrees_even, cheeger_constant,
-                     l_plus_j_adjugate, spanning_tree_count)
+                     l_plus_j_adjugate, require_dense, spanning_tree_count)
 from .cumulants import double_factorial
 
 DEFAULT_BITS = 256
@@ -330,6 +330,7 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     if M not in (0, 1, 2):
         raise DomainError("M must be 0, 1 or 2")
     require_precision(bits)
+    require_dense(g)  # before the O(n + m) checks and the bounds
     _require_eulerian(g)
     _require_cumulant_args(g, K, M)
     wf = default_w(g) if w is None else _positive(w)

@@ -8,12 +8,13 @@ Vertices are 0-based contiguous integers internally; the text/JSON formats use
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import DomainError, SizeLimitError
@@ -55,11 +56,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """Graph from 0-based pairs in either order; a self-loop or an edge
+        given twice (in either direction) is a DomainError, not merged."""
         norm = set()
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
-            norm.add((min(u, v), max(u, v)))
+            e = (u, v) if u < v else (v, u)
+            if e in norm:
+                raise DomainError(f"repeated edge ({u}, {v})")
+            norm.add(e)
         return cls(n, frozenset(norm))
 
     @property
@@ -97,7 +103,7 @@ def adjacency_lists(g: Graph) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# named families (used by tests and as CLI conveniences)
+# named families
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, combinations(range(n), 2))
@@ -146,13 +152,15 @@ def _is_int(value) -> bool:
 
 
 def _graph_from_labels(n, pairs) -> Graph:
-    """Graph on n vertices from 1-based integer label pairs; a repeated edge
-    is an error (a multigraph is not a simple graph)."""
+    """Graph on n vertices from 1-based integer label pairs, read in one pass
+    after the vertex cap; errors name the file's labels.  A repeated edge is
+    an error, as in ``Graph.from_edges`` (a multigraph is not a simple
+    graph)."""
     if not _is_int(n):
         raise DomainError(f"vertex count is not an integer: {n!r}")
     if n > GRAPH_FILE_MAX_N:
         raise SizeLimitError(f"graph files are capped at {GRAPH_FILE_MAX_N} vertices")
-    seen = set()
+    edges = set()
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(map(_is_int, pair))):
@@ -162,28 +170,35 @@ def _graph_from_labels(n, pairs) -> Graph:
             raise DomainError(f"edge ({j}, {k}) out of range 1..{n}")
         if j == k:
             raise DomainError(f"self-loop at vertex {j}")
-        if frozenset(pair) in seen:
+        e = (j - 1, k - 1) if j < k else (k - 1, j - 1)
+        if e in edges:
             raise DomainError(f"repeated edge ({j}, {k})")
-        seen.add(frozenset(pair))
-    return Graph.from_edges(n, [(j - 1, k - 1) for j, k in pairs])
+        edges.add(e)
+    return Graph(n, frozenset(edges))
 
 
-def parse_edge_list(text: str) -> Graph:
-    """First line is the vertex count, then one 'j k' pair per line, 1-based.
-
-    Blank lines and lines starting with '#' are skipped.
-    """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise DomainError("empty graph file")
+def _ints(tokens: list[str]) -> list[int]:
     try:
-        first, *pairs = [[int(tok) for tok in ln.split()] for ln in lines]
+        return [int(tok) for tok in tokens]
     except ValueError:
         raise DomainError("graph file has a token that is not an integer") from None
+
+
+def parse_edge_list(text) -> Graph:
+    """First line is the vertex count, then one 'j k' pair per line, 1-based.
+
+    ``text`` is a string or an iterable of lines (an open file), read line by
+    line.  Blank lines and lines starting with '#' are skipped.
+    """
+    lines = io.StringIO(text, newline=None) if isinstance(text, str) else text
+    rows = (ln.split() for ln in lines)
+    rows = (row for row in rows if row and not row[0].startswith("#"))
+    first = next(rows, None)
+    if first is None:
+        raise DomainError("empty graph file")
     if len(first) != 1:
-        raise DomainError(f"first line is not a vertex count: {lines[0]!r}")
-    return _graph_from_labels(first[0], pairs)
+        raise DomainError(f"first line is not a vertex count: {' '.join(first)!r}")
+    return _graph_from_labels(_ints(first)[0], map(_ints, rows))
 
 
 def parse_graph_json(obj) -> Graph:
@@ -206,12 +221,13 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def load_graph(path: str) -> Graph:
+    """A graph file: JSON when its first non-blank line starts with '{', else
+    an edge list, streamed from the file."""
     with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return parse_graph_json(stripped)
-    return parse_edge_list(text)
+        line = next((ln for ln in fh if ln.strip()), "")
+        if line.lstrip().startswith("{"):
+            return parse_graph_json(line + fh.read())
+        return parse_edge_list(chain([line], fh))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +245,12 @@ def laplacian(g: Graph) -> list[list[int]]:
     return L
 
 
+def require_dense(g: Graph) -> None:
+    """Refuse dense n x n algebra above ``DENSE_MAX_N`` vertices."""
+    if g.n > DENSE_MAX_N:
+        raise SizeLimitError(f"dense linear algebra is capped at n={DENSE_MAX_N}")
+
+
 def l_plus_j_adjugate(g: Graph) -> tuple[int, list[list[int]] | None]:
     """(tau, adj): the spanning-tree count and the adjugate of L + J (J all
     ones), by one fraction-free (Bareiss) Gauss-Jordan elimination.
@@ -242,9 +264,8 @@ def l_plus_j_adjugate(g: Graph) -> tuple[int, list[list[int]] | None]:
     A zero pivot means a singular L + J, a disconnected graph: (0, None), as
     for the empty graph.
     """
+    require_dense(g)
     n = g.n
-    if n > DENSE_MAX_N:
-        raise SizeLimitError(f"dense linear algebra is capped at n={DENSE_MAX_N}")
     if n == 0:
         return 0, None
     rows = [[x + 1 for x in row] for row in laplacian(g)]

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import eocount
 from eocount.cli import build_parser, main
 from eocount.estimator import DEFAULT_BITS
-from eocount.expansion import MAX_BITS
 from eocount.graphs import (circulant_graph, complete_graph, cycle_graph,
                             graph_to_json)
 from eocount.taillab import (TAIL_MAX_M, DiscreteProductSpace,
@@ -121,15 +120,18 @@ def test_bounds(capsys, k5_file):
     assert Fraction(res["lower"]) <= 24
     assert 24 * 24 <= int(res["upper_squared"])
     assert Fraction(res["pauling"]) == Fraction(res["lower"])
+    assert env["inputs"] == {"graph": k5_file}
+    assert env["precision"]["bits"] == DEFAULT_BITS
 
 
 def test_expand_with_eval(capsys):
     code, env = run_json(capsys, ["expand", "rt", "--order", "3",
-                                  "--eval", "21", "--bits", "192"])
+                                  "--eval", "21"])
     assert code == 0
     res = env["result"]
     assert res["coeffs"] == {"0": "-1/2", "1": "1/4", "2": "1/4"}
-    assert env["precision"]["bits"] == 192
+    assert env["inputs"] == {"family": "rt", "order": 3, "eval": 21}
+    assert env["precision"]["bits"] == DEFAULT_BITS == 256
     assert "log_ratio_to_exact" in res["eval"]
     assert abs(float(res["eval"]["log_ratio_to_exact"])) < 1e-3
 
@@ -138,6 +140,8 @@ def test_estimate(capsys, k5_file):
     code, env = run_json(capsys, ["estimate", "--graph", k5_file,
                                   "--M", "1", "--K", "2"])
     assert code == 0
+    assert env["inputs"] == {"graph": k5_file, "M": 1, "K": 2, "w": None}
+    assert env["precision"]["bits"] == DEFAULT_BITS
     res = env["result"]
     assert res["in_hypothesis"] is True
     assert "1" in res["log_corrected"]
@@ -202,10 +206,11 @@ def test_malformed_graph_file_is_one_json_line(capsys, tmp_path, name):
 
 def test_huge_vertex_count_is_rejected_before_any_graph(capsys, tmp_path,
                                                        monkeypatch):
-    monkeypatch.setattr("eocount.graphs.Graph.from_edges",
-                        fail_if_called("the graph"))
-    files = {"huge.edges": "10000000000\n",
-             "huge.json": '{"n": 10000000000, "edges": []}'}
+    # files build their Graph directly, and read no edge before the cap: the
+    # edge [1, "x"] would be a domain error
+    monkeypatch.setattr("eocount.graphs.Graph", fail_if_called("the graph"))
+    files = {"huge.edges": "10000000000\n1 x\n",
+             "huge.json": '{"n": 10000000000, "edges": [[1, "x"]]}'}
     for name, text in files.items():
         p = tmp_path / name
         p.write_text(text)
@@ -390,7 +395,6 @@ def test_bits_default_is_not_read_from_the_environment():
                         EOCOUNT_BITS="abc")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["value"] == "2"
-    assert build_parser().parse_args(["bounds", "--graph", "g"]).bits == DEFAULT_BITS
 
 
 def test_round_trip_rationals(capsys, c5_json_file):
@@ -479,30 +483,6 @@ def test_cheeger_skipped_above_the_size_cap(capsys, tmp_path):
     assert res["cheeger_skipped"] is None
 
 
-def test_precision_floor_exit_code(capsys, k5_file, monkeypatch):
-    def no_series(*args, **kwargs):
-        raise AssertionError("series computed before the precision check")
-
-    monkeypatch.setattr("eocount.expansion.expansion_series", no_series)
-    monkeypatch.setattr("eocount.estimator.spanning_tree_count",
-                        fail_if_called("tau"))
-    monkeypatch.setattr("eocount.cli.schrijver_bounds",
-                        fail_if_called("the bounds"))
-    too_many = str(MAX_BITS + 1)
-    for argv, kind in (
-            (["estimate", "--graph", k5_file, "--bits", "16"], "domain"),
-            (["bounds", "--graph", k5_file, "--bits", "127"], "domain"),
-            (["expand", "rt", "--order", "3", "--eval", "21", "--bits", "16"],
-             "domain"),
-            # the ceiling: 5e7 bits ran past 20 s before it existed
-            (["estimate", "--graph", k5_file, "--bits", too_many], "size-limit"),
-            (["bounds", "--graph", k5_file, "--bits", too_many], "size-limit"),
-            (["expand", "rt", "--order", "2", "--eval", "3",
-              "--bits", "50000000"], "size-limit")):
-        assert main(argv) == {"domain": 2, "size-limit": 3}[kind], argv
-        assert_one_error_line(capsys.readouterr(), kind)
-
-
 def test_estimate_rejects_empty_graph(capsys, tmp_path):
     p = tmp_path / "k0.edges"
     p.write_text("0\n")
@@ -581,6 +561,29 @@ def test_usage_errors_are_one_json_line(capsys):
         assert exc.value.code == 2, argv
         assert_one_error_line(capsys.readouterr(), "usage")
     assert "--threads" not in build_parser().format_help()
+
+
+def test_dropped_and_foreign_flags_are_usage_errors(capsys, k5_file,
+                                                    monkeypatch):
+    # numeric work runs at the fixed DEFAULT_BITS; each exact subject takes
+    # only its own flag
+    monkeypatch.setattr("eocount.cli.load_graph", fail_if_called("the graph"))
+    for argv in (["expand", "rt", "--order", "3", "--eval", "21",
+                  "--bits", "256"],
+                 ["expand", "rt", "--order", "3", "--bits", "5"],
+                 ["estimate", "--graph", k5_file, "--bits", "256"],
+                 ["bounds", "--graph", k5_file, "--bits", "128"],
+                 ["exact", "rt", "--n", "5", "--graph", "g"],
+                 ["exact", "ed", "--n", "3", "--graph", "g"],
+                 ["exact", "eo", "--graph", "g", "--n", "3"],
+                 ["exact", "rt"],
+                 ["exact", "eog"],
+                 ["exact", "eo"],
+                 ["exact", "--n", "5", "rt"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert_one_error_line(capsys.readouterr(), "usage")
 
 
 # every command that reads a file, with the file path last

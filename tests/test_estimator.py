@@ -8,10 +8,11 @@ from eocount.errors import DomainError, SizeLimitError
 from eocount.estimator import (ESTIMATE_MAX_K, covariance_sigma, default_w,
                                degree_sum_reference, eo_estimate, eo_hat_log,
                                kappa1_f, kappa2_f, schrijver_bounds)
-from eocount.expansion import MIN_BITS
+from eocount.expansion import MAX_BITS, MIN_BITS
 from eocount.exact import eo_count_bruteforce, rt_count
-from eocount.graphs import (Graph, circulant_graph, complete_graph,
-                            cycle_graph, laplacian, octahedron_graph)
+from eocount.graphs import (DENSE_MAX_N, Graph, circulant_graph,
+                            complete_graph, cycle_graph, laplacian,
+                            octahedron_graph)
 from oracles import (bivariate_even_moment, exact_inverse, kappa2_pairwise,
                      log_cos_coeffs)
 
@@ -73,6 +74,39 @@ def test_precision_floor():
     with pytest.raises(DomainError):
         eo_hat_log(g, bits=MIN_BITS - 1)
     assert eo_estimate(g, M=1, K=2, bits=MIN_BITS).bits == MIN_BITS
+
+
+def fail_if_called(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} reached before the precondition check")
+    return fail
+
+
+def test_precision_bounds_checked_before_any_work(monkeypatch):
+    monkeypatch.setattr(Graph, "is_connected", fail_if_called("connectivity"))
+    for name in ("spanning_tree_count", "l_plus_j_adjugate", "schrijver_bounds",
+                 "cheeger_constant", "covariance_sigma"):
+        monkeypatch.setattr(f"eocount.estimator.{name}", fail_if_called(name))
+    g = complete_graph(5)
+    # 5e7 bits ran past 20 s before the ceiling existed
+    for bits, error in ((16, DomainError), (MIN_BITS - 1, DomainError),
+                        (MAX_BITS + 1, SizeLimitError),
+                        (5 * 10**7, SizeLimitError)):
+        for fn in (eo_estimate, eo_hat_log):
+            with pytest.raises(error):
+                fn(g, bits=bits)
+
+
+def test_dense_cap_checked_before_the_bounds_and_scans(monkeypatch):
+    # above DENSE_MAX_N the estimate is refused at once: on C_200000(1,2) the
+    # connectivity check and the bounds took 1.1 s before the refusal
+    monkeypatch.setattr(Graph, "is_connected", fail_if_called("connectivity"))
+    for name in ("schrijver_bounds", "cheeger_constant"):
+        monkeypatch.setattr(f"eocount.estimator.{name}", fail_if_called(name))
+    g = circulant_graph(DENSE_MAX_N + 1, (1, 2))
+    for M in (0, 1, 2):
+        with pytest.raises(SizeLimitError, match="dense"):
+            eo_estimate(g, M=M)
 
 
 def test_covariance_complete_graph_symmetry():

@@ -6,10 +6,11 @@ import pytest
 
 from eocount import powersums
 from eocount.errors import DomainError, SizeLimitError
-from eocount.expansion import (MAX_K, WeightSpec, _moments_of_f,
-                               evaluate_expansion, expansion_series,
-                               f_as_mu_polynomial, family_orders,
-                               family_variance, weight_log_coeffs)
+from eocount.expansion import (MAX_BITS, MAX_K, MIN_BITS, WeightSpec,
+                               _moments_of_f, evaluate_expansion,
+                               expansion_series, f_as_mu_polynomial,
+                               family_orders, family_variance,
+                               weight_log_coeffs)
 from eocount.powersums import monomial_order_bound
 
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
@@ -187,6 +188,21 @@ def test_evaluate_small_n_accuracy():
         evaluate_expansion(r, 6)        # parity
     with pytest.raises(DomainError):
         evaluate_expansion(r, 5, bits=64)
+
+
+def test_evaluate_precision_bounds_checked_first(monkeypatch):
+    r = expansion_series("RT", 3)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("evaluated before the precision check")
+
+    monkeypatch.setattr("eocount.expansion.log_prefactor", fail)
+    monkeypatch.setattr("eocount.expansion.require_eval_point", fail)
+    for bits, error in ((16, DomainError), (MIN_BITS - 1, DomainError),
+                        (MAX_BITS + 1, SizeLimitError),
+                        (5 * 10**7, SizeLimitError)):
+        with pytest.raises(error):
+            evaluate_expansion(r, 21, bits=bits)
 
 
 def test_evaluate_matches_scan_counts():

@@ -12,6 +12,7 @@ from eocount.graphs import (DENSE_MAX_N, GRAPH_FILE_MAX_N, LANE_BITS, Graph,
                             all_degrees_even, cheeger_constant,
                             circulant_graph, complete_graph, cycle_graph,
                             graph_to_json, l_plus_j_adjugate, laplacian,
+                            load_graph,
                             octahedron_graph, parse_edge_list,
                             parse_graph_json, path_graph, spanning_tree_count)
 from oracles import cheeger_gray_code
@@ -197,8 +198,11 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(DomainError):
         Graph.from_edges(2, [(0, 5)])
-    g = Graph.from_edges(3, [(0, 1), (1, 0)])  # same undirected edge twice
-    assert g.edge_count == 1
+    for pairs in ([(0, 1), (1, 0)], [(1, 2), (0, 1), (1, 2)]):
+        # the same undirected edge twice is rejected, not merged
+        with pytest.raises(DomainError, match="repeated edge"):
+            Graph.from_edges(3, pairs)
+    assert Graph.from_edges(3, [(1, 0), (2, 1)]).edges == {(0, 1), (1, 2)}
 
 
 def test_parse_edge_list():
@@ -208,14 +212,32 @@ def test_parse_edge_list():
                  "3\n1 2\n2 1\n"):
         with pytest.raises(DomainError):
             parse_edge_list(text)
+    # errors name the file's 1-based labels
     with pytest.raises(DomainError, match="self-loop at vertex 2"):
-        parse_edge_list("3\n2 2\n")  # the file's 1-based label
+        parse_edge_list("3\n2 2\n")
+    with pytest.raises(DomainError, match=r"repeated edge \(3, 2\)"):
+        parse_edge_list("3\n2 3\n1 2\n3 2\n")
     assert parse_edge_list(f"{GRAPH_FILE_MAX_N}\n").n == GRAPH_FILE_MAX_N
-    for text in (f"{GRAPH_FILE_MAX_N + 1}\n", "10000000000\n1 2\n"):
+    # the cap comes before any edge line is read: "1 x" would be a DomainError
+    for text in (f"{GRAPH_FILE_MAX_N + 1}\n", "10000000000\n1 x\n"):
         with pytest.raises(SizeLimitError):
             parse_edge_list(text)
     with pytest.raises(SizeLimitError):
         parse_graph_json({"n": 10**10, "edges": []})
+
+
+def test_load_graph_reads_the_format_of_the_first_nonblank_line(tmp_path):
+    files = {"lead.edges": "\n  \n# K3\n3\n\n1 2\r\n2 3\n# done\n3 1\n",
+             "lead.json": '\n\n  {"n": 3,\n "edges": [[1, 2], [2, 3],\n [3, 1]]}\n'}
+    for name, text in files.items():
+        p = tmp_path / name
+        p.write_text(text)
+        assert load_graph(str(p)) == complete_graph(3)
+    for text in ("", " \n\n", "# only a comment\n", "# c\n{}\n"):
+        p = tmp_path / "bad.edges"
+        p.write_text(text)
+        with pytest.raises(DomainError):
+            load_graph(str(p))
 
 
 def test_json_round_trip():
