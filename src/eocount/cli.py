@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
-from .estimator import (DEFAULT_BITS, eo_estimate, schrijver_bounds,
-                        schrijver_upper_squared)
+from .estimator import eo_estimate, schrijver_bounds, schrijver_upper_squared
+from .expansion import DEFAULT_BITS
 from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
 from .taillab import check_tail_bound, instance_from_json
@@ -160,8 +160,7 @@ def _cmd_bounds(args):
     with mpmath.workprec(DEFAULT_BITS):
         result = {
             "lower": str(lower),
-            "lower_decimal": mpmath.nstr(mpmath.mpf(lower.numerator)
-                                         / lower.denominator, 30),
+            "lower_decimal": mpmath.nstr(expansion.to_mpf(lower, DEFAULT_BITS), 30),
             "upper_squared": str(upper_sq),
             "upper_decimal": mpmath.nstr(mpmath.sqrt(mpmath.mpf(upper_sq)), 30),
             "pauling": str(lower),

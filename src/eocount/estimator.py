@@ -6,9 +6,11 @@ One elimination of the integer matrix L + J gives tau and adj(L + J), hence
 Sigma_w = (L + wJ)^(-1) = adj/(n^2 tau) + (1/w - 1) J/n^2 for every w > 0.
 The edge-difference covariances are w-free: M/tau for the integer matrix
 M = B^T adj B / n^2 (B the signed incidence matrix).  kappa_1 and kappa_2 are
-exact Fractions of ints built from M and tau, kappa_2 a short sum of Hadamard
--power contractions with no per-pair work; ``eo_estimate`` rounds each result
-once, to at least ``expansion.MIN_BITS`` = 128 bits.
+exact Fractions of ints built from M and tau and from one stream of per-edge
+integer vectors A_j: kappa_1 is the sum of A_0, kappa_2 a short sum of
+Hadamard-power contractions of A_j, j >= 2, with no per-pair work.  Each
+exact result is rounded once, by ``expansion.to_mpf``, to at least
+``expansion.MIN_BITS`` = 128 bits.
 """
 
 from __future__ import annotations
@@ -16,16 +18,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .errors import DomainError, SizeLimitError
-from .expansion import WeightSpec, require_precision, weight_log_coeffs
+from .expansion import (DEFAULT_BITS, WeightSpec, require_precision, to_mpf,
+                        weight_log_coeffs)
 from .graphs import (Graph, all_degrees_even, cheeger_constant,
                      l_plus_j_adjugate, require_dense, spanning_tree_count)
 from .cumulants import double_factorial
 
-DEFAULT_BITS = 256
 KAPPA2_MAX_EDGE_PAIRS = 10**6
 # Largest truncation order K of f_K, checked before any work: kappa_2's ints
 # grow as tau^(2K).  64 is the order the estimator has always accepted.
@@ -43,14 +46,6 @@ def _positive(w) -> Fraction:
     if w <= 0:
         raise DomainError("w must be positive")
     return w
-
-
-def _round(x: Fraction, bits: int):
-    """x rounded once to the nearest mpf of the given precision."""
-    import mpmath
-    from mpmath.libmp import from_rational, round_nearest
-
-    return mpmath.mpf(from_rational(x.numerator, x.denominator, bits, round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +145,7 @@ def _closed_form_logs(g: Graph, tau: int, bits: int):
     with mpmath.workprec(bits):
         base = (g.edge_count * mpmath.log(2) - mpmath.log(tau) / 2
                 + (g.n - 1) / mpmath.mpf(2) * mpmath.log(2 / mpmath.pi))
-        return base, base + _round(corr, bits)
+        return base, base + to_mpf(corr, bits)
 
 
 def eo_hat_log(g: Graph, bits: int = DEFAULT_BITS):
@@ -184,15 +179,30 @@ def _require_cumulant_args(g: Graph, K: int, M: int) -> None:
         raise SizeLimitError("edge-pair cap exceeded")
 
 
+def _edge_terms(cov: Covariance, K: int):
+    """(den, A) for h = 0..K: A = den tau^(K-h) A_{2h} on ints, A_j as in
+    ``kappa2_f`` and den the common denominator of its coefficients."""
+    cs = weight_log_coeffs(_LOG_COS, K)
+    tau = cov.tau
+    var = [row[0] for row in cov.edge]
+    for h in range(K + 1):
+        j = 2 * h
+        # coefficient of S_ee^p in A_j, p = l - h
+        ws = [cs[l - 1] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
+              if l >= 2 else Fraction(0) for l in range(h, K + 1)]
+        den = lcm(*(c.denominator for c in ws))
+        coef = [c.numerator * (den // c.denominator) * tau ** (K - h - p)
+                for p, c in enumerate(ws)]
+        yield den, [sum(c * v ** p for p, c in enumerate(coef)) for v in var]
+
+
 def kappa1_f(g: Graph, cov: Covariance, K: int) -> Fraction:
     """The exact first cumulant
-    sum_{l=2}^K c_{2l} (2l-1)!! sum_{jk} S_{jk,jk}^l, with S = M/tau."""
+    sum_{l=2}^K c_{2l} (2l-1)!! sum_{jk} S_{jk,jk}^l = sum_e A_0[e], with
+    S = M/tau: the j = 0 term of kappa_2's sum."""
     _require_cumulant_args(g, K, 1)
-    cs = weight_log_coeffs(_LOG_COS, K)
-    var = [row[0] for row in cov.edge]
-    return sum((cs[l - 1] * double_factorial(2 * l - 1)
-                * Fraction(sum(x ** l for x in var), cov.tau ** l)
-                for l in range(2, K + 1)), Fraction(0))
+    den, A = next(_edge_terms(cov, K))
+    return Fraction(sum(A), den * cov.tau ** K)
 
 
 def kappa2_f(g: Graph, cov: Covariance, K: int) -> Fraction:
@@ -213,28 +223,18 @@ def kappa2_f(g: Graph, cov: Covariance, K: int) -> Fraction:
     contraction with M^(o j) over D_j^2 tau^(2K).  The cost is O(m^2 K).
     """
     _require_cumulant_args(g, K, 2)
-    cs = weight_log_coeffs(_LOG_COS, K)
-    tau = cov.tau
-    var = [row[0] for row in cov.edge]
     square = [[x * x for x in row] for row in cov.edge]
     hadamard = square
     total = Fraction(0)
-    for h in range(1, K + 1):
-        j = 2 * h
+    # h = 0 is kappa_1's term
+    for h, (den, A) in islice(enumerate(_edge_terms(cov, K)), 1, None):
         if h > 1:
             hadamard = [[x * y for x, y in zip(a, b)]
                         for a, b in zip(hadamard, square)]
-        # coefficient of S_ee^p in A_j, p = l - h
-        ws = [cs[l - 1] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
-              if l >= 2 else Fraction(0) for l in range(h, K + 1)]
-        den = lcm(*(c.denominator for c in ws))
-        coef = [c.numerator * (den // c.denominator) * tau ** (K - h - p)
-                for p, c in enumerate(ws)]
-        A = [sum(c * v ** p for p, c in enumerate(coef)) for v in var]
         quad = sum(a * (2 * sum(map(mul, row, A[e:])) - row[0] * a)
                    for e, (a, row) in enumerate(zip(A, hadamard)))
-        total += Fraction(factorial(j) * quad, den * den)
-    return total / tau ** (2 * K)
+        total += Fraction(factorial(2 * h) * quad, den * den)
+    return total / cov.tau ** (2 * K)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +258,14 @@ class EstimateReport:
     cheeger_ratio: Fraction | None  # h(G)/d
     cheeger_skipped: str | None     # why cheeger is None
 
+    def logs(self) -> dict[int, object]:
+        """M -> log estimate: the closed form at 0, then log_corrected."""
+        return {0: self.log_eo_hat, **self.log_corrected}
+
     def log_estimate(self, M: int | None = None):
-        if M is None or M == max(self.log_corrected, default=0):
-            if self.log_corrected:
-                return self.log_corrected[max(self.log_corrected)]
-            return self.log_eo_hat
-        if M == 0:
-            return self.log_eo_hat
-        return self.log_corrected[M]
+        """The log estimate at M, by default at the highest M computed."""
+        logs = self.logs()
+        return logs[max(logs) if M is None else M]
 
     def within_sandwich(self) -> dict[int, bool]:
         """M -> whether the log estimate at that M lies in
@@ -277,15 +277,14 @@ class EstimateReport:
             lower = self.schrijver_lower
             lo = mpmath.log(lower.numerator) - mpmath.log(lower.denominator)
             hi = mpmath.log(self.schrijver_upper_sq) / 2
-            logs = {0: self.log_eo_hat, **self.log_corrected}
-            return {M: bool(lo <= v <= hi) for M, v in logs.items()}
+            return {M: bool(lo <= v <= hi) for M, v in self.logs().items()}
 
     def to_json(self) -> dict:
         import mpmath
 
         def fstr(x):  # an exact value is rounded once, at the report's bits
             if isinstance(x, Fraction):
-                x = _round(x, self.bits)
+                x = to_mpf(x, self.bits)
             return mpmath.nstr(x, 30)
 
         lower = fstr(self.schrijver_lower)
@@ -355,7 +354,7 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     with mpmath.workprec(bits):
         for r, k in kappa.items():
             exponent += k / factorial(r)
-            log_corr[r] = base + _round(exponent, bits)
+            log_corr[r] = base + to_mpf(exponent, bits)
     return EstimateReport(
         graph_id=graph_id or f"graph(n={g.n}, m={g.edge_count})",
         n=g.n, edge_count=g.edge_count, w=wf, bits=bits,

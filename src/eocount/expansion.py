@@ -20,7 +20,9 @@ once.  A product monomial of f_K^r is itself one int, the multiplicities of
 its exponents packed in fixed-width bit fields, so a product of monomials is
 an int addition; the products are kept in buckets by their order bound,
 which adds up over the factors, and a code is unpacked into an exponent
-tuple only at the call into the power-sum recurrence.
+tuple only at the call into the power-sum recurrence.  Each family's weight
+and prefactor sit in one table, ``FAMILIES``, and an exact rational becomes
+an mpf only in ``to_mpf``.
 """
 
 from __future__ import annotations
@@ -37,17 +39,33 @@ from .powersums import monomial_order_bound, mu_moment_dict
 MAX_ORDER = 12
 MAX_K = 16
 MIN_BITS = 128
+DEFAULT_BITS = 256
 # Highest working precision, checked with the floor before any work.  With
 # mpmath's pure-Python backend on CPython 3.11, 10^5 bits took 2.7 s for
 # `expand rt --order 2 --eval 3` and 4.6 s for `estimate` on K5 (whole
 # processes); 2^16 bits (about 19,700 digits) took 1.4 s for the estimate.
 MAX_BITS = 2**16
 
-FAMILY_WEIGHTS = {
-    "RT": (Fraction(0), Fraction(1)),
-    "ED": (Fraction(1, 2), Fraction(1, 2)),
-    "EOG": (Fraction(1, 3), Fraction(2, 3)),
+
+# family -> ((a, b), prefactor, (q, s, c)): the weight a + b cos and the
+# closed-form prefactor n^(1/2) (q^(n+s)/(c pi n))^((n-1)/2), as text and as
+# the constants log_prefactor() reads
+FAMILIES = {
+    "RT": ((Fraction(0), Fraction(1)),
+           "n^(1/2) * (2^(n+1)/(pi n))^((n-1)/2)", (2, 1, 1)),
+    "ED": ((Fraction(1, 2), Fraction(1, 2)),
+           "n^(1/2) * (4^n/(pi n))^((n-1)/2)", (4, 0, 1)),
+    "EOG": ((Fraction(1, 3), Fraction(2, 3)),
+            "n^(1/2) * (3^(n+1)/(4 pi n))^((n-1)/2)", (3, 1, 4)),
 }
+
+
+def family_facts(name: str) -> tuple:
+    """The table entry of RT, ED or EOG; DomainError for any other name,
+    "custom" included."""
+    if name not in FAMILIES:
+        raise DomainError(f"unknown family {name!r} (RT, ED or EOG)")
+    return FAMILIES[name]
 
 
 @dataclass(frozen=True)
@@ -66,11 +84,9 @@ class WeightSpec:
             raise DomainError("need a + b = 1, b > 0, a >= 0")
 
     @classmethod
-    def for_family(cls, family: str) -> "WeightSpec":
-        key = family.upper()
-        if key not in FAMILY_WEIGHTS:
-            raise DomainError(f"unknown family {family!r} (RT, ED or EOG)")
-        a, b = FAMILY_WEIGHTS[key]
+    def for_family(cls, name: str) -> "WeightSpec":
+        key = name.upper()
+        (a, b), _, _ = family_facts(key)
         return cls(a, b, key)
 
 
@@ -81,6 +97,16 @@ def require_precision(bits: int) -> None:
         raise DomainError(f"precision must be at least {MIN_BITS} bits, got {bits}")
     if bits > MAX_BITS:
         raise SizeLimitError(f"precision is capped at {MAX_BITS} bits, got {bits}")
+
+
+def to_mpf(x: Fraction, bits: int):
+    """x rounded once to the nearest mpf of the given precision, whatever the
+    caller's mpmath context."""
+    import mpmath
+    from mpmath.libmp import from_rational, round_nearest
+
+    return mpmath.mpf(from_rational(x.numerator, x.denominator, bits, round_nearest),
+                      prec=bits)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +186,6 @@ class ExpansionResult:
             "prefactor": self.prefactor,
             "coeffs": {str(p): str(c) for p, c in sorted(self.coeffs.items())},
         }
-
-
-PREFACTORS = {
-    "RT": "n^(1/2) * (2^(n+1)/(pi n))^((n-1)/2)",
-    "ED": "n^(1/2) * (4^n/(pi n))^((n-1)/2)",
-    "EOG": "n^(1/2) * (3^(n+1)/(4 pi n))^((n-1)/2)",
-    "custom": "",
-}
 
 
 def _decode(code: int, B: int, mask: int) -> tuple[int, ...]:
@@ -264,7 +282,8 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     coeffs = {p: total[p] for p in range(0, p_max + 1) if total[p] != 0}
     return ExpansionResult(
         family=w.family, order=c, M=M, K=K,
-        prefactor=PREFACTORS.get(w.family, ""), coeffs=coeffs,
+        prefactor=FAMILIES[w.family][1] if w.family in FAMILIES else "",
+        coeffs=coeffs,
         cumulants=tuple(kappas),
     )
 
@@ -272,53 +291,38 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-def log_prefactor(family: str, n: int):
+def log_prefactor(name: str, n: int):
     """Natural log of the closed-form prefactor at a concrete n, an mpf at
-    the working precision."""
+    the working precision:
+    log(n)/2 + (n-1)/2 ((n+s) log q - log c - log pi - log n)."""
+    _, _, (q, s, c) = family_facts(name)
     import mpmath
 
     nf = mpmath.mpf(n)
-    half = (nf - 1) / 2
-    if family == "RT":
-        return mpmath.log(nf) / 2 + half * ((n + 1) * mpmath.log(2)
-                                            - mpmath.log(mpmath.pi) - mpmath.log(nf))
-    if family == "ED":
-        return mpmath.log(nf) / 2 + half * (n * mpmath.log(4)
-                                            - mpmath.log(mpmath.pi) - mpmath.log(nf))
-    if family == "EOG":
-        return mpmath.log(nf) / 2 + half * ((n + 1) * mpmath.log(3) - mpmath.log(4)
-                                            - mpmath.log(mpmath.pi) - mpmath.log(nf))
-    raise DomainError("no closed-form prefactor for a custom weight")
+    return mpmath.log(nf) / 2 + (nf - 1) / 2 * (
+        (n + s) * mpmath.log(q) - mpmath.log(c)
+        - mpmath.log(mpmath.pi) - mpmath.log(nf))
 
 
-def require_eval_point(family: str, n: int) -> None:
-    """Reject an evaluation point outside the family's domain: n >= 1, and n
-    odd for regular tournaments."""
+def require_eval_point(name: str, n: int) -> None:
+    """Reject an evaluation point outside the family's domain: n >= 1, n odd
+    for regular tournaments, and a family with a closed-form prefactor."""
     if n < 1:
         raise DomainError("evaluation needs n >= 1")
-    if family == "RT" and n % 2 == 0:
+    if name == "RT" and n % 2 == 0:
         raise DomainError("regular tournaments need odd n")
+    family_facts(name)
 
 
-def evaluate_expansion(result: ExpansionResult, n: int, bits: int = 256,
-                       max_power: int | None = None):
-    """(value, log_value) of prefactor * exp(truncated series) at this n.
-
-    ``max_power`` restricts the series to powers n^0..n^-max_power so the
-    effect of successive terms can be observed.
-    """
+def evaluate_expansion(result: ExpansionResult, n: int, bits: int = DEFAULT_BITS):
+    """(value, log_value) of prefactor * exp(truncated series) at this n."""
     require_precision(bits)
     require_eval_point(result.family, n)
-    if result.family == "custom":
-        raise DomainError("custom weights expose only the exponent series")
     import mpmath
 
     with mpmath.workprec(bits):
         log_val = log_prefactor(result.family, n)
         nf = mpmath.mpf(n)
         for p, coeff in sorted(result.coeffs.items()):
-            if max_power is not None and p > max_power:
-                continue
-            log_val += (mpmath.mpf(coeff.numerator)
-                        / mpmath.mpf(coeff.denominator)) / nf**p
+            log_val += to_mpf(coeff, bits) / nf**p
         return mpmath.exp(log_val), log_val

@@ -1,8 +1,9 @@
 """Exhaustive verification bed for the cumulant tail bound on small finite
 product spaces.
 
-A DiscreteProductSpace holds independent coordinates with rational weights and
-a rational function table.  Everything the bound needs is computed exactly,
+A DiscreteProductSpace holds independent coordinates with rational weights
+(its constructor turns numbers and "p/q" strings into Fractions) and a
+rational function table.  Everything the bound needs is computed exactly,
 on Python ints over one common denominator of the table: the
 iterated-difference suprema Delta_V (pair-difference steps over all but one
 coordinate of V, then the spread max - min along the last), the smoothness
@@ -46,8 +47,9 @@ class DiscreteProductSpace:
 
     ``alphabets[i]`` are the coordinate's values (labels only; the function is
     tabulated by index), ``weights[i]`` the positive probabilities summing to
-    one.  A function on the space is a flat row-major tuple of Fractions of
-    length prod(sizes).
+    one; entries may be numbers or "p/q" strings, and are stored as Fractions.
+    A function on the space is a flat row-major tuple of Fractions of length
+    prod(sizes).
     """
 
     alphabets: tuple[tuple[Fraction, ...], ...]
@@ -56,6 +58,10 @@ class DiscreteProductSpace:
     def __post_init__(self):
         if len(self.alphabets) != len(self.weights):
             raise DomainError("alphabets and weights must align")
+        object.__setattr__(self, "alphabets", tuple(
+            _rationals(a, "an alphabet") for a in self.alphabets))
+        object.__setattr__(self, "weights", tuple(
+            _rationals(ws, "a weight list") for ws in self.weights))
         for vals, ws in zip(self.alphabets, self.weights):
             if len(vals) != len(ws) or not vals:
                 raise DomainError("each coordinate needs matching nonempty lists")
@@ -67,14 +73,8 @@ class DiscreteProductSpace:
             raise SizeLimitError("product space too large")
 
     @classmethod
-    def make(cls, alphabets, weights) -> "DiscreteProductSpace":
-        return cls(tuple(_rationals(a, "an alphabet") for a in alphabets),
-                   tuple(_rationals(ws, "a weight list") for ws in weights))
-
-    @classmethod
     def uniform_bits(cls, n: int) -> "DiscreteProductSpace":
-        half = Fraction(1, 2)
-        return cls(((Fraction(0), Fraction(1)),) * n, ((half, half),) * n)
+        return cls([[0, 1]] * n, [["1/2", "1/2"]] * n)
 
     @property
     def n(self) -> int:
@@ -91,16 +91,6 @@ class DiscreteProductSpace:
         """Tabulate fn(values...) over the space in row-major order."""
         return tuple(Fraction(fn(*[self.alphabets[i][x[i]] for i in range(self.n)]))
                      for x in self.points())
-
-    def to_json(self) -> dict:
-        return {
-            "alphabets": [[str(v) for v in a] for a in self.alphabets],
-            "weights": [[str(w) for w in ws] for ws in self.weights],
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "DiscreteProductSpace":
-        return cls.make(_json_list(obj, "alphabets"), _json_list(obj, "weights"))
 
 
 def _rationals(items, what: str) -> tuple[Fraction, ...]:
@@ -123,18 +113,14 @@ def _json_list(obj, key: str) -> list:
     return obj[key]
 
 
-def table_to_json(table) -> list[str]:
-    return [str(v) for v in table]
-
-
 def table_from_json(items) -> tuple[Fraction, ...]:
     return _rationals(items, "the table f")
 
 
 def instance_to_json(space: DiscreteProductSpace, table) -> dict:
-    out = space.to_json()
-    out["f"] = table_to_json(table)
-    return out
+    return {"alphabets": [[str(v) for v in a] for a in space.alphabets],
+            "weights": [[str(w) for w in ws] for ws in space.weights],
+            "f": [str(v) for v in table]}
 
 
 def instance_from_json(obj, m: int | None = None):
@@ -148,7 +134,8 @@ def instance_from_json(obj, m: int | None = None):
         # nesting past the recursion limit
         except (ValueError, RecursionError) as exc:
             raise DomainError(f"bad instance JSON: {exc}") from None
-    space = DiscreteProductSpace.from_json(obj)
+    space = DiscreteProductSpace(_json_list(obj, "alphabets"),
+                                 _json_list(obj, "weights"))
     if m is not None:
         _require_alpha_work(space, m)
     table = table_from_json(_json_list(obj, "f"))
@@ -324,16 +311,13 @@ def _distribution(space: DiscreteProductSpace, table):
     return dist, den, wden
 
 
-def exact_moments_discrete(space: DiscreteProductSpace, table, r_max: int) -> list[Fraction]:
-    """E[f^r], r = 1..r_max, from the distribution of f; exact."""
-    dist, den, wden = _distribution(space, table)
-    return [Fraction(sum(w * v**r for v, w in dist.items()), wden * den**r)
-            for r in range(1, r_max + 1)]
-
-
 def exact_cumulants_discrete(space: DiscreteProductSpace, table, r_max: int) -> list[Fraction]:
-    """kappa_1..kappa_{r_max} of f(X), exact rationals."""
-    return moments_to_cumulants(exact_moments_discrete(space, table, r_max))
+    """kappa_1..kappa_{r_max} of f(X), exact rationals, from the moments of
+    the distribution of f."""
+    dist, den, wden = _distribution(space, table)
+    return moments_to_cumulants([
+        Fraction(sum(w * v**r for v, w in dist.items()), wden * den**r)
+        for r in range(1, r_max + 1)])
 
 
 @dataclass

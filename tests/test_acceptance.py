@@ -8,6 +8,7 @@ shared with criterion 4 through a module fixture.
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -94,7 +95,9 @@ def test_criterion_4_asymptotic_accuracy(order12_series):
             assert abs(log21 - logv21) <= 1e-7
             prev = None
             for p in range(12):
-                _, logv = evaluate_expansion(res, 37, bits=320, max_power=p)
+                head = {q: c for q, c in res.coeffs.items() if q <= p}
+                _, logv = evaluate_expansion(replace(res, coeffs=head), 37,
+                                             bits=320)
                 err = abs(log37 - logv)
                 if prev is not None:
                     assert err <= prev, p
@@ -192,7 +195,7 @@ def test_criterion_9_tail_bound_batch():
                 raw = [rng.randint(1, 9) for _ in range(s)]
                 tot = sum(raw)
                 weights.append([Fraction(r, tot) for r in raw])
-            space = DiscreteProductSpace.make(alphabets, weights)
+            space = DiscreteProductSpace(alphabets, weights)
             eps = Fraction(1, rng.randint(1500, 4000))
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.4]

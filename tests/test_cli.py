@@ -255,7 +255,7 @@ def test_taillab_m_cap_is_checked_before_the_table(capsys, tmp_path,
                                                    monkeypatch):
     inst = tmp_path / "one.json"
     inst.write_text(json.dumps(instance_to_json(
-        DiscreteProductSpace.make([[0, 1]], [["1/3", "2/3"]]), ["0", "1/1000"])))
+        DiscreteProductSpace([[0, 1]], [["1/3", "2/3"]]), ["0", "1/1000"])))
     with monkeypatch.context() as patch:
         patch.setattr("eocount.taillab.table_from_json",
                       fail_if_called("the table"))
@@ -320,7 +320,8 @@ def run_fresh(argv, cwd):
     (["exact", "rt", "--n", "7"], 0),
     (["graphinfo", "--graph", "k5.edges"], 0),
     (["estimate", "--graph", "p4.edges"], 2),   # odd degrees
-], ids=["import", "exact", "graphinfo", "estimate-rejected"])
+    (["expand", "rt", "--order", "3"], 0),
+], ids=["import", "exact", "graphinfo", "estimate-rejected", "expand-series"])
 def test_commands_without_numeric_work_leave_mpmath_out(tmp_path, argv, code):
     write_edges(tmp_path / "k5.edges", complete_graph(5))
     (tmp_path / "p4.edges").write_text("4\n1 2\n2 3\n3 4\n")
@@ -332,7 +333,7 @@ def test_commands_without_numeric_work_leave_mpmath_out(tmp_path, argv, code):
 # time (the estimate's within_sandwich aside); a fresh process that loads
 # mpmath on first use must print the same
 NUMERIC_RESULTS = [
-    (["estimate", "--graph", "k9.edges"], {
+    pytest.param(["estimate", "--graph", "k9.edges"], {
         "cheeger": "5", "cheeger_over_max_degree": "5/8",
         "cheeger_skipped": None,
         "corrected": {"1": "2726050.26084156591643104740331",
@@ -348,14 +349,14 @@ NUMERIC_RESULTS = [
         "schrijver_lower": "587222.268222831189632415771484",
         "schrijver_upper": "200882072.370831539069559103391",
         "sigma_norm_inf": "0.148919753086419753086419753086", "w": "16/9",
-        "within_sandwich": {"0": True, "1": True, "2": True}}),
-    (["bounds", "--graph", "k9.edges"], {
+        "within_sandwich": {"0": True, "1": True, "2": True}}, id="estimate"),
+    pytest.param(["bounds", "--graph", "k9.edges"], {
         "lower": "78815638671875/134217728",
         "lower_decimal": "587222.268222831189632415771484",
         "pauling": "78815638671875/134217728",
         "upper_decimal": "200882072.370831539069559103391",
-        "upper_squared": "40353607000000000"}),
-    (["expand", "rt", "--order", "7", "--eval", "37"], {
+        "upper_squared": "40353607000000000"}, id="bounds"),
+    pytest.param(["expand", "rt", "--order", "7", "--eval", "37"], {
         "coeffs": {"0": "-1/2", "1": "1/4", "2": "1/4", "3": "7/24",
                    "4": "37/120", "5": "31/60", "6": "81/28"},
         "eval": {"log_ratio_to_exact": "2.192535925e-10",
@@ -363,18 +364,34 @@ NUMERIC_RESULTS = [
                  "n": 37,
                  "value": "1.986818614868179024615680579658942792472e+169"},
         "family": "RT", "order": 7,
-        "prefactor": "n^(1/2) * (2^(n+1)/(pi n))^((n-1)/2)"}),
-    (["taillab", "--instance", "quad5.json", "--m", "2"], {
+        "prefactor": "n^(1/2) * (2^(n+1)/(pi n))^((n-1)/2)"}, id="expand"),
+    pytest.param(["taillab", "--instance", "quad5.json", "--m", "2"], {
         "alpha": "1/100", "delta": "8.31259146378989e-9",
         "delta_bound": "1.71828182845905", "delta_holds": True,
         "holds": True, "kappa_bounds": ["7/125", "14/625"],
         "kappa_holds": [True, True], "kappas": ["1/160", "9/256000"],
-        "log_mgf": "0.00626761968795715", "m": 2, "n": 5}),
+        "log_mgf": "0.00626761968795715", "m": 2, "n": 5}, id="taillab"),
+    # the family prefactors (ED 4^n, EOG 3^(n+1)/4) and the series at n = 21
+    pytest.param(["expand", "ed", "--order", "7", "--eval", "21"], {
+        "coeffs": {"0": "-1/4", "1": "3/16", "2": "1/8", "3": "47/384",
+                   "4": "371/1920", "5": "1807/3840", "6": "655/448"},
+        "eval": {"log_value": "250.5107801785473195874805840022297713907",
+                 "n": 21,
+                 "value": "6.243807266536889122827379462342866167083e+108"},
+        "family": "ED", "order": 7,
+        "prefactor": "n^(1/2) * (4^n/(pi n))^((n-1)/2)"}, id="expand-ed"),
+    pytest.param(["expand", "eog", "--order", "7", "--eval", "21"], {
+        "coeffs": {"0": "-3/8", "1": "11/64", "2": "7/64", "3": "233/2048",
+                   "4": "497/2560", "5": "27583/61440", "6": "55463/43008"},
+        "eval": {"log_value": "187.094943826611443482729128781752390765",
+                 "n": 21,
+                 "value": "1.795980826390215312257155779889755964758e+81"},
+        "family": "EOG", "order": 7,
+        "prefactor": "n^(1/2) * (3^(n+1)/(4 pi n))^((n-1)/2)"}, id="expand-eog"),
 ]
 
 
-@pytest.mark.parametrize("argv, result", NUMERIC_RESULTS,
-                         ids=[argv[0] for argv, _ in NUMERIC_RESULTS])
+@pytest.mark.parametrize("argv, result", NUMERIC_RESULTS)
 def test_numeric_commands_load_mpmath_and_print_the_same_result(
         tmp_path, argv, result):
     write_edges(tmp_path / "k9.edges", complete_graph(9))
@@ -388,6 +405,38 @@ def test_numeric_commands_load_mpmath_and_print_the_same_result(
     code, out, loaded = run_fresh(argv, tmp_path)
     assert code == 0 and loaded is True
     assert json.loads(out)["result"] == result
+
+
+def test_expand_without_eval_prints_the_series_only(capsys):
+    code, env = run_json(capsys, ["expand", "rt", "--order", "3"])
+    assert code == 0 and env["precision"]["bits"] is None
+    assert env["inputs"] == {"family": "rt", "order": 3}
+    assert env["result"] == {
+        "coeffs": {"0": "-1/2", "1": "1/4", "2": "1/4"}, "family": "RT",
+        "order": 3, "prefactor": "n^(1/2) * (2^(n+1)/(pi n))^((n-1)/2)"}
+
+
+def test_estimate_w_is_echoed_and_moves_only_sigma(capsys, tmp_path):
+    k9 = write_edges(tmp_path / "k9.edges", complete_graph(9))
+    _, default = run_json(capsys, ["estimate", "--graph", k9])
+    code, env = run_json(capsys, ["estimate", "--graph", k9, "--w", "1"])
+    res = env["result"]
+    assert code == 0 and env["inputs"]["w"] == "1" and res["w"] == "1"
+    assert res["log_corrected"] == default["result"]["log_corrected"]
+    assert res["sigma_norm_inf"] == "0.111111111111111111111111111111"
+    assert default["result"]["sigma_norm_inf"] != res["sigma_norm_inf"]
+
+
+def test_estimate_prints_the_lower_bound_that_bounds_prints(tmp_path):
+    # B / 2^|E| on C40(1,5,9) needs 63 bits: rounding it to 53 would print
+    # 8271806125530277.0
+    write_edges(tmp_path / "c40.edges", circulant_graph(40, (1, 5, 9)))
+    code, out, _ = run_fresh(["bounds", "--graph", "c40.edges"], tmp_path)
+    lower = json.loads(out)["result"]["lower_decimal"]
+    assert code == 0 and lower == "8271806125530276.7487140869207"
+    code, out, _ = run_fresh(["estimate", "--graph", "c40.edges"], tmp_path)
+    res = json.loads(out)["result"]
+    assert code == 0 and res["schrijver_lower"] == res["pauling"] == lower
 
 
 def test_bits_default_is_not_read_from_the_environment():
@@ -545,7 +594,8 @@ def test_eval_point_checked_before_series(capsys, monkeypatch):
     for argv in (["expand", "ed", "--order", "3", "--eval", "0"],
                  ["expand", "eog", "--order", "3", "--eval", "-4"],
                  ["expand", "rt", "--order", "8", "--eval", "2"],
-                 ["exact", "rt", "--n", "-3"]):
+                 ["exact", "rt", "--n", "-3"],
+                 ["exact", "ed", "--n", "0"]):
         code = main(argv)
         assert code == 2, argv
         assert_one_error_line(capsys.readouterr(), "domain")

@@ -288,6 +288,18 @@ def test_within_sandwich_c20_m2_lies_above_the_upper_bound():
     assert rep.within_sandwich() == {0: True, 1: True, 2: False}
 
 
+def test_log_estimate_reads_each_order():
+    rep = eo_estimate(complete_graph(7), M=2, K=4)
+    assert rep.log_estimate(0) == rep.log_eo_hat
+    assert rep.log_estimate(1) == rep.log_corrected[1]
+    assert rep.log_estimate() == rep.log_estimate(2) == rep.log_corrected[2]
+    assert len({rep.log_estimate(M) for M in (0, 1, 2)}) == 3
+    with pytest.raises(KeyError):
+        rep.log_estimate(3)
+    closed = eo_estimate(complete_graph(7), M=0)
+    assert closed.log_estimate() == closed.log_estimate(0) == closed.log_eo_hat
+
+
 def test_estimate_octahedron_vs_bruteforce():
     g = octahedron_graph()
     exact = eo_count_bruteforce(g)

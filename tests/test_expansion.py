@@ -9,7 +9,7 @@ from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import (MAX_BITS, MAX_K, MIN_BITS, WeightSpec,
                                _moments_of_f, evaluate_expansion,
                                expansion_series, f_as_mu_polynomial,
-                               family_orders, family_variance,
+                               family_orders, family_variance, log_prefactor,
                                weight_log_coeffs)
 from eocount.powersums import monomial_order_bound
 
@@ -93,6 +93,30 @@ def test_f_polynomial_matches_direct_definition():
                   for _ in range(n)]
             assert evaluate_mu_polynomial(poly, xs) == f_direct(
                 w, K, xs, family_variance(w))
+
+
+def test_f_polynomial_order_range():
+    w = WeightSpec.for_family("ED")
+    for K in (1, MAX_K + 1):
+        with pytest.raises(DomainError):
+            f_as_mu_polynomial(w, K)
+
+
+def test_log_prefactor_matches_the_printed_formulas():
+    # n^(1/2) * base^((n-1)/2), base as in each family's prefactor text
+    bases = {"RT": lambda n: 2 ** (n + 1) / (mpmath.pi * n),
+             "ED": lambda n: 4 ** n / (mpmath.pi * n),
+             "EOG": lambda n: 3 ** (n + 1) / (4 * mpmath.pi * n)}
+    with mpmath.workprec(256):
+        for fam, base in bases.items():
+            assert expansion_series(fam, 1).prefactor.startswith("n^(1/2) * (")
+            for n in (1, 2, 9, 37):
+                nf = mpmath.mpf(n)
+                want = mpmath.log(mpmath.sqrt(nf) * base(nf) ** ((nf - 1) / 2))
+                assert abs(log_prefactor(fam, n) - want) < mpmath.mpf(2) ** -240
+    for name in ("custom", "rt", "XYZ"):
+        with pytest.raises(DomainError):
+            log_prefactor(name, 5)
 
 
 def test_f_polynomial_excludes_quadratic_term():

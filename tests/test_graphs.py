@@ -203,6 +203,12 @@ def test_graph_validation():
         with pytest.raises(DomainError, match="repeated edge"):
             Graph.from_edges(3, pairs)
     assert Graph.from_edges(3, [(1, 0), (2, 1)]).edges == {(0, 1), (1, 2)}
+    with pytest.raises(DomainError, match="nonnegative"):
+        Graph(-1, frozenset())
+    with pytest.raises(DomainError, match="n >= 3"):
+        cycle_graph(2)
+    with pytest.raises(DomainError, match="self-loop"):
+        circulant_graph(5, [5])
 
 
 def test_parse_edge_list():

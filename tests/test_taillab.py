@@ -8,8 +8,9 @@ import pytest
 
 import eocount.taillab as taillab
 from eocount.errors import DomainError, SizeLimitError
-from eocount.taillab import (ALPHA_MAX_READS, DiscreteProductSpace, alpha,
-                             alpha_reads, check_tail_bound, delta_V,
+from eocount.taillab import (ALPHA_MAX_READS, SPACE_MAX_POINTS,
+                             DiscreteProductSpace, alpha, alpha_reads,
+                             check_tail_bound, delta_V,
                              exact_cumulants_discrete, instance_from_json,
                              instance_to_json)
 
@@ -33,7 +34,7 @@ def random_space(rng, n):
         raw = [rng.randint(1, 9) for _ in range(s)]
         tot = sum(raw)
         weights.append([Fraction(r, tot) for r in raw])
-    return DiscreteProductSpace.make(alphabets, weights)
+    return DiscreteProductSpace(alphabets, weights)
 
 
 def delta_bruteforce(space, table, V):
@@ -104,8 +105,8 @@ def test_delta_product_function():
                       for _ in range(prod(space.sizes)))
         cases += [(space, table, V) for v in range(space.n + 1)
                   for V in itertools.combinations(range(space.n), v)]
-    wide = DiscreteProductSpace.make([list(range(3)), list(range(25))],
-                                     [[Fraction(1, 3)] * 3, [Fraction(1, 25)] * 25])
+    wide = DiscreteProductSpace([list(range(3)), list(range(25))],
+                                [[Fraction(1, 3)] * 3, [Fraction(1, 25)] * 25])
     table = tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 6))
                   for _ in range(75))
     cases += [(wide, table, V) for V in [(), (0,), (1,), (0, 1)]]
@@ -185,7 +186,7 @@ def test_alpha_wide_alphabet():
     d0 = osc_g * max(map(abs, h))
     d1 = max(map(abs, g)) * osc_h
     for sizes, gs, hs in [((200, 5), g, h), ((5, 200), h, g)]:
-        space = DiscreteProductSpace.make(
+        space = DiscreteProductSpace(
             [list(range(s)) for s in sizes], [[Fraction(1, s)] * s for s in sizes])
         table = tuple(Fraction(a * b) for a in gs for b in hs)
         wide = sizes.index(200)
@@ -208,7 +209,7 @@ def test_alpha_reads_counts_the_walk(monkeypatch):
     rng = random.Random(7)
     for _ in range(40):
         sizes = [rng.randint(1, 5) for _ in range(rng.randint(0, 5))]
-        space = DiscreteProductSpace.make(
+        space = DiscreteProductSpace(
             [list(range(s)) for s in sizes], [[Fraction(1, s)] * s for s in sizes])
         table = [rng.randint(-9, 9) for _ in range(prod(sizes))]
         for m in (1, 2, 3, 6):
@@ -327,9 +328,22 @@ def test_instance_json_round_trip():
 
 def test_space_validation():
     with pytest.raises(DomainError):
-        DiscreteProductSpace.make([[0, 1]], [[Fraction(1, 2), Fraction(1, 3)]])
+        DiscreteProductSpace([[0, 1]], [[Fraction(1, 2), Fraction(1, 3)]])
     with pytest.raises(DomainError):
-        DiscreteProductSpace.make([[0]], [[Fraction(1), Fraction(0)]])
+        DiscreteProductSpace([[0]], [[Fraction(1), Fraction(0)]])
+    with pytest.raises(DomainError, match="align"):
+        DiscreteProductSpace([[0, 1], [0, 1]], [["1/2", "1/2"]])
+    with pytest.raises(DomainError, match="positive"):
+        DiscreteProductSpace([[0, 1]], [[1, 0]])
+    with pytest.raises(DomainError, match="non-rational"):
+        DiscreteProductSpace([[0, "x"]], [["1/2", "1/2"]])
+    with pytest.raises(DomainError, match="must be a list"):
+        DiscreteProductSpace(["01"], [["1/2", "1/2"]])
+    assert 2**19 <= SPACE_MAX_POINTS < 2**20
+    with pytest.raises(SizeLimitError):
+        DiscreteProductSpace.uniform_bits(20)
+    with pytest.raises(DomainError, match="out of range"):
+        delta_V(bits(2), (0, 1, 1, 0), (0, 2))
     with pytest.raises(DomainError):
         check_tail_bound(bits(2), tuple(Fraction(0) for _ in range(4)), 0)
     good = instance_to_json(bits(1), (Fraction(0), Fraction(1)))
@@ -337,7 +351,19 @@ def test_space_validation():
            for key in ("alphabets", "weights", "f")]
     bad += [dict(good, f=["0", "x"]), dict(good, f=["0", "1/0"]),
             dict(good, weights=[["1/2", None]]), dict(good, alphabets="01"),
+            dict(good, alphabets=["01"]), dict(good, f=["0", "1", "1"]),
             ["not", "an", "object"]]
     for obj in bad:
         with pytest.raises(DomainError):
             instance_from_json(obj)
+
+
+def test_constructor_coerces_numbers_and_strings():
+    space = DiscreteProductSpace([[0, 1]], [[0.5, 0.5]])
+    assert space.alphabets == ((Fraction(0), Fraction(1)),)
+    assert space.weights == ((Fraction(1, 2), Fraction(1, 2)),)
+    assert all(type(v) is Fraction for v in space.alphabets[0] + space.weights[0])
+    assert space == bits(1)
+    assert DiscreteProductSpace([["0", "1"]], [["1/2", "1/2"]]) == space
+    rep = check_tail_bound(space, (Fraction(0), Fraction(1, 1000)), 2)
+    assert rep.alpha == Fraction(1, 1000) and rep.holds
