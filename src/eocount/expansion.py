@@ -46,7 +46,6 @@ DEFAULT_BITS = 256
 # processes); 2^16 bits (about 19,700 digits) took 1.4 s for the estimate.
 MAX_BITS = 2**16
 
-
 # family -> ((a, b), prefactor, (q, s, c)): the weight a + b cos and the
 # closed-form prefactor n^(1/2) (q^(n+s)/(c pi n))^((n-1)/2), as text and as
 # the constants log_prefactor() reads
@@ -84,8 +83,8 @@ class WeightSpec:
             raise DomainError("need a + b = 1, b > 0, a >= 0")
 
     @classmethod
-    def for_family(cls, name: str) -> "WeightSpec":
-        key = name.upper()
+    def for_family(cls, family: str) -> "WeightSpec":
+        key = family.upper()
         (a, b), _, _ = family_facts(key)
         return cls(a, b, key)
 
@@ -291,11 +290,11 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-def log_prefactor(name: str, n: int):
+def log_prefactor(family: str, n: int):
     """Natural log of the closed-form prefactor at a concrete n, an mpf at
     the working precision:
     log(n)/2 + (n-1)/2 ((n+s) log q - log c - log pi - log n)."""
-    _, _, (q, s, c) = family_facts(name)
+    _, _, (q, s, c) = family_facts(family)
     import mpmath
 
     nf = mpmath.mpf(n)
@@ -304,14 +303,14 @@ def log_prefactor(name: str, n: int):
         - mpmath.log(mpmath.pi) - mpmath.log(nf))
 
 
-def require_eval_point(name: str, n: int) -> None:
+def require_eval_point(family: str, n: int) -> None:
     """Reject an evaluation point outside the family's domain: n >= 1, n odd
     for regular tournaments, and a family with a closed-form prefactor."""
     if n < 1:
         raise DomainError("evaluation needs n >= 1")
-    if name == "RT" and n % 2 == 0:
+    if family == "RT" and n % 2 == 0:
         raise DomainError("regular tournaments need odd n")
-    family_facts(name)
+    family_facts(family)
 
 
 def evaluate_expansion(result: ExpansionResult, n: int, bits: int = DEFAULT_BITS):
