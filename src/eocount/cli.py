@@ -102,7 +102,10 @@ EXACT_SUBJECTS = {
 def _cmd_exact(args):
     flag, counter, method = EXACT_SUBJECTS[args.subject]
     arg = getattr(args, flag)
-    value = getattr(exact, counter)(load_graph(arg) if flag == "graph" else arg)
+    # a graph file is read no further than the brute force's edge cap
+    subject = (load_graph(arg, max_edges=exact.EO_MAX_EDGES) if flag == "graph"
+               else arg)
+    value = getattr(exact, counter)(subject)
     return ({"subject": args.subject, flag: arg},
             {"value": str(value), "method": method}, None)
 

@@ -19,8 +19,8 @@ of f_K^r and the power-sum moments are ints, and E[f_K^r] is divided by D^r
 once.  A product monomial of f_K^r is itself one int, the multiplicities of
 its exponents packed in fixed-width bit fields, so a product of monomials is
 an int addition; the products are kept in buckets by their order bound,
-which adds up over the factors, and a code is unpacked into an exponent
-tuple only at the call into the power-sum recurrence.  Each family's weight
+which adds up over the factors.  The power-sum recurrence and its memo take
+the same codes, so no code is unpacked into a tuple.  Each family's weight
 and prefactor sit in one table, ``FAMILIES``, and an exact rational becomes
 an mpf only in ``to_mpf``.
 """
@@ -34,7 +34,7 @@ from math import comb, factorial, lcm
 from .errors import DomainError, SizeLimitError
 from .laurent import LaurentSeries
 from .cumulants import moments_to_cumulants
-from .powersums import monomial_order_bound, mu_moment_dict
+from .powersums import FIELD_MASK, encode, monomial_order_bound, mu_moment_dict
 
 MAX_ORDER = 12
 MAX_K = 16
@@ -187,21 +187,6 @@ class ExpansionResult:
         }
 
 
-def _decode(code: int, B: int, mask: int) -> tuple[int, ...]:
-    """The sorted exponents >= 1 of a packed monomial code (the exponent-0
-    field is left out: it is the power of n)."""
-    out: tuple[int, ...] = ()
-    e = 1
-    code >>= B
-    while code:
-        k = code & mask
-        if k:
-            out += (e,) * k
-        code >>= B
-        e += 1
-    return out
-
-
 def _moments_of_f(poly, M: int, p_max: int):
     """E[f^r] for r = 1..M as truncated coefficient dicts, by expanding
     products of the base monomials with order-bound pruning.
@@ -209,19 +194,17 @@ def _moments_of_f(poly, M: int, p_max: int):
     The coefficients of f are scaled once to ints over their common
     denominator D, so the products and the moment sums run on ints; E[f^r]
     is divided by D^r once, at the end.  A product monomial is one int
-    code: the multiplicity of exponent e sits in bits [B e, B (e + 1)),
-    B = (2M).bit_length() (a product of r <= M base monomials holds an
-    exponent at most 2M times), so multiplying by a base monomial is one int
-    addition.  Each base monomial (t, 2l - t) has an even total degree and
-    0 or 2 odd exponents, so ``monomial_order_bound`` adds up over products;
-    P keeps the codes in buckets by that bound, and the bound runs once per
-    base monomial.  The low field z is the power of n from mu_0: the
-    recurrence gets the decoded rest, z orders deeper.
+    code, the power-sum recurrence's own key: the multiplicity of exponent e
+    sits in bits [FIELD_BITS e, FIELD_BITS (e + 1)), so multiplying by a base
+    monomial is one int addition.  Each base monomial (t, 2l - t) has an
+    even total degree and 0 or 2 odd exponents, so ``monomial_order_bound``
+    adds up over products; P keeps the codes in buckets by that bound, and
+    the bound runs once per base monomial.  The low field z is the power of
+    n from mu_0: the recurrence gets the code with that field cleared, z
+    orders deeper.
     """
     D = lcm(*(c.denominator for c in poly.values()))
-    B = (2 * M).bit_length()
-    mask = (1 << B) - 1
-    items = sorted((((1 << B * t) + (1 << B * s),
+    items = sorted(((encode((t, s)),
                      c.numerator * (D // c.denominator),
                      monomial_order_bound((t, s))) for (t, s), c in poly.items()),
                    key=lambda it: it[2])
@@ -245,8 +228,8 @@ def _moments_of_f(poly, M: int, p_max: int):
         mr: dict[int, int] = {}
         for bucket in P.values():
             for code, c in bucket.items():
-                z = code & mask
-                for p, mc in mu_moment_dict(_decode(code, B, mask), p_max + z).items():
+                z = code & FIELD_MASK
+                for p, mc in mu_moment_dict(code - z, p_max + z).items():
                     pp = p - z
                     if pp <= p_max:
                         mr[pp] = mr.get(pp, 0) + c * mc

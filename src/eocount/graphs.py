@@ -79,27 +79,25 @@ class Graph:
         return min(self.degrees, default=0)
 
     def is_connected(self) -> bool:
-        """True when the graph has a spanning tree: never for n = 0."""
-        if self.n <= 1:
-            return self.n == 1
-        adj = adjacency_lists(self)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
-
-def adjacency_lists(g: Graph) -> list[list[int]]:
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+        """True when the graph has a spanning tree: never for n = 0.  One
+        union-find over the edges on a flat list of parents, with path
+        halving; no per-vertex list is built."""
+        n = self.n
+        if n <= 1:
+            return n == 1
+        parent = list(range(n))
+        parts = n
+        for u, v in self.edges:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                parts -= 1
+                if parts == 1:
+                    return True
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +149,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _graph_from_labels(n, pairs) -> Graph:
+def _graph_from_labels(n, pairs, max_edges: int | None = None) -> Graph:
     """Graph on n vertices from 1-based integer label pairs, read in one pass
     after the vertex cap; errors name the file's labels.  A repeated edge is
     an error, as in ``Graph.from_edges`` (a multigraph is not a simple
-    graph)."""
+    graph).  Reading stops with a SizeLimitError at the first pair past
+    ``max_edges``, when given."""
     if not _is_int(n):
         raise DomainError(f"vertex count is not an integer: {n!r}")
     if n > GRAPH_FILE_MAX_N:
         raise SizeLimitError(f"graph files are capped at {GRAPH_FILE_MAX_N} vertices")
     edges = set()
     for pair in pairs:
+        if len(edges) == max_edges:
+            raise SizeLimitError(f"this command is capped at {max_edges} edges")
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(map(_is_int, pair))):
             raise DomainError(f"bad edge: {pair!r}")
@@ -184,7 +185,7 @@ def _ints(tokens: list[str]) -> list[int]:
         raise DomainError("graph file has a token that is not an integer") from None
 
 
-def parse_edge_list(text) -> Graph:
+def parse_edge_list(text, max_edges: int | None = None) -> Graph:
     """First line is the vertex count, then one 'j k' pair per line, 1-based.
 
     ``text`` is a string or an iterable of lines (an open file), read line by
@@ -198,10 +199,10 @@ def parse_edge_list(text) -> Graph:
         raise DomainError("empty graph file")
     if len(first) != 1:
         raise DomainError(f"first line is not a vertex count: {' '.join(first)!r}")
-    return _graph_from_labels(_ints(first)[0], map(_ints, rows))
+    return _graph_from_labels(_ints(first)[0], map(_ints, rows), max_edges)
 
 
-def parse_graph_json(obj) -> Graph:
+def parse_graph_json(obj, max_edges: int | None = None) -> Graph:
     """{"n": N, "edges": [[j, k], ...]} with 1-based vertex labels."""
     if isinstance(obj, str):
         try:
@@ -213,21 +214,22 @@ def parse_graph_json(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj \
             or not isinstance(obj.get("edges"), list):
         raise DomainError('graph JSON needs "n" and a list "edges"')
-    return _graph_from_labels(obj["n"], obj["edges"])
+    return _graph_from_labels(obj["n"], obj["edges"], max_edges)
 
 
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": sorted([u + 1, v + 1] for u, v in g.edges)}
 
 
-def load_graph(path: str) -> Graph:
+def load_graph(path: str, max_edges: int | None = None) -> Graph:
     """A graph file: JSON when its first non-blank line starts with '{', else
-    an edge list, streamed from the file."""
+    an edge list, streamed from the file; an edge list is read no further
+    than its first edge past ``max_edges``."""
     with open(path) as fh:
         line = next((ln for ln in fh if ln.strip()), "")
         if line.lstrip().startswith("{"):
-            return parse_graph_json(line + fh.read())
-        return parse_edge_list(chain([line], fh))
+            return parse_graph_json(line + fh.read(), max_edges)
+        return parse_edge_list(chain([line], fh), max_edges)
 
 
 # ---------------------------------------------------------------------------

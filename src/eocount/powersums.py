@@ -1,20 +1,24 @@
 """Exact moments of monomials in power sums mu_k = sum_j X_j^k of i.i.d.
 centered Gaussians with variance 1/n, as truncated Laurent series in 1/n.
 
-A monomial is a multiset of exponents >= 1, written as a sorted tuple, e.g.
-``(2, 2, 4)`` for mu_2^2 mu_4.  The moments come from one route, Gaussian
-integration by parts, which peels one factor at a time
+A monomial is a multiset of exponents >= 1.  ``mu_moment`` takes it as a
+sequence, e.g. ``(2, 2, 4)`` for mu_2^2 mu_4; the recurrence and its memo
+take it as one int code, in which the multiplicity of exponent e sits in
+bits [FIELD_BITS e, FIELD_BITS (e + 1)), so (2, 2, 4) is 2 << 10 | 1 << 20.
+The moments come from one route, Gaussian integration by parts, which peels
+one factor at a time
 (E[mu_k G] = (k-1)/n E[mu_{k-2} G] + (1/n) sum_a a E[mu_{a+k-2} G/mu_a])
-with results memoized per monomial.  The weights k-1 and a are ints and the
-base case is 1, so the recurrence and its memo run on Python ints; only
-``mu_moment`` turns them into a rational LaurentSeries.  The memo is
-module-global on purpose: the families share it, so a series after the
-first meets it warm.  Exponents are >= 1 here; the series engine carries
-mu_0 = n as the exponent 0 and strips it before calling in.  ``mu_moment``
-caps the factor count and the total degree before any work.  The
-partition-type sum and the set-partition sum over factor positions live in
-the tests as independent cross-checks, with the partition-type enumeration
-and its weights.
+with results memoized per code: peeling mu_k or merging it with mu_a is an
+int subtraction and addition on the code, and the fields are read back only
+on a memo miss.  The weights k-1 and a are ints and the base case is 1, so
+the recurrence and its memo run on Python ints; only ``mu_moment`` turns
+them into a rational LaurentSeries.  The memo is module-global on purpose:
+the families share it, so a series after the first meets it warm.
+Exponents are >= 1 here; the series engine carries mu_0 = n as the exponent
+0 and clears that field before calling in.  ``mu_moment`` caps the factor
+count and the total degree before any work.  The partition-type sum and the
+set-partition sum over factor positions live in the tests as independent
+cross-checks, with the partition-type enumeration and its weights.
 """
 
 from __future__ import annotations
@@ -31,6 +35,13 @@ TYPE_ENUM_MAX_FACTORS = 26
 # RecursionError, so 1000 (about 500 frames) leaves room for the caller's
 # own stack.
 MU_MOMENT_MAX_DEGREE = 1000
+# A monomial is one int code: the multiplicity of exponent e sits in bits
+# [FIELD_BITS e, FIELD_BITS (e + 1)).  The width is fixed, so the memo is
+# shared by every family and order; TYPE_ENUM_MAX_FACTORS < 2^FIELD_BITS, and
+# the series engine's products of at most 13 f_K monomials have at most 26
+# factors.
+FIELD_BITS = 5
+FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def mu_monomial(source) -> tuple[int, ...]:
@@ -41,39 +52,75 @@ def mu_monomial(source) -> tuple[int, ...]:
     return exps
 
 
+def encode(mono: Iterable[int]) -> int:
+    """The packed code of a monomial given by its exponents >= 0, each at
+    most ``FIELD_MASK`` times."""
+    return sum(1 << FIELD_BITS * e for e in mono)
+
+
+def code_fields(code: int) -> list[tuple[int, int]]:
+    """(exponent, multiplicity) for every nonzero field of a code, by rising
+    exponent; the lowest set bit finds the next field, so empty fields cost
+    nothing."""
+    out = []
+    while code:
+        shift = (code & -code).bit_length() - 1
+        shift -= shift % FIELD_BITS
+        m = code >> shift & FIELD_MASK
+        out.append((shift // FIELD_BITS, m))
+        code -= m << shift
+    return out
+
+
+def _degree_and_bound(fields) -> tuple[int, int]:
+    """Total degree and lower bound on the leading power p of E[monomial] as
+    a series in 1/n: p >= deg/2 - #even - #odd/2 (and the moment is 0 for
+    odd total degree).  An exponent 0 counts as even: it is the factor
+    mu_0 = n, exactly -1."""
+    deg = odd = even = 0
+    for e, m in fields:
+        deg += e * m
+        if e & 1:
+            odd += m
+        else:
+            even += m
+    return deg, deg // 2 - even - odd // 2
+
+
 def monomial_order_bound(mono: Iterable[int]) -> int:
-    """Lower bound on the leading power p of E[monomial] as a series in 1/n:
-    p >= deg/2 - #even - #odd/2 (and the moment is 0 for odd total degree).
-    An exponent 0 counts as even: it is the factor mu_0 = n, exactly -1."""
-    mono = tuple(mono)
-    odd = sum(1 for x in mono if x % 2)
-    even = len(mono) - odd
-    return sum(mono) // 2 - even - odd // 2
+    """The order bound of ``_degree_and_bound`` for exponents >= 0."""
+    return _degree_and_bound(code_fields(encode(mono)))[1]
 
 
 # ---------------------------------------------------------------------------
 # fast engine: integration-by-parts recurrence
 
-_MOM_CACHE: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
+_MOM_CACHE: dict[int, tuple[int, dict[int, int]]] = {}
 
 
-def mu_moment_dict(mono: tuple[int, ...], cut: int) -> dict[int, int]:
-    """E[prod mu_j] as {p: int coeff of n^-p}, complete for p <= cut (entries
-    with p > cut may be absent; callers filter).  Memoized per monomial; the
-    internal format of the series engine's hot loop.  The recurrence has int
-    weights and the base case 1, so every coefficient is an int."""
-    if not mono:
+def mu_moment_dict(code: int, cut: int) -> dict[int, int]:
+    """E[prod mu_j] of the monomial with this code (its mu_0 field zero) as
+    {p: int coeff of n^-p}, complete for p <= cut (entries with p > cut may
+    be absent; callers filter).  Memoized per code; the internal format of
+    the series engine's hot loop.  The recurrence has int weights and the
+    base case 1, so every coefficient is an int.  No sub-monomial has more
+    factors than its parent, so no field overflows."""
+    if not code:
         return {0: 1}
-    cached = _MOM_CACHE.get(mono)
+    cached = _MOM_CACHE.get(code)
     if cached is not None and cached[0] >= cut:
         return cached[1]
-    if sum(mono) % 2 or monomial_order_bound(mono) > cut:
-        _MOM_CACHE[mono] = (cut, {})
+    fields = code_fields(code)
+    deg, bound = _degree_and_bound(fields)
+    if deg % 2 or bound > cut:
+        _MOM_CACHE[code] = (cut, {})
         return {}
 
     out: dict[int, int] = {}
-    k = mono[-1]  # peel the largest exponent
-    rest = mono[:-1]
+    k, mk = fields.pop()  # peel the largest exponent
+    rest = code - (1 << FIELD_BITS * k)
+    if mk > 1:
+        fields.append((k, mk - 1))
 
     # replace mu_k by (k-1) mu_{k-2} / n;  mu_0 = n cancels the 1/n
     if k == 2:
@@ -81,25 +128,19 @@ def mu_moment_dict(mono: tuple[int, ...], cut: int) -> dict[int, int]:
             if p <= cut:
                 out[p] = out.get(p, 0) + c
     elif k > 2:
-        sub = mu_moment_dict(tuple(sorted(rest + (k - 2,))), cut - 1)
+        sub = mu_moment_dict(rest + (1 << FIELD_BITS * (k - 2)), cut - 1)
         w = k - 1
         for p, c in sub.items():
             if p + 1 <= cut:
                 out[p + 1] = out.get(p + 1, 0) + w * c
 
     # merge mu_k with one other factor mu_a into mu_{a+k-2} / n
-    i = 0
-    L = len(rest)
-    while i < L:
-        j = i
-        while j < L and rest[j] == rest[i]:
-            j += 1
-        a = rest[i]
-        w = a * (j - i)
-        base = rest[:i] + rest[i + 1:]
+    for a, m in fields:
+        w = a * m
+        base = rest - (1 << FIELD_BITS * a)
         merged = a + k - 2
         if merged >= 1:
-            sub = mu_moment_dict(tuple(sorted(base + (merged,))), cut - 1)
+            sub = mu_moment_dict(base + (1 << FIELD_BITS * merged), cut - 1)
             for p, c in sub.items():
                 if p + 1 <= cut:
                     out[p + 1] = out.get(p + 1, 0) + w * c
@@ -107,10 +148,9 @@ def mu_moment_dict(mono: tuple[int, ...], cut: int) -> dict[int, int]:
             for p, c in mu_moment_dict(base, cut).items():
                 if p <= cut:
                     out[p] = out.get(p, 0) + w * c
-        i = j
 
     out = {p: c for p, c in out.items() if c != 0}
-    _MOM_CACHE[mono] = (cut, out)
+    _MOM_CACHE[code] = (cut, out)
     return out
 
 
@@ -122,5 +162,5 @@ def mu_moment(mono, p_max: int | None = None) -> LaurentSeries:
     if sum(mono) > MU_MOMENT_MAX_DEGREE:
         raise SizeLimitError(f"mu_moment capped at total degree {MU_MOMENT_MAX_DEGREE}")
     cut = sum(mono) // 2 if p_max is None else p_max
-    full = mu_moment_dict(mono, cut)
+    full = mu_moment_dict(encode(mono), cut)
     return LaurentSeries({p: c for p, c in full.items() if p <= cut}, p_max)

@@ -53,7 +53,7 @@ import numpy as np
 from eocount.cumulants import double_factorial
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import WeightSpec, weight_log_coeffs
-from eocount.graphs import CHEEGER_MAX_N, adjacency_lists
+from eocount.graphs import CHEEGER_MAX_N
 from eocount.laurent import LaurentSeries
 from eocount.powersums import TYPE_ENUM_MAX_FACTORS, mu_moment, mu_monomial
 
@@ -687,7 +687,10 @@ def cheeger_gray_code(g) -> Fraction:
         raise DomainError("Cheeger constant needs n >= 2")
     if n > CHEEGER_MAX_N:
         raise SizeLimitError(f"exhaustive Cheeger scan capped at n={CHEEGER_MAX_N}")
-    nbr = [sum(1 << w for w in adj) for adj in adjacency_lists(g)]
+    nbr = [0] * n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
     deg = g.degrees
     mask = 0
     cut = 0

@@ -219,6 +219,25 @@ def test_huge_vertex_count_is_rejected_before_any_graph(capsys, tmp_path,
             assert_one_error_line(capsys.readouterr(), "size-limit")
 
 
+def test_exact_eo_stops_reading_at_the_first_edge_past_the_cap(
+        capsys, tmp_path, monkeypatch):
+    # C_41 has one edge more than exact.EO_MAX_EDGES = 40; the garbled line
+    # after it would be a domain error if it were read
+    over = cycle_graph(41)
+    plain = write_edges(tmp_path / "c41.edges", over)
+    code, env = run_json(capsys, ["graphinfo", "--graph", plain])
+    assert code == 0 and env["result"]["edges"] == 41
+    garbled = tmp_path / "garbled.edges"
+    garbled.write_text((tmp_path / "c41.edges").read_text() + "1 x\n")
+    as_json = tmp_path / "garbled.json"
+    as_json.write_text(json.dumps(
+        {"n": 41, "edges": graph_to_json(over)["edges"] + [[1, "x"]]}))
+    monkeypatch.setattr("eocount.graphs.Graph", fail_if_called("the graph"))
+    for path in (garbled, as_json):
+        assert main(["exact", "eo", "--graph", str(path)]) == 3
+        assert_one_error_line(capsys.readouterr(), "size-limit")
+
+
 def test_undecodable_file_is_one_json_line(capsys, tmp_path):
     p = tmp_path / "binary.edges"
     p.write_bytes(b"\xff\xfe\x00")

@@ -187,6 +187,24 @@ def test_connectivity_of_tiny_graphs():
     assert not Graph(2, frozenset()).is_connected()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, max(n - 1, 0)),
+                                  st.integers(0, max(n - 1, 0)))))))
+def test_connectivity_agrees_with_the_spanning_tree_count(case):
+    n, pairs = case
+    g = Graph(n, frozenset((u, v) for u, v in pairs if u < v))
+    assert g.is_connected() == (spanning_tree_count(g) > 0)
+
+
+def test_connectivity_of_disconnected_graphs():
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
+                                         (3, 4), (4, 5), (3, 5)])
+    assert not two_triangles.is_connected()
+    assert not Graph.from_edges(4, [(0, 1), (1, 2)]).is_connected()
+    assert Graph.from_edges(4, [(0, 1), (1, 2), (3, 2)]).is_connected()
+
+
 def test_all_degrees_even():
     assert all_degrees_even(cycle_graph(4))
     assert not all_degrees_even(complete_graph(4))

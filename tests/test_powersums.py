@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from eocount.cumulants import double_factorial
 from eocount.errors import SizeLimitError
 from eocount.laurent import LaurentSeries
-from eocount.powersums import (MU_MOMENT_MAX_DEGREE, monomial_order_bound,
-                               mu_moment, mu_moment_dict, mu_monomial)
+from eocount.expansion import MAX_ORDER, family_orders
+from eocount.powersums import (FIELD_BITS, MU_MOMENT_MAX_DEGREE,
+                               TYPE_ENUM_MAX_FACTORS, code_fields, encode,
+                               monomial_order_bound, mu_moment, mu_moment_dict,
+                               mu_monomial)
 
 from oracles import (a_coeff, b_coeff, bell_number, count_partition_types,
                      enumerate_partition_types, gaussian_power_moment,
@@ -22,6 +25,19 @@ def test_mu_monomial_normalization():
     assert mu_monomial([3, 1, 2, 1]) == (1, 1, 2, 3)
     with pytest.raises(ValueError):
         mu_monomial([0, 1])
+
+
+@given(st.lists(st.integers(0, 40), max_size=TYPE_ENUM_MAX_FACTORS))
+def test_code_fields_read_back_the_encoded_monomial(exps):
+    fields = code_fields(encode(exps))
+    assert [e for e, _ in fields] == sorted(set(exps))
+    assert tuple(e for e, m in fields for _ in range(m)) == tuple(sorted(exps))
+
+
+def test_fields_hold_every_product_the_series_engine_forms():
+    # a product of M <= 13 f_K monomials has at most 2M factors, and the
+    # recurrence never adds one, so no field of width FIELD_BITS overflows
+    assert 2 * family_orders(MAX_ORDER)[0] <= TYPE_ENUM_MAX_FACTORS < 1 << FIELD_BITS
 
 
 def test_enumerate_types_examples():
@@ -105,7 +121,8 @@ def test_mu_moment_is_int_and_matches_types_at_every_truncation(exps):
     mono = mu_monomial(exps)
     for p_max in [*range(sum(mono) // 2 + 1), None]:
         cut = sum(mono) // 2 if p_max is None else p_max
-        assert all(type(c) is int for c in mu_moment_dict(mono, cut).values())
+        assert all(type(c) is int
+                   for c in mu_moment_dict(encode(mono), cut).values())
         assert mu_moment(mono, p_max) == mu_moment_via_types(mono, p_max), p_max
 
 
