@@ -105,8 +105,14 @@ def rt_count(n: int) -> int:
 
     Vertex-elimination recurrence: repeatedly remove a vertex of maximal
     remaining out-degree requirement and choose which opponents beat it.
-    States are sorted residual multisets; choices within a block of equal
-    residuals are aggregated by binomial weights.
+    States are sorted residual tuples.  A state's other residuals are walked
+    block by block, equal values together and rising, with one dict keyed by
+    (new residuals so far, wins still needed): from a block of c residuals
+    v >= 1, b of them beat the removed vertex in comb(c, b) ways and drop to
+    v - 1.  A residual drops by at most one and the blocks rise, so every new
+    state is sorted as built.  A branch that the later blocks cannot finish
+    is cut at once, so every branch past the last block is a new state; the
+    one vertex left after n - 1 eliminations must have residual 0.
     """
     if n < 1 or n % 2 == 0:
         raise DomainError("regular tournaments need a positive odd vertex count")
@@ -114,45 +120,31 @@ def rt_count(n: int) -> int:
         raise SizeLimitError(f"rt_count capped at n={RT_MAX_N}")
     s = (n - 1) // 2
     layer: dict[tuple[int, ...], int] = {(s,) * n: 1}
-    for _ in range(n):
+    for _ in range(n - 1):
         nxt: dict[tuple[int, ...], int] = {}
         for state, weight in layer.items():
-            r0 = state[-1]           # eliminate a max-residual vertex
-            rest = state[:-1]
-            k = len(rest)
-            need = k - r0            # opponents that beat the eliminated vertex
-            if need < 0:
-                continue
-            # blocks of equal residuals
-            blocks = []
+            k = len(state) - 1       # eliminate a max-residual vertex
+            part = {((), k - state[-1]): weight}
             i = 0
             while i < k:
-                j = i
-                while j < k and rest[j] == rest[i]:
+                v = state[i]
+                j = i + 1
+                while j < k and state[j] == v:
                     j += 1
-                blocks.append((rest[i], j - i))
+                c, left = j - i, k - j
+                step: dict[tuple[tuple[int, ...], int], int] = {}
+                for (new, need), ways in part.items():
+                    # the left residuals after this block are all >= 1 and
+                    # can cover at most left wins; a negative need has no b
+                    for b in range(max(need - left, 0), min(c if v else 0, need) + 1):
+                        key = (new + (v - 1,) * b + (v,) * (c - b), need - b)
+                        step[key] = step.get(key, 0) + ways * comb(c, b)
+                part = step
                 i = j
-
-            def distribute(bi: int, left: int, ways: int, acc: list[int]):
-                if left == 0:
-                    vals: list[int] = []
-                    for (val, cnt), b in zip(blocks, acc + [0] * (len(blocks) - len(acc))):
-                        if b:
-                            vals.extend([val - 1] * b)
-                        vals.extend([val] * (cnt - b))
-                    key = tuple(sorted(vals))
-                    nxt[key] = nxt.get(key, 0) + ways
-                    return
-                if bi == len(blocks):
-                    return
-                val, cnt = blocks[bi]
-                cap = min(cnt, left) if val >= 1 else 0
-                for b in range(cap + 1):
-                    distribute(bi + 1, left - b, ways * comb(cnt, b), acc + [b])
-
-            distribute(0, need, weight, [])
+            for (new, _), ways in part.items():
+                nxt[new] = nxt.get(new, 0) + ways
         layer = nxt
-    return layer.get((), 0)
+    return layer.get((0,), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -56,17 +56,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Graph from 0-based pairs in either order; a self-loop or an edge
-        given twice (in either direction) is a DomainError, not merged."""
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise DomainError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in norm:
-                raise DomainError(f"repeated edge ({u}, {v})")
-            norm.add(e)
-        return cls(n, frozenset(norm))
+        """Graph from 0-based pairs in either order, by the edge rule of the
+        graph files (``_edge_set``); a bad pair is a DomainError."""
+        return cls(n, _edge_set(n, edges, 0))
 
     @property
     def edge_count(self) -> int:
@@ -149,16 +141,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _graph_from_labels(n, pairs, max_edges: int | None = None) -> Graph:
-    """Graph on n vertices from 1-based integer label pairs, read in one pass
-    after the vertex cap; errors name the file's labels.  A repeated edge is
-    an error, as in ``Graph.from_edges`` (a multigraph is not a simple
-    graph).  Reading stops with a SizeLimitError at the first pair past
-    ``max_edges``, when given."""
-    if not _is_int(n):
-        raise DomainError(f"vertex count is not an integer: {n!r}")
-    if n > GRAPH_FILE_MAX_N:
-        raise SizeLimitError(f"graph files are capped at {GRAPH_FILE_MAX_N} vertices")
+def _edge_set(n: int, pairs, first: int, max_edges: int | None = None) -> frozenset:
+    """The 0-based edges from pairs of labels first..first + n - 1 in either
+    order, each a 2-element list or tuple of ints (not bools).  A self-loop or
+    a repeat in either order is a DomainError, not merged, naming the labels
+    as given; the first pair past ``max_edges`` is a SizeLimitError."""
+    last = first + n - 1
     edges = set()
     for pair in pairs:
         if len(edges) == max_edges:
@@ -167,15 +155,24 @@ def _graph_from_labels(n, pairs, max_edges: int | None = None) -> Graph:
                 and all(map(_is_int, pair))):
             raise DomainError(f"bad edge: {pair!r}")
         j, k = pair
-        if not (1 <= j <= n and 1 <= k <= n):
-            raise DomainError(f"edge ({j}, {k}) out of range 1..{n}")
+        if not (first <= j <= last and first <= k <= last):
+            raise DomainError(f"edge ({j}, {k}) out of range {first}..{last}")
         if j == k:
             raise DomainError(f"self-loop at vertex {j}")
-        e = (j - 1, k - 1) if j < k else (k - 1, j - 1)
+        e = (j - first, k - first) if j < k else (k - first, j - first)
         if e in edges:
             raise DomainError(f"repeated edge ({j}, {k})")
         edges.add(e)
-    return Graph(n, frozenset(edges))
+    return frozenset(edges)
+
+
+def _graph_from_labels(n, pairs, max_edges: int | None = None) -> Graph:
+    """Graph on n vertices from 1-based label pairs, after the vertex cap."""
+    if not _is_int(n):
+        raise DomainError(f"vertex count is not an integer: {n!r}")
+    if n > GRAPH_FILE_MAX_N:
+        raise SizeLimitError(f"graph files are capped at {GRAPH_FILE_MAX_N} vertices")
+    return Graph(n, _edge_set(n, pairs, 1, max_edges))
 
 
 def _ints(tokens: list[str]) -> list[int]:

@@ -13,8 +13,8 @@ E[e^f] = (1+delta)^n exp(sum kappa_r/r!).  The only transcendental comparison
 (the delta inequality) runs in interval arithmetic with outward rounding, so
 a reported pass is rigorous.  Three caps apply before any work: the space
 has at most SPACE_MAX_POINTS points, the order m is at most TAIL_MAX_M, and
-the alpha walk at the requested order reads at most ALPHA_MAX_READS table
-entries (``alpha_reads``).
+the alpha walk at the requested order (``alpha_reads``) and the Delta_V walk
+each read at most ALPHA_MAX_READS table entries.
 """
 
 from __future__ import annotations
@@ -22,17 +22,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import factorial, lcm, prod
-from operator import sub
+from operator import mul, sub
 
 from .cumulants import moments_to_cumulants
 from .errors import DomainError, SizeLimitError
 
 SPACE_MAX_POINTS = 10**6
-# Cap on alpha_reads, about half a minute of walk on one core: 16 fair bits at
-# m = 3 read 1.4e7 entries in 3.4 s and 18 bits 7.8e7 in 21 s; 19 fair bits
-# at m = 3, inside SPACE_MAX_POINTS, would read 1.8e8.
+# Cap on the entries read by the alpha walk (alpha_reads) or by Delta_V, about
+# half a minute of walk on one core: 16 fair bits at m = 3 read 1.4e7 entries
+# in 3.4 s and 18 bits 7.8e7 in 21 s; 19 fair bits at m = 3, inside
+# SPACE_MAX_POINTS, would read 1.8e8, and Delta_V on six 10-value coordinates 2.4e9.
 ALPHA_MAX_READS = 10**8
 # Largest order m.  The cumulants, their bounds (80 alpha)^r and their digits
 # grow with m: on a one-coordinate instance m = 100 takes 0.2 s, m = 400
@@ -208,11 +209,19 @@ def _narrow_first(space: DiscreteProductSpace, coords) -> list[int]:
 
 def delta_V(space: DiscreteProductSpace, table, V) -> Fraction:
     """sup over x, y of |iterated difference of f over the coordinates in V|,
-    exact (integer arithmetic over a common denominator)."""
+    exact (integer arithmetic over a common denominator).  Refused before any
+    work when the walk would read more than ALPHA_MAX_READS table entries."""
     V = set(V)
     for j in V:
         if not 0 <= j < space.n:
             raise DomainError(f"coordinate {j} out of range")
+    order = _narrow_first(space, V)
+    # each level of the walk reads (k - 1)/2 times the entries of the one
+    # before, k the alphabet size of the coordinate it takes
+    gains = (Fraction(space.sizes[j] - 1, 2) for j in order[:-1])
+    if prod(space.sizes) * sum(accumulate(gains, mul, initial=1)) > ALPHA_MAX_READS:
+        raise SizeLimitError(f"Delta_V would read more than "
+                             f"{ALPHA_MAX_READS:.0e} table entries")
     vals, den = _scaled_int_table(space, table)
     if not V:
         return Fraction(max(map(abs, vals)), den)
@@ -225,8 +234,7 @@ def delta_V(space: DiscreteProductSpace, table, V) -> Fraction:
         return max((walk(s, _drop(axes, pos), _drop(shape, pos), rest[1:])
                     for s in _pair_slices(rows)), default=0)
 
-    return Fraction(walk(vals, tuple(range(space.n)), space.sizes,
-                         _narrow_first(space, V)), den)
+    return Fraction(walk(vals, tuple(range(space.n)), space.sizes, order), den)
 
 
 def alpha_reads(sizes, m: int) -> int:

@@ -221,6 +221,10 @@ def test_graph_validation():
         with pytest.raises(DomainError, match="repeated edge"):
             Graph.from_edges(3, pairs)
     assert Graph.from_edges(3, [(1, 0), (2, 1)]).edges == {(0, 1), (1, 2)}
+    # the edge rule of the graph files: a pair is two ints, never a bool
+    for pair in ((0, 1, 2), (0.0, 1.0), (True, 2), "ab"):
+        with pytest.raises(DomainError, match="bad edge"):
+            Graph.from_edges(3, [pair])
     with pytest.raises(DomainError, match="nonnegative"):
         Graph(-1, frozenset())
     with pytest.raises(DomainError, match="n >= 3"):

@@ -238,6 +238,25 @@ def test_alpha_work_cap_comes_before_any_work(monkeypatch):
         check_tail_bound(space, table, 3)
 
 
+def test_delta_work_cap_comes_before_any_work(monkeypatch):
+    # six 10-value coordinates fit the space cap; Delta_V over all six would
+    # read 2.4e9 table entries, over the five of a 10^5-point space 5.3e7
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(taillab, "_scaled_int_table", reached)
+    for n, refused in ((5, False), (6, True)):
+        space = DiscreteProductSpace([list(range(10))] * n, [["1/10"] * 10] * n)
+        with pytest.raises(SizeLimitError if refused else Reached):
+            delta_V(space, (Fraction(0),) * 10**n, range(n))
+    # a subset of the six coordinates that reads less is not refused
+    with pytest.raises(Reached):
+        delta_V(space, (Fraction(0),) * 10**6, range(3))
+
+
 def test_alpha_m1_is_max_oscillation():
     sp = bits(3)
     f = sp.tabulate(lambda a, b, c: a * b + 5 * c)
