@@ -7,8 +7,8 @@ runs at the fixed DEFAULT_BITS = 256 bits, reported as precision.bits, and
 prints 30 significant digits (40 for expand --eval).  Each exact subject
 takes only its own flag: rt, ed and eog --n, eo --graph.  Exit codes:
 0 success, 2 usage or domain error, 3 size cap, 4 I/O error; every failure
-prints one JSON line on stderr.  An integer longer than MAX_DIGITS decimal
-digits is a size cap, found from its bit length before any str().
+prints one JSON line on stderr.  Every result number is printed by
+``expansion.to_text``, which refuses an oversized one with a size cap.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
 from .estimator import eo_estimate, schrijver_bounds, schrijver_upper_squared
-from .expansion import DEFAULT_BITS
+from .expansion import DEFAULT_BITS, require_digits, require_exponent, to_text
 from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
 from .taillab import check_tail_bound, instance_from_json
@@ -32,17 +32,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 2
 EXIT_SIZE = 3
 EXIT_IO = 4
-# Longest decimal integer a result may hold, under CPython's default limit of
-# 4300 digits on int -> str (which is quadratic in the length); the count
-# comes from the bit length and may be one too high.
-MAX_DIGITS = 4000
-
-
-def _require_digits(what: str, *values: int) -> None:
-    for x in values:
-        if abs(x).bit_length() * 30103 // 100000 + 1 > MAX_DIGITS:
-            raise SizeLimitError(f"{what} would print more than {MAX_DIGITS} "
-                                 "decimal digits")
 
 
 def _envelope(command: str, inputs: dict, result: dict, t0: float,
@@ -107,7 +96,7 @@ def _cmd_exact(args):
                else arg)
     value = getattr(exact, counter)(subject)
     return ({"subject": args.subject, flag: arg},
-            {"value": str(value), "method": method}, None)
+            {"value": to_text(value), "method": method}, None)
 
 
 def _cmd_expand(args):
@@ -124,20 +113,21 @@ def _cmd_expand(args):
     value, logv = expansion.evaluate_expansion(res, args.eval, DEFAULT_BITS)
     payload["eval"] = {
         "n": args.eval,
-        "value": mpmath.nstr(value, 40),
-        "log_value": mpmath.nstr(logv, 40),
+        "value": to_text(value, 40),
+        "log_value": to_text(logv, 40),
     }
     known = exact.RT_KNOWN_COUNTS.get(args.eval) if res.family == "RT" else None
     if known is not None:
         with mpmath.workprec(DEFAULT_BITS):
-            payload["eval"]["log_ratio_to_exact"] = mpmath.nstr(
+            payload["eval"]["log_ratio_to_exact"] = to_text(
                 mpmath.log(mpmath.mpf(known)) - logv, 10)
     return inputs, payload, DEFAULT_BITS
 
 
 def rational(text: str) -> str:
-    """Checks that an argument is a rational (int, decimal or p/q); keeps the
-    text as given."""
+    """Checks that an argument is a rational (int, decimal or p/q) with an
+    exponent of at most MAX_DIGITS; keeps the text as given."""
+    require_exponent(text)
     try:
         Fraction(text)
     except ZeroDivisionError:
@@ -156,17 +146,17 @@ def _cmd_estimate(args):
 def _cmd_bounds(args):
     g = load_graph(args.graph)
     # lower = B / 2^|E| in lowest terms: no part is longer than B or 2^|E|
-    _require_digits("the bounds", schrijver_upper_squared(g), 1 << g.edge_count)
+    require_digits("the bounds", schrijver_upper_squared(g), 1 << g.edge_count)
     lower, upper_sq = schrijver_bounds(g)
     import mpmath
 
     with mpmath.workprec(DEFAULT_BITS):
         result = {
-            "lower": str(lower),
-            "lower_decimal": mpmath.nstr(expansion.to_mpf(lower, DEFAULT_BITS), 30),
-            "upper_squared": str(upper_sq),
-            "upper_decimal": mpmath.nstr(mpmath.sqrt(mpmath.mpf(upper_sq)), 30),
-            "pauling": str(lower),
+            "lower": to_text(lower),
+            "lower_decimal": to_text(lower, 30),
+            "upper_squared": to_text(upper_sq),
+            "upper_decimal": to_text(mpmath.sqrt(mpmath.mpf(upper_sq)), 30),
+            "pauling": to_text(lower),
         }
     return {"graph": args.graph}, result, DEFAULT_BITS
 
@@ -175,16 +165,13 @@ def _cmd_taillab(args):
     with open(args.instance) as fh:
         space, table = instance_from_json(fh.read(), args.m)
     rep = check_tail_bound(space, table, args.m)
-    exact_values = (rep.alpha, *rep.kappas, *rep.kappa_bounds)
-    _require_digits("the tail report", *(part for q in exact_values
-                                         for part in q.as_integer_ratio()))
     return {"instance": args.instance, "m": args.m}, rep.to_json(), None
 
 
 def _cmd_graphinfo(args):
     g = load_graph(args.graph)
     try:
-        tau, tau_skipped = str(spanning_tree_count(g)), None
+        tau, tau_skipped = to_text(spanning_tree_count(g)), None
     except SizeLimitError as exc:  # above graphs.DENSE_MAX_N
         tau, tau_skipped = None, str(exc)
     result = {
@@ -201,8 +188,8 @@ def _cmd_graphinfo(args):
     except (DomainError, SizeLimitError) as exc:  # n < 2, or above CHEEGER_MAX_N
         h, cheeger_skipped = None, str(exc)
     d = g.max_degree()
-    result["cheeger"] = str(h) if h is not None else None
-    result["cheeger_over_max_degree"] = str(h / d) if h is not None and d else None
+    result["cheeger"] = to_text(h) if h is not None else None
+    result["cheeger_over_max_degree"] = to_text(h / d) if h is not None and d else None
     result["cheeger_skipped"] = cheeger_skipped
     return {"graph": args.graph}, result, None
 

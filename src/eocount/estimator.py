@@ -24,7 +24,7 @@ from operator import mul
 
 from .errors import DomainError, SizeLimitError
 from .expansion import (DEFAULT_BITS, WeightSpec, require_precision, to_mpf,
-                        weight_log_coeffs)
+                        to_text, weight_log_coeffs)
 from .graphs import (Graph, all_degrees_even, cheeger_constant,
                      l_plus_j_adjugate, require_dense, spanning_tree_count)
 from .cumulants import double_factorial
@@ -282,35 +282,33 @@ class EstimateReport:
     def to_json(self) -> dict:
         import mpmath
 
-        def fstr(x):  # an exact value is rounded once, at the report's bits
-            if isinstance(x, Fraction):
-                x = to_mpf(x, self.bits)
-            return mpmath.nstr(x, 30)
-
-        lower = fstr(self.schrijver_lower)
-        with mpmath.workprec(self.bits):
+        bits = self.bits
+        lower = to_text(self.schrijver_lower, 30, bits)
+        with mpmath.workprec(bits):
             return {
                 "graph": self.graph_id,
                 "n": self.n,
                 "edges": self.edge_count,
-                "w": str(self.w),
+                "w": to_text(self.w),
                 "precision_bits": self.bits,
-                "sigma_norm_inf": fstr(self.sigma_norm_inf),
+                "sigma_norm_inf": to_text(self.sigma_norm_inf, 30, bits),
                 "in_hypothesis": self.in_hypothesis,
-                "log_eo_hat": fstr(self.log_eo_hat),
-                "eo_hat": fstr(mpmath.exp(self.log_eo_hat)),
-                "kappa": {str(r): fstr(v) for r, v in self.kappa.items()},
-                "log_corrected": {str(r): fstr(v)
+                "log_eo_hat": to_text(self.log_eo_hat, 30, bits),
+                "eo_hat": to_text(mpmath.exp(self.log_eo_hat), 30, bits),
+                "kappa": {str(r): to_text(v, 30, bits)
+                          for r, v in self.kappa.items()},
+                "log_corrected": {str(r): to_text(v, 30, bits)
                                   for r, v in self.log_corrected.items()},
-                "corrected": {str(r): fstr(mpmath.exp(v))
+                "corrected": {str(r): to_text(mpmath.exp(v), 30, bits)
                               for r, v in self.log_corrected.items()},
                 "schrijver_lower": lower,
-                "schrijver_upper": fstr(mpmath.sqrt(self.schrijver_upper_sq)),
+                "schrijver_upper": to_text(mpmath.sqrt(self.schrijver_upper_sq),
+                                           30, bits),
                 "pauling": lower,
                 "within_sandwich": {str(M): inside for M, inside
                                     in self.within_sandwich().items()},
-                "cheeger": str(self.cheeger) if self.cheeger is not None else None,
-                "cheeger_over_max_degree": (str(self.cheeger_ratio)
+                "cheeger": to_text(self.cheeger) if self.cheeger is not None else None,
+                "cheeger_over_max_degree": (to_text(self.cheeger_ratio)
                                             if self.cheeger_ratio is not None
                                             else None),
                 "cheeger_skipped": self.cheeger_skipped,

@@ -21,8 +21,9 @@ its exponents packed in fixed-width bit fields, so a product of monomials is
 an int addition; the products are kept in buckets by their order bound,
 which adds up over the factors.  The power-sum recurrence and its memo take
 the same codes, so no code is unpacked into a tuple.  Each family's weight
-and prefactor sit in one table, ``FAMILIES``, and an exact rational becomes
-an mpf only in ``to_mpf``.
+and prefactor sit in one table, ``FAMILIES``; an exact rational becomes
+an mpf only in ``to_mpf``, and a result number becomes text only in
+``to_text``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ DEFAULT_BITS = 256
 # `expand rt --order 2 --eval 3` and 4.6 s for `estimate` on K5 (whole
 # processes); 2^16 bits (about 19,700 digits) took 1.4 s for the estimate.
 MAX_BITS = 2**16
+# Longest decimal integer a result may print, under CPython's 4300-digit limit
+# on int -> str (which is quadratic in the length).
+MAX_DIGITS = 4000
+# Most digits in the decimal exponent of a printed float: mpmath's nstr took
+# 0.03 s at 300 digits, 0.11 s at 500, 0.70 s at 1,000 and 10 s at 3,000.
+MAX_EXPONENT_DIGITS = 500
 
 # family -> ((a, b), prefactor, (q, s, c)): the weight a + b cos and the
 # closed-form prefactor n^(1/2) (q^(n+s)/(c pi n))^((n-1)/2), as text and as
@@ -106,6 +113,42 @@ def to_mpf(x: Fraction, bits: int):
 
     return mpmath.mpf(from_rational(x.numerator, x.denominator, bits, round_nearest),
                       prec=bits)
+
+
+def require_digits(what: str, *values: int) -> None:
+    """SizeLimitError if an integer has more than MAX_DIGITS decimal digits,
+    counted from its bit length (possibly one too many)."""
+    if any(abs(x).bit_length() * 30103 // 100000 >= MAX_DIGITS for x in values):
+        raise SizeLimitError(f"{what} would print more than {MAX_DIGITS} "
+                             "decimal digits")
+
+
+def require_exponent(text: str) -> None:
+    """SizeLimitError for a decimal exponent past MAX_DIGITS, before
+    Fraction(text) builds 10^exponent."""
+    exp = text.lower().partition("e")[2].strip().lstrip("+-")
+    exp = exp.replace("_", "").lstrip("0")
+    if exp.isdecimal() and (len(exp) > len(str(MAX_DIGITS)) or int(exp) > MAX_DIGITS):
+        raise SizeLimitError(f"an exponent past {MAX_DIGITS} in {text[:40]!r}")
+
+
+def to_text(x, digits: int | None = None, bits: int = DEFAULT_BITS) -> str:
+    """x as result text: an int or a Fraction exactly, or with ``digits`` an
+    mpf to that many significant digits, an exact value rounded first by
+    ``to_mpf``.  Before any conversion, SizeLimitError for an integer past
+    MAX_DIGITS or a decimal exponent past MAX_EXPONENT_DIGITS digits."""
+    if digits is None:
+        require_digits("a result", *x.as_integer_ratio())
+        return str(x)
+    if isinstance(x, (int, Fraction)):
+        x = to_mpf(x, bits)
+    _, _, exp, bc = x._mpf_
+    if abs(exp + bc) * 30103 // 100000 >= 10**MAX_EXPONENT_DIGITS:
+        raise SizeLimitError("a result's decimal exponent would pass "
+                             f"{MAX_EXPONENT_DIGITS} digits")
+    import mpmath
+
+    return mpmath.nstr(x, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +226,7 @@ class ExpansionResult:
             "family": self.family,
             "order": self.order,
             "prefactor": self.prefactor,
-            "coeffs": {str(p): str(c) for p, c in sorted(self.coeffs.items())},
+            "coeffs": {str(p): to_text(c) for p, c in sorted(self.coeffs.items())},
         }
 
 

@@ -28,6 +28,7 @@ from operator import mul, sub
 
 from .cumulants import moments_to_cumulants
 from .errors import DomainError, SizeLimitError
+from .expansion import require_exponent, to_text
 
 SPACE_MAX_POINTS = 10**6
 # Cap on the entries read by the alpha walk (alpha_reads) or by Delta_V, about
@@ -95,13 +96,16 @@ class DiscreteProductSpace:
 
 
 def _rationals(items, what: str) -> tuple[Fraction, ...]:
-    """A list of rationals (numbers or "p/q" strings) as Fractions."""
+    """A list of rationals (numbers or "p/q" strings, not bools) as
+    Fractions; a string's decimal exponent is checked before it is read."""
     if not isinstance(items, (list, tuple)):
         raise DomainError(f"{what} must be a list")
     out = []
     for v in items:
-        try:
-            out.append(Fraction(v))
+        if isinstance(v, str):
+            require_exponent(v)
+        try:  # Fraction(True) would be 1
+            out.append(Fraction(None if isinstance(v, bool) else v))
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise DomainError(f"{what} has a non-rational entry {v!r}") from None
     return tuple(out)
@@ -150,7 +154,7 @@ def instance_from_json(obj, m: int | None = None):
 
 def _scaled_int_table(space, table) -> tuple[list[int], int]:
     """(numerators, den): the table as ints over one common denominator."""
-    table = tuple(Fraction(v) for v in table)
+    table = _rationals(table, "the table f")
     if len(table) != prod(space.sizes):
         raise DomainError("function table length mismatch")
     den = lcm(*(v.denominator for v in table))
@@ -343,18 +347,18 @@ class TailReport:
     holds: bool
 
     def to_json(self) -> dict:
-        from mpmath import mpf
+        from mpmath import mpf  # 53-bit mids to 15 digits, mpmath's default str()
 
         return {
             "n": self.n,
             "m": self.m,
-            "alpha": str(self.alpha),
-            "kappas": [str(k) for k in self.kappas],
-            "log_mgf": str(mpf(self.log_mgf.mid)),
-            "delta": str(mpf(self.delta.mid)),
-            "delta_bound": str(mpf(self.delta_bound.mid)),
+            "alpha": to_text(self.alpha),
+            "kappas": [to_text(k) for k in self.kappas],
+            "log_mgf": to_text(mpf(self.log_mgf.mid, prec=53), 15),
+            "delta": to_text(mpf(self.delta.mid, prec=53), 15),
+            "delta_bound": to_text(mpf(self.delta_bound.mid, prec=53), 15),
             "delta_holds": self.delta_holds,
-            "kappa_bounds": [str(b) for b in self.kappa_bounds],
+            "kappa_bounds": [to_text(b) for b in self.kappa_bounds],
             "kappa_holds": self.kappa_holds,
             "holds": self.holds,
         }

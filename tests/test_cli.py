@@ -249,7 +249,9 @@ def test_malformed_instance_is_one_json_line(capsys, tmp_path):
     good = instance_to_json(DiscreteProductSpace.uniform_bits(1), [0, 1])
     bad = [{k: v for k, v in good.items() if k != key}
            for key in ("alphabets", "weights", "f")]
-    bad += [dict(good, f=["0", "x"]), dict(good, weights=[["1/2", "1/0"]])]
+    bad += [dict(good, f=["0", "x"]), dict(good, weights=[["1/2", "1/0"]]),
+            dict(good, f=[False, True]),
+            dict(good, alphabets=[[0]], weights=[[True]], f=[0])]
     for text in [json.dumps(obj) for obj in bad] + ['{"alphabets": [']:
         p = tmp_path / "inst.json"
         p.write_text(text)
@@ -296,6 +298,25 @@ def test_taillab_report_digit_cap(capsys, tmp_path):
     code, env = run_json(capsys, ["taillab", "--instance", str(inst),
                                   "--m", "20"])
     assert code == 0 and len(env["result"]["kappa_bounds"]) == 20
+
+
+def test_printed_numbers_are_checked_before_conversion(capsys, tmp_path):
+    c3 = write_edges(tmp_path / "c3.edges", cycle_graph(3))
+    # delta_bound = e^(10^504) - 1 has a 504-digit decimal exponent
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(instance_to_json(
+        DiscreteProductSpace.uniform_bits(1), ["0", "1e250"])))
+    # a label is never printed, but Fraction would build 10^4001 from it
+    label = tmp_path / "label.json"
+    label.write_text(json.dumps({"alphabets": [["1e4001", "1"]],
+                                 "weights": [["1/2", "1/2"]], "f": ["0", "1"]}))
+    for argv in (["estimate", "--graph", c3, "--w", str(10**4100)],
+                 # the value is about e^(10^519)
+                 ["expand", "rt", "--order", "2", "--eval", str(10**260 + 1)],
+                 ["taillab", "--instance", str(huge), "--m", "1"],
+                 ["taillab", "--instance", str(label), "--m", "1"]):
+        assert main(argv) == 3, argv[:3]
+        assert_one_error_line(capsys.readouterr(), "size-limit")
 
 
 def test_bounds_digit_cap_on_a_large_cycle(capsys, tmp_path, monkeypatch):
@@ -624,7 +645,8 @@ def test_usage_errors_are_one_json_line(capsys):
     for argv in (["exact", "rt", "--n", "abc"],
                  ["--threads", "2", "exact", "rt", "--n", "3"],
                  ["estimate", "--graph", "g.edges", "--w", "abc"],
-                 ["estimate", "--graph", "g.edges", "--w", "1/0"]):
+                 ["estimate", "--graph", "g.edges", "--w", "1/0"],
+                 ["estimate", "--graph", "g.edges", "--w", "1e4001"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

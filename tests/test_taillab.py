@@ -356,6 +356,8 @@ def test_space_validation():
         DiscreteProductSpace([[0, 1]], [[1, 0]])
     with pytest.raises(DomainError, match="non-rational"):
         DiscreteProductSpace([[0, "x"]], [["1/2", "1/2"]])
+    with pytest.raises(DomainError, match="non-rational"):  # Fraction(True) is 1
+        alpha(bits(1), (False, True), 1)
     with pytest.raises(DomainError, match="must be a list"):
         DiscreteProductSpace(["01"], [["1/2", "1/2"]])
     assert 2**19 <= SPACE_MAX_POINTS < 2**20
