@@ -9,10 +9,12 @@ the cumulant tail bound).
 """
 
 from .errors import DomainError, SizeLimitError
-from .graphs import Graph
+from .graphs import (Graph, circulant_graph, complete_graph,
+                     complete_multipartite, cycle_graph)
 from .laurent import LaurentSeries
 
 __version__ = "0.1.0"
 
 __all__ = ["DomainError", "SizeLimitError", "Graph", "LaurentSeries",
-           "__version__"]
+           "circulant_graph", "complete_graph", "complete_multipartite",
+           "cycle_graph", "__version__"]

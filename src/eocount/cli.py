@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Every command prints one OutputEnvelope: command, echoed inputs, result
-payload, timing and precision metadata.  Big integers are decimal strings,
-rationals are "p/q", floats carry an explicit precision field.  Numeric work
-runs at the fixed DEFAULT_BITS = 256 bits, reported as precision.bits, and
-prints 30 significant digits (40 for expand --eval).  Each exact subject
-takes only its own flag: rt, ed and eog --n, eo --graph.  Exit codes:
-0 success, 2 usage or domain error, 3 size cap, 4 I/O error; every failure
-prints one JSON line on stderr.  Every result number is printed by
-``expansion.to_text``, which refuses an oversized one with a size cap.
+Every command prints one JSON envelope on stdout, and nothing else: command,
+echoed inputs, result payload, timing and precision metadata.  Big integers
+are decimal strings, rationals are "p/q", floats carry an explicit precision
+field.  Numeric work runs at the fixed DEFAULT_BITS = 256 bits, reported as
+precision.bits, and prints 30 significant digits (40 for expand --eval).
+Each exact subject takes only its own flag: rt, ed and eog --n, eo --graph.
+Exit codes: 0 success, 2 usage or domain error, 3 size cap, 4 I/O error;
+every failure prints one JSON line on stderr.  Every result number is
+printed by ``expansion.to_text``, which refuses an oversized one with a size
+cap.
 """
 
 from __future__ import annotations
@@ -43,36 +44,6 @@ def _envelope(command: str, inputs: dict, result: dict, t0: float,
         "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
         "precision": {"bits": bits},
     }
-
-
-def _flatten(prefix: str, obj, rows: list):
-    """(key, text) rows of the leaves; a non-string scalar is spelled as in
-    the JSON envelope (null, true, false, numbers)."""
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], rows)
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", v, rows)
-    else:
-        rows.append((prefix, obj if isinstance(obj, str) else json.dumps(obj)))
-
-
-def _emit(env: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(env, sort_keys=True))
-        return
-    rows: list = []
-    _flatten("", env["result"], rows)
-    if fmt == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(("key", "value"))
-        writer.writerows(rows)
-    else:  # plain
-        for k, v in rows:
-            print(f"{k}={v}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="eocount",
         description="Exact and asymptotic counting of Eulerian orientations.")
-    p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("exact", help="exact counters")
@@ -264,7 +234,7 @@ def main(argv=None) -> int:
                           "code": EXIT_IO}), file=sys.stderr)
         return EXIT_IO
     env = _envelope(args.command, inputs, result, t0, bits)
-    _emit(env, args.format)
+    print(json.dumps(env, sort_keys=True))
     return EXIT_OK
 
 

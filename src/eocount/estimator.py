@@ -80,11 +80,6 @@ class Covariance:
         return ([[p * x + shift for x in row] for row in self.adj],
                 p * self.n ** 2 * self.tau)
 
-    def sigma(self, w) -> list[list[Fraction]]:
-        """Sigma_w, exact."""
-        rows, den = self._scaled(w)
-        return [[Fraction(x, den) for x in row] for row in rows]
-
     def norm_inf(self, w) -> Fraction:
         """||Sigma_w||_inf, which the cumulant bounds assume is at most 1/2."""
         rows, den = self._scaled(w)
@@ -261,11 +256,6 @@ class EstimateReport:
     def logs(self) -> dict[int, object]:
         """M -> log estimate: the closed form at 0, then log_corrected."""
         return {0: self.log_eo_hat, **self.log_corrected}
-
-    def log_estimate(self, M: int | None = None):
-        """The log estimate at M, by default at the highest M computed."""
-        logs = self.logs()
-        return logs[max(logs) if M is None else M]
 
     def within_sandwich(self) -> dict[int, bool]:
         """M -> whether the log estimate at that M lies in

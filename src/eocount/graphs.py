@@ -105,10 +105,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def complete_multipartite(*sizes: int) -> Graph:
     n = sum(sizes)
     labels = []
@@ -119,11 +115,9 @@ def complete_multipartite(*sizes: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def octahedron_graph() -> Graph:
-    return complete_multipartite(2, 2, 2)
-
-
 def circulant_graph(n: int, offsets) -> Graph:
+    if n < 1:
+        raise DomainError("circulant needs n >= 1")
     edges = set()
     for d in offsets:
         d %= n
@@ -212,10 +206,6 @@ def parse_graph_json(obj, max_edges: int | None = None) -> Graph:
             or not isinstance(obj.get("edges"), list):
         raise DomainError('graph JSON needs "n" and a list "edges"')
     return _graph_from_labels(obj["n"], obj["edges"], max_edges)
-
-
-def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": sorted([u + 1, v + 1] for u, v in g.edges)}
 
 
 def load_graph(path: str, max_edges: int | None = None) -> Graph:

@@ -1,55 +1,33 @@
 """Exact moments of monomials in power sums mu_k = sum_j X_j^k of i.i.d.
-centered Gaussians with variance 1/n, as truncated Laurent series in 1/n.
+centered Gaussians with variance 1/n, as truncated series in 1/n with int
+coefficients.
 
-A monomial is a multiset of exponents >= 1.  ``mu_moment`` takes it as a
-sequence, e.g. ``(2, 2, 4)`` for mu_2^2 mu_4; the recurrence and its memo
-take it as one int code, in which the multiplicity of exponent e sits in
-bits [FIELD_BITS e, FIELD_BITS (e + 1)), so (2, 2, 4) is 2 << 10 | 1 << 20.
-The moments come from one route, Gaussian integration by parts, which peels
-one factor at a time
+A monomial is one int code, in which the multiplicity of exponent e sits in
+bits [FIELD_BITS e, FIELD_BITS (e + 1)): mu_2^2 mu_4 is 2 << 10 | 1 << 20,
+``encode((2, 2, 4))``.  The moments come from one route, Gaussian
+integration by parts, which peels one factor at a time
 (E[mu_k G] = (k-1)/n E[mu_{k-2} G] + (1/n) sum_a a E[mu_{a+k-2} G/mu_a])
 with results memoized per code: peeling mu_k or merging it with mu_a is an
 int subtraction and addition on the code, and the fields are read back only
 on a memo miss.  The weights k-1 and a are ints and the base case is 1, so
-the recurrence and its memo run on Python ints; only ``mu_moment`` turns
-them into a rational LaurentSeries.  The memo is module-global on purpose:
-the families share it, so a series after the first meets it warm.
-Exponents are >= 1 here; the series engine carries mu_0 = n as the exponent
-0 and clears that field before calling in.  ``mu_moment`` caps the factor
-count and the total degree before any work.  The partition-type sum and the
-set-partition sum over factor positions live in the tests as independent
-cross-checks, with the partition-type enumeration and its weights.
+the recurrence and its memo run on Python ints.  The memo is module-global
+on purpose: the families share it, so a series after the first meets it
+warm.  Exponents are >= 1 here; the series engine carries mu_0 = n as the
+exponent 0 and clears that field before calling in.  The partition-type sum
+and the set-partition sum over factor positions live in the tests as
+independent cross-checks.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import SizeLimitError
-from .laurent import LaurentSeries
-
-TYPE_ENUM_MAX_FACTORS = 26
-# Largest total degree ``mu_moment`` accepts.  The recurrence recurses once
-# per degree step of 2; with CPython 3.11's default recursion limit of 1000,
-# (1990,) still works from a bare interpreter and (2000,) raises
-# RecursionError, so 1000 (about 500 frames) leaves room for the caller's
-# own stack.
-MU_MOMENT_MAX_DEGREE = 1000
 # A monomial is one int code: the multiplicity of exponent e sits in bits
 # [FIELD_BITS e, FIELD_BITS (e + 1)).  The width is fixed, so the memo is
-# shared by every family and order; TYPE_ENUM_MAX_FACTORS < 2^FIELD_BITS, and
-# the series engine's products of at most 13 f_K monomials have at most 26
-# factors.
+# shared by every family and order; the series engine's products of at most
+# 13 f_K monomials have at most 26 < 2^FIELD_BITS factors.
 FIELD_BITS = 5
 FIELD_MASK = (1 << FIELD_BITS) - 1
-
-
-def mu_monomial(source) -> tuple[int, ...]:
-    """Normalize a monomial given as a sequence of exponents >= 1."""
-    exps = tuple(sorted(int(k) for k in source))
-    if exps and exps[0] < 1:
-        raise ValueError("exponents must be >= 1")
-    return exps
 
 
 def encode(mono: Iterable[int]) -> int:
@@ -152,15 +130,3 @@ def mu_moment_dict(code: int, cut: int) -> dict[int, int]:
     out = {p: c for p, c in out.items() if c != 0}
     _MOM_CACHE[code] = (cut, out)
     return out
-
-
-def mu_moment(mono, p_max: int | None = None) -> LaurentSeries:
-    """E[prod mu_j] truncated at n^(-p_max); exact (finite) for p_max None."""
-    mono = mu_monomial(mono)
-    if len(mono) > TYPE_ENUM_MAX_FACTORS:
-        raise SizeLimitError(f"mu_moment capped at {TYPE_ENUM_MAX_FACTORS} factors")
-    if sum(mono) > MU_MOMENT_MAX_DEGREE:
-        raise SizeLimitError(f"mu_moment capped at total degree {MU_MOMENT_MAX_DEGREE}")
-    cut = sum(mono) // 2 if p_max is None else p_max
-    full = mu_moment_dict(encode(mono), cut)
-    return LaurentSeries({p: c for p, c in full.items() if p <= cut}, p_max)

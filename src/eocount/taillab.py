@@ -13,8 +13,9 @@ E[e^f] = (1+delta)^n exp(sum kappa_r/r!).  The only transcendental comparison
 (the delta inequality) runs in interval arithmetic with outward rounding, so
 a reported pass is rigorous.  Three caps apply before any work: the space
 has at most SPACE_MAX_POINTS points, the order m is at most TAIL_MAX_M, and
-the alpha walk at the requested order (``alpha_reads``) and the Delta_V walk
-each read at most ALPHA_MAX_READS table entries.
+the one walk behind alpha and Delta_V (``alpha_reads``) reads at most
+ALPHA_MAX_READS table entries.  ``check_tail_bound`` also checks the digits
+of alpha and of each kappa bound before the cumulants.
 """
 
 from __future__ import annotations
@@ -22,19 +23,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import combinations
 from math import factorial, lcm, prod
-from operator import mul, sub
+from operator import sub
 
 from .cumulants import moments_to_cumulants
 from .errors import DomainError, SizeLimitError
-from .expansion import require_exponent, to_text
+from .expansion import require_digits, require_exponent, to_text
 
 SPACE_MAX_POINTS = 10**6
-# Cap on the entries read by the alpha walk (alpha_reads) or by Delta_V, about
-# half a minute of walk on one core: 16 fair bits at m = 3 read 1.4e7 entries
-# in 3.4 s and 18 bits 7.8e7 in 21 s; 19 fair bits at m = 3, inside
-# SPACE_MAX_POINTS, would read 1.8e8, and Delta_V on six 10-value coordinates 2.4e9.
+# Cap on the entries read by the one walk of alpha and Delta_V (alpha_reads),
+# about half a minute of walk on one core: 16 fair bits at m = 3 read 1.4e7
+# entries in 3.4 s and 18 bits 7.8e7 in 21 s; 19 fair bits at m = 3, inside
+# SPACE_MAX_POINTS, would read 1.8e8, and Delta_V over five 10-value
+# coordinates 1.1e8.
 ALPHA_MAX_READS = 10**8
 # Largest order m.  The cumulants, their bounds (80 alpha)^r and their digits
 # grow with m: on a one-coordinate instance m = 100 takes 0.2 s, m = 400
@@ -74,10 +76,6 @@ class DiscreteProductSpace:
         if prod(self.sizes) > SPACE_MAX_POINTS:
             raise SizeLimitError("product space too large")
 
-    @classmethod
-    def uniform_bits(cls, n: int) -> "DiscreteProductSpace":
-        return cls([[0, 1]] * n, [["1/2", "1/2"]] * n)
-
     @property
     def n(self) -> int:
         return len(self.alphabets)
@@ -85,14 +83,6 @@ class DiscreteProductSpace:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.alphabets)
-
-    def points(self):
-        return product(*(range(s) for s in self.sizes))
-
-    def tabulate(self, fn) -> tuple[Fraction, ...]:
-        """Tabulate fn(values...) over the space in row-major order."""
-        return tuple(Fraction(fn(*[self.alphabets[i][x[i]] for i in range(self.n)]))
-                     for x in self.points())
 
 
 def _rationals(items, what: str) -> tuple[Fraction, ...]:
@@ -118,16 +108,6 @@ def _json_list(obj, key: str) -> list:
     return obj[key]
 
 
-def table_from_json(items) -> tuple[Fraction, ...]:
-    return _rationals(items, "the table f")
-
-
-def instance_to_json(space: DiscreteProductSpace, table) -> dict:
-    return {"alphabets": [[str(v) for v in a] for a in space.alphabets],
-            "weights": [[str(w) for w in ws] for ws in space.weights],
-            "f": [str(v) for v in table]}
-
-
 def instance_from_json(obj, m: int | None = None):
     """(space, table) from an instance object or its JSON text.  With the
     order m at which the instance will be checked, the work caps of
@@ -143,7 +123,7 @@ def instance_from_json(obj, m: int | None = None):
                                  _json_list(obj, "weights"))
     if m is not None:
         _require_alpha_work(space, m)
-    table = table_from_json(_json_list(obj, "f"))
+    table = _rationals(_json_list(obj, "f"), "the table f")
     if len(table) != prod(space.sizes):
         raise DomainError("function table length mismatch")
     return space, table
@@ -211,38 +191,8 @@ def _narrow_first(space: DiscreteProductSpace, coords) -> list[int]:
     return sorted(coords, key=lambda i: (space.sizes[i], i))
 
 
-def delta_V(space: DiscreteProductSpace, table, V) -> Fraction:
-    """sup over x, y of |iterated difference of f over the coordinates in V|,
-    exact (integer arithmetic over a common denominator).  Refused before any
-    work when the walk would read more than ALPHA_MAX_READS table entries."""
-    V = set(V)
-    for j in V:
-        if not 0 <= j < space.n:
-            raise DomainError(f"coordinate {j} out of range")
-    order = _narrow_first(space, V)
-    # each level of the walk reads (k - 1)/2 times the entries of the one
-    # before, k the alphabet size of the coordinate it takes
-    gains = (Fraction(space.sizes[j] - 1, 2) for j in order[:-1])
-    if prod(space.sizes) * sum(accumulate(gains, mul, initial=1)) > ALPHA_MAX_READS:
-        raise SizeLimitError(f"Delta_V would read more than "
-                             f"{ALPHA_MAX_READS:.0e} table entries")
-    vals, den = _scaled_int_table(space, table)
-    if not V:
-        return Fraction(max(map(abs, vals)), den)
-
-    def walk(vals, axes, shape, rest):
-        pos = axes.index(rest[0])
-        rows = _rows(vals, shape, pos)
-        if len(rest) == 1:
-            return _spread(rows)
-        return max((walk(s, _drop(axes, pos), _drop(shape, pos), rest[1:])
-                    for s in _pair_slices(rows)), default=0)
-
-    return Fraction(walk(vals, tuple(range(space.n)), space.sizes, order), den)
-
-
 def alpha_reads(sizes, m: int) -> int:
-    """Table entries that the depth-first walk of ``alpha`` reads at order m,
+    """Table entries that the depth-first walk ``_deltas`` reads at order m,
     from the alphabet sizes k_i alone: N points times the sum, over subsets W
     with |W| <= m, of the product of (k_i - 1)/2 over W without its widest
     coordinate.  A step along a k-value coordinate turns a table of T entries
@@ -269,19 +219,18 @@ def _require_alpha_work(space: DiscreteProductSpace, m: int) -> None:
                              f"{ALPHA_MAX_READS:.0e} table entries")
 
 
-def alpha(space: DiscreteProductSpace, table, m: int) -> Fraction:
-    """max over v <= m and coordinates j of sum_{|V| = v, j in V} Delta_V.
+def _deltas(space: DiscreteProductSpace, vals: list[int], coords,
+            depth: int) -> dict[tuple[int, ...], int]:
+    """den * Delta_W for every nonempty subset W of ``coords`` with at most
+    ``depth`` coordinates, keyed by W narrowest coordinate first.
 
-    The subsets V are visited depth-first, narrowest coordinate first: a
-    subset's Delta is the spread along its last coordinate, taken over every
-    pair slice of the subset it extends, so each slice serves all the
-    subsets that extend it.
+    The subsets are visited depth-first: a subset's Delta is the spread along
+    its last coordinate, taken over every pair slice of the subset it
+    extends, so each slice serves all the subsets that extend it.  The walk
+    reads ``alpha_reads`` of the sizes of ``coords`` and ``depth`` times the
+    points of the other coordinates.
     """
-    _require_alpha_work(space, m)
-    n = space.n
-    depth = min(m, n)
-    vals, den = _scaled_int_table(space, table)
-    best: dict[tuple[int, ...], int] = {}  # den * Delta_V
+    best: dict[tuple[int, ...], int] = {}
 
     def visit(vals, axes, shape, rest, V):
         # axes: the coordinates left in vals; rest: those that may extend V
@@ -294,10 +243,42 @@ def alpha(space: DiscreteProductSpace, table, m: int) -> Fraction:
                 for s in _pair_slices(rows):
                     visit(s, _drop(axes, pos), _drop(shape, pos), rest[i + 1:], W)
 
-    visit(vals, tuple(range(n)), space.sizes, _narrow_first(space, range(n)), ())
+    visit(vals, tuple(range(space.n)), space.sizes, _narrow_first(space, coords), ())
+    return best
+
+
+def delta_V(space: DiscreteProductSpace, table, V) -> Fraction:
+    """sup over x, y of |iterated difference of f over the coordinates in V|,
+    exact (integer arithmetic over a common denominator), by the walk of
+    ``alpha`` over V alone.  Refused before any work when that walk would
+    read more than ALPHA_MAX_READS table entries."""
+    V = set(V)
+    for j in V:
+        if not 0 <= j < space.n:
+            raise DomainError(f"coordinate {j} out of range")
+    sizes = space.sizes
+    reads = alpha_reads([sizes[j] for j in V], len(V)) * prod(
+        k for j, k in enumerate(sizes) if j not in V)
+    if reads > ALPHA_MAX_READS:
+        raise SizeLimitError(f"Delta_V would read more than "
+                             f"{ALPHA_MAX_READS:.0e} table entries")
+    vals, den = _scaled_int_table(space, table)
+    if not V:
+        return Fraction(max(map(abs, vals)), den)
+    key = tuple(_narrow_first(space, V))
+    return Fraction(_deltas(space, vals, V, len(V)).get(key, 0), den)
+
+
+def alpha(space: DiscreteProductSpace, table, m: int) -> Fraction:
+    """max over v <= m and coordinates j of sum_{|V| = v, j in V} Delta_V,
+    from one walk over the subsets with at most m coordinates."""
+    _require_alpha_work(space, m)
+    n = space.n
+    depth = min(m, n)
+    vals, den = _scaled_int_table(space, table)
     # sums[v - 1][j]: den times the sum of Delta_V over |V| = v with j in V
     sums = [[0] * n for _ in range(depth)]
-    for V, d in best.items():
+    for V, d in _deltas(space, vals, range(n), depth).items():
         for j in V:
             sums[len(V) - 1][j] += d
     return Fraction(max((s for row in sums for s in row), default=0), den)
@@ -378,17 +359,19 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int) -> TailReport:
     with exact rationals.
     """
     _require_alpha_work(space, m)
-    kappas = exact_cumulants_discrete(space, table, m)
     a = alpha(space, table, m)
     n = space.n
-
-    # exact kappa bounds: 0.014 = 7/500
+    # the printer's digit rule on alpha and on the exact kappa bounds
+    # (0.014 = 7/500), checked as each is built: they grow with r, so an
+    # oversized report is refused before the cumulants and the interval exps
+    require_digits("the tail report", *a.as_integer_ratio())
     kappa_bounds = []
-    kappa_holds = []
     for r in range(1, m + 1):
         bound = Fraction(7, 500) * n * Fraction(factorial(r - 1), r) * (80 * a) ** r
+        require_digits("the tail report", *bound.as_integer_ratio())
         kappa_bounds.append(bound)
-        kappa_holds.append(abs(kappas[r - 1]) <= bound)
+    kappas = exact_cumulants_discrete(space, table, m)
+    kappa_holds = [abs(k) <= b for k, b in zip(kappas, kappa_bounds)]
 
     dist, den, wden = _distribution(space, table)
 

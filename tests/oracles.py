@@ -55,7 +55,7 @@ from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import WeightSpec, weight_log_coeffs
 from eocount.graphs import CHEEGER_MAX_N
 from eocount.laurent import LaurentSeries
-from eocount.powersums import TYPE_ENUM_MAX_FACTORS, mu_moment, mu_monomial
+from helpers import TYPE_ENUM_MAX_FACTORS, mu_moment, mu_monomial
 
 ENUMERATION_MAX = 16
 ORACLE_MAX_FACTORS = 10

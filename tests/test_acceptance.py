@@ -19,11 +19,10 @@ from eocount.estimator import default_w, eo_estimate, schrijver_bounds
 from eocount.exact import (eo_count_bruteforce,
                            eulerian_oriented_count_bruteforce, rt_count)
 from eocount.expansion import evaluate_expansion, expansion_series
-from eocount.graphs import (circulant_graph, complete_graph, cycle_graph,
-                            octahedron_graph)
-from eocount.powersums import mu_moment
+from eocount.graphs import circulant_graph, complete_graph, cycle_graph
 from eocount.taillab import DiscreteProductSpace, alpha, check_tail_bound
 
+from helpers import log_estimate, mu_moment, octahedron_graph, points
 from oracles import (bell_number, count_partition_types,
                      cumulant_via_both_routes_check, enumerate_partition_types,
                      isserlis_moment, realization_sum,
@@ -201,7 +200,7 @@ def test_criterion_9_tail_bound_batch():
                      if rng.random() < 0.4]
             # the alphabet values are the indices 0..s-1: sum the pairs on
             # ints, then scale each distinct sum by eps once
-            sums = [sum(x[i] * x[j] for i, j in pairs) for x in space.points()]
+            sums = [sum(x[i] * x[j] for i, j in pairs) for x in points(space)]
             scaled = {v: eps * v for v in set(sums)}
             table = tuple(scaled[v] for v in sums)
             m = rng.randint(1, 3)
@@ -238,7 +237,7 @@ def test_supplementary_estimator_properties():
         prev = None
         for n in (5, 7, 9, 11):
             rep = eo_estimate(complete_graph(n), M=2, K=4)
-            dist = abs(mpmath.log(mpmath.mpf(rt_count(n))) - rep.log_estimate(2))
+            dist = abs(mpmath.log(mpmath.mpf(rt_count(n))) - log_estimate(rep, 2))
             if prev is not None:
                 assert dist <= prev
             prev = dist

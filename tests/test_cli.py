@@ -1,9 +1,9 @@
-import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -14,16 +14,27 @@ from hypothesis import strategies as st
 import eocount
 from eocount.cli import build_parser, main
 from eocount.estimator import DEFAULT_BITS
-from eocount.graphs import (circulant_graph, complete_graph, cycle_graph,
-                            graph_to_json)
+from eocount.graphs import circulant_graph, complete_graph, cycle_graph
 from eocount.taillab import (TAIL_MAX_M, DiscreteProductSpace,
-                             exact_cumulants_discrete, instance_to_json)
+                             exact_cumulants_discrete)
+
+from helpers import graph_to_json, instance_to_json, tabulate, uniform_bits
 
 
 def write_edges(path, g):
     lines = [str(g.n)] + [f"{u + 1} {v + 1}" for u, v in sorted(g.edges)]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def write_quad5(directory):
+    """quad5.json: five fair bits, f = the sum of x_i x_j over i < j, / 400."""
+    space = uniform_bits(5)
+    tab = tabulate(space, lambda *xs: Fraction(1, 400) * sum(
+        xs[i] * xs[j] for i in range(5) for j in range(i + 1, 5)))
+    path = directory / "quad5.json"
+    path.write_text(json.dumps(instance_to_json(space, tab)))
+    return path
 
 
 @pytest.fixture
@@ -148,13 +159,7 @@ def test_estimate(capsys, k5_file):
 
 
 def test_taillab_command(capsys, tmp_path):
-    space = DiscreteProductSpace.uniform_bits(5)
-    tab = space.tabulate(
-        lambda *xs: Fraction(1, 400) * sum(xs[i] * xs[j]
-                                           for i in range(5)
-                                           for j in range(i + 1, 5)))
-    inst = tmp_path / "quad5.json"
-    inst.write_text(json.dumps(instance_to_json(space, tab)))
+    inst = write_quad5(tmp_path)
     code, env = run_json(capsys, ["taillab", "--instance", str(inst), "--m", "2"])
     assert code == 0
     assert env["result"]["holds"] is True
@@ -164,11 +169,11 @@ def test_taillab_command(capsys, tmp_path):
 def test_taillab_large_entries_stay_exact(capsys, tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps(instance_to_json(
-        DiscreteProductSpace.uniform_bits(2),
+        uniform_bits(2),
         [2**62, -2**62, -2**62, 2**62])))
     code, env = run_json(capsys, ["taillab", "--instance", str(big), "--m", "2"])
     assert code == 0 and env["result"]["alpha"] == str(2**64)
-    three = DiscreteProductSpace.uniform_bits(3)
+    three = uniform_bits(3)
     table = [Fraction(1, p) for p in (999983, 999979, 999961, 999959,
                                       999953, 999931, 999917, 999907)]
     inv = tmp_path / "inverse_primes.json"
@@ -246,7 +251,7 @@ def test_undecodable_file_is_one_json_line(capsys, tmp_path):
 
 
 def test_malformed_instance_is_one_json_line(capsys, tmp_path):
-    good = instance_to_json(DiscreteProductSpace.uniform_bits(1), [0, 1])
+    good = instance_to_json(uniform_bits(1), [0, 1])
     bad = [{k: v for k, v in good.items() if k != key}
            for key in ("alphabets", "weights", "f")]
     bad += [dict(good, f=["0", "x"]), dict(good, weights=[["1/2", "1/0"]]),
@@ -259,30 +264,26 @@ def test_malformed_instance_is_one_json_line(capsys, tmp_path):
         assert_one_error_line(capsys.readouterr(), "domain")
 
 
-def test_taillab_work_cap_is_checked_before_the_table(capsys, tmp_path,
-                                                      monkeypatch):
+def test_taillab_work_cap_is_checked_before_the_table(capsys, tmp_path):
     # 19 fair bits fit the space cap, but alpha at m = 3 would read about
-    # 1.8e8 table entries
+    # 1.8e8 table entries; the table's "x" would be a domain error if it
+    # were parsed
     inst = tmp_path / "bits19.json"
     inst.write_text(json.dumps(instance_to_json(
-        DiscreteProductSpace.uniform_bits(19), [0] * 2**19)))
-    monkeypatch.setattr("eocount.taillab.table_from_json",
-                        fail_if_called("the table"))
+        uniform_bits(19), ["x"] + [0] * (2**19 - 1))))
     assert main(["taillab", "--instance", str(inst), "--m", "3"]) == 3
     assert_one_error_line(capsys.readouterr(), "size-limit")
 
 
-def test_taillab_m_cap_is_checked_before_the_table(capsys, tmp_path,
-                                                   monkeypatch):
+def test_taillab_m_cap_is_checked_before_the_table(capsys, tmp_path):
+    space = DiscreteProductSpace([[0, 1]], [["1/3", "2/3"]])
+    poisoned = tmp_path / "poisoned.json"  # "x" is a domain error if parsed
+    poisoned.write_text(json.dumps(instance_to_json(space, ["0", "x"])))
+    for m in (TAIL_MAX_M + 1, 1000):
+        assert main(["taillab", "--instance", str(poisoned), "--m", str(m)]) == 3
+        assert_one_error_line(capsys.readouterr(), "size-limit")
     inst = tmp_path / "one.json"
-    inst.write_text(json.dumps(instance_to_json(
-        DiscreteProductSpace([[0, 1]], [["1/3", "2/3"]]), ["0", "1/1000"])))
-    with monkeypatch.context() as patch:
-        patch.setattr("eocount.taillab.table_from_json",
-                      fail_if_called("the table"))
-        for m in (TAIL_MAX_M + 1, 1000):
-            assert main(["taillab", "--instance", str(inst), "--m", str(m)]) == 3
-            assert_one_error_line(capsys.readouterr(), "size-limit")
+    inst.write_text(json.dumps(instance_to_json(space, ["0", "1/1000"])))
     code, env = run_json(capsys, ["taillab", "--instance", str(inst),
                                   "--m", str(TAIL_MAX_M)])
     assert code == 0 and len(env["result"]["kappas"]) == TAIL_MAX_M
@@ -292,7 +293,7 @@ def test_taillab_report_digit_cap(capsys, tmp_path):
     # alpha = 10^-60: (80 alpha)^100 has about 5900 digits in its denominator
     inst = tmp_path / "tiny.json"
     inst.write_text(json.dumps(instance_to_json(
-        DiscreteProductSpace.uniform_bits(1), ["0", f"1/{10**60}"])))
+        uniform_bits(1), ["0", f"1/{10**60}"])))
     assert main(["taillab", "--instance", str(inst), "--m", "100"]) == 3
     assert_one_error_line(capsys.readouterr(), "size-limit")
     code, env = run_json(capsys, ["taillab", "--instance", str(inst),
@@ -300,12 +301,28 @@ def test_taillab_report_digit_cap(capsys, tmp_path):
     assert code == 0 and len(env["result"]["kappa_bounds"]) == 20
 
 
+def test_taillab_digit_cap_comes_before_the_cumulants(capsys, tmp_path,
+                                                      monkeypatch):
+    # alpha = 10^3000 prints, but the kappa bound at r = 2 has about 6000
+    # digits: refused there, before the cumulants and the interval exps,
+    # which took 78 s on this instance
+    inst = tmp_path / "huge.json"
+    inst.write_text(json.dumps(instance_to_json(
+        uniform_bits(1), ["0", "1e3000"])))
+    monkeypatch.setattr("eocount.taillab.exact_cumulants_discrete",
+                        fail_if_called("the cumulants"))
+    t0 = time.perf_counter()
+    assert main(["taillab", "--instance", str(inst), "--m", "100"]) == 3
+    assert time.perf_counter() - t0 < 2
+    assert_one_error_line(capsys.readouterr(), "size-limit")
+
+
 def test_printed_numbers_are_checked_before_conversion(capsys, tmp_path):
     c3 = write_edges(tmp_path / "c3.edges", cycle_graph(3))
     # delta_bound = e^(10^504) - 1 has a 504-digit decimal exponent
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(instance_to_json(
-        DiscreteProductSpace.uniform_bits(1), ["0", "1e250"])))
+        uniform_bits(1), ["0", "1e250"])))
     # a label is never printed, but Fraction would build 10^4001 from it
     label = tmp_path / "label.json"
     label.write_text(json.dumps({"alphabets": [["1e4001", "1"]],
@@ -435,13 +452,7 @@ NUMERIC_RESULTS = [
 def test_numeric_commands_load_mpmath_and_print_the_same_result(
         tmp_path, argv, result):
     write_edges(tmp_path / "k9.edges", complete_graph(9))
-    space = DiscreteProductSpace.uniform_bits(5)
-    tab = space.tabulate(
-        lambda *xs: Fraction(1, 400) * sum(xs[i] * xs[j]
-                                           for i in range(5)
-                                           for j in range(i + 1, 5)))
-    (tmp_path / "quad5.json").write_text(
-        json.dumps(instance_to_json(space, tab)))
+    write_quad5(tmp_path)
     code, out, loaded = run_fresh(argv, tmp_path)
     assert code == 0 and loaded is True
     assert json.loads(out)["result"] == result
@@ -491,33 +502,6 @@ def test_round_trip_rationals(capsys, c5_json_file):
     blob = json.dumps(env)
     env2 = json.loads(blob)
     assert Fraction(env2["result"]["cheeger"]) == Fraction(env["result"]["cheeger"])
-
-
-def test_formats(capsys, c5_json_file):
-    code = main(["--format", "plain", "graphinfo", "--graph", c5_json_file])
-    out = capsys.readouterr().out
-    assert code == 0 and "tau=5" in out
-    code = main(["--format", "csv", "graphinfo", "--graph", c5_json_file])
-    out = capsys.readouterr().out
-    assert code == 0 and out.startswith("key,value") and "tau,5" in out
-
-
-def test_flat_formats_quote_fields_and_spell_scalars_as_json(capsys, tmp_path):
-    # a comma in the path must stay inside one csv field
-    c5 = write_edges(tmp_path / "c5,x.edges", cycle_graph(5))
-    code = main(["--format", "csv", "estimate", "--graph", c5, "--M", "1"])
-    out = capsys.readouterr().out
-    rows = dict(csv.reader(io.StringIO(out)))
-    assert code == 0 and rows.pop("key") == "value"
-    assert rows["graph"] == c5
-    assert rows["cheeger_skipped"] == "null"
-    assert rows["in_hypothesis"] == "false"
-    assert rows["within_sandwich.0"] == "true"
-    assert rows["n"] == "5"
-    code = main(["--format", "plain", "graphinfo", "--graph", c5])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 0
-    assert {"connected=true", "tau_skipped=null", "n=5"} <= set(lines)
 
 
 def test_graphinfo_edgeless_graph(capsys, tmp_path):
@@ -644,6 +628,7 @@ def test_eval_point_checked_before_series(capsys, monkeypatch):
 def test_usage_errors_are_one_json_line(capsys):
     for argv in (["exact", "rt", "--n", "abc"],
                  ["--threads", "2", "exact", "rt", "--n", "3"],
+                 ["--format", "csv", "exact", "rt", "--n", "3"],
                  ["estimate", "--graph", "g.edges", "--w", "abc"],
                  ["estimate", "--graph", "g.edges", "--w", "1/0"],
                  ["estimate", "--graph", "g.edges", "--w", "1e4001"]):
@@ -651,7 +636,14 @@ def test_usage_errors_are_one_json_line(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert_one_error_line(capsys.readouterr(), "usage")
-    assert "--threads" not in build_parser().format_help()
+    helps = [build_parser().format_help()]
+    for argv in (["exact"], ["exact", "rt"], ["exact", "eo"], ["expand"],
+                 ["estimate"], ["bounds"], ["taillab"], ["graphinfo"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--help"])
+        helps.append(capsys.readouterr().out)
+    assert all("usage:" in text for text in helps)
+    assert not any("--threads" in text or "--format" in text for text in helps)
 
 
 def test_dropped_and_foreign_flags_are_usage_errors(capsys, k5_file,
@@ -684,7 +676,7 @@ FILE_COMMANDS = [["exact", "eo", "--graph"], ["estimate", "--graph"],
 VALID_FILES = [
     "5\n1 2\n2 3\n3 4\n4 5\n5 1\n1 3\n3 5\n5 2\n2 4\n4 1\n".encode(),
     json.dumps(graph_to_json(cycle_graph(5))).encode(),
-    json.dumps(instance_to_json(DiscreteProductSpace.uniform_bits(2),
+    json.dumps(instance_to_json(uniform_bits(2),
                                 ["0", "1/400", "1/400", "1/200"])).encode(),
 ]
 

@@ -6,10 +6,10 @@ from eocount.errors import DomainError, SizeLimitError
 from eocount.exact import (RT_KNOWN_COUNTS, eo_count_bruteforce,
                            eulerian_digraph_count_bruteforce,
                            eulerian_oriented_count_bruteforce, rt_count)
-from eocount.graphs import (Graph, circulant_graph, complete_graph,
-                            cycle_graph, octahedron_graph, path_graph)
+from eocount.graphs import Graph, circulant_graph, complete_graph, cycle_graph
 
 from golden import ED_COUNTS, EOG_COUNTS, RT_COUNTS
+from helpers import octahedron_graph, path_graph
 from oracles import torus_integral_estimate
 
 

@@ -11,10 +11,10 @@ from eocount.errors import DomainError, SizeLimitError
 from eocount.graphs import (DENSE_MAX_N, GRAPH_FILE_MAX_N, LANE_BITS, Graph,
                             all_degrees_even, cheeger_constant,
                             circulant_graph, complete_graph, cycle_graph,
-                            graph_to_json, l_plus_j_adjugate, laplacian,
-                            load_graph,
-                            octahedron_graph, parse_edge_list,
-                            parse_graph_json, path_graph, spanning_tree_count)
+                            l_plus_j_adjugate, laplacian, load_graph,
+                            parse_edge_list, parse_graph_json,
+                            spanning_tree_count)
+from helpers import graph_to_json, octahedron_graph, path_graph
 from oracles import cheeger_gray_code
 
 
@@ -231,6 +231,9 @@ def test_graph_validation():
         cycle_graph(2)
     with pytest.raises(DomainError, match="self-loop"):
         circulant_graph(5, [5])
+    for n in (0, -3):  # not a ZeroDivisionError from the offset's residue
+        with pytest.raises(DomainError, match="n >= 1"):
+            circulant_graph(n, [1])
 
 
 def test_parse_edge_list():

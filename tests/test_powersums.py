@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eocount.cumulants import double_factorial
 from eocount.errors import SizeLimitError
 from eocount.laurent import LaurentSeries
 from eocount.expansion import MAX_ORDER, family_orders
-from eocount.powersums import (FIELD_BITS, MU_MOMENT_MAX_DEGREE,
-                               TYPE_ENUM_MAX_FACTORS, code_fields, encode,
-                               monomial_order_bound, mu_moment, mu_moment_dict,
-                               mu_monomial)
+from eocount.powersums import (FIELD_BITS, code_fields, encode,
+                               monomial_order_bound, mu_moment_dict)
 
+from helpers import TYPE_ENUM_MAX_FACTORS, mu_moment, mu_monomial
 from oracles import (a_coeff, b_coeff, bell_number, count_partition_types,
                      enumerate_partition_types, gaussian_power_moment,
                      mu_moment_via_types, realization_count, realization_sum,
@@ -36,7 +34,9 @@ def test_code_fields_read_back_the_encoded_monomial(exps):
 
 def test_fields_hold_every_product_the_series_engine_forms():
     # a product of M <= 13 f_K monomials has at most 2M factors, and the
-    # recurrence never adds one, so no field of width FIELD_BITS overflows
+    # recurrence never adds one, so no field of width FIELD_BITS overflows;
+    # the tests' monomials stay inside the same width
+    assert 2 * family_orders(MAX_ORDER)[0] < 1 << FIELD_BITS
     assert 2 * family_orders(MAX_ORDER)[0] <= TYPE_ENUM_MAX_FACTORS < 1 << FIELD_BITS
 
 
@@ -147,15 +147,3 @@ def test_factor_caps():
     with pytest.raises(SizeLimitError):
         mu_moment((2,) * 27)
 
-
-def test_degree_cap_rejects_before_the_recurrence_overflows():
-    # without the cap, (2400,) overflows the recursion limit: one frame per
-    # degree step of 2
-    for mono in [(2400,), (1, MU_MOMENT_MAX_DEGREE)]:
-        with pytest.raises(SizeLimitError):
-            mu_moment(mono)
-    # at the cap the full recurrence, about 500 frames deep, still completes:
-    # E[mu_k] = n (k-1)!! n^(-k/2)
-    k = MU_MOMENT_MAX_DEGREE
-    assert mu_moment((k,)) == LaurentSeries({k // 2 - 1: double_factorial(k - 1)})
-    assert mu_moment((2, k - 2)).leading_order() == k // 2 - 2

@@ -1,0 +1,83 @@
+"""The shipped package holds no code that only the tests call.
+
+A module-level def or class in ``src/eocount`` must be referenced somewhere
+in the package outside its own body, or be exported by ``eocount.__all__``,
+or be on the short allowlist below.  The same holds for the methods of a
+class that ``__all__`` does not export, apart from dunders and overrides,
+which their base class or the interpreter calls.  A string constant counts
+as a reference, since the CLI looks counters up by name.
+"""
+
+import ast
+import importlib
+from collections import Counter
+from pathlib import Path
+
+import eocount
+
+PACKAGE = Path(eocount.__file__).parent
+
+# name -> why it stays without a caller in the package
+ALLOWED = {
+    "eo_hat_log": "the benchmark's tracer wraps it as a boundary",
+    "delta_V": "the paper's Delta_V; the lemma tests check it",
+}
+
+
+def _references(tree) -> Counter:
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            refs[node.value] += 1
+    return refs
+
+
+def _overrides(module, cls_name: str, name: str) -> bool:
+    cls = getattr(module, cls_name)
+    return any(hasattr(base, name) for base in cls.__mro__[1:])
+
+
+def unreferenced() -> list[str]:
+    """module.name (or module.Class.method) of every def nothing reaches."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    refs = sum((_references(t) for t in trees.values()), Counter())
+    exported = set(eocount.__all__)
+    out = []
+    for stem, tree in trees.items():
+        module = importlib.import_module(f"eocount.{stem}")
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in exported | set(ALLOWED) \
+                    and refs[node.name] == _references(node)[node.name]:
+                out.append(f"{stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef) or node.name in exported:
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) \
+                        or item.name.startswith("__") \
+                        or _overrides(module, node.name, item.name):
+                    continue
+                if refs[item.name] == _references(item)[item.name]:
+                    out.append(f"{stem}.{node.name}.{item.name}")
+    return out
+
+
+def test_every_shipped_def_has_a_caller_in_the_package():
+    assert unreferenced() == []
+
+
+def test_allowlist_names_exist_and_have_no_caller():
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
+    defined = {node.name for t in trees for node in t.body
+               if isinstance(node, ast.FunctionDef)}
+    refs = sum((_references(t) for t in trees), Counter())
+    for name in ALLOWED:
+        # a name that something in the package uses needs no entry
+        assert name in defined and refs[name] == 0, name

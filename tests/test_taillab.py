@@ -11,19 +11,15 @@ from eocount.errors import DomainError, SizeLimitError
 from eocount.taillab import (ALPHA_MAX_READS, SPACE_MAX_POINTS,
                              DiscreteProductSpace, alpha, alpha_reads,
                              check_tail_bound, delta_V,
-                             exact_cumulants_discrete, instance_from_json,
-                             instance_to_json)
+                             exact_cumulants_discrete, instance_from_json)
 
+from helpers import instance_to_json, points, tabulate
+from helpers import uniform_bits as bits
 from oracles import conditional_expectation
 
 
-def bits(n):
-    return DiscreteProductSpace.uniform_bits(n)
-
-
 def quadratic_table(space, eps, pairs):
-    return space.tabulate(
-        lambda *xs: eps * sum(xs[i] * xs[j] for i, j in pairs))
+    return tabulate(space, lambda *xs: eps * sum(xs[i] * xs[j] for i, j in pairs))
 
 
 def random_space(rng, n):
@@ -40,10 +36,10 @@ def random_space(rng, n):
 def delta_bruteforce(space, table, V):
     """Delta_V by its definition: the sup over all points x, y of
     |sum over S subset V of (-1)^|S| f(x with x_S replaced by y_S)|."""
-    index = {x: i for i, x in enumerate(space.points())}
+    index = {x: i for i, x in enumerate(points(space))}
     best = 0
-    for x in space.points():
-        for y in space.points():
+    for x in points(space):
+        for y in points(space):
             total = 0
             for k in range(len(V) + 1):
                 for S in itertools.combinations(V, k):
@@ -81,7 +77,7 @@ def test_delta_constant_vanishes():
 
 def test_delta_linear_function():
     sp = bits(4)
-    f = sp.tabulate(lambda a, b, c, d: a)
+    f = tabulate(sp, lambda a, b, c, d: a)
     assert delta_V(sp, f, (0,)) == 1
     for V in [(0, 1), (1,), (2, 3), (0, 2, 3)]:
         expected = 1 if V == (0,) else 0
@@ -90,7 +86,7 @@ def test_delta_linear_function():
 
 def test_delta_product_function():
     sp = bits(4)
-    f = sp.tabulate(lambda a, b, c, d: a * b)
+    f = tabulate(sp, lambda a, b, c, d: a * b)
     assert delta_V(sp, f, (0, 1)) == 1
     assert delta_V(sp, f, (0, 2)) == 0
     assert delta_V(sp, f, (0,)) == 1
@@ -117,8 +113,8 @@ def test_delta_product_function():
 def test_delta_triangle_inequality():
     sp = bits(5)
     rng = random.Random(8)
-    f1 = sp.tabulate(lambda *xs: Fraction(1, 7) * (xs[0] * xs[1] + xs[2]))
-    f2 = sp.tabulate(lambda *xs: Fraction(1, 5) * (xs[1] * xs[3] - xs[4]))
+    f1 = tabulate(sp, lambda *xs: Fraction(1, 7) * (xs[0] * xs[1] + xs[2]))
+    f2 = tabulate(sp, lambda *xs: Fraction(1, 5) * (xs[1] * xs[3] - xs[4]))
     fsum = tuple(a + b for a, b in zip(f1, f2))
     for V in [(0,), (1,), (0, 1), (1, 3), (2, 4), (0, 1, 3)]:
         assert delta_V(sp, fsum, V) <= delta_V(sp, f1, V) + delta_V(sp, f2, V)
@@ -126,7 +122,7 @@ def test_delta_triangle_inequality():
 
 def test_averaging_operator_bounds():
     sp = bits(5)
-    f = sp.tabulate(lambda *xs: Fraction(1, 7) * (xs[0] * xs[1] + xs[2] * xs[4]))
+    f = tabulate(sp, lambda *xs: Fraction(1, 7) * (xs[0] * xs[1] + xs[2] * xs[4]))
     ej = conditional_expectation(sp, f, 1)
     diff = tuple(a - b for a, b in zip(f, ej))
     for V in [(0,), (2,), (0, 2), (0, 4), (2, 4)]:
@@ -149,9 +145,9 @@ def _dissections(V, r):
 
 def test_product_rule_bound():
     sp = bits(5)
-    f1 = sp.tabulate(lambda *xs: Fraction(1, 7) * (xs[0] * xs[1] + xs[2]))
-    f2 = sp.tabulate(lambda *xs: Fraction(1, 5) * (xs[1] * xs[3] - xs[4]))
-    f3 = sp.tabulate(lambda *xs: Fraction(1, 3) * (xs[0] + xs[3] * xs[4]))
+    f1 = tabulate(sp, lambda *xs: Fraction(1, 7) * (xs[0] * xs[1] + xs[2]))
+    f2 = tabulate(sp, lambda *xs: Fraction(1, 5) * (xs[1] * xs[3] - xs[4]))
+    f3 = tabulate(sp, lambda *xs: Fraction(1, 3) * (xs[0] + xs[3] * xs[4]))
     f12 = tuple(a * b for a, b in zip(f1, f2))
     f123 = tuple(a * b for a, b in zip(f12, f3))
     for V in [(0,), (0, 1), (1, 3, 4)]:
@@ -167,7 +163,7 @@ def test_product_rule_bound():
 
 def test_alpha_examples():
     sp = bits(4)
-    lin = sp.tabulate(lambda *xs: 2 * xs[0] - 3 * xs[1])
+    lin = tabulate(sp, lambda *xs: 2 * xs[0] - 3 * xs[1])
     assert alpha(sp, lin, 1) == 3
     assert alpha(sp, lin, 3) == 3  # higher differences vanish for linear f
     eps = Fraction(1, 100)
@@ -216,13 +212,20 @@ def test_alpha_reads_counts_the_walk(monkeypatch):
             read.clear()
             alpha(space, table, m)
             assert sum(read) == alpha_reads(sizes, m), (sizes, m)
+        # Delta_V runs the same walk over V alone, once per point of the
+        # other coordinates
+        V = [j for j in range(len(sizes)) if rng.random() < 0.6]
+        read.clear()
+        delta_V(space, table, V)
+        others = prod(k for j, k in enumerate(sizes) if j not in V)
+        assert sum(read) == alpha_reads([sizes[j] for j in V], len(V)) * others
     # 16 fair bits at m = 3: 65,536 * (16 + 120/2 + 560/4)
     assert alpha_reads((2,) * 16, 3) == 65536 * 216
 
 
 def test_alpha_work_cap_comes_before_any_work(monkeypatch):
     # 19 fair bits fit the space cap; at m = 3 the walk would read 1.8e8
-    space = DiscreteProductSpace.uniform_bits(19)
+    space = bits(19)
     assert (alpha_reads(space.sizes, 2) <= ALPHA_MAX_READS
             < alpha_reads(space.sizes, 3))
     table = (Fraction(0),) * 2**19
@@ -239,8 +242,12 @@ def test_alpha_work_cap_comes_before_any_work(monkeypatch):
 
 
 def test_delta_work_cap_comes_before_any_work(monkeypatch):
-    # six 10-value coordinates fit the space cap; Delta_V over all six would
-    # read 2.4e9 table entries, over the five of a 10^5-point space 5.3e7
+    # Delta_V walks as alpha does at m = |V|: over all five 10-value
+    # coordinates it would read alpha_reads([10] * 5, 5) = 1.1e8 table
+    # entries, over the four of a 10^4-point space 2.0e6
+    assert (alpha_reads([10] * 4, 4) <= ALPHA_MAX_READS
+            < alpha_reads([10] * 5, 5))
+
     class Reached(Exception):
         pass
 
@@ -248,18 +255,18 @@ def test_delta_work_cap_comes_before_any_work(monkeypatch):
         raise Reached
 
     monkeypatch.setattr(taillab, "_scaled_int_table", reached)
-    for n, refused in ((5, False), (6, True)):
+    for n, refused in ((4, False), (5, True)):
         space = DiscreteProductSpace([list(range(10))] * n, [["1/10"] * 10] * n)
         with pytest.raises(SizeLimitError if refused else Reached):
             delta_V(space, (Fraction(0),) * 10**n, range(n))
-    # a subset of the six coordinates that reads less is not refused
+    # four of the five coordinates read 10 times 2.0e6: not refused
     with pytest.raises(Reached):
-        delta_V(space, (Fraction(0),) * 10**6, range(3))
+        delta_V(space, (Fraction(0),) * 10**5, range(4))
 
 
 def test_alpha_m1_is_max_oscillation():
     sp = bits(3)
-    f = sp.tabulate(lambda a, b, c: a * b + 5 * c)
+    f = tabulate(sp, lambda a, b, c: a * b + 5 * c)
     assert alpha(sp, f, 1) == 5
 
 
@@ -269,15 +276,15 @@ def test_exact_cumulants_examples():
     assert exact_cumulants_discrete(sp, det, 4) == [5, 0, 0, 0]
 
     one = bits(1)
-    f = one.tabulate(lambda x: x)
+    f = tabulate(one, lambda x: x)
     assert exact_cumulants_discrete(one, f, 3) == [Fraction(1, 2),
                                                    Fraction(1, 4), 0]
 
     # independent sum: cumulant additivity
     two = bits(2)
-    fsum = two.tabulate(lambda a, b: a + 7 * b)
-    ka = exact_cumulants_discrete(one, one.tabulate(lambda x: x), 4)
-    kb = exact_cumulants_discrete(one, one.tabulate(lambda x: 7 * x), 4)
+    fsum = tabulate(two, lambda a, b: a + 7 * b)
+    ka = exact_cumulants_discrete(one, tabulate(one, lambda x: x), 4)
+    kb = exact_cumulants_discrete(one, tabulate(one, lambda x: 7 * x), 4)
     assert exact_cumulants_discrete(two, fsum, 4) == [x + y for x, y in zip(ka, kb)]
 
 
@@ -362,7 +369,7 @@ def test_space_validation():
         DiscreteProductSpace(["01"], [["1/2", "1/2"]])
     assert 2**19 <= SPACE_MAX_POINTS < 2**20
     with pytest.raises(SizeLimitError):
-        DiscreteProductSpace.uniform_bits(20)
+        bits(20)
     with pytest.raises(DomainError, match="out of range"):
         delta_V(bits(2), (0, 1, 1, 0), (0, 2))
     with pytest.raises(DomainError):
