@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -215,6 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _fail(kind: str, code: int, exc: Exception) -> int:
+    print(json.dumps({"error": str(exc), "kind": kind, "code": code}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -222,19 +228,19 @@ def main(argv=None) -> int:
     try:
         inputs, result, bits = args.handler(args)
     except (DomainError, UnicodeDecodeError) as exc:  # bad values, garbled files
-        print(json.dumps({"error": str(exc), "kind": "domain",
-                          "code": EXIT_DOMAIN}), file=sys.stderr)
-        return EXIT_DOMAIN
+        return _fail("domain", EXIT_DOMAIN, exc)
     except SizeLimitError as exc:
-        print(json.dumps({"error": str(exc), "kind": "size-limit",
-                          "code": EXIT_SIZE}), file=sys.stderr)
-        return EXIT_SIZE
+        return _fail("size-limit", EXIT_SIZE, exc)
     except OSError as exc:
-        print(json.dumps({"error": str(exc), "kind": "io",
-                          "code": EXIT_IO}), file=sys.stderr)
-        return EXIT_IO
+        return _fail("io", EXIT_IO, exc)
     env = _envelope(args.command, inputs, result, t0, bits)
-    print(json.dumps(env, sort_keys=True))
+    try:
+        print(json.dumps(env, sort_keys=True), flush=True)
+    except BrokenPipeError as exc:  # the reader closed stdout
+        # what is left in the buffer goes nowhere at exit, without a second error
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return _fail("io", EXIT_IO, exc)
     return EXIT_OK
 
 

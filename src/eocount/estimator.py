@@ -16,11 +16,11 @@ exact result is rounded once, by ``expansion.to_mpf``, to at least
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
 from .expansion import (DEFAULT_BITS, WeightSpec, require_precision, to_mpf,
@@ -57,8 +57,7 @@ def default_w(g: Graph) -> Fraction:
     return Fraction(2 * g.max_degree(), g.n)
 
 
-@dataclass(frozen=True)
-class Covariance:
+class Covariance(NamedTuple):
     """The Gaussian covariance Sigma_w = (L + wJ)^(-1) of a connected graph,
     for every w > 0, from one elimination of L + J.
 
@@ -235,8 +234,7 @@ def kappa2_f(g: Graph, cov: Covariance, K: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
-class EstimateReport:
+class EstimateReport(NamedTuple):
     graph_id: str
     n: int
     edge_count: int

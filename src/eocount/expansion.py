@@ -28,9 +28,9 @@ an mpf only in ``to_mpf``, and a result number becomes text only in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
 from .laurent import LaurentSeries
@@ -74,20 +74,22 @@ def family_facts(name: str) -> tuple:
     return FAMILIES[name]
 
 
-@dataclass(frozen=True)
 class WeightSpec:
     """Per-edge factor a + b cos(theta_j - theta_k); a + b = 1, b > 0."""
 
-    a: Fraction
-    b: Fraction
-    family: str = "custom"
+    __slots__ = ("a", "b", "family")
 
-    def __post_init__(self):
-        a, b = Fraction(self.a), Fraction(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if a + b != 1 or b <= 0 or a < 0:
+    def __init__(self, a, b, family: str = "custom"):
+        self.a, self.b, self.family = Fraction(a), Fraction(b), family
+        if self.a + self.b != 1 or self.b <= 0 or self.a < 0:
             raise DomainError("need a + b = 1, b > 0, a >= 0")
+
+    def __eq__(self, other):
+        return (type(other) is WeightSpec
+                and (self.a, self.b, self.family) == (other.a, other.b, other.family))
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.family))
 
     @classmethod
     def for_family(cls, family: str) -> "WeightSpec":
@@ -211,15 +213,14 @@ def family_orders(c: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # the expansion itself
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     family: str
     order: int                      # series exact through n^-(order-1)
     M: int
     K: int
     prefactor: str                  # formula tag, see log_prefactor()
     coeffs: dict[int, Fraction]     # p -> coefficient of n^-p, p in 0..order-1
-    cumulants: tuple[LaurentSeries, ...] = field(default=(), compare=False)
+    cumulants: tuple[LaurentSeries, ...] = ()
 
     def to_json(self) -> dict:
         return {

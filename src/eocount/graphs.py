@@ -12,7 +12,6 @@ import io
 import json
 import struct
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
@@ -35,24 +34,28 @@ GRAPH_FILE_MAX_N = 10**6
 DENSE_MAX_N = 300
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 (no loops, no multi-edges)."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]  # pairs (u, v) with u < v
-    degrees: tuple[int, ...] = field(init=False, compare=False)
+    __slots__ = {"n": "vertex count", "edges": "pairs (u, v) with u < v",
+                 "degrees": "degree of each vertex, not compared"}
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        if n < 0:
             raise DomainError("vertex count must be nonnegative")
-        deg = [0] * self.n
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise DomainError(f"bad edge ({u}, {v}) for n={self.n}")
+        deg = [0] * n
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise DomainError(f"bad edge ({u}, {v}) for n={n}")
             deg[u] += 1
             deg[v] += 1
-        object.__setattr__(self, "degrees", tuple(deg))
+        self.n, self.edges, self.degrees = n, edges, tuple(deg)
+
+    def __eq__(self, other):
+        return type(other) is Graph and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

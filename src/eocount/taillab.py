@@ -21,11 +21,11 @@ of alpha and of each kappa bound before the cumulants.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
 from operator import sub
+from typing import NamedTuple
 
 from .cumulants import moments_to_cumulants
 from .errors import DomainError, SizeLimitError
@@ -45,7 +45,6 @@ TAIL_MAX_M = 100
 DELTA_IV_PREC = 256
 
 
-@dataclass(frozen=True)
 class DiscreteProductSpace:
     """Independent coordinates X_i on finite alphabets with rational weights.
 
@@ -56,16 +55,13 @@ class DiscreteProductSpace:
     prod(sizes).
     """
 
-    alphabets: tuple[tuple[Fraction, ...], ...]
-    weights: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("alphabets", "weights")
 
-    def __post_init__(self):
-        if len(self.alphabets) != len(self.weights):
+    def __init__(self, alphabets, weights):
+        if len(alphabets) != len(weights):
             raise DomainError("alphabets and weights must align")
-        object.__setattr__(self, "alphabets", tuple(
-            _rationals(a, "an alphabet") for a in self.alphabets))
-        object.__setattr__(self, "weights", tuple(
-            _rationals(ws, "a weight list") for ws in self.weights))
+        self.alphabets = tuple(_rationals(a, "an alphabet") for a in alphabets)
+        self.weights = tuple(_rationals(ws, "a weight list") for ws in weights)
         for vals, ws in zip(self.alphabets, self.weights):
             if len(vals) != len(ws) or not vals:
                 raise DomainError("each coordinate needs matching nonempty lists")
@@ -75,6 +71,13 @@ class DiscreteProductSpace:
                 raise DomainError("weights must sum to 1")
         if prod(self.sizes) > SPACE_MAX_POINTS:
             raise SizeLimitError("product space too large")
+
+    def __eq__(self, other):
+        return (type(other) is DiscreteProductSpace
+                and (self.alphabets, self.weights) == (other.alphabets, other.weights))
+
+    def __hash__(self):
+        return hash((self.alphabets, self.weights))
 
     @property
     def n(self) -> int:
@@ -313,8 +316,7 @@ def exact_cumulants_discrete(space: DiscreteProductSpace, table, r_max: int) -> 
         for r in range(1, r_max + 1)])
 
 
-@dataclass
-class TailReport:
+class TailReport(NamedTuple):
     n: int
     m: int
     alpha: Fraction

@@ -352,10 +352,44 @@ def test_bounds_digit_cap_on_a_large_cycle(capsys, tmp_path, monkeypatch):
     assert env["result"]["lower"] == "1"
 
 
-def test_cli_import_leaves_numpy_out():
-    proc = fresh_python(["-c", "import sys, eocount.cli; "
-                               "sys.exit('numpy' in sys.modules)"])
+def test_cli_import_leaves_numpy_out(tmp_path):
+    """One fresh interpreter runs every command once: none loads numpy, or
+    dataclasses and the inspect module it imports, which cost every process
+    their import time."""
+    k5 = write_edges(tmp_path / "k5.edges", complete_graph(5))
+    runs = [["exact", "rt", "--n", "7"], ["exact", "eo", "--graph", k5],
+            ["expand", "rt", "--order", "3", "--eval", "21"],
+            ["estimate", "--graph", k5], ["bounds", "--graph", k5],
+            ["graphinfo", "--graph", k5],
+            ["taillab", "--instance", str(write_quad5(tmp_path)), "--m", "2"]]
+    script = ("import io, json, sys\n"
+              "from eocount.cli import main\n"
+              "out, sys.stdout = sys.stdout, io.StringIO()\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "loaded = [m for m in ('numpy', 'dataclasses', 'inspect')\n"
+              "          if m in sys.modules]\n"
+              "out.write(json.dumps([codes, loaded]))\n")
+    proc = fresh_python(["-c", script, json.dumps(runs)])
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * len(runs), []]
+
+
+def test_closed_stdout_is_an_io_error():
+    """A reader that closed the pipe gets exit 4 and one JSON line on stderr,
+    not a traceback from the print or from the interpreter's last flush."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(eocount.__file__))
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eocount.cli", "exact", "rt", "--n", "7"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 4
+    assert [json.loads(line)["kind"] for line in err.splitlines()] == ["io"]
 
 
 def run_fresh(argv, cwd):

@@ -68,12 +68,16 @@ def test_weight_log_coeffs_numeric_cross_check():
 
 
 def test_weight_spec_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"need a \+ b = 1"):
         WeightSpec(Fraction(1, 2), Fraction(1, 3))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"b > 0"):
         WeightSpec(Fraction(1), Fraction(0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unknown family"):
         WeightSpec.for_family("nope")
+    # strings are read as Fractions; equal specs hash alike
+    w, v = WeightSpec(Fraction(1, 4), Fraction(3, 4)), WeightSpec("1/4", "3/4")
+    assert v == w and hash(v) == hash(w) and type(v.a) is Fraction
+    assert WeightSpec(Fraction(1, 4), Fraction(3, 4), "other") != w
 
 
 def test_family_variance():

@@ -271,6 +271,14 @@ def test_load_graph_reads_the_format_of_the_first_nonblank_line(tmp_path):
             load_graph(str(p))
 
 
+def test_graphs_compare_and_hash_by_vertex_count_and_edges():
+    k4 = complete_graph(4)
+    same = Graph.from_edges(4, [(v, u) for u, v in sorted(k4.edges, reverse=True)])
+    assert same == k4 and hash(same) == hash(k4) and len({k4, same}) == 1
+    assert k4 != Graph(5, k4.edges) and k4 != cycle_graph(4)
+    assert k4 != (k4.n, k4.edges)
+
+
 def test_json_round_trip():
     g = circulant_graph(8, (1, 2))
     blob = json.dumps(graph_to_json(g))

@@ -353,9 +353,9 @@ def test_instance_json_round_trip():
 
 
 def test_space_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="sum to 1"):
         DiscreteProductSpace([[0, 1]], [[Fraction(1, 2), Fraction(1, 3)]])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="matching nonempty"):
         DiscreteProductSpace([[0]], [[Fraction(1), Fraction(0)]])
     with pytest.raises(DomainError, match="align"):
         DiscreteProductSpace([[0, 1], [0, 1]], [["1/2", "1/2"]])
@@ -392,6 +392,8 @@ def test_constructor_coerces_numbers_and_strings():
     assert space.weights == ((Fraction(1, 2), Fraction(1, 2)),)
     assert all(type(v) is Fraction for v in space.alphabets[0] + space.weights[0])
     assert space == bits(1)
-    assert DiscreteProductSpace([["0", "1"]], [["1/2", "1/2"]]) == space
+    same = DiscreteProductSpace([["0", "1"]], [["1/2", "1/2"]])
+    assert same == space and hash(same) == hash(space)
+    assert DiscreteProductSpace([[0, 2]], [["1/2", "1/2"]]) != space
     rep = check_tail_bound(space, (Fraction(0), Fraction(1, 1000)), 2)
     assert rep.alpha == Fraction(1, 1000) and rep.holds
