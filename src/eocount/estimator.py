@@ -152,11 +152,14 @@ def eo_hat_log(g: Graph, bits: int = DEFAULT_BITS):
 
 def degree_sum_reference(g: Graph) -> Fraction:
     """-1/4 sum_{jk in E} (1/d_j + 1/d_k)^2, the first-order exponent: the
-    value kappa_1 approaches for well-conditioned graphs."""
-    total = Fraction(0)
-    for u, v in g.edges:
-        total += (Fraction(1, g.degrees[u]) + Fraction(1, g.degrees[v])) ** 2
-    return -total / 4
+    value kappa_1 approaches for well-conditioned graphs, as one term per
+    distinct sorted degree pair (a, b): its edge count times
+    ((a + b)/(a b))^2."""
+    deg = g.degrees
+    pairs = Counter((deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])
+                    for u, v in g.edges)
+    return -sum((k * Fraction(a + b, a * b) ** 2 for (a, b), k in pairs.items()),
+                Fraction(0)) / 4
 
 
 # ---------------------------------------------------------------------------

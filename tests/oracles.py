@@ -30,7 +30,9 @@ tests check it against, and the combinatorics only they use:
   formulas ``orders_for_precision``;
 * the graph layer: ``cheeger_gray_code``, one Gray-code step per subset of
   {0..n-2} with incremental cut updates (against the lane-parallel
-  ``cheeger_constant``);
+  ``cheeger_constant``), and ``gauss_jordan_adjugate``, the fraction-free
+  elimination of L + J on full rows (against the symmetric sweep
+  ``l_plus_j_adjugate``, which keeps only the upper triangle);
 * the estimator: ``exact_inverse`` (Gauss-Jordan over rationals, against the
   integer adjugate) and the per-pair route to kappa_2, ``kappa2_pairwise``,
   on Fractions: for every ordered edge pair it sums c_{2l1} c_{2l2} times
@@ -53,7 +55,7 @@ import numpy as np
 from eocount.cumulants import double_factorial
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import WeightSpec, weight_log_coeffs
-from eocount.graphs import CHEEGER_MAX_N
+from eocount.graphs import CHEEGER_MAX_N, laplacian
 from eocount.laurent import LaurentSeries
 from helpers import TYPE_ENUM_MAX_FACTORS, mu_moment, mu_monomial
 
@@ -711,6 +713,35 @@ def cheeger_gray_code(g) -> Fraction:
         if cut * best_size < best_cut * small:
             best_cut, best_size = cut, small
     return Fraction(best_cut, best_size)
+
+
+def gauss_jordan_adjugate(g) -> tuple[int, list[list[int]] | None]:
+    """(tau, adj(L + J)) by fraction-free (Bareiss) Gauss-Jordan elimination
+    on full rows; (0, None) for a disconnected or empty graph.
+
+    Each row holds the columns of L + J not yet eliminated, then the identity
+    columns already reached (the later ones are the pivot times a unit
+    vector), so the rows end as the adjugate.  The pivot at step k is the
+    leading minor of order k + 1, positive when L + J is definite, so every
+    division is exact; a zero pivot means a singular L + J.
+    """
+    n = g.n
+    if n == 0:
+        return 0, None
+    rows = [[x + 1 for x in row] for row in laplacian(g)]
+    prev = 1
+    for k in range(n):
+        pk = rows[k]
+        piv = pk[0]
+        if piv == 0:
+            return 0, None
+        tail = pk[1:]
+        rows = [tail + [prev] if i == k else
+                [(piv * x - r[0] * y) // prev for x, y in zip(r[1:], tail)]
+                + [-r[0]]
+                for i, r in enumerate(rows)]
+        prev = piv
+    return prev // (n * n), rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import pytest
@@ -10,8 +12,9 @@ from eocount.estimator import (ESTIMATE_MAX_K, covariance_sigma, default_w,
                                kappa1_f, kappa2_f, schrijver_bounds)
 from eocount.expansion import MAX_BITS, MIN_BITS
 from eocount.exact import eo_count_bruteforce, rt_count
-from eocount.graphs import (DENSE_MAX_N, Graph, circulant_graph,
-                            complete_graph, cycle_graph, laplacian)
+from eocount.graphs import (DENSE_MAX_N, Graph, all_degrees_even,
+                            circulant_graph, complete_graph,
+                            complete_multipartite, cycle_graph, laplacian)
 from helpers import log_estimate, octahedron_graph, sigma_w
 from oracles import (bivariate_even_moment, exact_inverse, kappa2_pairwise,
                      log_cos_coeffs)
@@ -152,6 +155,32 @@ def test_kappa1_single_edge_formula():
     see = edge_cov(sigma_w(cov, Fraction(1)), (0, 1), (0, 1))
     assert kappa1_f(g, cov, 2) == Fraction(-1, 12) * 3 * see**2
     assert degree_sum_reference(g) == -Fraction(1)
+
+
+def random_even_graph(n, p, seed):
+    """A seeded G(n, p), then the odd-degree vertices paired off in order,
+    each pair's edge toggled: every degree even."""
+    rng = random.Random(seed)
+    edges = {e for e in combinations(range(n), 2) if rng.random() < p}
+    odd = [v for v in range(n) if sum(v in e for e in edges) % 2]
+    edges ^= set(zip(odd[::2], odd[1::2]))
+    return Graph.from_edges(n, edges)
+
+
+def test_degree_sum_reference_on_irregular_graphs():
+    # the per-edge sum of (1/d_j + 1/d_k)^2 is the oracle
+    rim = 8  # two hubs over C_8: rim degree 4, hub degree 8
+    double_wheel = Graph.from_edges(rim + 2, [(i, (i + 1) % rim) for i in range(rim)]
+                                    + [(i, h) for i in range(rim)
+                                       for h in (rim, rim + 1)])
+    even = random_even_graph(13, 0.5, 4)
+    assert all_degrees_even(double_wheel) and all_degrees_even(even)
+    assert len(set(even.degrees)) > 2
+    for g in (complete_multipartite(3, 3, 2), double_wheel, even):
+        deg = g.degrees
+        oracle = -sum((Fraction(1, deg[u]) + Fraction(1, deg[v])) ** 2
+                      for u, v in g.edges) / 4
+        assert degree_sum_reference(g) == oracle
 
 
 def test_kappa1_w_invariance():

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from eocount.errors import DomainError, SizeLimitError
 from eocount.graphs import (DENSE_MAX_N, GRAPH_FILE_MAX_N, LANE_BITS, Graph,
                             all_degrees_even, cheeger_constant,
-                            circulant_graph, complete_graph, cycle_graph,
+                            circulant_graph, complete_graph,
+                            complete_multipartite, cycle_graph,
                             l_plus_j_adjugate, laplacian, load_graph,
                             parse_edge_list, parse_graph_json,
                             spanning_tree_count)
 from helpers import graph_to_json, octahedron_graph, path_graph
-from oracles import cheeger_gray_code
+from oracles import cheeger_gray_code, gauss_jordan_adjugate
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,48 @@ def test_elimination_gives_tau_and_adjugate():
     assert l_plus_j_adjugate(Graph(1, frozenset())) == (1, [[1]])
     with pytest.raises(SizeLimitError):
         spanning_tree_count(Graph(DENSE_MAX_N + 1, frozenset()))
+
+
+@st.composite
+def graphs_of_any_density(draw, max_n):
+    """Graphs on 0..max_n vertices, each pair an edge with probability
+    density/8 for a drawn density 0..8: empty to complete, disconnected ones
+    included."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    draws = draw(st.lists(st.integers(0, 7), min_size=len(pairs),
+                          max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, x in zip(pairs, draws) if x < density])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_of_any_density(14))
+def test_sweep_matches_full_gauss_jordan(g):
+    tau, adj = result = l_plus_j_adjugate(g)
+    assert result == gauss_jordan_adjugate(g)
+    assert (result == (0, None)) == (not g.is_connected())
+    if adj is not None:
+        assert all(adj[i][j] == adj[j][i]
+                   for i in range(g.n) for j in range(i))
+
+
+def test_elimination_closed_forms():
+    # K_n: L + J = n I, so det = n^n, tau = n^(n-2) and adj = n^(n-1) I
+    for n in range(2, 41):
+        tau, adj = l_plus_j_adjugate(complete_graph(n))
+        assert tau == n ** (n - 2)
+        assert adj == [[n ** (n - 1) * (i == j) for j in range(n)]
+                       for i in range(n)]
+    # C_n: n spanning trees; (L + J) 1 = n 1, so every row of adj sums to
+    # det/n = n tau
+    for n in range(3, 61):
+        tau, adj = l_plus_j_adjugate(cycle_graph(n))
+        assert tau == n
+        assert all(sum(row) == n * n for row in adj)
+    for g in (circulant_graph(40, (1, 6, 19)), circulant_graph(60, (1, 2, 3, 4)),
+              complete_multipartite(3, 3, 2)):
+        assert l_plus_j_adjugate(g) == gauss_jordan_adjugate(g)
 
 
 def test_cheeger_examples():
