@@ -5,17 +5,26 @@ coefficients.
 A monomial is one int code, in which the multiplicity of exponent e sits in
 bits [FIELD_BITS e, FIELD_BITS (e + 1)): mu_2^2 mu_4 is 2 << 10 | 1 << 20,
 ``encode((2, 2, 4))``.  The moments come from one route, Gaussian
-integration by parts, which peels one factor at a time
-(E[mu_k G] = (k-1)/n E[mu_{k-2} G] + (1/n) sum_a a E[mu_{a+k-2} G/mu_a])
-with results memoized per code: peeling mu_k or merging it with mu_a is an
-int subtraction and addition on the code, and the fields are read back only
-on a memo miss.  The weights k-1 and a are ints and the base case is 1, so
-the recurrence and its memo run on Python ints.  The memo is module-global
-on purpose: the families share it, so a series after the first meets it
-warm.  Exponents are >= 1 here; the series engine carries mu_0 = n as the
-exponent 0 and clears that field before calling in.  The partition-type sum
-and the set-partition sum over factor positions live in the tests as
-independent cross-checks.
+integration by parts, by three rules:
+
+- mu_2 in closed form: Euler's identity sum_j X_j d_j G = (deg G) G gives
+  E[mu_2 G] = (1 + deg G / n) E[G], so for a mu_2-free G
+  E[mu_2^j G] = E[G] prod_{i<j} (1 + (deg G + 2i)/n);
+- otherwise peel the largest exponent k: mu_k becomes (k-1)/n mu_{k-2};
+- and merge it with each other factor mu_a into (a/n) mu_{a+k-2}
+  (mu_0 = n), so E[mu_k G] = (k-1)/n E[mu_{k-2} G]
+  + (1/n) sum_a a E[mu_{a+k-2} G/mu_a].
+
+Results are memoized per code: clearing the mu_2 field, peeling mu_k or
+merging it with mu_a is an int subtraction and addition on the code, and the
+fields are read back only on a memo miss.  The weights and the base case 1
+are positive ints, so the recurrence and its memo run on Python ints.  The
+memo and the table of mu_2 factor polynomials are module-global on purpose:
+the families share them, so a series after the first meets them warm.
+Exponents are >= 1 here; the series engine carries mu_0 = n as the exponent
+0 and clears that field before calling in.  The partition-type sum and the
+set-partition sum over factor positions live in the tests as independent
+cross-checks.
 """
 
 from __future__ import annotations
@@ -75,14 +84,32 @@ def monomial_order_bound(mono: Iterable[int]) -> int:
 
 _MOM_CACHE: dict[int, tuple[int, dict[int, int]]] = {}
 
+# prod_{i<j} (1 + (d + 2i)/n) as coefficients of n^-r, keyed by (d, j): the
+# factor that j copies of mu_2 put on E[G] for a mu_2-free G of degree d.
+_MU2_FACTORS: dict[tuple[int, int], list[int]] = {}
+
+_MU2_SHIFT = 2 * FIELD_BITS
+
+
+def _mu2_factor(deg: int, j: int) -> list[int]:
+    key = (deg, j)
+    poly = _MU2_FACTORS.get(key)
+    if poly is None:
+        poly = [1]
+        for w in range(deg, deg + 2 * j, 2):
+            if w:  # E[mu_2] = 1: the factor 1 + 0/n adds no term
+                poly = [a + w * b for a, b in zip(poly + [0], [0] + poly)]
+        _MU2_FACTORS[key] = poly
+    return poly
+
 
 def mu_moment_dict(code: int, cut: int) -> dict[int, int]:
     """E[prod mu_j] of the monomial with this code (its mu_0 field zero) as
     {p: int coeff of n^-p}, complete for p <= cut (entries with p > cut may
     be absent; callers filter).  Memoized per code; the internal format of
-    the series engine's hot loop.  The recurrence has int weights and the
-    base case 1, so every coefficient is an int.  No sub-monomial has more
-    factors than its parent, so no field overflows."""
+    the series engine's hot loop.  Every weight is a positive int and the
+    base case is 1, so every coefficient is a positive int.  No sub-monomial
+    has more factors than its parent, so no field overflows."""
     if not code:
         return {0: 1}
     cached = _MOM_CACHE.get(code)
@@ -95,17 +122,24 @@ def mu_moment_dict(code: int, cut: int) -> dict[int, int]:
         return {}
 
     out: dict[int, int] = {}
-    k, mk = fields.pop()  # peel the largest exponent
+    j = code >> _MU2_SHIFT & FIELD_MASK
+    if j:
+        # Euler: E[mu_2^j G] = E[G] prod_{i<j} (1 + (deg G + 2i)/n)
+        factor = _mu2_factor(deg - 2 * j, j)
+        for p, c in mu_moment_dict(code - (j << _MU2_SHIFT), cut).items():
+            if p <= cut:
+                for r, f in enumerate(factor[:cut + 1 - p], p):
+                    out[r] = out.get(r, 0) + c * f
+        _MOM_CACHE[code] = (cut, out)
+        return out
+
+    k, mk = fields.pop()  # peel the largest exponent, 1 or >= 3
     rest = code - (1 << FIELD_BITS * k)
     if mk > 1:
         fields.append((k, mk - 1))
 
-    # replace mu_k by (k-1) mu_{k-2} / n;  mu_0 = n cancels the 1/n
-    if k == 2:
-        for p, c in mu_moment_dict(rest, cut).items():
-            if p <= cut:
-                out[p] = out.get(p, 0) + c
-    elif k > 2:
+    # replace mu_k by (k-1) mu_{k-2} / n
+    if k > 2:
         sub = mu_moment_dict(rest + (1 << FIELD_BITS * (k - 2)), cut - 1)
         w = k - 1
         for p, c in sub.items():
@@ -127,6 +161,5 @@ def mu_moment_dict(code: int, cut: int) -> dict[int, int]:
                 if p <= cut:
                     out[p] = out.get(p, 0) + w * c
 
-    out = {p: c for p, c in out.items() if c != 0}
     _MOM_CACHE[code] = (cut, out)
     return out

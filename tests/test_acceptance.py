@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py -v` to see the per-criterion
-lines; the exponent-series computation (criterion 3, about 50 s on 2 cores) is
+lines; the exponent-series computation (criterion 3, about 15 s on 2 cores) is
 shared with criterion 4 through a module fixture.
 """
 

@@ -169,9 +169,16 @@ def test_moments_of_f_at_full_M_match_series_products():
 
 def test_series_memo_size_after_order_7():
     powersums._MOM_CACHE.clear()
-    for fam in ("RT", "ED", "EOG"):
+    powersums._MU2_FACTORS.clear()
+    expansion_series("RT", 7)
+    cold = len(powersums._MOM_CACHE)
+    for fam in ("ED", "EOG"):
         expansion_series(fam, 7)
-    assert len(powersums._MOM_CACHE) == 13030
+    # the families share their product codes, so a warm series finds every
+    # one memoized under its full code and adds no entry
+    assert len(powersums._MOM_CACHE) == cold == 8619
+    # one factor polynomial per (deg G, j) met, not per monomial
+    assert len(powersums._MU2_FACTORS) == 205
 
 
 def test_orders_for_precision():

@@ -3,19 +3,21 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eocount.errors import SizeLimitError
 from eocount.laurent import LaurentSeries
 from eocount.expansion import MAX_ORDER, family_orders
+from eocount import powersums
 from eocount.powersums import (FIELD_BITS, code_fields, encode,
                                monomial_order_bound, mu_moment_dict)
 
 from helpers import TYPE_ENUM_MAX_FACTORS, mu_moment, mu_monomial
-from oracles import (a_coeff, b_coeff, bell_number, count_partition_types,
-                     enumerate_partition_types, gaussian_power_moment,
-                     mu_moment_via_types, realization_count, realization_sum,
+from oracles import (ORACLE_MAX_FACTORS, a_coeff, b_coeff, bell_number,
+                     count_partition_types, enumerate_partition_types,
+                     gaussian_power_moment, mu_moment_via_types,
+                     realization_count, realization_sum,
                      set_partition_moment_oracle)
 
 
@@ -124,6 +126,27 @@ def test_mu_moment_is_int_and_matches_types_at_every_truncation(exps):
         assert all(type(c) is int
                    for c in mu_moment_dict(encode(mono), cut).values())
         assert mu_moment(mono, p_max) == mu_moment_via_types(mono, p_max), p_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda j: st.tuples(
+    st.just(j), st.lists(st.sampled_from((1, 3, 4, 5)), max_size=12 - j))))
+def test_mu2_closed_form_matches_oracles_at_every_truncation(case):
+    # mu_2^j G takes the closed form E[G] prod_{i<j} (1 + (deg G + 2i)/n);
+    # an empty memo and rising cuts make every entry on the way an upgrade
+    j, rest = case
+    mono = mu_monomial([2] * j + rest)
+    half, odd = divmod(sum(mono), 2)
+    assume(not odd)
+    full = mu_moment_via_types(mono)
+    if len(mono) <= ORACLE_MAX_FACTORS:
+        assert full == set_partition_moment_oracle(mono)
+    powersums._MOM_CACHE.clear()
+    for p_max in [*range(half + 1), None]:
+        cut = half if p_max is None else p_max
+        coeffs = mu_moment_dict(encode(mono), cut).values()
+        assert all(type(c) is int and c > 0 for c in coeffs)
+        assert mu_moment(mono, p_max) == full.truncate(p_max), p_max
 
 
 def test_parity_vanishing():
