@@ -1,13 +1,14 @@
 """Ground-truth exact counters: Eulerian orientations of small graphs and
-balanced digraph/oriented-graph counts by one pruned backtracking counter
-over vertex pairs, regular tournaments by a residual-degree recurrence.  The
-numeric cross-check by torus quadrature lives in the tests
-(``tests/oracles.py``).
+balanced digraph/oriented-graph counts by one pruned transfer over vertex
+pairs, regular tournaments by a residual-degree recurrence.  The pruned
+backtracking search and the numeric cross-check by torus quadrature live in
+the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from math import comb
 
 from .errors import DomainError, SizeLimitError
@@ -43,58 +44,53 @@ RT_KNOWN_COUNTS: dict[int, int] = {
 
 
 # ---------------------------------------------------------------------------
-# Balanced assignments by backtracking
+# Balanced assignments by a transfer over the pairs
 
-def _balanced_count(n: int, pairs: list[tuple[int, int]], moves) -> int:
+def _balanced_count(pairs: list[tuple[int, int]], moves) -> int:
     """Weighted count of the ways to give every pair (j, k) one move that
-    leave all n vertices balanced.
+    leave every vertex balanced.
 
     A move (d, weight) adds d to the imbalance of j and -d to that of k, with
-    |d| <= 1; the moves must be closed under d -> -d with equal weights.  A
-    branch is pruned as soon as some vertex has a larger imbalance than it
-    has pairs left.  Reversing every move is an involution, so the first
-    pair takes only d >= 0, with the weight doubled when d > 0.
+    |d| <= 1; the moves must be closed under d -> -d with equal weights.  The
+    pairs are taken in order; a state, the imbalances of the vertices met in
+    ``pairs`` by first appearance, maps to its weighted ways.  A state is
+    dropped once some vertex's |imbalance| exceeds its pairs left, so closed
+    vertices are 0 and equal states merge.  Reversing every move is an
+    involution, so the first pair takes only d >= 0, weight doubled if d > 0.
     """
-    rem = [0] * n   # pairs still to assign at each vertex
+    left = Counter(chain.from_iterable(pairs))   # pairs still to assign
+    slot = {v: i for i, v in enumerate(left)}
+    states = {(0,) * len(slot): 1}
+    choices = [(d, 2 * w if d else w) for d, w in moves if d >= 0]
     for j, k in pairs:
-        rem[j] += 1
-        rem[k] += 1
-    imb = [0] * n
-    m = len(pairs)
-
-    def count_from(idx: int, choices) -> int:
-        if idx == m:
-            return 1
-        j, k = pairs[idx]
-        rem[j] -= 1
-        rem[k] -= 1
-        total = 0
-        for d, weight in choices:
-            imb[j] += d
-            imb[k] -= d
-            if abs(imb[j]) <= rem[j] and abs(imb[k]) <= rem[k]:
-                total += weight * count_from(idx + 1, moves)
-            imb[j] -= d
-            imb[k] += d
-        rem[j] += 1
-        rem[k] += 1
-        return total
-
-    return count_from(0, [(d, 2 * w if d else w) for d, w in moves if d >= 0])
+        left[j] -= 1
+        left[k] -= 1
+        a, b, lj, lk = slot[j], slot[k], left[j], left[k]
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, ways in states.items():
+            s = list(state)
+            for d, weight in choices:
+                s[a], s[b] = state[a] + d, state[b] - d
+                if abs(s[a]) <= lj and abs(s[b]) <= lk:
+                    key = tuple(s)
+                    nxt[key] = nxt.get(key, 0) + ways * weight
+        states = nxt
+        choices = moves
+    return sum(states.values())
 
 
 def eo_count_bruteforce(g: Graph) -> int:
-    """Exact number of Eulerian orientations by vertex-major backtracking.
+    """Exact number of Eulerian orientations by the vertex-major transfer.
 
     Edges are taken in sorted order, so all edges at the smallest vertex come
     first and its balance closes early; each edge gets one of two
     directions.
     """
     if g.edge_count > EO_MAX_EDGES:
-        raise SizeLimitError(f"brute force capped at {EO_MAX_EDGES} edges")
+        raise SizeLimitError(f"eo_count_bruteforce capped at {EO_MAX_EDGES} edges")
     if not all_degrees_even(g):
         return 0
-    return _balanced_count(g.n, sorted(g.edges), ((1, 1), (-1, 1)))
+    return _balanced_count(sorted(g.edges), ((1, 1), (-1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +158,10 @@ def eulerian_digraph_count_bruteforce(n: int) -> int:
     """Balanced digraphs on n labelled vertices: each unordered pair carries
     any subset of the two opposite arcs (2-cycles allowed).  "No arc" and
     "both arcs" leave the balance alone and form one move of weight 2."""
-    return _balanced_count(n, _all_pairs(n), ((0, 2), (1, 1), (-1, 1)))
+    return _balanced_count(_all_pairs(n), ((0, 2), (1, 1), (-1, 1)))
 
 
 def eulerian_oriented_count_bruteforce(n: int) -> int:
     """Balanced oriented graphs on n labelled vertices: at most one arc per
     unordered pair."""
-    return _balanced_count(n, _all_pairs(n), ((0, 1), (1, 1), (-1, 1)))
+    return _balanced_count(_all_pairs(n), ((0, 1), (1, 1), (-1, 1)))

@@ -291,9 +291,10 @@ def alpha(space: DiscreteProductSpace, table, m: int) -> Fraction:
 # exact cumulants and the tail report
 
 def _distribution(space: DiscreteProductSpace, table):
-    """(dist, den, wden): f(X) = v/den with probability dist[v]/wden, where
-    the values v and the weight numerators dist[v] are ints."""
+    """(dist, s, den, wden): f(X) = s + v/den with probability dist[v]/wden,
+    where s = min f, and the values v >= 0 and weights dist[v] are ints."""
     vals, den = _scaled_int_table(space, table)
+    c = min(vals)
     weights = [1]
     wden = 1
     for ws in space.weights:
@@ -303,17 +304,19 @@ def _distribution(space: DiscreteProductSpace, table):
         wden *= d
     dist: dict[int, int] = {}
     for v, w in zip(vals, weights):
-        dist[v] = dist.get(v, 0) + w
-    return dist, den, wden
+        dist[v - c] = dist.get(v - c, 0) + w
+    return dist, Fraction(c, den), den, wden
 
 
 def exact_cumulants_discrete(space: DiscreteProductSpace, table, r_max: int) -> list[Fraction]:
     """kappa_1..kappa_{r_max} of f(X), exact rationals, from the moments of
-    the distribution of f."""
-    dist, den, wden = _distribution(space, table)
-    return moments_to_cumulants([
+    f - s (s = min f, added back to kappa_1, the only cumulant a shift
+    moves), which stay as small as the spread of f."""
+    dist, s, den, wden = _distribution(space, table)
+    kappas = moments_to_cumulants([
         Fraction(sum(w * v**r for v, w in dist.items()), wden * den**r)
         for r in range(1, r_max + 1)])
+    return [kappas[0] + s] + kappas[1:] if kappas else kappas
 
 
 class TailReport(NamedTuple):
@@ -356,11 +359,10 @@ def _iv_from_fraction(q: Fraction):
 def check_tail_bound(space: DiscreteProductSpace, table, m: int) -> TailReport:
     """Exact verification of the tail bound at order m.
 
-    delta is extracted as exp((log E e^f - sum kappa_r/r!)/n) - 1; its
-    inequality is checked with interval arithmetic, the cumulant inequalities
-    with exact rationals.
+    delta is extracted as exp((log E e^f - sum kappa_r/r!)/n) - 1 from the
+    exps of f - s, s = min f, so large values never cancel; its inequality is
+    checked in interval arithmetic, the cumulant inequalities exactly.
     """
-    _require_alpha_work(space, m)
     a = alpha(space, table, m)
     n = space.n
     # the printer's digit rule on alpha and on the exact kappa bounds
@@ -375,23 +377,23 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int) -> TailReport:
     kappas = exact_cumulants_discrete(space, table, m)
     kappa_holds = [abs(k) <= b for k, b in zip(kappas, kappa_bounds)]
 
-    dist, den, wden = _distribution(space, table)
+    dist, s, den, wden = _distribution(space, table)
 
     from mpmath import iv
 
     old_prec = iv.prec
     iv.prec = DELTA_IV_PREC
     try:
-        # E e^f: one interval exp per distinct value of f
+        # E e^(f-s): one interval exp per distinct value of f
         total = iv.mpf(0)
         for fv, w in sorted(dist.items()):
             total += iv.mpf(w) * iv.exp(iv.mpf(fv) / den)
-        mean = total / iv.mpf(wden)
-        log_mgf = iv.log(mean)
+        log_shifted = iv.log(total / iv.mpf(wden))
+        log_mgf = _iv_from_fraction(s) + log_shifted
 
         ksum = sum((k / factorial(r) for r, k in enumerate(kappas, 1)),
                    Fraction(0))
-        delta = iv.exp((log_mgf - _iv_from_fraction(ksum)) / n) - 1
+        delta = iv.exp((log_shifted - _iv_from_fraction(ksum - s)) / n) - 1
         bound_arg = _iv_from_fraction((100 * a) ** (m + 1))
         delta_bound = iv.exp(bound_arg) - 1
         abs_delta = abs(delta)

@@ -40,9 +40,11 @@ tests check it against, and the combinatorics only they use:
   moments.  The shipped ``kappa2_f`` computes the same quantity as
   Hadamard-power contractions, without the j = 0 term that cancels here;
 * the tail lab: the averaging operator ``conditional_expectation``;
-* the exact counters: ``torus_integral_estimate``, a product trapezoid
-  quadrature of the circle-integral representation of the weighted
-  orientation count (against the backtracking and recurrence counts).
+* the exact counters: ``balanced_count_backtracking``, the pruned
+  depth-first search over vertex pairs (against the transfer
+  ``exact._balanced_count``), and ``torus_integral_estimate``, a product
+  trapezoid quadrature of the circle-integral representation of the
+  weighted orientation count (against the transfer and recurrence counts).
 """
 
 from fractions import Fraction
@@ -827,6 +829,47 @@ def conditional_expectation(space, table, j: int):
         acc = sl if acc is None else acc + sl
     out = np.broadcast_to(np.expand_dims(acc, j), space.sizes)
     return tuple(out.reshape(-1))
+
+
+# ---------------------------------------------------------------------------
+# exact counts: pruned backtracking
+
+def balanced_count_backtracking(n: int, pairs: list[tuple[int, int]], moves) -> int:
+    """Weighted count of the ways to give every pair (j, k) one move that
+    leave all n vertices balanced.
+
+    A move (d, weight) adds d to the imbalance of j and -d to that of k, with
+    |d| <= 1; the moves must be closed under d -> -d with equal weights.  A
+    branch is pruned as soon as some vertex has a larger imbalance than it
+    has pairs left.  Reversing every move is an involution, so the first
+    pair takes only d >= 0, with the weight doubled when d > 0.
+    """
+    rem = [0] * n   # pairs still to assign at each vertex
+    for j, k in pairs:
+        rem[j] += 1
+        rem[k] += 1
+    imb = [0] * n
+    m = len(pairs)
+
+    def count_from(idx: int, choices) -> int:
+        if idx == m:
+            return 1
+        j, k = pairs[idx]
+        rem[j] -= 1
+        rem[k] -= 1
+        total = 0
+        for d, weight in choices:
+            imb[j] += d
+            imb[k] -= d
+            if abs(imb[j]) <= rem[j] and abs(imb[k]) <= rem[k]:
+                total += weight * count_from(idx + 1, moves)
+            imb[j] -= d
+            imb[k] += d
+        rem[j] += 1
+        rem[k] += 1
+        return total
+
+    return count_from(0, [(d, 2 * w if d else w) for d, w in moves if d >= 0])
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,17 @@ def test_exact_eo_from_file(capsys, k5_file):
     assert env["result"]["value"] == "24"
 
 
+def test_exact_method_labels(capsys, k5_file):
+    methods = {}
+    for subject, flag, arg in (("rt", "--n", "5"), ("eo", "--graph", k5_file),
+                               ("ed", "--n", "3"), ("eog", "--n", "3")):
+        code, env = run_json(capsys, ["exact", subject, flag, arg])
+        assert code == 0
+        methods[subject] = env["result"]["method"]
+    assert methods == {"rt": "dp", "eo": "transfer", "ed": "transfer",
+                       "eog": "transfer"}
+
+
 def test_parity_error_exit_code(capsys):
     code = main(["exact", "rt", "--n", "4"])
     err = capsys.readouterr().err
@@ -182,6 +193,22 @@ def test_taillab_large_entries_stay_exact(capsys, tmp_path):
     assert code == 0
     assert env["result"]["kappas"] == [str(k) for k in
                                        exact_cumulants_discrete(three, table, 2)]
+
+
+def test_taillab_huge_values_one_apart(capsys, tmp_path):
+    # two 3001-digit values 1 apart: the moments and exps are taken of the
+    # table minus its smallest value, so nothing 3001 digits long is raised
+    # to the 100th power or exponentiated
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(instance_to_json(
+        uniform_bits(1), [10**3000, 10**3000 + 1])))
+    t0 = time.perf_counter()
+    code, env = run_json(capsys, ["taillab", "--instance", str(huge), "--m", "100"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    res = env["result"]
+    assert res["kappas"][:2] == [str(10**3000 + Fraction(1, 2)), "1/4"]
+    assert res["kappa_holds"][0] is False and res["holds"] is False
 
 
 MALFORMED_GRAPHS = {

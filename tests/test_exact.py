@@ -1,16 +1,24 @@
+import time
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eocount.errors import DomainError, SizeLimitError
-from eocount.exact import (RT_KNOWN_COUNTS, eo_count_bruteforce,
+from eocount.exact import (RT_KNOWN_COUNTS, _balanced_count, eo_count_bruteforce,
                            eulerian_digraph_count_bruteforce,
                            eulerian_oriented_count_bruteforce, rt_count)
-from eocount.graphs import Graph, circulant_graph, complete_graph, cycle_graph
+from eocount.graphs import (Graph, circulant_graph, complete_graph,
+                            complete_multipartite, cycle_graph)
 
 from golden import ED_COUNTS, EOG_COUNTS, RT_COUNTS
 from helpers import octahedron_graph, path_graph
-from oracles import torus_integral_estimate
+from oracles import balanced_count_backtracking, torus_integral_estimate
+
+EO_MOVES = ((1, 1), (-1, 1))
 
 
 def test_eo_examples():
@@ -41,6 +49,70 @@ def test_eo_edge_cap():
 def test_eo_matches_rt_small():
     for n in (3, 5, 7):
         assert eo_count_bruteforce(complete_graph(n)) == rt_count(n)
+
+
+@st.composite
+def even_graphs(draw, max_n: int = 10, max_edges: int = 24):
+    """The symmetric difference of random cycles (an even graph, maybe
+    edgeless), with one edge toggled now and then to make odd degrees; at
+    most ``max_edges`` edges."""
+    n = draw(st.integers(0, max_n))
+    edges: set[tuple[int, int]] = set()
+    for _ in range(draw(st.integers(0, 8)) if n >= 3 else 0):
+        cyc = draw(st.permutations(range(n)))[:draw(st.integers(3, n))]
+        new = edges ^ {tuple(sorted(e)) for e in zip(cyc, cyc[1:] + cyc[:1])}
+        if len(new) < max_edges:   # room for the toggle below
+            edges = new
+    if n >= 2 and draw(st.integers(0, 3)) == 3:
+        edges ^= {draw(st.sampled_from(list(combinations(range(n), 2))))}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(even_graphs(), st.randoms(use_true_random=False))
+def test_transfer_matches_backtracking(g, rnd):
+    pairs = sorted(g.edges)
+    expected = balanced_count_backtracking(g.n, pairs, EO_MOVES)
+    assert _balanced_count(pairs, EO_MOVES) == expected
+    assert eo_count_bruteforce(g) == expected
+    rnd.shuffle(pairs)     # the count does not depend on the pair order
+    assert _balanced_count(pairs, EO_MOVES) == expected
+
+
+def test_transfer_matches_backtracking_on_complete_graphs():
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for moves, counter in (
+                (((0, 2), (1, 1), (-1, 1)), eulerian_digraph_count_bruteforce),
+                (((0, 1), (1, 1), (-1, 1)), eulerian_oriented_count_bruteforce)):
+            assert counter(n) == balanced_count_backtracking(n, pairs, moves)
+
+
+def test_eo_k2_2k_is_central_binomial():
+    # each leaf passes one unit from one hub to the other; the hubs balance
+    # when k leaves go each way
+    for k in range(11):
+        assert eo_count_bruteforce(complete_multipartite(2 * k, 2)) == comb(2 * k, k)
+        if k <= 6:
+            assert eo_count_bruteforce(complete_multipartite(2, 2 * k)) == comb(2 * k, k)
+
+
+def test_eo_pinned_counts():
+    # counts that the transfer and the backtracking search both gave
+    assert eo_count_bruteforce(circulant_graph(10, (1, 2, 3, 4))) == 14_747_896
+    assert eo_count_bruteforce(circulant_graph(13, (1, 2, 3))) == 891_288
+    assert eo_count_bruteforce(circulant_graph(13, (1, 3))) == 810
+    assert eo_count_bruteforce(complete_multipartite(4, 4)) == 90
+
+
+def test_eo_at_the_edge_cap_is_fast():
+    # 40 edges; the backtracking search takes over 30 s here, the transfer
+    # about 20-30 ms
+    g = circulant_graph(10, (1, 2, 3, 4))
+    assert g.edge_count == 40
+    t0 = time.perf_counter()
+    eo_count_bruteforce(g)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_rt_golden_small():

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eocount.taillab as taillab
 from eocount.errors import DomainError, SizeLimitError
@@ -286,6 +288,37 @@ def test_exact_cumulants_examples():
     ka = exact_cumulants_discrete(one, tabulate(one, lambda x: x), 4)
     kb = exact_cumulants_discrete(one, tabulate(one, lambda x: 7 * x), 4)
     assert exact_cumulants_discrete(two, fsum, 4) == [x + y for x, y in zip(ka, kb)]
+
+
+@st.composite
+def small_instances(draw):
+    """A space of one to three coordinates with two or three values, a table
+    of small rationals on it, and an order m <= 3."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    weights = []
+    for k in sizes:
+        raw = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        weights.append([Fraction(r, sum(raw)) for r in raw])
+    space = DiscreteProductSpace([list(range(k)) for k in sizes], weights)
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    table = tuple(draw(st.lists(entry, min_size=prod(sizes), max_size=prod(sizes))))
+    return space, table, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances(), st.fractions(min_value=-10**6, max_value=10**6,
+                                       max_denominator=10**4))
+def test_constant_shift_moves_only_kappa_1(inst, t):
+    space, table, m = inst
+    shifted = tuple(v + t for v in table)
+    assert alpha(space, shifted, m) == alpha(space, table, m)
+    kappas = exact_cumulants_discrete(space, table, m)
+    moved = exact_cumulants_discrete(space, shifted, m)
+    assert moved[0] == kappas[0] + t
+    assert moved[1:] == kappas[1:]
+    rep, rep_moved = check_tail_bound(space, table, m), check_tail_bound(space, shifted, m)
+    assert rep_moved.kappa_bounds == rep.kappa_bounds
+    assert rep_moved.kappas == moved
 
 
 def test_large_entries_stay_exact():
