@@ -50,14 +50,14 @@ def _envelope(command: str, inputs: dict, result: dict, t0: float,
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (inputs, result, bits-or-None)
 
-# subject -> (its one flag, the counter's name in `exact`, method); the counter
-# is looked up when called, so a wrapper installed on `exact` is seen
-# (the *_bruteforce names stay: the benchmark's tracer wraps them by name)
+# subject -> (its one flag, the counter's name in `exact`, method), looked up
+# when called so a wrapper installed on `exact` is seen; ed and eog run rt's
+# dp but keep their *_bruteforce names, which the benchmark's tracer wraps
 EXACT_SUBJECTS = {
     "rt": ("n", "rt_count", "dp"),
     "eo": ("graph", "eo_count_bruteforce", "transfer"),
-    "ed": ("n", "eulerian_digraph_count_bruteforce", "transfer"),
-    "eog": ("n", "eulerian_oriented_count_bruteforce", "transfer"),
+    "ed": ("n", "eulerian_digraph_count_bruteforce", "dp"),
+    "eog": ("n", "eulerian_oriented_count_bruteforce", "dp"),
 }
 
 

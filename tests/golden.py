@@ -40,10 +40,31 @@ EOG_SERIES = [Fraction(*t) for t in [
     (2469157786549, 1107296256),
 ]]
 
-# counts frozen from the exhaustive scanners in this package; the n <= 4
+# balanced digraph (ED) and oriented graph (EOG) counts on K_n: n <= 7 from
+# the backtracking search in tests/oracles.py, n <= 11 also from the
+# transfer over all pairs, n = 12-14 from the vertex-elimination counter (an
+# independent prototype gave the same n = 13 and 14 values); the n <= 4
 # values are independently confirmed by the torus quadrature
-ED_COUNTS = {1: 1, 2: 2, 3: 10, 4: 152, 5: 7736}
-EOG_COUNTS = {1: 1, 2: 1, 3: 3, 4: 15, 5: 219}
+ED_COUNTS = {
+    1: 1, 2: 2, 3: 10, 4: 152, 5: 7736, 6: 1375952, 7: 877901648,
+    8: 2046320373120,
+    9: 17658221702361472,
+    10: 569773219836965265152,
+    11: 69280070663388783890248448,
+    12: 31941407692847758201303724506112,
+    13: 56121720938871110502272391300032261120,
+    14: 377362438996731353329256282026362716827887616,
+}
+EOG_COUNTS = {
+    1: 1, 2: 1, 3: 3, 4: 15, 5: 219, 6: 7839, 7: 777069,
+    8: 208836207,
+    9: 156458382975,
+    10: 328208016021561,
+    11: 1946879656265710431,
+    12: 32834193098697741359313,
+    13: 1582809785794578499063205301,
+    14: 218989607557709869788340418432175,
+}
 
 BELL_22 = 4506715738447323
 PARTITION_TYPES_22 = 360847

@@ -41,10 +41,12 @@ tests check it against, and the combinatorics only they use:
   Hadamard-power contractions, without the j = 0 term that cancels here;
 * the tail lab: the averaging operator ``conditional_expectation``;
 * the exact counters: ``balanced_count_backtracking``, the pruned
-  depth-first search over vertex pairs (against the transfer
-  ``exact._balanced_count``), and ``torus_integral_estimate``, a product
-  trapezoid quadrature of the circle-integral representation of the
-  weighted orientation count (against the transfer and recurrence counts).
+  depth-first search over vertex pairs (against the edge transfer
+  ``exact._balanced_count`` on graphs, and against the K_n elimination
+  ``exact._kn_count`` for RT, ED and EOG on K_n, n <= 6), and
+  ``torus_integral_estimate``, a product trapezoid quadrature of the
+  circle-integral representation of the weighted orientation count
+  (against both counters for n <= 4).
 """
 
 from fractions import Fraction

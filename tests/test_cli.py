@@ -100,8 +100,7 @@ def test_exact_method_labels(capsys, k5_file):
         code, env = run_json(capsys, ["exact", subject, flag, arg])
         assert code == 0
         methods[subject] = env["result"]["method"]
-    assert methods == {"rt": "dp", "eo": "transfer", "ed": "transfer",
-                       "eog": "transfer"}
+    assert methods == {"rt": "dp", "eo": "transfer", "ed": "dp", "eog": "dp"}
 
 
 def test_parity_error_exit_code(capsys):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eocount.errors import DomainError, SizeLimitError
-from eocount.exact import (RT_KNOWN_COUNTS, _balanced_count, eo_count_bruteforce,
+from eocount.exact import (BALANCED_MAX_N, RT_KNOWN_COUNTS, _balanced_count,
+                           _kn_count, eo_count_bruteforce,
                            eulerian_digraph_count_bruteforce,
                            eulerian_oriented_count_bruteforce, rt_count)
 from eocount.graphs import (Graph, circulant_graph, complete_graph,
@@ -73,19 +74,25 @@ def even_graphs(draw, max_n: int = 10, max_edges: int = 24):
 def test_transfer_matches_backtracking(g, rnd):
     pairs = sorted(g.edges)
     expected = balanced_count_backtracking(g.n, pairs, EO_MOVES)
-    assert _balanced_count(pairs, EO_MOVES) == expected
+    assert _balanced_count(pairs) == expected
     assert eo_count_bruteforce(g) == expected
     rnd.shuffle(pairs)     # the count does not depend on the pair order
-    assert _balanced_count(pairs, EO_MOVES) == expected
+    assert _balanced_count(pairs) == expected
 
 
-def test_transfer_matches_backtracking_on_complete_graphs():
-    for n in range(1, 6):
+# (w0, w1) of the K_n counter and the backtracker's moves for RT, ED and EOG
+KN_FAMILIES = (((0, 1), EO_MOVES),
+               ((2, 1), ((0, 2), (1, 1), (-1, 1))),
+               ((1, 1), ((0, 1), (1, 1), (-1, 1))))
+
+
+def test_kn_count_matches_backtracking():
+    # even n has no regular tournament: both routes give 0 there
+    for n in range(1, 7):
         pairs = list(combinations(range(n), 2))
-        for moves, counter in (
-                (((0, 2), (1, 1), (-1, 1)), eulerian_digraph_count_bruteforce),
-                (((0, 1), (1, 1), (-1, 1)), eulerian_oriented_count_bruteforce)):
-            assert counter(n) == balanced_count_backtracking(n, pairs, moves)
+        for (w0, w1), moves in KN_FAMILIES:
+            assert _kn_count(n, w0, w1) == balanced_count_backtracking(n, pairs, moves)
+    # the backtracker takes seconds at n = 7; its values are pinned in golden.py
 
 
 def test_eo_k2_2k_is_central_binomial():
@@ -131,12 +138,26 @@ def test_rt_parity_and_cap():
 
 
 def test_balanced_digraph_counts():
-    for n, expected in ED_COUNTS.items():
-        assert eulerian_digraph_count_bruteforce(n) == expected
-    for n, expected in EOG_COUNTS.items():
-        assert eulerian_oriented_count_bruteforce(n) == expected
-    with pytest.raises(SizeLimitError):
-        eulerian_oriented_count_bruteforce(6)
+    # n = 13 is checked by the timing gate below; n = 14 (over 1 s each)
+    # is left to the CLI
+    for n in range(1, 13):
+        assert eulerian_digraph_count_bruteforce(n) == ED_COUNTS[n]
+        assert eulerian_oriented_count_bruteforce(n) == EOG_COUNTS[n]
+    for counter in (eulerian_digraph_count_bruteforce,
+                    eulerian_oriented_count_bruteforce):
+        with pytest.raises(DomainError):
+            counter(0)
+        with pytest.raises(SizeLimitError):
+            counter(BALANCED_MAX_N + 1)
+
+
+def test_balanced_counts_at_n13_are_fast():
+    # each takes about 0.3-0.6 s
+    for counter, table in ((eulerian_digraph_count_bruteforce, ED_COUNTS),
+                           (eulerian_oriented_count_bruteforce, EOG_COUNTS)):
+        t0 = time.perf_counter()
+        assert counter(13) == table[13]
+        assert time.perf_counter() - t0 < 10.0
 
 
 def test_quadrature_triangle_families():
