@@ -15,15 +15,25 @@ power-sum moments as truncated Laurent series in 1/n, turned into cumulants
 by the moment-to-cumulant recursion, and the closed-form prefactors are
 attached symbolically.  The hot loops run on Python ints: the coefficients
 of f_K are scaled once to ints over their common denominator D, the products
-of f_K^r and the power-sum moments are ints, and E[f_K^r] is divided by D^r
-once.  A product monomial of f_K^r is itself one int, the multiplicities of
+of f_K^r, the power-sum moments and the cumulant recursion run on ints, and
+kappa_r is divided by D^r once.  A product monomial of f_K^r is itself one int, the multiplicities of
 its exponents packed in fixed-width bit fields, so a product of monomials is
-an int addition; the products are kept in buckets by their order bound,
-which adds up over the factors.  The power-sum recurrence and its memo take
-the same codes, so no code is unpacked into a tuple.  Each family's weight
-and prefactor sit in one table, ``FAMILIES``; an exact rational becomes
-an mpf only in ``to_mpf``, and a result number becomes text only in
-``to_text``.
+an int addition; the products are kept in buckets by their order bound and
+their excess, both of which add up over the factors.  The power-sum
+recurrence and its memo take the same codes, so no code is unpacked into a
+tuple.  Each family's weight and prefactor sit in one table, ``FAMILIES``;
+an exact rational becomes an mpf only in ``to_mpf``, and a result number
+becomes text only in ``to_text``.
+
+Why the cumulants decay: with T_l = sum_{j<k} (x_j - x_k)^(2l), kappa_r(f_K)
+is by multilinearity a sum of joint cumulants kappa(T_{l_1}, ..., T_{l_r}) of
+excess e = sum (l_i - 2).  Such a joint cumulant vanishes unless the r pairs
+form a connected graph, which has at most r + 1 vertices, and each
+(x_j - x_k)^(2l) is homogeneous of degree 2l in coordinates of variance 1/n,
+so it is O(n^(r+1-sum l_i)) = O(n^(-(r-1+e))).  Through n^(-(c-1)) only
+r <= c and e <= c - r count; the moment-to-cumulant recursion is graded by
+excess, so m_j is needed up to excess c - j, and a product of j monomials
+(t, 2l - t) of f_K has excess deg/2 - 2j.
 """
 
 from __future__ import annotations
@@ -205,9 +215,10 @@ def f_as_mu_polynomial(w: WeightSpec, K: int) -> dict[tuple[int, int], Fraction]
 # order selection
 
 def family_orders(c: int) -> tuple[int, int]:
-    """For the dense families the error target n^(-c) is met with
-    M = K = c + 1 (c = 12 gives 13, 13)."""
-    return c + 1, c + 1
+    """(M, K) = (c, c + 1) for the error target n^(-c) of the dense
+    families (c = 12 gives 12, 13): kappa_{c+1} and the Taylor terms past
+    l = c + 1 start at n^(-c) (module docstring)."""
+    return c, c + 1
 
 
 # ---------------------------------------------------------------------------
@@ -231,66 +242,100 @@ class ExpansionResult(NamedTuple):
         }
 
 
-def _moments_of_f(poly, M: int, p_max: int):
-    """E[f^r] for r = 1..M as truncated coefficient dicts, by expanding
-    products of the base monomials with order-bound pruning.
+class _Graded:
+    """D^r E[f^r] or D^r kappa_r split by excess: parts[e][p] is the int
+    coefficient of n^-p in the excess-e part, p <= p_max.  The recursion in
+    ``moments_to_cumulants`` is homogeneous of degree r, so it runs on these
+    numerators; slot e of a product sums slots i and e - i, and - and *
+    keep only the slots both operands hold, so kappa_r gets m_r's."""
 
-    The coefficients of f are scaled once to ints over their common
-    denominator D, so the products and the moment sums run on ints; E[f^r]
-    is divided by D^r once, at the end.  A product monomial is one int
-    code, the power-sum recurrence's own key: the multiplicity of exponent e
-    sits in bits [FIELD_BITS e, FIELD_BITS (e + 1)), so multiplying by a base
-    monomial is one int addition.  Each base monomial (t, 2l - t) has an
-    even total degree and 0 or 2 odd exponents, so ``monomial_order_bound``
-    adds up over products; P keeps the codes in buckets by that bound, and
-    the bound runs once per base monomial.  The low field z is the power of
-    n from mu_0: the recurrence gets the code with that field cleared, z
-    orders deeper.
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = list(parts)
+
+    def __sub__(self, other):
+        return _Graded([u - v for u, v in zip(a, b)]
+                       for a, b in zip(self.parts, other.parts))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Graded([other * u for u in a] for a in self.parts)
+        x, y = self.parts, other.parts
+        out = []
+        for e in range(min(len(x), len(y))):
+            acc = [0] * len(x[0])
+            for a, b in zip(x[:e + 1], reversed(y[:e + 1])):
+                for p, u in enumerate(a):
+                    if u:
+                        for q, v in enumerate(b[:len(acc) - p], p):
+                            acc[q] += u * v
+            out.append(acc)
+        return _Graded(out)
+
+    __rmul__ = __mul__
+
+
+def _moments_of_f(poly, M: int, p_max: int):
+    """(D, [m_1..m_M]): m_r is D^r E[f^r] as a ``_Graded`` whose slot e
+    holds the products of excess e <= p_max + 1 - r, truncated at n^-p_max;
+    the excess-e part of kappa_r is O(n^(-(r-1+e))) (module docstring), so
+    no cumulant through n^-p_max needs more.
+
+    D is the common denominator of f's coefficients, so the products and
+    moment sums run on ints.  A product monomial is one int code, the
+    power-sum recurrence's own key (``FIELD_BITS`` bits per exponent), so
+    multiplying by a base monomial (t, 2l - t) is one int addition; its
+    order bound and excess l - 2 add up over products, and P keeps the codes
+    in buckets by both.  The low field z is the power of n from mu_0: the
+    recurrence gets the code with that field cleared, z orders deeper.
     """
     D = lcm(*(c.denominator for c in poly.values()))
-    items = sorted(((encode((t, s)),
-                     c.numerator * (D // c.denominator),
-                     monomial_order_bound((t, s))) for (t, s), c in poly.items()),
-                   key=lambda it: it[2])
+    items = sorted(((encode((t, s)), c.numerator * (D // c.denominator),
+                     monomial_order_bound((t, s)), (t + s) // 2 - 2)
+                    for (t, s), c in poly.items()), key=lambda it: it[2])
 
     moments = []
-    P: dict[int, dict[int, int]] = {0: {0: 1}}  # bound -> {code: D^r f^r coeff}
+    P: dict = {(0, 0): {0: 1}}  # (bound, excess) -> {code: D^r f^r coeff}
     for r in range(1, M + 1):
-        nxt: dict[int, dict[int, int]] = {}
-        for bound, bucket in P.items():
-            for code2, c2, bound2 in items:
+        top = p_max + 1 - r
+        nxt: dict = {}
+        for (bound, ex), bucket in P.items():
+            for code2, c2, bound2, ex2 in items:
                 if bound + bound2 > p_max:
                     break
-                out = nxt.setdefault(bound + bound2, {})
+                if ex + ex2 > top:
+                    continue
+                out = nxt.setdefault((bound + bound2, ex + ex2), {})
                 get = out.get
                 for code, c in bucket.items():
                     key = code + code2
                     out[key] = get(key, 0) + c * c2
-        P = {b: {k: v for k, v in bucket.items() if v != 0}
-             for b, bucket in nxt.items()}
+        P = {k: {code: v for code, v in bucket.items() if v != 0}
+             for k, bucket in nxt.items()}
 
-        mr: dict[int, int] = {}
-        for bucket in P.values():
+        mr: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        for (_, ex), bucket in P.items():
+            acc = mr[ex]
             for code, c in bucket.items():
                 z = code & FIELD_MASK
                 for p, mc in mu_moment_dict(code - z, p_max + z).items():
                     pp = p - z
                     if pp <= p_max:
-                        mr[pp] = mr.get(pp, 0) + c * mc
-        if any(p < 0 for p, c in mr.items() if c):
+                        acc[pp] = acc.get(pp, 0) + c * mc
+        if any(p < 0 for acc in mr for p, c in acc.items() if c):
             raise AssertionError("moment of f has a positive power of n")
-        Dr = D**r
-        moments.append(LaurentSeries({p: Fraction(c, Dr) for p, c in mr.items()},
-                                     p_max))
-    return moments
+        moments.append(_Graded([acc.get(p, 0) for p in range(p_max + 1)]
+                               for acc in mr))
+    return D, moments
 
 
 def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     """Exponent-series coefficients through n^-(c-1), exact rationals.
 
-    The moments E[f_K^r], r <= M, are computed in the power-sum basis with
-    truncation pruning, converted to cumulants over the series ring, and
-    summed as sum_r kappa_r / r!.
+    The moments D^r E[f_K^r], r <= M, are computed in the power-sum basis
+    by excess with truncation pruning, turned into cumulants on those int
+    numerators, divided by D^r and summed as sum_r kappa_r / r!.
     """
     if c > MAX_ORDER:
         raise SizeLimitError(f"expansion order capped at c={MAX_ORDER}")
@@ -300,11 +345,12 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     M, K = family_orders(c)
     p_max = c - 1
     poly = f_as_mu_polynomial(w, K)
-    moments = _moments_of_f(poly, M, p_max)
-    kappas = moments_to_cumulants(moments)
-    total = LaurentSeries.zero(p_max)
-    for r, kap in enumerate(kappas, start=1):
-        total = total + kap / factorial(r)
+    D, moments = _moments_of_f(poly, M, p_max)
+    kappas = [LaurentSeries({p: Fraction(sum(col), D**r)
+                             for p, col in enumerate(zip(*k.parts))}, p_max)
+              for r, k in enumerate(moments_to_cumulants(moments), start=1)]
+    total = sum((kap / factorial(r) for r, kap in enumerate(kappas, start=1)),
+                LaurentSeries.zero(p_max))
     coeffs = {p: total[p] for p in range(0, p_max + 1) if total[p] != 0}
     return ExpansionResult(
         family=w.family, order=c, M=M, K=K,

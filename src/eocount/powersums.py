@@ -34,7 +34,7 @@ from typing import Iterable
 # A monomial is one int code: the multiplicity of exponent e sits in bits
 # [FIELD_BITS e, FIELD_BITS (e + 1)).  The width is fixed, so the memo is
 # shared by every family and order; the series engine's products of at most
-# 13 f_K monomials have at most 26 < 2^FIELD_BITS factors.
+# 12 f_K monomials have at most 24 < 2^FIELD_BITS factors.
 FIELD_BITS = 5
 FIELD_MASK = (1 << FIELD_BITS) - 1
 

@@ -20,8 +20,8 @@ from eocount.powersums import encode, mu_moment_dict
 from eocount.taillab import DiscreteProductSpace
 
 # Most factors of a monomial here and in the partition-type oracles; the
-# series engine's products have at most 26, and each field of a packed code
-# holds up to 31.
+# series engine's products of at most 12 f_K monomials have at most 24
+# factors, and each field of a packed code holds up to 31.
 TYPE_ENUM_MAX_FACTORS = 26
 
 

@@ -24,10 +24,12 @@ tests check it against, and the combinatorics only they use:
 * the series engine's inputs: ``f_direct`` and ``evaluate_mu_polynomial``
   (f_K by its edge-sum definition and in the power-sum basis), and its
   moments ``moments_of_f_via_series`` (the powers of f on LaurentSeries
-  coefficients, against the integer product expansion), the Bernoulli closed
-  form ``log_cos_coeffs`` with ``bernoulli_numbers`` (against the formal log
-  of the cosine series, ``weight_log_coeffs`` for RT) and the general order
-  formulas ``orders_for_precision``;
+  coefficients split by excess, against the integer product expansion),
+  the whole series ``series_ungraded`` (every moment to M = c + 1 without
+  the excess cut, against the graded series and its cumulants), the
+  Bernoulli closed form ``log_cos_coeffs`` with ``bernoulli_numbers``
+  (against the formal log of the cosine series, ``weight_log_coeffs`` for
+  RT) and the general order formulas ``orders_for_precision``;
 * the graph layer: ``cheeger_gray_code``, one Gray-code step per subset of
   {0..n-2} with incremental cut updates (against the lane-parallel
   ``cheeger_constant``), and ``gauss_jordan_adjugate``, the fraction-free
@@ -50,17 +52,19 @@ tests check it against, and the combinatorics only they use:
 """
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterator, Sequence
 
 import mpmath
 import numpy as np
 
-from eocount.cumulants import double_factorial
+from eocount.cumulants import double_factorial, moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
-from eocount.expansion import WeightSpec, weight_log_coeffs
+from eocount.expansion import WeightSpec, f_as_mu_polynomial, weight_log_coeffs
 from eocount.graphs import CHEEGER_MAX_N, laplacian
 from eocount.laurent import LaurentSeries
+from eocount.powersums import (FIELD_MASK, encode, monomial_order_bound,
+                               mu_moment_dict)
 from helpers import TYPE_ENUM_MAX_FACTORS, mu_moment, mu_monomial
 
 ENUMERATION_MAX = 16
@@ -636,12 +640,14 @@ def f_direct(w: WeightSpec, K: int, xs, variance_scale=None) -> Fraction:
     return total
 
 
-def moments_of_f_via_series(poly, M: int, p_max: int) -> list[LaurentSeries]:
-    """E[f^r], r = 1..M, truncated at n^-p_max: the power-sum polynomial of f
-    raised to the r-th power with its Fraction coefficients multiplied as
-    they stand (no common denominator, no pruning), then mu_moment of each
-    product monomial.  The z exponents 0 of a product monomial are the
-    factor n^z, so the rest's moment is kept to n^-(p_max + z)."""
+def moments_of_f_via_series(poly, M: int, p_max: int) -> list[dict[int, LaurentSeries]]:
+    """E[f^r], r = 1..M, truncated at n^-p_max and split by the excess
+    sum/2 - 2r of the product monomials, {excess: series}: the power-sum
+    polynomial of f raised to the r-th power with its Fraction coefficients
+    multiplied as they stand (no common denominator, no pruning), then
+    mu_moment of each product monomial.  The z exponents 0 of a product
+    monomial are the factor n^z, so the rest's moment is kept to
+    n^-(p_max + z)."""
     moments = []
     power = {(): Fraction(1)}
     for r in range(1, M + 1):
@@ -651,13 +657,60 @@ def moments_of_f_via_series(poly, M: int, p_max: int) -> list[LaurentSeries]:
                 key = tuple(sorted(mono + m2))
                 nxt[key] = nxt.get(key, 0) + s * s2
         power = nxt
-        total = LaurentSeries.zero(p_max)
+        parts: dict[int, LaurentSeries] = {}
         for mono, s in power.items():
             z = sum(1 for k in mono if k == 0)
             rest = tuple(k for k in mono if k != 0)
-            total = total + s * LaurentSeries({-z: 1}) * mu_moment(rest, p_max + z)
-        moments.append(total)
+            e = sum(mono) // 2 - 2 * r
+            parts[e] = (parts.get(e, LaurentSeries.zero(p_max))
+                        + s * LaurentSeries({-z: 1}) * mu_moment(rest, p_max + z))
+        moments.append(parts)
     return moments
+
+
+def _moments_of_f_ungraded(poly, M: int, p_max: int) -> list[LaurentSeries]:
+    """E[f^r] for r = 1..M whole, every product of f^r with an order bound
+    at most p_max kept whatever its excess: the packed-int product expansion
+    of the series engine without its excess cut."""
+    D = lcm(*(c.denominator for c in poly.values()))
+    items = sorted(((encode((t, s)), c.numerator * (D // c.denominator),
+                     monomial_order_bound((t, s))) for (t, s), c in poly.items()),
+                   key=lambda it: it[2])
+    moments = []
+    P: dict[int, dict[int, int]] = {0: {0: 1}}  # bound -> {code: D^r f^r coeff}
+    for r in range(1, M + 1):
+        nxt: dict[int, dict[int, int]] = {}
+        for bound, bucket in P.items():
+            for code2, c2, bound2 in items:
+                if bound + bound2 > p_max:
+                    break
+                out = nxt.setdefault(bound + bound2, {})
+                for code, c in bucket.items():
+                    out[code + code2] = out.get(code + code2, 0) + c * c2
+        P = nxt
+        mr: dict[int, int] = {}
+        for bucket in P.values():
+            for code, c in bucket.items():
+                z = code & FIELD_MASK
+                for p, mc in mu_moment_dict(code - z, p_max + z).items():
+                    if p - z <= p_max:
+                        mr[p - z] = mr.get(p - z, 0) + c * mc
+        moments.append(LaurentSeries({p: Fraction(c, D**r) for p, c in mr.items()},
+                                     p_max))
+    return moments
+
+
+def series_ungraded(w: WeightSpec, c: int) -> tuple[dict[int, Fraction], list[LaurentSeries]]:
+    """(coeffs, [kappa_1..kappa_{c+1}]) of the exponent series through
+    n^-(c-1) with M = K = c + 1 and no excess cut: every moment whole, the
+    plain moment-to-cumulant recursion on LaurentSeries, and sum_r
+    kappa_r / r!."""
+    poly = f_as_mu_polynomial(w, c + 1)
+    kappas = moments_to_cumulants(_moments_of_f_ungraded(poly, c + 1, c - 1))
+    total = LaurentSeries.zero(c - 1)
+    for r, kap in enumerate(kappas, start=1):
+        total = total + kap / factorial(r)
+    return {p: total[p] for p in range(c) if total[p]}, kappas
 
 
 def orders_for_precision(n: float, d: float, c: float) -> tuple[int, int]:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eocount import powersums
 from eocount.errors import DomainError, SizeLimitError
@@ -11,12 +13,13 @@ from eocount.expansion import (MAX_BITS, MAX_K, MIN_BITS, WeightSpec,
                                expansion_series, f_as_mu_polynomial,
                                family_orders, family_variance, log_prefactor,
                                weight_log_coeffs)
+from eocount.laurent import LaurentSeries
 from eocount.powersums import monomial_order_bound
 
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
 from oracles import (bernoulli_numbers, evaluate_mu_polynomial, f_direct,
                      log_cos_coeffs, moments_of_f_via_series,
-                     orders_for_precision)
+                     orders_for_precision, series_ungraded)
 
 
 def test_log_cos_displayed_coefficients():
@@ -130,16 +133,28 @@ def test_f_polynomial_excludes_quadratic_term():
     assert poly == {(0, 4): c4, (1, 3): -4 * c4, (2, 2): 3 * c4}
 
 
+def assert_graded_moments_match(poly, M, p_max):
+    # m_r keeps the excess parts 0..p_max + 1 - r as int numerators over
+    # D^r, each the oracle's sum over the product monomials of that excess,
+    # sum/2 - 2r
+    D, got = _moments_of_f(poly, M, p_max)
+    want = moments_of_f_via_series(poly, M, p_max)
+    assert len(got) == len(want) == M
+    for r, (m, parts) in enumerate(zip(got, want), start=1):
+        assert len(m.parts) == max(0, p_max + 2 - r), r
+        for e, part in enumerate(m.parts):
+            assert len(part) == p_max + 1 and all(type(v) is int for v in part)
+            series = LaurentSeries({p: Fraction(v, D**r) for p, v in enumerate(part)})
+            assert series == parts.get(e, LaurentSeries.zero()), (r, e)
+
+
 def test_moments_of_f_custom_weight_matches_series_products():
     # denominators 5 and 7, coprime to the families' 2 and 3: the common
     # denominator D of f is not 1, so E[f^r] must be divided by D^r
     w = WeightSpec(Fraction(2, 7), Fraction(5, 7))
     for c in range(1, 7):
         _, K = family_orders(c)
-        poly = f_as_mu_polynomial(w, K)
-        got = _moments_of_f(poly, 3, c - 1)
-        assert got == moments_of_f_via_series(poly, 3, c - 1), c
-        assert all(m.p_max == c - 1 for m in got)
+        assert_graded_moments_match(f_as_mu_polynomial(w, K), 3, c - 1)
 
 
 @pytest.mark.parametrize("family", ["RT", "ED", "EOG"])
@@ -156,15 +171,45 @@ def test_order_bound_adds_up_over_products_of_f_monomials(family):
 
 
 def test_moments_of_f_at_full_M_match_series_products():
-    # the series itself takes M = c + 1, past the M = 3 of the test above
+    # the series itself takes M = c, past the M = 3 of the test above
     weights = [WeightSpec.for_family(f) for f in ("RT", "ED", "EOG")]
     weights.append(WeightSpec(Fraction(2, 7), Fraction(5, 7)))
     cases = [(w, c) for w in weights for c in (1, 2, 3)] + [(weights[0], 4)]
     for w, c in cases:
         M, K = family_orders(c)
-        poly = f_as_mu_polynomial(w, K)
-        assert _moments_of_f(poly, M, c - 1) == moments_of_f_via_series(
-            poly, M, c - 1), (w, c)
+        assert_graded_moments_match(f_as_mu_polynomial(w, K), M, c - 1)
+
+
+# the a of a + b cos: denominators other than the families' 2 and 3, a
+# weight near each end, and RT's (0, 1) as a custom weight
+CUSTOM_A = ["2/7", "3/5", "9/10", "0", "1/11"]
+
+
+def assert_series_matches_ungraded(w, c):
+    # the excess cut and M = c lose nothing: the coefficients and
+    # kappa_1..kappa_c equal the whole expansion's through n^-(c-1), and
+    # its kappa_{c+1} is zero there
+    res = expansion_series(w, c)
+    coeffs, kappas = series_ungraded(w, c)
+    assert res.coeffs == coeffs, (w.a, c)
+    assert res.cumulants == tuple(kappas[:c]), (w.a, c)
+    assert len(kappas) == c + 1 and not kappas[c], (w.a, c)
+
+
+@pytest.mark.parametrize("weight", ["RT", "ED", "EOG"] + CUSTOM_A)
+def test_series_equals_the_ungraded_expansion(weight):
+    w = (WeightSpec.for_family(weight) if weight in ("RT", "ED", "EOG")
+         else WeightSpec(weight, 1 - Fraction(weight)))
+    for c in range(1, 9):
+        assert_series_matches_ungraded(w, c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda q: st.tuples(st.integers(0, q - 1), st.just(q))), st.integers(1, 5))
+def test_series_equals_the_ungraded_expansion_for_any_weight(pq, c):
+    a = Fraction(*pq)
+    assert_series_matches_ungraded(WeightSpec(a, 1 - a), c)
 
 
 def test_series_memo_size_after_order_7():
@@ -176,13 +221,13 @@ def test_series_memo_size_after_order_7():
         expansion_series(fam, 7)
     # the families share their product codes, so a warm series finds every
     # one memoized under its full code and adds no entry
-    assert len(powersums._MOM_CACHE) == cold == 8619
+    assert len(powersums._MOM_CACHE) == cold == 1279
     # one factor polynomial per (deg G, j) met, not per monomial
-    assert len(powersums._MU2_FACTORS) == 205
+    assert len(powersums._MU2_FACTORS) == 81
 
 
 def test_orders_for_precision():
-    assert family_orders(12) == (13, 13)
+    assert family_orders(12) == (12, 13)
     M, K = orders_for_precision(mpmath.e ** 100, mpmath.e ** 10, 1)
     assert M == int(200 / (10 - 2 * mpmath.log(100)))
     assert K == int(200 / (10 - mpmath.log(100)))
@@ -193,7 +238,7 @@ def test_orders_for_precision():
 def test_expansion_series_low_order_golden():
     r = expansion_series("RT", 5)
     assert [r.coeffs.get(p, Fraction(0)) for p in range(5)] == RT_SERIES[:5]
-    assert r.M == 6 and r.K == 6
+    assert r.M == 5 and r.K == 6
     e = expansion_series("ED", 5)
     assert [e.coeffs.get(p, Fraction(0)) for p in range(5)] == ED_SERIES[:5]
     g = expansion_series("EOG", 5)

@@ -35,7 +35,7 @@ def test_code_fields_read_back_the_encoded_monomial(exps):
 
 
 def test_fields_hold_every_product_the_series_engine_forms():
-    # a product of M <= 13 f_K monomials has at most 2M factors, and the
+    # a product of M <= 12 f_K monomials has at most 2M factors, and the
     # recurrence never adds one, so no field of width FIELD_BITS overflows;
     # the tests' monomials stay inside the same width
     assert 2 * family_orders(MAX_ORDER)[0] < 1 << FIELD_BITS
