@@ -7,8 +7,9 @@ Sigma_w = (L + wJ)^(-1) = adj/(n^2 tau) + (1/w - 1) J/n^2 for every w > 0.
 The edge-difference covariances are w-free: M/tau for the integer matrix
 M = B^T adj B / n^2 (B the signed incidence matrix).  kappa_1 and kappa_2 are
 exact Fractions of ints built from M and tau and from one stream of per-edge
-integer vectors A_j: kappa_1 is the sum of A_0, kappa_2 a short sum of
-Hadamard-power contractions of A_j, j >= 2, with no per-pair work.  Each
+integer vectors A_j: kappa_1 is the sum of A_0, from M's diagonal alone;
+kappa_2, the only user of the m x m matrix M, a short sum of Hadamard-power
+contractions of A_j, j >= 2, with no per-pair work.  Each
 exact result is rounded once, by ``expansion.to_mpf``, to at least
 ``expansion.MIN_BITS`` = 128 bits.
 """
@@ -61,15 +62,15 @@ class Covariance(NamedTuple):
     """The Gaussian covariance Sigma_w = (L + wJ)^(-1) of a connected graph,
     for every w > 0, from one elimination of L + J.
 
-    ``edge`` is the integer matrix M = B^T adj B / n^2 over the sorted edges,
-    stored as upper rows (edge[e][i] = M[e][e + i]); M/tau is the w-free
-    covariance of the edge differences X_j - X_k.
+    ``var`` is the diagonal of M = B^T adj B / n^2 over the sorted edges,
+    var[e] = (adj_jj + adj_kk - 2 adj_jk) / n^2 for e = (j, k); var[e]/tau
+    is the w-free variance of X_j - X_k.  ``edge_matrix`` builds all of M.
     """
 
     n: int
     tau: int                  # spanning trees; det(L + J) = n^2 tau
     adj: list[list[int]]      # adjugate of L + J
-    edge: list[list[int]]
+    var: list[int]
 
     def _scaled(self, w) -> tuple[list[list[int]], int]:
         """Sigma_w as integer rows over one denominator: with w = p/q,
@@ -85,20 +86,30 @@ class Covariance(NamedTuple):
         return Fraction(max(sum(map(abs, row)) for row in rows), den)
 
 
+def _exact_over_n2(values, n2: int) -> list[int]:
+    if any(x % n2 for x in values):
+        raise ArithmeticError("B^T adj(L + J) B is not divisible by n^2")
+    return [x // n2 for x in values]
+
+
 def covariance_sigma(g: Graph) -> Covariance:
-    """Sigma_w for every w, tau and M from one elimination of L + J;
-    DomainError unless the graph is connected."""
+    """Sigma_w for every w, tau and the diagonal of M from one elimination
+    of L + J; DomainError unless the graph is connected."""
     _require_vertices(g)
     tau, adj = l_plus_j_adjugate(g)
     if not tau:
         raise DomainError("covariance needs a connected graph (L + J singular)")
-    n2 = g.n ** 2
+    var = [adj[j][j] + adj[k][k] - 2 * adj[j][k] for j, k in sorted(g.edges)]
+    return Covariance(g.n, tau, adj, _exact_over_n2(var, g.n ** 2))
+
+
+def edge_matrix(g: Graph, cov: Covariance) -> list[list[int]]:
+    """M as upper rows over the sorted edges, edge[e][i] = M[e][e + i], so
+    edge[e][0] = cov.var[e]; O(m^2) ints, which only kappa_2 needs."""
     edges = sorted(g.edges)
-    diff = [[a - b for a, b in zip(adj[j], adj[k])] for j, k in edges]
-    upper = [[d[s] - d[t] for s, t in edges[e:]] for e, d in enumerate(diff)]
-    if any(x % n2 for row in upper for x in row):
-        raise ArithmeticError("B^T adj(L + J) B is not divisible by n^2")
-    return Covariance(g.n, tau, adj, [[x // n2 for x in row] for row in upper])
+    diff = [[a - b for a, b in zip(cov.adj[j], cov.adj[k])] for j, k in edges]
+    return [_exact_over_n2([d[s] - d[t] for s, t in edges[e:]], g.n ** 2)
+            for e, d in enumerate(diff)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +192,6 @@ def _edge_terms(cov: Covariance, K: int):
     ``kappa2_f`` and den the common denominator of its coefficients."""
     cs = weight_log_coeffs(_LOG_COS, K)
     tau = cov.tau
-    var = [row[0] for row in cov.edge]
     for h in range(K + 1):
         j = 2 * h
         # coefficient of S_ee^p in A_j, p = l - h
@@ -190,7 +200,7 @@ def _edge_terms(cov: Covariance, K: int):
         den = lcm(*(c.denominator for c in ws))
         coef = [c.numerator * (den // c.denominator) * tau ** (K - h - p)
                 for p, c in enumerate(ws)]
-        yield den, [sum(c * v ** p for p, c in enumerate(coef)) for v in var]
+        yield den, [sum(c * v ** p for p, c in enumerate(coef)) for v in cov.var]
 
 
 def kappa1_f(g: Graph, cov: Covariance, K: int) -> Fraction:
@@ -220,7 +230,7 @@ def kappa2_f(g: Graph, cov: Covariance, K: int) -> Fraction:
     contraction with M^(o j) over D_j^2 tau^(2K).  The cost is O(m^2 K).
     """
     _require_cumulant_args(g, K, 2)
-    square = [[x * x for x in row] for row in cov.edge]
+    square = [[x * x for x in row] for row in edge_matrix(g, cov)]
     hadamard = square
     total = Fraction(0)
     # h = 0 is kappa_1's term

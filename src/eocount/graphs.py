@@ -1,7 +1,7 @@
 """Simple undirected graphs and the exact quantities the estimators need:
-Laplacian, the one elimination of L + J (a symmetric fraction-free sweep of
-its upper triangle, giving the spanning-tree count and the adjugate),
-Cheeger constant, degree predicates.
+Laplacian, the one elimination of L + J (a symmetric fraction-free forward
+pass over its upper rows, giving the spanning-tree count, and a back sweep
+from those rows to the adjugate), Cheeger constant, degree predicates.
 
 Vertices are 0-based contiguous integers internally; the text/JSON formats use
 1-based labels.
@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
+from operator import mul
 
 from .errors import DomainError, SizeLimitError
 
@@ -30,9 +31,9 @@ LANE_BITS = 10
 GRAPH_FILE_MAX_N = 10**6
 # Dense n x n integer algebra (the Laplacian and the elimination of L + J, the
 # only route to tau and Sigma) is refused above this many vertices, before any
-# n x n list is built.  On the degree-6 circulant C_n(1,2,3) the elimination
-# takes 0.3 s at n = 100, 4 s at n = 200 and 22 s at n = 300 (2 shared
-# cores, CPython 3.11).
+# n x n list is built.  On the degree-6 circulant C_n(1,2,3) the forward
+# elimination (tau alone) takes 0.04 s at n = 100, 0.45 s at n = 200 and 2.1 s
+# at n = 300, the adjugate about twice that (2 shared cores, CPython 3.11).
 DENSE_MAX_N = 300
 
 
@@ -245,62 +246,67 @@ def require_dense(g: Graph) -> None:
         raise SizeLimitError(f"dense linear algebra is capped at n={DENSE_MAX_N}")
 
 
-def l_plus_j_adjugate(g: Graph) -> tuple[int, list[list[int]] | None]:
-    """(tau, adj): the spanning-tree count and the adjugate of L + J (J all
-    ones), by one fraction-free (Bareiss) Gauss-Jordan sweep that keeps only
-    the upper triangle.
+def _bareiss_rows(g: Graph) -> list[list[int]] | None:
+    """The upper rows U of the symmetric fraction-free (Bareiss) elimination
+    of L + J (J all ones), U[i] = columns i.. of row i after i steps, so that
+    U[i][0] is the leading minor d_{i+1}; None at a zero pivot.
 
     L + J is positive semidefinite, and definite with det = n^2 tau exactly
-    when the graph is connected (n replaces L's eigenvalue 0).  Its leading
-    minors d_k are then positive, so the pivot at step k is d_{k+1} and every
-    division is exact.  A zero pivot means a singular L + J, a disconnected
-    graph: (0, None), as for the empty graph.
-
-    With A = L + J split at the first k vertices, the state after sweeping
-    pivots 0..k-1 is
-        T = d_k [[A11^-1, A11^-1 A12], [-A21 A11^-1, S]],
-    S = A22 - A21 A11^-1 A12 the Schur complement.  A is symmetric, so
-    A11^-1 and S are, and the swept x unswept block is minus the transpose
-    of the unswept x swept one: T[j][i] = T[i][j], except that the sign
-    flips when exactly one of i, j is below k.  Row i therefore stores only
-    T[i][i:].  Step k rebuilds row k of T in full from the stored column k
-    by that sign rule, updates every other row i as
-    (d_{k+1} T[i][j] - T[i][k] T[k][j]) / d_k for j >= i, sets the new
-    swept entry T[i][k] to minus the old one, and leaves row k but its
-    pivot, which becomes d_k.  That is about n^3/2 big-int updates where the
-    full rows take n^3.  After n steps T = d_n A^-1 = adj(A), symmetric.
+    when the graph is connected (n replaces L's eigenvalue 0): its leading
+    minors are then positive and every division is exact, and a zero pivot
+    means a disconnected graph.  The scaled Schur complement stays
+    symmetric, so step k updates only a[i][j], k < i <= j, as
+    (d_{k+1} a[i][j] - a[k][i] a[k][j]) / d_k: about n^3/6 big-int updates.
     """
     require_dense(g)
-    n = g.n
-    if n == 0:
-        return 0, None
     upper = [[x + 1 for x in row[i:]] for i, row in enumerate(laplacian(g))]
     prev = 1
-    for k in range(n):
-        uk = upper[k]
+    for k, uk in enumerate(upper):
         piv = uk[0]
         if piv == 0:
-            return 0, None
-        # row k of T in full: its swept part mirrored with the sign flipped
-        r = [-upper[j][k - j] for j in range(k)] + uk
-        for i in range(n):
-            if i == k:
-                continue
-            c = -r[i] if i < k else r[i]  # T[i][k]
-            row = [(piv * x - c * y) // prev for x, y in zip(upper[i], r[i:])]
-            if i < k:
-                row[k - i] = -c
-            upper[i] = row
-        upper[k] = [prev] + uk[1:]
+            return None
+        for i in range(k + 1, g.n):
+            c = uk[i - k]
+            upper[i] = [(piv * x - c * y) // prev
+                        for x, y in zip(upper[i], uk[i - k:])]
         prev = piv
-    return prev // (n * n), [[upper[j][i - j] for j in range(i)] + upper[i]
-                             for i in range(n)]
+    return upper
+
+
+def l_plus_j_adjugate(g: Graph) -> tuple[int, list[list[int]] | None]:
+    """(tau, adj): the spanning-tree count and the adjugate of L + J, by the
+    rows U of ``_bareiss_rows`` and one back sweep; (0, None) for a
+    disconnected or empty graph.
+
+    Row i of U is d_i (d_0 = 1) times row i of the Gaussian factor U~ in
+    L + J = L~ U~.  Y = adj(L + J) = d_n (L + J)^-1 solves U~ Y = d_n L~^-1
+    with L~^-1 unit lower triangular, so for j >= i (Takahashi's recurrence)
+        Y[i][j] = Y[j][i] = ([i = j] d_n d_i - sum_{k > i} U[i][k - i] Y[j][k])
+                            / d_{i+1}.
+    Run for i = n-1 down to 0 and j = n-1 down to i, it reads only entries
+    already set.  The numerator is d_{i+1} times the integer Y[i][j], so
+    every division is exact.
+    """
+    rows = _bareiss_rows(g)
+    if not rows:
+        return 0, None
+    n, det = g.n, rows[-1][0]
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        piv, tail, yi = rows[i][0], rows[i][1:], adj[i]
+        for j in range(n - 1, i, -1):
+            yj = adj[j]
+            yi[j] = yj[i] = -sum(map(mul, tail, yj[i + 1:])) // piv
+        minor = rows[i - 1][0] if i else 1
+        yi[i] = (det * minor - sum(map(mul, tail, yi[i + 1:]))) // piv
+    return det // (n * n), adj
 
 
 def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees, det(L + J)/n^2 by the matrix-tree theorem;
-    0 for a disconnected graph (and for the empty one)."""
-    return l_plus_j_adjugate(g)[0]
+    """Number of spanning trees, det(L + J)/n^2 by the matrix-tree theorem,
+    from the forward elimination alone; 0 for a disconnected or empty graph."""
+    rows = _bareiss_rows(g)
+    return rows[-1][0] // g.n ** 2 if rows else 0
 
 
 # ---------------------------------------------------------------------------

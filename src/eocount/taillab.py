@@ -309,10 +309,14 @@ def _distribution(space: DiscreteProductSpace, table):
 
 
 def exact_cumulants_discrete(space: DiscreteProductSpace, table, r_max: int) -> list[Fraction]:
-    """kappa_1..kappa_{r_max} of f(X), exact rationals, from the moments of
+    """kappa_1..kappa_{r_max} of f(X), exact rationals."""
+    return _cumulants(r_max, *_distribution(space, table))
+
+
+def _cumulants(r_max: int, dist, s, den, wden) -> list[Fraction]:
+    """kappa_1..kappa_{r_max} of a ``_distribution``, from the moments of
     f - s (s = min f, added back to kappa_1, the only cumulant a shift
     moves), which stay as small as the spread of f."""
-    dist, s, den, wden = _distribution(space, table)
     kappas = moments_to_cumulants([
         Fraction(sum(w * v**r for v, w in dist.items()), wden * den**r)
         for r in range(1, r_max + 1)])
@@ -374,10 +378,9 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int) -> TailReport:
         bound = Fraction(7, 500) * n * Fraction(factorial(r - 1), r) * (80 * a) ** r
         require_digits("the tail report", *bound.as_integer_ratio())
         kappa_bounds.append(bound)
-    kappas = exact_cumulants_discrete(space, table, m)
-    kappa_holds = [abs(k) <= b for k, b in zip(kappas, kappa_bounds)]
-
     dist, s, den, wden = _distribution(space, table)
+    kappas = _cumulants(m, dist, s, den, wden)
+    kappa_holds = [abs(k) <= b for k, b in zip(kappas, kappa_bounds)]
 
     from mpmath import iv
 

@@ -33,8 +33,8 @@ tests check it against, and the combinatorics only they use:
 * the graph layer: ``cheeger_gray_code``, one Gray-code step per subset of
   {0..n-2} with incremental cut updates (against the lane-parallel
   ``cheeger_constant``), and ``gauss_jordan_adjugate``, the fraction-free
-  elimination of L + J on full rows (against the symmetric sweep
-  ``l_plus_j_adjugate``, which keeps only the upper triangle);
+  elimination of L + J on full rows (against ``l_plus_j_adjugate``, a
+  symmetric forward elimination of the upper rows and a back sweep);
 * the estimator: ``exact_inverse`` (Gauss-Jordan over rationals, against the
   integer adjugate) and the per-pair route to kappa_2, ``kappa2_pairwise``,
   on Fractions: for every ordered edge pair it sums c_{2l1} c_{2l2} times

@@ -335,8 +335,9 @@ def test_taillab_digit_cap_comes_before_the_cumulants(capsys, tmp_path,
     inst = tmp_path / "huge.json"
     inst.write_text(json.dumps(instance_to_json(
         uniform_bits(1), ["0", "1e3000"])))
-    monkeypatch.setattr("eocount.taillab.exact_cumulants_discrete",
-                        fail_if_called("the cumulants"))
+    for name in ("exact_cumulants_discrete", "_distribution"):
+        monkeypatch.setattr(f"eocount.taillab.{name}",
+                            fail_if_called("the cumulants"))
     t0 = time.perf_counter()
     assert main(["taillab", "--instance", str(inst), "--m", "100"]) == 3
     assert time.perf_counter() - t0 < 2

@@ -8,8 +8,8 @@ import pytest
 from eocount.cumulants import double_factorial
 from eocount.errors import DomainError, SizeLimitError
 from eocount.estimator import (ESTIMATE_MAX_K, covariance_sigma, default_w,
-                               degree_sum_reference, eo_estimate, eo_hat_log,
-                               kappa1_f, kappa2_f, schrijver_bounds)
+                               degree_sum_reference, edge_matrix, eo_estimate,
+                               eo_hat_log, kappa1_f, kappa2_f, schrijver_bounds)
 from eocount.expansion import MAX_BITS, MIN_BITS
 from eocount.exact import eo_count_bruteforce, rt_count
 from eocount.graphs import (DENSE_MAX_N, Graph, all_degrees_even,
@@ -65,9 +65,31 @@ def test_integer_sigma_matches_exact_inverse():
             assert cov.norm_inf(w) == norm_inf(inv), (g, w)
         # the integer edge matrix over tau is the edge-difference covariance
         edges = sorted(g.edges)
-        for e, row in enumerate(cov.edge):
+        for e, row in enumerate(edge_matrix(g, cov)):
             for i, x in enumerate(row):
                 assert Fraction(x, cov.tau) == edge_cov(inv, edges[e], edges[e + i])
+
+
+def test_edge_matrix_diagonal_is_the_stored_variance():
+    # effective resistance of an edge: 2/n in K_n, (n - 1)/n in C_n
+    for g, resistance in ([(complete_graph(n), Fraction(2, n)) for n in range(3, 10)]
+                          + [(cycle_graph(n), Fraction(n - 1, n))
+                             for n in range(3, 13)]):
+        cov = covariance_sigma(g)
+        assert [row[0] for row in edge_matrix(g, cov)] == cov.var
+        assert {Fraction(v, cov.tau) for v in cov.var} == {resistance}
+
+
+def test_estimate_below_m2_never_builds_the_edge_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("edge matrix built")
+
+    monkeypatch.setattr("eocount.estimator.edge_matrix", refuse)
+    g = circulant_graph(9, (1, 2))
+    for M in (0, 1):
+        assert set(eo_estimate(g, M=M).kappa) == set(range(1, M + 1))
+    with pytest.raises(AssertionError, match="edge matrix"):
+        eo_estimate(g, M=2)
 
 
 def test_precision_floor():

@@ -128,13 +128,19 @@ def graphs_of_any_density(draw, max_n):
 
 @settings(max_examples=200, deadline=None)
 @given(graphs_of_any_density(14))
-def test_sweep_matches_full_gauss_jordan(g):
+def test_bareiss_back_sweep_matches_full_gauss_jordan(g):
     tau, adj = result = l_plus_j_adjugate(g)
     assert result == gauss_jordan_adjugate(g)
     assert (result == (0, None)) == (not g.is_connected())
     if adj is not None:
         assert all(adj[i][j] == adj[j][i]
                    for i in range(g.n) for j in range(i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_of_any_density(14))
+def test_forward_pass_tau_matches_the_adjugate_route(g):
+    assert spanning_tree_count(g) == l_plus_j_adjugate(g)[0]
 
 
 def test_elimination_closed_forms():
