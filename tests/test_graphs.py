@@ -1,7 +1,9 @@
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -216,8 +218,64 @@ def test_cheeger_fixed_cases():
         assert cheeger_constant(cycle_graph(n)) == Fraction(2, n // 2)
     c18 = circulant_graph(18, (1, 4, 7))
     assert cheeger_constant(c18) == cheeger_gray_code(c18)
-    # K22: m = 231, the largest lane values (2m = 462) the size cap allows
-    assert cheeger_constant(complete_graph(22)) == 11
+    # an isolated top vertex: the zero cut is S = {0..n-2}, at the step
+    # where B holds every walked vertex
+    g = Graph.from_edges(16, combinations(range(15), 2))
+    assert cheeger_constant(g) == cheeger_gray_code(g) == 0
+
+
+def _two_cliques(n, small):
+    """K_{n-small} on the low labels and K_small on the top ones, joined by
+    the edge (n - small - 1, n - 1)."""
+    big = n - small
+    return Graph.from_edges(n, [*combinations(range(big), 2),
+                                *combinations(range(big, n), 2),
+                                (big - 1, n - 1)])
+
+
+def _half_edges(n, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [p for p in combinations(range(n), 2)
+                                if rng.random() < 0.5])
+
+
+@pytest.mark.parametrize("g, h", [
+    (circulant_graph(18, (1, 3, 8)), Fraction(20, 9)),
+    (circulant_graph(18, (1, 4, 8)), Fraction(2)),
+    (circulant_graph(22, (1, 3, 8)), Fraction(24, 11)),
+    # m = 231, the largest lane values (2m = 462) the size cap allows
+    (complete_graph(22), Fraction(11)),
+    (cycle_graph(22), Fraction(2, 11)),
+    (_two_cliques(22, 11), Fraction(1, 11)),
+    (_half_edges(20, 24), Fraction(33, 10)),
+], ids=["C18(1,3,8)", "C18(1,4,8)", "C22(1,3,8)", "K22", "C22",
+        "2K11+bridge", "G(20,1/2) seed 24"])
+def test_cheeger_pinned_past_the_lanes(g, h):
+    assert cheeger_constant(g) == h == cheeger_gray_code(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cheeger_sparsest_cut_among_the_walked_vertices(data):
+    # the sparsest cut splits off the small clique on the top labels, so a
+    # late Gray step must pass the screen; fewer lanes walk more vertices
+    lane_bits = data.draw(st.integers(1, LANE_BITS), label="lane_bits")
+    n = data.draw(st.integers(lane_bits + 2, 16), label="n")
+    small = data.draw(st.integers(1, n // 2), label="small")
+    g = _two_cliques(n, small)
+    with patch("eocount.graphs.LANE_BITS", lane_bits):
+        assert cheeger_constant(g) == Fraction(1, small) == cheeger_gray_code(g)
+
+
+@pytest.mark.parametrize("g", [complete_graph(22), circulant_graph(22, (1, 3, 8))],
+                         ids=["K22", "C22(1,3,8)"])
+def test_cheeger_scan_at_the_size_cap_is_fast(g):
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        cheeger_constant(g)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.05, f"best of 3: {min(times):.3f}s"
 
 
 def test_cheeger_preconditions():
