@@ -11,10 +11,9 @@ the cumulant tail bound).
 from .errors import DomainError, SizeLimitError
 from .graphs import (Graph, circulant_graph, complete_graph,
                      complete_multipartite, cycle_graph)
-from .laurent import LaurentSeries
 
 __version__ = "0.1.0"
 
-__all__ = ["DomainError", "SizeLimitError", "Graph", "LaurentSeries",
-           "circulant_graph", "complete_graph", "complete_multipartite",
-           "cycle_graph", "__version__"]
+__all__ = ["DomainError", "SizeLimitError", "Graph", "circulant_graph",
+           "complete_graph", "complete_multipartite", "cycle_graph",
+           "__version__"]

@@ -1,9 +1,11 @@
 """Exact cumulant calculus: the double factorial (the Gaussian moment
 E[X^(2k)] = (2k-1)!! sigma^(2k)) and a generic moment-to-cumulant recursion
-that works over any commutative ring supporting +, - and * (exact rationals,
-floats, truncated series), so the same code path serves numeric estimation
-and series work.  The Isserlis pairing sums and the connected-pairing joint
-cumulants live in the tests as independent references.
+that works over any commutative ring supporting +, - and *.  Its callers
+pass Fractions (the log(a + b cos) coefficients in ``expansion`` and the
+exact cumulants in ``taillab``) and the series engine's int numerators
+graded by excess (``expansion._Graded``).  The Isserlis pairing sums and the
+connected-pairing joint cumulants live in the tests as independent
+references.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ def moments_to_cumulants(moments: Sequence) -> list:
     """kappa_1..kappa_r from raw moments m_1..m_r of a single variable, by
     kappa_r = m_r - sum_{j<r} C(r-1, j-1) kappa_j m_{r-j}.
 
-    Ring elements only need +, -, * among themselves and by Python ints, so
-    Fractions, floats, mpmath numbers and truncated Laurent series all work.
+    Ring elements only need +, -, * among themselves and by Python ints:
+    the package passes Fractions and ``expansion._Graded`` numerators.
     """
     kappas: list = []
     for r in range(1, len(moments) + 1):

@@ -11,19 +11,20 @@ components of variance v/n and
 with e_{2l} the Taylor coefficients of log(a + b cos x).  Everything is exact:
 f_K is a map from power-sum monomials to Fractions, in which the exponent 0
 stands for the factor mu_0 = n; moments of f_K^r are assembled from
-power-sum moments as truncated Laurent series in 1/n, turned into cumulants
-by the moment-to-cumulant recursion, and the closed-form prefactors are
-attached symbolically.  The hot loops run on Python ints: the coefficients
-of f_K are scaled once to ints over their common denominator D, the products
-of f_K^r, the power-sum moments and the cumulant recursion run on ints, and
-kappa_r is divided by D^r once.  A product monomial of f_K^r is itself one int, the multiplicities of
-its exponents packed in fixed-width bit fields, so a product of monomials is
-an int addition; the products are kept in buckets by their order bound and
-their excess, both of which add up over the factors.  The power-sum
-recurrence and its memo take the same codes, so no code is unpacked into a
-tuple.  Each family's weight and prefactor sit in one table, ``FAMILIES``;
-an exact rational becomes an mpf only in ``to_mpf``, and a result number
-becomes text only in ``to_text``.
+power-sum moments as coefficients of powers of 1/n graded by excess,
+turned into cumulants by the moment-to-cumulant recursion, and the
+closed-form prefactors are attached symbolically.  The hot loops run on
+Python ints: the coefficients of f_K are scaled once to ints over their
+common denominator D, the products of f_K^r, the power-sum moments and the
+cumulant recursion run on ints, and kappa_r is divided by D^r once into a
+plain {p: Fraction} map.  A product monomial of f_K^r is itself one int,
+the multiplicities of its exponents packed in fixed-width bit fields, so a
+product of monomials is an int addition; the products are kept in buckets
+by their order bound and their excess, both of which add up over the
+factors.  The power-sum recurrence and its memo take the same codes, so no
+code is unpacked into a tuple.  Each family's weight and prefactor sit in
+one table, ``FAMILIES``; an exact rational becomes an mpf only in
+``to_mpf``, and a result number becomes text only in ``to_text``.
 
 Why the cumulants decay: with T_l = sum_{j<k} (x_j - x_k)^(2l), kappa_r(f_K)
 is by multilinearity a sum of joint cumulants kappa(T_{l_1}, ..., T_{l_r}) of
@@ -43,7 +44,6 @@ from math import comb, factorial, lcm
 from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
-from .laurent import LaurentSeries
 from .cumulants import moments_to_cumulants
 from .powersums import FIELD_MASK, encode, monomial_order_bound, mu_moment_dict
 
@@ -231,7 +231,7 @@ class ExpansionResult(NamedTuple):
     K: int
     prefactor: str                  # formula tag, see log_prefactor()
     coeffs: dict[int, Fraction]     # p -> coefficient of n^-p, p in 0..order-1
-    cumulants: tuple[LaurentSeries, ...] = ()
+    cumulants: tuple[dict[int, Fraction], ...] = ()  # kappa_r as {p: coeff}
 
     def to_json(self) -> dict:
         return {
@@ -346,12 +346,15 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     p_max = c - 1
     poly = f_as_mu_polynomial(w, K)
     D, moments = _moments_of_f(poly, M, p_max)
-    kappas = [LaurentSeries({p: Fraction(sum(col), D**r)
-                             for p, col in enumerate(zip(*k.parts))}, p_max)
-              for r, k in enumerate(moments_to_cumulants(moments), start=1)]
-    total = sum((kap / factorial(r) for r, kap in enumerate(kappas, start=1)),
-                LaurentSeries.zero(p_max))
-    coeffs = {p: total[p] for p in range(0, p_max + 1) if total[p] != 0}
+    kappas = []
+    coeffs: dict[int, Fraction] = {}
+    for r, k in enumerate(moments_to_cumulants(moments), start=1):
+        kap = {p: Fraction(v, D**r)
+               for p, v in enumerate(map(sum, zip(*k.parts))) if v}
+        kappas.append(kap)
+        for p, v in kap.items():
+            coeffs[p] = coeffs.get(p, 0) + v / factorial(r)
+    coeffs = {p: v for p, v in sorted(coeffs.items()) if v}
     return ExpansionResult(
         family=w.family, order=c, M=M, K=K,
         prefactor=FAMILIES[w.family][1] if w.family in FAMILIES else "",

@@ -76,9 +76,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
 
-    def min_degree(self) -> int:
-        return min(self.degrees, default=0)
-
     def is_connected(self) -> bool:
         """True when the graph has a spanning tree: never for n = 0.  One
         union-find over the edges on a flat list of parents, with path

@@ -62,10 +62,10 @@ from eocount.cumulants import double_factorial, moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import WeightSpec, f_as_mu_polynomial, weight_log_coeffs
 from eocount.graphs import CHEEGER_MAX_N, laplacian
-from eocount.laurent import LaurentSeries
 from eocount.powersums import (FIELD_MASK, encode, monomial_order_bound,
                                mu_moment_dict)
-from helpers import TYPE_ENUM_MAX_FACTORS, mu_moment, mu_monomial
+from helpers import (LaurentSeries, TYPE_ENUM_MAX_FACTORS, mu_moment,
+                     mu_monomial)
 
 ENUMERATION_MAX = 16
 ORACLE_MAX_FACTORS = 10

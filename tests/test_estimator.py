@@ -224,10 +224,10 @@ def test_kappa1_consistency_envelope():
         g = complete_graph(n)
         cov = covariance_sigma(g)
         norm = cov.norm_inf(default_w(g))
-        K = max(2, min(4, g.min_degree() // 2))
+        K = max(2, min(4, min(g.degrees) // 2))
         k1 = kappa1_f(g, cov, K)
         ref = degree_sum_reference(g)
-        d, delta = g.max_degree(), g.min_degree()
+        d, delta = g.max_degree(), min(g.degrees)
         envelope = (Fraction(n, delta) * norm
                     + Fraction(n * d, delta**2) * norm**2)
         gap = abs(k1 - ref)
@@ -256,7 +256,7 @@ def test_kappa2_within_second_order_bound():
         cov = covariance_sigma(g)
         norm = cov.norm_inf(default_w(g))
         k2 = kappa2_f(g, cov, 4)
-        d, delta, r = g.max_degree(), g.min_degree(), 2
+        d, delta, r = g.max_degree(), min(g.degrees), 2
         bound = (Fraction(n, 2 * delta) * Fraction(5 * d, delta) ** r
                  * norm ** (r - 1) * double_factorial(4 * r - 1))
         assert abs(k2) <= bound

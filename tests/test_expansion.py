@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eocount import powersums
+from eocount.cumulants import moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import (MAX_BITS, MAX_K, MIN_BITS, WeightSpec,
                                _moments_of_f, evaluate_expansion,
                                expansion_series, f_as_mu_polynomial,
                                family_orders, family_variance, log_prefactor,
                                weight_log_coeffs)
-from eocount.laurent import LaurentSeries
 from eocount.powersums import monomial_order_bound
 
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
+from helpers import LaurentSeries
 from oracles import (bernoulli_numbers, evaluate_mu_polynomial, f_direct,
                      log_cos_coeffs, moments_of_f_via_series,
                      orders_for_precision, series_ungraded)
@@ -188,11 +189,14 @@ CUSTOM_A = ["2/7", "3/5", "9/10", "0", "1/11"]
 def assert_series_matches_ungraded(w, c):
     # the excess cut and M = c lose nothing: the coefficients and
     # kappa_1..kappa_c equal the whole expansion's through n^-(c-1), and
-    # its kappa_{c+1} is zero there
+    # its kappa_{c+1} is zero there; like the oracle's series, each
+    # cumulant map keeps only nonzero coefficients of n^-p, p <= c - 1
     res = expansion_series(w, c)
     coeffs, kappas = series_ungraded(w, c)
     assert res.coeffs == coeffs, (w.a, c)
-    assert res.cumulants == tuple(kappas[:c]), (w.a, c)
+    assert res.cumulants == tuple(k.coeffs for k in kappas[:c]), (w.a, c)
+    assert all(type(v) is Fraction and v and 0 <= p < c
+               for kap in res.cumulants for p, v in kap.items()), (w.a, c)
     assert len(kappas) == c + 1 and not kappas[c], (w.a, c)
 
 
@@ -248,9 +252,20 @@ def test_expansion_series_low_order_golden():
 def test_kappa_decay_matches_order():
     r = expansion_series("RT", 6)
     for idx, kap in enumerate(r.cumulants, start=1):
-        lead = kap.leading_order()
+        lead = min(kap, default=None)
         if lead is not None:
             assert lead >= idx - 1
+    # the excess cut rests on the finer decay: the excess-e part of
+    # kappa_r is O(n^-(r-1+e)), so slot e of D^r kappa_r is zero below it
+    weights = [WeightSpec.for_family(f) for f in ("RT", "ED", "EOG")]
+    weights.append(WeightSpec(Fraction(2, 7), Fraction(5, 7)))
+    for w in weights:
+        for c in range(1, 9):
+            M, K = family_orders(c)
+            _, moments = _moments_of_f(f_as_mu_polynomial(w, K), M, c - 1)
+            for r, kap in enumerate(moments_to_cumulants(moments), start=1):
+                for e, part in enumerate(kap.parts):
+                    assert not any(part[:r - 1 + e]), (w.a, c, r, e)
 
 
 def test_expansion_order_caps():

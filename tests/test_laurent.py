@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from eocount.laurent import LaurentSeries
+from helpers import LaurentSeries
 
 
 def test_term_and_basic_arithmetic():

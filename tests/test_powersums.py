@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eocount.errors import SizeLimitError
-from eocount.laurent import LaurentSeries
 from eocount.expansion import MAX_ORDER, family_orders
 from eocount import powersums
 from eocount.powersums import (FIELD_BITS, code_fields, encode,
                                monomial_order_bound, mu_moment_dict)
 
-from helpers import TYPE_ENUM_MAX_FACTORS, mu_moment, mu_monomial
+from helpers import (LaurentSeries, TYPE_ENUM_MAX_FACTORS, mu_moment,
+                     mu_monomial)
 from oracles import (ORACLE_MAX_FACTORS, a_coeff, b_coeff, bell_number,
                      count_partition_types, enumerate_partition_types,
                      gaussian_power_moment, mu_moment_via_types,

@@ -2,10 +2,11 @@
 
 A module-level def or class in ``src/eocount`` must be referenced somewhere
 in the package outside its own body, or be exported by ``eocount.__all__``,
-or be on the short allowlist below.  The same holds for the methods of a
-class that ``__all__`` does not export, apart from dunders and overrides,
-which their base class or the interpreter calls.  A string constant counts
-as a reference, since the CLI looks counters up by name.
+or be on the short allowlist below.  A method must be referenced somewhere
+in the package outside its own body, whether or not ``__all__`` exports its
+class; dunders and overrides, which their base class or the interpreter
+calls, are exempt.  A string constant counts as a reference, since the CLI
+looks counters up by name.
 """
 
 import ast
@@ -58,7 +59,7 @@ def unreferenced() -> list[str]:
             if node.name not in exported | set(ALLOWED) \
                     and refs[node.name] == _references(node)[node.name]:
                 out.append(f"{stem}.{node.name}")
-            if not isinstance(node, ast.ClassDef) or node.name in exported:
+            if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef) \
