@@ -1,7 +1,7 @@
 """Exact and asymptotic counting of Eulerian orientations.
 
-Modules by area: graphs (Laplacian, spanning trees, Cheeger constant), exact
-(a transfer over the edges, one elimination over K_n), cumulants (the
+Modules by area: graphs (spanning trees and adj(L + J), Cheeger constant),
+exact (a transfer over the edges, one elimination over K_n), cumulants (the
 moment-to-cumulant recursion), powersums (Gaussian power-sum moments by
 integration by parts), expansion (the RT/ED/EOG asymptotic series), estimator
 (general-graph estimates and sandwich bounds), taillab (exhaustive checks of

@@ -2,7 +2,9 @@
 -tree/Gaussian closed form, cumulant corrections of order one and two, and the
 classical sandwich bounds from central binomial coefficients.
 
-One elimination of the integer matrix L + J gives tau and adj(L + J), hence
+One banded elimination (``graphs.l_plus_j_adjugate``: of the grounded
+Laplacian on sparse graphs, of L + J on dense ones) gives tau and the integer
+adjugate adj(L + J), hence
 Sigma_w = (L + wJ)^(-1) = adj/(n^2 tau) + (1/w - 1) J/n^2 for every w > 0.
 The edge-difference covariances are w-free: M/tau for the integer matrix
 M = B^T adj B / n^2 (B the signed incidence matrix).  kappa_1 and kappa_2 are
@@ -18,9 +20,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import repeat
 from math import comb, factorial, lcm, prod
-from operator import mul
+from operator import floordiv, mod, mul, sub
 from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
@@ -60,7 +62,8 @@ def default_w(g: Graph) -> Fraction:
 
 class Covariance(NamedTuple):
     """The Gaussian covariance Sigma_w = (L + wJ)^(-1) of a connected graph,
-    for every w > 0, from one elimination of L + J.
+    for every w > 0, from tau and adj(L + J), which one banded elimination
+    gives.
 
     ``var`` is the diagonal of M = B^T adj B / n^2 over the sorted edges,
     var[e] = (adj_jj + adj_kk - 2 adj_jk) / n^2 for e = (j, k); var[e]/tau
@@ -77,8 +80,8 @@ class Covariance(NamedTuple):
         Sigma_w = (p adj + (q - p) tau J) / (p n^2 tau)."""
         p, q = _positive(w).as_integer_ratio()
         shift = (q - p) * self.tau
-        return ([[p * x + shift for x in row] for row in self.adj],
-                p * self.n ** 2 * self.tau)
+        return ([list(map(shift.__add__, map(p.__mul__, row)))
+                 for row in self.adj], p * self.n ** 2 * self.tau)
 
     def norm_inf(self, w) -> Fraction:
         """||Sigma_w||_inf, which the cumulant bounds assume is at most 1/2."""
@@ -86,15 +89,15 @@ class Covariance(NamedTuple):
         return Fraction(max(sum(map(abs, row)) for row in rows), den)
 
 
-def _exact_over_n2(values, n2: int) -> list[int]:
-    if any(x % n2 for x in values):
+def _exact_over_n2(values: list[int], n2: int) -> list[int]:
+    if any(map(mod, values, repeat(n2))):
         raise ArithmeticError("B^T adj(L + J) B is not divisible by n^2")
-    return [x // n2 for x in values]
+    return list(map(floordiv, values, repeat(n2)))
 
 
 def covariance_sigma(g: Graph) -> Covariance:
-    """Sigma_w for every w, tau and the diagonal of M from one elimination
-    of L + J; DomainError unless the graph is connected."""
+    """Sigma_w for every w, tau and the diagonal of M from one banded
+    elimination; DomainError unless the graph is connected."""
     _require_vertices(g)
     tau, adj = l_plus_j_adjugate(g)
     if not tau:
@@ -107,7 +110,7 @@ def edge_matrix(g: Graph, cov: Covariance) -> list[list[int]]:
     """M as upper rows over the sorted edges, edge[e][i] = M[e][e + i], so
     edge[e][0] = cov.var[e]; O(m^2) ints, which only kappa_2 needs."""
     edges = sorted(g.edges)
-    diff = [[a - b for a, b in zip(cov.adj[j], cov.adj[k])] for j, k in edges]
+    diff = [list(map(sub, cov.adj[j], cov.adj[k])) for j, k in edges]
     return [_exact_over_n2([d[s] - d[t] for s, t in edges[e:]], g.n ** 2)
             for e, d in enumerate(diff)]
 
@@ -187,12 +190,12 @@ def _require_cumulant_args(g: Graph, K: int, M: int) -> None:
         raise SizeLimitError("edge-pair cap exceeded")
 
 
-def _edge_terms(cov: Covariance, K: int):
-    """(den, A) for h = 0..K: A = den tau^(K-h) A_{2h} on ints, A_j as in
+def _edge_terms(cov: Covariance, K: int, first: int = 0):
+    """(den, A) for h = first..K: A = den tau^(K-h) A_{2h} on ints, A_j as in
     ``kappa2_f`` and den the common denominator of its coefficients."""
     cs = weight_log_coeffs(_LOG_COS, K)
     tau = cov.tau
-    for h in range(K + 1):
+    for h in range(first, K + 1):
         j = 2 * h
         # coefficient of S_ee^p in A_j, p = l - h
         ws = [cs[l - 1] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
@@ -230,14 +233,13 @@ def kappa2_f(g: Graph, cov: Covariance, K: int) -> Fraction:
     contraction with M^(o j) over D_j^2 tau^(2K).  The cost is O(m^2 K).
     """
     _require_cumulant_args(g, K, 2)
-    square = [[x * x for x in row] for row in edge_matrix(g, cov)]
+    square = [list(map(mul, row, row)) for row in edge_matrix(g, cov)]
     hadamard = square
     total = Fraction(0)
     # h = 0 is kappa_1's term
-    for h, (den, A) in islice(enumerate(_edge_terms(cov, K)), 1, None):
+    for h, (den, A) in enumerate(_edge_terms(cov, K, 1), 1):
         if h > 1:
-            hadamard = [[x * y for x, y in zip(a, b)]
-                        for a, b in zip(hadamard, square)]
+            hadamard = [list(map(mul, a, b)) for a, b in zip(hadamard, square)]
         quad = sum(a * (2 * sum(map(mul, row, A[e:])) - row[0] * a)
                    for e, (a, row) in enumerate(zip(A, hadamard)))
         total += Fraction(factorial(2 * h) * quad, den * den)

@@ -1,7 +1,9 @@
 """Simple undirected graphs and the exact quantities the estimators need:
-Laplacian, the one elimination of L + J (a symmetric fraction-free forward
-pass over its upper rows, giving the spanning-tree count, and a back sweep
-from those rows to the adjugate), Cheeger constant, degree predicates.
+the spanning-tree count and the adjugate of L + J from one banded
+elimination (a symmetric fraction-free forward pass over the band rows of
+the grounded Laplacian on sparse graphs, or of L + J ordered by the
+complement on dense ones, and a back sweep from those rows), Cheeger
+constant, degree predicates.
 
 Vertices are 0-based contiguous integers internally; the text/JSON formats use
 1-based labels.
@@ -32,11 +34,13 @@ LANE_BITS = 8
 # entries is a few MiB, and bounds and graphinfo stay usable on large sparse
 # graphs.  Checked before any per-vertex list is built.
 GRAPH_FILE_MAX_N = 10**6
-# Dense n x n integer algebra (the Laplacian and the elimination of L + J, the
-# only route to tau and Sigma) is refused above this many vertices, before any
-# n x n list is built.  On the degree-6 circulant C_n(1,2,3) the forward
-# elimination (tau alone) takes 0.04 s at n = 100, 0.45 s at n = 200 and 2.1 s
-# at n = 300, the adjugate about twice that (2 shared cores, CPython 3.11).
+# The elimination behind tau and Sigma is refused above this many vertices,
+# before any per-vertex list is built.  The band keeps sparse graphs cheap: on
+# C_n(1,2,3) tau takes 2, 6 and 15 ms at n = 100, 200 and 300, and the
+# adjugate 0.01, 0.06 and 0.19 s.  What binds is the n x n adjugate (11 MiB
+# of ints on C300(1,2,3)) and graphs whose band is wide in both matrices: on
+# G(300, 1/2) tau takes 13 s and the adjugate 29 s (2 shared cores,
+# CPython 3.11).
 DENSE_MAX_N = 300
 
 
@@ -226,19 +230,7 @@ def load_graph(path: str, max_edges: int | None = None) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Laplacian and spanning trees
-
-def laplacian(g: Graph) -> list[list[int]]:
-    """Laplacian as a nested list of exact ints: degrees on the diagonal,
-    -1 at edges.  Its quadratic form is the sum of (x_j - x_k)^2 over edges."""
-    L = [[0] * g.n for _ in range(g.n)]
-    for v in range(g.n):
-        L[v][v] = g.degrees[v]
-    for u, v in g.edges:
-        L[u][v] = -1
-        L[v][u] = -1
-    return L
-
+# spanning trees and the adjugate of L + J
 
 def require_dense(g: Graph) -> None:
     """Refuse dense n x n algebra above ``DENSE_MAX_N`` vertices."""
@@ -246,67 +238,153 @@ def require_dense(g: Graph) -> None:
         raise SizeLimitError(f"dense linear algebra is capped at n={DENSE_MAX_N}")
 
 
-def _bareiss_rows(g: Graph) -> list[list[int]] | None:
-    """The upper rows U of the symmetric fraction-free (Bareiss) elimination
-    of L + J (J all ones), U[i] = columns i.. of row i after i steps, so that
-    U[i][0] is the leading minor d_{i+1}; None at a zero pivot.
+def _rcm_order(n: int, pairs) -> list[int]:
+    """Reverse Cuthill-McKee order of the graph on 0..n-1 with edges
+    ``pairs``: breadth-first from a vertex of least degree in each component,
+    each vertex's new neighbours taken by increasing degree, then reversed.
+    An edge then joins vertices in the same or adjacent levels, so the
+    positions of its ends differ by little."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = list(map(len, nbrs)).__getitem__
+    seen = bytearray(n)
+    order = []
+    for start in sorted(range(n), key=deg):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            fresh = sorted((u for u in nbrs[order[head]] if not seen[u]), key=deg)
+            for u in fresh:
+                seen[u] = 1
+            order += fresh
+            head += 1
+    order.reverse()
+    return order
 
-    L + J is positive semidefinite, and definite with det = n^2 tau exactly
-    when the graph is connected (n replaces L's eigenvalue 0): its leading
-    minors are then positive and every division is exact, and a zero pivot
-    means a disconnected graph.  The scaled Schur complement stays
-    symmetric, so step k updates only a[i][j], k < i <= j, as
-    (d_{k+1} a[i][j] - a[k][i] a[k][j]) / d_k: about n^3/6 big-int updates.
+
+def _eliminated(g: Graph) -> tuple[bool, list[int], list[list[int]], int]:
+    """(grounded, pos, U, det): the symmetric fraction-free (Bareiss) forward
+    pass over the upper band rows U of the sparser of two matrices, vertex v
+    at position pos[v], and its determinant; det = 0 at a zero pivot, where
+    the pass stops, and for the empty graph.
+
+    With 4m <= n(n - 1) (at most half of all pairs are edges) the matrix is
+    the grounded Laplacian L_0, L without the last vertex of an RCM order of
+    G: det L_0 = tau.  Otherwise it is L + J = D + I + A(complement) in an
+    RCM order of the complement (nI on K_n): det = n^2 tau.  Both are
+    positive semidefinite, and definite exactly when the graph is connected,
+    so their leading minors d_k are then positive and every division below is
+    exact, and a zero pivot means a disconnected graph.
+
+    Row i holds columns i..i + b of the band of width b, and after the pass
+    U[i] is row i after i steps, U[i][0] = d_{i+1}.  Step k updates a[i][j],
+    k < i <= j <= k + b, as (d_{k+1} a[i][j] - a[k][i] a[k][j]) / d_k.  The
+    entries of a column j > k + b are left alone, so a column first reached
+    at step k, j = k + b, still holds its original values where the earlier
+    steps would have scaled them to d_k times those: step k multiplies them
+    by d_k in every row k..j, the pivot row included.
     """
     require_dense(g)
-    upper = [[x + 1 for x in row[i:]] for i, row in enumerate(laplacian(g))]
+    n = g.n
+    if n == 0:
+        return True, [], [], 0
+    grounded = 4 * g.edge_count <= n * (n - 1)
+    pairs = g.edges if grounded else [
+        e for e in combinations(range(n), 2) if e not in g.edges]
+    order = _rcm_order(n, pairs)
+    pos = [0] * n
+    for s, v in enumerate(order):
+        pos[v] = s
+    size = n - grounded
+    spans = [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
+             for u, v in pairs]
+    spans = [(p, q) for p, q in spans if q < size]
+    b = max((q - p for p, q in spans), default=0)
+    U = [[g.degrees[v] + (not grounded)] + [0] * min(b, size - 1 - s)
+         for s, v in enumerate(order[:size])]
+    off = -1 if grounded else 1
+    for p, q in spans:
+        U[p][q - p] = off
     prev = 1
-    for k, uk in enumerate(upper):
+    for k, uk in enumerate(U):
+        if k and k + b < size:
+            for i in range(k, k + b + 1):
+                U[i][k + b - i] *= prev
         piv = uk[0]
         if piv == 0:
-            return None
-        for i in range(k + 1, g.n):
-            c = uk[i - k]
-            upper[i] = [(piv * x - c * y) // prev
-                        for x, y in zip(upper[i], uk[i - k:])]
+            return grounded, pos, U, 0
+        for i in range(k + 1, k + len(uk)):
+            c, ui = uk[i - k], U[i]
+            new = [(piv * x - c * y) // prev for x, y in zip(ui, uk[i - k:])]
+            if len(new) < len(ui):
+                new += ui[len(new):]
+            U[i] = new
         prev = piv
-    return upper
+    return grounded, pos, U, prev
 
 
 def l_plus_j_adjugate(g: Graph) -> tuple[int, list[list[int]] | None]:
-    """(tau, adj): the spanning-tree count and the adjugate of L + J, by the
-    rows U of ``_bareiss_rows`` and one back sweep; (0, None) for a
+    """(tau, adj): the spanning-tree count and the adjugate of L + J, from
+    the rows U of ``_eliminated`` and one back sweep; (0, None) for a
     disconnected or empty graph.
 
     Row i of U is d_i (d_0 = 1) times row i of the Gaussian factor U~ in
-    L + J = L~ U~.  Y = adj(L + J) = d_n (L + J)^-1 solves U~ Y = d_n L~^-1
-    with L~^-1 unit lower triangular, so for j >= i (Takahashi's recurrence)
-        Y[i][j] = Y[j][i] = ([i = j] d_n d_i - sum_{k > i} U[i][k - i] Y[j][k])
-                            / d_{i+1}.
-    Run for i = n-1 down to 0 and j = n-1 down to i, it reads only entries
-    already set.  The numerator is d_{i+1} times the integer Y[i][j], so
-    every division is exact.
+    A = L~ U~, A the eliminated matrix of order N.  Y = adj A = d_N A^-1
+    solves U~ Y = d_N L~^-1 with L~^-1 unit lower triangular, so for j >= i
+    (Takahashi's recurrence)
+        Y[i][j] = Y[j][i] = ([i = j] d_N d_i - sum_{k > i} U[i][k - i] Y[j][k])
+                            / d_{i+1},
+    where the sum runs over k <= i + b only.  Run for i = N-1 down to 0 and
+    j = N-1 down to i, it reads only entries already set.  The numerator is
+    d_{i+1} times the integer Y[i][j], so every division is exact.
+
+    On the L + J side adj is Y with its rows and columns put back in vertex
+    order.  On the L_0 side, with Y padded by a zero row and column, row sums
+    rho and their total sigma, (L + J)^-1 = (I - J/n) Y/tau (I - J/n) + J/n^2
+    gives adj[v][w] = n^2 Y_vw - n (rho_v + rho_w) + sigma + tau, rebuilt in
+    place row by row.
     """
-    rows = _bareiss_rows(g)
-    if not rows:
+    grounded, pos, U, det = _eliminated(g)
+    if not det:
         return 0, None
-    n, det = g.n, rows[-1][0]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        piv, tail, yi = rows[i][0], rows[i][1:], adj[i]
-        for j in range(n - 1, i, -1):
-            yj = adj[j]
-            yi[j] = yj[i] = -sum(map(mul, tail, yj[i + 1:])) // piv
-        minor = rows[i - 1][0] if i else 1
-        yi[i] = (det * minor - sum(map(mul, tail, yi[i + 1:]))) // piv
-    return det // (n * n), adj
+    n = g.n
+    Y = [[0] * n for _ in range(n)]
+    for i in range(len(U) - 1, -1, -1):
+        piv, tail, yi = U[i][0], U[i][1:], Y[i]
+        end = i + len(U[i])
+        for j in range(len(U) - 1, i, -1):
+            yj = Y[j]
+            yi[j] = yj[i] = -sum(map(mul, tail, yj[i + 1:end])) // piv
+        minor = U[i - 1][0] if i else 1
+        yi[i] = (det * minor - sum(map(mul, tail, yi[i + 1:end]))) // piv
+    Y[:] = [Y[p] for p in pos]
+    if not grounded:
+        for row in Y:
+            row[:] = [row[p] for p in pos]
+        return det // (n * n), Y
+    tau, n2 = det, n * n
+    nrho = [n * sum(row) for row in Y]
+    sigma = sum(nrho) // n
+    for v, row in enumerate(Y):
+        # rows above v are rebuilt already: the entries left of the diagonal
+        # are theirs, the same int objects
+        base = sigma + tau - nrho[v]
+        row[:] = [y[v] for y in Y[:v]] + [n2 * row[p] - r + base for p, r
+                                          in zip(pos[v:], nrho[v:])]
+    return tau, Y
 
 
 def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees, det(L + J)/n^2 by the matrix-tree theorem,
-    from the forward elimination alone; 0 for a disconnected or empty graph."""
-    rows = _bareiss_rows(g)
-    return rows[-1][0] // g.n ** 2 if rows else 0
+    """Number of spanning trees, det L_0 or det(L + J)/n^2 by the
+    matrix-tree theorem, from the forward pass of ``_eliminated`` alone; 0
+    for a disconnected or empty graph."""
+    grounded, _, _, det = _eliminated(g)
+    return det if grounded else det // g.n ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ reports and instances as the CLI reads and prints them.  These helpers give
 the tests the friendlier forms: ``LaurentSeries``, a truncated series in
 1/n with its arithmetic, for the oracles' independent routes; a power-sum
 moment of a sequence of exponents as a LaurentSeries, Sigma_w as Fractions,
-a log estimate by order, the small named graphs, fair-bit product spaces
-and tables built from a Python function, and graph and instance objects in
-their file formats.
+a log estimate by order, the small named graphs, the Laplacian as a dense
+matrix, fair-bit product spaces and tables built from a Python function,
+and graph and instance objects in their file formats.
 """
 
 from fractions import Fraction
@@ -206,6 +206,18 @@ def path_graph(n: int) -> Graph:
 
 def octahedron_graph() -> Graph:
     return complete_multipartite(2, 2, 2)
+
+
+def laplacian(g: Graph) -> list[list[int]]:
+    """Laplacian as a nested list of exact ints: degrees on the diagonal,
+    -1 at edges.  Its quadratic form is the sum of (x_j - x_k)^2 over edges."""
+    L = [[0] * g.n for _ in range(g.n)]
+    for v in range(g.n):
+        L[v][v] = g.degrees[v]
+    for u, v in g.edges:
+        L[u][v] = -1
+        L[v][u] = -1
+    return L
 
 
 def graph_to_json(g: Graph) -> dict:

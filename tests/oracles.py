@@ -33,8 +33,9 @@ tests check it against, and the combinatorics only they use:
 * the graph layer: ``cheeger_gray_code``, one Gray-code step per subset of
   {0..n-2} with incremental cut updates (against the lane-parallel
   ``cheeger_constant``), and ``gauss_jordan_adjugate``, the fraction-free
-  elimination of L + J on full rows (against ``l_plus_j_adjugate``, a
-  symmetric forward elimination of the upper rows and a back sweep);
+  elimination of L + J on full rows in vertex order (against
+  ``l_plus_j_adjugate``, a symmetric forward elimination of the band rows
+  of L_0 or L + J in RCM order and a back sweep);
 * the estimator: ``exact_inverse`` (Gauss-Jordan over rationals, against the
   integer adjugate) and the per-pair route to kappa_2, ``kappa2_pairwise``,
   on Fractions: for every ordered edge pair it sums c_{2l1} c_{2l2} times
@@ -61,11 +62,11 @@ import numpy as np
 from eocount.cumulants import double_factorial, moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import WeightSpec, f_as_mu_polynomial, weight_log_coeffs
-from eocount.graphs import CHEEGER_MAX_N, laplacian
+from eocount.graphs import CHEEGER_MAX_N
 from eocount.powersums import (FIELD_MASK, encode, monomial_order_bound,
                                mu_moment_dict)
-from helpers import (LaurentSeries, TYPE_ENUM_MAX_FACTORS, mu_moment,
-                     mu_monomial)
+from helpers import (LaurentSeries, TYPE_ENUM_MAX_FACTORS, laplacian,
+                     mu_moment, mu_monomial)
 
 ENUMERATION_MAX = 16
 ORACLE_MAX_FACTORS = 10

@@ -657,10 +657,9 @@ def test_estimate_K_cap_checked_first(capsys, tmp_path, monkeypatch):
 
 
 def test_dense_cap_checked_before_the_laplacian(capsys, tmp_path, monkeypatch):
-    # a 10^5-vertex cycle: the Laplacian alone would hold 10^10 list slots
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("eocount") and hasattr(mod, "laplacian"):
-            monkeypatch.setattr(mod, "laplacian", fail_if_called("the Laplacian"))
+    # a 10^5-vertex cycle: the adjugate alone would hold 10^10 list slots;
+    # the elimination's first work past the cap is the RCM order
+    monkeypatch.setattr("eocount.graphs._rcm_order", fail_if_called("the RCM order"))
     n = 10**5
     p = tmp_path / "c100000.edges"
     p.write_text(f"{n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1)))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,8 +15,8 @@ from eocount.expansion import MAX_BITS, MIN_BITS
 from eocount.exact import eo_count_bruteforce, rt_count
 from eocount.graphs import (DENSE_MAX_N, Graph, all_degrees_even,
                             circulant_graph, complete_graph,
-                            complete_multipartite, cycle_graph, laplacian)
-from helpers import log_estimate, octahedron_graph, sigma_w
+                            complete_multipartite, cycle_graph)
+from helpers import laplacian, log_estimate, octahedron_graph, sigma_w
 from oracles import (bivariate_even_moment, exact_inverse, kappa2_pairwise,
                      log_cos_coeffs)
 
@@ -132,6 +133,16 @@ def test_dense_cap_checked_before_the_bounds_and_scans(monkeypatch):
     for M in (0, 1, 2):
         with pytest.raises(SizeLimitError, match="dense"):
             eo_estimate(g, M=M)
+
+
+def test_sparse_estimate_at_the_dense_cap_is_fast():
+    # 0.28 s on 2 shared cores with CPython 3.11 (6.5 s with a dense
+    # elimination of L + J)
+    g = circulant_graph(DENSE_MAX_N, (1, 2, 3))
+    t0 = time.perf_counter()
+    eo_estimate(g, M=1)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 3, f"{elapsed:.2f}s"
 
 
 def test_covariance_complete_graph_symmetry():

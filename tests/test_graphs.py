@@ -5,19 +5,20 @@ from fractions import Fraction
 from itertools import combinations
 from unittest.mock import patch
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eocount.errors import DomainError, SizeLimitError
 from eocount.graphs import (DENSE_MAX_N, GRAPH_FILE_MAX_N, LANE_BITS, Graph,
-                            all_degrees_even, cheeger_constant,
+                            _eliminated, all_degrees_even, cheeger_constant,
                             circulant_graph, complete_graph,
                             complete_multipartite, cycle_graph,
-                            l_plus_j_adjugate, laplacian, load_graph,
+                            l_plus_j_adjugate, load_graph,
                             parse_edge_list, parse_graph_json,
                             spanning_tree_count)
-from helpers import graph_to_json, octahedron_graph, path_graph
+from helpers import graph_to_json, laplacian, octahedron_graph, path_graph
 from oracles import cheeger_gray_code, gauss_jordan_adjugate
 
 
@@ -146,8 +147,9 @@ def test_forward_pass_tau_matches_the_adjugate_route(g):
 
 
 def test_elimination_closed_forms():
-    # K_n: L + J = n I, so det = n^n, tau = n^(n-2) and adj = n^(n-1) I
-    for n in range(2, 41):
+    # K_n: L + J = n I, so det = n^n, tau = n^(n-2) and adj = n^(n-1) I; the
+    # elimination runs on L + J, whose band in any order is 0
+    for n in range(2, 121):
         tau, adj = l_plus_j_adjugate(complete_graph(n))
         assert tau == n ** (n - 2)
         assert adj == [[n ** (n - 1) * (i == j) for j in range(n)]
@@ -161,6 +163,59 @@ def test_elimination_closed_forms():
     for g in (circulant_graph(40, (1, 6, 19)), circulant_graph(60, (1, 2, 3, 4)),
               complete_multipartite(3, 3, 2)):
         assert l_plus_j_adjugate(g) == gauss_jordan_adjugate(g)
+
+
+def test_dense_disconnected_graphs_are_singular():
+    # K_(n-1) plus an isolated vertex, first or last: L + J is singular
+    for n in range(4, 21):
+        for isolated in (0, n - 1):
+            rest = [v for v in range(n) if v != isolated]
+            g = Graph.from_edges(n, combinations(rest, 2))
+            assert _eliminated(g)[0] == (n == 4)  # L_0 only at 4m = n(n-1)
+            assert l_plus_j_adjugate(g) == (0, None)
+            assert spanning_tree_count(g) == 0
+
+
+def test_both_sides_of_the_density_rule_match_full_gauss_jordan():
+    # 4m = n(n-1) still grounds L; one edge more eliminates L + J
+    rng = random.Random(26)
+    for n in (4, 5, 8, 9, 12, 13, 16):
+        pairs = list(combinations(range(n), 2))
+        for extra in (0, 1):
+            for _ in range(4):
+                g = Graph.from_edges(n, rng.sample(pairs, len(pairs) // 2 + extra))
+                assert _eliminated(g)[0] == (not extra)
+                expected = gauss_jordan_adjugate(g)
+                assert l_plus_j_adjugate(g) == expected
+                assert spanning_tree_count(g) == expected[0]
+
+
+@pytest.mark.parametrize("n", [100, 200, 300])
+def test_circulant_tau_matches_the_eigenvalue_product(n):
+    # tau(C_n(1,2,3)) = (1/n) prod_{k=1}^{n-1} sum_d (2 - 2 cos(2 pi k d/n)),
+    # no elimination at all; each factor is at most 12, so tau < 12^n
+    offsets = (1, 2, 3)
+    with mpmath.workprec(4 * n + 64):
+        product = mpmath.fprod(
+            mpmath.fsum(2 - 2 * mpmath.cos(2 * mpmath.pi * k * d / n)
+                        for d in offsets)
+            for k in range(1, n))
+        expected = int(mpmath.nint(product / n))
+    assert spanning_tree_count(circulant_graph(n, offsets)) == expected
+
+
+def test_banded_elimination_is_fast():
+    # sparse: 0.016 s on C300(1,2,3) (2.6 s for the dense forward pass);
+    # dense: 2.7 ms on K100, whose L + J is 100 I (29 ms dense), on 2 shared
+    # cores with CPython 3.11
+    for fn, g, limit in ((spanning_tree_count, circulant_graph(300, (1, 2, 3)), 0.5),
+                         (l_plus_j_adjugate, complete_graph(100), 0.2)):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            fn(g)
+            times.append(time.perf_counter() - t0)
+        assert min(times) < limit, f"{fn.__name__}: best of 3 {min(times):.3f}s"
 
 
 def test_cheeger_examples():
