@@ -10,37 +10,36 @@ components of variance v/n and
 
 with e_{2l} the Taylor coefficients of log(a + b cos x).  Everything is exact:
 f_K is a map from power-sum monomials to Fractions, in which the exponent 0
-stands for the factor mu_0 = n; moments of f_K^r are assembled from
-power-sum moments as coefficients of powers of 1/n graded by excess,
-turned into cumulants by the moment-to-cumulant recursion, and the
-closed-form prefactors are attached symbolically.  The hot loops run on
-Python ints: the coefficients of f_K are scaled once to ints over their
-common denominator D, the products of f_K^r, the power-sum moments and the
-cumulant recursion run on ints, and kappa_r is divided by D^r once into a
-plain {p: Fraction} map.  A product monomial of f_K^r is itself one int,
-the multiplicities of its exponents packed in fixed-width bit fields, so a
-product of monomials is an int addition; the products are kept in buckets
-by their order bound and their excess, both of which add up over the
-factors.  The power-sum recurrence and its memo take the same codes, so no
-code is unpacked into a tuple.  Each family's weight and prefactor sit in
-one table, ``FAMILIES``; an exact rational becomes an mpf only in
-``to_mpf``, and a result number becomes text only in ``to_text``.
+stands for the factor mu_0 = n.  With x rescaled to variance 1/n,
+f_K = sum_l c_l T_l, T_l = sum_{j<k} (x_j - x_k)^(2l) and c_l = e_{2l} v^l,
+so the weight enters only through the c_l: the joint moments
+E[T_{l_1} ... T_{l_r}] are weight-free ints, computed once per order into
+one module table that every weight reads.  D^r E[f_K^r] is their
+multinomial sum with the ints D c_l (D the common denominator of the c_l),
+graded by excess; the moment-to-cumulant recursion runs on these ints,
+kappa_r is divided by D^r once into a plain {p: Fraction} map, and the
+closed-form prefactors are attached symbolically.  A product monomial of
+the T_l is one int, the multiplicities of its exponents packed in
+fixed-width bit fields, so a product is an int addition; the power-sum
+recurrence and its memo take the same codes.  Each family's weight and
+prefactor sit in one table, ``FAMILIES``; an exact rational becomes an mpf
+only in ``to_mpf``, and a result number becomes text only in ``to_text``.
 
-Why the cumulants decay: with T_l = sum_{j<k} (x_j - x_k)^(2l), kappa_r(f_K)
-is by multilinearity a sum of joint cumulants kappa(T_{l_1}, ..., T_{l_r}) of
-excess e = sum (l_i - 2).  Such a joint cumulant vanishes unless the r pairs
-form a connected graph, which has at most r + 1 vertices, and each
-(x_j - x_k)^(2l) is homogeneous of degree 2l in coordinates of variance 1/n,
-so it is O(n^(r+1-sum l_i)) = O(n^(-(r-1+e))).  Through n^(-(c-1)) only
-r <= c and e <= c - r count; the moment-to-cumulant recursion is graded by
-excess, so m_j is needed up to excess c - j, and a product of j monomials
-(t, 2l - t) of f_K has excess deg/2 - 2j.
+Why the cumulants decay: kappa_r(f_K) is by multilinearity a sum of joint
+cumulants kappa(T_{l_1}, ..., T_{l_r}) of excess e = sum (l_i - 2).  Such a
+joint cumulant vanishes unless the r pairs form a connected graph, which has
+at most r + 1 vertices, and each (x_j - x_k)^(2l) is homogeneous of degree
+2l in coordinates of variance 1/n, so it is O(n^(r+1-sum l_i)) =
+O(n^(-(r-1+e))).  Through n^(-(c-1)) only r <= c and e <= c - r count; the
+moment-to-cumulant recursion is graded by excess, so m_j is needed up to
+excess c - j, and a product of j monomials (t, 2l - t) of f_K has excess
+deg/2 - 2j.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
@@ -201,14 +200,16 @@ def f_as_mu_polynomial(w: WeightSpec, K: int) -> dict[tuple[int, int], Fraction]
         raise DomainError(f"K must be in 2..{MAX_K}")
     v = family_variance(w)
     e = weight_log_coeffs(w, K)
-    poly: dict[tuple[int, int], Fraction] = {}
-    for l in range(2, K + 1):
-        cl = e[l - 1] * v**l
-        for t in range(0, l):
-            # t and 2l - t give identical monomials; fold the half in
-            poly[(t, 2 * l - t)] = cl * (-1) ** t * comb(2 * l, t)
-        poly[(l, l)] = cl * Fraction((-1) ** l * comb(2 * l, l), 2)
-    return {m: c for m, c in poly.items() if c}
+    return {m: e[l - 1] * v**l * c for l in range(2, K + 1)
+            for m, c in _folded_t(l).items() if e[l - 1]}
+
+
+def _folded_t(l: int) -> dict[tuple[int, int], int]:
+    """T_l = sum_{j<k} (x_j - x_k)^(2l) as {(t, 2l - t): int coeff}: t and
+    2l - t give identical monomials, so the half is folded in, leaving
+    (-1)^t C(2l, t) for t < l and (-1)^l C(2l - 1, l - 1) for t = l."""
+    return {(t, 2 * l - t): (-1) ** t * comb(2 * l, t) // (1 + (t == l))
+            for t in range(l + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -276,58 +277,94 @@ class _Graded:
     __rmul__ = __mul__
 
 
+# p_max -> {L: E[T_L]}: the int coefficients of n^-0 .. n^-p_max of the joint
+# moment of the T_l over a nondecreasing L with |L| >= 2 and excess
+# sum(l - 2) <= p_max + 1 - |L|.  No weight enters, so every series at one
+# order reads one table; MAX_ORDER bounds it (799 entries through p_max = 11).
+_T_MOMENTS: dict[int, dict[tuple[int, ...], list[int]]] = {}
+
+
+def _expect(codes, p_max: int) -> list[int]:
+    """sum c E[code] over (code, c) pairs, as the int coefficients of
+    n^-0 .. n^-p_max.  The low field z of a code is the power of n from
+    mu_0: the recurrence gets the code with that field cleared, z orders
+    deeper."""
+    acc: dict[int, int] = {}
+    for code, c in codes:
+        z = code & FIELD_MASK
+        for p, mc in mu_moment_dict(code - z, p_max + z).items():
+            if p - z <= p_max:
+                acc[p - z] = acc.get(p - z, 0) + c * mc
+    if any(p < 0 for p, c in acc.items() if c):
+        raise AssertionError("a moment of T has a positive power of n")
+    return [acc.get(p, 0) for p in range(p_max + 1)]
+
+
+def _t_moments(items, p_max: int) -> dict[tuple[int, ...], list[int]]:
+    """{L: E[T_L]} for every admissible L at this cut, by a depth-first walk
+    over the multisets: a node multiplies its parent's product codes, kept
+    in buckets by order bound, by the items of T_l, (code, int coeff, order
+    bound) by rising bound, and drops the products whose bound passes p_max."""
+    table = {}
+
+    def walk(L, prods, ex):
+        r = len(L)
+        for l in range(L[-1] if L else 2, p_max + 3 - r - ex):  # admissible
+            nxt: dict = {}
+            for bound, bucket in prods.items():
+                for code2, c2, bound2 in items[l]:
+                    if bound + bound2 > p_max:
+                        break
+                    out = nxt.setdefault(bound + bound2, {})
+                    get = out.get
+                    for code, c in bucket.items():
+                        key = code + code2
+                        out[key] = get(key, 0) + c * c2
+            nxt = {b: {code: v for code, v in bucket.items() if v}
+                   for b, bucket in nxt.items()}
+            if L:
+                table[L + (l,)] = _expect(
+                    (kv for bucket in nxt.values() for kv in bucket.items()), p_max)
+            walk(L + (l,), nxt, ex + l - 2)
+
+    walk((), {0: {0: 1}}, 0)
+    return table
+
+
 def _moments_of_f(poly, M: int, p_max: int):
     """(D, [m_1..m_M]): m_r is D^r E[f^r] as a ``_Graded`` whose slot e
     holds the products of excess e <= p_max + 1 - r, truncated at n^-p_max;
     the excess-e part of kappa_r is O(n^(-(r-1+e))) (module docstring), so
     no cumulant through n^-p_max needs more.
 
-    D is the common denominator of f's coefficients, so the products and
-    moment sums run on ints.  A product monomial is one int code, the
-    power-sum recurrence's own key (``FIELD_BITS`` bits per exponent), so
-    multiplying by a base monomial (t, 2l - t) is one int addition; its
-    order bound and excess l - 2 add up over products, and P keeps the codes
-    in buckets by both.  The low field z is the power of n from mu_0: the
-    recurrence gets the code with that field cleared, z orders deeper.
+    D is the common denominator of f's coefficients, and f = sum_l c_l T_l
+    with c_l its (0, 2l) coefficient, so by the multinomial theorem
+    D^r E[f^r] = sum_L (r!/prod mult!) prod (D c_l) E[T_L] over the
+    multisets L of size r, each in slot sum(l - 2).  The E[T_L] with
+    |L| >= 2 come from the weight-free table ``_T_MOMENTS``, filled once per
+    p_max; a singleton needs no product and reads ``mu_moment_dict``.
     """
     D = lcm(*(c.denominator for c in poly.values()))
-    items = sorted(((encode((t, s)), c.numerator * (D // c.denominator),
-                     monomial_order_bound((t, s)), (t + s) // 2 - 2)
-                    for (t, s), c in poly.items()), key=lambda it: it[2])
-
-    moments = []
-    P: dict = {(0, 0): {0: 1}}  # (bound, excess) -> {code: D^r f^r coeff}
-    for r in range(1, M + 1):
-        top = p_max + 1 - r
-        nxt: dict = {}
-        for (bound, ex), bucket in P.items():
-            for code2, c2, bound2, ex2 in items:
-                if bound + bound2 > p_max:
-                    break
-                if ex + ex2 > top:
-                    continue
-                out = nxt.setdefault((bound + bound2, ex + ex2), {})
-                get = out.get
-                for code, c in bucket.items():
-                    key = code + code2
-                    out[key] = get(key, 0) + c * c2
-        P = {k: {code: v for code, v in bucket.items() if v != 0}
-             for k, bucket in nxt.items()}
-
-        mr: list[dict[int, int]] = [{} for _ in range(top + 1)]
-        for (_, ex), bucket in P.items():
-            acc = mr[ex]
-            for code, c in bucket.items():
-                z = code & FIELD_MASK
-                for p, mc in mu_moment_dict(code - z, p_max + z).items():
-                    pp = p - z
-                    if pp <= p_max:
-                        acc[pp] = acc.get(pp, 0) + c * mc
-        if any(p < 0 for acc in mr for p, c in acc.items() if c):
-            raise AssertionError("moment of f has a positive power of n")
-        moments.append(_Graded([acc.get(p, 0) for p in range(p_max + 1)]
-                               for acc in mr))
-    return D, moments
+    dc = {s // 2: c.numerator * (D // c.denominator)
+          for (t, s), c in poly.items() if t == 0}
+    items = {l: sorted(((encode(m), c, monomial_order_bound(m))
+                        for m, c in _folded_t(l).items()), key=lambda it: it[2])
+             for l in range(2, p_max + 3)}
+    if p_max not in _T_MOMENTS:
+        _T_MOMENTS[p_max] = _t_moments(items, p_max)
+    singles = {(l,): _expect([(code, c) for code, c, b in items[l] if b <= p_max],
+                             p_max) for l in dc if l <= p_max + 2}
+    parts = [[[0] * (p_max + 1) for _ in range(p_max + 2 - r)]
+             for r in range(1, M + 1)]
+    for L, values in [*singles.items(), *_T_MOMENTS[p_max].items()]:
+        r = len(L)
+        w = factorial(r) * prod(dc.get(l, 0) for l in L) // prod(
+            factorial(L.count(l)) for l in set(L))
+        if w and r <= M:
+            acc = parts[r - 1][sum(L) - 2 * r]
+            for p, v in enumerate(values):
+                acc[p] += w * v
+    return D, [_Graded(m) for m in parts]
 
 
 def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:

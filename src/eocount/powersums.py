@@ -19,12 +19,12 @@ Results are memoized per code: clearing the mu_2 field, peeling mu_k or
 merging it with mu_a is an int subtraction and addition on the code, and the
 fields are read back only on a memo miss.  The weights and the base case 1
 are positive ints, so the recurrence and its memo run on Python ints.  The
-memo and the table of mu_2 factor polynomials are module-global on purpose:
-the families share them, so a series after the first meets them warm.
-Exponents are >= 1 here; the series engine carries mu_0 = n as the exponent
-0 and clears that field before calling in.  The partition-type sum and the
-set-partition sum over factor positions live in the tests as independent
-cross-checks.
+memo and the table of mu_2 factor polynomials are module-global: the series
+engine's weight-free table of E[T_L] goes through them once per order, and a
+later series at that order asks only for f_K's own monomials.  Exponents are
+>= 1 here; the series engine carries mu_0 = n as the exponent 0 and clears
+that field before calling in.  The partition-type sum and the set-partition
+sum over factor positions live in the tests as independent cross-checks.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eocount import powersums
+from eocount import expansion, powersums
 from eocount.cumulants import moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import (MAX_BITS, MAX_K, MIN_BITS, WeightSpec,
@@ -160,7 +161,7 @@ def test_moments_of_f_custom_weight_matches_series_products():
 
 @pytest.mark.parametrize("family", ["RT", "ED", "EOG"])
 def test_order_bound_adds_up_over_products_of_f_monomials(family):
-    # _moments_of_f buckets the products of f_K^r by the sum of their
+    # the E[T_L] walk buckets the products of the T_l by the sum of their
     # factors' bounds, so that sum must be the product's bound
     w = WeightSpec.for_family(family)
     for K in range(2, MAX_K + 1):
@@ -219,15 +220,88 @@ def test_series_equals_the_ungraded_expansion_for_any_weight(pq, c):
 def test_series_memo_size_after_order_7():
     powersums._MOM_CACHE.clear()
     powersums._MU2_FACTORS.clear()
+    expansion._T_MOMENTS.clear()  # a warm table would skip the products
     expansion_series("RT", 7)
     cold = len(powersums._MOM_CACHE)
     for fam in ("ED", "EOG"):
         expansion_series(fam, 7)
-    # the families share their product codes, so a warm series finds every
-    # one memoized under its full code and adds no entry
+    # a warm series reads the E[T_L] table and asks only for f_K's own
+    # monomials, which RT memoized, so it adds no entry
     assert len(powersums._MOM_CACHE) == cold == 1279
     # one factor polynomial per (deg G, j) met, not per monomial
     assert len(powersums._MU2_FACTORS) == 81
+
+
+def table_size(table):
+    return sum(map(len, table.values()))
+
+
+def singleton_codes(K):
+    # the codes of the monomials of T_2 .. T_K with their mu_0 dropped
+    return {powersums.encode(e for e in m if e)
+            for l in range(2, K + 1) for m in expansion._folded_t(l)}
+
+
+def record_codes(monkeypatch):
+    seen = []
+    inner = expansion.mu_moment_dict
+
+    def spy(code, cut):
+        seen.append(code)
+        return inner(code, cut)
+
+    monkeypatch.setattr(expansion, "mu_moment_dict", spy)
+    return seen
+
+
+def test_second_weight_at_a_computed_order_skips_the_products(monkeypatch):
+    monkeypatch.setattr(expansion, "_T_MOMENTS", {})
+    expansion_series("RT", 7)
+    size = table_size(expansion._T_MOMENTS)
+    seen = record_codes(monkeypatch)
+    for w in ("ED", WeightSpec(Fraction(2, 7), Fraction(5, 7))):
+        seen.clear()
+        expansion_series(w, 7)
+        assert table_size(expansion._T_MOMENTS) == size
+        assert seen and set(seen) <= singleton_codes(8)
+
+
+def test_warm_series_still_calls_mu_moment_dict(monkeypatch):
+    # the tracer times powersums through this name, so a warm call must
+    # still pass through it
+    expansion_series("RT", 3)
+    seen = record_codes(monkeypatch)
+    expansion_series("RT", 3)
+    assert seen
+
+
+def test_table_fill_order_changes_no_series(monkeypatch):
+    weights = [WeightSpec.for_family("RT"), WeightSpec.for_family("EOG"),
+               WeightSpec(Fraction(2, 7), Fraction(5, 7))]
+    results = []
+    for order in (weights, weights[1:] + weights[:1]):
+        monkeypatch.setattr(expansion, "_T_MOMENTS", {})
+        results.append({(w, c): (r.coeffs, r.cumulants)
+                        for c in range(1, 9) for w in order
+                        for r in [expansion_series(w, c)]})
+    assert results[0] == results[1]
+
+
+def test_table_size_after_rt_at_orders_1_to_12(monkeypatch):
+    monkeypatch.setattr(expansion, "_T_MOMENTS", {})
+    for c in range(1, 13):
+        expansion_series("RT", c)
+    assert sorted(expansion._T_MOMENTS) == list(range(12))
+    assert table_size(expansion._T_MOMENTS) == 799
+
+
+def test_second_and_third_family_at_order_12_read_the_table():
+    expansion_series("RT", 12)
+    for fam in ("ED", "EOG"):
+        t0 = time.perf_counter()
+        expansion_series(fam, 12)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 0.06, f"{fam} at order 12 after RT took {elapsed:.3f}s"
 
 
 def test_orders_for_precision():
