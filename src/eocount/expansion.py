@@ -12,28 +12,29 @@ with e_{2l} the Taylor coefficients of log(a + b cos x).  Everything is exact:
 f_K is a map from power-sum monomials to Fractions, in which the exponent 0
 stands for the factor mu_0 = n.  With x rescaled to variance 1/n,
 f_K = sum_l c_l T_l, T_l = sum_{j<k} (x_j - x_k)^(2l) and c_l = e_{2l} v^l,
-so the weight enters only through the c_l: the joint moments
-E[T_{l_1} ... T_{l_r}] are weight-free ints, computed once per order into
-one module table that every weight reads.  D^r E[f_K^r] is their
-multinomial sum with the ints D c_l (D the common denominator of the c_l),
-graded by excess; the moment-to-cumulant recursion runs on these ints,
-kappa_r is divided by D^r once into a plain {p: Fraction} map, and the
-closed-form prefactors are attached symbolically.  A product monomial of
-the T_l is one int, the multiplicities of its exponents packed in
-fixed-width bit fields, so a product is an int addition; the power-sum
-recurrence and its memo take the same codes.  Each family's weight and
-prefactor sit in one table, ``FAMILIES``; an exact rational becomes an mpf
-only in ``to_mpf``, and a result number becomes text only in ``to_text``.
+so the weight enters only through the c_l: by multilinearity kappa_r(f_K)
+is sum_{|L|=r} (r!/prod mult!) prod c_l kappa(T_L) over the multisets L of
+Taylor orders.  The joint cumulants kappa(T_L) are weight-free ints,
+computed once per order into one module table that every weight reads, so
+D^r kappa_r is one linear form in them with the ints D c_l (D the common
+denominator of the c_l); kappa_r is divided by D^r once into a plain
+{p: Fraction} map, and the closed-form prefactors are attached
+symbolically.  A product monomial of the T_l is one int, the multiplicities
+of its exponents packed in fixed-width bit fields, so a product is an int
+addition; the power-sum recurrence and its memo take the same codes.  Each
+family's weight and prefactor sit in one table, ``FAMILIES``; an exact
+rational becomes an mpf only in ``to_mpf``, and a result number becomes
+text only in ``to_text``.
 
-Why the cumulants decay: kappa_r(f_K) is by multilinearity a sum of joint
-cumulants kappa(T_{l_1}, ..., T_{l_r}) of excess e = sum (l_i - 2).  Such a
-joint cumulant vanishes unless the r pairs form a connected graph, which has
-at most r + 1 vertices, and each (x_j - x_k)^(2l) is homogeneous of degree
-2l in coordinates of variance 1/n, so it is O(n^(r+1-sum l_i)) =
-O(n^(-(r-1+e))).  Through n^(-(c-1)) only r <= c and e <= c - r count; the
-moment-to-cumulant recursion is graded by excess, so m_j is needed up to
-excess c - j, and a product of j monomials (t, 2l - t) of f_K has excess
-deg/2 - 2j.
+Why the cumulants decay: a joint cumulant kappa(T_{l_1}, ..., T_{l_r}) of
+excess e = sum (l_i - 2) vanishes unless the r pairs form a connected
+graph, which has at most r + 1 vertices, and each (x_j - x_k)^(2l) is
+homogeneous of degree 2l in coordinates of variance 1/n, so it is
+O(n^(r+1-sum l_i)) = O(n^(-(r-1+e))).  Through n^(-(c-1)) only r <= c and
+e <= c - r count, so the table holds the L with |L| >= 2 and
+e <= c - |L|, and a subset of such an L is such an L: its moments, from
+which the cumulants come, need no other.  The moment E[T_L] itself is only
+O(n^-e), so the cancellation that the table's fill checks is real.
 """
 
 from __future__ import annotations
@@ -243,69 +244,51 @@ class ExpansionResult(NamedTuple):
         }
 
 
-class _Graded:
-    """D^r E[f^r] or D^r kappa_r split by excess: parts[e][p] is the int
-    coefficient of n^-p in the excess-e part, p <= p_max.  The recursion in
-    ``moments_to_cumulants`` is homogeneous of degree r, so it runs on these
-    numerators; slot e of a product sums slots i and e - i, and - and *
-    keep only the slots both operands hold, so kappa_r gets m_r's."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = list(parts)
-
-    def __sub__(self, other):
-        return _Graded([u - v for u, v in zip(a, b)]
-                       for a, b in zip(self.parts, other.parts))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _Graded([other * u for u in a] for a in self.parts)
-        x, y = self.parts, other.parts
-        out = []
-        for e in range(min(len(x), len(y))):
-            acc = [0] * len(x[0])
-            for a, b in zip(x[:e + 1], reversed(y[:e + 1])):
-                for p, u in enumerate(a):
-                    if u:
-                        for q, v in enumerate(b[:len(acc) - p], p):
-                            acc[q] += u * v
-            out.append(acc)
-        return _Graded(out)
-
-    __rmul__ = __mul__
-
-
-# p_max -> {L: E[T_L]}: the int coefficients of n^-0 .. n^-p_max of the joint
-# moment of the T_l over a nondecreasing L with |L| >= 2 and excess
+# p_max -> {L: kappa(T_L)}: the int coefficients of n^-0 .. n^-p_max of the
+# joint cumulant of the T_l over a nondecreasing L with |L| >= 2 and excess
 # sum(l - 2) <= p_max + 1 - |L|.  No weight enters, so every series at one
 # order reads one table; MAX_ORDER bounds it (799 entries through p_max = 11).
-_T_MOMENTS: dict[int, dict[tuple[int, ...], list[int]]] = {}
+_T_CUMULANTS: dict[int, dict[tuple[int, ...], list[int]]] = {}
 
 
-def _expect(codes, p_max: int) -> list[int]:
+def _t_items(p_max: int) -> dict[int, list[tuple[int, int, int]]]:
+    """l -> the monomials of T_l, l = 2 .. p_max + 2, as (code, int coeff,
+    order bound) by rising bound."""
+    return {l: sorted(((encode(m), c, monomial_order_bound(m))
+                       for m, c in _folded_t(l).items()), key=lambda it: it[2])
+            for l in range(2, p_max + 3)}
+
+
+def _expect(codes, p_max: int, seen: dict) -> list[int]:
     """sum c E[code] over (code, c) pairs, as the int coefficients of
     n^-0 .. n^-p_max.  The low field z of a code is the power of n from
     mu_0: the recurrence gets the code with that field cleared, z orders
-    deeper."""
+    deeper.  ``seen`` maps a code to its moment at this cut, so a code
+    reaches ``mu_moment_dict`` once per map."""
     acc: dict[int, int] = {}
+    get = acc.get
     for code, c in codes:
         z = code & FIELD_MASK
-        for p, mc in mu_moment_dict(code - z, p_max + z).items():
-            if p - z <= p_max:
-                acc[p - z] = acc.get(p - z, 0) + c * mc
+        moment = seen.get(code)
+        if moment is None:
+            moment = seen[code] = mu_moment_dict(code - z, p_max + z)
+        for p, mc in moment.items():
+            p -= z
+            if p <= p_max:
+                acc[p] = get(p, 0) + c * mc
     if any(p < 0 for p, c in acc.items() if c):
         raise AssertionError("a moment of T has a positive power of n")
-    return [acc.get(p, 0) for p in range(p_max + 1)]
+    return [get(p, 0) for p in range(p_max + 1)]
 
 
 def _t_moments(items, p_max: int) -> dict[tuple[int, ...], list[int]]:
-    """{L: E[T_L]} for every admissible L at this cut, by a depth-first walk
-    over the multisets: a node multiplies its parent's product codes, kept
-    in buckets by order bound, by the items of T_l, (code, int coeff, order
-    bound) by rising bound, and drops the products whose bound passes p_max."""
+    """{L: E[T_L]} for every admissible L at this cut, singletons included,
+    by a depth-first walk over the multisets: a node multiplies its
+    parent's product codes, kept in buckets by order bound, by the items of
+    T_l from ``_t_items``, and drops the products whose bound passes
+    p_max.  A code met under several L reaches ``mu_moment_dict`` once."""
     table = {}
+    seen: dict = {}
 
     def walk(L, prods, ex):
         r = len(L)
@@ -322,57 +305,68 @@ def _t_moments(items, p_max: int) -> dict[tuple[int, ...], list[int]]:
                         out[key] = get(key, 0) + c * c2
             nxt = {b: {code: v for code, v in bucket.items() if v}
                    for b, bucket in nxt.items()}
-            if L:
-                table[L + (l,)] = _expect(
-                    (kv for bucket in nxt.values() for kv in bucket.items()), p_max)
+            table[L + (l,)] = _expect(
+                (kv for bucket in nxt.values() for kv in bucket.items()),
+                p_max, seen)
             walk(L + (l,), nxt, ex + l - 2)
 
     walk((), {0: {0: 1}}, 0)
+    del walk  # a cycle through its own cell would keep ``seen`` until a gc pass
     return table
 
 
-def _moments_of_f(poly, M: int, p_max: int):
-    """(D, [m_1..m_M]): m_r is D^r E[f^r] as a ``_Graded`` whose slot e
-    holds the products of excess e <= p_max + 1 - r, truncated at n^-p_max;
-    the excess-e part of kappa_r is O(n^(-(r-1+e))) (module docstring), so
-    no cumulant through n^-p_max needs more.
+def _splits(S: tuple[int, ...]) -> list:
+    """(B, S - B, ways) for every sub-multiset B != S of S that holds one
+    designated element, a copy of S's rarest value (the fewest splits):
+    ways is the number of index sets of B's type that hold that element."""
+    vals = sorted(set(S))
+    mult = [S.count(x) for x in vals]
+    rare = vals[mult.index(min(mult))]
+    out = [((), (), 1)]
+    for x, m in zip(vals, mult):
+        d = x == rare
+        out = [(B + (x,) * b, R + (x,) * (m - b), w * comb(m - d, b - d))
+               for B, R, w in out for b in range(d, m + 1)]
+    return out[:-1]  # the last B is S
 
-    D is the common denominator of f's coefficients, and f = sum_l c_l T_l
-    with c_l its (0, 2l) coefficient, so by the multinomial theorem
-    D^r E[f^r] = sum_L (r!/prod mult!) prod (D c_l) E[T_L] over the
-    multisets L of size r, each in slot sum(l - 2).  The E[T_L] with
-    |L| >= 2 come from the weight-free table ``_T_MOMENTS``, filled once per
-    p_max; a singleton needs no product and reads ``mu_moment_dict``.
-    """
-    D = lcm(*(c.denominator for c in poly.values()))
-    dc = {s // 2: c.numerator * (D // c.denominator)
-          for (t, s), c in poly.items() if t == 0}
-    items = {l: sorted(((encode(m), c, monomial_order_bound(m))
-                        for m, c in _folded_t(l).items()), key=lambda it: it[2])
-             for l in range(2, p_max + 3)}
-    if p_max not in _T_MOMENTS:
-        _T_MOMENTS[p_max] = _t_moments(items, p_max)
-    singles = {(l,): _expect([(code, c) for code, c, b in items[l] if b <= p_max],
-                             p_max) for l in dc if l <= p_max + 2}
-    parts = [[[0] * (p_max + 1) for _ in range(p_max + 2 - r)]
-             for r in range(1, M + 1)]
-    for L, values in [*singles.items(), *_T_MOMENTS[p_max].items()]:
-        r = len(L)
-        w = factorial(r) * prod(dc.get(l, 0) for l in L) // prod(
-            factorial(L.count(l)) for l in set(L))
-        if w and r <= M:
-            acc = parts[r - 1][sum(L) - 2 * r]
-            for p, v in enumerate(values):
-                acc[p] += w * v
-    return D, [_Graded(m) for m in parts]
+
+def _t_cumulants(items, p_max: int) -> dict[tuple[int, ...], list[int]]:
+    """{L: kappa(T_L)} for every admissible L with |L| >= 2, from the
+    moments of ``_t_moments`` by kappa(S) = E[S] - sum ways(B) kappa(B)
+    E[S - B] over the B of ``_splits``, on truncated int coefficient lists
+    (a subset of an admissible L is admissible); each product starts at the
+    first nonzero coefficient of both factors.  AssertionError if some
+    kappa(T_L) is nonzero below n^-(|L|-1+e) (module docstring)."""
+    moments = _t_moments(items, p_max)
+    lead = {L: next((p for p, v in enumerate(m) if v), p_max + 1)
+            for L, m in moments.items()}
+    kappas, klead = {}, {}
+    for S in sorted(moments, key=len):
+        k = list(moments[S])
+        for B, rest, ways in _splits(S):
+            kb, m, b = kappas[B], moments[rest], lead[rest]
+            for i in range(klead[B], p_max + 1 - b):
+                u = ways * kb[i]
+                if u:
+                    for j, v in enumerate(m[b:p_max + 1 - i], i + b):
+                        k[j] -= u * v
+        klead[S] = next((p for p, v in enumerate(k) if v), p_max + 1)
+        if klead[S] < sum(S) - len(S) - 1:
+            raise AssertionError(f"kappa(T_{S}) is nonzero below its decay order")
+        kappas[S] = k
+    return {L: k for L, k in kappas.items() if len(L) > 1}
 
 
 def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     """Exponent-series coefficients through n^-(c-1), exact rationals.
 
-    The moments D^r E[f_K^r], r <= M, are computed in the power-sum basis
-    by excess with truncation pruning, turned into cumulants on those int
-    numerators, divided by D^r and summed as sum_r kappa_r / r!.
+    f_K = sum_l c_l T_l with c_l its (0, 2l) coefficient and D the common
+    denominator of f's coefficients, so by multilinearity D^r kappa_r =
+    sum_{|L|=r} (r!/prod mult!) prod (D c_l) kappa(T_L): a linear form in
+    the weight-free ``_T_CUMULANTS``, filled once per cut, and the
+    singletons kappa(T_l) = E[T_l], read through ``mu_moment_dict`` on
+    every call.  Each kappa_r is divided by D^r once and the series is
+    sum_r kappa_r / r!.
     """
     if c > MAX_ORDER:
         raise SizeLimitError(f"expansion order capped at c={MAX_ORDER}")
@@ -382,13 +376,27 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     M, K = family_orders(c)
     p_max = c - 1
     poly = f_as_mu_polynomial(w, K)
-    D, moments = _moments_of_f(poly, M, p_max)
-    kappas = []
+    D = lcm(*(c.denominator for c in poly.values()))
+    dc = {s // 2: c.numerator * (D // c.denominator)
+          for (t, s), c in poly.items() if t == 0}
+    items = _t_items(p_max)
+    if p_max not in _T_CUMULANTS:
+        _T_CUMULANTS[p_max] = _t_cumulants(items, p_max)
+    singles = {(l,): _expect([(code, c) for code, c, b in items[l] if b <= p_max],
+                             p_max, {}) for l in dc if l <= p_max + 2}
+    sums = [[0] * (p_max + 1) for _ in range(M)]
+    for L, values in [*singles.items(), *_T_CUMULANTS[p_max].items()]:
+        r = len(L)
+        w_L = factorial(r) * prod(dc.get(l, 0) for l in L) // prod(
+            factorial(L.count(l)) for l in set(L))
+        if w_L and r <= M:
+            acc = sums[r - 1]
+            for p, v in enumerate(values):
+                acc[p] += w_L * v
+    kappas = tuple({p: Fraction(v, D**r) for p, v in enumerate(acc) if v}
+                   for r, acc in enumerate(sums, start=1))
     coeffs: dict[int, Fraction] = {}
-    for r, k in enumerate(moments_to_cumulants(moments), start=1):
-        kap = {p: Fraction(v, D**r)
-               for p, v in enumerate(map(sum, zip(*k.parts))) if v}
-        kappas.append(kap)
+    for r, kap in enumerate(kappas, start=1):
         for p, v in kap.items():
             coeffs[p] = coeffs.get(p, 0) + v / factorial(r)
     coeffs = {p: v for p, v in sorted(coeffs.items()) if v}
@@ -396,7 +404,7 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
         family=w.family, order=c, M=M, K=K,
         prefactor=FAMILIES[w.family][1] if w.family in FAMILIES else "",
         coeffs=coeffs,
-        cumulants=tuple(kappas),
+        cumulants=kappas,
     )
 
 

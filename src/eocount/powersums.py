@@ -20,11 +20,11 @@ merging it with mu_a is an int subtraction and addition on the code, and the
 fields are read back only on a memo miss.  The weights and the base case 1
 are positive ints, so the recurrence and its memo run on Python ints.  The
 memo and the table of mu_2 factor polynomials are module-global: the series
-engine's weight-free table of E[T_L] goes through them once per order, and a
-later series at that order asks only for f_K's own monomials.  Exponents are
->= 1 here; the series engine carries mu_0 = n as the exponent 0 and clears
-that field before calling in.  The partition-type sum and the set-partition
-sum over factor positions live in the tests as independent cross-checks.
+engine's fill of its weight-free kappa(T_L) goes through them once per
+order, and a later series at that order asks only for f_K's own monomials.
+Exponents are >= 1 here; the series engine carries mu_0 = n as the exponent
+0 and clears that field before calling in.  The partition-type sum and the
+set-partition sum over factor positions are cross-checks in the tests.
 """
 
 from __future__ import annotations

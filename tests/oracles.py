@@ -23,8 +23,10 @@ tests check it against, and the combinatorics only they use:
   ``partition_factorial_sum``;
 * the series engine's inputs: ``f_direct`` and ``evaluate_mu_polynomial``
   (f_K by its edge-sum definition and in the power-sum basis), and its
-  moments ``moments_of_f_via_series`` (the powers of f on LaurentSeries
-  coefficients split by excess, against the integer product expansion),
+  joint cumulants ``t_joint_cumulants_via_partitions`` (the ungraded
+  moments of products of the T_l on Fraction coefficients turned into
+  joint cumulants by the set-partition formula, against the weight-free
+  table of kappa(T_L) and its sub-multiset recursion),
   the whole series ``series_ungraded`` (every moment to M = c + 1 without
   the excess cut, against the graded series and its cumulants), the
   Bernoulli closed form ``log_cos_coeffs`` with ``bernoulli_numbers``
@@ -53,6 +55,7 @@ tests check it against, and the combinatorics only they use:
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial, lcm, prod
 from typing import Iterator, Sequence
 
@@ -641,32 +644,56 @@ def f_direct(w: WeightSpec, K: int, xs, variance_scale=None) -> Fraction:
     return total
 
 
-def moments_of_f_via_series(poly, M: int, p_max: int) -> list[dict[int, LaurentSeries]]:
-    """E[f^r], r = 1..M, truncated at n^-p_max and split by the excess
-    sum/2 - 2r of the product monomials, {excess: series}: the power-sum
-    polynomial of f raised to the r-th power with its Fraction coefficients
-    multiplied as they stand (no common denominator, no pruning), then
-    mu_moment of each product monomial.  The z exponents 0 of a product
-    monomial are the factor n^z, so the rest's moment is kept to
-    n^-(p_max + z)."""
-    moments = []
-    power = {(): Fraction(1)}
-    for r in range(1, M + 1):
-        nxt: dict = {}
-        for mono, s in power.items():
-            for m2, s2 in poly.items():
-                key = tuple(sorted(mono + m2))
-                nxt[key] = nxt.get(key, 0) + s * s2
-        power = nxt
-        parts: dict[int, LaurentSeries] = {}
-        for mono, s in power.items():
-            z = sum(1 for k in mono if k == 0)
-            rest = tuple(k for k in mono if k != 0)
-            e = sum(mono) // 2 - 2 * r
-            parts[e] = (parts.get(e, LaurentSeries.zero(p_max))
-                        + s * LaurentSeries({-z: 1}) * mu_moment(rest, p_max + z))
-        moments.append(parts)
-    return moments
+def t_joint_cumulants_via_partitions(p_max: int) -> dict[tuple[int, ...], LaurentSeries]:
+    """kappa(T_L) truncated at n^-p_max for every nondecreasing L with
+    |L| >= 2 and excess sum(l - 2) <= p_max + 1 - |L|, T_l = sum_{j<k}
+    (x_j - x_k)^(2l) at component variance 1/n.  T_l is multiplied out as
+    (1/2) sum_t (-1)^t C(2l, t) mu_t mu_{2l-t} on Fraction coefficients (no
+    folding, no pruning), the ungraded moment E[T_S] of each sub-multiset S
+    is mu_moment of each product monomial (z exponents 0 are the factor
+    n^z, so the rest is kept to n^-(p_max + z)), and the joint cumulants
+    come from the set-partition (Moebius) formula
+    kappa(L) = sum_pi (-1)^(|pi|-1) (|pi|-1)! prod_{B in pi} E[T_{L_B}]."""
+    def t_poly(l):
+        poly: dict = {}
+        for t in range(2 * l + 1):
+            key = tuple(sorted((t, 2 * l - t)))
+            poly[key] = poly.get(key, 0) + Fraction((-1) ** t * comb(2 * l, t), 2)
+        return poly
+
+    moments: dict = {}
+
+    def moment(S):
+        if S not in moments:
+            power = {(): Fraction(1)}
+            for l in S:
+                nxt: dict = {}
+                for mono, s in power.items():
+                    for m2, s2 in t_poly(l).items():
+                        key = tuple(sorted(mono + m2))
+                        nxt[key] = nxt.get(key, 0) + s * s2
+                power = nxt
+            total = LaurentSeries.zero(p_max)
+            for mono, s in power.items():
+                z = mono.count(0)
+                total = total + s * LaurentSeries({-z: 1}) * mu_moment(mono[z:], p_max + z)
+            moments[S] = total
+        return moments[S]
+
+    out = {}
+    for r in range(2, p_max + 2):
+        for L in combinations_with_replacement(range(2, p_max + 2), r):
+            if sum(L) - 2 * r > p_max + 1 - r:
+                continue
+            kappa = LaurentSeries.zero(p_max)
+            for part in enumerate_partitions(r):
+                k = len(part)
+                term = LaurentSeries.term((-1) ** (k - 1) * factorial(k - 1), 0, p_max)
+                for block in part:
+                    term = term * moment(tuple(sorted(L[i] for i in block)))
+                kappa = kappa + term
+            out[L] = kappa
+    return out
 
 
 def _moments_of_f_ungraded(poly, M: int, p_max: int) -> list[LaurentSeries]:

@@ -6,7 +6,6 @@ import pytest
 
 from eocount.cumulants import double_factorial, moments_to_cumulants
 from eocount.errors import SizeLimitError
-from eocount.expansion import _Graded
 
 from golden import BELL_22
 from helpers import LaurentSeries
@@ -153,18 +152,6 @@ def test_moments_to_cumulants_over_series_ring():
     ks = moments_to_cumulants([m1, m2])
     assert ks[0] == m1
     assert not ks[1]
-
-    # the ring the series engine passes in: int numerators by excess and
-    # power of 1/n.  Mean m1, variance s and no third cumulant give
-    # m2 = m1^2 + s and m3 = m1^3 + 3 m1 s.
-    m1 = _Graded([[1, 2, -1, 0], [0, 3, 5, 7], [0, 0, 4, -2]])
-    s = _Graded([[0, 1, 6, 2], [0, 0, -3, 1], [0, 0, 0, 9]])
-    m2 = m1 * m1 - s * -1
-    m3 = m1 * m1 * m1 - s * m1 * -3
-    ks = moments_to_cumulants([m1, m2, m3])
-    assert [k.parts for k in ks[:2]] == [m1.parts, s.parts]
-    assert ks[2].parts == [[0] * 4] * 3
-    assert all(type(v) is int for k in ks for part in k.parts for v in part)
 
 
 def test_stirling_identity():

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eocount import expansion, powersums
-from eocount.cumulants import moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
-from eocount.expansion import (MAX_BITS, MAX_K, MIN_BITS, WeightSpec,
-                               _moments_of_f, evaluate_expansion,
+from eocount.expansion import (MAX_BITS, MAX_K, MAX_ORDER, MIN_BITS,
+                               WeightSpec, evaluate_expansion,
                                expansion_series, f_as_mu_polynomial,
                                family_orders, family_variance, log_prefactor,
                                weight_log_coeffs)
@@ -20,8 +19,8 @@ from eocount.powersums import monomial_order_bound
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
 from helpers import LaurentSeries
 from oracles import (bernoulli_numbers, evaluate_mu_polynomial, f_direct,
-                     log_cos_coeffs, moments_of_f_via_series,
-                     orders_for_precision, series_ungraded)
+                     log_cos_coeffs, orders_for_precision, series_ungraded,
+                     t_joint_cumulants_via_partitions)
 
 
 def test_log_cos_displayed_coefficients():
@@ -135,28 +134,20 @@ def test_f_polynomial_excludes_quadratic_term():
     assert poly == {(0, 4): c4, (1, 3): -4 * c4, (2, 2): 3 * c4}
 
 
-def assert_graded_moments_match(poly, M, p_max):
-    # m_r keeps the excess parts 0..p_max + 1 - r as int numerators over
-    # D^r, each the oracle's sum over the product monomials of that excess,
-    # sum/2 - 2r
-    D, got = _moments_of_f(poly, M, p_max)
-    want = moments_of_f_via_series(poly, M, p_max)
-    assert len(got) == len(want) == M
-    for r, (m, parts) in enumerate(zip(got, want), start=1):
-        assert len(m.parts) == max(0, p_max + 2 - r), r
-        for e, part in enumerate(m.parts):
-            assert len(part) == p_max + 1 and all(type(v) is int for v in part)
-            series = LaurentSeries({p: Fraction(v, D**r) for p, v in enumerate(part)})
-            assert series == parts.get(e, LaurentSeries.zero()), (r, e)
-
-
-def test_moments_of_f_custom_weight_matches_series_products():
-    # denominators 5 and 7, coprime to the families' 2 and 3: the common
-    # denominator D of f is not 1, so E[f^r] must be divided by D^r
-    w = WeightSpec(Fraction(2, 7), Fraction(5, 7))
+def test_t_cumulants_match_the_partition_formula(monkeypatch):
+    # every entry of the weight-free table at c = 1..6, all int
+    # coefficients of n^-0 .. n^-(c-1), against the set-partition formula
+    # on the ungraded moments in Fractions; the weight that fills the table
+    # does not matter, and D and the c_l are checked through the series
+    monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
     for c in range(1, 7):
-        _, K = family_orders(c)
-        assert_graded_moments_match(f_as_mu_polynomial(w, K), 3, c - 1)
+        expansion_series(WeightSpec(Fraction(2, 7), Fraction(5, 7)), c)
+        table = expansion._T_CUMULANTS[c - 1]
+        want = t_joint_cumulants_via_partitions(c - 1)
+        assert set(table) == set(want), c
+        for L, values in table.items():
+            assert len(values) == c and all(type(v) is int for v in values)
+            assert LaurentSeries(dict(enumerate(values)), c - 1) == want[L], (c, L)
 
 
 @pytest.mark.parametrize("family", ["RT", "ED", "EOG"])
@@ -170,16 +161,6 @@ def test_order_bound_adds_up_over_products_of_f_monomials(family):
         for i, m1 in enumerate(monos):
             for m2, b2 in zip(monos[i:], bounds[i:]):
                 assert monomial_order_bound(m1 + m2) == bounds[i] + b2, (K, m1, m2)
-
-
-def test_moments_of_f_at_full_M_match_series_products():
-    # the series itself takes M = c, past the M = 3 of the test above
-    weights = [WeightSpec.for_family(f) for f in ("RT", "ED", "EOG")]
-    weights.append(WeightSpec(Fraction(2, 7), Fraction(5, 7)))
-    cases = [(w, c) for w in weights for c in (1, 2, 3)] + [(weights[0], 4)]
-    for w, c in cases:
-        M, K = family_orders(c)
-        assert_graded_moments_match(f_as_mu_polynomial(w, K), M, c - 1)
 
 
 # the a of a + b cos: denominators other than the families' 2 and 3, a
@@ -220,12 +201,12 @@ def test_series_equals_the_ungraded_expansion_for_any_weight(pq, c):
 def test_series_memo_size_after_order_7():
     powersums._MOM_CACHE.clear()
     powersums._MU2_FACTORS.clear()
-    expansion._T_MOMENTS.clear()  # a warm table would skip the products
+    expansion._T_CUMULANTS.clear()  # a warm table would skip the products
     expansion_series("RT", 7)
     cold = len(powersums._MOM_CACHE)
     for fam in ("ED", "EOG"):
         expansion_series(fam, 7)
-    # a warm series reads the E[T_L] table and asks only for f_K's own
+    # a warm series reads the kappa(T_L) table and asks only for f_K's own
     # monomials, which RT memoized, so it adds no entry
     assert len(powersums._MOM_CACHE) == cold == 1279
     # one factor polynomial per (deg G, j) met, not per monomial
@@ -255,14 +236,14 @@ def record_codes(monkeypatch):
 
 
 def test_second_weight_at_a_computed_order_skips_the_products(monkeypatch):
-    monkeypatch.setattr(expansion, "_T_MOMENTS", {})
+    monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
     expansion_series("RT", 7)
-    size = table_size(expansion._T_MOMENTS)
+    size = table_size(expansion._T_CUMULANTS)
     seen = record_codes(monkeypatch)
     for w in ("ED", WeightSpec(Fraction(2, 7), Fraction(5, 7))):
         seen.clear()
         expansion_series(w, 7)
-        assert table_size(expansion._T_MOMENTS) == size
+        assert table_size(expansion._T_CUMULANTS) == size
         assert seen and set(seen) <= singleton_codes(8)
 
 
@@ -280,7 +261,7 @@ def test_table_fill_order_changes_no_series(monkeypatch):
                WeightSpec(Fraction(2, 7), Fraction(5, 7))]
     results = []
     for order in (weights, weights[1:] + weights[:1]):
-        monkeypatch.setattr(expansion, "_T_MOMENTS", {})
+        monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
         results.append({(w, c): (r.coeffs, r.cumulants)
                         for c in range(1, 9) for w in order
                         for r in [expansion_series(w, c)]})
@@ -288,11 +269,26 @@ def test_table_fill_order_changes_no_series(monkeypatch):
 
 
 def test_table_size_after_rt_at_orders_1_to_12(monkeypatch):
-    monkeypatch.setattr(expansion, "_T_MOMENTS", {})
+    monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
     for c in range(1, 13):
         expansion_series("RT", c)
-    assert sorted(expansion._T_MOMENTS) == list(range(12))
-    assert table_size(expansion._T_MOMENTS) == 799
+    assert sorted(expansion._T_CUMULANTS) == list(range(12))
+    assert table_size(expansion._T_CUMULANTS) == 799
+
+
+def test_table_keys_stay_within_the_order_cap(monkeypatch):
+    # the table outlives every call, so only the MAX_ORDER cuts may fill it:
+    # an order outside 1..MAX_ORDER is refused before the fill
+    monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
+    for c in (-1, 0, MAX_ORDER + 1, 2 * MAX_ORDER):
+        with pytest.raises((DomainError, SizeLimitError)):
+            expansion_series("ED", c)
+    assert expansion._T_CUMULANTS == {}
+    for c in range(1, 9):
+        for w in ("EOG", WeightSpec(Fraction(1, 11), Fraction(10, 11))):
+            expansion_series(w, c)
+    assert set(expansion._T_CUMULANTS) <= set(range(MAX_ORDER))
+    assert sorted(expansion._T_CUMULANTS) == list(range(8))
 
 
 def test_second_and_third_family_at_order_12_read_the_table():
@@ -301,7 +297,7 @@ def test_second_and_third_family_at_order_12_read_the_table():
         t0 = time.perf_counter()
         expansion_series(fam, 12)
         elapsed = time.perf_counter() - t0
-        assert elapsed < 0.06, f"{fam} at order 12 after RT took {elapsed:.3f}s"
+        assert elapsed < 0.02, f"{fam} at order 12 after RT took {elapsed:.3f}s"
 
 
 def test_orders_for_precision():
@@ -329,17 +325,16 @@ def test_kappa_decay_matches_order():
         lead = min(kap, default=None)
         if lead is not None:
             assert lead >= idx - 1
-    # the excess cut rests on the finer decay: the excess-e part of
-    # kappa_r is O(n^-(r-1+e)), so slot e of D^r kappa_r is zero below it
-    weights = [WeightSpec.for_family(f) for f in ("RT", "ED", "EOG")]
-    weights.append(WeightSpec(Fraction(2, 7), Fraction(5, 7)))
-    for w in weights:
-        for c in range(1, 9):
-            M, K = family_orders(c)
-            _, moments = _moments_of_f(f_as_mu_polynomial(w, K), M, c - 1)
-            for r, kap in enumerate(moments_to_cumulants(moments), start=1):
-                for e, part in enumerate(kap.parts):
-                    assert not any(part[:r - 1 + e]), (w.a, c, r, e)
+    # the excess cut rests on the finer decay: kappa(T_L) of excess e is
+    # O(n^-(|L|-1+e)), so each table entry is zero below it; the raw
+    # moments E[T_L] are not, so the fill's cancellation is real
+    for c in range(1, 9):
+        expansion_series("RT", c)
+        moments = expansion._t_moments(expansion._t_items(c - 1), c - 1)
+        for L, values in expansion._T_CUMULANTS[c - 1].items():
+            decay = len(L) - 1 + sum(L) - 2 * len(L)
+            assert not any(values[:decay]), (c, L)
+            assert any(moments[L][:decay]), (c, L)
 
 
 def test_expansion_order_caps():
