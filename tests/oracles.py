@@ -22,7 +22,9 @@ tests check it against, and the combinatorics only they use:
   (against the connected-pairing sum), with ``stirling_second`` and
   ``partition_factorial_sum``;
 * the series engine's inputs: ``f_direct`` and ``evaluate_mu_polynomial``
-  (f_K by its edge-sum definition and in the power-sum basis), and its
+  (f_K by its edge-sum definition and in the power-sum basis), the moments
+  ``moments_of_f_via_series`` (the powers of f on Fraction coefficients,
+  against the moments rebuilt from the series' cumulants), and its
   joint cumulants ``t_joint_cumulants_via_partitions`` (the ungraded
   moments of products of the T_l on Fraction coefficients turned into
   joint cumulants by the set-partition formula, against the weight-free
@@ -642,6 +644,29 @@ def f_direct(w: WeightSpec, K: int, xs, variance_scale=None) -> Fraction:
                 s += (Fraction(xs[j]) - Fraction(xs[k])) ** (2 * l)
         total += e[l - 1] * v**l * s
     return total
+
+
+def moments_of_f_via_series(poly, M: int, p_max: int) -> list[LaurentSeries]:
+    """E[f^r], r = 1..M, truncated at n^-p_max: the power-sum polynomial of
+    f raised to the r-th power with its Fraction coefficients multiplied as
+    they stand (no common denominator, no pruning), then mu_moment of each
+    product monomial.  The z exponents 0 of a product monomial are the
+    factor n^z, so the rest's moment is kept to n^-(p_max + z)."""
+    moments = []
+    power = {(): Fraction(1)}
+    for r in range(1, M + 1):
+        nxt: dict = {}
+        for mono, s in power.items():
+            for m2, s2 in poly.items():
+                key = tuple(sorted(mono + m2))
+                nxt[key] = nxt.get(key, 0) + s * s2
+        power = nxt
+        total = LaurentSeries.zero(p_max)
+        for mono, s in power.items():
+            z = mono.count(0)
+            total = total + s * LaurentSeries({-z: 1}) * mu_moment(mono[z:], p_max + z)
+        moments.append(total)
+    return moments
 
 
 def t_joint_cumulants_via_partitions(p_max: int) -> dict[tuple[int, ...], LaurentSeries]:

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -19,7 +20,8 @@ from eocount.powersums import monomial_order_bound
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
 from helpers import LaurentSeries
 from oracles import (bernoulli_numbers, evaluate_mu_polynomial, f_direct,
-                     log_cos_coeffs, orders_for_precision, series_ungraded,
+                     log_cos_coeffs, moments_of_f_via_series,
+                     orders_for_precision, series_ungraded,
                      t_joint_cumulants_via_partitions)
 
 
@@ -150,6 +152,32 @@ def test_t_cumulants_match_the_partition_formula(monkeypatch):
             assert LaurentSeries(dict(enumerate(values)), c - 1) == want[L], (c, L)
 
 
+def assert_moments_of_f_match(w, c, M):
+    # E[f^r], r = 1..M, rebuilt from the series' kappa_1..kappa_M by
+    # E[f^r] = sum_k C(r-1, k-1) kappa_k E[f^(r-k)], against the powers of
+    # f multiplied out on Fraction coefficients
+    res = expansion_series(w, c)
+    p_max = c - 1
+    kappas = [LaurentSeries(k, p_max) for k in res.cumulants]
+    want = moments_of_f_via_series(f_as_mu_polynomial(w, res.K), M, p_max)
+    assert M <= len(kappas) and len(want) == M
+    moments = [LaurentSeries.term(1, 0, p_max)]
+    for r in range(1, M + 1):
+        m = LaurentSeries.zero(p_max)
+        for k in range(1, r + 1):
+            m = m + kappas[k - 1] * moments[r - k] * comb(r - 1, k - 1)
+        assert m == want[r - 1], (w.family, c, r)
+        moments.append(m)
+
+
+def test_moments_of_f_custom_weight_matches_series_products():
+    # denominators 5 and 7, coprime to the families' 2 and 3: the common
+    # denominator D of f is not 1, so D^r kappa_r must be divided by D^r
+    w = WeightSpec(Fraction(2, 7), Fraction(5, 7))
+    for c in range(1, 7):
+        assert_moments_of_f_match(w, c, min(3, c))
+
+
 @pytest.mark.parametrize("family", ["RT", "ED", "EOG"])
 def test_order_bound_adds_up_over_products_of_f_monomials(family):
     # the E[T_L] walk buckets the products of the T_l by the sum of their
@@ -161,6 +189,16 @@ def test_order_bound_adds_up_over_products_of_f_monomials(family):
         for i, m1 in enumerate(monos):
             for m2, b2 in zip(monos[i:], bounds[i:]):
                 assert monomial_order_bound(m1 + m2) == bounds[i] + b2, (K, m1, m2)
+
+
+def test_moments_of_f_at_full_M_match_series_products():
+    # the series itself takes M = c, past the M = 3 of the test above
+    weights = [WeightSpec.for_family(f) for f in ("RT", "ED", "EOG")]
+    weights.append(WeightSpec(Fraction(2, 7), Fraction(5, 7)))
+    cases = [(w, c) for w in weights for c in (1, 2, 3)] + [(weights[0], 4)]
+    for w, c in cases:
+        M, _ = family_orders(c)
+        assert_moments_of_f_match(w, c, M)
 
 
 # the a of a + b cos: denominators other than the families' 2 and 3, a
