@@ -19,9 +19,11 @@ computed once per order into one module table that every weight reads, so
 D^r kappa_r is one linear form in them with the ints D c_l (D the common
 denominator of the c_l); kappa_r is divided by D^r once into a plain
 {p: Fraction} map, and the closed-form prefactors are attached
-symbolically.  A product monomial of the T_l is one int, the multiplicities
-of its exponents packed in fixed-width bit fields, so a product is an int
-addition; the power-sum recurrence and its memo take the same codes.  Each
+symbolically.  T_l sees only differences, so its moments are those of the
+power sums of the centered x - xbar 1, where p_1 = 0: T_l's monomials with
+an exponent 1 drop out.  A product monomial of the T_l is one int, its
+exponents' multiplicities in fixed-width bit fields, so a product is an int
+addition; the centered recurrence and its memo take the same codes.  Each
 family's weight and prefactor sit in one table, ``FAMILIES``; an exact
 rational becomes an mpf only in ``to_mpf``, and a result number becomes
 text only in ``to_text``.
@@ -200,9 +202,8 @@ def f_as_mu_polynomial(w: WeightSpec, K: int) -> dict[tuple[int, int], Fraction]
     if not 2 <= K <= MAX_K:
         raise DomainError(f"K must be in 2..{MAX_K}")
     v = family_variance(w)
-    e = weight_log_coeffs(w, K)
-    return {m: e[l - 1] * v**l * c for l in range(2, K + 1)
-            for m, c in _folded_t(l).items() if e[l - 1]}
+    c = {l: e * v**l for l, e in enumerate(weight_log_coeffs(w, K), 1) if l > 1 and e}
+    return {m: c_l * t for l, c_l in c.items() for m, t in _folded_t(l).items()}
 
 
 def _folded_t(l: int) -> dict[tuple[int, int], int]:
@@ -247,22 +248,25 @@ class ExpansionResult(NamedTuple):
 # p_max -> {L: kappa(T_L)}: the int coefficients of n^-0 .. n^-p_max of the
 # joint cumulant of the T_l over a nondecreasing L with |L| >= 2 and excess
 # sum(l - 2) <= p_max + 1 - |L|.  No weight enters, so every series at one
-# order reads one table; MAX_ORDER bounds it (799 entries through p_max = 11).
+# order reads one table; MAX_ORDER bounds it (799 entries through p_max = 11)
+# and ``_T_ITEMS``, p_max -> ``_t_items(p_max)``, which sits beside it.
 _T_CUMULANTS: dict[int, dict[tuple[int, ...], list[int]]] = {}
+_T_ITEMS: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
 
 
 def _t_items(p_max: int) -> dict[int, list[tuple[int, int, int]]]:
-    """l -> the monomials of T_l, l = 2 .. p_max + 2, as (code, int coeff,
-    order bound) by rising bound."""
+    """l -> the monomials of T_l without a p_1, l = 2 .. p_max + 2, as
+    (code, int coeff, order bound) by rising bound."""
     return {l: sorted(((encode(m), c, monomial_order_bound(m))
-                       for m, c in _folded_t(l).items()), key=lambda it: it[2])
+                       for m, c in _folded_t(l).items() if m[0] != 1),
+                      key=lambda it: it[2])
             for l in range(2, p_max + 3)}
 
 
 def _expect(codes, p_max: int, seen: dict) -> list[int]:
     """sum c E[code] over (code, c) pairs, as the int coefficients of
     n^-0 .. n^-p_max.  The low field z of a code is the power of n from
-    mu_0: the recurrence gets the code with that field cleared, z orders
+    p_0: the recurrence gets the code with that field cleared, z orders
     deeper.  ``seen`` maps a code to its moment at this cut, so a code
     reaches ``mu_moment_dict`` once per map."""
     acc: dict[int, int] = {}
@@ -379,7 +383,7 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     D = lcm(*(c.denominator for c in poly.values()))
     dc = {s // 2: c.numerator * (D // c.denominator)
           for (t, s), c in poly.items() if t == 0}
-    items = _t_items(p_max)
+    items = _T_ITEMS.get(p_max) or _T_ITEMS.setdefault(p_max, _t_items(p_max))
     if p_max not in _T_CUMULANTS:
         _T_CUMULANTS[p_max] = _t_cumulants(items, p_max)
     singles = {(l,): _expect([(code, c) for code, c, b in items[l] if b <= p_max],

@@ -1,30 +1,35 @@
-"""Exact moments of monomials in power sums mu_k = sum_j X_j^k of i.i.d.
-centered Gaussians with variance 1/n, as truncated series in 1/n with int
-coefficients.
+"""Exact moments of monomials in the centered power sums
+p_k = sum_j (X_j - Xbar)^k of i.i.d. Gaussians with variance 1/n, as
+truncated series in 1/n with int coefficients.
 
+The series engine's T_l = sum_{j<k} (x_j - x_k)^(2l) see only differences,
+so they are the same in y = x - xbar 1, whose p_1 is 0.  y is Gaussian with
+covariance (I - J/n)/n: E[y_j G] = (1/n) E[d_j G] - (1/n^2) sum_i E[d_i G].
 A monomial is one int code, in which the multiplicity of exponent e sits in
-bits [FIELD_BITS e, FIELD_BITS (e + 1)): mu_2^2 mu_4 is 2 << 10 | 1 << 20,
-``encode((2, 2, 4))``.  The moments come from one route, Gaussian
-integration by parts, by three rules:
+bits [FIELD_BITS e, FIELD_BITS (e + 1)): p_2^2 p_4 is 2 << 10 | 1 << 20,
+``encode((2, 2, 4))``.  Integration by parts gives three rules:
 
-- mu_2 in closed form: Euler's identity sum_j X_j d_j G = (deg G) G gives
-  E[mu_2 G] = (1 + deg G / n) E[G], so for a mu_2-free G
-  E[mu_2^j G] = E[G] prod_{i<j} (1 + (deg G + 2i)/n);
-- otherwise peel the largest exponent k: mu_k becomes (k-1)/n mu_{k-2};
-- and merge it with each other factor mu_a into (a/n) mu_{a+k-2}
-  (mu_0 = n), so E[mu_k G] = (k-1)/n E[mu_{k-2} G]
-  + (1/n) sum_a a E[mu_{a+k-2} G/mu_a].
+- a code with a p_1 factor is 0;
+- p_2 in closed form: E[p_2 G] = (1 + (deg G - 1)/n) E[G], so for a
+  p_2-free G, E[p_2^j G] = E[G] prod_{i<j} (1 + (deg G + 2i - 1)/n);
+- otherwise peel the largest exponent k >= 3: E[p_k H] = (k-1)(1/n - 1/n^2)
+  E[p_{k-2} H] + sum_a a mult_a ((1/n) E[p_{a+k-2} H/p_a]
+  - (1/n^2) E[p_{k-1} p_{a-1} H/p_a]), less the terms with a p_1.
 
-Results are memoized per code: clearing the mu_2 field, peeling mu_k or
-merging it with mu_a is an int subtraction and addition on the code, and the
-fields are read back only on a memo miss.  The weights and the base case 1
-are positive ints, so the recurrence and its memo run on Python ints.  The
-memo and the table of mu_2 factor polynomials are module-global: the series
-engine's fill of its weight-free kappa(T_L) goes through them once per
-order, and a later series at that order asks only for f_K's own monomials.
-Exponents are >= 1 here; the series engine carries mu_0 = n as the exponent
-0 and clears that field before calling in.  The partition-type sum and the
-set-partition sum over factor positions are cross-checks in the tests.
+No term has more factors than its parent.  Results are memoized per code;
+each rule is an int subtraction and addition on the code, and the fields are
+read back only on a memo miss.  The weights are signed ints, so the
+recurrence and its memo run on Python ints.  The memo and the table of p_2
+factor polynomials are module-global: the series engine's fill of its
+weight-free kappa(T_L) goes through them once per order, and a later series
+at that order asks only for f_K's own monomials.  The uncentered order
+bound holds: in a Wick pairing each pair of y's is 1/n with equal indices
+or -1/n^2 free, and a free pair costs one more 1/n and frees at most one
+index sum, worth n; a moment ends at n^-(deg - #factors).  Exponents are
+>= 1 here; the series engine carries p_0 = n as the exponent 0 and clears
+that field before calling in.  The tests rebuild the uncentered moments
+from these and check them against the partition-type and set-partition
+sums.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ def _degree_and_bound(fields) -> tuple[int, int]:
     """Total degree and lower bound on the leading power p of E[monomial] as
     a series in 1/n: p >= deg/2 - #even - #odd/2 (and the moment is 0 for
     odd total degree).  An exponent 0 counts as even: it is the factor
-    mu_0 = n, exactly -1."""
+    p_0 = n, exactly -1."""
     deg = odd = even = 0
     for e, m in fields:
         deg += e * m
@@ -84,34 +89,33 @@ def monomial_order_bound(mono: Iterable[int]) -> int:
 
 _MOM_CACHE: dict[int, tuple[int, dict[int, int]]] = {}
 
-# prod_{i<j} (1 + (d + 2i)/n) as coefficients of n^-r, keyed by (d, j): the
-# factor that j copies of mu_2 put on E[G] for a mu_2-free G of degree d.
+# prod_{i<j} (1 + (d + 2i - 1)/n) as coefficients of n^-r, keyed by (d, j):
+# the factor that j copies of p_2 put on E[G] for a p_2-free G of degree d.
 _MU2_FACTORS: dict[tuple[int, int], list[int]] = {}
 
 _MU2_SHIFT = 2 * FIELD_BITS
 
 
 def _mu2_factor(deg: int, j: int) -> list[int]:
-    key = (deg, j)
-    poly = _MU2_FACTORS.get(key)
+    poly = _MU2_FACTORS.get((deg, j))
     if poly is None:
         poly = [1]
-        for w in range(deg, deg + 2 * j, 2):
-            if w:  # E[mu_2] = 1: the factor 1 + 0/n adds no term
-                poly = [a + w * b for a, b in zip(poly + [0], [0] + poly)]
-        _MU2_FACTORS[key] = poly
+        for w in range(deg - 1, deg + 2 * j - 1, 2):  # odd, so never 0
+            poly = [a + w * b for a, b in zip(poly + [0], [0] + poly)]
+        _MU2_FACTORS[deg, j] = poly
     return poly
 
 
 def mu_moment_dict(code: int, cut: int) -> dict[int, int]:
-    """E[prod mu_j] of the monomial with this code (its mu_0 field zero) as
+    """E[prod p_j(y)] of the monomial with this code (its p_0 field zero) as
     {p: int coeff of n^-p}, complete for p <= cut (entries with p > cut may
     be absent; callers filter).  Memoized per code; the internal format of
-    the series engine's hot loop.  Every weight is a positive int and the
-    base case is 1, so every coefficient is a positive int.  No sub-monomial
-    has more factors than its parent, so no field overflows."""
+    the series engine's hot loop.  Every coefficient is a signed int, and
+    no sub-monomial has more factors than its parent, so no field overflows."""
     if not code:
         return {0: 1}
+    if code >> FIELD_BITS & FIELD_MASK:  # p_1 = 0
+        return {}
     cached = _MOM_CACHE.get(code)
     if cached is not None and cached[0] >= cut:
         return cached[1]
@@ -124,7 +128,7 @@ def mu_moment_dict(code: int, cut: int) -> dict[int, int]:
     out: dict[int, int] = {}
     j = code >> _MU2_SHIFT & FIELD_MASK
     if j:
-        # Euler: E[mu_2^j G] = E[G] prod_{i<j} (1 + (deg G + 2i)/n)
+        # E[p_2^j G] = E[G] prod_{i<j} (1 + (deg G + 2i - 1)/n)
         factor = _mu2_factor(deg - 2 * j, j)
         for p, c in mu_moment_dict(code - (j << _MU2_SHIFT), cut).items():
             if p <= cut:
@@ -133,33 +137,23 @@ def mu_moment_dict(code: int, cut: int) -> dict[int, int]:
         _MOM_CACHE[code] = (cut, out)
         return out
 
-    k, mk = fields.pop()  # peel the largest exponent, 1 or >= 3
+    k, mk = fields.pop()  # peel the largest exponent, >= 3
     rest = code - (1 << FIELD_BITS * k)
     if mk > 1:
         fields.append((k, mk - 1))
-
-    # replace mu_k by (k-1) mu_{k-2} / n
-    if k > 2:
-        sub = mu_moment_dict(rest + (1 << FIELD_BITS * (k - 2)), cut - 1)
-        w = k - 1
-        for p, c in sub.items():
-            if p + 1 <= cut:
-                out[p + 1] = out.get(p + 1, 0) + w * c
-
-    # merge mu_k with one other factor mu_a into mu_{a+k-2} / n
+    # (sub-monomial, weight, power of 1/n): p_{k-2} unless k = 3, then
+    # p_{a+k-2} and, unless a = 2, p_{k-1} p_{a-1} for each other factor p_a
+    sub = rest + (1 << FIELD_BITS * (k - 2))
+    terms = [(sub, k - 1, 1), (sub, 1 - k, 2)] if k > 3 else []
     for a, m in fields:
-        w = a * m
         base = rest - (1 << FIELD_BITS * a)
-        merged = a + k - 2
-        if merged >= 1:
-            sub = mu_moment_dict(base + (1 << FIELD_BITS * merged), cut - 1)
-            for p, c in sub.items():
-                if p + 1 <= cut:
-                    out[p + 1] = out.get(p + 1, 0) + w * c
-        else:  # merged exponent 0: mu_0 = n cancels the 1/n
-            for p, c in mu_moment_dict(base, cut).items():
-                if p <= cut:
-                    out[p] = out.get(p, 0) + w * c
-
+        terms.append((base + (1 << FIELD_BITS * (a + k - 2)), a * m, 1))
+        if a > 2:
+            terms.append((base + (1 << FIELD_BITS * (k - 1))
+                           + (1 << FIELD_BITS * (a - 1)), -a * m, 2))
+    for sub, w, shift in terms:
+        for p, c in mu_moment_dict(sub, cut - shift).items():
+            if p + shift <= cut:
+                out[p + shift] = out.get(p + shift, 0) + w * c
     _MOM_CACHE[code] = (cut, out)
     return out

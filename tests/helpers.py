@@ -7,7 +7,8 @@ plain {p: coefficient} maps, Sigma_w as integer rows over one denominator,
 reports and instances as the CLI reads and prints them.  These helpers give
 the tests the friendlier forms: ``LaurentSeries``, a truncated series in
 1/n with its arithmetic, for the oracles' independent routes; a power-sum
-moment of a sequence of exponents as a LaurentSeries, Sigma_w as Fractions,
+moment of a sequence of exponents as a LaurentSeries (the uncentered one,
+rebuilt from the recurrence's centered moments), Sigma_w as Fractions,
 a log estimate by order, the small named graphs, the Laplacian as a dense
 matrix, fair-bit product spaces and tables built from a Python function,
 and graph and instance objects in their file formats.
@@ -15,11 +16,13 @@ and graph and instance objects in their file formats.
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import Mapping
 
+from eocount.cumulants import double_factorial
 from eocount.errors import SizeLimitError
 from eocount.graphs import Graph, complete_multipartite
-from eocount.powersums import encode, mu_moment_dict
+from eocount.powersums import FIELD_BITS, FIELD_MASK, encode, mu_moment_dict
 from eocount.taillab import DiscreteProductSpace
 
 # Most factors of a monomial here and in the partition-type oracles; the
@@ -170,15 +173,53 @@ def mu_monomial(source) -> tuple[int, ...]:
     return exps
 
 
+def xbar_split(mono, cut: int | None = None,
+               p1: bool = True) -> dict[int, tuple[int, int]]:
+    """prod_i mu_{k_i}(x) split by x = y + xbar 1 into
+    prod_i sum_s C(k_i, s) xbar^(k_i - s) p_s(y), p_s the power sums of y:
+    {packed code of the (s_i): (sum of prod C(k_i, s_i), m)}, each term
+    carrying xbar^m, m = sum (k_i - s_i); the exponent 0 is the factor
+    p_0 = n.  With a cut, the terms whose xbar^m n^z alone passes n^-cut
+    (m - z > cut, z the number of s_i = 0) are dropped, since adding a
+    factor never lowers m - z; p1=False drops the terms with a factor
+    p_1(y) = 0."""
+    terms = {0: (1, 0)}
+    for k in mono:
+        nxt: dict[int, tuple[int, int]] = {}
+        for code, (w, m) in terms.items():
+            gap = m - (code & FIELD_MASK)
+            for t in range(k + 1):
+                if (cut is None or gap + k - t - (t == 0) <= cut) and (p1 or t != 1):
+                    key = code + (1 << FIELD_BITS * t)
+                    nxt[key] = (nxt.get(key, (0,))[0] + w * comb(k, t), m + k - t)
+        terms = nxt
+    return terms
+
+
 def mu_moment(mono, p_max: int | None = None) -> LaurentSeries:
-    """E[prod mu_j] truncated at n^(-p_max), exact (finite) for p_max None,
-    by the shipped recurrence."""
+    """E[prod mu_j] of x with i.i.d. N(0, 1/n) components, truncated at
+    n^(-p_max), exact (finite) for p_max None, rebuilt from the shipped
+    recurrence, which gives the moments of the power sums p_s(y) of the
+    centered y = x - xbar 1: xbar ~ N(0, 1/n^2) is independent of y, so
+    E[prod mu_{k_i}] = sum_s prod C(k_i, s_i) E[xbar^m] E[prod p_{s_i}(y)]
+    over the terms of ``xbar_split`` without p_1, with m = sum (k_i - s_i)
+    and E[xbar^m] = (m-1)!! n^-m for even m."""
     mono = mu_monomial(mono)
     if len(mono) > TYPE_ENUM_MAX_FACTORS:
         raise SizeLimitError(f"mu_moment capped at {TYPE_ENUM_MAX_FACTORS} factors")
-    cut = sum(mono) // 2 if p_max is None else p_max
-    full = mu_moment_dict(encode(mono), cut)
-    return LaurentSeries({p: c for p, c in full.items() if p <= cut}, p_max)
+    deg = sum(mono)
+    cut = deg // 2 if p_max is None else p_max
+    out: dict[int, int] = {}
+    for code, (w, m) in xbar_split(mono, cut, p1=False).items():
+        z = code & FIELD_MASK
+        if m % 2:
+            continue
+        w *= double_factorial(m - 1)
+        for p, c in mu_moment_dict(code - z, cut - m + z).items():
+            p += m - z
+            if p <= cut:
+                out[p] = out.get(p, 0) + w * c
+    return LaurentSeries(out, p_max)
 
 
 # ---------------------------------------------------------------------------

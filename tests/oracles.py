@@ -15,9 +15,11 @@ tests check it against, and the combinatorics only they use:
   exponent sum contribute zero, so enumeration prunes them by default), the
   univariate ``gaussian_power_moment`` and the falling factorials;
 * power-sum moments: the partition-type sum ``mu_moment_via_types`` and the
-  set-partition sum ``set_partition_moment_oracle`` (against the
-  integration-by-parts recurrence ``mu_moment``), with the realization counts
-  of partition types;
+  set-partition sum ``set_partition_moment_oracle`` (against ``mu_moment``,
+  the uncentered moment rebuilt from the recurrence's centered ones), with
+  the realization counts of partition types, and the centered moments
+  ``centered_moment_oracle``, solved from the type sums through the
+  independence of xbar and y = x - xbar 1 (against the recurrence itself);
 * joint cumulants: the partition sum ``joint_cumulant_partition_sum``
   (against the connected-pairing sum), with ``stirling_second`` and
   ``partition_factorial_sum``;
@@ -26,7 +28,8 @@ tests check it against, and the combinatorics only they use:
   ``moments_of_f_via_series`` (the powers of f on Fraction coefficients,
   against the moments rebuilt from the series' cumulants), and its
   joint cumulants ``t_joint_cumulants_via_partitions`` (the ungraded
-  moments of products of the T_l on Fraction coefficients turned into
+  uncentered moments of products of the T_l on Fraction coefficients,
+  by the type sum, turned into
   joint cumulants by the set-partition formula, against the weight-free
   table of kappa(T_L) and its sub-multiset recursion),
   the whole series ``series_ungraded`` (every moment to M = c + 1 without
@@ -57,6 +60,7 @@ tests check it against, and the combinatorics only they use:
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, lcm, prod
 from typing import Iterator, Sequence
@@ -68,10 +72,10 @@ from eocount.cumulants import double_factorial, moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import WeightSpec, f_as_mu_polynomial, weight_log_coeffs
 from eocount.graphs import CHEEGER_MAX_N
-from eocount.powersums import (FIELD_MASK, encode, monomial_order_bound,
-                               mu_moment_dict)
+from eocount.powersums import (FIELD_MASK, code_fields, encode,
+                               monomial_order_bound, mu_moment_dict)
 from helpers import (LaurentSeries, TYPE_ENUM_MAX_FACTORS, laplacian,
-                     mu_moment, mu_monomial)
+                     mu_moment, mu_monomial, xbar_split)
 
 ENUMERATION_MAX = 16
 ORACLE_MAX_FACTORS = 10
@@ -511,6 +515,30 @@ def mu_moment_via_types(mono, p_max: int | None = None) -> LaurentSeries:
     return LaurentSeries(series, p_max)
 
 
+def centered_moment_oracle(mono) -> LaurentSeries:
+    """E[prod p_{k_i}(y)] exactly, p_k the power sums of the centered
+    y = x - xbar 1, solved from uncentered moments: xbar ~ N(0, 1/n^2) is
+    independent of y, so E[prod mu_{k_i}(x)] is the sum over the terms
+    ``xbar_split`` of w E[xbar^m] E[prod p_{s_i}(y)], m = sum (k_i - s_i).
+    The term s = k is the wanted moment and every other one has lower
+    degree, so each sub-monomial's moment is E[prod mu_{s_i}] from
+    ``mu_moment_via_types`` minus its own lower terms.  Nothing here assumes
+    p_1 = 0 or the recurrence."""
+    return _centered_moment(mu_monomial(mono))
+
+
+@cache
+def _centered_moment(mono: tuple[int, ...]) -> LaurentSeries:
+    total = mu_moment_via_types(mono)
+    for code, (w, m) in xbar_split(mono).items():
+        s = tuple(e for e, c in code_fields(code) for _ in range(c))
+        z = s.count(0)
+        if m and not m % 2:  # p_0 = n, E[xbar^m] = (m-1)!! n^-m
+            xbar = LaurentSeries({m - z: w * double_factorial(m - 1)})
+            total = total - xbar * _centered_moment(s[z:])
+    return total
+
+
 def realization_count(ptype) -> int:
     """Number of set partitions of the factor positions with this type:
     b_coeff / prod eta!."""
@@ -675,9 +703,11 @@ def t_joint_cumulants_via_partitions(p_max: int) -> dict[tuple[int, ...], Lauren
     (x_j - x_k)^(2l) at component variance 1/n.  T_l is multiplied out as
     (1/2) sum_t (-1)^t C(2l, t) mu_t mu_{2l-t} on Fraction coefficients (no
     folding, no pruning), the ungraded moment E[T_S] of each sub-multiset S
-    is mu_moment of each product monomial (z exponents 0 are the factor
-    n^z, so the rest is kept to n^-(p_max + z)), and the joint cumulants
-    come from the set-partition (Moebius) formula
+    is the moment of each product monomial (z exponents 0 are the factor
+    n^z, so the rest is kept to n^-(p_max + z)) of the uncentered x by
+    ``mu_moment_via_types``, so the t = 1 terms count and nothing assumes
+    that T_l sees only differences, and the joint cumulants come from the
+    set-partition (Moebius) formula
     kappa(L) = sum_pi (-1)^(|pi|-1) (|pi|-1)! prod_{B in pi} E[T_{L_B}]."""
     def t_poly(l):
         poly: dict = {}
@@ -701,7 +731,8 @@ def t_joint_cumulants_via_partitions(p_max: int) -> dict[tuple[int, ...], Lauren
             total = LaurentSeries.zero(p_max)
             for mono, s in power.items():
                 z = mono.count(0)
-                total = total + s * LaurentSeries({-z: 1}) * mu_moment(mono[z:], p_max + z)
+                total = total + s * LaurentSeries({-z: 1}) * mu_moment_via_types(
+                    mono[z:], p_max + z)
             moments[S] = total
         return moments[S]
 
@@ -724,7 +755,9 @@ def t_joint_cumulants_via_partitions(p_max: int) -> dict[tuple[int, ...], Lauren
 def _moments_of_f_ungraded(poly, M: int, p_max: int) -> list[LaurentSeries]:
     """E[f^r] for r = 1..M whole, every product of f^r with an order bound
     at most p_max kept whatever its excess: the packed-int product expansion
-    of the series engine without its excess cut."""
+    of the series engine without its excess cut.  The recurrence gives the
+    moments of the centered power sums p_k(y), y = x - xbar 1, and f, a sum
+    over differences, is the same polynomial in them as in the mu_k(x)."""
     D = lcm(*(c.denominator for c in poly.values()))
     items = sorted(((encode((t, s)), c.numerator * (D // c.denominator),
                      monomial_order_bound((t, s))) for (t, s), c in poly.items()),

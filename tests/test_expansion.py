@@ -139,8 +139,11 @@ def test_f_polynomial_excludes_quadratic_term():
 def test_t_cumulants_match_the_partition_formula(monkeypatch):
     # every entry of the weight-free table at c = 1..6, all int
     # coefficients of n^-0 .. n^-(c-1), against the set-partition formula
-    # on the ungraded moments in Fractions; the weight that fills the table
-    # does not matter, and D and the c_l are checked through the series
+    # on the ungraded uncentered moments in Fractions, the t = 1 terms of
+    # T_l kept: the table comes from centered power sums without them, so
+    # this leans on no translation invariance; the weight that fills the
+    # table does not matter, and D and the c_l are checked through the
+    # series
     monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
     for c in range(1, 7):
         expansion_series(WeightSpec(Fraction(2, 7), Fraction(5, 7)), c)
@@ -245,10 +248,19 @@ def test_series_memo_size_after_order_7():
     for fam in ("ED", "EOG"):
         expansion_series(fam, 7)
     # a warm series reads the kappa(T_L) table and asks only for f_K's own
-    # monomials, which RT memoized, so it adds no entry
-    assert len(powersums._MOM_CACHE) == cold == 1279
+    # monomials, which RT memoized, so it adds no entry; no code with a p_1
+    # factor is memoized
+    assert len(powersums._MOM_CACHE) == cold == 407
     # one factor polynomial per (deg G, j) met, not per monomial
-    assert len(powersums._MU2_FACTORS) == 81
+    assert len(powersums._MU2_FACTORS) == 80
+
+
+def test_series_memo_size_after_order_12():
+    powersums._MOM_CACHE.clear()
+    expansion._T_CUMULANTS.clear()
+    for fam in ("RT", "ED", "EOG"):
+        expansion_series(fam, 12)
+    assert len(powersums._MOM_CACHE) == 6339
 
 
 def table_size(table):
@@ -315,18 +327,28 @@ def test_table_size_after_rt_at_orders_1_to_12(monkeypatch):
 
 
 def test_table_keys_stay_within_the_order_cap(monkeypatch):
-    # the table outlives every call, so only the MAX_ORDER cuts may fill it:
-    # an order outside 1..MAX_ORDER is refused before the fill
+    # the table and the items of T_l beside it outlive every call, so only
+    # the MAX_ORDER cuts may fill them: an order outside 1..MAX_ORDER is
+    # refused before the fill
     monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
+    monkeypatch.setattr(expansion, "_T_ITEMS", {})
     for c in (-1, 0, MAX_ORDER + 1, 2 * MAX_ORDER):
         with pytest.raises((DomainError, SizeLimitError)):
             expansion_series("ED", c)
-    assert expansion._T_CUMULANTS == {}
+    assert expansion._T_CUMULANTS == {} == expansion._T_ITEMS
     for c in range(1, 9):
         for w in ("EOG", WeightSpec(Fraction(1, 11), Fraction(10, 11))):
             expansion_series(w, c)
-    assert set(expansion._T_CUMULANTS) <= set(range(MAX_ORDER))
-    assert sorted(expansion._T_CUMULANTS) == list(range(8))
+    for table in (expansion._T_CUMULANTS, expansion._T_ITEMS):
+        assert set(table) <= set(range(MAX_ORDER))
+        assert sorted(table) == list(range(8))
+
+
+def test_t_items_drop_the_p1_monomials():
+    # p_1 = 0 for the centered power sums, so T_l keeps t = 0 and 2..l
+    for l, items in expansion._t_items(6).items():
+        assert sorted(code for code, _, _ in items) == sorted(
+            powersums.encode(m) for m in expansion._folded_t(l) if 1 not in m)
 
 
 def test_second_and_third_family_at_order_12_read_the_table():

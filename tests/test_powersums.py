@@ -15,9 +15,9 @@ from eocount.powersums import (FIELD_BITS, code_fields, encode,
 from helpers import (LaurentSeries, TYPE_ENUM_MAX_FACTORS, mu_moment,
                      mu_monomial)
 from oracles import (ORACLE_MAX_FACTORS, a_coeff, b_coeff, bell_number,
-                     count_partition_types, enumerate_partition_types,
-                     gaussian_power_moment, mu_moment_via_types,
-                     realization_count, realization_sum,
+                     centered_moment_oracle, count_partition_types,
+                     enumerate_partition_types, gaussian_power_moment,
+                     mu_moment_via_types, realization_count, realization_sum,
                      set_partition_moment_oracle)
 
 
@@ -145,8 +145,66 @@ def test_mu2_closed_form_matches_oracles_at_every_truncation(case):
     for p_max in [*range(half + 1), None]:
         cut = half if p_max is None else p_max
         coeffs = mu_moment_dict(encode(mono), cut).values()
-        assert all(type(c) is int and c > 0 for c in coeffs)
+        assert all(type(c) is int for c in coeffs)
         assert mu_moment(mono, p_max) == full.truncate(p_max), p_max
+
+
+def centered(mono, p_max=None) -> LaurentSeries:
+    # E[prod p_k(y)] of the centered y = x - xbar 1, straight from the
+    # recurrence; each of its deg/2 Wick pairs carries 1/n or -1/n^2, and
+    # each factor's index sum at most n, so it ends at n^-(deg - #factors)
+    mono = mu_monomial(mono)
+    cut = sum(mono) - len(mono) if p_max is None else p_max
+    moment = mu_moment_dict(encode(mono), cut)
+    assert all(type(c) is int for c in moment.values())
+    return LaurentSeries({p: c for p, c in moment.items() if p <= cut}, p_max)
+
+
+def test_centered_moment_examples():
+    assert centered((2,)) == LaurentSeries({0: 1, 1: -1})  # 1 - 1/n
+    # 3 (n - 1)^2 / n^3
+    assert centered((4,)) == LaurentSeries({1: 3, 2: -6, 3: 3})
+    # 6 (n - 1) (n - 2) / n^4: coefficients of both signs
+    assert centered((3, 3)) == LaurentSeries({2: 6, 3: -18, 4: 12})
+    for mono in [(2,), (4,), (3, 3)]:
+        assert centered(mono) == centered_moment_oracle(mono), mono
+
+
+def test_p1_factor_gives_zero():
+    # p_1(y) = sum_j (x_j - xbar) = 0, whatever the other factors
+    for rest in [(), (1,), (2,), (3,), (1, 3), (2, 2), (2, 4), (3, 5), (4, 4)]:
+        mono = (1, *rest)
+        assert not centered(mono), mono
+        assert not centered_moment_oracle(mono), mono
+
+
+def test_centered_moments_match_the_oracle_small_grid():
+    # the order bound of the uncentered moments holds for p_k(y) too
+    for m in range(1, 6):
+        for mono in combinations_with_replacement((1, 2, 3, 4, 5), m):
+            series = centered(mono)
+            assert series == centered_moment_oracle(mono), mono
+            lead = series.leading_order()
+            assert lead is None or lead >= monomial_order_bound(mono), mono
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda j: st.tuples(
+    st.just(j), st.lists(st.sampled_from((1, 3, 4, 5)), max_size=3))))
+def test_centered_p2_closed_form_at_every_truncation(case):
+    # p_2^j G takes the closed form E[G] prod_{i<j} (1 + (deg G + 2i - 1)/n);
+    # an empty memo and rising cuts make every entry on the way an upgrade
+    j, rest = case
+    mono = mu_monomial([2] * j + rest)
+    assume(not sum(mono) % 2)
+    full = centered_moment_oracle(mono)
+    closed = centered_moment_oracle(rest)
+    for i in range(j):
+        closed = closed * LaurentSeries({0: 1, 1: sum(rest) + 2 * i - 1})
+    assert full == closed
+    powersums._MOM_CACHE.clear()
+    for p_max in [*range(sum(mono) - len(mono) + 1), None]:
+        assert centered(mono, p_max) == full.truncate(p_max), p_max
 
 
 def test_parity_vanishing():
