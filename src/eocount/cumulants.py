@@ -1,9 +1,10 @@
 """Exact cumulant calculus: the double factorial (the Gaussian moment
 E[X^(2k)] = (2k-1)!! sigma^(2k)) and a generic moment-to-cumulant recursion
 that works over any commutative ring supporting +, - and *.  Its callers
-pass Fractions: the log(a + b cos) coefficients in ``expansion`` and the
-exact cumulants in ``taillab``; the series engine's joint cumulants have
-their own recursion (``expansion._t_cumulants``).  The Isserlis pairing
+pass ints, the power-scaled moments behind the log(a + b cos) coefficients
+in ``expansion``, and Fractions, the exact cumulants in ``taillab``; the
+series engine's joint cumulants have their own recursion
+(``expansion._t_cumulants``).  The Isserlis pairing
 sums and the connected-pairing joint cumulants live in the tests as
 independent references.
 """
@@ -33,7 +34,8 @@ def moments_to_cumulants(moments: Sequence) -> list:
     kappa_r = m_r - sum_{j<r} C(r-1, j-1) kappa_j m_{r-j}.
 
     Ring elements only need +, -, * among themselves and by Python ints:
-    the package passes Fractions, the tests also truncated Laurent series.
+    the package passes ints and Fractions, the tests also truncated Laurent
+    series.
     """
     kappas: list = []
     for r in range(1, len(moments) + 1):

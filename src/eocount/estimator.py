@@ -128,9 +128,12 @@ def schrijver_upper_squared(g: Graph) -> int:
 
 def schrijver_bounds(g: Graph) -> tuple[Fraction, int]:
     """(lower, B) with lower = B / 2^|E| (also the Pauling estimate) and
-    upper = sqrt(B), B = prod C(d_i, d_i/2) kept exact."""
+    upper = sqrt(B), B = prod C(d_i, d_i/2) kept exact.  B holds 2 to the
+    sum of popcount(d_i/2) (Kummer's theorem), shifted out before the
+    Fraction's gcd, which is quadratic in the length of B."""
     B = schrijver_upper_squared(g)
-    return Fraction(B, 2 ** g.edge_count), B
+    v = sum((d // 2).bit_count() for d in g.degrees)
+    return Fraction(B >> v, 1 << (g.edge_count - v)), B
 
 
 # ---------------------------------------------------------------------------
@@ -190,34 +193,41 @@ def _require_cumulant_args(g: Graph, K: int, M: int) -> None:
         raise SizeLimitError("edge-pair cap exceeded")
 
 
-def _edge_terms(cov: Covariance, K: int, first: int = 0):
+def _edge_terms(cov: Covariance, coeffs: list[Fraction], first: int = 0):
     """(den, A) for h = first..K: A = den tau^(K-h) A_{2h} on ints, A_j as in
-    ``kappa2_f`` and den the common denominator of its coefficients."""
-    cs = weight_log_coeffs(_LOG_COS, K)
-    tau = cov.tau
+    ``kappa2_f``, with den the common denominator of the coeffs c_2..c_{2K},
+    one for every h, and each A[e] a polynomial in var[e] by Horner's rule."""
+    K, tau = len(coeffs), cov.tau
+    den = lcm(*(c.denominator for c in coeffs))
+    num = [c.numerator * (den // c.denominator) for c in coeffs]
     for h in range(first, K + 1):
         j = 2 * h
-        # coefficient of S_ee^p in A_j, p = l - h
-        ws = [cs[l - 1] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
-              if l >= 2 else Fraction(0) for l in range(h, K + 1)]
-        den = lcm(*(c.denominator for c in ws))
-        coef = [c.numerator * (den // c.denominator) * tau ** (K - h - p)
-                for p, c in enumerate(ws)]
-        yield den, [sum(c * v ** p for p, c in enumerate(coef)) for v in cov.var]
+        # coefficient of S_ee^(l-h) in A_j, highest l first; f_K starts at l = 2
+        coef = [num[l - 1] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
+                * tau ** (K - l) if l >= 2 else 0 for l in range(K, h - 1, -1)]
+        A = []
+        for v in cov.var:
+            acc = 0
+            for c in coef:
+                acc = acc * v + c
+            A.append(acc)
+        yield den, A
 
 
-def kappa1_f(g: Graph, cov: Covariance, K: int) -> Fraction:
+def kappa1_f(g: Graph, cov: Covariance, coeffs: list[Fraction]) -> Fraction:
     """The exact first cumulant
     sum_{l=2}^K c_{2l} (2l-1)!! sum_{jk} S_{jk,jk}^l = sum_e A_0[e], with
-    S = M/tau: the j = 0 term of kappa_2's sum."""
-    _require_cumulant_args(g, K, 1)
-    den, A = next(_edge_terms(cov, K))
-    return Fraction(sum(A), den * cov.tau ** K)
+    S = M/tau: the j = 0 term of kappa_2's sum.  ``coeffs`` are c_2..c_{2K},
+    the Taylor coefficients of log cos (``weight_log_coeffs`` of RT)."""
+    _require_cumulant_args(g, len(coeffs), 1)
+    den, A = next(_edge_terms(cov, coeffs))
+    return Fraction(sum(A), den * cov.tau ** len(coeffs))
 
 
-def kappa2_f(g: Graph, cov: Covariance, K: int) -> Fraction:
+def kappa2_f(g: Graph, cov: Covariance, coeffs: list[Fraction]) -> Fraction:
     """Second cumulant of f_K: the sum over ordered edge pairs (e, f) and
-    orders l1, l2 of c_{2l1} c_{2l2} Cov(X_e^{2l1}, X_f^{2l2}).
+    orders l1, l2 of c_{2l1} c_{2l2} Cov(X_e^{2l1}, X_f^{2l2}), with
+    ``coeffs`` = c_2..c_{2K} as in ``kappa1_f``.
 
     For centered jointly Gaussian U, V with Var U = a, Var V = b and
     Cov(U, V) = c,
@@ -228,28 +238,33 @@ def kappa2_f(g: Graph, cov: Covariance, K: int) -> Fraction:
         kappa_2 = sum_{j=2,4,..,2K} j! A_j^T S^(o j) A_j,
         A_j[e] = sum_l c_{2l} C(2l, j) (2l-j-1)!! S_ee^{l-j/2},
     with S = M/tau the edge-difference covariance matrix and S^(o j) its j-th
-    Hadamard power.  On ints: D_j tau^(K-j/2) A_j is an integer vector (D_j
-    the common denominator of its coefficients), so each term is an integer
-    contraction with M^(o j) over D_j^2 tau^(2K).  The cost is O(m^2 K).
+    Hadamard power.  On ints: D tau^(K-j/2) A_j is an integer vector (D the
+    common denominator of the c_{2l}), so the sum is one integer
+    contraction with the M^(o j) over D^2 tau^(2K).  The cost is O(m^2 K).
     """
+    K = len(coeffs)
     _require_cumulant_args(g, K, 2)
     square = [list(map(mul, row, row)) for row in edge_matrix(g, cov)]
     hadamard = square
-    total = Fraction(0)
+    total = 0
     # h = 0 is kappa_1's term
-    for h, (den, A) in enumerate(_edge_terms(cov, K, 1), 1):
+    for h, (den, A) in enumerate(_edge_terms(cov, coeffs, 1), 1):
         if h > 1:
             hadamard = [list(map(mul, a, b)) for a, b in zip(hadamard, square)]
-        quad = sum(a * (2 * sum(map(mul, row, A[e:])) - row[0] * a)
-                   for e, (a, row) in enumerate(zip(A, hadamard)))
-        total += Fraction(factorial(2 * h) * quad, den * den)
-    return total / cov.tau ** (2 * K)
+        total += factorial(2 * h) * sum(
+            a * (2 * sum(map(mul, row, A[e:])) - row[0] * a)
+            for e, (a, row) in enumerate(zip(A, hadamard)))
+    return Fraction(total, den * den * cov.tau ** (2 * K))
 
 
 # ---------------------------------------------------------------------------
 # reports
 
 class EstimateReport(NamedTuple):
+    """One ``eo_estimate``.  ``in_hypothesis`` tests only ||Sigma_w||_inf
+    <= 1/2; ``within_sandwich`` is the check against the proven bounds (K5
+    at M = 2, K = 4 is in the hypothesis and above the upper bound)."""
+
     graph_id: str
     n: int
     edge_count: int
@@ -344,10 +359,11 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     norm = cov.norm_inf(wf)
     base, log_eo_hat = _closed_form_logs(g, cov.tau, bits)
     kappa: dict[int, Fraction] = {}
+    coeffs = weight_log_coeffs(_LOG_COS, K) if M else []
     if M >= 1:
-        kappa[1] = kappa1_f(g, cov, K)
+        kappa[1] = kappa1_f(g, cov, coeffs)
     if M >= 2:
-        kappa[2] = kappa2_f(g, cov, K)
+        kappa[2] = kappa2_f(g, cov, coeffs)
     import mpmath
 
     log_corr: dict[int, object] = {}

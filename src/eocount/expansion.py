@@ -18,15 +18,16 @@ Taylor orders.  The joint cumulants kappa(T_L) are weight-free ints,
 computed once per order into one module table that every weight reads, so
 D^r kappa_r is one linear form in them with the ints D c_l (D the common
 denominator of the c_l); kappa_r is divided by D^r once into a plain
-{p: Fraction} map, and the closed-form prefactors are attached
-symbolically.  T_l sees only differences, so its moments are those of the
-power sums of the centered x - xbar 1, where p_1 = 0: T_l's monomials with
-an exponent 1 drop out.  A product monomial of the T_l is one int, its
-exponents' multiplicities in fixed-width bit fields, so a product is an int
-addition; the centered recurrence and its memo take the same codes.  Each
-family's weight and prefactor sit in one table, ``FAMILIES``; an exact
-rational becomes an mpf only in ``to_mpf``, and a result number becomes
-text only in ``to_text``.
+{p: Fraction} map, the series is summed over one denominator, and the
+closed-form prefactors are attached symbolically.  The e_{2l} come from a
+moment-to-cumulant recursion on ints.  T_l sees only differences, so its
+moments are those of the power sums of the centered x - xbar 1, where
+p_1 = 0: T_l's monomials with an exponent 1 drop out.  A product monomial
+of the T_l is one int, its exponents' multiplicities in fixed-width bit
+fields, so a product is an int addition; the centered recurrence and its
+memo take the same codes.  Each family's weight and prefactor sit in one
+table, ``FAMILIES``; an exact rational becomes an mpf only in ``to_mpf``,
+and a result number becomes text only in ``to_text``.
 
 Why the cumulants decay: a joint cumulant kappa(T_{l_1}, ..., T_{l_r}) of
 excess e = sum (l_i - 2) vanishes unless the r pairs form a connected
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
@@ -173,12 +175,19 @@ def weight_log_coeffs(w: WeightSpec, L: int) -> list[Fraction]:
     (odd coefficients vanish), exact.
 
     In y = x^2, a + b cos x = 1 + sum_k b (-1)^k y^k / (2k)! is a moment
-    generating series with moments m_k = b (-1)^k k! / (2k)!, so its log has
-    coefficients kappa_k / k!.
+    generating series with moments m_k = b (-1)^k / (2^k (2k - 1)!!), so its
+    log has coefficients kappa_k / k!.  An odd prime divides (2k - 1)!! at
+    most k times, so with s = 2 den(b) times the odd primes below 2L every
+    s^k m_k is an int, and the recursion, of degree k in the moments, gives
+    the ints s^k kappa_k.
     """
-    moments = [w.b * Fraction((-1) ** k * factorial(k), factorial(2 * k))
-               for k in range(1, L + 1)]
-    return [kap / factorial(k)
+    p, q = w.b.as_integer_ratio()
+    half = q * prod(x for x in range(3, 2 * L, 2) if all(x % d for d in range(3, x, 2)))
+    moments, t = [], 1
+    for k in range(1, L + 1):
+        t = t * half // (2 * k - 1)  # (s/2)^k / (2k - 1)!!, a multiple of q
+        moments.append((-1) ** k * p * t // q)
+    return [Fraction(kap, (2 * half) ** k * factorial(k))
             for k, kap in enumerate(moments_to_cumulants(moments), start=1)]
 
 
@@ -201,9 +210,11 @@ def f_as_mu_polynomial(w: WeightSpec, K: int) -> dict[tuple[int, int], Fraction]
     """
     if not 2 <= K <= MAX_K:
         raise DomainError(f"K must be in 2..{MAX_K}")
-    v = family_variance(w)
-    c = {l: e * v**l for l, e in enumerate(weight_log_coeffs(w, K), 1) if l > 1 and e}
-    return {m: c_l * t for l, c_l in c.items() for m, t in _folded_t(l).items()}
+    q, p = family_variance(w).as_integer_ratio()  # c_l = e_{2l} (q/p)^l
+    c = {l: (e.numerator * q**l, e.denominator * p**l)
+         for l, e in enumerate(weight_log_coeffs(w, K)[1:], 2) if e}
+    return {m: Fraction(num * t, den)
+            for l, (num, den) in c.items() for m, t in _folded_t(l).items()}
 
 
 def _folded_t(l: int) -> dict[tuple[int, int], int]:
@@ -249,9 +260,11 @@ class ExpansionResult(NamedTuple):
 # joint cumulant of the T_l over a nondecreasing L with |L| >= 2 and excess
 # sum(l - 2) <= p_max + 1 - |L|.  No weight enters, so every series at one
 # order reads one table; MAX_ORDER bounds it (799 entries through p_max = 11)
-# and ``_T_ITEMS``, p_max -> ``_t_items(p_max)``, which sits beside it.
+# and the two maps beside it: ``_T_ITEMS``, p_max -> ``_t_items(p_max)``, and
+# ``_T_WAYS``, p_max -> {L: r!/prod mult!}, the multinomial of each L.
 _T_CUMULANTS: dict[int, dict[tuple[int, ...], list[int]]] = {}
 _T_ITEMS: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
+_T_WAYS: dict[int, dict[tuple[int, ...], int]] = {}
 
 
 def _t_items(p_max: int) -> dict[int, list[tuple[int, int, int]]]:
@@ -365,12 +378,13 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     """Exponent-series coefficients through n^-(c-1), exact rationals.
 
     f_K = sum_l c_l T_l with c_l its (0, 2l) coefficient and D the common
-    denominator of f's coefficients, so by multilinearity D^r kappa_r =
+    denominator of the c_l, so by multilinearity D^r kappa_r =
     sum_{|L|=r} (r!/prod mult!) prod (D c_l) kappa(T_L): a linear form in
-    the weight-free ``_T_CUMULANTS``, filled once per cut, and the
-    singletons kappa(T_l) = E[T_l], read through ``mu_moment_dict`` on
-    every call.  Each kappa_r is divided by D^r once and the series is
-    sum_r kappa_r / r!.
+    the weight-free ``_T_CUMULANTS``, filled once per cut with its
+    multinomials in ``_T_WAYS``, and the singletons kappa(T_l) = E[T_l],
+    read through ``mu_moment_dict`` on every call.  Each kappa_r is divided
+    by D^r once, and the series sum_r kappa_r / r! is summed on ints over
+    the one denominator D^M M!.
     """
     if c > MAX_ORDER:
         raise SizeLimitError(f"expansion order capped at c={MAX_ORDER}")
@@ -380,30 +394,30 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     M, K = family_orders(c)
     p_max = c - 1
     poly = f_as_mu_polynomial(w, K)
-    D = lcm(*(c.denominator for c in poly.values()))
-    dc = {s // 2: c.numerator * (D // c.denominator)
-          for (t, s), c in poly.items() if t == 0}
+    top = {s // 2: e for (t, s), e in poly.items() if not t}  # l -> c_l
+    D = lcm(*(e.denominator for e in top.values()))
+    dc = {l: e.numerator * (D // e.denominator) for l, e in top.items()}
     items = _T_ITEMS.get(p_max) or _T_ITEMS.setdefault(p_max, _t_items(p_max))
     if p_max not in _T_CUMULANTS:
         _T_CUMULANTS[p_max] = _t_cumulants(items, p_max)
+    ways = _T_WAYS.get(p_max) or _T_WAYS.setdefault(p_max, {
+        L: factorial(len(L)) // prod(factorial(L.count(l)) for l in set(L))
+        for L in _T_CUMULANTS[p_max]})
     singles = {(l,): _expect([(code, c) for code, c, b in items[l] if b <= p_max],
                              p_max, {}) for l in dc if l <= p_max + 2}
     sums = [[0] * (p_max + 1) for _ in range(M)]
     for L, values in [*singles.items(), *_T_CUMULANTS[p_max].items()]:
-        r = len(L)
-        w_L = factorial(r) * prod(dc.get(l, 0) for l in L) // prod(
-            factorial(L.count(l)) for l in set(L))
-        if w_L and r <= M:
-            acc = sums[r - 1]
+        w_L = ways.get(L, 1) * prod(dc.get(l, 0) for l in L)
+        if w_L:
+            acc = sums[len(L) - 1]
             for p, v in enumerate(values):
                 acc[p] += w_L * v
     kappas = tuple({p: Fraction(v, D**r) for p, v in enumerate(acc) if v}
                    for r, acc in enumerate(sums, start=1))
-    coeffs: dict[int, Fraction] = {}
-    for r, kap in enumerate(kappas, start=1):
-        for p, v in kap.items():
-            coeffs[p] = coeffs.get(p, 0) + v / factorial(r)
-    coeffs = {p: v for p, v in sorted(coeffs.items()) if v}
+    # sum_r kappa_r / r! over the one denominator D^M M!
+    scale = [D ** (M - r) * factorial(M) // factorial(r) for r in range(1, M + 1)]
+    totals = [sum(map(mul, column, scale)) for column in zip(*sums)]
+    coeffs = {p: Fraction(v, D**M * factorial(M)) for p, v in enumerate(totals) if v}
     return ExpansionResult(
         family=w.family, order=c, M=M, K=K,
         prefactor=FAMILIES[w.family][1] if w.family in FAMILIES else "",

@@ -70,8 +70,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Graph from 0-based pairs in either order, by the edge rule of the
-        graph files (``_edge_set``); a bad pair is a DomainError."""
-        return cls(n, _edge_set(n, edges, 0))
+        graph files (``_checked_graph``); a bad pair is a DomainError."""
+        return _checked_graph(n, edges, 0)
 
     @property
     def edge_count(self) -> int:
@@ -145,13 +145,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _edge_set(n: int, pairs, first: int, max_edges: int | None = None) -> frozenset:
-    """The 0-based edges from pairs of labels first..first + n - 1 in either
-    order, each a 2-element list or tuple of ints (not bools).  A self-loop or
-    a repeat in either order is a DomainError, not merged, naming the labels
-    as given; the first pair past ``max_edges`` is a SizeLimitError."""
+def _checked_graph(n: int, pairs, first: int, max_edges: int | None = None) -> Graph:
+    """The Graph with the 0-based edges from pairs of labels first..first +
+    n - 1 in either order, each a 2-element list or tuple of ints (not
+    bools).  A self-loop or a repeat in either order is a DomainError, not
+    merged, naming the labels as given; the first pair past ``max_edges`` is
+    a SizeLimitError.  Each pair is checked here once and the degrees are
+    counted in the same pass, so ``Graph.__init__``'s check is skipped."""
+    if n < 0:
+        raise DomainError("vertex count must be nonnegative")
     last = first + n - 1
-    edges = set()
+    edges, deg = set(), [0] * n
     for pair in pairs:
         if len(edges) == max_edges:
             raise SizeLimitError(f"this command is capped at {max_edges} edges")
@@ -167,7 +171,13 @@ def _edge_set(n: int, pairs, first: int, max_edges: int | None = None) -> frozen
         if e in edges:
             raise DomainError(f"repeated edge ({j}, {k})")
         edges.add(e)
-    return frozenset(edges)
+        deg[j - first] += 1
+        deg[k - first] += 1
+    g = Graph.__new__(Graph)
+    g.n, g.edges = n, frozenset(edges)
+    del edges  # before the degree tuple: the two sets dominate the peak
+    g.degrees = tuple(deg)
+    return g
 
 
 def _graph_from_labels(n, pairs, max_edges: int | None = None) -> Graph:
@@ -176,7 +186,7 @@ def _graph_from_labels(n, pairs, max_edges: int | None = None) -> Graph:
         raise DomainError(f"vertex count is not an integer: {n!r}")
     if n > GRAPH_FILE_MAX_N:
         raise SizeLimitError(f"graph files are capped at {GRAPH_FILE_MAX_N} vertices")
-    return Graph(n, _edge_set(n, pairs, 1, max_edges))
+    return _checked_graph(n, pairs, 1, max_edges)
 
 
 def _ints(tokens: list[str]) -> list[int]:

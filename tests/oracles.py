@@ -36,7 +36,9 @@ tests check it against, and the combinatorics only they use:
   the excess cut, against the graded series and its cumulants), the
   Bernoulli closed form ``log_cos_coeffs`` with ``bernoulli_numbers``
   (against the formal log of the cosine series, ``weight_log_coeffs`` for
-  RT) and the general order formulas ``orders_for_precision``;
+  RT), ``weight_log_coeffs_via_fractions``, the same log by the recursion on
+  Fraction moments (against the shipped recursion on power-scaled ints),
+  and the general order formulas ``orders_for_precision``;
 * the graph layer: ``cheeger_gray_code``, one Gray-code step per subset of
   {0..n-2} with incremental cut updates (against the lane-parallel
   ``cheeger_constant``), and ``gauss_jordan_adjugate``, the fraction-free
@@ -49,6 +51,9 @@ tests check it against, and the combinatorics only they use:
   the joint moment E[X_e^{2l1} X_f^{2l2}] minus the product of the univariate
   moments.  The shipped ``kappa2_f`` computes the same quantity as
   Hadamard-power contractions, without the j = 0 term that cancels here;
+  ``kappa12_per_order`` runs those contractions and kappa_1 with a
+  denominator per order j and Fraction coefficients (against the shipped
+  single denominator and Horner's rule);
 * the tail lab: the averaging operator ``conditional_expectation``;
 * the exact counters: ``balanced_count_backtracking``, the pruned
   depth-first search over vertex pairs (against the edge transfer
@@ -70,6 +75,7 @@ import numpy as np
 
 from eocount.cumulants import double_factorial, moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
+from eocount.estimator import edge_matrix
 from eocount.expansion import WeightSpec, f_as_mu_polynomial, weight_log_coeffs
 from eocount.graphs import CHEEGER_MAX_N
 from eocount.powersums import (FIELD_MASK, code_fields, encode,
@@ -647,6 +653,16 @@ def log_cos_coeffs(L: int) -> list[Fraction]:
             for l in range(1, L + 1)]
 
 
+def weight_log_coeffs_via_fractions(w: WeightSpec, L: int) -> list[Fraction]:
+    """e_2, ..., e_{2L} of log(a + b cos x) by the moment-to-cumulant
+    recursion on the Fraction moments m_k = b (-1)^k k! / (2k)!, each step
+    normalized (against the shipped recursion on power-scaled ints)."""
+    moments = [w.b * Fraction((-1) ** k * factorial(k), factorial(2 * k))
+               for k in range(1, L + 1)]
+    return [kap / factorial(k)
+            for k, kap in enumerate(moments_to_cumulants(moments), start=1)]
+
+
 def evaluate_mu_polynomial(poly, xs) -> Fraction:
     """Exact value of a power-sum polynomial at a rational point; an exponent
     0 sums x^0 = 1, giving mu_0 = n = len(xs)."""
@@ -926,6 +942,34 @@ def bivariate_even_moment(p: int, q: int, suu, svv, suv):
         total += (term * suu ** ((p - j) // 2) * svv ** ((q - j) // 2)
                   * suv ** j)
     return total
+
+
+def kappa12_per_order(g, cov, K: int) -> tuple[Fraction, Fraction]:
+    """(kappa_1, kappa_2) of f_K by ``kappa2_f``'s Hadamard separation, with
+    the Fraction coefficients of ``weight_log_coeffs_via_fractions``, a
+    denominator of its own for each A_j and the powers of S_ee taken one by
+    one (against the shipped one-denominator Horner route)."""
+    cs = weight_log_coeffs_via_fractions(WeightSpec.for_family("RT"), K)
+    tau = cov.tau
+    rows = [[x * x for x in row] for row in edge_matrix(g, cov)]
+    hadamard, kappa2 = rows, Fraction(0)
+    for h in range(K + 1):
+        j = 2 * h
+        ws = [cs[l - 1] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
+              if l >= 2 else Fraction(0) for l in range(h, K + 1)]
+        den = lcm(*(c.denominator for c in ws))
+        coef = [c.numerator * (den // c.denominator) * tau ** (K - h - p)
+                for p, c in enumerate(ws)]
+        A = [sum(c * v ** p for p, c in enumerate(coef)) for v in cov.var]
+        if h == 0:
+            kappa1 = Fraction(sum(A), den * tau ** K)
+            continue
+        if h > 1:
+            hadamard = [[x * y for x, y in zip(a, b)] for a, b in zip(hadamard, rows)]
+        quad = sum(a * (2 * sum(x * y for x, y in zip(row, A[e:])) - row[0] * a)
+                   for e, (a, row) in enumerate(zip(A, hadamard)))
+        kappa2 += Fraction(factorial(j) * quad, den * den)
+    return kappa1, kappa2 / tau ** (2 * K)
 
 
 def kappa2_pairwise(g, sigma, K: int) -> Fraction:

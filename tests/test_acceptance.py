@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py -v` to see the per-criterion
-lines; the exponent-series computation (criterion 3, about 0.4 s on 2 cores,
+lines; the exponent-series computation (criterion 3, 0.12-0.20 s on 2 cores,
 gated at 12 s) is shared with criterion 4 through a module fixture.
 """
 

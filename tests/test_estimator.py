@@ -11,14 +11,17 @@ from eocount.errors import DomainError, SizeLimitError
 from eocount.estimator import (ESTIMATE_MAX_K, covariance_sigma, default_w,
                                degree_sum_reference, edge_matrix, eo_estimate,
                                eo_hat_log, kappa1_f, kappa2_f, schrijver_bounds)
-from eocount.expansion import MAX_BITS, MIN_BITS
+from eocount.expansion import (MAX_BITS, MIN_BITS, WeightSpec,
+                               weight_log_coeffs)
 from eocount.exact import eo_count_bruteforce, rt_count
 from eocount.graphs import (DENSE_MAX_N, Graph, all_degrees_even,
                             circulant_graph, complete_graph,
                             complete_multipartite, cycle_graph)
 from helpers import laplacian, log_estimate, octahedron_graph, sigma_w
-from oracles import (bivariate_even_moment, exact_inverse, kappa2_pairwise,
-                     log_cos_coeffs)
+from oracles import (bivariate_even_moment, exact_inverse, kappa12_per_order,
+                     kappa2_pairwise, log_cos_coeffs)
+
+RT = WeightSpec.for_family("RT")
 
 
 def inverse_of_shifted_laplacian(g, w):
@@ -186,7 +189,7 @@ def test_kappa1_single_edge_formula():
     g = Graph.from_edges(2, [(0, 1)])
     cov = covariance_sigma(g)
     see = edge_cov(sigma_w(cov, Fraction(1)), (0, 1), (0, 1))
-    assert kappa1_f(g, cov, 2) == Fraction(-1, 12) * 3 * see**2
+    assert kappa1_f(g, cov, log_cos_coeffs(2)) == Fraction(-1, 12) * 3 * see**2
     assert degree_sum_reference(g) == -Fraction(1)
 
 
@@ -225,7 +228,7 @@ def test_kappa1_w_invariance():
         sigma = sigma_w(cov, w)
         direct = sum(cs[l - 1] * double_factorial(2 * l - 1) * edge_cov(sigma, e, e) ** l
                      for e in g.edges for l in range(2, 5))
-        assert kappa1_f(g, cov, 4) == direct
+        assert kappa1_f(g, cov, cs) == direct
 
 
 def test_kappa1_consistency_envelope():
@@ -236,7 +239,7 @@ def test_kappa1_consistency_envelope():
         cov = covariance_sigma(g)
         norm = cov.norm_inf(default_w(g))
         K = max(2, min(4, min(g.degrees) // 2))
-        k1 = kappa1_f(g, cov, K)
+        k1 = kappa1_f(g, cov, log_cos_coeffs(K))
         ref = degree_sum_reference(g)
         d, delta = g.max_degree(), min(g.degrees)
         envelope = (Fraction(n, delta) * norm
@@ -266,7 +269,7 @@ def test_kappa2_within_second_order_bound():
         g = complete_graph(n)
         cov = covariance_sigma(g)
         norm = cov.norm_inf(default_w(g))
-        k2 = kappa2_f(g, cov, 4)
+        k2 = kappa2_f(g, cov, log_cos_coeffs(4))
         d, delta, r = g.max_degree(), min(g.degrees), 2
         bound = (Fraction(n, 2 * delta) * Fraction(5 * d, delta) ** r
                  * norm ** (r - 1) * double_factorial(4 * r - 1))
@@ -282,24 +285,37 @@ def test_kappa2_matches_pairwise_oracle():
         sigma = sigma_w(cov, default_w(g))
         # K = 8 only where the per-pair oracle stays cheap
         for K in (2, 4) + ((8,) if g.edge_count <= 16 else ()):
-            assert kappa2_f(g, cov, K) == kappa2_pairwise(g, sigma, K), (g, K)
+            assert kappa2_f(g, cov, log_cos_coeffs(K)) == kappa2_pairwise(
+                g, sigma, K), (g, K)
+
+
+def test_kappas_match_the_per_order_fraction_route():
+    graphs = [complete_graph(n) for n in range(3, 12)] + [
+        circulant_graph(13, (1, 2, 3)), circulant_graph(18, (1, 3, 8))]
+    cases = [(g, K) for g in graphs for K in (2, 4, 8)] + [(complete_graph(5), 64)]
+    for g, K in cases:
+        cov = covariance_sigma(g)
+        coeffs = weight_log_coeffs(RT, K)
+        got = kappa1_f(g, cov, coeffs), kappa2_f(g, cov, coeffs)
+        assert all(type(k) is Fraction for k in got)
+        assert got == kappa12_per_order(g, cov, K), (g.n, g.edge_count, K)
 
 
 def test_estimate_uses_K_for_kappa2():
     g = complete_graph(5)
     rep = eo_estimate(g, M=2, K=8)
     cov = covariance_sigma(g)
-    assert rep.kappa[2] == kappa2_f(g, cov, 8)
-    assert rep.kappa[2] != kappa2_f(g, cov, 6)
+    assert rep.kappa[2] == kappa2_f(g, cov, log_cos_coeffs(8))
+    assert rep.kappa[2] != kappa2_f(g, cov, log_cos_coeffs(6))
 
 
 def test_cumulant_order_cap():
     g = complete_graph(5)
     cov = covariance_sigma(g)
-    assert isinstance(kappa1_f(g, cov, ESTIMATE_MAX_K), Fraction)
+    assert isinstance(kappa1_f(g, cov, log_cos_coeffs(ESTIMATE_MAX_K)), Fraction)
     for fn in (kappa1_f, kappa2_f):
         with pytest.raises(SizeLimitError):
-            fn(g, cov, ESTIMATE_MAX_K + 1)
+            fn(g, cov, weight_log_coeffs(RT, ESTIMATE_MAX_K + 1))
     with pytest.raises(SizeLimitError):
         eo_estimate(g, M=1, K=ESTIMATE_MAX_K + 1)
     assert eo_estimate(g, M=0, K=ESTIMATE_MAX_K + 1).kappa == {}
@@ -310,8 +326,14 @@ def test_schrijver_bounds_bracket_exact_counts():
               cycle_graph(6), octahedron_graph(), circulant_graph(8, (1, 2))):
         eo = eo_count_bruteforce(g)
         lower, upper_sq = schrijver_bounds(g)
+        assert lower == Fraction(upper_sq, 2 ** g.edge_count)
         assert lower <= eo
         assert eo * eo <= upper_sq
+    # the power of two leaves B by the popcounts of d/2 (d = 8, 14, 16, 40)
+    for g in (complete_graph(9), complete_graph(15), complete_graph(17),
+              complete_multipartite(8, 8, 8, 8, 8, 8)):
+        lower, upper_sq = schrijver_bounds(g)
+        assert lower == Fraction(upper_sq, 2 ** g.edge_count)
     with pytest.raises(DomainError):
         schrijver_bounds(complete_graph(4))
 
@@ -326,6 +348,10 @@ def test_estimate_report_k5():
     js = rep.to_json()
     assert js["graph"] == "k5"
     assert set(js["kappa"]) == {"1", "2"}
+    # in_hypothesis tests only ||Sigma_w||_inf <= 1/2; the M = 2 estimate
+    # (log 4.982) still lies above the proven upper bound (log 4.479)
+    assert js["in_hypothesis"] is True
+    assert js["within_sandwich"] == {"0": True, "1": True, "2": False}
 
 
 def test_within_sandwich_k9():

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import mpmath
 import pytest
@@ -22,7 +22,8 @@ from helpers import LaurentSeries
 from oracles import (bernoulli_numbers, evaluate_mu_polynomial, f_direct,
                      log_cos_coeffs, moments_of_f_via_series,
                      orders_for_precision, series_ungraded,
-                     t_joint_cumulants_via_partitions)
+                     t_joint_cumulants_via_partitions,
+                     weight_log_coeffs_via_fractions)
 
 
 def test_log_cos_displayed_coefficients():
@@ -56,6 +57,17 @@ def test_weight_log_coeffs_families():
     eog = WeightSpec.for_family("EOG")
     e2 = weight_log_coeffs(eog, 4)
     assert e2[0] == Fraction(-1, 3) and e2[1] == Fraction(-1, 36)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 50).flatmap(
+    lambda q: st.tuples(st.integers(1, q), st.just(q))), st.integers(1, 64))
+def test_weight_log_coeffs_match_the_fraction_recursion(pq, L):
+    # the shipped recursion runs on s^k m_k, ints only for the right s
+    b = Fraction(*pq)
+    got = weight_log_coeffs(WeightSpec(1 - b, b), L)
+    assert all(type(e) is Fraction for e in got)
+    assert got == weight_log_coeffs_via_fractions(WeightSpec(1 - b, b), L)
 
 
 def test_weight_log_coeffs_numeric_cross_check():
@@ -298,12 +310,19 @@ def test_second_weight_at_a_computed_order_skips_the_products(monkeypatch):
 
 
 def test_warm_series_still_calls_mu_moment_dict(monkeypatch):
-    # the tracer times powersums through this name, so a warm call must
-    # still pass through it
+    # the tracer times powersums, f_K and the log coefficients' recursion
+    # through these names, so a warm call must still pass through each
     expansion_series("RT", 3)
     seen = record_codes(monkeypatch)
+    called = []
+    for name in ("f_as_mu_polynomial", "moments_to_cumulants"):
+        def spy(*args, inner=getattr(expansion, name), name=name):
+            called.append(name)
+            return inner(*args)
+        monkeypatch.setattr(expansion, name, spy)
     expansion_series("RT", 3)
     assert seen
+    assert set(called) == {"f_as_mu_polynomial", "moments_to_cumulants"}
 
 
 def test_table_fill_order_changes_no_series(monkeypatch):
@@ -327,21 +346,27 @@ def test_table_size_after_rt_at_orders_1_to_12(monkeypatch):
 
 
 def test_table_keys_stay_within_the_order_cap(monkeypatch):
-    # the table and the items of T_l beside it outlive every call, so only
-    # the MAX_ORDER cuts may fill them: an order outside 1..MAX_ORDER is
-    # refused before the fill
-    monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
-    monkeypatch.setattr(expansion, "_T_ITEMS", {})
+    # the table and the items of T_l and multinomials beside it outlive
+    # every call, so only the MAX_ORDER cuts may fill them: an order outside
+    # 1..MAX_ORDER is refused before the fill
+    tables = ("_T_CUMULANTS", "_T_ITEMS", "_T_WAYS")
+    for name in tables:
+        monkeypatch.setattr(expansion, name, {})
     for c in (-1, 0, MAX_ORDER + 1, 2 * MAX_ORDER):
         with pytest.raises((DomainError, SizeLimitError)):
             expansion_series("ED", c)
-    assert expansion._T_CUMULANTS == {} == expansion._T_ITEMS
+    assert all(getattr(expansion, name) == {} for name in tables)
     for c in range(1, 9):
         for w in ("EOG", WeightSpec(Fraction(1, 11), Fraction(10, 11))):
             expansion_series(w, c)
-    for table in (expansion._T_CUMULANTS, expansion._T_ITEMS):
+    for name in tables:
+        table = getattr(expansion, name)
         assert set(table) <= set(range(MAX_ORDER))
         assert sorted(table) == list(range(8))
+    for p_max, ways in expansion._T_WAYS.items():
+        assert ways.keys() == expansion._T_CUMULANTS[p_max].keys()
+        for L, m in ways.items():
+            assert m == factorial(len(L)) // prod(factorial(L.count(l)) for l in set(L))
 
 
 def test_t_items_drop_the_p1_monomials():

@@ -373,6 +373,19 @@ def test_all_degrees_even():
     assert all_degrees_even(complete_graph(5))
 
 
+def test_checked_graphs_count_the_degrees_of_a_direct_graph():
+    # the file and from_edges path counts degrees while it checks the pairs
+    rng = random.Random(5)
+    for n in (0, 1, 2, 7, 30):
+        pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.4]
+        g = Graph.from_edges(n, [(v, u) if rng.random() < 0.5 else (u, v)
+                                 for u, v in pairs])
+        direct = Graph(n, frozenset(pairs))
+        assert g == direct and g.degrees == direct.degrees
+        text = "\n".join([str(n)] + [f"{u + 1} {v + 1}" for u, v in pairs])
+        assert parse_edge_list(text).degrees == direct.degrees
+
+
 def test_graph_validation():
     with pytest.raises(DomainError):
         Graph.from_edges(3, [(0, 0)])
@@ -389,6 +402,13 @@ def test_graph_validation():
             Graph.from_edges(3, [pair])
     with pytest.raises(DomainError, match="nonnegative"):
         Graph(-1, frozenset())
+    for pairs in ([], [(0, 1)]):
+        with pytest.raises(DomainError, match="nonnegative"):
+            Graph.from_edges(-1, pairs)
+    # a direct Graph still checks each edge itself
+    for edges in ({(0, 3)}, {(1, 0)}, {(-1, 1)}):
+        with pytest.raises(DomainError, match="bad edge"):
+            Graph(3, frozenset(edges))
     with pytest.raises(DomainError, match="n >= 3"):
         cycle_graph(2)
     with pytest.raises(DomainError, match="self-loop"):
