@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
-from .estimator import eo_estimate, schrijver_bounds, schrijver_upper_squared
+from .estimator import eo_estimate, schrijver_lower, schrijver_upper_squared
 from .expansion import DEFAULT_BITS, require_digits, require_exponent, to_text
 from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
@@ -119,8 +119,9 @@ def _cmd_estimate(args):
 def _cmd_bounds(args):
     g = load_graph(args.graph)
     # lower = B / 2^|E| in lowest terms: no part is longer than B or 2^|E|
-    require_digits("the bounds", schrijver_upper_squared(g), 1 << g.edge_count)
-    lower, upper_sq = schrijver_bounds(g)
+    upper_sq = schrijver_upper_squared(g)
+    require_digits("the bounds", upper_sq, 1 << g.edge_count)
+    lower = schrijver_lower(g, upper_sq)
     import mpmath
 
     with mpmath.workprec(DEFAULT_BITS):

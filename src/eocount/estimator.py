@@ -126,14 +126,20 @@ def schrijver_upper_squared(g: Graph) -> int:
     return prod(comb(d, d // 2) ** k for d, k in Counter(g.degrees).items())
 
 
-def schrijver_bounds(g: Graph) -> tuple[Fraction, int]:
-    """(lower, B) with lower = B / 2^|E| (also the Pauling estimate) and
-    upper = sqrt(B), B = prod C(d_i, d_i/2) kept exact.  B holds 2 to the
-    sum of popcount(d_i/2) (Kummer's theorem), shifted out before the
-    Fraction's gcd, which is quadratic in the length of B."""
-    B = schrijver_upper_squared(g)
+def schrijver_lower(g: Graph, B: int) -> Fraction:
+    """lower = B / 2^|E| (also the Pauling estimate) for B =
+    ``schrijver_upper_squared(g)``.  B holds 2 to the sum of popcount(d_i/2)
+    (Kummer's theorem), shifted out before the Fraction's gcd, which is
+    quadratic in the length of B."""
     v = sum((d // 2).bit_count() for d in g.degrees)
-    return Fraction(B >> v, 1 << (g.edge_count - v)), B
+    return Fraction(B >> v, 1 << (g.edge_count - v))
+
+
+def schrijver_bounds(g: Graph) -> tuple[Fraction, int]:
+    """(lower, B) with lower = B / 2^|E| and upper = sqrt(B), B = prod
+    C(d_i, d_i/2) kept exact."""
+    B = schrijver_upper_squared(g)
+    return schrijver_lower(g, B), B
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,20 @@ f_K = sum_l c_l T_l, T_l = sum_{j<k} (x_j - x_k)^(2l) and c_l = e_{2l} v^l,
 so the weight enters only through the c_l: by multilinearity kappa_r(f_K)
 is sum_{|L|=r} (r!/prod mult!) prod c_l kappa(T_L) over the multisets L of
 Taylor orders.  The joint cumulants kappa(T_L) are weight-free ints,
-computed once per order into one module table that every weight reads, so
-D^r kappa_r is one linear form in them with the ints D c_l (D the common
-denominator of the c_l); kappa_r is divided by D^r once into a plain
-{p: Fraction} map, the series is summed over one denominator, and the
-closed-form prefactors are attached symbolically.  The e_{2l} come from a
-moment-to-cumulant recursion on ints.  T_l sees only differences, so its
-moments are those of the power sums of the centered x - xbar 1, where
-p_1 = 0: T_l's monomials with an exponent 1 drop out.  A product monomial
-of the T_l is one int, its exponents' multiplicities in fixed-width bit
-fields, so a product is an int addition; the centered recurrence and its
-memo take the same codes.  Each family's weight and prefactor sit in one
+computed once per order into one module record that every weight reads: a
+row (L, r!/prod mult!, kappa(T_L)) per L, beside the items of the T_l.  So
+D^r kappa_r is one linear form in the rows with the ints D c_l (D the
+common denominator of the c_l).  Every series in 1/n inside the engine is
+a {p: int} map of the nonzero coefficients of n^-p, as ``mu_moment_dict``
+returns it; kappa_r is divided by D^r once into a plain {p: Fraction} map,
+the series is summed over one denominator, and the closed-form prefactors
+are attached symbolically.  The e_{2l} come from a moment-to-cumulant
+recursion on ints.  T_l sees only differences, so its moments are those
+of the power sums of the centered x - xbar 1, where p_1 = 0: T_l's
+monomials with an exponent 1 drop out.  A product monomial of the T_l is
+one int, its exponents' multiplicities in fixed-width bit fields, so a
+product is an int addition; the centered recurrence and its memo take the
+same codes.  Each family's weight and prefactor sit in one
 table, ``FAMILIES``; an exact rational becomes an mpf only in ``to_mpf``,
 and a result number becomes text only in ``to_text``.
 
@@ -34,10 +37,10 @@ excess e = sum (l_i - 2) vanishes unless the r pairs form a connected
 graph, which has at most r + 1 vertices, and each (x_j - x_k)^(2l) is
 homogeneous of degree 2l in coordinates of variance 1/n, so it is
 O(n^(r+1-sum l_i)) = O(n^(-(r-1+e))).  Through n^(-(c-1)) only r <= c and
-e <= c - r count, so the table holds the L with |L| >= 2 and
+e <= c - r count, so the record holds the L with |L| >= 2 and
 e <= c - |L|, and a subset of such an L is such an L: its moments, from
 which the cumulants come, need no other.  The moment E[T_L] itself is only
-O(n^-e), so the cancellation that the table's fill checks is real.
+O(n^-e), so the cancellation that the record's fill checks is real.
 """
 
 from __future__ import annotations
@@ -191,12 +194,6 @@ def weight_log_coeffs(w: WeightSpec, L: int) -> list[Fraction]:
             for k, kap in enumerate(moments_to_cumulants(moments), start=1)]
 
 
-def family_variance(w: WeightSpec) -> Fraction:
-    """Component variance of the reduced i.i.d. Gaussian, as a multiple of
-    1/n: 1/(2 |e_2|) = 1/b."""
-    return 1 / w.b
-
-
 # ---------------------------------------------------------------------------
 # f_K as a polynomial in power sums
 
@@ -210,7 +207,9 @@ def f_as_mu_polynomial(w: WeightSpec, K: int) -> dict[tuple[int, int], Fraction]
     """
     if not 2 <= K <= MAX_K:
         raise DomainError(f"K must be in 2..{MAX_K}")
-    q, p = family_variance(w).as_integer_ratio()  # c_l = e_{2l} (q/p)^l
+    # the component variance of the reduced i.i.d. Gaussian, as a multiple
+    # of 1/n, is 1/(2 |e_2|) = 1/b, so c_l = e_{2l} (q/p)^l with q/p = 1/b
+    q, p = (1 / w.b).as_integer_ratio()
     c = {l: (e.numerator * q**l, e.denominator * p**l)
          for l, e in enumerate(weight_log_coeffs(w, K)[1:], 2) if e}
     return {m: Fraction(num * t, den)
@@ -223,16 +222,6 @@ def _folded_t(l: int) -> dict[tuple[int, int], int]:
     (-1)^t C(2l, t) for t < l and (-1)^l C(2l - 1, l - 1) for t = l."""
     return {(t, 2 * l - t): (-1) ** t * comb(2 * l, t) // (1 + (t == l))
             for t in range(l + 1)}
-
-
-# ---------------------------------------------------------------------------
-# order selection
-
-def family_orders(c: int) -> tuple[int, int]:
-    """(M, K) = (c, c + 1) for the error target n^(-c) of the dense
-    families (c = 12 gives 12, 13): kappa_{c+1} and the Taylor terms past
-    l = c + 1 start at n^(-c) (module docstring)."""
-    return c, c + 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,56 +245,42 @@ class ExpansionResult(NamedTuple):
         }
 
 
-# p_max -> {L: kappa(T_L)}: the int coefficients of n^-0 .. n^-p_max of the
-# joint cumulant of the T_l over a nondecreasing L with |L| >= 2 and excess
-# sum(l - 2) <= p_max + 1 - |L|.  No weight enters, so every series at one
-# order reads one table; MAX_ORDER bounds it (799 entries through p_max = 11)
-# and the two maps beside it: ``_T_ITEMS``, p_max -> ``_t_items(p_max)``, and
-# ``_T_WAYS``, p_max -> {L: r!/prod mult!}, the multinomial of each L.
-_T_CUMULANTS: dict[int, dict[tuple[int, ...], list[int]]] = {}
-_T_ITEMS: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
-_T_WAYS: dict[int, dict[tuple[int, ...], int]] = {}
+# p_max -> (items, rows), the weight-free record of one cut: items maps
+# l = 2 .. p_max + 2 to the monomials of T_l without a p_1, as (code, int
+# coeff, order bound) by rising bound, and rows holds (L, r!/prod mult!,
+# kappa(T_L)) for every nondecreasing L with |L| >= 2 and excess
+# sum(l - 2) <= p_max + 1 - |L|, kappa(T_L) the {p: int} coefficients of
+# n^-p, p <= p_max.  No weight enters, so every series at one order reads
+# one record; MAX_ORDER bounds the map (799 rows through p_max = 11).
+_T_CUMULANTS: dict[int, tuple[dict[int, list[tuple[int, int, int]]],
+                              list[tuple[tuple[int, ...], int, dict[int, int]]]]] = {}
 
 
-def _t_items(p_max: int) -> dict[int, list[tuple[int, int, int]]]:
-    """l -> the monomials of T_l without a p_1, l = 2 .. p_max + 2, as
-    (code, int coeff, order bound) by rising bound."""
-    return {l: sorted(((encode(m), c, monomial_order_bound(m))
-                       for m, c in _folded_t(l).items() if m[0] != 1),
-                      key=lambda it: it[2])
-            for l in range(2, p_max + 3)}
-
-
-def _expect(codes, p_max: int, seen: dict) -> list[int]:
-    """sum c E[code] over (code, c) pairs, as the int coefficients of
-    n^-0 .. n^-p_max.  The low field z of a code is the power of n from
-    p_0: the recurrence gets the code with that field cleared, z orders
-    deeper.  ``seen`` maps a code to its moment at this cut, so a code
-    reaches ``mu_moment_dict`` once per map."""
+def _expect(codes, p_max: int) -> dict[int, int]:
+    """sum c E[code] over (code, c) pairs, as {p: int coeff of n^-p},
+    p <= p_max, zeros dropped.  The low field z of a code is the power of n
+    from p_0: the recurrence gets the code with that field cleared, z
+    orders deeper, and its memo answers a code met again at this cut."""
     acc: dict[int, int] = {}
     get = acc.get
     for code, c in codes:
         z = code & FIELD_MASK
-        moment = seen.get(code)
-        if moment is None:
-            moment = seen[code] = mu_moment_dict(code - z, p_max + z)
-        for p, mc in moment.items():
+        for p, mc in mu_moment_dict(code - z, p_max + z).items():
             p -= z
             if p <= p_max:
                 acc[p] = get(p, 0) + c * mc
-    if any(p < 0 for p, c in acc.items() if c):
+    acc = {p: v for p, v in acc.items() if v}
+    if min(acc, default=0) < 0:
         raise AssertionError("a moment of T has a positive power of n")
-    return [get(p, 0) for p in range(p_max + 1)]
+    return acc
 
 
-def _t_moments(items, p_max: int) -> dict[tuple[int, ...], list[int]]:
+def _t_moments(items, p_max: int) -> dict[tuple[int, ...], dict[int, int]]:
     """{L: E[T_L]} for every admissible L at this cut, singletons included,
     by a depth-first walk over the multisets: a node multiplies its
     parent's product codes, kept in buckets by order bound, by the items of
-    T_l from ``_t_items``, and drops the products whose bound passes
-    p_max.  A code met under several L reaches ``mu_moment_dict`` once."""
+    T_l, and drops the products whose bound passes p_max."""
     table = {}
-    seen: dict = {}
 
     def walk(L, prods, ex):
         r = len(L)
@@ -323,12 +298,11 @@ def _t_moments(items, p_max: int) -> dict[tuple[int, ...], list[int]]:
             nxt = {b: {code: v for code, v in bucket.items() if v}
                    for b, bucket in nxt.items()}
             table[L + (l,)] = _expect(
-                (kv for bucket in nxt.values() for kv in bucket.items()),
-                p_max, seen)
+                (kv for bucket in nxt.values() for kv in bucket.items()), p_max)
             walk(L + (l,), nxt, ex + l - 2)
 
     walk((), {0: {0: 1}}, 0)
-    del walk  # a cycle through its own cell would keep ``seen`` until a gc pass
+    del walk  # a cycle through its own cell would keep ``table`` until a gc pass
     return table
 
 
@@ -347,31 +321,34 @@ def _splits(S: tuple[int, ...]) -> list:
     return out[:-1]  # the last B is S
 
 
-def _t_cumulants(items, p_max: int) -> dict[tuple[int, ...], list[int]]:
-    """{L: kappa(T_L)} for every admissible L with |L| >= 2, from the
-    moments of ``_t_moments`` by kappa(S) = E[S] - sum ways(B) kappa(B)
-    E[S - B] over the B of ``_splits``, on truncated int coefficient lists
-    (a subset of an admissible L is admissible); each product starts at the
-    first nonzero coefficient of both factors.  AssertionError if some
-    kappa(T_L) is nonzero below n^-(|L|-1+e) (module docstring)."""
+def _t_cumulants(p_max: int) -> tuple[dict, list]:
+    """The ``_T_CUMULANTS`` record of this cut: the items of the T_l, then
+    kappa(T_L) for every admissible L with |L| >= 2, from the moments of
+    ``_t_moments`` by kappa(S) = E[S] - sum ways(B) kappa(B) E[S - B] over
+    the B of ``_splits``, on {p: int} maps truncated at p_max (a subset of
+    an admissible L is admissible).  AssertionError if some kappa(T_L) is
+    nonzero below n^-(|L|-1+e) (module docstring)."""
+    items = {l: sorted(((encode(m), c, monomial_order_bound(m))
+                        for m, c in _folded_t(l).items() if m[0] != 1),
+                       key=lambda it: it[2])
+             for l in range(2, p_max + 3)}
     moments = _t_moments(items, p_max)
-    lead = {L: next((p for p, v in enumerate(m) if v), p_max + 1)
-            for L, m in moments.items()}
-    kappas, klead = {}, {}
+    kappas = {}
     for S in sorted(moments, key=len):
-        k = list(moments[S])
+        k = dict(moments[S])
+        get = k.get
         for B, rest, ways in _splits(S):
-            kb, m, b = kappas[B], moments[rest], lead[rest]
-            for i in range(klead[B], p_max + 1 - b):
-                u = ways * kb[i]
-                if u:
-                    for j, v in enumerate(m[b:p_max + 1 - i], i + b):
-                        k[j] -= u * v
-        klead[S] = next((p for p, v in enumerate(k) if v), p_max + 1)
-        if klead[S] < sum(S) - len(S) - 1:
+            m = moments[rest]
+            for i, kb in kappas[B].items():
+                u = ways * kb
+                for j, v in m.items():
+                    if i + j <= p_max:
+                        k[i + j] = get(i + j, 0) - u * v
+        k = kappas[S] = {p: v for p, v in k.items() if v}
+        if min(k, default=p_max + 1) < sum(S) - len(S) - 1:
             raise AssertionError(f"kappa(T_{S}) is nonzero below its decay order")
-        kappas[S] = k
-    return {L: k for L, k in kappas.items() if len(L) > 1}
+    return items, [(L, factorial(len(L)) // prod(factorial(L.count(l)) for l in set(L)), k)
+                   for L, k in kappas.items() if len(L) > 1]
 
 
 def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
@@ -380,37 +357,36 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     f_K = sum_l c_l T_l with c_l its (0, 2l) coefficient and D the common
     denominator of the c_l, so by multilinearity D^r kappa_r =
     sum_{|L|=r} (r!/prod mult!) prod (D c_l) kappa(T_L): a linear form in
-    the weight-free ``_T_CUMULANTS``, filled once per cut with its
-    multinomials in ``_T_WAYS``, and the singletons kappa(T_l) = E[T_l],
-    read through ``mu_moment_dict`` on every call.  Each kappa_r is divided
-    by D^r once, and the series sum_r kappa_r / r! is summed on ints over
-    the one denominator D^M M!.
+    the rows of the weight-free ``_T_CUMULANTS`` record, filled once per
+    cut, and the singletons kappa(T_l) = E[T_l] with multinomial 1, read
+    through ``mu_moment_dict`` on every call.  Each kappa_r is divided by
+    D^r once, and the series sum_r kappa_r / r! is summed on ints over the
+    one denominator D^M M!.
     """
     if c > MAX_ORDER:
         raise SizeLimitError(f"expansion order capped at c={MAX_ORDER}")
     if c < 1:
         raise DomainError("order must be >= 1")
     w = WeightSpec.for_family(family) if isinstance(family, str) else family
-    M, K = family_orders(c)
+    # the error target n^-c: kappa_{c+1} and the Taylor terms past l = c + 1
+    # start there (module docstring)
+    M, K = c, c + 1
     p_max = c - 1
     poly = f_as_mu_polynomial(w, K)
     top = {s // 2: e for (t, s), e in poly.items() if not t}  # l -> c_l
     D = lcm(*(e.denominator for e in top.values()))
     dc = {l: e.numerator * (D // e.denominator) for l, e in top.items()}
-    items = _T_ITEMS.get(p_max) or _T_ITEMS.setdefault(p_max, _t_items(p_max))
     if p_max not in _T_CUMULANTS:
-        _T_CUMULANTS[p_max] = _t_cumulants(items, p_max)
-    ways = _T_WAYS.get(p_max) or _T_WAYS.setdefault(p_max, {
-        L: factorial(len(L)) // prod(factorial(L.count(l)) for l in set(L))
-        for L in _T_CUMULANTS[p_max]})
-    singles = {(l,): _expect([(code, c) for code, c, b in items[l] if b <= p_max],
-                             p_max, {}) for l in dc if l <= p_max + 2}
+        _T_CUMULANTS[p_max] = _t_cumulants(p_max)
+    items, rows = _T_CUMULANTS[p_max]
+    singles = [((l,), 1, _expect([(code, c) for code, c, b in items[l] if b <= p_max],
+                                 p_max)) for l in dc if l <= p_max + 2]
     sums = [[0] * (p_max + 1) for _ in range(M)]
-    for L, values in [*singles.items(), *_T_CUMULANTS[p_max].items()]:
-        w_L = ways.get(L, 1) * prod(dc.get(l, 0) for l in L)
+    for L, ways, values in singles + rows:
+        w_L = ways * prod(dc.get(l, 0) for l in L)
         if w_L:
             acc = sums[len(L) - 1]
-            for p, v in enumerate(values):
+            for p, v in values.items():
                 acc[p] += w_L * v
     kappas = tuple({p: Fraction(v, D**r) for p, v in enumerate(acc) if v}
                    for r, acc in enumerate(sums, start=1))

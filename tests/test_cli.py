@@ -145,6 +145,22 @@ def test_bounds(capsys, k5_file):
     assert env["precision"]["bits"] == DEFAULT_BITS
 
 
+def test_bounds_compute_b_once(capsys, k5_file, monkeypatch):
+    # B = prod C(d_i, d_i/2) feeds the digit check and then the lower
+    # bound; on C_10^6(1,2) it takes about a tenth of the command
+    calls = []
+
+    def counted(g, inner=eocount.estimator.schrijver_upper_squared):
+        calls.append(g)
+        return inner(g)
+
+    for module in ("cli", "estimator"):
+        monkeypatch.setattr(f"eocount.{module}.schrijver_upper_squared", counted)
+    code, env = run_json(capsys, ["bounds", "--graph", k5_file])
+    assert code == 0 and env["result"]["upper_squared"] == str(6**5)
+    assert len(calls) == 1
+
+
 def test_expand_with_eval(capsys):
     code, env = run_json(capsys, ["expand", "rt", "--order", "3",
                                   "--eval", "21"])
@@ -368,8 +384,8 @@ def test_bounds_digit_cap_on_a_large_cycle(capsys, tmp_path, monkeypatch):
     # digits, past CPython's 4300-digit limit on int -> str
     c20000 = write_edges(tmp_path / "c20000.edges", cycle_graph(20000))
     with monkeypatch.context() as patch:
-        patch.setattr("eocount.cli.schrijver_bounds",
-                      fail_if_called("the bounds"))
+        patch.setattr("eocount.cli.schrijver_lower",
+                      fail_if_called("the lower bound"))
         assert main(["bounds", "--graph", c20000]) == 3
         assert_one_error_line(capsys.readouterr(), "size-limit")
     # 2^13000 has 3914 digits, inside the cap

@@ -13,8 +13,7 @@ from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import (MAX_BITS, MAX_K, MAX_ORDER, MIN_BITS,
                                WeightSpec, evaluate_expansion,
                                expansion_series, f_as_mu_polynomial,
-                               family_orders, family_variance, log_prefactor,
-                               weight_log_coeffs)
+                               log_prefactor, weight_log_coeffs)
 from eocount.powersums import monomial_order_bound
 
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
@@ -98,13 +97,6 @@ def test_weight_spec_validation():
     assert WeightSpec(Fraction(1, 4), Fraction(3, 4), "other") != w
 
 
-def test_family_variance():
-    assert family_variance(WeightSpec.for_family("RT")) == 1
-    assert family_variance(WeightSpec.for_family("ED")) == 2
-    assert family_variance(WeightSpec.for_family("EOG")) == Fraction(3, 2)
-    assert family_variance(WeightSpec(Fraction(3, 4), Fraction(1, 4))) == 4
-
-
 def test_f_polynomial_matches_direct_definition():
     rng = random.Random(11)
     for fam, K in (("RT", 4), ("ED", 3), ("EOG", 5)):
@@ -114,7 +106,7 @@ def test_f_polynomial_matches_direct_definition():
             xs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                   for _ in range(n)]
             assert evaluate_mu_polynomial(poly, xs) == f_direct(
-                w, K, xs, family_variance(w))
+                w, K, xs, 1 / w.b)
 
 
 def test_f_polynomial_order_range():
@@ -148,6 +140,15 @@ def test_f_polynomial_excludes_quadratic_term():
     assert poly == {(0, 4): c4, (1, 3): -4 * c4, (2, 2): 3 * c4}
 
 
+def record_rows(p_max):
+    # {L: (r!/prod mult!, kappa(T_L))} from the rows of one cut's record
+    return {L: (ways, values) for L, ways, values in expansion._T_CUMULANTS[p_max][1]}
+
+
+def admissible(L, p_max):
+    return len(L) >= 2 and sum(l - 2 for l in L) <= p_max + 1 - len(L)
+
+
 def test_t_cumulants_match_the_partition_formula(monkeypatch):
     # every entry of the weight-free table at c = 1..6, all int
     # coefficients of n^-0 .. n^-(c-1), against the set-partition formula
@@ -159,12 +160,13 @@ def test_t_cumulants_match_the_partition_formula(monkeypatch):
     monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
     for c in range(1, 7):
         expansion_series(WeightSpec(Fraction(2, 7), Fraction(5, 7)), c)
-        table = expansion._T_CUMULANTS[c - 1]
+        table = record_rows(c - 1)
         want = t_joint_cumulants_via_partitions(c - 1)
         assert set(table) == set(want), c
-        for L, values in table.items():
-            assert len(values) == c and all(type(v) is int for v in values)
-            assert LaurentSeries(dict(enumerate(values)), c - 1) == want[L], (c, L)
+        for L, (_, values) in table.items():
+            assert all(type(v) is int and v and 0 <= p < c
+                       for p, v in values.items()), (c, L)
+            assert LaurentSeries(values, c - 1) == want[L], (c, L)
 
 
 def assert_moments_of_f_match(w, c, M):
@@ -212,8 +214,7 @@ def test_moments_of_f_at_full_M_match_series_products():
     weights.append(WeightSpec(Fraction(2, 7), Fraction(5, 7)))
     cases = [(w, c) for w in weights for c in (1, 2, 3)] + [(weights[0], 4)]
     for w, c in cases:
-        M, _ = family_orders(c)
-        assert_moments_of_f_match(w, c, M)
+        assert_moments_of_f_match(w, c, expansion_series(w, c).M)
 
 
 # the a of a + b cos: denominators other than the families' 2 and 3, a
@@ -276,7 +277,8 @@ def test_series_memo_size_after_order_12():
 
 
 def table_size(table):
-    return sum(map(len, table.values()))
+    # rows over every cut of the record map
+    return sum(len(rows) for _, rows in table.values())
 
 
 def singleton_codes(K):
@@ -346,32 +348,50 @@ def test_table_size_after_rt_at_orders_1_to_12(monkeypatch):
 
 
 def test_table_keys_stay_within_the_order_cap(monkeypatch):
-    # the table and the items of T_l and multinomials beside it outlive
-    # every call, so only the MAX_ORDER cuts may fill them: an order outside
-    # 1..MAX_ORDER is refused before the fill
-    tables = ("_T_CUMULANTS", "_T_ITEMS", "_T_WAYS")
-    for name in tables:
-        monkeypatch.setattr(expansion, name, {})
+    # the record of each cut, the items of T_l and the rows with their
+    # multinomials, outlives every call, so only the MAX_ORDER cuts may
+    # fill the map: an order outside 1..MAX_ORDER is refused before the fill
+    monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
     for c in (-1, 0, MAX_ORDER + 1, 2 * MAX_ORDER):
         with pytest.raises((DomainError, SizeLimitError)):
             expansion_series("ED", c)
-    assert all(getattr(expansion, name) == {} for name in tables)
+    assert expansion._T_CUMULANTS == {}
     for c in range(1, 9):
         for w in ("EOG", WeightSpec(Fraction(1, 11), Fraction(10, 11))):
             expansion_series(w, c)
-    for name in tables:
-        table = getattr(expansion, name)
-        assert set(table) <= set(range(MAX_ORDER))
-        assert sorted(table) == list(range(8))
-    for p_max, ways in expansion._T_WAYS.items():
-        assert ways.keys() == expansion._T_CUMULANTS[p_max].keys()
-        for L, m in ways.items():
-            assert m == factorial(len(L)) // prod(factorial(L.count(l)) for l in set(L))
+    assert sorted(expansion._T_CUMULANTS) == list(range(8))
+    for p_max, (items, rows) in expansion._T_CUMULANTS.items():
+        assert sorted(items) == list(range(2, p_max + 3))
+        assert len({L for L, _, _ in rows}) == len(rows)
+        for L, ways, _ in rows:
+            assert admissible(L, p_max) and list(L) == sorted(L)
+            assert ways == factorial(len(L)) // prod(factorial(L.count(l)) for l in set(L))
+
+
+def test_cuts_agree_on_their_common_rows(monkeypatch):
+    # each cut fills its record on its own: the record of a shallower cut
+    # must be a deeper cut's, restricted to the L admissible there and to
+    # p <= its cut, so a record computed once at the deepest cut could
+    # serve every shallower one
+    monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
+    records = {}
+    for c in range(1, MAX_ORDER + 1):
+        expansion_series("RT", c)
+        records[c - 1] = expansion._T_CUMULANTS.pop(c - 1)
+        assert not expansion._T_CUMULANTS
+    for deep, (deep_items, deep_rows) in records.items():
+        for cut in range(deep):
+            items, rows = records[cut]
+            assert items == {l: deep_items[l] for l in range(2, cut + 3)}
+            assert len(rows) == len({L for L, _, _ in rows})
+            assert {L: (ways, values) for L, ways, values in rows} == {
+                L: (ways, {p: v for p, v in values.items() if p <= cut})
+                for L, ways, values in deep_rows if admissible(L, cut)}
 
 
 def test_t_items_drop_the_p1_monomials():
     # p_1 = 0 for the centered power sums, so T_l keeps t = 0 and 2..l
-    for l, items in expansion._t_items(6).items():
+    for l, items in expansion._t_cumulants(6)[0].items():
         assert sorted(code for code, _, _ in items) == sorted(
             powersums.encode(m) for m in expansion._folded_t(l) if 1 not in m)
 
@@ -386,7 +406,6 @@ def test_second_and_third_family_at_order_12_read_the_table():
 
 
 def test_orders_for_precision():
-    assert family_orders(12) == (12, 13)
     M, K = orders_for_precision(mpmath.e ** 100, mpmath.e ** 10, 1)
     assert M == int(200 / (10 - 2 * mpmath.log(100)))
     assert K == int(200 / (10 - mpmath.log(100)))
@@ -411,15 +430,17 @@ def test_kappa_decay_matches_order():
         if lead is not None:
             assert lead >= idx - 1
     # the excess cut rests on the finer decay: kappa(T_L) of excess e is
-    # O(n^-(|L|-1+e)), so each table entry is zero below it; the raw
-    # moments E[T_L] are not, so the fill's cancellation is real
+    # O(n^-(|L|-1+e)), so each row is zero below it; the raw moments
+    # E[T_L] are not, so the fill's cancellation is real
     for c in range(1, 9):
         expansion_series("RT", c)
-        moments = expansion._t_moments(expansion._t_items(c - 1), c - 1)
-        for L, values in expansion._T_CUMULANTS[c - 1].items():
+        items, rows = expansion._T_CUMULANTS[c - 1]
+        moments = expansion._t_moments(items, c - 1)
+        assert all(all(m.values()) for m in moments.values())  # zeros dropped
+        for L, _, values in rows:
             decay = len(L) - 1 + sum(L) - 2 * len(L)
-            assert not any(values[:decay]), (c, L)
-            assert any(moments[L][:decay]), (c, L)
+            assert min(values, default=decay) >= decay, (c, L)
+            assert any(p < decay for p in moments[L]), (c, L)
 
 
 def test_expansion_order_caps():

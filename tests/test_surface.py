@@ -83,3 +83,16 @@ def test_allowlist_names_exist_and_have_no_caller():
     for name in ALLOWED:
         # a name that something in the package uses needs no entry
         assert name in defined and refs[name] == 0, name
+
+
+def test_moment_memo_is_a_module_dict_that_a_series_fills(monkeypatch):
+    # perfbench's tracer reads ``eocount.powersums._MOM_CACHE`` by name for
+    # its ``powersums.memo_entries`` metric, and prints null once the name
+    # is gone, which breaks the numeric report line
+    from eocount import expansion, powersums
+
+    assert type(vars(powersums).get("_MOM_CACHE")) is dict
+    monkeypatch.setattr(expansion, "_T_CUMULANTS", {})
+    monkeypatch.setattr(powersums, "_MOM_CACHE", {})
+    expansion.expansion_series("RT", 3)
+    assert powersums._MOM_CACHE
