@@ -26,16 +26,13 @@ from operator import floordiv, mod, mul, sub
 from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
-from .expansion import (DEFAULT_BITS, WeightSpec, require_precision, to_mpf,
-                        to_text, weight_log_coeffs)
+from .expansion import (DEFAULT_BITS, MAX_K, WeightSpec, f_as_mu_polynomial,
+                        require_precision, to_mpf, to_text)
 from .graphs import (Graph, all_degrees_even, cheeger_constant,
                      l_plus_j_adjugate, require_dense, spanning_tree_count)
 from .cumulants import double_factorial
 
 KAPPA2_MAX_EDGE_PAIRS = 10**6
-# Largest truncation order K of f_K, checked before any work: kappa_2's ints
-# grow as tau^(2K).  64 is the order the estimator has always accepted.
-ESTIMATE_MAX_K = 64
 _LOG_COS = WeightSpec.for_family("RT")  # log cos x = log(0 + 1 cos x)
 
 
@@ -135,13 +132,6 @@ def schrijver_lower(g: Graph, B: int) -> Fraction:
     return Fraction(B >> v, 1 << (g.edge_count - v))
 
 
-def schrijver_bounds(g: Graph) -> tuple[Fraction, int]:
-    """(lower, B) with lower = B / 2^|E| and upper = sqrt(B), B = prod
-    C(d_i, d_i/2) kept exact."""
-    B = schrijver_upper_squared(g)
-    return schrijver_lower(g, B), B
-
-
 # ---------------------------------------------------------------------------
 # first-order closed form
 
@@ -189,28 +179,29 @@ def degree_sum_reference(g: Graph) -> Fraction:
 # cumulant corrections
 
 def _require_cumulant_args(g: Graph, K: int, M: int) -> None:
-    """2 <= K <= ESTIMATE_MAX_K for any cumulant (M >= 1), and the edge-pair
-    cap for kappa_2."""
+    """2 <= K <= ``expansion.MAX_K`` for any cumulant (M >= 1), and the
+    edge-pair cap for kappa_2."""
     if M >= 1 and K < 2:
         raise DomainError("K must be >= 2")
-    if M >= 1 and K > ESTIMATE_MAX_K:
-        raise SizeLimitError(f"K is capped at {ESTIMATE_MAX_K}")
+    if M >= 1 and K > MAX_K:
+        raise SizeLimitError(f"K is capped at {MAX_K}")
     if M >= 2 and g.edge_count ** 2 > KAPPA2_MAX_EDGE_PAIRS:
         raise SizeLimitError("edge-pair cap exceeded")
 
 
-def _edge_terms(cov: Covariance, coeffs: list[Fraction], first: int = 0):
-    """(den, A) for h = first..K: A = den tau^(K-h) A_{2h} on ints, A_j as in
-    ``kappa2_f``, with den the common denominator of the coeffs c_2..c_{2K},
-    one for every h, and each A[e] a polynomial in var[e] by Horner's rule."""
-    K, tau = len(coeffs), cov.tau
-    den = lcm(*(c.denominator for c in coeffs))
-    num = [c.numerator * (den // c.denominator) for c in coeffs]
+def _edge_terms(cov: Covariance, coeffs: dict[int, Fraction], first: int = 0):
+    """(den, A) for h = first..K, K the largest l of the map {l: c_l}:
+    A = den tau^(K-h) A_{2h} on ints, A_j as in ``kappa2_f``, with den the
+    common denominator of the c_l, one for every h, and each A[e] a
+    polynomial in var[e] by Horner's rule."""
+    K, tau = max(coeffs), cov.tau
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    num = {l: c.numerator * (den // c.denominator) for l, c in coeffs.items()}
     for h in range(first, K + 1):
         j = 2 * h
-        # coefficient of S_ee^(l-h) in A_j, highest l first; f_K starts at l = 2
-        coef = [num[l - 1] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
-                * tau ** (K - l) if l >= 2 else 0 for l in range(K, h - 1, -1)]
+        # coefficient of S_ee^(l-h) in A_j, highest l first
+        coef = [num[l] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
+                * tau ** (K - l) if l in num else 0 for l in range(K, h - 1, -1)]
         A = []
         for v in cov.var:
             acc = 0
@@ -220,20 +211,22 @@ def _edge_terms(cov: Covariance, coeffs: list[Fraction], first: int = 0):
         yield den, A
 
 
-def kappa1_f(g: Graph, cov: Covariance, coeffs: list[Fraction]) -> Fraction:
-    """The exact first cumulant
-    sum_{l=2}^K c_{2l} (2l-1)!! sum_{jk} S_{jk,jk}^l = sum_e A_0[e], with
-    S = M/tau: the j = 0 term of kappa_2's sum.  ``coeffs`` are c_2..c_{2K},
-    the Taylor coefficients of log cos (``weight_log_coeffs`` of RT)."""
-    _require_cumulant_args(g, len(coeffs), 1)
+def kappa1_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction:
+    """The exact first cumulant of f_K = sum_e sum_l c_l X_e^(2l),
+    sum_{l=2}^K c_l (2l-1)!! sum_{jk} S_{jk,jk}^l = sum_e A_0[e], with
+    S = M/tau: the j = 0 term of kappa_2's sum.  ``coeffs`` is f_K's map
+    {l: c_l}, K its largest l; for log cos it is
+    ``expansion.f_as_mu_polynomial`` of RT."""
+    K = max(coeffs, default=0)
+    _require_cumulant_args(g, K, 1)
     den, A = next(_edge_terms(cov, coeffs))
-    return Fraction(sum(A), den * cov.tau ** len(coeffs))
+    return Fraction(sum(A), den * cov.tau ** K)
 
 
-def kappa2_f(g: Graph, cov: Covariance, coeffs: list[Fraction]) -> Fraction:
+def kappa2_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction:
     """Second cumulant of f_K: the sum over ordered edge pairs (e, f) and
-    orders l1, l2 of c_{2l1} c_{2l2} Cov(X_e^{2l1}, X_f^{2l2}), with
-    ``coeffs`` = c_2..c_{2K} as in ``kappa1_f``.
+    orders l1, l2 of c_{l1} c_{l2} Cov(X_e^{2l1}, X_f^{2l2}), with
+    ``coeffs`` the map {l: c_l} as in ``kappa1_f``.
 
     For centered jointly Gaussian U, V with Var U = a, Var V = b and
     Cov(U, V) = c,
@@ -242,13 +235,13 @@ def kappa2_f(g: Graph, cov: Covariance, coeffs: list[Fraction]) -> Fraction:
     the j = 0 term of E[U^{2l1} V^{2l2}] being E U^{2l1} E V^{2l2}.  The sum
     over l1 and l2 therefore separates:
         kappa_2 = sum_{j=2,4,..,2K} j! A_j^T S^(o j) A_j,
-        A_j[e] = sum_l c_{2l} C(2l, j) (2l-j-1)!! S_ee^{l-j/2},
+        A_j[e] = sum_l c_l C(2l, j) (2l-j-1)!! S_ee^{l-j/2},
     with S = M/tau the edge-difference covariance matrix and S^(o j) its j-th
     Hadamard power.  On ints: D tau^(K-j/2) A_j is an integer vector (D the
-    common denominator of the c_{2l}), so the sum is one integer
+    common denominator of the c_l), so the sum is one integer
     contraction with the M^(o j) over D^2 tau^(2K).  The cost is O(m^2 K).
     """
-    K = len(coeffs)
+    K = max(coeffs, default=0)
     _require_cumulant_args(g, K, 2)
     square = [list(map(mul, row, row)) for row in edge_matrix(g, cov)]
     hadamard = square
@@ -355,7 +348,8 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     _require_eulerian(g)
     _require_cumulant_args(g, K, M)
     wf = default_w(g) if w is None else _positive(w)
-    lower, upper_sq = schrijver_bounds(g)
+    upper_sq = schrijver_upper_squared(g)
+    lower = schrijver_lower(g, upper_sq)
     try:
         h, skipped = cheeger_constant(g), None
         ratio = h / g.max_degree()
@@ -365,7 +359,7 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     norm = cov.norm_inf(wf)
     base, log_eo_hat = _closed_form_logs(g, cov.tau, bits)
     kappa: dict[int, Fraction] = {}
-    coeffs = weight_log_coeffs(_LOG_COS, K) if M else []
+    coeffs = f_as_mu_polynomial(_LOG_COS, K) if M else {}
     if M >= 1:
         kappa[1] = kappa1_f(g, cov, coeffs)
     if M >= 2:

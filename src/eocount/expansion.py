@@ -8,27 +8,27 @@ components of variance v/n and
 
     f_K(x) = sum_{l=2}^{K} e_{2l} sum_{j<k} (x_j - x_k)^{2l},
 
-with e_{2l} the Taylor coefficients of log(a + b cos x).  Everything is exact:
-f_K is a map from power-sum monomials to Fractions, in which the exponent 0
-stands for the factor mu_0 = n.  With x rescaled to variance 1/n,
-f_K = sum_l c_l T_l, T_l = sum_{j<k} (x_j - x_k)^(2l) and c_l = e_{2l} v^l,
-so the weight enters only through the c_l: by multilinearity kappa_r(f_K)
-is sum_{|L|=r} (r!/prod mult!) prod c_l kappa(T_L) over the multisets L of
-Taylor orders.  The joint cumulants kappa(T_L) are weight-free ints,
-computed once per order into one module record that every weight reads: a
-row (L, r!/prod mult!, kappa(T_L)) per L, beside the items of the T_l.  So
-D^r kappa_r is one linear form in the rows with the ints D c_l (D the
-common denominator of the c_l).  Every series in 1/n inside the engine is
-a {p: int} map of the nonzero coefficients of n^-p, as ``mu_moment_dict``
-returns it; kappa_r is divided by D^r once into a plain {p: Fraction} map,
-the series is summed over one denominator, and the closed-form prefactors
-are attached symbolically.  The e_{2l} come from a moment-to-cumulant
-recursion on ints.  T_l sees only differences, so its moments are those
-of the power sums of the centered x - xbar 1, where p_1 = 0: T_l's
-monomials with an exponent 1 drop out.  A product monomial of the T_l is
-one int, its exponents' multiplicities in fixed-width bit fields, so a
-product is an int addition; the centered recurrence and its memo take the
-same codes.  Each family's weight and prefactor sit in one
+with e_{2l} the Taylor coefficients of log(a + b cos x).  Everything is exact.
+With x rescaled to variance 1/n, f_K = sum_l c_l T_l with
+T_l = sum_{j<k} (x_j - x_k)^(2l) and c_l = e_{2l}/b^l, so f_K is the map
+{l: c_l} and the weight enters only through it: by multilinearity
+kappa_r(f_K) is sum_{|L|=r} (r!/prod mult!) prod c_l kappa(T_L) over the
+multisets L of Taylor orders.  The joint cumulants kappa(T_L) are
+weight-free ints, computed once per order into one module record that every
+weight reads: a row (L, r!/prod mult!, kappa(T_L)) per L, beside the items
+of the T_l in the power-sum basis, where the exponent 0 stands for the
+factor mu_0 = n.  So D^r kappa_r is one linear form in the rows with the
+ints D c_l (D the common denominator of the c_l).  Every series in 1/n
+inside the engine is a {p: int} map of the nonzero coefficients of n^-p, as
+``mu_moment_dict`` returns it; kappa_r is divided by D^r once into a plain
+{p: Fraction} map, the series is summed over one denominator, and the
+closed-form prefactors are attached symbolically.  The e_{2l} come from a
+moment-to-cumulant recursion on ints.  T_l sees only differences, so its
+moments are those of the power sums of the centered x - xbar 1, where
+p_1 = 0: T_l's monomials with an exponent 1 drop out.  A product monomial
+of the T_l is one int, its exponents' multiplicities in fixed-width bit
+fields, so a product is an int addition; the centered recurrence and its
+memo take the same codes.  Each family's weight and prefactor sit in one
 table, ``FAMILIES``; an exact rational becomes an mpf only in ``to_mpf``,
 and a result number becomes text only in ``to_text``.
 
@@ -55,7 +55,9 @@ from .cumulants import moments_to_cumulants
 from .powersums import FIELD_MASK, encode, monomial_order_bound, mu_moment_dict
 
 MAX_ORDER = 12
-MAX_K = 16
+# Largest Taylor order K of f_K, for the series and the estimator alike:
+# kappa_2's ints grow as tau^(2K).
+MAX_K = 64
 MIN_BITS = 128
 DEFAULT_BITS = 256
 # Highest working precision, checked with the floor before any work.  With
@@ -195,25 +197,26 @@ def weight_log_coeffs(w: WeightSpec, L: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# f_K as a polynomial in power sums
+# f_K as the map of its coefficients
 
-def f_as_mu_polynomial(w: WeightSpec, K: int) -> dict[tuple[int, int], Fraction]:
-    """f_K over the complete graph in the power-sum basis, {(t, 2l-t): coeff}.
+def f_as_mu_polynomial(w: WeightSpec, K: int) -> dict[int, Fraction]:
+    """f_K = sum_l c_l T_l as the map {l: c_l}, l = 2..K, zeros left out;
+    DomainError for K < 2 and SizeLimitError for K > ``MAX_K``.
 
-    Uses sum_{j<k}(x_j-x_k)^{2l} = (1/2) sum_t (-1)^t C(2l,t) mu_t mu_{2l-t};
-    the exponent 0 stands for mu_0 = n.  x is rescaled by sqrt(1/b), the
-    family variance, so that downstream moments can assume component
-    variance exactly 1/n.
+    x is rescaled by sqrt(1/b), the family variance, so that downstream
+    moments can assume component variance exactly 1/n: c_l = e_{2l}/b^l.
+    The series engine and the estimator both read f_K here; perfbench's
+    tracer times every series' span under this name.
     """
-    if not 2 <= K <= MAX_K:
-        raise DomainError(f"K must be in 2..{MAX_K}")
+    if K < 2:
+        raise DomainError("K must be >= 2")
+    if K > MAX_K:
+        raise SizeLimitError(f"K is capped at {MAX_K}")
     # the component variance of the reduced i.i.d. Gaussian, as a multiple
-    # of 1/n, is 1/(2 |e_2|) = 1/b, so c_l = e_{2l} (q/p)^l with q/p = 1/b
+    # of 1/n, is 1/(2 |e_2|) = 1/b
     q, p = (1 / w.b).as_integer_ratio()
-    c = {l: (e.numerator * q**l, e.denominator * p**l)
-         for l, e in enumerate(weight_log_coeffs(w, K)[1:], 2) if e}
-    return {m: Fraction(num * t, den)
-            for l, (num, den) in c.items() for m, t in _folded_t(l).items()}
+    return {l: Fraction(e.numerator * q**l, e.denominator * p**l)
+            for l, e in enumerate(weight_log_coeffs(w, K)[1:], 2) if e}
 
 
 def _folded_t(l: int) -> dict[tuple[int, int], int]:
@@ -354,7 +357,7 @@ def _t_cumulants(p_max: int) -> tuple[dict, list]:
 def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     """Exponent-series coefficients through n^-(c-1), exact rationals.
 
-    f_K = sum_l c_l T_l with c_l its (0, 2l) coefficient and D the common
+    f_K = sum_l c_l T_l, the map of ``f_as_mu_polynomial``, and D the common
     denominator of the c_l, so by multilinearity D^r kappa_r =
     sum_{|L|=r} (r!/prod mult!) prod (D c_l) kappa(T_L): a linear form in
     the rows of the weight-free ``_T_CUMULANTS`` record, filled once per
@@ -372,15 +375,14 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     # start there (module docstring)
     M, K = c, c + 1
     p_max = c - 1
-    poly = f_as_mu_polynomial(w, K)
-    top = {s // 2: e for (t, s), e in poly.items() if not t}  # l -> c_l
-    D = lcm(*(e.denominator for e in top.values()))
-    dc = {l: e.numerator * (D // e.denominator) for l, e in top.items()}
+    f = f_as_mu_polynomial(w, K)
+    D = lcm(*(e.denominator for e in f.values()))
+    dc = {l: e.numerator * (D // e.denominator) for l, e in f.items()}
     if p_max not in _T_CUMULANTS:
         _T_CUMULANTS[p_max] = _t_cumulants(p_max)
     items, rows = _T_CUMULANTS[p_max]
     singles = [((l,), 1, _expect([(code, c) for code, c, b in items[l] if b <= p_max],
-                                 p_max)) for l in dc if l <= p_max + 2]
+                                 p_max)) for l in dc]  # l <= K = p_max + 2
     sums = [[0] * (p_max + 1) for _ in range(M)]
     for L, ways, values in singles + rows:
         w_L = ways * prod(dc.get(l, 0) for l in L)

@@ -24,9 +24,12 @@ tests check it against, and the combinatorics only they use:
   (against the connected-pairing sum), with ``stirling_second`` and
   ``partition_factorial_sum``;
 * the series engine's inputs: ``f_direct`` and ``evaluate_mu_polynomial``
-  (f_K by its edge-sum definition and in the power-sum basis), the moments
-  ``moments_of_f_via_series`` (the powers of f on Fraction coefficients,
-  against the moments rebuilt from the series' cumulants), and its
+  (f_K by its edge-sum definition, and from the map {l: c_l} of
+  ``f_as_mu_polynomial`` in the power-sum basis of ``f_power_sums``, which
+  expands each T_l term by term, against the engine's folded T_l), the
+  moments ``moments_of_f_via_series`` (the powers of f on Fraction
+  coefficients, against the moments rebuilt from the series' cumulants),
+  and its
   joint cumulants ``t_joint_cumulants_via_partitions`` (the ungraded
   uncentered moments of products of the T_l on Fraction coefficients,
   by the type sum, turned into
@@ -47,13 +50,16 @@ tests check it against, and the combinatorics only they use:
   of L_0 or L + J in RCM order and a back sweep);
 * the estimator: ``exact_inverse`` (Gauss-Jordan over rationals, against the
   integer adjugate) and the per-pair route to kappa_2, ``kappa2_pairwise``,
-  on Fractions: for every ordered edge pair it sums c_{2l1} c_{2l2} times
+  on Fractions: for every ordered edge pair it sums c_{l1} c_{l2} times
   the joint moment E[X_e^{2l1} X_f^{2l2}] minus the product of the univariate
   moments.  The shipped ``kappa2_f`` computes the same quantity as
   Hadamard-power contractions, without the j = 0 term that cancels here;
   ``kappa12_per_order`` runs those contractions and kappa_1 with a
   denominator per order j and Fraction coefficients (against the shipped
-  single denominator and Horner's rule);
+  single denominator and Horner's rule), on any graph; on K_n,
+  ``kn_kappas`` reads kappa_1 and kappa_2 off the series engine's
+  weight-free record of the kappa(T_L) at n, with no code shared past f_K's
+  map (against ``kappa1_f`` and ``kappa2_f`` on ``complete_graph(n)``);
 * the tail lab: the averaging operator ``conditional_expectation``;
 * the exact counters: ``balanced_count_backtracking``, the pruned
   depth-first search over vertex pairs (against the edge transfer
@@ -76,6 +82,7 @@ import numpy as np
 from eocount.cumulants import double_factorial, moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
 from eocount.estimator import edge_matrix
+from eocount import expansion
 from eocount.expansion import WeightSpec, f_as_mu_polynomial, weight_log_coeffs
 from eocount.graphs import CHEEGER_MAX_N
 from eocount.powersums import (FIELD_MASK, code_fields, encode,
@@ -644,8 +651,9 @@ def bernoulli_numbers(m: int) -> list[Fraction]:
 
 
 def log_cos_coeffs(L: int) -> list[Fraction]:
-    """c_2, c_4, ..., c_{2L}: Taylor coefficients of log cos x at 0, from the
-    Bernoulli closed form c_{2l} = -4^l (4^l - 1) |B_{2l}| / (2l (2l)!)."""
+    """e_2, e_4, ..., e_{2L}: Taylor coefficients of log cos x at 0, from the
+    Bernoulli closed form e_{2l} = -4^l (4^l - 1) |B_{2l}| / (2l (2l)!); as
+    b = 1, f_K's c_l is e_{2l}."""
     if L > 64:
         raise SizeLimitError("log cos coefficients capped at L=64")
     B = bernoulli_numbers(2 * L)
@@ -663,11 +671,27 @@ def weight_log_coeffs_via_fractions(w: WeightSpec, L: int) -> list[Fraction]:
             for k, kap in enumerate(moments_to_cumulants(moments), start=1)]
 
 
-def evaluate_mu_polynomial(poly, xs) -> Fraction:
-    """Exact value of a power-sum polynomial at a rational point; an exponent
-    0 sums x^0 = 1, giving mu_0 = n = len(xs)."""
+def f_power_sums(coeffs) -> dict[tuple[int, int], Fraction]:
+    """f_K = sum_l c_l T_l, given as its map {l: c_l}, in the power-sum
+    basis {(t, 2l - t): coeff}, t <= 2l - t, from
+    T_l = sum_{j<k} (x_j - x_k)^(2l)
+        = (1/2) sum_{t=0}^{2l} (-1)^t C(2l, t) mu_t mu_{2l-t}
+    term by term, the half unfolded (against the engine's ``_folded_t``);
+    the exponent 0 stands for mu_0 = n."""
+    poly: dict = {}
+    for l, c in coeffs.items():
+        for t in range(2 * l + 1):
+            key = tuple(sorted((t, 2 * l - t)))
+            poly[key] = poly.get(key, 0) + c * Fraction((-1) ** t * comb(2 * l, t), 2)
+    return poly
+
+
+def evaluate_mu_polynomial(coeffs, xs) -> Fraction:
+    """Exact value of f_K, given as its map {l: c_l}, at a rational point
+    through the power sums of ``f_power_sums``; an exponent 0 sums x^0 = 1,
+    giving mu_0 = n = len(xs)."""
     total = Fraction(0)
-    for mono, coeff in poly.items():
+    for mono, coeff in f_power_sums(coeffs).items():
         val = coeff
         for k in mono:
             val *= sum(Fraction(x) ** k for x in xs)
@@ -690,12 +714,14 @@ def f_direct(w: WeightSpec, K: int, xs, variance_scale=None) -> Fraction:
     return total
 
 
-def moments_of_f_via_series(poly, M: int, p_max: int) -> list[LaurentSeries]:
-    """E[f^r], r = 1..M, truncated at n^-p_max: the power-sum polynomial of
-    f raised to the r-th power with its Fraction coefficients multiplied as
-    they stand (no common denominator, no pruning), then mu_moment of each
-    product monomial.  The z exponents 0 of a product monomial are the
-    factor n^z, so the rest's moment is kept to n^-(p_max + z)."""
+def moments_of_f_via_series(coeffs, M: int, p_max: int) -> list[LaurentSeries]:
+    """E[f^r], r = 1..M, truncated at n^-p_max, for f_K given as its map
+    {l: c_l}: the power-sum polynomial of ``f_power_sums`` raised to the
+    r-th power with its Fraction coefficients multiplied as they stand (no
+    common denominator, no pruning), then mu_moment of each product
+    monomial.  The z exponents 0 of a product monomial are the factor n^z,
+    so the rest's moment is kept to n^-(p_max + z)."""
+    poly = f_power_sums(coeffs)
     moments = []
     power = {(): Fraction(1)}
     for r in range(1, M + 1):
@@ -717,21 +743,14 @@ def t_joint_cumulants_via_partitions(p_max: int) -> dict[tuple[int, ...], Lauren
     """kappa(T_L) truncated at n^-p_max for every nondecreasing L with
     |L| >= 2 and excess sum(l - 2) <= p_max + 1 - |L|, T_l = sum_{j<k}
     (x_j - x_k)^(2l) at component variance 1/n.  T_l is multiplied out as
-    (1/2) sum_t (-1)^t C(2l, t) mu_t mu_{2l-t} on Fraction coefficients (no
-    folding, no pruning), the ungraded moment E[T_S] of each sub-multiset S
+    (1/2) sum_t (-1)^t C(2l, t) mu_t mu_{2l-t} on Fraction coefficients
+    (``f_power_sums``: no folding, no pruning), the ungraded moment E[T_S] of each sub-multiset S
     is the moment of each product monomial (z exponents 0 are the factor
     n^z, so the rest is kept to n^-(p_max + z)) of the uncentered x by
     ``mu_moment_via_types``, so the t = 1 terms count and nothing assumes
     that T_l sees only differences, and the joint cumulants come from the
     set-partition (Moebius) formula
     kappa(L) = sum_pi (-1)^(|pi|-1) (|pi|-1)! prod_{B in pi} E[T_{L_B}]."""
-    def t_poly(l):
-        poly: dict = {}
-        for t in range(2 * l + 1):
-            key = tuple(sorted((t, 2 * l - t)))
-            poly[key] = poly.get(key, 0) + Fraction((-1) ** t * comb(2 * l, t), 2)
-        return poly
-
     moments: dict = {}
 
     def moment(S):
@@ -739,8 +758,9 @@ def t_joint_cumulants_via_partitions(p_max: int) -> dict[tuple[int, ...], Lauren
             power = {(): Fraction(1)}
             for l in S:
                 nxt: dict = {}
+                t_l = f_power_sums({l: 1})
                 for mono, s in power.items():
-                    for m2, s2 in t_poly(l).items():
+                    for m2, s2 in t_l.items():
                         key = tuple(sorted(mono + m2))
                         nxt[key] = nxt.get(key, 0) + s * s2
                 power = nxt
@@ -807,7 +827,7 @@ def series_ungraded(w: WeightSpec, c: int) -> tuple[dict[int, Fraction], list[La
     n^-(c-1) with M = K = c + 1 and no excess cut: every moment whole, the
     plain moment-to-cumulant recursion on LaurentSeries, and sum_r
     kappa_r / r!."""
-    poly = f_as_mu_polynomial(w, c + 1)
+    poly = f_power_sums(f_as_mu_polynomial(w, c + 1))
     kappas = moments_to_cumulants(_moments_of_f_ungraded(poly, c + 1, c - 1))
     total = LaurentSeries.zero(c - 1)
     for r, kap in enumerate(kappas, start=1):
@@ -972,9 +992,44 @@ def kappa12_per_order(g, cov, K: int) -> tuple[Fraction, Fraction]:
     return kappa1, kappa2 / tau ** (2 * K)
 
 
+@cache
+def _t_record(p_max: int):
+    return expansion._t_cumulants(p_max)
+
+
+def kn_kappas(c, n: int, p_max: int) -> tuple[Fraction, Fraction]:
+    """(kappa_1, kappa_2) of f_K, given as its map {l: c_l}, on K_n, by the
+    series engine at cut p_max evaluated at n in Fractions: kappa_1 =
+    sum_l c_l E[T_l] from the singletons (``expansion._expect`` over the
+    items of T_l with order bound <= p_max) and kappa_2 the sum of
+    (2!/prod mult!) c_a c_b kappa(T_a, T_b) over the rows L = (a, b) of
+    ``expansion._t_cumulants(p_max)``.  On K_n the estimator's edge
+    differences have the law of the engine's x_j - x_k at variance 1/n
+    (L^+ = (I - J/n)/n).  Their covariances are ints over n, and the
+    counts of the pairs (and pairs of pairs) of each overlap pattern are
+    polynomials in n without a constant term, so both kappas are
+    polynomials in 1/n of degree at most 2K - 1: a cut p_max >= 2K - 1
+    truncates nothing (against ``kappa1_f`` and ``kappa2_f`` on
+    ``complete_graph(n)``, which share no code with the engine past f_K's
+    map)."""
+    items, rows = _t_record(p_max)
+
+    def at_n(series):
+        return sum((Fraction(v, n**p) for p, v in series.items()), Fraction(0))
+
+    kappa1 = sum((c_l * at_n(expansion._expect(
+        [(code, v) for code, v, bound in items[l] if bound <= p_max], p_max))
+        for l, c_l in c.items()), Fraction(0))
+    kappa2 = Fraction(0)
+    for L, ways, values in rows:
+        if len(L) == 2 and set(L) <= c.keys():
+            kappa2 += ways * c[L[0]] * c[L[1]] * at_n(values)
+    return kappa1, kappa2
+
+
 def kappa2_pairwise(g, sigma, K: int) -> Fraction:
     """Second cumulant of f_K: sum over ordered edge pairs and orders of
-    c_{2l1} c_{2l2} [E[X_e^{2l1} X_f^{2l2}] - E[X_e^{2l1}] E[X_f^{2l2}]],
+    c_{l1} c_{l2} [E[X_e^{2l1} X_f^{2l2}] - E[X_e^{2l1}] E[X_f^{2l2}]],
     exact for a Fraction covariance matrix ``sigma`` (nested lists)."""
     def cov(e, f):
         (j, k), (s, t) = e, f

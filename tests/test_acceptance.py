@@ -14,7 +14,8 @@ from itertools import combinations_with_replacement
 import mpmath
 import pytest
 
-from eocount.estimator import default_w, eo_estimate, schrijver_bounds
+from eocount.estimator import (default_w, eo_estimate, schrijver_lower,
+                               schrijver_upper_squared)
 from eocount.exact import (eo_count_bruteforce,
                            eulerian_oriented_count_bruteforce, rt_count)
 from eocount.expansion import evaluate_expansion, expansion_series
@@ -175,7 +176,8 @@ def test_criterion_8_schrijver_sandwich():
         }
         for name, g in graphs.items():
             eo = eo_count_bruteforce(g)
-            lower, upper_sq = schrijver_bounds(g)
+            upper_sq = schrijver_upper_squared(g)
+            lower = schrijver_lower(g, upper_sq)
             assert lower < eo, name
             assert eo * eo < upper_sq, name
 

@@ -660,7 +660,7 @@ def test_estimate_parameters_checked_first(capsys, tmp_path, monkeypatch):
 
 
 def test_estimate_K_cap_checked_first(capsys, tmp_path, monkeypatch):
-    from eocount import estimator
+    from eocount import expansion
     monkeypatch.setattr("eocount.estimator.cheeger_constant",
                         fail_if_called("the Cheeger scan"))
     monkeypatch.setattr("eocount.estimator.covariance_sigma",
@@ -669,7 +669,7 @@ def test_estimate_K_cap_checked_first(capsys, tmp_path, monkeypatch):
     code = main(["estimate", "--graph", c9, "--M", "1", "--K", "65"])
     assert code == 3
     assert_one_error_line(capsys.readouterr(), "size-limit")
-    assert estimator.ESTIMATE_MAX_K == 64
+    assert expansion.MAX_K == 64
 
 
 def test_dense_cap_checked_before_the_laplacian(capsys, tmp_path, monkeypatch):

@@ -5,23 +5,33 @@ from itertools import combinations
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eocount.cumulants import double_factorial
 from eocount.errors import DomainError, SizeLimitError
-from eocount.estimator import (ESTIMATE_MAX_K, covariance_sigma, default_w,
+from eocount.estimator import (_closed_form_logs, covariance_sigma, default_w,
                                degree_sum_reference, edge_matrix, eo_estimate,
-                               eo_hat_log, kappa1_f, kappa2_f, schrijver_bounds)
-from eocount.expansion import (MAX_BITS, MIN_BITS, WeightSpec,
-                               weight_log_coeffs)
+                               eo_hat_log, kappa1_f, kappa2_f, schrijver_lower,
+                               schrijver_upper_squared)
+from eocount.expansion import (MAX_BITS, MAX_K, MIN_BITS, WeightSpec,
+                               evaluate_expansion, expansion_series,
+                               f_as_mu_polynomial, log_prefactor)
 from eocount.exact import eo_count_bruteforce, rt_count
 from eocount.graphs import (DENSE_MAX_N, Graph, all_degrees_even,
                             circulant_graph, complete_graph,
-                            complete_multipartite, cycle_graph)
+                            complete_multipartite, cycle_graph,
+                            spanning_tree_count)
 from helpers import laplacian, log_estimate, octahedron_graph, sigma_w
 from oracles import (bivariate_even_moment, exact_inverse, kappa12_per_order,
-                     kappa2_pairwise, log_cos_coeffs)
+                     kappa2_pairwise, kn_kappas, log_cos_coeffs)
 
 RT = WeightSpec.for_family("RT")
+
+
+def log_cos_map(K):
+    # f_K's map {l: c_l}, l = 2..K, from the Bernoulli closed form
+    return dict(enumerate(log_cos_coeffs(K)[1:], 2))
 
 
 def inverse_of_shifted_laplacian(g, w):
@@ -113,7 +123,7 @@ def fail_if_called(what):
 
 def test_precision_bounds_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(Graph, "is_connected", fail_if_called("connectivity"))
-    for name in ("spanning_tree_count", "l_plus_j_adjugate", "schrijver_bounds",
+    for name in ("spanning_tree_count", "l_plus_j_adjugate", "schrijver_upper_squared",
                  "cheeger_constant", "covariance_sigma"):
         monkeypatch.setattr(f"eocount.estimator.{name}", fail_if_called(name))
     g = complete_graph(5)
@@ -130,7 +140,7 @@ def test_dense_cap_checked_before_the_bounds_and_scans(monkeypatch):
     # above DENSE_MAX_N the estimate is refused at once: on C_200000(1,2) the
     # connectivity check and the bounds took 1.1 s before the refusal
     monkeypatch.setattr(Graph, "is_connected", fail_if_called("connectivity"))
-    for name in ("schrijver_bounds", "cheeger_constant"):
+    for name in ("schrijver_upper_squared", "cheeger_constant"):
         monkeypatch.setattr(f"eocount.estimator.{name}", fail_if_called(name))
     g = circulant_graph(DENSE_MAX_N + 1, (1, 2))
     for M in (0, 1, 2):
@@ -189,7 +199,7 @@ def test_kappa1_single_edge_formula():
     g = Graph.from_edges(2, [(0, 1)])
     cov = covariance_sigma(g)
     see = edge_cov(sigma_w(cov, Fraction(1)), (0, 1), (0, 1))
-    assert kappa1_f(g, cov, log_cos_coeffs(2)) == Fraction(-1, 12) * 3 * see**2
+    assert kappa1_f(g, cov, log_cos_map(2)) == Fraction(-1, 12) * 3 * see**2
     assert degree_sum_reference(g) == -Fraction(1)
 
 
@@ -223,10 +233,10 @@ def test_kappa1_w_invariance():
     # the definition on Sigma_w's edge variances gives kappa_1 for every w
     g = complete_graph(6)
     cov = covariance_sigma(g)
-    cs = log_cos_coeffs(4)
+    cs = log_cos_map(4)
     for w in (Fraction(1), Fraction(3)):
         sigma = sigma_w(cov, w)
-        direct = sum(cs[l - 1] * double_factorial(2 * l - 1) * edge_cov(sigma, e, e) ** l
+        direct = sum(cs[l] * double_factorial(2 * l - 1) * edge_cov(sigma, e, e) ** l
                      for e in g.edges for l in range(2, 5))
         assert kappa1_f(g, cov, cs) == direct
 
@@ -239,7 +249,7 @@ def test_kappa1_consistency_envelope():
         cov = covariance_sigma(g)
         norm = cov.norm_inf(default_w(g))
         K = max(2, min(4, min(g.degrees) // 2))
-        k1 = kappa1_f(g, cov, log_cos_coeffs(K))
+        k1 = kappa1_f(g, cov, log_cos_map(K))
         ref = degree_sum_reference(g)
         d, delta = g.max_degree(), min(g.degrees)
         envelope = (Fraction(n, delta) * norm
@@ -269,7 +279,7 @@ def test_kappa2_within_second_order_bound():
         g = complete_graph(n)
         cov = covariance_sigma(g)
         norm = cov.norm_inf(default_w(g))
-        k2 = kappa2_f(g, cov, log_cos_coeffs(4))
+        k2 = kappa2_f(g, cov, log_cos_map(4))
         d, delta, r = g.max_degree(), min(g.degrees), 2
         bound = (Fraction(n, 2 * delta) * Fraction(5 * d, delta) ** r
                  * norm ** (r - 1) * double_factorial(4 * r - 1))
@@ -285,7 +295,7 @@ def test_kappa2_matches_pairwise_oracle():
         sigma = sigma_w(cov, default_w(g))
         # K = 8 only where the per-pair oracle stays cheap
         for K in (2, 4) + ((8,) if g.edge_count <= 16 else ()):
-            assert kappa2_f(g, cov, log_cos_coeffs(K)) == kappa2_pairwise(
+            assert kappa2_f(g, cov, log_cos_map(K)) == kappa2_pairwise(
                 g, sigma, K), (g, K)
 
 
@@ -295,47 +305,80 @@ def test_kappas_match_the_per_order_fraction_route():
     cases = [(g, K) for g in graphs for K in (2, 4, 8)] + [(complete_graph(5), 64)]
     for g, K in cases:
         cov = covariance_sigma(g)
-        coeffs = weight_log_coeffs(RT, K)
+        coeffs = log_cos_map(K)
         got = kappa1_f(g, cov, coeffs), kappa2_f(g, cov, coeffs)
         assert all(type(k) is Fraction for k in got)
         assert got == kappa12_per_order(g, cov, K), (g.n, g.edge_count, K)
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 12).map(lambda k: 2 * k + 1))
+@example(4, 7)  # a cut of 14, past the series' own
+def test_kappas_on_kn_equal_the_series_record(K, n):
+    # one map f_K fed to both routes: the Hadamard contractions of K_n's
+    # edge matrix (n odd for even degrees) and the series engine's record
+    # at a cut past 2K - 1
+    c = f_as_mu_polynomial(RT, K)
+    g = complete_graph(n)
+    cov = covariance_sigma(g)
+    got = kappa1_f(g, cov, c), kappa2_f(g, cov, c)
+    assert got == kn_kappas(c, n, 3 * K + 2), (K, n)
+
+
+def test_closed_forms_agree_on_kn():
+    # tau(K_n) = n^(n-2) makes the estimator's closed-form base the RT
+    # prefactor; the M = 2, K = 3 exponent, exact on K_n, then differs from
+    # the order-2 series, exact through n^-1, by O(n^-2): n^2 times the gap
+    # read 11.03, 10.88, 10.73 and 10.57 at these n
+    series = expansion_series("RT", 2)
+    with mpmath.workprec(256):
+        for n in (21, 25, 31, 41):
+            g = complete_graph(n)
+            base, _ = _closed_form_logs(g, spanning_tree_count(g), 256)
+            assert abs(base - log_prefactor("RT", n)) < mpmath.mpf(2) ** -240, n
+            corrected = eo_estimate(g, M=2, K=3).log_corrected[2]
+            gap = n**2 * (corrected - evaluate_expansion(series, n)[1])
+            assert 0 < gap < 12, (n, gap)
 
 
 def test_estimate_uses_K_for_kappa2():
     g = complete_graph(5)
     rep = eo_estimate(g, M=2, K=8)
     cov = covariance_sigma(g)
-    assert rep.kappa[2] == kappa2_f(g, cov, log_cos_coeffs(8))
-    assert rep.kappa[2] != kappa2_f(g, cov, log_cos_coeffs(6))
+    assert rep.kappa[2] == kappa2_f(g, cov, log_cos_map(8))
+    assert rep.kappa[2] != kappa2_f(g, cov, log_cos_map(6))
 
 
 def test_cumulant_order_cap():
     g = complete_graph(5)
     cov = covariance_sigma(g)
-    assert isinstance(kappa1_f(g, cov, log_cos_coeffs(ESTIMATE_MAX_K)), Fraction)
+    assert isinstance(kappa1_f(g, cov, log_cos_map(MAX_K)), Fraction)
     for fn in (kappa1_f, kappa2_f):
-        with pytest.raises(SizeLimitError):
-            fn(g, cov, weight_log_coeffs(RT, ESTIMATE_MAX_K + 1))
+        with pytest.raises(SizeLimitError):  # K is the map's largest l
+            fn(g, cov, {MAX_K + 1: Fraction(-1)})
+        with pytest.raises(DomainError):  # K = 0: no Taylor term at all
+            fn(g, cov, {})
     with pytest.raises(SizeLimitError):
-        eo_estimate(g, M=1, K=ESTIMATE_MAX_K + 1)
-    assert eo_estimate(g, M=0, K=ESTIMATE_MAX_K + 1).kappa == {}
+        eo_estimate(g, M=1, K=MAX_K + 1)
+    assert eo_estimate(g, M=0, K=MAX_K + 1).kappa == {}
 
 
 def test_schrijver_bounds_bracket_exact_counts():
     for g in (complete_graph(5), complete_graph(7), cycle_graph(4),
               cycle_graph(6), octahedron_graph(), circulant_graph(8, (1, 2))):
         eo = eo_count_bruteforce(g)
-        lower, upper_sq = schrijver_bounds(g)
+        upper_sq = schrijver_upper_squared(g)
+        lower = schrijver_lower(g, upper_sq)
         assert lower == Fraction(upper_sq, 2 ** g.edge_count)
         assert lower <= eo
         assert eo * eo <= upper_sq
     # the power of two leaves B by the popcounts of d/2 (d = 8, 14, 16, 40)
     for g in (complete_graph(9), complete_graph(15), complete_graph(17),
               complete_multipartite(8, 8, 8, 8, 8, 8)):
-        lower, upper_sq = schrijver_bounds(g)
-        assert lower == Fraction(upper_sq, 2 ** g.edge_count)
+        upper_sq = schrijver_upper_squared(g)
+        assert schrijver_lower(g, upper_sq) == Fraction(upper_sq, 2 ** g.edge_count)
     with pytest.raises(DomainError):
-        schrijver_bounds(complete_graph(4))
+        schrijver_upper_squared(complete_graph(4))
 
 
 def test_estimate_report_k5():

@@ -19,7 +19,7 @@ from eocount.powersums import monomial_order_bound
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
 from helpers import LaurentSeries
 from oracles import (bernoulli_numbers, evaluate_mu_polynomial, f_direct,
-                     log_cos_coeffs, moments_of_f_via_series,
+                     f_power_sums, log_cos_coeffs, moments_of_f_via_series,
                      orders_for_precision, series_ungraded,
                      t_joint_cumulants_via_partitions,
                      weight_log_coeffs_via_fractions)
@@ -101,19 +101,21 @@ def test_f_polynomial_matches_direct_definition():
     rng = random.Random(11)
     for fam, K in (("RT", 4), ("ED", 3), ("EOG", 5)):
         w = WeightSpec.for_family(fam)
-        poly = f_as_mu_polynomial(w, K)
+        f = f_as_mu_polynomial(w, K)
+        assert set(f) == set(range(2, K + 1))
         for n in (3, 4):
             xs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                   for _ in range(n)]
-            assert evaluate_mu_polynomial(poly, xs) == f_direct(
+            assert evaluate_mu_polynomial(f, xs) == f_direct(
                 w, K, xs, 1 / w.b)
 
 
 def test_f_polynomial_order_range():
     w = WeightSpec.for_family("ED")
-    for K in (1, MAX_K + 1):
-        with pytest.raises(DomainError):
+    for K, error in ((1, DomainError), (MAX_K + 1, SizeLimitError)):
+        with pytest.raises(error):
             f_as_mu_polynomial(w, K)
+    assert len(f_as_mu_polynomial(w, MAX_K)) == MAX_K - 1
 
 
 def test_log_prefactor_matches_the_printed_formulas():
@@ -134,10 +136,13 @@ def test_log_prefactor_matches_the_printed_formulas():
 
 
 def test_f_polynomial_excludes_quadratic_term():
-    poly = f_as_mu_polynomial(WeightSpec.for_family("RT"), 2)
-    # leading term: c_4 (mu_0 mu_4 - 4 mu_1 mu_3 + 3 mu_2^2), mu_0 = n
-    c4 = Fraction(-1, 12)
-    assert poly == {(0, 4): c4, (1, 3): -4 * c4, (2, 2): 3 * c4}
+    # f_2 = c_2 T_2 alone, c_2 = e_4 = -1/12 for log cos; the quadratic
+    # term e_2 is the Gaussian's and is not part of f_K
+    f = f_as_mu_polynomial(WeightSpec.for_family("RT"), 2)
+    assert f == {2: Fraction(-1, 12)}
+    # T_2 = mu_0 mu_4 - 4 mu_1 mu_3 + 3 mu_2^2, mu_0 = n
+    c2 = Fraction(-1, 12)
+    assert f_power_sums(f) == {(0, 4): c2, (1, 3): -4 * c2, (2, 2): 3 * c2}
 
 
 def record_rows(p_max):
@@ -198,10 +203,11 @@ def test_moments_of_f_custom_weight_matches_series_products():
 @pytest.mark.parametrize("family", ["RT", "ED", "EOG"])
 def test_order_bound_adds_up_over_products_of_f_monomials(family):
     # the E[T_L] walk buckets the products of the T_l by the sum of their
-    # factors' bounds, so that sum must be the product's bound
+    # factors' bounds, so that sum must be the product's bound; the series
+    # takes K up to MAX_ORDER + 1
     w = WeightSpec.for_family(family)
-    for K in range(2, MAX_K + 1):
-        monos = list(f_as_mu_polynomial(w, K))
+    for K in range(2, MAX_ORDER + 2):
+        monos = list(f_power_sums(f_as_mu_polynomial(w, K)))
         bounds = [monomial_order_bound(m) for m in monos]
         for i, m1 in enumerate(monos):
             for m2, b2 in zip(monos[i:], bounds[i:]):
