@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
 from .expansion import (DEFAULT_BITS, MAX_K, WeightSpec, f_as_mu_polynomial,
-                        require_precision, to_mpf, to_text)
+                        log_closed_form, require_precision, to_mpf, to_text)
 from .graphs import (Graph, all_degrees_even, cheeger_constant,
                      l_plus_j_adjugate, require_dense, spanning_tree_count)
 from .cumulants import double_factorial
@@ -72,18 +72,14 @@ class Covariance(NamedTuple):
     adj: list[list[int]]      # adjugate of L + J
     var: list[int]
 
-    def _scaled(self, w) -> tuple[list[list[int]], int]:
-        """Sigma_w as integer rows over one denominator: with w = p/q,
-        Sigma_w = (p adj + (q - p) tau J) / (p n^2 tau)."""
+    def norm_inf(self, w) -> Fraction:
+        """||Sigma_w||_inf, which the cumulant bounds assume is at most 1/2:
+        with w = p/q, Sigma_w = (p adj + (q - p) tau J) / (p n^2 tau), its
+        largest absolute row sum taken in one pass over adj."""
         p, q = _positive(w).as_integer_ratio()
         shift = (q - p) * self.tau
-        return ([list(map(shift.__add__, map(p.__mul__, row)))
-                 for row in self.adj], p * self.n ** 2 * self.tau)
-
-    def norm_inf(self, w) -> Fraction:
-        """||Sigma_w||_inf, which the cumulant bounds assume is at most 1/2."""
-        rows, den = self._scaled(w)
-        return Fraction(max(sum(map(abs, row)) for row in rows), den)
+        return Fraction(max(sum(abs(p * x + shift) for x in row) for row in self.adj),
+                        p * self.n ** 2 * self.tau)
 
 
 def _exact_over_n2(values: list[int], n2: int) -> list[int]:
@@ -145,14 +141,14 @@ def _require_eulerian(g: Graph) -> None:
 
 def _closed_form_logs(g: Graph, tau: int, bits: int):
     """(base, log_eo_hat): base = |E| log 2 - log(tau)/2 + (n-1)/2 log(2/pi),
-    and log_eo_hat = base plus the degree-sum exponent."""
+    ``log_closed_form`` of log cos at exponent 0, and log_eo_hat = base plus
+    the exact degree-sum exponent rounded once, the closed form at that
+    exponent bit for bit."""
     import mpmath
 
-    corr = degree_sum_reference(g)
     with mpmath.workprec(bits):
-        base = (g.edge_count * mpmath.log(2) - mpmath.log(tau) / 2
-                + (g.n - 1) / mpmath.mpf(2) * mpmath.log(2 / mpmath.pi))
-        return base, base + to_mpf(corr, bits)
+        base = log_closed_form(_LOG_COS, g.n, g.edge_count, mpmath.log(tau), 0, bits)
+        return base, base + to_mpf(degree_sum_reference(g), bits)
 
 
 def eo_hat_log(g: Graph, bits: int = DEFAULT_BITS):

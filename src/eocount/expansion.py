@@ -28,9 +28,9 @@ moments are those of the power sums of the centered x - xbar 1, where
 p_1 = 0: T_l's monomials with an exponent 1 drop out.  A product monomial
 of the T_l is one int, its exponents' multiplicities in fixed-width bit
 fields, so a product is an int addition; the centered recurrence and its
-memo take the same codes.  Each family's weight and prefactor sit in one
-table, ``FAMILIES``; an exact rational becomes an mpf only in ``to_mpf``,
-and a result number becomes text only in ``to_text``.
+memo take the same codes.  ``FAMILIES`` holds each family's weight (a, b)
+and prefactor text, ``log_closed_form`` the Gaussian term of every count; an
+exact rational becomes an mpf only in ``to_mpf``, a result text in ``to_text``.
 
 Why the cumulants decay: a joint cumulant kappa(T_{l_1}, ..., T_{l_r}) of
 excess e = sum (l_i - 2) vanishes unless the r pairs form a connected
@@ -72,16 +72,13 @@ MAX_DIGITS = 4000
 # 0.03 s at 300 digits, 0.11 s at 500, 0.70 s at 1,000 and 10 s at 3,000.
 MAX_EXPONENT_DIGITS = 500
 
-# family -> ((a, b), prefactor, (q, s, c)): the weight a + b cos and the
-# closed-form prefactor n^(1/2) (q^(n+s)/(c pi n))^((n-1)/2), as text and as
-# the constants log_prefactor() reads
+# family -> ((a, b), prefactor): the weight a + b cos and the text of its
+# K_n prefactor, which ``log_closed_form`` evaluates
 FAMILIES = {
-    "RT": ((Fraction(0), Fraction(1)),
-           "n^(1/2) * (2^(n+1)/(pi n))^((n-1)/2)", (2, 1, 1)),
-    "ED": ((Fraction(1, 2), Fraction(1, 2)),
-           "n^(1/2) * (4^n/(pi n))^((n-1)/2)", (4, 0, 1)),
+    "RT": ((Fraction(0), Fraction(1)), "n^(1/2) * (2^(n+1)/(pi n))^((n-1)/2)"),
+    "ED": ((Fraction(1, 2), Fraction(1, 2)), "n^(1/2) * (4^n/(pi n))^((n-1)/2)"),
     "EOG": ((Fraction(1, 3), Fraction(2, 3)),
-            "n^(1/2) * (3^(n+1)/(4 pi n))^((n-1)/2)", (3, 1, 4)),
+            "n^(1/2) * (3^(n+1)/(4 pi n))^((n-1)/2)"),
 }
 
 
@@ -113,7 +110,7 @@ class WeightSpec:
     @classmethod
     def for_family(cls, family: str) -> "WeightSpec":
         key = family.upper()
-        (a, b), _, _ = family_facts(key)
+        (a, b), _ = family_facts(key)
         return cls(a, b, key)
 
 
@@ -235,7 +232,7 @@ class ExpansionResult(NamedTuple):
     order: int                      # series exact through n^-(order-1)
     M: int
     K: int
-    prefactor: str                  # formula tag, see log_prefactor()
+    prefactor: str                  # formula tag, see log_closed_form()
     coeffs: dict[int, Fraction]     # p -> coefficient of n^-p, p in 0..order-1
     cumulants: tuple[dict[int, Fraction], ...] = ()  # kappa_r as {p: coeff}
 
@@ -407,17 +404,20 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-def log_prefactor(family: str, n: int):
-    """Natural log of the closed-form prefactor at a concrete n, an mpf at
-    the working precision:
-    log(n)/2 + (n-1)/2 ((n+s) log q - log c - log pi - log n)."""
-    _, _, (q, s, c) = family_facts(family)
+def log_closed_form(w: WeightSpec, n: int, edges: int, log_tau, exponent, bits: int):
+    """|E| log q - log(tau)/2 - ((n-1)/2) log(2 pi b) + [a = 0] (n-1) log 2 +
+    exponent, an mpf at ``bits`` with the exact exponent rounded once: the log
+    count of a graph with n vertices, |E| = ``edges`` and tau spanning trees
+    (``log_tau`` = log tau), 2^(n-1) saddle points when a = 0, and q =
+    lcm(den a, den(b/2)), the least int that makes q a and q b/2 ints (2, 4
+    and 3 for RT, ED and EOG).  On K_n, tau = n^(n-2), it is the prefactor."""
     import mpmath
 
-    nf = mpmath.mpf(n)
-    return mpmath.log(nf) / 2 + (nf - 1) / 2 * (
-        (n + s) * mpmath.log(q) - mpmath.log(c)
-        - mpmath.log(mpmath.pi) - mpmath.log(nf))
+    q = lcm(w.a.denominator, (w.b / 2).denominator)
+    with mpmath.workprec(bits):
+        return (edges * mpmath.log(q) - log_tau / 2
+                - (n - 1) * mpmath.log(2 * mpmath.pi * to_mpf(w.b, bits)) / 2
+                + (0 if w.a else (n - 1) * mpmath.log(2)) + to_mpf(exponent, bits))
 
 
 def require_eval_point(family: str, n: int) -> None:
@@ -431,14 +431,15 @@ def require_eval_point(family: str, n: int) -> None:
 
 
 def evaluate_expansion(result: ExpansionResult, n: int, bits: int = DEFAULT_BITS):
-    """(value, log_value) of prefactor * exp(truncated series) at this n."""
+    """(value, log_value) of prefactor * exp(truncated series) at this n:
+    ``log_closed_form`` on K_n with the exact series rounded once."""
     require_precision(bits)
     require_eval_point(result.family, n)
     import mpmath
 
+    exponent = sum((c / n**p for p, c in result.coeffs.items()), Fraction(0))
     with mpmath.workprec(bits):
-        log_val = log_prefactor(result.family, n)
-        nf = mpmath.mpf(n)
-        for p, coeff in sorted(result.coeffs.items()):
-            log_val += to_mpf(coeff, bits) / nf**p
+        log_val = log_closed_form(WeightSpec.for_family(result.family), n,
+                                  n * (n - 1) // 2, (n - 2) * mpmath.log(n),
+                                  exponent, bits)
         return mpmath.exp(log_val), log_val

@@ -365,10 +365,13 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int) -> TailReport:
 
     delta is extracted as exp((log E e^f - sum kappa_r/r!)/n) - 1 from the
     exps of f - s, s = min f, so large values never cancel; its inequality is
-    checked in interval arithmetic, the cumulant inequalities exactly.
+    checked in interval arithmetic, the cumulant inequalities exactly.  No
+    coordinates (n = 0, no n-th root) is a DomainError before any work.
     """
-    a = alpha(space, table, m)
     n = space.n
+    if not n:
+        raise DomainError("the tail bound needs at least one coordinate")
+    a = alpha(space, table, m)
     # the printer's digit rule on alpha and on the exact kappa bounds
     # (0.014 = 7/500), checked as each is built: they grow with r, so an
     # oversized report is refused before the cumulants and the interval exps

@@ -226,9 +226,10 @@ def mu_moment(mono, p_max: int | None = None) -> LaurentSeries:
 # estimator
 
 def sigma_w(cov, w) -> list[list[Fraction]]:
-    """Sigma_w of a Covariance, exact."""
-    rows, den = cov._scaled(w)
-    return [[Fraction(x, den) for x in row] for row in rows]
+    """Sigma_w of a Covariance, exact: adj/(n^2 tau) + (1/w - 1) J/n^2."""
+    n2 = cov.n ** 2
+    shift = (1 / Fraction(w) - 1) / n2
+    return [[Fraction(x, n2 * cov.tau) + shift for x in row] for row in cov.adj]
 
 
 def log_estimate(rep, M: int | None = None):

@@ -41,7 +41,9 @@ tests check it against, and the combinatorics only they use:
   (against the formal log of the cosine series, ``weight_log_coeffs`` for
   RT), ``weight_log_coeffs_via_fractions``, the same log by the recursion on
   Fraction moments (against the shipped recursion on power-scaled ints),
-  and the general order formulas ``orders_for_precision``;
+  the general order formulas ``orders_for_precision``, and
+  ``printed_log_prefactor``, each family's prefactor text as written
+  (against ``expansion.log_closed_form`` on K_n);
 * the graph layer: ``cheeger_gray_code``, one Gray-code step per subset of
   {0..n-2} with incremental cut updates (against the lane-parallel
   ``cheeger_constant``), and ``gauss_jordan_adjugate``, the fraction-free
@@ -849,6 +851,16 @@ def orders_for_precision(n: float, d: float, c: float) -> tuple[int, int]:
     M = int(mpmath.floor((c + 1) * ln / dM))
     K = int(mpmath.floor((c + 1) * ln / dK))
     return M, K
+
+
+def printed_log_prefactor(family: str, n: int):
+    """log of n^(1/2) * base^((n-1)/2), base as in the family's prefactor
+    text, an mpf at the caller's precision."""
+    nf = mpmath.mpf(n)
+    base = {"RT": 2 ** (nf + 1) / (mpmath.pi * nf),
+            "ED": 4 ** nf / (mpmath.pi * nf),
+            "EOG": 3 ** (nf + 1) / (4 * mpmath.pi * nf)}[family]
+    return mpmath.log(mpmath.sqrt(nf) * base ** ((nf - 1) / 2))
 
 
 # ---------------------------------------------------------------------------

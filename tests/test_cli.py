@@ -306,6 +306,14 @@ def test_malformed_instance_is_one_json_line(capsys, tmp_path):
         assert_one_error_line(capsys.readouterr(), "domain")
 
 
+def test_taillab_instance_without_coordinates_is_refused(capsys, tmp_path):
+    # it printed "delta": "+inf" and "holds": false, and exited 0
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"alphabets": [], "weights": [], "f": [5]}))
+    assert main(["taillab", "--instance", str(p), "--m", "1"]) == 2
+    assert_one_error_line(capsys.readouterr(), "domain")
+
+
 def test_taillab_work_cap_is_checked_before_the_table(capsys, tmp_path):
     # 19 fair bits fit the space cap, but alpha at m = 3 would read about
     # 1.8e8 table entries; the table's "x" would be a domain error if it

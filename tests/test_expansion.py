@@ -13,14 +13,16 @@ from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import (MAX_BITS, MAX_K, MAX_ORDER, MIN_BITS,
                                WeightSpec, evaluate_expansion,
                                expansion_series, f_as_mu_polynomial,
-                               log_prefactor, weight_log_coeffs)
+                               family_facts, log_closed_form,
+                               weight_log_coeffs)
 from eocount.powersums import monomial_order_bound
 
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
 from helpers import LaurentSeries
 from oracles import (bernoulli_numbers, evaluate_mu_polynomial, f_direct,
                      f_power_sums, log_cos_coeffs, moments_of_f_via_series,
-                     orders_for_precision, series_ungraded,
+                     orders_for_precision, printed_log_prefactor,
+                     series_ungraded,
                      t_joint_cumulants_via_partitions,
                      weight_log_coeffs_via_fractions)
 
@@ -119,20 +121,44 @@ def test_f_polynomial_order_range():
 
 
 def test_log_prefactor_matches_the_printed_formulas():
-    # n^(1/2) * base^((n-1)/2), base as in each family's prefactor text
-    bases = {"RT": lambda n: 2 ** (n + 1) / (mpmath.pi * n),
-             "ED": lambda n: 4 ** n / (mpmath.pi * n),
-             "EOG": lambda n: 3 ** (n + 1) / (4 * mpmath.pi * n)}
+    # the closed form on K_n, tau = n^(n-2), at exponent 0
     with mpmath.workprec(256):
-        for fam, base in bases.items():
+        for fam in ("RT", "ED", "EOG"):
+            w = WeightSpec.for_family(fam)
             assert expansion_series(fam, 1).prefactor.startswith("n^(1/2) * (")
             for n in (1, 2, 9, 37):
-                nf = mpmath.mpf(n)
-                want = mpmath.log(mpmath.sqrt(nf) * base(nf) ** ((nf - 1) / 2))
-                assert abs(log_prefactor(fam, n) - want) < mpmath.mpf(2) ** -240
+                log_tau = mpmath.log(mpmath.mpf(n) ** (n - 2))
+                got = log_closed_form(w, n, n * (n - 1) // 2, log_tau, Fraction(0), 256)
+                assert abs(got - printed_log_prefactor(fam, n)) < mpmath.mpf(2) ** -240
     for name in ("custom", "rt", "XYZ"):
         with pytest.raises(DomainError):
-            log_prefactor(name, 5)
+            family_facts(name)
+
+
+def test_closed_form_edge_factor_is_the_least_integer_weight():
+    # q = lcm(den a, den(b/2)): each edge adds log q to the closed form
+    with mpmath.workprec(256):
+        for fam, q in (("RT", 2), ("ED", 4), ("EOG", 3)):
+            w = WeightSpec.for_family(fam)
+            step = (log_closed_form(w, 5, 11, mpmath.mpf(3), Fraction(0), 256)
+                    - log_closed_form(w, 5, 10, mpmath.mpf(3), Fraction(0), 256))
+            assert abs(step - mpmath.log(q)) < mpmath.mpf(2) ** -250, fam
+            assert min(d for d in range(1, 13)
+                       if (d * w.a).denominator == (d * w.b / 2).denominator == 1) == q
+
+
+def test_evaluate_rounds_the_exact_exponent_once():
+    # against the printed prefactor and the exact sum of the series, both at
+    # 1024 bits
+    for fam, ns in (("RT", (5, 37)), ("ED", (5, 36)), ("EOG", (5, 36))):
+        res = expansion_series(fam, 12)
+        for n in ns:
+            exponent = sum(c / Fraction(n) ** p for p, c in res.coeffs.items())
+            with mpmath.workprec(1024):
+                want = printed_log_prefactor(fam, n) + mpmath.mpf(
+                    exponent.numerator) / exponent.denominator
+                got = evaluate_expansion(res, n)[1]
+                assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** -250, (fam, n)
 
 
 def test_f_polynomial_excludes_quadratic_term():
@@ -472,7 +498,7 @@ def test_evaluate_precision_bounds_checked_first(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("evaluated before the precision check")
 
-    monkeypatch.setattr("eocount.expansion.log_prefactor", fail)
+    monkeypatch.setattr("eocount.expansion.log_closed_form", fail)
     monkeypatch.setattr("eocount.expansion.require_eval_point", fail)
     for bits, error in ((16, DomainError), (MIN_BITS - 1, DomainError),
                         (MAX_BITS + 1, SizeLimitError),

@@ -85,6 +85,23 @@ def test_allowlist_names_exist_and_have_no_caller():
         assert name in defined and refs[name] == 0, name
 
 
+def _pi_reads(node) -> int:
+    return sum(isinstance(sub, ast.Attribute) and sub.attr == "pi"
+               and isinstance(sub.value, ast.Name) and sub.value.id == "mpmath"
+               for sub in ast.walk(node))
+
+
+def test_pi_is_read_in_one_def():
+    # the Gaussian term q^|E| tau^(-1/2) (2 pi b)^(-(n-1)/2) has one closed
+    # form, which the series prefactor and the estimator's base both call; a
+    # second copy of it would read pi again
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
+    closed_form, = [node for t in trees for node in t.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "log_closed_form"]
+    assert sum(map(_pi_reads, trees)) == _pi_reads(closed_form) > 0
+
+
 def test_moment_memo_is_a_module_dict_that_a_series_fills(monkeypatch):
     # perfbench's tracer reads ``eocount.powersums._MOM_CACHE`` by name for
     # its ``powersums.memo_entries`` metric, and prints null once the name

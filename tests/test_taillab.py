@@ -373,6 +373,21 @@ def test_tail_theorem_random_instances():
         done += 1
 
 
+def test_tail_bound_needs_a_coordinate(monkeypatch):
+    # delta is an n-th root: on no coordinates it read [-1, +inf] and the
+    # kappa bounds 0; alpha and Delta_V stay defined there
+    empty, table = instance_from_json({"alphabets": [], "weights": [], "f": [5]})
+    assert empty.n == 0 and alpha(empty, table, 1) == 0
+    assert delta_V(empty, table, ()) == 5
+
+    def reached(*args):
+        raise AssertionError("the alpha walk ran")
+
+    monkeypatch.setattr(taillab, "alpha", reached)
+    with pytest.raises(DomainError, match="at least one coordinate"):
+        check_tail_bound(empty, table, 1)
+
+
 def test_instance_json_round_trip():
     rng = random.Random(10)
     space = random_space(rng, 4)
