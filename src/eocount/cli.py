@@ -109,8 +109,10 @@ def rational(text: str) -> str:
 
 
 def _cmd_estimate(args):
-    g = load_graph(args.graph)
     w = Fraction(args.w) if args.w else None
+    if w is not None:  # printed exactly, so refused before the graph and the work
+        require_digits("w", *w.as_integer_ratio())
+    g = load_graph(args.graph)
     rep = eo_estimate(g, M=args.M, K=args.K, w=w, graph_id=args.graph)
     inputs = {"graph": args.graph, "M": args.M, "K": args.K, "w": args.w}
     return inputs, rep.to_json(), rep.bits

@@ -10,8 +10,8 @@ bits [FIELD_BITS e, FIELD_BITS (e + 1)): p_2^2 p_4 is 2 << 10 | 1 << 20,
 ``encode((2, 2, 4))``.  Integration by parts gives three rules:
 
 - a code with a p_1 factor is 0;
-- p_2 in closed form: E[p_2 G] = (1 + (deg G - 1)/n) E[G], so for a
-  p_2-free G, E[p_2^j G] = E[G] prod_{i<j} (1 + (deg G + 2i - 1)/n);
+- remove one p_2: E[p_2 G] = (1 + (deg G - 1)/n) E[G], since
+  sum_j y_j d_j G = deg G * G and p_1 = 0;
 - otherwise peel the largest exponent k >= 3: E[p_k H] = (k-1)(1/n - 1/n^2)
   E[p_{k-2} H] + sum_a a mult_a ((1/n) E[p_{a+k-2} H/p_a]
   - (1/n^2) E[p_{k-1} p_{a-1} H/p_a]), less the terms with a p_1.
@@ -19,17 +19,16 @@ bits [FIELD_BITS e, FIELD_BITS (e + 1)): p_2^2 p_4 is 2 << 10 | 1 << 20,
 No term has more factors than its parent.  Results are memoized per code;
 each rule is an int subtraction and addition on the code, and the fields are
 read back only on a memo miss.  The weights are signed ints, so the
-recurrence and its memo run on Python ints.  The memo and the table of p_2
-factor polynomials are module-global: the series engine's fill of its
-weight-free kappa(T_L) goes through them once per order, and a later series
-at that order asks only for f_K's own monomials.  The uncentered order
-bound holds: in a Wick pairing each pair of y's is 1/n with equal indices
-or -1/n^2 free, and a free pair costs one more 1/n and frees at most one
-index sum, worth n; a moment ends at n^-(deg - #factors).  Exponents are
->= 1 here; the series engine carries p_0 = n as the exponent 0 and clears
-that field before calling in.  The tests rebuild the uncentered moments
-from these and check them against the partition-type and set-partition
-sums.
+recurrence and its memo run on Python ints.  The memo is module-global:
+the series engine's fill of its weight-free kappa(T_L) goes through it once
+per order, and a later series at that order asks only for f_K's own
+monomials.  The uncentered order bound holds: in a Wick pairing each pair
+of y's is 1/n with equal indices or -1/n^2 free, and a free pair costs one
+more 1/n and frees at most one index sum, worth n; a moment ends at
+n^-(deg - #factors).  Exponents are >= 1 here; the series engine carries
+p_0 = n as the exponent 0 and clears that field before calling in.  The
+tests rebuild the uncentered moments from these and check them against the
+partition-type and set-partition sums.
 """
 
 from __future__ import annotations
@@ -89,22 +88,6 @@ def monomial_order_bound(mono: Iterable[int]) -> int:
 
 _MOM_CACHE: dict[int, tuple[int, dict[int, int]]] = {}
 
-# prod_{i<j} (1 + (d + 2i - 1)/n) as coefficients of n^-r, keyed by (d, j):
-# the factor that j copies of p_2 put on E[G] for a p_2-free G of degree d.
-_MU2_FACTORS: dict[tuple[int, int], list[int]] = {}
-
-_MU2_SHIFT = 2 * FIELD_BITS
-
-
-def _mu2_factor(deg: int, j: int) -> list[int]:
-    poly = _MU2_FACTORS.get((deg, j))
-    if poly is None:
-        poly = [1]
-        for w in range(deg - 1, deg + 2 * j - 1, 2):  # odd, so never 0
-            poly = [a + w * b for a, b in zip(poly + [0], [0] + poly)]
-        _MU2_FACTORS[deg, j] = poly
-    return poly
-
 
 def mu_moment_dict(code: int, cut: int) -> dict[int, int]:
     """E[prod p_j(y)] of the monomial with this code (its p_0 field zero) as
@@ -125,32 +108,27 @@ def mu_moment_dict(code: int, cut: int) -> dict[int, int]:
         _MOM_CACHE[code] = (cut, {})
         return {}
 
+    # (sub-monomial, weight, power of 1/n)
+    if code >> 2 * FIELD_BITS & FIELD_MASK:
+        # remove one p_2: E[p_2 H] = (1 + (deg H - 1)/n) E[H]
+        rest = code - (1 << 2 * FIELD_BITS)
+        terms = [(rest, 1, 0), (rest, deg - 3, 1)]
+    else:
+        k, mk = fields.pop()  # peel the largest exponent, >= 3
+        rest = code - (1 << FIELD_BITS * k)
+        if mk > 1:
+            fields.append((k, mk - 1))
+        # p_{k-2} unless k = 3, then p_{a+k-2} and, unless a = 2,
+        # p_{k-1} p_{a-1} for each other factor p_a
+        sub = rest + (1 << FIELD_BITS * (k - 2))
+        terms = [(sub, k - 1, 1), (sub, 1 - k, 2)] if k > 3 else []
+        for a, m in fields:
+            base = rest - (1 << FIELD_BITS * a)
+            terms.append((base + (1 << FIELD_BITS * (a + k - 2)), a * m, 1))
+            if a > 2:
+                terms.append((base + (1 << FIELD_BITS * (k - 1))
+                               + (1 << FIELD_BITS * (a - 1)), -a * m, 2))
     out: dict[int, int] = {}
-    j = code >> _MU2_SHIFT & FIELD_MASK
-    if j:
-        # E[p_2^j G] = E[G] prod_{i<j} (1 + (deg G + 2i - 1)/n)
-        factor = _mu2_factor(deg - 2 * j, j)
-        for p, c in mu_moment_dict(code - (j << _MU2_SHIFT), cut).items():
-            if p <= cut:
-                for r, f in enumerate(factor[:cut + 1 - p], p):
-                    out[r] = out.get(r, 0) + c * f
-        _MOM_CACHE[code] = (cut, out)
-        return out
-
-    k, mk = fields.pop()  # peel the largest exponent, >= 3
-    rest = code - (1 << FIELD_BITS * k)
-    if mk > 1:
-        fields.append((k, mk - 1))
-    # (sub-monomial, weight, power of 1/n): p_{k-2} unless k = 3, then
-    # p_{a+k-2} and, unless a = 2, p_{k-1} p_{a-1} for each other factor p_a
-    sub = rest + (1 << FIELD_BITS * (k - 2))
-    terms = [(sub, k - 1, 1), (sub, 1 - k, 2)] if k > 3 else []
-    for a, m in fields:
-        base = rest - (1 << FIELD_BITS * a)
-        terms.append((base + (1 << FIELD_BITS * (a + k - 2)), a * m, 1))
-        if a > 2:
-            terms.append((base + (1 << FIELD_BITS * (k - 1))
-                           + (1 << FIELD_BITS * (a - 1)), -a * m, 2))
     for sub, w, shift in terms:
         for p, c in mu_moment_dict(sub, cut - shift).items():
             if p + shift <= cut:

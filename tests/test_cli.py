@@ -387,6 +387,17 @@ def test_printed_numbers_are_checked_before_conversion(capsys, tmp_path):
         assert_one_error_line(capsys.readouterr(), "size-limit")
 
 
+def test_estimate_w_digit_cap_checked_before_the_graph(capsys, tmp_path, monkeypatch):
+    # the report prints w exactly: 1e-4000 has a 4001-digit denominator, and
+    # it is refused before the graph is read or the estimate runs
+    c3 = write_edges(tmp_path / "c3.edges", cycle_graph(3))
+    monkeypatch.setattr("eocount.cli.load_graph", fail_if_called("the graph"))
+    monkeypatch.setattr("eocount.cli.eo_estimate", fail_if_called("the estimate"))
+    for w in ("1e-4000", str(10**4100)):
+        assert main(["estimate", "--graph", c3, "--M", "2", "--w", w]) == 3
+        assert_one_error_line(capsys.readouterr(), "size-limit")
+
+
 def test_bounds_digit_cap_on_a_large_cycle(capsys, tmp_path, monkeypatch):
     # C_20000 is a legal graph file, but upper_squared = 2^20000 has 6021
     # digits, past CPython's 4300-digit limit on int -> str

@@ -286,7 +286,6 @@ def test_series_equals_the_ungraded_expansion_for_any_weight(pq, c):
 
 def test_series_memo_size_after_order_7():
     powersums._MOM_CACHE.clear()
-    powersums._MU2_FACTORS.clear()
     expansion._T_CUMULANTS.clear()  # a warm table would skip the products
     expansion_series("RT", 7)
     cold = len(powersums._MOM_CACHE)
@@ -294,10 +293,9 @@ def test_series_memo_size_after_order_7():
         expansion_series(fam, 7)
     # a warm series reads the kappa(T_L) table and asks only for f_K's own
     # monomials, which RT memoized, so it adds no entry; no code with a p_1
-    # factor is memoized
-    assert len(powersums._MOM_CACHE) == cold == 407
-    # one factor polynomial per (deg G, j) met, not per monomial
-    assert len(powersums._MU2_FACTORS) == 80
+    # factor is memoized.  The recurrence removes one p_2 per step, so each
+    # p_2^i G on the way down a p_2 chain is an entry of its own
+    assert len(powersums._MOM_CACHE) == cold == 429
 
 
 def test_series_memo_size_after_order_12():
@@ -305,7 +303,8 @@ def test_series_memo_size_after_order_12():
     expansion._T_CUMULANTS.clear()
     for fam in ("RT", "ED", "EOG"):
         expansion_series(fam, 12)
-    assert len(powersums._MOM_CACHE) == 6339
+    # one entry per p_2^i G on each p_2 chain, as at order 7
+    assert len(powersums._MOM_CACHE) == 6550
 
 
 def table_size(table):

@@ -133,8 +133,10 @@ def test_mu_moment_is_int_and_matches_types_at_every_truncation(exps):
 @given(st.integers(1, 6).flatmap(lambda j: st.tuples(
     st.just(j), st.lists(st.sampled_from((1, 3, 4, 5)), max_size=12 - j))))
 def test_mu2_closed_form_matches_oracles_at_every_truncation(case):
-    # mu_2^j G takes the closed form E[G] prod_{i<j} (1 + (deg G + 2i)/n);
-    # an empty memo and rising cuts make every entry on the way an upgrade
+    # mu_2^j G has the closed form E[G] prod_{i<j} (1 + (deg G + 2i)/n); the
+    # recurrence reaches it one p_2 per step, checked here against the type
+    # and set-partition oracles; an empty memo and rising cuts walk the p_2
+    # chain through an upgrade to a deeper cut at every entry
     j, rest = case
     mono = mu_monomial([2] * j + rest)
     half, odd = divmod(sum(mono), 2)
@@ -193,8 +195,10 @@ def test_centered_moments_match_the_oracle_small_grid():
 @given(st.integers(1, 5).flatmap(lambda j: st.tuples(
     st.just(j), st.lists(st.sampled_from((1, 3, 4, 5)), max_size=3))))
 def test_centered_p2_closed_form_at_every_truncation(case):
-    # p_2^j G takes the closed form E[G] prod_{i<j} (1 + (deg G + 2i - 1)/n);
-    # an empty memo and rising cuts make every entry on the way an upgrade
+    # the oracle is the closed form E[G] prod_{i<j} (1 + (deg G + 2i - 1)/n)
+    # of the recurrence's one-p_2 step E[p_2 H] = (1 + (deg H - 1)/n) E[H];
+    # an empty memo and rising cuts walk the p_2 chain through an upgrade to
+    # a deeper cut at every entry
     j, rest = case
     mono = mu_monomial([2] * j + rest)
     assume(not sum(mono) % 2)

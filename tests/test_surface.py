@@ -113,3 +113,33 @@ def test_moment_memo_is_a_module_dict_that_a_series_fills(monkeypatch):
     monkeypatch.setattr(powersums, "_MOM_CACHE", {})
     expansion.expansion_series("RT", 3)
     assert powersums._MOM_CACHE
+
+
+def _empty_container(node) -> bool:
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id in ("dict", "list", "set") \
+        and not node.args and not node.keywords
+
+
+def test_run_time_containers_are_the_two_named_ones():
+    # a module-level name bound to an empty dict, list or set is a container
+    # filled at run time: global state that outlives a call
+    reasons = {
+        "powersums._MOM_CACHE": "perfbench's tracer reads it by name",
+        "expansion._T_CUMULANTS": "one record per cut, so MAX_ORDER bounds it",
+    }
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if _empty_container(value):
+                found |= {f"{path.stem}.{t.id}" for t in targets
+                          if isinstance(t, ast.Name)}
+    assert found == set(reasons)
