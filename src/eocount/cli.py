@@ -4,7 +4,9 @@ Every command prints one JSON envelope on stdout, and nothing else: command,
 echoed inputs, result payload, timing and precision metadata.  Big integers
 are decimal strings, rationals are "p/q", floats carry an explicit precision
 field.  Numeric work runs at the fixed DEFAULT_BITS = 256 bits, reported as
-precision.bits, and prints 30 significant digits (40 for expand --eval).
+precision.bits: Decimal floats of ceil(256 log10 2) plus guard digits, on
+the standard library alone.  They print 30 significant digits (40 for
+expand --eval).
 Each exact subject takes only its own flag: rt, ed and eog --n, eo --graph.
 Exit codes: 0 success, 2 usage or domain error, 3 size cap, 4 I/O error;
 every failure prints one JSON line on stderr.  Every result number is
@@ -19,6 +21,7 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from . import exact, expansion
@@ -27,6 +30,7 @@ from .estimator import eo_estimate, schrijver_lower, schrijver_upper_squared
 from .expansion import DEFAULT_BITS, require_digits, require_exponent, to_text
 from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
+from .numeric import context, working
 from .taillab import check_tail_bound, instance_from_json
 
 EXIT_OK = 0
@@ -81,8 +85,6 @@ def _cmd_expand(args):
     payload = res.to_json()
     if args.eval is None:
         return inputs, payload, None
-    import mpmath
-
     value, logv = expansion.evaluate_expansion(res, args.eval, DEFAULT_BITS)
     payload["eval"] = {
         "n": args.eval,
@@ -91,9 +93,8 @@ def _cmd_expand(args):
     }
     known = exact.RT_KNOWN_COUNTS.get(args.eval) if res.family == "RT" else None
     if known is not None:
-        with mpmath.workprec(DEFAULT_BITS):
-            payload["eval"]["log_ratio_to_exact"] = to_text(
-                mpmath.log(mpmath.mpf(known)) - logv, 10)
+        with working(DEFAULT_BITS):
+            payload["eval"]["log_ratio_to_exact"] = to_text(Decimal(known).ln() - logv, 10)
     return inputs, payload, DEFAULT_BITS
 
 
@@ -124,16 +125,13 @@ def _cmd_bounds(args):
     upper_sq = schrijver_upper_squared(g)
     require_digits("the bounds", upper_sq, 1 << g.edge_count)
     lower = schrijver_lower(g, upper_sq)
-    import mpmath
-
-    with mpmath.workprec(DEFAULT_BITS):
-        result = {
-            "lower": to_text(lower),
-            "lower_decimal": to_text(lower, 30),
-            "upper_squared": to_text(upper_sq),
-            "upper_decimal": to_text(mpmath.sqrt(mpmath.mpf(upper_sq)), 30),
-            "pauling": to_text(lower),
-        }
+    result = {
+        "lower": to_text(lower),
+        "lower_decimal": to_text(lower, 30),
+        "upper_squared": to_text(upper_sq),
+        "upper_decimal": to_text(Decimal(upper_sq).sqrt(context(DEFAULT_BITS)), 30),
+        "pauling": to_text(lower),
+    }
     return {"graph": args.graph}, result, DEFAULT_BITS
 
 

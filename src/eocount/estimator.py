@@ -12,13 +12,14 @@ exact Fractions of ints built from M and tau and from one stream of per-edge
 integer vectors A_j: kappa_1 is the sum of A_0, from M's diagonal alone;
 kappa_2, the only user of the m x m matrix M, a short sum of Hadamard-power
 contractions of A_j, j >= 2, with no per-pair work.  Each
-exact result is rounded once, by ``expansion.to_mpf``, to at least
-``expansion.MIN_BITS`` = 128 bits.
+exact result enters the log estimates rounded once, at a working precision
+of at least ``expansion.MIN_BITS`` = 128 bits (``numeric``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial, lcm, prod
@@ -27,10 +28,11 @@ from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
 from .expansion import (DEFAULT_BITS, MAX_K, WeightSpec, f_as_mu_polynomial,
-                        log_closed_form, require_precision, to_mpf, to_text)
+                        log_closed_form, require_precision, to_text)
 from .graphs import (Graph, all_degrees_even, cheeger_constant,
                      l_plus_j_adjugate, require_dense, spanning_tree_count)
 from .cumulants import double_factorial
+from .numeric import Real, as_decimal, exp, working
 
 KAPPA2_MAX_EDGE_PAIRS = 10**6
 _LOG_COS = WeightSpec.for_family("RT")  # log cos x = log(0 + 1 cos x)
@@ -144,11 +146,9 @@ def _closed_form_logs(g: Graph, tau: int, bits: int):
     ``log_closed_form`` of log cos at exponent 0, and log_eo_hat = base plus
     the exact degree-sum exponent rounded once, the closed form at that
     exponent bit for bit."""
-    import mpmath
-
-    with mpmath.workprec(bits):
-        base = log_closed_form(_LOG_COS, g.n, g.edge_count, mpmath.log(tau), 0, bits)
-        return base, base + to_mpf(degree_sum_reference(g), bits)
+    with working(bits):
+        base = log_closed_form(_LOG_COS, g.n, g.edge_count, Decimal(tau).ln(), 0, bits)
+        return base, Real(base + as_decimal(degree_sum_reference(g)))
 
 
 def eo_hat_log(g: Graph, bits: int = DEFAULT_BITS):
@@ -267,16 +267,16 @@ class EstimateReport(NamedTuple):
     bits: int
     sigma_norm_inf: Fraction        # exact ||Sigma_w||_inf
     in_hypothesis: bool             # ||Sigma_w||_inf <= 1/2
-    log_eo_hat: object              # mpf
+    log_eo_hat: Real                # at ``bits``
     kappa: dict[int, Fraction]      # r -> exact cumulant kappa_r
-    log_corrected: dict[int, object]  # r -> mpf, cumulative through order r
+    log_corrected: dict[int, Real]  # r -> log estimate through order r
     schrijver_lower: Fraction       # also the Pauling estimate
     schrijver_upper_sq: int         # exact square of the upper bound
     cheeger: Fraction | None
     cheeger_ratio: Fraction | None  # h(G)/d
     cheeger_skipped: str | None     # why cheeger is None
 
-    def logs(self) -> dict[int, object]:
+    def logs(self) -> dict[int, Real]:
         """M -> log estimate: the closed form at 0, then log_corrected."""
         return {0: self.log_eo_hat, **self.log_corrected}
 
@@ -284,20 +284,16 @@ class EstimateReport(NamedTuple):
         """M -> whether the log estimate at that M lies in
         [log schrijver_lower, log(schrijver_upper_sq)/2], compared at the
         report's bits."""
-        import mpmath
-
-        with mpmath.workprec(self.bits):
+        with working(self.bits):
             lower = self.schrijver_lower
-            lo = mpmath.log(lower.numerator) - mpmath.log(lower.denominator)
-            hi = mpmath.log(self.schrijver_upper_sq) / 2
-            return {M: bool(lo <= v <= hi) for M, v in self.logs().items()}
+            lo = Decimal(lower.numerator).ln() - Decimal(lower.denominator).ln()
+            hi = Decimal(self.schrijver_upper_sq).ln() / 2
+            return {M: lo <= v <= hi for M, v in self.logs().items()}
 
     def to_json(self) -> dict:
-        import mpmath
-
         bits = self.bits
         lower = to_text(self.schrijver_lower, 30, bits)
-        with mpmath.workprec(bits):
+        with working(bits):
             return {
                 "graph": self.graph_id,
                 "n": self.n,
@@ -307,16 +303,15 @@ class EstimateReport(NamedTuple):
                 "sigma_norm_inf": to_text(self.sigma_norm_inf, 30, bits),
                 "in_hypothesis": self.in_hypothesis,
                 "log_eo_hat": to_text(self.log_eo_hat, 30, bits),
-                "eo_hat": to_text(mpmath.exp(self.log_eo_hat), 30, bits),
+                "eo_hat": to_text(exp(self.log_eo_hat), 30),
                 "kappa": {str(r): to_text(v, 30, bits)
                           for r, v in self.kappa.items()},
                 "log_corrected": {str(r): to_text(v, 30, bits)
                                   for r, v in self.log_corrected.items()},
-                "corrected": {str(r): to_text(mpmath.exp(v), 30, bits)
+                "corrected": {str(r): to_text(exp(v), 30)
                               for r, v in self.log_corrected.items()},
                 "schrijver_lower": lower,
-                "schrijver_upper": to_text(mpmath.sqrt(self.schrijver_upper_sq),
-                                           30, bits),
+                "schrijver_upper": to_text(Decimal(self.schrijver_upper_sq).sqrt(), 30),
                 "pauling": lower,
                 "within_sandwich": {str(M): inside for M, inside
                                     in self.within_sandwich().items()},
@@ -360,14 +355,12 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
         kappa[1] = kappa1_f(g, cov, coeffs)
     if M >= 2:
         kappa[2] = kappa2_f(g, cov, coeffs)
-    import mpmath
-
-    log_corr: dict[int, object] = {}
+    log_corr: dict[int, Real] = {}
     exponent = Fraction(0)
-    with mpmath.workprec(bits):
+    with working(bits):
         for r, k in kappa.items():
             exponent += k / factorial(r)
-            log_corr[r] = base + to_mpf(exponent, bits)
+            log_corr[r] = Real(base + as_decimal(exponent))
     return EstimateReport(
         graph_id=graph_id or f"graph(n={g.n}, m={g.edge_count})",
         n=g.n, edge_count=g.edge_count, w=wf, bits=bits,

@@ -29,8 +29,8 @@ p_1 = 0: T_l's monomials with an exponent 1 drop out.  A product monomial
 of the T_l is one int, its exponents' multiplicities in fixed-width bit
 fields, so a product is an int addition; the centered recurrence and its
 memo take the same codes.  ``FAMILIES`` holds each family's weight (a, b)
-and prefactor text, ``log_closed_form`` the Gaussian term of every count; an
-exact rational becomes an mpf only in ``to_mpf``, a result text in ``to_text``.
+and prefactor text, ``log_closed_form`` the Gaussian term of every count, a
+Decimal float (``numeric``); every result becomes text in ``to_text``.
 
 Why the cumulants decay: a joint cumulant kappa(T_{l_1}, ..., T_{l_r}) of
 excess e = sum (l_i - 2) vanishes unless the r pairs form a connected
@@ -45,6 +45,7 @@ O(n^-e), so the cancellation that the record's fill checks is real.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from operator import mul
@@ -52,6 +53,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
 from .cumulants import moments_to_cumulants
+from .numeric import (Real, as_decimal, exp, ln_constant, nearest_binary, pi, text,
+                      working)
 from .powersums import FIELD_MASK, encode, monomial_order_bound, mu_moment_dict
 
 MAX_ORDER = 12
@@ -60,17 +63,13 @@ MAX_ORDER = 12
 MAX_K = 64
 MIN_BITS = 128
 DEFAULT_BITS = 256
-# Highest working precision, checked with the floor before any work.  With
-# mpmath's pure-Python backend on CPython 3.11, 10^5 bits took 2.7 s for
-# `expand rt --order 2 --eval 3` and 4.6 s for `estimate` on K5 (whole
-# processes); 2^16 bits (about 19,700 digits) took 1.4 s for the estimate.
-MAX_BITS = 2**16
+# Highest working precision, checked with the floor before any work: one
+# Decimal ln, the costliest step, takes 1.3-1.5 s at 2^14 bits (4,943
+# digits) and 2.2-2.4 s at 20,000 bits on CPython 3.11 (libmpdec).
+MAX_BITS = 2**14
 # Longest decimal integer a result may print, under CPython's 4300-digit limit
 # on int -> str (which is quadratic in the length).
 MAX_DIGITS = 4000
-# Most digits in the decimal exponent of a printed float: mpmath's nstr took
-# 0.03 s at 300 digits, 0.11 s at 500, 0.70 s at 1,000 and 10 s at 3,000.
-MAX_EXPONENT_DIGITS = 500
 
 # family -> ((a, b), prefactor): the weight a + b cos and the text of its
 # K_n prefactor, which ``log_closed_form`` evaluates
@@ -123,16 +122,6 @@ def require_precision(bits: int) -> None:
         raise SizeLimitError(f"precision is capped at {MAX_BITS} bits, got {bits}")
 
 
-def to_mpf(x: Fraction, bits: int):
-    """x rounded once to the nearest mpf of the given precision, whatever the
-    caller's mpmath context."""
-    import mpmath
-    from mpmath.libmp import from_rational, round_nearest
-
-    return mpmath.mpf(from_rational(x.numerator, x.denominator, bits, round_nearest),
-                      prec=bits)
-
-
 def require_digits(what: str, *values: int) -> None:
     """SizeLimitError if an integer has more than MAX_DIGITS decimal digits,
     counted from its bit length (possibly one too many)."""
@@ -151,22 +140,17 @@ def require_exponent(text: str) -> None:
 
 
 def to_text(x, digits: int | None = None, bits: int = DEFAULT_BITS) -> str:
-    """x as result text: an int or a Fraction exactly, or with ``digits`` an
-    mpf to that many significant digits, an exact value rounded first by
-    ``to_mpf``.  Before any conversion, SizeLimitError for an integer past
-    MAX_DIGITS or a decimal exponent past MAX_EXPONENT_DIGITS digits."""
+    """x as result text: an int or a Fraction exactly, or with ``digits`` to
+    that many significant digits, an exact value rounded first to the
+    nearest ``bits``-bit binary float, or a Decimal or a binary float (m, s)
+    as it is.  SizeLimitError for an integer past MAX_DIGITS before any
+    conversion."""
     if digits is None:
         require_digits("a result", *x.as_integer_ratio())
         return str(x)
     if isinstance(x, (int, Fraction)):
-        x = to_mpf(x, bits)
-    _, _, exp, bc = x._mpf_
-    if abs(exp + bc) * 30103 // 100000 >= 10**MAX_EXPONENT_DIGITS:
-        raise SizeLimitError("a result's decimal exponent would pass "
-                             f"{MAX_EXPONENT_DIGITS} digits")
-    import mpmath
-
-    return mpmath.nstr(x, digits)
+        x = nearest_binary(Fraction(x), bits)
+    return text(x, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +388,20 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-def log_closed_form(w: WeightSpec, n: int, edges: int, log_tau, exponent, bits: int):
+def log_closed_form(w: WeightSpec, n: int, edges: int, log_tau, exponent,
+                    bits: int) -> Real:
     """|E| log q - log(tau)/2 - ((n-1)/2) log(2 pi b) + [a = 0] (n-1) log 2 +
-    exponent, an mpf at ``bits`` with the exact exponent rounded once: the log
-    count of a graph with n vertices, |E| = ``edges`` and tau spanning trees
-    (``log_tau`` = log tau), 2^(n-1) saddle points when a = 0, and q =
-    lcm(den a, den(b/2)), the least int that makes q a and q b/2 ints (2, 4
-    and 3 for RT, ED and EOG).  On K_n, tau = n^(n-2), it is the prefactor."""
-    import mpmath
-
-    q = lcm(w.a.denominator, (w.b / 2).denominator)
-    with mpmath.workprec(bits):
-        return (edges * mpmath.log(q) - log_tau / 2
-                - (n - 1) * mpmath.log(2 * mpmath.pi * to_mpf(w.b, bits)) / 2
-                + (0 if w.a else (n - 1) * mpmath.log(2)) + to_mpf(exponent, bits))
+    exponent at ``bits``, the exact exponent rounded once: the log count of
+    a graph with n vertices, |E| = ``edges`` and tau spanning trees
+    (``log_tau`` = log tau, a Decimal), 2^(n-1) saddle points when a = 0,
+    and q = lcm(den a, den(b/2)), the least int that makes q a and q b/2
+    ints (2, 4 and 3 for RT, ED and EOG).  On K_n, tau = n^(n-2), it is the
+    prefactor."""
+    q = lcm(w.a.denominator, (w.b / 2).denominator)  # 2 where a = 0, b = 1
+    with working(bits):
+        log_2_pi_b = ln_constant(2 * pi() * as_decimal(w.b), bits)
+        return Real((edges + (0 if w.a else n - 1)) * ln_constant(Decimal(q), bits)
+                    - log_tau / 2 - (n - 1) * log_2_pi_b / 2 + as_decimal(exponent))
 
 
 def require_eval_point(family: str, n: int) -> None:
@@ -431,15 +415,13 @@ def require_eval_point(family: str, n: int) -> None:
 
 
 def evaluate_expansion(result: ExpansionResult, n: int, bits: int = DEFAULT_BITS):
-    """(value, log_value) of prefactor * exp(truncated series) at this n:
-    ``log_closed_form`` on K_n with the exact series rounded once."""
+    """(value, log_value) of prefactor * exp(truncated series) at this n, two
+    Reals: ``log_closed_form`` on K_n with the exact series rounded once."""
     require_precision(bits)
     require_eval_point(result.family, n)
-    import mpmath
-
     exponent = sum((c / n**p for p, c in result.coeffs.items()), Fraction(0))
-    with mpmath.workprec(bits):
+    with working(bits):
         log_val = log_closed_form(WeightSpec.for_family(result.family), n,
-                                  n * (n - 1) // 2, (n - 2) * mpmath.log(n),
+                                  n * (n - 1) // 2, (n - 2) * Decimal(n).ln(),
                                   exponent, bits)
-        return mpmath.exp(log_val), log_val
+        return Real(exp(log_val)), log_val

@@ -9,18 +9,20 @@ iterated-difference suprema Delta_V (pair-difference steps over all but one
 coordinate of V, then the spread max - min along the last), the smoothness
 number alpha, the cumulants (the distribution of f, then the generic
 moment-to-cumulant conversion), and the defect delta with
-E[e^f] = (1+delta)^n exp(sum kappa_r/r!).  The only transcendental comparison
-(the delta inequality) runs in interval arithmetic with outward rounding, so
-a reported pass is rigorous.  Three caps apply before any work: the space
-has at most SPACE_MAX_POINTS points, the order m is at most TAIL_MAX_M, and
-the one walk behind alpha and Delta_V (``alpha_reads``) reads at most
-ALPHA_MAX_READS table entries.  ``check_tail_bound`` also checks the digits
-of alpha and of each kappa bound before the cumulants.
+E[e^f] = (1+delta)^n exp(sum kappa_r/r!).  The only transcendental
+comparison (the delta inequality) runs on two-sided Decimal enclosures with
+outward rounding, so a reported pass is rigorous.  Three caps apply before
+any work: the space has at most SPACE_MAX_POINTS points, the order m is at
+most TAIL_MAX_M, and the one walk behind alpha and Delta_V
+(``alpha_reads``) reads at most ALPHA_MAX_READS table entries.
+``check_tail_bound`` also checks the digits of alpha and of each kappa
+bound before the cumulants.
 """
 
 from __future__ import annotations
 
 import json
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
@@ -30,6 +32,7 @@ from typing import NamedTuple
 from .cumulants import moments_to_cumulants
 from .errors import DomainError, SizeLimitError
 from .expansion import require_digits, require_exponent, to_text
+from .numeric import context, exp_enclosure, ln_enclosure, nearest_binary
 
 SPACE_MAX_POINTS = 10**6
 # Cap on the entries read by the one walk of alpha and Delta_V (alpha_reads),
@@ -42,7 +45,7 @@ ALPHA_MAX_READS = 10**8
 # grow with m: on a one-coordinate instance m = 100 takes 0.2 s, m = 400
 # 3 s, and at m = 1000 the kappa bounds pass 4300 decimal digits.
 TAIL_MAX_M = 100
-DELTA_IV_PREC = 256
+DELTA_BITS = 256
 
 
 class DiscreteProductSpace:
@@ -328,25 +331,28 @@ class TailReport(NamedTuple):
     m: int
     alpha: Fraction
     kappas: list[Fraction]
-    log_mgf: object                    # iv.mpf enclosure of log E e^f
-    delta: object                      # iv.mpf enclosure
-    delta_bound: object                # iv.mpf enclosure of e^((100 alpha)^(m+1)) - 1
+    log_mgf: tuple[Decimal, Decimal]   # (lo, hi) enclosure of log E e^f
+    delta: tuple[Decimal, Decimal]     # (lo, hi) enclosure
+    delta_bound: tuple[Decimal, Decimal]  # (lo, hi) of e^((100 alpha)^(m+1)) - 1
     delta_holds: bool                  # rigorous: sup|delta| <= inf bound
     kappa_bounds: list[Fraction]       # 0.014 n ((r-1)!/r) (80 alpha)^r
     kappa_holds: list[bool]            # exact comparisons
     holds: bool
 
     def to_json(self) -> dict:
-        from mpmath import mpf  # 53-bit mids to 15 digits, mpmath's default str()
+        # each enclosure prints its midpoint, rounded to 53 bits, to 15 digits
+        def mid(bounds):
+            ctx = context(DELTA_BITS)
+            return to_text(nearest_binary(ctx.divide(ctx.add(*bounds), 2), 53), 15)
 
         return {
             "n": self.n,
             "m": self.m,
             "alpha": to_text(self.alpha),
             "kappas": [to_text(k) for k in self.kappas],
-            "log_mgf": to_text(mpf(self.log_mgf.mid, prec=53), 15),
-            "delta": to_text(mpf(self.delta.mid, prec=53), 15),
-            "delta_bound": to_text(mpf(self.delta_bound.mid, prec=53), 15),
+            "log_mgf": mid(self.log_mgf),
+            "delta": mid(self.delta),
+            "delta_bound": mid(self.delta_bound),
             "delta_holds": self.delta_holds,
             "kappa_bounds": [to_text(b) for b in self.kappa_bounds],
             "kappa_holds": self.kappa_holds,
@@ -354,19 +360,14 @@ class TailReport(NamedTuple):
         }
 
 
-def _iv_from_fraction(q: Fraction):
-    from mpmath import iv
-
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
-
-
 def check_tail_bound(space: DiscreteProductSpace, table, m: int) -> TailReport:
     """Exact verification of the tail bound at order m.
 
     delta is extracted as exp((log E e^f - sum kappa_r/r!)/n) - 1 from the
     exps of f - s, s = min f, so large values never cancel; its inequality is
-    checked in interval arithmetic, the cumulant inequalities exactly.  No
-    coordinates (n = 0, no n-th root) is a DomainError before any work.
+    checked on two-sided enclosures at DELTA_BITS, the cumulant inequalities
+    exactly.  No coordinates (n = 0, no n-th root) is a DomainError before
+    any work.
     """
     n = space.n
     if not n:
@@ -374,38 +375,44 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int) -> TailReport:
     a = alpha(space, table, m)
     # the printer's digit rule on alpha and on the exact kappa bounds
     # (0.014 = 7/500), checked as each is built: they grow with r, so an
-    # oversized report is refused before the cumulants and the interval exps
+    # oversized report is refused before the cumulants and the exps
     require_digits("the tail report", *a.as_integer_ratio())
     kappa_bounds = []
     for r in range(1, m + 1):
         bound = Fraction(7, 500) * n * Fraction(factorial(r - 1), r) * (80 * a) ** r
         require_digits("the tail report", *bound.as_integer_ratio())
         kappa_bounds.append(bound)
+
+    # lower ends round toward -inf, upper ends toward +inf
+    down, up = context(DELTA_BITS, ROUND_FLOOR), context(DELTA_BITS, ROUND_CEILING)
+
+    def enclose(q: Fraction):
+        return down.divide(q.numerator, q.denominator), up.divide(q.numerator, q.denominator)
+
+    def minus_one(bounds):
+        return down.subtract(bounds[0], 1), up.subtract(bounds[1], 1)
+
+    # the bound's exp refuses a decimal exponent past its cap before the cumulants
+    delta_bound = minus_one(exp_enclosure(*enclose((100 * a) ** (m + 1)), down, up))
     dist, s, den, wden = _distribution(space, table)
     kappas = _cumulants(m, dist, s, den, wden)
     kappa_holds = [abs(k) <= b for k, b in zip(kappas, kappa_bounds)]
 
-    from mpmath import iv
+    # E e^(f-s): one exp per distinct value of f
+    lo = hi = Decimal(0)
+    for fv, w in sorted(dist.items()):
+        e_lo, e_hi = exp_enclosure(down.divide(fv, den), up.divide(fv, den), down, up)
+        lo, hi = down.fma(w, e_lo, lo), up.fma(w, e_hi, hi)
+    shifted = ln_enclosure(down.divide(lo, wden), up.divide(hi, wden), down, up)
+    s_lo, s_hi = enclose(s)
+    log_mgf = down.add(s_lo, shifted[0]), up.add(s_hi, shifted[1])
 
-    old_prec = iv.prec
-    iv.prec = DELTA_IV_PREC
-    try:
-        # E e^(f-s): one interval exp per distinct value of f
-        total = iv.mpf(0)
-        for fv, w in sorted(dist.items()):
-            total += iv.mpf(w) * iv.exp(iv.mpf(fv) / den)
-        log_shifted = iv.log(total / iv.mpf(wden))
-        log_mgf = _iv_from_fraction(s) + log_shifted
-
-        ksum = sum((k / factorial(r) for r, k in enumerate(kappas, 1)),
-                   Fraction(0))
-        delta = iv.exp((log_shifted - _iv_from_fraction(ksum - s)) / n) - 1
-        bound_arg = _iv_from_fraction((100 * a) ** (m + 1))
-        delta_bound = iv.exp(bound_arg) - 1
-        abs_delta = abs(delta)
-        delta_holds = bool(abs_delta.b <= delta_bound.a)
-    finally:
-        iv.prec = old_prec
+    ksum = sum((k / factorial(r) for r, k in enumerate(kappas, 1)), Fraction(0))
+    t_lo, t_hi = enclose(ksum - s)
+    delta = minus_one(exp_enclosure(down.divide(down.subtract(shifted[0], t_hi), n),
+                                    up.divide(up.subtract(shifted[1], t_lo), n),
+                                    down, up))
+    delta_holds = max(delta[0].copy_negate(), delta[1]) <= delta_bound[0]
 
     return TailReport(
         n=n, m=m, alpha=a, kappas=kappas, log_mgf=log_mgf,

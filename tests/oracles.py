@@ -62,7 +62,9 @@ tests check it against, and the combinatorics only they use:
   ``kn_kappas`` reads kappa_1 and kappa_2 off the series engine's
   weight-free record of the kappa(T_L) at n, with no code shared past f_K's
   map (against ``kappa1_f`` and ``kappa2_f`` on ``complete_graph(n)``);
-* the tail lab: the averaging operator ``conditional_expectation``;
+* the tail lab: the averaging operator ``conditional_expectation``, and
+  ``tail_enclosures_iv``, the delta check in mpmath's interval arithmetic
+  at 400 bits (against the package's one-ulp-widened Decimal enclosures);
 * the exact counters: ``balanced_count_backtracking``, the pruned
   depth-first search over vertex pairs (against the edge transfer
   ``exact._balanced_count`` on graphs, and against the K_n elimination
@@ -89,8 +91,9 @@ from eocount.expansion import WeightSpec, f_as_mu_polynomial, weight_log_coeffs
 from eocount.graphs import CHEEGER_MAX_N
 from eocount.powersums import (FIELD_MASK, code_fields, encode,
                                monomial_order_bound, mu_moment_dict)
+from eocount.taillab import alpha, exact_cumulants_discrete
 from helpers import (LaurentSeries, TYPE_ENUM_MAX_FACTORS, laplacian,
-                     mu_moment, mu_monomial, xbar_split)
+                     mu_moment, mu_monomial, points, xbar_split)
 
 ENUMERATION_MAX = 16
 ORACLE_MAX_FACTORS = 10
@@ -1081,6 +1084,43 @@ def conditional_expectation(space, table, j: int):
         acc = sl if acc is None else acc + sl
     out = np.broadcast_to(np.expand_dims(acc, j), space.sizes)
     return tuple(out.reshape(-1))
+
+
+def tail_enclosures_iv(space, table, m: int, prec: int = 400):
+    """(log_mgf, delta, delta_bound, delta_holds) of the tail bound in
+    mpmath's interval arithmetic at ``prec`` bits, the three enclosures as
+    the exact values of their midpoints, from the value
+    distribution of f built here point by point: log E e^f = s + log E
+    e^(f - s), s = min f, delta = exp((log E e^f - sum kappa_r/r!)/n) - 1
+    and the bound e^((100 alpha)^(m+1)) - 1, with the package's exact alpha
+    and cumulants."""
+    from mpmath import iv
+    from mpmath.libmp import to_rational
+
+    dist: dict[Fraction, Fraction] = {}
+    for x in points(space):
+        w = prod(space.weights[i][k] for i, k in enumerate(x))
+        v = table[sum(k * prod(space.sizes[i + 1:]) for i, k in enumerate(x))]
+        dist[v] = dist.get(v, 0) + w
+    s = min(dist)
+    kappas = exact_cumulants_discrete(space, table, m)
+    ksum = sum(k / factorial(r) for r, k in enumerate(kappas, 1))
+
+    def exact(q):
+        q = Fraction(q)
+        return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+    old = iv.prec
+    iv.prec = prec
+    try:
+        shifted = iv.log(sum(exact(w) * iv.exp(exact(v - s)) for v, w in dist.items()))
+        log_mgf = exact(s) + shifted
+        delta = iv.exp((shifted - exact(ksum - s)) / space.n) - 1
+        bound = iv.exp(exact((100 * alpha(space, table, m)) ** (m + 1))) - 1
+        mids = [Fraction(*to_rational(x.mid._mpi_[0])) for x in (log_mgf, delta, bound)]
+        return (*mids, bool(abs(delta).b <= bound.a))
+    finally:
+        iv.prec = old
 
 
 # ---------------------------------------------------------------------------

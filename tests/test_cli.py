@@ -15,7 +15,7 @@ import eocount
 from eocount.cli import build_parser, main
 from eocount.estimator import DEFAULT_BITS
 from eocount.graphs import circulant_graph, complete_graph, cycle_graph
-from eocount.taillab import (TAIL_MAX_M, DiscreteProductSpace,
+from eocount.taillab import (TAIL_MAX_M, DiscreteProductSpace, alpha,
                              exact_cumulants_discrete)
 
 from helpers import graph_to_json, instance_to_json, tabulate, uniform_bits
@@ -197,8 +197,16 @@ def test_taillab_large_entries_stay_exact(capsys, tmp_path):
     big.write_text(json.dumps(instance_to_json(
         uniform_bits(2),
         [2**62, -2**62, -2**62, 2**62])))
-    code, env = run_json(capsys, ["taillab", "--instance", str(big), "--m", "2"])
-    assert code == 0 and env["result"]["alpha"] == str(2**64)
+    # alpha = 2^64 is exact, and delta_bound = e^((100 alpha)^3) - 1, whose
+    # decimal exponent has 64 digits, is refused before the cumulants
+    assert alpha(uniform_bits(2), (2**62, -2**62, -2**62, 2**62), 2) == 2**64
+    assert main(["taillab", "--instance", str(big), "--m", "2"]) == 3
+    assert_one_error_line(capsys.readouterr(), "size-limit")
+    near = tmp_path / "near.json"
+    near.write_text(json.dumps(instance_to_json(
+        uniform_bits(2), [2**62, 2**62 + 1, 2**62 + 1, 2**62])))
+    code, env = run_json(capsys, ["taillab", "--instance", str(near), "--m", "2"])
+    assert code == 0 and env["result"]["kappas"] == [str(2**62 + Fraction(1, 2)), "1/4"]
     three = uniform_bits(3)
     table = [Fraction(1, p) for p in (999983, 999979, 999961, 999959,
                                       999953, 999931, 999917, 999907)]
@@ -211,18 +219,26 @@ def test_taillab_large_entries_stay_exact(capsys, tmp_path):
 
 
 def test_taillab_huge_values_one_apart(capsys, tmp_path):
-    # two 3001-digit values 1 apart: the moments and exps are taken of the
-    # table minus its smallest value, so nothing 3001 digits long is raised
-    # to the 100th power or exponentiated
+    # two 3001-digit values 1 apart: alpha = 1, so delta_bound = e^(100^101)
+    # - 1 has a 202-digit decimal exponent and is refused at once
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(instance_to_json(
         uniform_bits(1), [10**3000, 10**3000 + 1])))
+    t0 = time.perf_counter()
+    assert main(["taillab", "--instance", str(huge), "--m", "100"]) == 3
+    assert time.perf_counter() - t0 < 2.0
+    assert_one_error_line(capsys.readouterr(), "size-limit")
+    # 1/100 apart, alpha = 1/100: the moments and exps are taken of the table
+    # minus its smallest value, so nothing 3001 digits long is raised to the
+    # 100th power or exponentiated
+    huge.write_text(json.dumps(instance_to_json(
+        uniform_bits(1), [10**3000, 10**3000 + Fraction(1, 100)])))
     t0 = time.perf_counter()
     code, env = run_json(capsys, ["taillab", "--instance", str(huge), "--m", "100"])
     assert time.perf_counter() - t0 < 2.0
     assert code == 0
     res = env["result"]
-    assert res["kappas"][:2] == [str(10**3000 + Fraction(1, 2)), "1/4"]
+    assert res["kappas"][:2] == [str(10**3000 + Fraction(1, 200)), "1/40000"]
     assert res["kappa_holds"][0] is False and res["holds"] is False
 
 
@@ -387,6 +403,16 @@ def test_printed_numbers_are_checked_before_conversion(capsys, tmp_path):
         assert_one_error_line(capsys.readouterr(), "size-limit")
 
 
+def test_float_exponents_stop_at_eighteen_digits(capsys):
+    # at n = 2500000001 the RT value's decimal exponent has 18 digits and
+    # prints; the ED value's has 19 and is refused
+    code, env = run_json(capsys, ["expand", "rt", "--order", "2", "--eval", "2500000001"])
+    assert code == 0
+    assert env["result"]["eval"]["value"].endswith("e+940718724833653876")
+    assert main(["expand", "ed", "--order", "2", "--eval", "2500000001"]) == 3
+    assert_one_error_line(capsys.readouterr(), "size-limit")
+
+
 def test_estimate_w_digit_cap_checked_before_the_graph(capsys, tmp_path, monkeypatch):
     # the report prints w exactly: 1e-4000 has a 4001-digit denominator, and
     # it is refused before the graph is read or the estimate runs
@@ -483,8 +509,8 @@ def test_commands_without_numeric_work_leave_mpmath_out(tmp_path, argv, code):
 
 
 # each command's result as printed when every module imported mpmath at load
-# time (the estimate's within_sandwich aside); a fresh process that loads
-# mpmath on first use must print the same
+# time (the estimate's within_sandwich aside); a fresh process, which now
+# computes and prints on the standard library's decimal, must print the same
 NUMERIC_RESULTS = [
     pytest.param(["estimate", "--graph", "k9.edges"], {
         "cheeger": "5", "cheeger_over_max_degree": "5/8",
@@ -545,12 +571,12 @@ NUMERIC_RESULTS = [
 
 
 @pytest.mark.parametrize("argv, result", NUMERIC_RESULTS)
-def test_numeric_commands_load_mpmath_and_print_the_same_result(
+def test_numeric_commands_leave_mpmath_out_and_print_the_same_result(
         tmp_path, argv, result):
     write_edges(tmp_path / "k9.edges", complete_graph(9))
     write_quad5(tmp_path)
     code, out, loaded = run_fresh(argv, tmp_path)
-    assert code == 0 and loaded is True
+    assert code == 0 and loaded is False
     assert json.loads(out)["result"] == result
 
 

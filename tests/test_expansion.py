@@ -1,5 +1,6 @@
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -15,6 +16,7 @@ from eocount.expansion import (MAX_BITS, MAX_K, MAX_ORDER, MIN_BITS,
                                expansion_series, f_as_mu_polynomial,
                                family_facts, log_closed_form,
                                weight_log_coeffs)
+from eocount.numeric import context
 from eocount.powersums import monomial_order_bound
 
 from golden import ED_COUNTS, ED_SERIES, EOG_COUNTS, EOG_SERIES, RT_SERIES
@@ -122,12 +124,13 @@ def test_f_polynomial_order_range():
 
 def test_log_prefactor_matches_the_printed_formulas():
     # the closed form on K_n, tau = n^(n-2), at exponent 0
+    ctx = context(256)
     with mpmath.workprec(256):
         for fam in ("RT", "ED", "EOG"):
             w = WeightSpec.for_family(fam)
             assert expansion_series(fam, 1).prefactor.startswith("n^(1/2) * (")
             for n in (1, 2, 9, 37):
-                log_tau = mpmath.log(mpmath.mpf(n) ** (n - 2))
+                log_tau = ctx.multiply(ctx.ln(n), n - 2)
                 got = log_closed_form(w, n, n * (n - 1) // 2, log_tau, Fraction(0), 256)
                 assert abs(got - printed_log_prefactor(fam, n)) < mpmath.mpf(2) ** -240
     for name in ("custom", "rt", "XYZ"):
@@ -137,11 +140,11 @@ def test_log_prefactor_matches_the_printed_formulas():
 
 def test_closed_form_edge_factor_is_the_least_integer_weight():
     # q = lcm(den a, den(b/2)): each edge adds log q to the closed form
-    with mpmath.workprec(256):
+    with mpmath.workprec(320):
         for fam, q in (("RT", 2), ("ED", 4), ("EOG", 3)):
             w = WeightSpec.for_family(fam)
-            step = (log_closed_form(w, 5, 11, mpmath.mpf(3), Fraction(0), 256)
-                    - log_closed_form(w, 5, 10, mpmath.mpf(3), Fraction(0), 256))
+            step = (mpmath.mpf(log_closed_form(w, 5, 11, Decimal(3), Fraction(0), 256))
+                    - mpmath.mpf(log_closed_form(w, 5, 10, Decimal(3), Fraction(0), 256)))
             assert abs(step - mpmath.log(q)) < mpmath.mpf(2) ** -250, fam
             assert min(d for d in range(1, 13)
                        if (d * w.a).denominator == (d * w.b / 2).denominator == 1) == q

@@ -1,0 +1,144 @@
+"""The package's floats on ``decimal`` against mpmath, the independent route.
+
+The printer must print what mpmath.nstr prints for the same binary float:
+exact rationals rounded to 256 bits (exact decimal ties included, where a
+printer that skipped the binary rounding would round the other way), logs
+and exps of rationals, and 53-bit midpoints at 15 digits.  The tail lab's
+one-ulp-widened enclosures must hold the midpoints of mpmath's interval
+enclosures at a higher precision, and its verdict must agree.
+"""
+
+import time
+from decimal import Decimal
+from fractions import Fraction
+
+import mpmath
+import pytest
+from mpmath.libmp import to_rational
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eocount.errors import SizeLimitError
+from eocount.expansion import MAX_BITS, require_precision, to_text
+from eocount.numeric import (MAX_EXPONENT_DIGITS, Real, as_decimal, context,
+                             exp, nearest_binary, pi, working)
+from eocount.taillab import DiscreteProductSpace, check_tail_bound
+
+from oracles import tail_enclosures_iv
+
+nonzero = st.fractions().filter(bool)
+
+
+@st.composite
+def decimal_ties(draw):
+    """A rational whose decimal digits end in a 5 just past 30 or 40
+    significant digits, such as ...925.85 at 6 digits."""
+    digits = draw(st.sampled_from((30, 40)))
+    head = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    sign = draw(st.sampled_from((1, -1)))
+    return sign * Fraction(10 * head + 5, 10 ** draw(st.integers(0, 80)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(nonzero, decimal_ties(),
+                 st.builds(Fraction, st.integers(1, 10**200), st.integers(1, 10**200))))
+def test_exact_values_print_as_mpmath_prints_their_256_bit_float(x):
+    with mpmath.workprec(256):
+        binary = mpmath.mpf(x.numerator) / x.denominator
+    m, s = nearest_binary(x, 256)
+    assert m * Fraction(2) ** s == Fraction(*to_rational(binary._mpf_))
+    for digits in (30, 40):
+        assert to_text(x, digits) == mpmath.nstr(binary, digits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6))
+def test_logs_and_exps_print_as_mpmath_prints_them(x):
+    with working(256):
+        ln, e = Real(as_decimal(x).ln()), Real(exp(as_decimal(x)))
+    with mpmath.workprec(256):
+        xf = mpmath.mpf(x.numerator) / x.denominator
+        want_ln, want_e = mpmath.log(xf), mpmath.exp(xf)
+    for digits in (30, 40):
+        assert to_text(ln, digits) == mpmath.nstr(want_ln, digits)
+        assert to_text(e, digits) == mpmath.nstr(want_e, digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**88, 10**88).filter(bool), st.integers(-400, 400),
+       st.integers(0, 6))
+def test_53_bit_midpoints_print_as_mpmath_prints_them(coefficient, exponent, ulps):
+    # an enclosure [lo, hi] a few ulps wide at 256 bits, as the tail lab's
+    ctx = context(256)
+    lo = hi = Decimal(coefficient).scaleb(exponent, ctx)
+    for _ in range(ulps):
+        hi = ctx.next_plus(hi)
+    mid = ctx.divide(ctx.add(lo, hi), 2)
+    with mpmath.workprec(53):
+        want = mpmath.mpf(str(mid))
+    got = nearest_binary(mid, 53)
+    assert got[0] * Fraction(2) ** got[1] == Fraction(*to_rational(want._mpf_))
+    assert to_text(got, 15) == mpmath.nstr(want, 15)
+
+
+def test_pi_matches_mpmath_to_6000_digits():
+    with working(20000):
+        digits = str(pi())
+    with mpmath.workdps(6010):
+        assert digits[:6000] == str(+mpmath.pi)[:6000]
+
+
+def test_exp_refuses_an_exponent_past_eighteen_digits_before_computing():
+    # a Decimal exponent stops at 10^18 - 1: e^x is refused past it, either
+    # way, and accepted just inside
+    ln10, cap = context(256).ln(10), 10**MAX_EXPONENT_DIGITS
+    with working(256):
+        assert exp(ln10 * (cap - Decimal("1.5"))).adjusted() == cap - 2
+        assert exp(-ln10 * (cap - Decimal("1.5"))).adjusted() == -(cap - 1)
+        for x in (ln10 * (cap + 1), -ln10 * (cap + 1), Decimal("1e519")):
+            t0 = time.perf_counter()
+            with pytest.raises(SizeLimitError, match="18 digits"):
+                exp(x)
+            assert time.perf_counter() - t0 < 0.5
+
+
+def test_max_bits_is_where_one_ln_stays_cheap():
+    # the cap, 2^14 bits, is where one Decimal ln, the costliest step, still
+    # takes 1.3-1.5 s (2.2-2.4 s at 20,000 bits); the cap itself is accepted
+    require_precision(MAX_BITS)
+    with pytest.raises(SizeLimitError):
+        require_precision(MAX_BITS + 1)
+    t0 = time.perf_counter()
+    context(MAX_BITS).ln(3)
+    assert time.perf_counter() - t0 < 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tail_enclosures_hold_the_interval_midpoints(data):
+    sizes = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    weights = []
+    for s in sizes:
+        raw = data.draw(st.lists(st.integers(1, 9), min_size=s, max_size=s))
+        weights.append([Fraction(r, sum(raw)) for r in raw])
+    space = DiscreteProductSpace([list(range(s)) for s in sizes], weights)
+    points = 1
+    for s in sizes:
+        points *= s
+    # alpha stays below about 1/12, so the bound stays below e^(8^4)
+    scale = data.draw(st.sampled_from((Fraction(1, 1000), Fraction(1, 500))))
+    table = tuple(scale * data.draw(st.fractions(-20, 20, max_denominator=9))
+                  for _ in range(points))
+    m = data.draw(st.integers(1, 3))
+    try:
+        rep = check_tail_bound(space, table, m)
+    except SizeLimitError:  # a delta_bound past the exponent cap
+        return
+    log_mgf, delta, bound, holds = tail_enclosures_iv(space, table, m)
+    for (lo, hi), mid in ((rep.log_mgf, log_mgf), (rep.delta, delta),
+                          (rep.delta_bound, bound)):
+        # the 400-bit midpoint is within a few of its ulps of the true value,
+        # 10^-114 relative, where the Decimal ends are 10^-88 apart
+        slack = Fraction(max(abs(mid), 1)) / 2**380
+        assert Fraction(lo) - slack <= mid <= Fraction(hi) + slack
+    assert rep.delta_holds == holds

@@ -4,9 +4,10 @@ A module-level def or class in ``src/eocount`` must be referenced somewhere
 in the package outside its own body, or be exported by ``eocount.__all__``,
 or be on the short allowlist below.  A method must be referenced somewhere
 in the package outside its own body, whether or not ``__all__`` exports its
-class; dunders and overrides, which their base class or the interpreter
-calls, are exempt.  A string constant counts as a reference, since the CLI
-looks counters up by name.
+class; dunders, overrides and the conversion hook in HOOKS, which their
+base class, the interpreter or another library calls, are exempt.  A
+string constant counts as a reference, since the CLI looks counters up by
+name.
 """
 
 import ast
@@ -14,7 +15,12 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
+import mpmath
+
 import eocount
+from eocount.estimator import eo_estimate
+from eocount.expansion import evaluate_expansion, expansion_series, to_text
+from eocount.graphs import complete_graph
 
 PACKAGE = Path(eocount.__file__).parent
 
@@ -24,6 +30,9 @@ ALLOWED = {
     "exact_cumulants_discrete": "the benchmark's tracer wraps it as a boundary",
     "delta_V": "the paper's Delta_V; the lemma tests check it",
 }
+
+# method name -> the library that calls it
+HOOKS = {"_mpmath_": "mpmath.mpf and mpmath's functions read a numeric.Real by it"}
 
 
 def _references(tree) -> Counter:
@@ -63,7 +72,7 @@ def unreferenced() -> list[str]:
                 continue
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef) \
-                        or item.name.startswith("__") \
+                        or item.name.startswith("__") or item.name in HOOKS \
                         or _overrides(module, node.name, item.name):
                     continue
                 if refs[item.name] == _references(item)[item.name]:
@@ -86,9 +95,11 @@ def test_allowlist_names_exist_and_have_no_caller():
 
 
 def _pi_reads(node) -> int:
-    return sum(isinstance(sub, ast.Attribute) and sub.attr == "pi"
-               and isinstance(sub.value, ast.Name) and sub.value.id == "mpmath"
-               for sub in ast.walk(node))
+    # calls of numeric.pi, by its bare name or as an attribute
+    return sum(isinstance(sub, ast.Call) and (
+        isinstance(sub.func, ast.Name) and sub.func.id == "pi"
+        or isinstance(sub.func, ast.Attribute) and sub.func.attr == "pi")
+        for sub in ast.walk(node))
 
 
 def test_pi_is_read_in_one_def():
@@ -100,6 +111,32 @@ def test_pi_is_read_in_one_def():
                     if isinstance(node, ast.FunctionDef)
                     and node.name == "log_closed_form"]
     assert sum(map(_pi_reads, trees)) == _pi_reads(closed_form) > 0
+
+
+def test_no_module_imports_mpmath():
+    # the floats run on the standard library's decimal (numeric); mpmath is
+    # the tests' independent route only
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "mpmath" for name in names), path.name
+
+
+def test_mpmath_reads_the_library_floats():
+    # the benchmark passes these two results through mpmath.mpf, which
+    # refuses a plain Decimal or Fraction; the digits are the CLI's
+    log_value = evaluate_expansion(expansion_series("RT", 7), 37)[1]
+    log_corrected = eo_estimate(complete_graph(9), M=2).log_corrected[2]
+    for x, digits, printed in (
+            (log_value, 40, "389.8234153894721676013023509562487710977"),
+            (log_corrected, 30, "15.2221688115559911994314306288")):
+        with mpmath.workprec(256):
+            assert mpmath.nstr(mpmath.mpf(x), digits) == to_text(x, digits) == printed
 
 
 def test_moment_memo_is_a_module_dict_that_a_series_fills(monkeypatch):

@@ -355,7 +355,7 @@ def test_tail_theorem_quadratic_six_bits():
     rep = check_tail_bound(sp, tab, 2)
     assert rep.holds
     assert rep.alpha == Fraction(5, 300)
-    assert rep.delta > -1
+    assert rep.delta[0] > -1
 
 
 def test_tail_theorem_random_instances():
