@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
-from .estimator import eo_estimate, schrijver_lower, schrijver_upper_squared
+from .estimator import eo_estimate, require_orders, schrijver_lower, schrijver_upper_squared
 from .expansion import DEFAULT_BITS, require_digits, require_exponent, to_text
 from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
@@ -110,6 +110,7 @@ def rational(text: str) -> str:
 
 
 def _cmd_estimate(args):
+    require_orders(args.M, args.K)  # refused before the graph is read
     w = Fraction(args.w) if args.w else None
     if w is not None:  # printed exactly, so refused before the graph and the work
         require_digits("w", *w.as_integer_ratio())

@@ -10,8 +10,8 @@ The edge-difference covariances are w-free: M/tau for the integer matrix
 M = B^T adj B / n^2 (B the signed incidence matrix).  kappa_1 and kappa_2 are
 exact Fractions of ints built from M and tau and from one stream of per-edge
 integer vectors A_j: kappa_1 is the sum of A_0, from M's diagonal alone;
-kappa_2, the only user of the m x m matrix M, a short sum of Hadamard-power
-contractions of A_j, j >= 2, with no per-pair work.  Each
+kappa_2 a short sum of Hadamard-power contractions of A_j, j >= 2, over the
+rows of M streamed one at a time from adj, so no m x m matrix is held.  Each
 exact result enters the log estimates rounded once, at a working precision
 of at least ``expansion.MIN_BITS`` = 128 bits (``numeric``).
 """
@@ -34,6 +34,9 @@ from .graphs import (Graph, all_degrees_even, cheeger_constant,
 from .cumulants import double_factorial
 from .numeric import Real, as_decimal, exp, working
 
+# kappa_2 streams M's rows, so this bounds its time alone: at the cap, m = 1000
+# on C250(1,2,3,4), eo_estimate at M = 2, K = 4 took 7.1 s and 1.4 MiB of peak
+# RSS over M = 1 (2 shared Xeon cores, CPython 3.11.7).
 KAPPA2_MAX_EDGE_PAIRS = 10**6
 _LOG_COS = WeightSpec.for_family("RT")  # log cos x = log(0 + 1 cos x)
 
@@ -66,7 +69,7 @@ class Covariance(NamedTuple):
 
     ``var`` is the diagonal of M = B^T adj B / n^2 over the sorted edges,
     var[e] = (adj_jj + adj_kk - 2 adj_jk) / n^2 for e = (j, k); var[e]/tau
-    is the w-free variance of X_j - X_k.  ``edge_matrix`` builds all of M.
+    is the w-free variance of X_j - X_k.  ``kappa2_f`` streams M's rows.
     """
 
     n: int
@@ -99,15 +102,6 @@ def covariance_sigma(g: Graph) -> Covariance:
         raise DomainError("covariance needs a connected graph (L + J singular)")
     var = [adj[j][j] + adj[k][k] - 2 * adj[j][k] for j, k in sorted(g.edges)]
     return Covariance(g.n, tau, adj, _exact_over_n2(var, g.n ** 2))
-
-
-def edge_matrix(g: Graph, cov: Covariance) -> list[list[int]]:
-    """M as upper rows over the sorted edges, edge[e][i] = M[e][e + i], so
-    edge[e][0] = cov.var[e]; O(m^2) ints, which only kappa_2 needs."""
-    edges = sorted(g.edges)
-    diff = [list(map(sub, cov.adj[j], cov.adj[k])) for j, k in edges]
-    return [_exact_over_n2([d[s] - d[t] for s, t in edges[e:]], g.n ** 2)
-            for e, d in enumerate(diff)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,36 +168,35 @@ def degree_sum_reference(g: Graph) -> Fraction:
 # ---------------------------------------------------------------------------
 # cumulant corrections
 
-def _require_cumulant_args(g: Graph, K: int, M: int) -> None:
-    """2 <= K <= ``expansion.MAX_K`` for any cumulant (M >= 1), and the
-    edge-pair cap for kappa_2."""
+def require_orders(M: int, K: int, edges: int = 0) -> None:
+    """M in 0..2 and, for a cumulant (M >= 1), 2 <= K <= ``expansion.MAX_K``,
+    with no graph; given its edge count, kappa_2's edge-pair cap too."""
+    if M not in (0, 1, 2):
+        raise DomainError("M must be 0, 1 or 2")
     if M >= 1 and K < 2:
         raise DomainError("K must be >= 2")
     if M >= 1 and K > MAX_K:
         raise SizeLimitError(f"K is capped at {MAX_K}")
-    if M >= 2 and g.edge_count ** 2 > KAPPA2_MAX_EDGE_PAIRS:
+    if M >= 2 and edges ** 2 > KAPPA2_MAX_EDGE_PAIRS:
         raise SizeLimitError("edge-pair cap exceeded")
 
 
-def _edge_terms(cov: Covariance, coeffs: dict[int, Fraction], first: int = 0):
-    """(den, A) for h = first..K, K the largest l of the map {l: c_l}:
+def _edge_terms(cov: Covariance, coeffs: dict[int, Fraction]):
+    """(den, A) for h = 0..K, K the largest l of the map {l: c_l}:
     A = den tau^(K-h) A_{2h} on ints, A_j as in ``kappa2_f``, with den the
     common denominator of the c_l, one for every h, and each A[e] a
     polynomial in var[e] by Horner's rule."""
     K, tau = max(coeffs), cov.tau
     den = lcm(*(c.denominator for c in coeffs.values()))
     num = {l: c.numerator * (den // c.denominator) for l, c in coeffs.items()}
-    for h in range(first, K + 1):
+    for h in range(K + 1):
         j = 2 * h
         # coefficient of S_ee^(l-h) in A_j, highest l first
         coef = [num[l] * comb(2 * l, j) * double_factorial(2 * l - j - 1)
                 * tau ** (K - l) if l in num else 0 for l in range(K, h - 1, -1)]
-        A = []
-        for v in cov.var:
-            acc = 0
-            for c in coef:
-                acc = acc * v + c
-            A.append(acc)
+        A = [0] * len(cov.var)
+        for c in coef:
+            A = [acc * v + c for acc, v in zip(A, cov.var)]
         yield den, A
 
 
@@ -214,7 +207,7 @@ def kappa1_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction
     {l: c_l}, K its largest l; for log cos it is
     ``expansion.f_as_mu_polynomial`` of RT."""
     K = max(coeffs, default=0)
-    _require_cumulant_args(g, K, 1)
+    require_orders(1, K)
     den, A = next(_edge_terms(cov, coeffs))
     return Fraction(sum(A), den * cov.tau ** K)
 
@@ -235,20 +228,23 @@ def kappa2_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction
     with S = M/tau the edge-difference covariance matrix and S^(o j) its j-th
     Hadamard power.  On ints: D tau^(K-j/2) A_j is an integer vector (D the
     common denominator of the c_l), so the sum is one integer
-    contraction with the M^(o j) over D^2 tau^(2K).  The cost is O(m^2 K).
+    contraction with the M^(o j) over D^2 tau^(2K), each edge e = (j, k) on
+    its upper row M[e][e:] alone, formed from adj[j] - adj[k] and dropped
+    after: O(m^2 K) time and O(m K) ints beyond adj.
     """
     K = max(coeffs, default=0)
-    _require_cumulant_args(g, K, 2)
-    square = [list(map(mul, row, row)) for row in edge_matrix(g, cov)]
-    hadamard = square
-    total = 0
-    # h = 0 is kappa_1's term
-    for h, (den, A) in enumerate(_edge_terms(cov, coeffs, 1), 1):
-        if h > 1:
-            hadamard = [list(map(mul, a, b)) for a, b in zip(hadamard, square)]
-        total += factorial(2 * h) * sum(
-            a * (2 * sum(map(mul, row, A[e:])) - row[0] * a)
-            for e, (a, row) in enumerate(zip(A, hadamard)))
+    require_orders(2, K, g.edge_count)
+    (den, _), *terms = _edge_terms(cov, coeffs)  # h = 0 is kappa_1's term
+    edges, total = sorted(g.edges), 0
+    for e, (j, k) in enumerate(edges):
+        d = list(map(sub, cov.adj[j], cov.adj[k]))
+        row = _exact_over_n2([d[s] - d[t] for s, t in edges[e:]], g.n ** 2)
+        square = had = list(map(mul, row, row))
+        for h, (_, A) in enumerate(terms, 1):
+            if h > 1:
+                had = list(map(mul, had, square))
+            a = A[e]
+            total += factorial(2 * h) * a * (2 * sum(map(mul, had, A[e:])) - had[0] * a)
     return Fraction(total, den * den * cov.tau ** (2 * K))
 
 
@@ -332,12 +328,10 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     exponent sum_{r<=M} kappa_r/r! is exact and rounded once.  Corrections
     beyond 2 cost |E|^r edge tuples and are out of scope here.
     """
-    if M not in (0, 1, 2):
-        raise DomainError("M must be 0, 1 or 2")
+    require_orders(M, K, g.edge_count)
     require_precision(bits)
     require_dense(g)  # before the O(n + m) checks and the bounds
     _require_eulerian(g)
-    _require_cumulant_args(g, K, M)
     wf = default_w(g) if w is None else _positive(w)
     upper_sq = schrijver_upper_squared(g)
     lower = schrijver_lower(g, upper_sq)
@@ -349,12 +343,8 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     cov = covariance_sigma(g)
     norm = cov.norm_inf(wf)
     base, log_eo_hat = _closed_form_logs(g, cov.tau, bits)
-    kappa: dict[int, Fraction] = {}
     coeffs = f_as_mu_polynomial(_LOG_COS, K) if M else {}
-    if M >= 1:
-        kappa[1] = kappa1_f(g, cov, coeffs)
-    if M >= 2:
-        kappa[2] = kappa2_f(g, cov, coeffs)
+    kappa = {r: f(g, cov, coeffs) for r, f in ((1, kappa1_f), (2, kappa2_f))[:M]}
     log_corr: dict[int, Real] = {}
     exponent = Fraction(0)
     with working(bits):

@@ -47,14 +47,14 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, log10, prod
 from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
 from .cumulants import moments_to_cumulants
-from .numeric import (Real, as_decimal, exp, ln_constant, nearest_binary, pi, text,
-                      working)
+from .numeric import (MAX_EXPONENT_DIGITS, Real, as_decimal, exp, ln_constant,
+                      nearest_binary, pi, text, working)
 from .powersums import FIELD_MASK, encode, monomial_order_bound, mu_moment_dict
 
 MAX_ORDER = 12
@@ -406,12 +406,19 @@ def log_closed_form(w: WeightSpec, n: int, edges: int, log_tau, exponent,
 
 def require_eval_point(family: str, n: int) -> None:
     """Reject an evaluation point outside the family's domain: n >= 1, n odd
-    for regular tournaments, and a family with a closed-form prefactor."""
+    for regular tournaments, and a family with a closed-form prefactor; and,
+    before the series, an n whose leading factor q^|E| (q^(|E| + n - 1) if
+    a = 0, q as in ``log_closed_form``) passes 10^(10^18) by 1%: the others
+    move its log by under 10^-7 there, so nearer it ``numeric.exp`` decides."""
     if n < 1:
         raise DomainError("evaluation needs n >= 1")
     if family == "RT" and n % 2 == 0:
         raise DomainError("regular tournaments need odd n")
-    family_facts(family)
+    (a, b), _ = family_facts(family)
+    lead = n * (n - 1) // 2 + (0 if a else n - 1)
+    q = lcm(a.denominator, (b / 2).denominator)
+    if lead and log10(lead) + log10(log10(q)) > MAX_EXPONENT_DIGITS + log10(1.01):
+        raise SizeLimitError(f"the value would pass 10^(10^{MAX_EXPONENT_DIGITS})")
 
 
 def evaluate_expansion(result: ExpansionResult, n: int, bits: int = DEFAULT_BITS):

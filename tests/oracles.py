@@ -51,14 +51,17 @@ tests check it against, and the combinatorics only they use:
   ``l_plus_j_adjugate``, a symmetric forward elimination of the band rows
   of L_0 or L + J in RCM order and a back sweep);
 * the estimator: ``exact_inverse`` (Gauss-Jordan over rationals, against the
-  integer adjugate) and the per-pair route to kappa_2, ``kappa2_pairwise``,
-  on Fractions: for every ordered edge pair it sums c_{l1} c_{l2} times
-  the joint moment E[X_e^{2l1} X_f^{2l2}] minus the product of the univariate
-  moments.  The shipped ``kappa2_f`` computes the same quantity as
-  Hadamard-power contractions, without the j = 0 term that cancels here;
-  ``kappa12_per_order`` runs those contractions and kappa_1 with a
-  denominator per order j and Fraction coefficients (against the shipped
-  single denominator and Horner's rule), on any graph; on K_n,
+  integer adjugate), ``edge_matrix``, the whole m x m integer matrix
+  M = B^T adj B / n^2 (against the covariances of ``exact_inverse`` and the
+  row stream of ``kappa2_f``), and the per-pair route to kappa_2,
+  ``kappa2_pairwise``, on Fractions: for every ordered edge pair it sums
+  c_{l1} c_{l2} times the joint moment E[X_e^{2l1} X_f^{2l2}] minus the
+  product of the univariate moments.  The shipped ``kappa2_f`` computes the
+  same quantity as Hadamard-power contractions, without the j = 0 term that
+  cancels here; ``kappa12_per_order`` runs those contractions on
+  ``edge_matrix`` and kappa_1 with a denominator per order j and Fraction
+  coefficients (against the shipped single denominator and Horner's rule),
+  on any graph; on K_n,
   ``kn_kappas`` reads kappa_1 and kappa_2 off the series engine's
   weight-free record of the kappa(T_L) at n, with no code shared past f_K's
   map (against ``kappa1_f`` and ``kappa2_f`` on ``complete_graph(n)``);
@@ -85,7 +88,6 @@ import numpy as np
 
 from eocount.cumulants import double_factorial, moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
-from eocount.estimator import edge_matrix
 from eocount import expansion
 from eocount.expansion import WeightSpec, f_as_mu_polynomial, weight_log_coeffs
 from eocount.graphs import CHEEGER_MAX_N
@@ -977,6 +979,22 @@ def bivariate_even_moment(p: int, q: int, suu, svv, suv):
         total += (term * suu ** ((p - j) // 2) * svv ** ((q - j) // 2)
                   * suv ** j)
     return total
+
+
+def edge_matrix(g, cov) -> list[list[int]]:
+    """M = B^T adj(L + J) B / n^2 as upper rows over the sorted edges,
+    edge[e][i] = M[e][e + i], all O(m^2) ints held at once (against the row
+    stream of ``kappa2_f``), each entry checked divisible by n^2."""
+    edges, n2, adj = sorted(g.edges), g.n ** 2, cov.adj
+    rows = []
+    for e, (j, k) in enumerate(edges):
+        row = []
+        for s, t in edges[e:]:
+            q, r = divmod(adj[j][s] - adj[j][t] - adj[k][s] + adj[k][t], n2)
+            assert r == 0, "B^T adj(L + J) B is not divisible by n^2"
+            row.append(q)
+        rows.append(row)
+    return rows
 
 
 def kappa12_per_order(g, cov, K: int) -> tuple[Fraction, Fraction]:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import eocount
 from eocount.cli import build_parser, main
 from eocount.estimator import DEFAULT_BITS
+from eocount.expansion import require_eval_point
 from eocount.graphs import circulant_graph, complete_graph, cycle_graph
 from eocount.taillab import (TAIL_MAX_M, DiscreteProductSpace, alpha,
                              exact_cumulants_discrete)
@@ -413,15 +414,35 @@ def test_float_exponents_stop_at_eighteen_digits(capsys):
     assert_one_error_line(capsys.readouterr(), "size-limit")
 
 
-def test_estimate_w_digit_cap_checked_before_the_graph(capsys, tmp_path, monkeypatch):
+def test_eval_exponent_cap_checked_before_the_series(capsys, monkeypatch):
+    # 1% past the cap the value is refused from n, |E| and q before the
+    # series is built; nearer it (ED first passes at n = 1822615738) the
+    # exp of the log value decides
+    with monkeypatch.context() as patch:
+        patch.setattr("eocount.expansion.expansion_series", fail_if_called("the series"))
+        for family, n in (("ed", 2500000001), ("eog", 1000000000001)):
+            assert main(["expand", family, "--order", "12", "--eval", str(n)]) == 3
+            assert_one_error_line(capsys.readouterr(), "size-limit")
+    require_eval_point("ED", 1825000000)
+    assert main(["expand", "ed", "--order", "2", "--eval", "1825000000"]) == 3
+    assert_one_error_line(capsys.readouterr(), "size-limit")
+
+
+def test_estimate_w_digit_cap_checked_before_the_graph(capsys, tmp_path, monkeypatch,
+                                                       k5_file):
     # the report prints w exactly: 1e-4000 has a 4001-digit denominator, and
-    # it is refused before the graph is read or the estimate runs
+    # it is refused before the graph is read or the estimate runs; so are an
+    # M out of 0..2 and a K out of 2..64 at M >= 1, which need no graph
     c3 = write_edges(tmp_path / "c3.edges", cycle_graph(3))
     monkeypatch.setattr("eocount.cli.load_graph", fail_if_called("the graph"))
     monkeypatch.setattr("eocount.cli.eo_estimate", fail_if_called("the estimate"))
-    for w in ("1e-4000", str(10**4100)):
-        assert main(["estimate", "--graph", c3, "--M", "2", "--w", w]) == 3
-        assert_one_error_line(capsys.readouterr(), "size-limit")
+    cases = [([c3, "--M", "2", "--w", w], 3, "size-limit")
+             for w in ("1e-4000", str(10**4100))] + [
+        ([k5_file, "--M", "3"], 2, "domain"), ([k5_file, "--K", "1"], 2, "domain"),
+        ([k5_file, "--K", "65"], 3, "size-limit")]
+    for argv, code, kind in cases:
+        assert main(["estimate", "--graph", *argv]) == code, argv
+        assert_one_error_line(capsys.readouterr(), kind)
 
 
 def test_bounds_digit_cap_on_a_large_cycle(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from eocount.cumulants import double_factorial
 from eocount.errors import DomainError, SizeLimitError
 from eocount.estimator import (_closed_form_logs, covariance_sigma, default_w,
-                               degree_sum_reference, edge_matrix, eo_estimate,
+                               degree_sum_reference, eo_estimate,
                                eo_hat_log, kappa1_f, kappa2_f, schrijver_lower,
                                schrijver_upper_squared)
 from eocount.expansion import (MAX_BITS, MAX_K, MIN_BITS, WeightSpec,
@@ -23,9 +25,9 @@ from eocount.graphs import (DENSE_MAX_N, Graph, all_degrees_even,
                             complete_multipartite, cycle_graph,
                             spanning_tree_count)
 from helpers import laplacian, log_estimate, octahedron_graph, sigma_w
-from oracles import (bivariate_even_moment, exact_inverse, kappa12_per_order,
-                     kappa2_pairwise, kn_kappas, log_cos_coeffs,
-                     printed_log_prefactor)
+from oracles import (bivariate_even_moment, edge_matrix, exact_inverse,
+                     kappa12_per_order, kappa2_pairwise, kn_kappas,
+                     log_cos_coeffs, printed_log_prefactor)
 
 RT = WeightSpec.for_family("RT")
 
@@ -95,16 +97,33 @@ def test_edge_matrix_diagonal_is_the_stored_variance():
         assert {Fraction(v, cov.tau) for v in cov.var} == {resistance}
 
 
-def test_estimate_below_m2_never_builds_the_edge_matrix(monkeypatch):
+def test_estimate_below_m2_never_runs_kappa2(monkeypatch):
     def refuse(*args):
-        raise AssertionError("edge matrix built")
+        raise AssertionError("kappa_2 computed")
 
-    monkeypatch.setattr("eocount.estimator.edge_matrix", refuse)
+    monkeypatch.setattr("eocount.estimator.kappa2_f", refuse)
     g = circulant_graph(9, (1, 2))
     for M in (0, 1):
         assert set(eo_estimate(g, M=M).kappa) == set(range(1, M + 1))
-    with pytest.raises(AssertionError, match="edge matrix"):
+    with pytest.raises(AssertionError, match="kappa_2"):
         eo_estimate(g, M=2)
+
+
+def test_kappa2_holds_no_edge_matrix():
+    # the rows of M are streamed: the peak stays below adj(L + J) itself,
+    # where the m x m triangles of M, its square and a Hadamard power took
+    # 12.9 MiB on this graph (m = 240)
+    g = circulant_graph(80, (1, 2, 3))
+    cov, coeffs = covariance_sigma(g), log_cos_map(4)
+    adj_bytes = sys.getsizeof(cov.adj) + sum(
+        sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in cov.adj)
+    tracemalloc.start()
+    try:
+        kappa2_f(g, cov, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < adj_bytes, (peak, adj_bytes)
 
 
 def test_precision_floor():
@@ -287,10 +306,15 @@ def test_kappa2_within_second_order_bound():
         assert abs(k2) <= bound
 
 
+# graphs that are not regular: on K_n A_j is constant over the edges, so a row
+# of M read against a misaligned slice of A_j goes unseen there
+IRREGULAR = [complete_multipartite(2, 4), random_even_graph(11, 0.5, 3)]
+
+
 def test_kappa2_matches_pairwise_oracle():
     graphs = [complete_graph(5), complete_graph(7), complete_graph(9),
               octahedron_graph(), circulant_graph(8, (1, 2)),
-              circulant_graph(13, (1, 2, 3))]
+              circulant_graph(13, (1, 2, 3))] + IRREGULAR
     for g in graphs:
         cov = covariance_sigma(g)
         sigma = sigma_w(cov, default_w(g))
@@ -302,7 +326,7 @@ def test_kappa2_matches_pairwise_oracle():
 
 def test_kappas_match_the_per_order_fraction_route():
     graphs = [complete_graph(n) for n in range(3, 12)] + [
-        circulant_graph(13, (1, 2, 3)), circulant_graph(18, (1, 3, 8))]
+        circulant_graph(13, (1, 2, 3)), circulant_graph(18, (1, 3, 8))] + IRREGULAR
     cases = [(g, K) for g in graphs for K in (2, 4, 8)] + [(complete_graph(5), 64)]
     for g, K in cases:
         cov = covariance_sigma(g)
