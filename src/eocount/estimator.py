@@ -14,6 +14,11 @@ kappa_2 a short sum of Hadamard-power contractions of A_j, j >= 2, over the
 rows of M streamed one at a time from adj, so no m x m matrix is held.  Each
 exact result enters the log estimates rounded once, at a working precision
 of at least ``expansion.MIN_BITS`` = 128 bits (``numeric``).
+
+On a circulant C_n(S) in its own labels adj(L + J) is one row rotated and
+every edge quantity depends on the edge's offset class alone: one solve gives
+the row in O(n) ints, and kappa_1 and kappa_2 sum over the classes, kappa_2
+in O(|S| m K); other graphs, relabelled circulants too, take the route above.
 """
 
 from __future__ import annotations
@@ -29,14 +34,16 @@ from typing import NamedTuple
 from .errors import DomainError, SizeLimitError
 from .expansion import (DEFAULT_BITS, MAX_K, WeightSpec, f_as_mu_polynomial,
                         log_closed_form, require_precision, to_text)
-from .graphs import (Graph, all_degrees_even, cheeger_constant,
+from .graphs import (Graph, _adjugate_row, all_degrees_even, cheeger_constant,
                      l_plus_j_adjugate, require_dense, spanning_tree_count)
 from .cumulants import double_factorial
 from .numeric import Real, as_decimal, exp, working
 
-# kappa_2 streams M's rows, so this bounds its time alone: at the cap, m = 1000
-# on C250(1,2,3,4), eo_estimate at M = 2, K = 4 took 7.1 s and 1.4 MiB of peak
-# RSS over M = 1 (2 shared Xeon cores, CPython 3.11.7).
+# kappa_2 streams M's rows, so this bounds its time alone, on the general
+# route: at the cap, m = 1000 on C250(1,2,3,4) with shuffled labels,
+# eo_estimate at M = 2, K = 4 took 9.5-10.0 s and 23.5 MiB of peak RSS (M = 1:
+# 0.2 s, 21.6 MiB); in natural labels, where kappa_2 is summed per offset
+# class, 0.07-0.08 s and 15.9 MiB (2 shared Xeon cores, CPython 3.11.7).
 KAPPA2_MAX_EDGE_PAIRS = 10**6
 _LOG_COS = WeightSpec.for_family("RT")  # log cos x = log(0 + 1 cos x)
 
@@ -70,12 +77,17 @@ class Covariance(NamedTuple):
     ``var`` is the diagonal of M = B^T adj B / n^2 over the sorted edges,
     var[e] = (adj_jj + adj_kk - 2 adj_jk) / n^2 for e = (j, k); var[e]/tau
     is the w-free variance of X_j - X_k.  ``kappa2_f`` streams M's rows.
+
+    On a circulant in its own labels, adj[v][w] = g((w - v) mod n): ``adj``
+    holds [g] alone, ``classes`` maps each offset class s to its edge count
+    and ``var`` holds 2 (g(0) - g(s)) / n^2 per class.
     """
 
     n: int
     tau: int                  # spanning trees; det(L + J) = n^2 tau
-    adj: list[list[int]]      # adjugate of L + J
+    adj: list[list[int]]      # adjugate of L + J, or [its row 0] on a circulant
     var: list[int]
+    classes: dict[int, int]   # a circulant's offset classes s -> edges, else {}
 
     def norm_inf(self, w) -> Fraction:
         """||Sigma_w||_inf, which the cumulant bounds assume is at most 1/2:
@@ -93,15 +105,33 @@ def _exact_over_n2(values: list[int], n2: int) -> list[int]:
     return list(map(floordiv, values, repeat(n2)))
 
 
+def _classes(g: Graph) -> dict[int, int]:
+    """{s: edge count} over the offset classes s = min(v - u, n - v + u) of
+    the edges when v -> v + 1 mod n maps the edge set onto itself (a
+    circulant in these labels), else {}; O(m)."""
+    n, edges = g.n, g.edges
+    if any(((u + 1, v + 1) if v + 1 < n else (0, u + 1)) not in edges
+           for u, v in edges):
+        return {}
+    return dict(sorted(Counter(min(v - u, n - v + u) for u, v in edges).items()))
+
+
 def covariance_sigma(g: Graph) -> Covariance:
     """Sigma_w for every w, tau and the diagonal of M from one banded
-    elimination; DomainError unless the graph is connected."""
+    elimination; DomainError unless the graph is connected.  On a circulant
+    one row of adj(L + J) (``graphs._adjugate_row``), no n x n sweep."""
     _require_vertices(g)
-    tau, adj = l_plus_j_adjugate(g)
+    classes = _classes(g)
+    if classes:
+        tau, r, row = _adjugate_row(g)
+        adj = [row[r:] + row[:r]] if tau else None
+    else:
+        tau, adj = l_plus_j_adjugate(g)
     if not tau:
         raise DomainError("covariance needs a connected graph (L + J singular)")
-    var = [adj[j][j] + adj[k][k] - 2 * adj[j][k] for j, k in sorted(g.edges)]
-    return Covariance(g.n, tau, adj, _exact_over_n2(var, g.n ** 2))
+    var = ([2 * (adj[0][0] - adj[0][s]) for s in classes] if classes else
+           [adj[j][j] + adj[k][k] - 2 * adj[j][k] for j, k in sorted(g.edges)])
+    return Covariance(g.n, tau, adj, _exact_over_n2(var, g.n ** 2), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +233,14 @@ def _edge_terms(cov: Covariance, coeffs: dict[int, Fraction]):
 def kappa1_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction:
     """The exact first cumulant of f_K = sum_e sum_l c_l X_e^(2l),
     sum_{l=2}^K c_l (2l-1)!! sum_{jk} S_{jk,jk}^l = sum_e A_0[e], with
-    S = M/tau: the j = 0 term of kappa_2's sum.  ``coeffs`` is f_K's map
-    {l: c_l}, K its largest l; for log cos it is
-    ``expansion.f_as_mu_polynomial`` of RT."""
+    S = M/tau (on a circulant, A_0 per class times the class sizes): the
+    j = 0 term of kappa_2's sum.  ``coeffs`` is f_K's map {l: c_l}, K its
+    largest l; for log cos it is ``expansion.f_as_mu_polynomial`` of RT."""
     K = max(coeffs, default=0)
     require_orders(1, K)
     den, A = next(_edge_terms(cov, coeffs))
-    return Fraction(sum(A), den * cov.tau ** K)
+    total = sum(map(mul, cov.classes.values(), A)) if cov.classes else sum(A)
+    return Fraction(total, den * cov.tau ** K)
 
 
 def kappa2_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction:
@@ -230,11 +261,14 @@ def kappa2_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction
     common denominator of the c_l), so the sum is one integer
     contraction with the M^(o j) over D^2 tau^(2K), each edge e = (j, k) on
     its upper row M[e][e:] alone, formed from adj[j] - adj[k] and dropped
-    after: O(m^2 K) time and O(m K) ints beyond adj.
+    after: O(m^2 K) time and O(m K) ints beyond adj.  On a circulant one
+    row per offset class does, weighed by the class size: O(|S| m K).
     """
     K = max(coeffs, default=0)
     require_orders(2, K, g.edge_count)
     (den, _), *terms = _edge_terms(cov, coeffs)  # h = 0 is kappa_1's term
+    if cov.classes:
+        return Fraction(_orbit_sum(cov, terms), den * den * cov.tau ** (2 * K))
     edges, total = sorted(g.edges), 0
     for e, (j, k) in enumerate(edges):
         d = list(map(sub, cov.adj[j], cov.adj[k]))
@@ -246,6 +280,25 @@ def kappa2_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction
             a = A[e]
             total += factorial(2 * h) * a * (2 * sum(map(mul, had, A[e:])) - had[0] * a)
     return Fraction(total, den * den * cov.tau ** (2 * K))
+
+
+def _orbit_sum(cov: Covariance, terms) -> int:
+    """kappa_2's integer sum on a circulant: translation maps each edge of
+    class s onto (0, s) and permutes the rest, so the row of M at (0, s)
+    counts once per edge of the class, read against each class t: O(|S|^2 n
+    K) = O(|S| m K).  With d = adj[0] - adj[s], d[x] = g(x) - g(x - s),
+    M[(0, s)][(x, x + t)] = (d[x] - d[x + t]) / n^2."""
+    n, g0, classes = cov.n, cov.adj[0], list(cov.classes.items())
+    total = 0
+    for c, (s, size) in enumerate(classes):
+        d = list(map(sub, g0, g0[-s:] + g0[:-s]))
+        d2 = d + d
+        for u, (t, count) in enumerate(classes):
+            row = _exact_over_n2(list(map(sub, d, d2[t:t + count])), n * n)
+            for h, (_, A) in enumerate(terms, 1):
+                total += (size * factorial(2 * h) * A[c] * A[u]
+                          * sum(map(pow, row, repeat(2 * h))))
+    return total
 
 
 # ---------------------------------------------------------------------------

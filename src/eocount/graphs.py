@@ -389,6 +389,40 @@ def l_plus_j_adjugate(g: Graph) -> tuple[int, list[list[int]] | None]:
     return tau, Y
 
 
+def _adjugate_row(g: Graph) -> tuple[int, int, list[int] | None]:
+    """(tau, r, row): row r of adj(L + J), r the vertex at position n - 1,
+    from the rows U of ``_eliminated`` and one fraction-free solve y =
+    adj(A) t in O(n b) ints; (0, 0, None) for a disconnected or empty graph.
+    The forward pass scales t[i] lazily, as ``_eliminated`` does its columns,
+    then y[i] = (d_N t[i] - sum_{k > i} U[i][k - i] y[k]) / d_{i+1}.  t =
+    e_{n-1} gives the row on the L + J side; t = 1 gives rho = adj(L_0) 1 on
+    the L_0 side, r grounded, so row[w] = sigma + tau - n rho_w as in
+    ``l_plus_j_adjugate``."""
+    grounded, pos, U, det = _eliminated(g)
+    if not det:
+        return 0, 0, None
+    n, size = g.n, len(U)
+    t = [1] * size if grounded else [0] * (size - 1) + [1]
+    b, prev = len(U[0]) - 1 if U else 0, 1
+    for k, uk in enumerate(U):
+        if k and k + b < size:
+            t[k + b] *= prev
+        piv, tk = uk[0], t[k]
+        for i in range(k + 1, k + len(uk)):
+            t[i] = (piv * t[i] - uk[i - k] * tk) // prev
+        prev = piv
+    y = [0] * size
+    for i in range(size - 1, -1, -1):
+        ui = U[i]
+        y[i] = (det * t[i] - sum(map(mul, ui[1:], y[i + 1:i + len(ui)]))) // ui[0]
+    r = pos.index(n - 1)
+    if not grounded:
+        return det // (n * n), r, [y[p] for p in pos]
+    y.append(0)
+    base = sum(y) + det
+    return det, r, [base - n * y[p] for p in pos]
+
+
 def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees, det L_0 or det(L + J)/n^2 by the
     matrix-tree theorem, from the forward pass of ``_eliminated`` alone; 0

@@ -14,6 +14,7 @@ matrix, fair-bit product spaces and tables built from a Python function,
 and graph and instance objects in their file formats.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -21,7 +22,7 @@ from typing import Mapping
 
 from eocount.cumulants import double_factorial
 from eocount.errors import SizeLimitError
-from eocount.graphs import Graph, complete_multipartite
+from eocount.graphs import Graph, complete_multipartite, l_plus_j_adjugate
 from eocount.powersums import FIELD_BITS, FIELD_MASK, encode, mu_moment_dict
 from eocount.taillab import DiscreteProductSpace
 
@@ -225,11 +226,23 @@ def mu_moment(mono, p_max: int | None = None) -> LaurentSeries:
 # ---------------------------------------------------------------------------
 # estimator
 
-def sigma_w(cov, w) -> list[list[Fraction]]:
-    """Sigma_w of a Covariance, exact: adj/(n^2 tau) + (1/w - 1) J/n^2."""
-    n2 = cov.n ** 2
+def sigma_w(g, w) -> list[list[Fraction]]:
+    """Sigma_w of a connected graph, exact: adj/(n^2 tau) + (1/w - 1) J/n^2
+    from the full adjugate of ``l_plus_j_adjugate``."""
+    tau, adj = l_plus_j_adjugate(g)
+    n2 = g.n ** 2
     shift = (1 / Fraction(w) - 1) / n2
-    return [[Fraction(x, n2 * cov.tau) + shift for x in row] for row in cov.adj]
+    return [[Fraction(x, n2 * tau) + shift for x in row] for row in adj]
+
+
+def shuffled(g, seed: int = 0):
+    """g with its vertices relabelled by a seeded random permutation: a
+    circulant in natural labels is then, but for K_n and small n, no longer
+    mapped onto itself by v -> v + 1, and the estimator takes its general
+    route."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def log_estimate(rep, M: int | None = None):

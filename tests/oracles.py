@@ -90,7 +90,7 @@ from eocount.cumulants import double_factorial, moments_to_cumulants
 from eocount.errors import DomainError, SizeLimitError
 from eocount import expansion
 from eocount.expansion import WeightSpec, f_as_mu_polynomial, weight_log_coeffs
-from eocount.graphs import CHEEGER_MAX_N
+from eocount.graphs import CHEEGER_MAX_N, l_plus_j_adjugate
 from eocount.powersums import (FIELD_MASK, code_fields, encode,
                                monomial_order_bound, mu_moment_dict)
 from eocount.taillab import alpha, exact_cumulants_discrete
@@ -981,11 +981,12 @@ def bivariate_even_moment(p: int, q: int, suu, svv, suv):
     return total
 
 
-def edge_matrix(g, cov) -> list[list[int]]:
+def edge_matrix(g) -> list[list[int]]:
     """M = B^T adj(L + J) B / n^2 as upper rows over the sorted edges,
-    edge[e][i] = M[e][e + i], all O(m^2) ints held at once (against the row
+    edge[e][i] = M[e][e + i], from the full adjugate of
+    ``l_plus_j_adjugate``, all O(m^2) ints held at once (against the row
     stream of ``kappa2_f``), each entry checked divisible by n^2."""
-    edges, n2, adj = sorted(g.edges), g.n ** 2, cov.adj
+    edges, n2, adj = sorted(g.edges), g.n ** 2, l_plus_j_adjugate(g)[1]
     rows = []
     for e, (j, k) in enumerate(edges):
         row = []
@@ -997,14 +998,17 @@ def edge_matrix(g, cov) -> list[list[int]]:
     return rows
 
 
-def kappa12_per_order(g, cov, K: int) -> tuple[Fraction, Fraction]:
-    """(kappa_1, kappa_2) of f_K by ``kappa2_f``'s Hadamard separation, with
-    the Fraction coefficients of ``weight_log_coeffs_via_fractions``, a
-    denominator of its own for each A_j and the powers of S_ee taken one by
-    one (against the shipped one-denominator Horner route)."""
+def kappa12_per_order(g, K: int) -> tuple[Fraction, Fraction]:
+    """(kappa_1, kappa_2) of f_K by ``kappa2_f``'s Hadamard separation over
+    every edge pair of ``edge_matrix``, with the Fraction coefficients of
+    ``weight_log_coeffs_via_fractions``, a denominator of its own for each
+    A_j and the powers of S_ee taken one by one (against the shipped
+    one-denominator Horner route and a circulant's offset classes)."""
     cs = weight_log_coeffs_via_fractions(WeightSpec.for_family("RT"), K)
-    tau = cov.tau
-    rows = [[x * x for x in row] for row in edge_matrix(g, cov)]
+    tau = l_plus_j_adjugate(g)[0]
+    M = edge_matrix(g)
+    var = [row[0] for row in M]
+    rows = [[x * x for x in row] for row in M]
     hadamard, kappa2 = rows, Fraction(0)
     for h in range(K + 1):
         j = 2 * h
@@ -1013,7 +1017,7 @@ def kappa12_per_order(g, cov, K: int) -> tuple[Fraction, Fraction]:
         den = lcm(*(c.denominator for c in ws))
         coef = [c.numerator * (den // c.denominator) * tau ** (K - h - p)
                 for p, c in enumerate(ws)]
-        A = [sum(c * v ** p for p, c in enumerate(coef)) for v in cov.var]
+        A = [sum(c * v ** p for p, c in enumerate(coef)) for v in var]
         if h == 0:
             kappa1 = Fraction(sum(A), den * tau ** K)
             continue

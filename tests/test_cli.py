@@ -6,6 +6,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb, isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 import eocount
 from eocount.cli import build_parser, main
-from eocount.estimator import DEFAULT_BITS
+from eocount.estimator import DEFAULT_BITS, KAPPA2_MAX_EDGE_PAIRS
 from eocount.expansion import require_eval_point
-from eocount.graphs import circulant_graph, complete_graph, cycle_graph
+from eocount.graphs import DENSE_MAX_N, circulant_graph, complete_graph, cycle_graph
 from eocount.taillab import (TAIL_MAX_M, DiscreteProductSpace, alpha,
                              exact_cumulants_discrete)
 
@@ -300,6 +301,34 @@ def test_exact_eo_stops_reading_at_the_first_edge_past_the_cap(
     for path in (garbled, as_json):
         assert main(["exact", "eo", "--graph", str(path)]) == 3
         assert_one_error_line(capsys.readouterr(), "size-limit")
+
+
+def test_estimate_stops_reading_at_the_first_edge_past_the_caps(
+        capsys, tmp_path, monkeypatch):
+    # C_10^6 is past every cap; the whole file was read (1.6 s, 210 MiB)
+    # before its refusal.  No graph of more edges is estimated at M = 2, nor
+    # one of more than DENSE_MAX_N vertices at any M.
+    from eocount import graphs
+    n = 10**6
+    p = tmp_path / "c1000000.edges"
+    p.write_text(f"{n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1)))
+    checked, read = graphs._checked_graph, []
+
+    def counting(n, pairs, first, max_edges=None):
+        read.append(0)
+
+        def counted():
+            for pair in pairs:
+                read[-1] += 1
+                yield pair
+        return checked(n, counted(), first, max_edges)
+
+    monkeypatch.setattr(graphs, "_checked_graph", counting)
+    for M, cap in ((2, isqrt(KAPPA2_MAX_EDGE_PAIRS)), (1, comb(DENSE_MAX_N, 2)),
+                   (0, comb(DENSE_MAX_N, 2))):
+        assert main(["estimate", "--graph", str(p), "--M", str(M)]) == 3
+        assert_one_error_line(capsys.readouterr(), "size-limit")
+        assert read[-1] == cap + 1, (M, read)
 
 
 def test_undecodable_file_is_one_json_line(capsys, tmp_path):

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eocount.cumulants import double_factorial
@@ -23,8 +23,8 @@ from eocount.exact import eo_count_bruteforce, rt_count
 from eocount.graphs import (DENSE_MAX_N, Graph, all_degrees_even,
                             circulant_graph, complete_graph,
                             complete_multipartite, cycle_graph,
-                            spanning_tree_count)
-from helpers import laplacian, log_estimate, octahedron_graph, sigma_w
+                            l_plus_j_adjugate, spanning_tree_count)
+from helpers import laplacian, log_estimate, octahedron_graph, shuffled, sigma_w
 from oracles import (bivariate_even_moment, edge_matrix, exact_inverse,
                      kappa12_per_order, kappa2_pairwise, kn_kappas,
                      log_cos_coeffs, printed_log_prefactor)
@@ -65,7 +65,7 @@ def test_covariance_matches_exact_inverse():
                  (cycle_graph(4), Fraction(1))):
         inv = inverse_of_shifted_laplacian(g, w)
         cov = covariance_sigma(g)
-        assert sigma_w(cov, w) == inv
+        assert sigma_w(g, w) == inv
         assert cov.norm_inf(w) == norm_inf(inv)
 
 
@@ -78,23 +78,31 @@ def test_integer_sigma_matches_exact_inverse():
         cov = covariance_sigma(g)
         for w in {default_w(g), Fraction(1), Fraction(3, 7)}:
             inv = inverse_of_shifted_laplacian(g, w)
-            assert sigma_w(cov, w) == inv, (g, w)
+            assert sigma_w(g, w) == inv, (g, w)
             assert cov.norm_inf(w) == norm_inf(inv), (g, w)
         # the integer edge matrix over tau is the edge-difference covariance
         edges = sorted(g.edges)
-        for e, row in enumerate(edge_matrix(g, cov)):
+        for e, row in enumerate(edge_matrix(g)):
             for i, x in enumerate(row):
                 assert Fraction(x, cov.tau) == edge_cov(inv, edges[e], edges[e + i])
 
 
 def test_edge_matrix_diagonal_is_the_stored_variance():
-    # effective resistance of an edge: 2/n in K_n, (n - 1)/n in C_n
+    # effective resistance of an edge: 2/n in K_n, (n - 1)/n in C_n; in
+    # natural labels var holds one entry per offset class, relabelled one
+    # per sorted edge
     for g, resistance in ([(complete_graph(n), Fraction(2, n)) for n in range(3, 10)]
                           + [(cycle_graph(n), Fraction(n - 1, n))
                              for n in range(3, 13)]):
         cov = covariance_sigma(g)
-        assert [row[0] for row in edge_matrix(g, cov)] == cov.var
-        assert {Fraction(v, cov.tau) for v in cov.var} == {resistance}
+        assert set(cov.var) == {row[0] for row in edge_matrix(g)}
+        assert len(cov.var) == len(cov.classes)
+        h = shuffled(g)
+        ref = covariance_sigma(h)
+        if not ref.classes:
+            assert [row[0] for row in edge_matrix(h)] == ref.var
+        for c in (cov, ref):
+            assert {Fraction(v, c.tau) for v in c.var} == {resistance}
 
 
 def test_estimate_below_m2_never_runs_kappa2(monkeypatch):
@@ -109,21 +117,42 @@ def test_estimate_below_m2_never_runs_kappa2(monkeypatch):
         eo_estimate(g, M=2)
 
 
+def list_bytes(rows):
+    return sys.getsizeof(rows) + sum(
+        sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in rows)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_kappa2_holds_no_edge_matrix():
     # the rows of M are streamed: the peak stays below adj(L + J) itself,
     # where the m x m triangles of M, its square and a Hadamard power took
-    # 12.9 MiB on this graph (m = 240)
+    # 12.9 MiB on this graph (m = 240); relabelled, kappa2_f reads the full
+    # adjugate, in natural labels its row 0
     g = circulant_graph(80, (1, 2, 3))
-    cov, coeffs = covariance_sigma(g), log_cos_map(4)
-    adj_bytes = sys.getsizeof(cov.adj) + sum(
-        sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in cov.adj)
-    tracemalloc.start()
-    try:
-        kappa2_f(g, cov, coeffs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < adj_bytes, (peak, adj_bytes)
+    adj_bytes = list_bytes(l_plus_j_adjugate(g)[1])
+    for h in (g, shuffled(g)):
+        cov, coeffs = covariance_sigma(h), log_cos_map(4)
+        assert bool(cov.classes) is (h is g)
+        peak = traced_peak(kappa2_f, h, cov, coeffs)
+        assert peak < adj_bytes, (peak, adj_bytes)
+
+
+def test_circulant_route_holds_one_adjugate_row():
+    # covariance_sigma and kappa2_f together peak at 1.5 MiB, below a quarter
+    # of the one n x n adjugate (10.6 MiB of ints) that the general route
+    # holds on this graph
+    g = circulant_graph(DENSE_MAX_N, (1, 2, 3))
+    adj_bytes = list_bytes(l_plus_j_adjugate(g)[1])
+    peak = traced_peak(lambda: kappa2_f(g, covariance_sigma(g), log_cos_map(4)))
+    assert peak < adj_bytes / 4, (peak, adj_bytes)
 
 
 def test_precision_floor():
@@ -169,17 +198,28 @@ def test_dense_cap_checked_before_the_bounds_and_scans(monkeypatch):
 
 
 def test_sparse_estimate_at_the_dense_cap_is_fast():
-    # 0.28 s on 2 shared cores with CPython 3.11 (6.5 s with a dense
-    # elimination of L + J)
+    # 0.28 s relabelled on 2 shared cores with CPython 3.11 (6.5 s with a
+    # dense elimination of L + J), 0.02 s in natural labels
+    g = circulant_graph(DENSE_MAX_N, (1, 2, 3))
+    for h in (g, shuffled(g)):
+        t0 = time.perf_counter()
+        eo_estimate(h, M=1)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 3, f"{elapsed:.2f}s"
+
+
+def test_circulant_kappa2_at_the_dense_cap_is_fast():
+    # 0.07 s on 2 shared cores with CPython 3.11; relabelled, where kappa_2
+    # sums over every edge pair, 6.7 s
     g = circulant_graph(DENSE_MAX_N, (1, 2, 3))
     t0 = time.perf_counter()
-    eo_estimate(g, M=1)
+    eo_estimate(g, M=2)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 3, f"{elapsed:.2f}s"
+    assert elapsed < 1.5, f"{elapsed:.2f}s"
 
 
 def test_covariance_complete_graph_symmetry():
-    sigma = sigma_w(covariance_sigma(complete_graph(5)), Fraction(2))
+    sigma = sigma_w(complete_graph(5), Fraction(2))
     diag = {sigma[i][i] for i in range(5)}
     off = {sigma[i][j] for i in range(5) for j in range(5) if i != j}
     assert len(diag) == 1 and len(off) == 1
@@ -197,7 +237,7 @@ def test_covariance_requires_connected():
 def test_edge_covariance_w_invariance():
     g = complete_graph(4)
     cov = covariance_sigma(g)
-    s1, s2 = sigma_w(cov, Fraction(1)), sigma_w(cov, default_w(g))
+    s1, s2 = sigma_w(g, Fraction(1)), sigma_w(g, default_w(g))
     for e in ((0, 1), (1, 2)):
         for f in ((0, 1), (2, 3), (0, 2)):
             assert edge_cov(s1, e, f) == edge_cov(s2, e, f)
@@ -218,7 +258,7 @@ def test_kappa1_single_edge_formula():
     # one edge: kappa_1 = sum_l c_2l (2l-1)!! sigma_ee^l; check K=2 term shape
     g = Graph.from_edges(2, [(0, 1)])
     cov = covariance_sigma(g)
-    see = edge_cov(sigma_w(cov, Fraction(1)), (0, 1), (0, 1))
+    see = edge_cov(sigma_w(g, Fraction(1)), (0, 1), (0, 1))
     assert kappa1_f(g, cov, log_cos_map(2)) == Fraction(-1, 12) * 3 * see**2
     assert degree_sum_reference(g) == -Fraction(1)
 
@@ -255,7 +295,7 @@ def test_kappa1_w_invariance():
     cov = covariance_sigma(g)
     cs = log_cos_map(4)
     for w in (Fraction(1), Fraction(3)):
-        sigma = sigma_w(cov, w)
+        sigma = sigma_w(g, w)
         direct = sum(cs[l] * double_factorial(2 * l - 1) * edge_cov(sigma, e, e) ** l
                      for e in g.edges for l in range(2, 5))
         assert kappa1_f(g, cov, cs) == direct
@@ -312,12 +352,13 @@ IRREGULAR = [complete_multipartite(2, 4), random_even_graph(11, 0.5, 3)]
 
 
 def test_kappa2_matches_pairwise_oracle():
+    circulants = [circulant_graph(8, (1, 2)), circulant_graph(13, (1, 2, 3))]
     graphs = [complete_graph(5), complete_graph(7), complete_graph(9),
-              octahedron_graph(), circulant_graph(8, (1, 2)),
-              circulant_graph(13, (1, 2, 3))] + IRREGULAR
+              octahedron_graph()] + circulants + list(map(shuffled, circulants)) \
+        + IRREGULAR
     for g in graphs:
         cov = covariance_sigma(g)
-        sigma = sigma_w(cov, default_w(g))
+        sigma = sigma_w(g, default_w(g))
         # K = 8 only where the per-pair oracle stays cheap
         for K in (2, 4) + ((8,) if g.edge_count <= 16 else ()):
             assert kappa2_f(g, cov, log_cos_map(K)) == kappa2_pairwise(
@@ -325,15 +366,57 @@ def test_kappa2_matches_pairwise_oracle():
 
 
 def test_kappas_match_the_per_order_fraction_route():
-    graphs = [complete_graph(n) for n in range(3, 12)] + [
-        circulant_graph(13, (1, 2, 3)), circulant_graph(18, (1, 3, 8))] + IRREGULAR
+    circulants = [circulant_graph(13, (1, 2, 3)), circulant_graph(18, (1, 3, 8))]
+    graphs = [complete_graph(n) for n in range(3, 12)] + circulants \
+        + list(map(shuffled, circulants)) + IRREGULAR
     cases = [(g, K) for g in graphs for K in (2, 4, 8)] + [(complete_graph(5), 64)]
     for g, K in cases:
         cov = covariance_sigma(g)
         coeffs = log_cos_map(K)
         got = kappa1_f(g, cov, coeffs), kappa2_f(g, cov, coeffs)
         assert all(type(k) is Fraction for k in got)
-        assert got == kappa12_per_order(g, cov, K), (g.n, g.edge_count, K)
+        assert got == kappa12_per_order(g, K), (g.n, g.edge_count, K)
+
+
+def edge_variances(g, cov) -> dict:
+    """Each edge's entry of ``cov.var``: per sorted edge, or per offset class."""
+    if not cov.classes:
+        return dict(zip(sorted(g.edges), cov.var))
+    by_class = dict(zip(cov.classes, cov.var))
+    return {(u, v): by_class[min(v - u, g.n - v + u)] for u, v in g.edges}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 40),
+       st.sets(st.integers(1, 20), min_size=1, max_size=4) | st.just({0}),
+       st.integers(0, 2**32))
+@example(9, {0}, 1)
+@example(10, {0}, 1)   # K_10: an n/2 class of 5 edges
+@example(12, {1, 6}, 1)
+@example(2, {1}, 1)    # one edge, the class s = n/2 of K_2
+def test_circulant_route_matches_a_relabelled_copy(n, offsets, seed):
+    # offsets are taken into 1..n/2; {0} stands for all of them, K_n
+    half = n // 2
+    offsets = range(1, half + 1) if offsets == {0} else {(s - 1) % half + 1
+                                                         for s in offsets}
+    g = circulant_graph(n, offsets)
+    assume(g.is_connected())
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+    cov, ref = covariance_sigma(g), covariance_sigma(h)
+    assert list(cov.classes) == sorted(offsets)
+    tau, adj = l_plus_j_adjugate(g)
+    assert cov.tau == ref.tau == tau and cov.adj == [adj[0]]
+    for w in (default_w(g), Fraction(1), Fraction(3, 7)):
+        assert cov.norm_inf(w) == ref.norm_inf(w)
+    mine, theirs = edge_variances(g, cov), edge_variances(h, ref)
+    assert all(x == theirs[min(perm[u], perm[v]), max(perm[u], perm[v])]
+               for (u, v), x in mine.items())
+    for K in (2, 4, 8):
+        coeffs = log_cos_map(K)
+        assert kappa1_f(g, cov, coeffs) == kappa1_f(h, ref, coeffs), K
+        assert kappa2_f(g, cov, coeffs) == kappa2_f(h, ref, coeffs), K
 
 
 @settings(max_examples=24, deadline=None)

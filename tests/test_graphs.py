@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from eocount.errors import DomainError, SizeLimitError
 from eocount.graphs import (DENSE_MAX_N, GRAPH_FILE_MAX_N, LANE_BITS, Graph,
-                            _eliminated, all_degrees_even, cheeger_constant,
+                            _adjugate_row, _eliminated, all_degrees_even, cheeger_constant,
                             circulant_graph, complete_graph,
                             complete_multipartite, cycle_graph,
                             l_plus_j_adjugate, load_graph,
@@ -138,6 +138,17 @@ def test_bareiss_back_sweep_matches_full_gauss_jordan(g):
     if adj is not None:
         assert all(adj[i][j] == adj[j][i]
                    for i in range(g.n) for j in range(i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_of_any_density(14))
+def test_one_row_solve_matches_the_back_sweep(g):
+    # row r of adj(L + J), r the vertex at the last position, on both sides
+    # of the density rule and on disconnected graphs
+    tau, adj = l_plus_j_adjugate(g)
+    got, r, row = _adjugate_row(g)
+    assert got == tau
+    assert row == (adj[r] if adj else None)
 
 
 @settings(max_examples=200, deadline=None)

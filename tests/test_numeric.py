@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_rational, round_nearest, to_rational
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,8 +43,10 @@ def decimal_ties(draw):
 @given(st.one_of(nonzero, decimal_ties(),
                  st.builds(Fraction, st.integers(1, 10**200), st.integers(1, 10**200))))
 def test_exact_values_print_as_mpmath_prints_their_256_bit_float(x):
+    # x rounded once: mpf(numerator) / denominator rounds a numerator past
+    # 256 bits first, and the quotient of that can miss x's nearest float
     with mpmath.workprec(256):
-        binary = mpmath.mpf(x.numerator) / x.denominator
+        binary = mpmath.mpf(from_rational(x.numerator, x.denominator, 256, round_nearest))
     m, s = nearest_binary(x, 256)
     assert m * Fraction(2) ** s == Fraction(*to_rational(binary._mpf_))
     for digits in (30, 40):
