@@ -23,14 +23,13 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, isqrt
 
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
-from .estimator import (KAPPA2_MAX_EDGE_PAIRS, eo_estimate, require_orders,
-                        schrijver_lower, schrijver_upper_squared)
+from .estimator import (edge_cap, eo_estimate, require_orders, schrijver_lower,
+                        schrijver_upper_squared)
 from .expansion import DEFAULT_BITS, require_digits, require_exponent, to_text
-from .graphs import (DENSE_MAX_N, all_degrees_even, cheeger_constant, load_graph,
+from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
 from .numeric import context, working
 from .taillab import check_tail_bound, instance_from_json
@@ -116,9 +115,8 @@ def _cmd_estimate(args):
     w = Fraction(args.w) if args.w else None
     if w is not None:  # printed exactly, so refused before the graph and the work
         require_digits("w", *w.as_integer_ratio())
-    # no graph past these is estimated, so the file is read no further
-    cap = isqrt(KAPPA2_MAX_EDGE_PAIRS) if args.M == 2 else comb(DENSE_MAX_N, 2)
-    g = load_graph(args.graph, max_edges=cap)
+    # no graph past the cap is estimated, so the file is read no further
+    g = load_graph(args.graph, max_edges=edge_cap(args.M))
     rep = eo_estimate(g, M=args.M, K=args.K, w=w, graph_id=args.graph)
     inputs = {"graph": args.graph, "M": args.M, "K": args.K, "w": args.w}
     return inputs, rep.to_json(), rep.bits

@@ -7,18 +7,16 @@ Laplacian on sparse graphs, of L + J on dense ones) gives tau and the integer
 adjugate adj(L + J), hence
 Sigma_w = (L + wJ)^(-1) = adj/(n^2 tau) + (1/w - 1) J/n^2 for every w > 0.
 The edge-difference covariances are w-free: M/tau for the integer matrix
-M = B^T adj B / n^2 (B the signed incidence matrix).  kappa_1 and kappa_2 are
-exact Fractions of ints built from M and tau and from one stream of per-edge
-integer vectors A_j: kappa_1 is the sum of A_0, from M's diagonal alone;
-kappa_2 a short sum of Hadamard-power contractions of A_j, j >= 2, over the
-rows of M streamed one at a time from adj, so no m x m matrix is held.  Each
-exact result enters the log estimates rounded once, at a working precision
-of at least ``expansion.MIN_BITS`` = 128 bits (``numeric``).
-
-On a circulant C_n(S) in its own labels adj(L + J) is one row rotated and
-every edge quantity depends on the edge's offset class alone: one solve gives
-the row in O(n) ints, and kappa_1 and kappa_2 sum over the classes, kappa_2
-in O(|S| m K); other graphs, relabelled circulants too, take the route above.
+M = B^T adj B / n^2 (B the signed incidence matrix).  The edges come in
+blocks that a label shift maps onto each other: one edge each on a general
+graph, one offset class each on a circulant C_n(S) in its own labels, whose
+adj(L + J) is one row rotated (one solve, O(n) ints).  kappa_1 and kappa_2
+are exact Fractions of ints from M, tau and per-block integer vectors A_j:
+kappa_1 the sum of A_0 times the block sizes, from M's diagonal alone;
+kappa_2 a short sum of Hadamard-power contractions of A_j, j >= 2, over one
+row of M per block streamed from adj, so no m x m matrix is held: O(b m K)
+for b blocks.  Each exact result enters the log estimates rounded once, at a
+working precision of at least ``expansion.MIN_BITS`` = 128 bits (``numeric``).
 """
 
 from __future__ import annotations
@@ -26,24 +24,25 @@ from __future__ import annotations
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
-from math import comb, factorial, lcm, prod
+from itertools import islice, repeat
+from math import comb, factorial, isqrt, lcm, prod
 from operator import floordiv, mod, mul, sub
 from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
 from .expansion import (DEFAULT_BITS, MAX_K, WeightSpec, f_as_mu_polynomial,
                         log_closed_form, require_precision, to_text)
-from .graphs import (Graph, _adjugate_row, all_degrees_even, cheeger_constant,
-                     l_plus_j_adjugate, require_dense, spanning_tree_count)
+from .graphs import (DENSE_MAX_N, Graph, _adjugate_row, all_degrees_even,
+                     cheeger_constant, l_plus_j_adjugate, require_dense,
+                     spanning_tree_count)
 from .cumulants import double_factorial
 from .numeric import Real, as_decimal, exp, working
 
-# kappa_2 streams M's rows, so this bounds its time alone, on the general
-# route: at the cap, m = 1000 on C250(1,2,3,4) with shuffled labels,
-# eo_estimate at M = 2, K = 4 took 9.5-10.0 s and 23.5 MiB of peak RSS (M = 1:
-# 0.2 s, 21.6 MiB); in natural labels, where kappa_2 is summed per offset
-# class, 0.07-0.08 s and 15.9 MiB (2 shared Xeon cores, CPython 3.11.7).
+# Bounds kappa_2's time alone, counting m^2 edge pairs on either route.  At
+# the cap, m = 1000 on C250(1,2,3,4), eo_estimate at M = 2, K = 4 took
+# 9.5-10.3 s and 23.1-23.5 MiB of peak RSS under shuffled labels (M = 1:
+# 0.2 s, 21.6 MiB), and 0.05-0.09 s and 16.7 MiB in its own labels, where
+# kappa_2 reads |S| m pairs (2 shared Xeon cores, CPython 3.11.7).
 KAPPA2_MAX_EDGE_PAIRS = 10**6
 _LOG_COS = WeightSpec.for_family("RT")  # log cos x = log(0 + 1 cos x)
 
@@ -74,20 +73,21 @@ class Covariance(NamedTuple):
     for every w > 0, from tau and adj(L + J), which one banded elimination
     gives.
 
-    ``var`` is the diagonal of M = B^T adj B / n^2 over the sorted edges,
-    var[e] = (adj_jj + adj_kk - 2 adj_jk) / n^2 for e = (j, k); var[e]/tau
-    is the w-free variance of X_j - X_k.  ``kappa2_f`` streams M's rows.
-
-    On a circulant in its own labels, adj[v][w] = g((w - v) mod n): ``adj``
-    holds [g] alone, ``classes`` maps each offset class s to its edge count
-    and ``var`` holds 2 (g(0) - g(s)) / n^2 per class.
+    ``edges`` lists every edge once, in blocks that a label shift maps onto
+    each other, and ``blocks`` their sizes.  ``var`` holds, per block, the
+    diagonal of M = B^T adj B / n^2 at its first edge (j, k),
+    (adj_jj + adj_kk - 2 adj_jk) / n^2, over tau the w-free variance of
+    X_j - X_k.  On a general graph each sorted edge is a block and ``adj``
+    is adj(L + J); on a circulant in its own labels block s is
+    (x, x + s mod n) for x below its size, and ``adj`` holds row 0 alone.
     """
 
     n: int
     tau: int                  # spanning trees; det(L + J) = n^2 tau
-    adj: list[list[int]]      # adjugate of L + J, or [its row 0] on a circulant
-    var: list[int]
-    classes: dict[int, int]   # a circulant's offset classes s -> edges, else {}
+    adj: list[list[int]]      # one row of adj(L + J) per vertex orbit
+    edges: list[tuple[int, int]]
+    blocks: list[int]         # block sizes
+    var: list[int]            # per block
 
     def norm_inf(self, w) -> Fraction:
         """||Sigma_w||_inf, which the cumulant bounds assume is at most 1/2:
@@ -97,6 +97,11 @@ class Covariance(NamedTuple):
         shift = (q - p) * self.tau
         return Fraction(max(sum(abs(p * x + shift) for x in row) for row in self.adj),
                         p * self.n ** 2 * self.tau)
+
+
+def _row(adj: list[list[int]], v: int) -> list[int]:
+    """Row v of adj(L + J): ``Covariance.adj[v]``, or its row 0 rotated."""
+    return adj[v] if len(adj) > 1 else adj[0][-v:] + adj[0][:-v]
 
 
 def _exact_over_n2(values: list[int], n2: int) -> list[int]:
@@ -119,19 +124,23 @@ def _classes(g: Graph) -> dict[int, int]:
 def covariance_sigma(g: Graph) -> Covariance:
     """Sigma_w for every w, tau and the diagonal of M from one banded
     elimination; DomainError unless the graph is connected.  On a circulant
-    one row of adj(L + J) (``graphs._adjugate_row``), no n x n sweep."""
+    one row of adj(L + J) (``graphs._adjugate_row``), no n x n sweep, and one
+    block per offset class."""
     _require_vertices(g)
-    classes = _classes(g)
+    n, classes = g.n, _classes(g)
     if classes:
         tau, r, row = _adjugate_row(g)
         adj = [row[r:] + row[:r]] if tau else None
+        edges = [(x, (x + s) % n) for s, count in classes.items() for x in range(count)]
+        blocks = list(classes.values())
     else:
         tau, adj = l_plus_j_adjugate(g)
+        edges, blocks = sorted(g.edges), [1] * g.edge_count
     if not tau:
         raise DomainError("covariance needs a connected graph (L + J singular)")
     var = ([2 * (adj[0][0] - adj[0][s]) for s in classes] if classes else
-           [adj[j][j] + adj[k][k] - 2 * adj[j][k] for j, k in sorted(g.edges)])
-    return Covariance(g.n, tau, adj, _exact_over_n2(var, g.n ** 2), classes)
+           [adj[j][j] + adj[k][k] - 2 * adj[j][k] for j, k in edges])
+    return Covariance(n, tau, adj, edges, blocks, _exact_over_n2(var, n * n))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +207,12 @@ def degree_sum_reference(g: Graph) -> Fraction:
 # ---------------------------------------------------------------------------
 # cumulant corrections
 
+def edge_cap(M: int) -> int:
+    """The most edges an estimate at M accepts: kappa_2's edge-pair cap at
+    M = 2, else the edges of K_n at n = ``graphs.DENSE_MAX_N``."""
+    return isqrt(KAPPA2_MAX_EDGE_PAIRS) if M == 2 else comb(DENSE_MAX_N, 2)
+
+
 def require_orders(M: int, K: int, edges: int = 0) -> None:
     """M in 0..2 and, for a cumulant (M >= 1), 2 <= K <= ``expansion.MAX_K``,
     with no graph; given its edge count, kappa_2's edge-pair cap too."""
@@ -207,15 +222,15 @@ def require_orders(M: int, K: int, edges: int = 0) -> None:
         raise DomainError("K must be >= 2")
     if M >= 1 and K > MAX_K:
         raise SizeLimitError(f"K is capped at {MAX_K}")
-    if M >= 2 and edges ** 2 > KAPPA2_MAX_EDGE_PAIRS:
+    if M == 2 and edges > edge_cap(M):
         raise SizeLimitError("edge-pair cap exceeded")
 
 
 def _edge_terms(cov: Covariance, coeffs: dict[int, Fraction]):
     """(den, A) for h = 0..K, K the largest l of the map {l: c_l}:
     A = den tau^(K-h) A_{2h} on ints, A_j as in ``kappa2_f``, with den the
-    common denominator of the c_l, one for every h, and each A[e] a
-    polynomial in var[e] by Horner's rule."""
+    common denominator of the c_l, one for every h, and each A[c] a
+    polynomial in var[c] by Horner's rule, one per edge block."""
     K, tau = max(coeffs), cov.tau
     den = lcm(*(c.denominator for c in coeffs.values()))
     num = {l: c.numerator * (den // c.denominator) for l, c in coeffs.items()}
@@ -232,15 +247,14 @@ def _edge_terms(cov: Covariance, coeffs: dict[int, Fraction]):
 
 def kappa1_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction:
     """The exact first cumulant of f_K = sum_e sum_l c_l X_e^(2l),
-    sum_{l=2}^K c_l (2l-1)!! sum_{jk} S_{jk,jk}^l = sum_e A_0[e], with
-    S = M/tau (on a circulant, A_0 per class times the class sizes): the
-    j = 0 term of kappa_2's sum.  ``coeffs`` is f_K's map {l: c_l}, K its
-    largest l; for log cos it is ``expansion.f_as_mu_polynomial`` of RT."""
+    sum_{l=2}^K c_l (2l-1)!! sum_{jk} S_{jk,jk}^l = sum_c |block c| A_0[c],
+    with S = M/tau: the j = 0 term of kappa_2's sum.  ``coeffs`` is f_K's
+    map {l: c_l}, K its largest l; for log cos it is
+    ``expansion.f_as_mu_polynomial`` of RT."""
     K = max(coeffs, default=0)
     require_orders(1, K)
     den, A = next(_edge_terms(cov, coeffs))
-    total = sum(map(mul, cov.classes.values(), A)) if cov.classes else sum(A)
-    return Fraction(total, den * cov.tau ** K)
+    return Fraction(sum(map(mul, cov.blocks, A)), den * cov.tau ** K)
 
 
 def kappa2_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction:
@@ -259,46 +273,33 @@ def kappa2_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction
     with S = M/tau the edge-difference covariance matrix and S^(o j) its j-th
     Hadamard power.  On ints: D tau^(K-j/2) A_j is an integer vector (D the
     common denominator of the c_l), so the sum is one integer
-    contraction with the M^(o j) over D^2 tau^(2K), each edge e = (j, k) on
-    its upper row M[e][e:] alone, formed from adj[j] - adj[k] and dropped
-    after: O(m^2 K) time and O(m K) ints beyond adj.  On a circulant one
-    row per offset class does, weighed by the class size: O(|S| m K).
+    contraction with the M^(o j) over D^2 tau^(2K).  A label shift maps
+    block c's representative r_c = (j, k) onto each of its edges, so with
+    S(c, u) = sum_{f in block u} M[r_c][f]^j and |block c| S(c, u) =
+    |block u| S(u, c),
+        A_j^T M^(o j) A_j = sum_c |block c| A_j[c]
+            (2 sum_{u >= c} A_j[u] S(c, u) - A_j[c] S(c, c)):
+    one row of M per block, from adj[j] - adj[k], read against the blocks
+    u >= c and dropped after; O(b m K) time for b blocks, O(m K) ints.
     """
     K = max(coeffs, default=0)
     require_orders(2, K, g.edge_count)
     (den, _), *terms = _edge_terms(cov, coeffs)  # h = 0 is kappa_1's term
-    if cov.classes:
-        return Fraction(_orbit_sum(cov, terms), den * den * cov.tau ** (2 * K))
-    edges, total = sorted(g.edges), 0
-    for e, (j, k) in enumerate(edges):
-        d = list(map(sub, cov.adj[j], cov.adj[k]))
-        row = _exact_over_n2([d[s] - d[t] for s, t in edges[e:]], g.n ** 2)
+    edges, blocks, total, start = cov.edges, cov.blocks, 0, 0
+    for c, count in enumerate(blocks):
+        j, k = edges[start]
+        d = list(map(sub, _row(cov.adj, j), _row(cov.adj, k)))
+        row = _exact_over_n2([d[s] - d[t] for s, t in edges[start:]], cov.n ** 2)
         square = had = list(map(mul, row, row))
         for h, (_, A) in enumerate(terms, 1):
             if h > 1:
                 had = list(map(mul, had, square))
-            a = A[e]
-            total += factorial(2 * h) * a * (2 * sum(map(mul, had, A[e:])) - had[0] * a)
+            S = had if len(blocks) - c == len(had) else [  # S(c, u) per block u
+                sum(islice(it, size)) for it in [iter(had)] for size in blocks[c:]]
+            total += count * factorial(2 * h) * A[c] * (
+                2 * sum(map(mul, S, A[c:])) - A[c] * S[0])
+        start += count
     return Fraction(total, den * den * cov.tau ** (2 * K))
-
-
-def _orbit_sum(cov: Covariance, terms) -> int:
-    """kappa_2's integer sum on a circulant: translation maps each edge of
-    class s onto (0, s) and permutes the rest, so the row of M at (0, s)
-    counts once per edge of the class, read against each class t: O(|S|^2 n
-    K) = O(|S| m K).  With d = adj[0] - adj[s], d[x] = g(x) - g(x - s),
-    M[(0, s)][(x, x + t)] = (d[x] - d[x + t]) / n^2."""
-    n, g0, classes = cov.n, cov.adj[0], list(cov.classes.items())
-    total = 0
-    for c, (s, size) in enumerate(classes):
-        d = list(map(sub, g0, g0[-s:] + g0[:-s]))
-        d2 = d + d
-        for u, (t, count) in enumerate(classes):
-            row = _exact_over_n2(list(map(sub, d, d2[t:t + count])), n * n)
-            for h, (_, A) in enumerate(terms, 1):
-                total += (size * factorial(2 * h) * A[c] * A[u]
-                          * sum(map(pow, row, repeat(2 * h))))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, islice
 
 import mpmath
 import pytest
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from eocount.cumulants import double_factorial
 from eocount.errors import DomainError, SizeLimitError
-from eocount.estimator import (_closed_form_logs, covariance_sigma, default_w,
-                               degree_sum_reference, eo_estimate,
+from eocount.estimator import (_closed_form_logs, _row, covariance_sigma,
+                               default_w, degree_sum_reference, eo_estimate,
                                eo_hat_log, kappa1_f, kappa2_f, schrijver_lower,
                                schrijver_upper_squared)
 from eocount.expansion import (MAX_BITS, MAX_K, MIN_BITS, WeightSpec,
@@ -90,18 +90,22 @@ def test_integer_sigma_matches_exact_inverse():
 def test_edge_matrix_diagonal_is_the_stored_variance():
     # effective resistance of an edge: 2/n in K_n, (n - 1)/n in C_n; in
     # natural labels var holds one entry per offset class, relabelled one
-    # per sorted edge
+    # per sorted edge; on either route every edge's block holds its entry
+    # of M's diagonal
     for g, resistance in ([(complete_graph(n), Fraction(2, n)) for n in range(3, 10)]
                           + [(cycle_graph(n), Fraction(n - 1, n))
                              for n in range(3, 13)]):
         cov = covariance_sigma(g)
         assert set(cov.var) == {row[0] for row in edge_matrix(g)}
-        assert len(cov.var) == len(cov.classes)
+        assert len(cov.var) == len(cov.blocks) == len(offset_classes(g))
         h = shuffled(g)
         ref = covariance_sigma(h)
-        if not ref.classes:
+        if max(ref.blocks) == 1:
+            assert ref.edges == sorted(h.edges)
             assert [row[0] for row in edge_matrix(h)] == ref.var
-        for c in (cov, ref):
+        for x, c in ((g, cov), (h, ref)):
+            diagonal = dict(zip(sorted(x.edges), (row[0] for row in edge_matrix(x))))
+            assert edge_variances(c) == diagonal
             assert {Fraction(v, c.tau) for v in c.var} == {resistance}
 
 
@@ -140,7 +144,8 @@ def test_kappa2_holds_no_edge_matrix():
     adj_bytes = list_bytes(l_plus_j_adjugate(g)[1])
     for h in (g, shuffled(g)):
         cov, coeffs = covariance_sigma(h), log_cos_map(4)
-        assert bool(cov.classes) is (h is g)
+        # natural labels: row 0 and one block per offset class
+        assert (len(cov.adj), len(cov.blocks)) == ((1, 3) if h is g else (h.n, 240))
         peak = traced_peak(kappa2_f, h, cov, coeffs)
         assert peak < adj_bytes, (peak, adj_bytes)
 
@@ -378,12 +383,16 @@ def test_kappas_match_the_per_order_fraction_route():
         assert got == kappa12_per_order(g, K), (g.n, g.edge_count, K)
 
 
-def edge_variances(g, cov) -> dict:
-    """Each edge's entry of ``cov.var``: per sorted edge, or per offset class."""
-    if not cov.classes:
-        return dict(zip(sorted(g.edges), cov.var))
-    by_class = dict(zip(cov.classes, cov.var))
-    return {(u, v): by_class[min(v - u, g.n - v + u)] for u, v in g.edges}
+def offset_classes(g) -> set:
+    return {min(v - u, g.n - v + u) for u, v in g.edges}
+
+
+def edge_variances(cov) -> dict:
+    """Each edge, its endpoints sorted, to its block's entry of ``cov.var``."""
+    out, edges = {}, iter(cov.edges)
+    for count, v in zip(cov.blocks, cov.var):
+        out.update((tuple(sorted(e)), v) for e in islice(edges, count))
+    return out
 
 
 @settings(max_examples=30, deadline=None)
@@ -405,12 +414,18 @@ def test_circulant_route_matches_a_relabelled_copy(n, offsets, seed):
     random.Random(seed).shuffle(perm)
     h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
     cov, ref = covariance_sigma(g), covariance_sigma(h)
-    assert list(cov.classes) == sorted(offsets)
+    # one block per offset class s, from its representative (0, s), and
+    # every edge once
+    starts = list(accumulate(cov.blocks, initial=0))
+    assert [cov.edges[i] for i in starts[:-1]] == [(0, s) for s in sorted(offsets)]
+    assert sorted(tuple(sorted(e)) for e in cov.edges) == sorted(g.edges)
     tau, adj = l_plus_j_adjugate(g)
     assert cov.tau == ref.tau == tau and cov.adj == [adj[0]]
+    assert all(_row(cov.adj, v) == adj[v] for v in range(n))
     for w in (default_w(g), Fraction(1), Fraction(3, 7)):
         assert cov.norm_inf(w) == ref.norm_inf(w)
-    mine, theirs = edge_variances(g, cov), edge_variances(h, ref)
+    mine, theirs = edge_variances(cov), edge_variances(ref)
+    assert len(mine) == g.edge_count
     assert all(x == theirs[min(perm[u], perm[v]), max(perm[u], perm[v])]
                for (u, v), x in mine.items())
     for K in (2, 4, 8):

@@ -94,23 +94,33 @@ def test_allowlist_names_exist_and_have_no_caller():
         assert name in defined and refs[name] == 0, name
 
 
-def _pi_reads(node) -> int:
-    # calls of numeric.pi, by its bare name or as an attribute
+def _calls(node, name: str) -> int:
+    # calls of a package function, by its bare name or as an attribute
     return sum(isinstance(sub, ast.Call) and (
-        isinstance(sub.func, ast.Name) and sub.func.id == "pi"
-        or isinstance(sub.func, ast.Attribute) and sub.func.attr == "pi")
+        isinstance(sub.func, ast.Name) and sub.func.id == name
+        or isinstance(sub.func, ast.Attribute) and sub.func.attr == name)
         for sub in ast.walk(node))
+
+
+def _called_from_one_def(name: str, caller: str) -> None:
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
+    caller_def, = [node for t in trees for node in t.body
+                   if isinstance(node, ast.FunctionDef) and node.name == caller]
+    assert sum(_calls(t, name) for t in trees) == _calls(caller_def, name) > 0
 
 
 def test_pi_is_read_in_one_def():
     # the Gaussian term q^|E| tau^(-1/2) (2 pi b)^(-(n-1)/2) has one closed
     # form, which the series prefactor and the estimator's base both call; a
     # second copy of it would read pi again
-    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
-    closed_form, = [node for t in trees for node in t.body
-                    if isinstance(node, ast.FunctionDef)
-                    and node.name == "log_closed_form"]
-    assert sum(map(_pi_reads, trees)) == _pi_reads(closed_form) > 0
+    _called_from_one_def("pi", "log_closed_form")
+
+
+def test_circulants_are_found_in_one_def():
+    # the estimator's label symmetry lives in the covariance's edge blocks
+    # alone: the contractions read the blocks, so no other def asks whether
+    # a graph is a circulant
+    _called_from_one_def("_classes", "covariance_sigma")
 
 
 def test_no_module_imports_mpmath():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import prod
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -346,6 +347,19 @@ def test_tail_theorem_zero_function():
     rep = check_tail_bound(sp, tuple(Fraction(0) for _ in range(16)), 2)
     assert rep.holds and rep.delta_holds and all(rep.kappa_holds)
     assert rep.alpha == 0
+
+
+def test_bound_past_a_billion_billion_digits_prints_its_midpoint():
+    # one fair bit, f = x: alpha = 1 and the bound e^(100^(m+1)) - 1 at
+    # m = 8 has a decimal exponent of 4.3e17, below the exp cap.  Its
+    # midpoint is rounded to 53 bits through its logarithm: the Fraction of
+    # that Decimal would be an int of as many digits.
+    rep = check_tail_bound(bits(1), [Fraction(0), Fraction(1)], 8)
+    assert rep.alpha == 1
+    with mpmath.workprec(256):
+        want = mpmath.exp(mpmath.mpf(100) ** 9) - 1
+    with mpmath.workprec(53):
+        assert rep.to_json()["delta_bound"] == mpmath.nstr(+want, 15)
 
 
 def test_tail_theorem_quadratic_six_bits():
