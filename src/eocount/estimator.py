@@ -290,10 +290,10 @@ def kappa2_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction
         j, k = edges[start]
         d = list(map(sub, _row(cov.adj, j), _row(cov.adj, k)))
         row = _exact_over_n2([d[s] - d[t] for s, t in edges[start:]], cov.n ** 2)
-        square = had = list(map(mul, row, row))
+        row = had = list(map(mul, row, row))  # M[r_c]^(o 2); M[r_c] is dropped
         for h, (_, A) in enumerate(terms, 1):
             if h > 1:
-                had = list(map(mul, had, square))
+                had = list(map(mul, had, row))
             S = had if len(blocks) - c == len(had) else [  # S(c, u) per block u
                 sum(islice(it, size)) for it in [iter(had)] for size in blocks[c:]]
             total += count * factorial(2 * h) * A[c] * (

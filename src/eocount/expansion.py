@@ -106,6 +106,15 @@ class WeightSpec:
     def __hash__(self):
         return hash((self.a, self.b, self.family))
 
+    def leading_factor(self, n: int, edges: int) -> tuple[int, int]:
+        """(q, p) of the count's leading factor q^p on n vertices and |E| =
+        ``edges``: q = lcm(den a, den(b/2)), the least int that makes q a
+        and q b/2 ints (2, 4 and 3 for RT, ED and EOG), and p = |E| + [a =
+        0] (n - 1), where q = 2 and the n - 1 counts the 2^(n-1) saddle
+        points."""
+        return (lcm(self.a.denominator, (self.b / 2).denominator),
+                edges + (0 if self.a else n - 1))
+
     @classmethod
     def for_family(cls, family: str) -> "WeightSpec":
         key = family.upper()
@@ -393,30 +402,28 @@ def log_closed_form(w: WeightSpec, n: int, edges: int, log_tau, exponent,
     """|E| log q - log(tau)/2 - ((n-1)/2) log(2 pi b) + [a = 0] (n-1) log 2 +
     exponent at ``bits``, the exact exponent rounded once: the log count of
     a graph with n vertices, |E| = ``edges`` and tau spanning trees
-    (``log_tau`` = log tau, a Decimal), 2^(n-1) saddle points when a = 0,
-    and q = lcm(den a, den(b/2)), the least int that makes q a and q b/2
-    ints (2, 4 and 3 for RT, ED and EOG).  On K_n, tau = n^(n-2), it is the
+    (``log_tau`` = log tau, a Decimal), with q and the saddle term from
+    ``WeightSpec.leading_factor``.  On K_n, tau = n^(n-2), it is the
     prefactor."""
-    q = lcm(w.a.denominator, (w.b / 2).denominator)  # 2 where a = 0, b = 1
+    q, p = w.leading_factor(n, edges)
     with working(bits):
         log_2_pi_b = ln_constant(2 * pi() * as_decimal(w.b), bits)
-        return Real((edges + (0 if w.a else n - 1)) * ln_constant(Decimal(q), bits)
+        return Real(p * ln_constant(Decimal(q), bits)
                     - log_tau / 2 - (n - 1) * log_2_pi_b / 2 + as_decimal(exponent))
 
 
 def require_eval_point(family: str, n: int) -> None:
     """Reject an evaluation point outside the family's domain: n >= 1, n odd
     for regular tournaments, and a family with a closed-form prefactor; and,
-    before the series, an n whose leading factor q^|E| (q^(|E| + n - 1) if
-    a = 0, q as in ``log_closed_form``) passes 10^(10^18) by 1%: the others
-    move its log by under 10^-7 there, so nearer it ``numeric.exp`` decides."""
+    before the series, an n whose leading factor q^p on K_n
+    (``WeightSpec.leading_factor``) passes 10^(10^18) by 1%: the others move
+    its log by under 10^-7 there, so nearer it ``numeric.exp`` decides."""
     if n < 1:
         raise DomainError("evaluation needs n >= 1")
     if family == "RT" and n % 2 == 0:
         raise DomainError("regular tournaments need odd n")
     (a, b), _ = family_facts(family)
-    lead = n * (n - 1) // 2 + (0 if a else n - 1)
-    q = lcm(a.denominator, (b / 2).denominator)
+    q, lead = WeightSpec(a, b).leading_factor(n, n * (n - 1) // 2)
     if lead and log10(lead) + log10(log10(q)) > MAX_EXPONENT_DIGITS + log10(1.01):
         raise SizeLimitError(f"the value would pass 10^(10^{MAX_EXPONENT_DIGITS})")
 

@@ -45,21 +45,48 @@ DENSE_MAX_N = 300
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 (no loops, no multi-edges)."""
+    """Simple undirected graph on vertices 0..n-1 (no loops, no multi-edges).
+
+    The one edge rule: ``pairs`` holds labels first..first + n - 1 in either
+    order, each pair a 2-element list or tuple of ints (not bools).  A
+    self-loop or a repeat in either order is a DomainError, not merged,
+    naming the labels as given; the first pair past ``max_edges`` is a
+    SizeLimitError.  Each pair is checked once and the degrees are counted in
+    the same pass.  The graph files call it with first = 1.
+    """
 
     __slots__ = {"n": "vertex count", "edges": "pairs (u, v) with u < v",
                  "degrees": "degree of each vertex, not compared"}
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+    def __init__(self, n: int, pairs, first: int = 0, max_edges: int | None = None):
         if n < 0:
             raise DomainError("vertex count must be nonnegative")
-        deg = [0] * n
-        for u, v in edges:
-            if not (0 <= u < v < n):
-                raise DomainError(f"bad edge ({u}, {v}) for n={n}")
-            deg[u] += 1
-            deg[v] += 1
-        self.n, self.edges, self.degrees = n, edges, tuple(deg)
+        last = first + n - 1
+        edges, deg = set(), [0] * n
+        for pair in pairs:
+            if len(edges) == max_edges:
+                raise SizeLimitError(f"this command is capped at {max_edges} edges")
+            if isinstance(pair, (list, tuple)) and len(pair) == 2:
+                j, k = pair
+            else:
+                j = k = None  # refused next
+            if not (type(j) is int is type(k)  # plain ints first, then subclasses
+                    or all(isinstance(x, int) and not isinstance(x, bool)
+                           for x in (j, k))):
+                raise DomainError(f"bad edge: {pair!r}")
+            if not (first <= j <= last and first <= k <= last):
+                raise DomainError(f"edge ({j}, {k}) out of range {first}..{last}")
+            if j == k:
+                raise DomainError(f"self-loop at vertex {j}")
+            e = (j - first, k - first) if j < k else (k - first, j - first)
+            if e in edges:
+                raise DomainError(f"repeated edge ({j}, {k})")
+            edges.add(e)
+            deg[j - first] += 1
+            deg[k - first] += 1
+        self.n, self.edges = n, frozenset(edges)
+        del edges  # before the degree tuple: the two sets dominate the peak
+        self.degrees = tuple(deg)
 
     def __eq__(self, other):
         return type(other) is Graph and (self.n, self.edges) == (other.n, other.edges)
@@ -69,9 +96,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Graph from 0-based pairs in either order, by the edge rule of the
-        graph files (``_checked_graph``); a bad pair is a DomainError."""
-        return _checked_graph(n, edges, 0)
+        """``Graph(n, edges)``; kept by name because perfbench's estimate
+        set-up builds its graphs through it."""
+        return cls(n, edges)
 
     @property
     def edge_count(self) -> int:
@@ -141,52 +168,13 @@ def circulant_graph(n: int, offsets) -> Graph:
 # ---------------------------------------------------------------------------
 # I/O: plain-text edge list and JSON, both 1-based
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _checked_graph(n: int, pairs, first: int, max_edges: int | None = None) -> Graph:
-    """The Graph with the 0-based edges from pairs of labels first..first +
-    n - 1 in either order, each a 2-element list or tuple of ints (not
-    bools).  A self-loop or a repeat in either order is a DomainError, not
-    merged, naming the labels as given; the first pair past ``max_edges`` is
-    a SizeLimitError.  Each pair is checked here once and the degrees are
-    counted in the same pass, so ``Graph.__init__``'s check is skipped."""
-    if n < 0:
-        raise DomainError("vertex count must be nonnegative")
-    last = first + n - 1
-    edges, deg = set(), [0] * n
-    for pair in pairs:
-        if len(edges) == max_edges:
-            raise SizeLimitError(f"this command is capped at {max_edges} edges")
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(map(_is_int, pair))):
-            raise DomainError(f"bad edge: {pair!r}")
-        j, k = pair
-        if not (first <= j <= last and first <= k <= last):
-            raise DomainError(f"edge ({j}, {k}) out of range {first}..{last}")
-        if j == k:
-            raise DomainError(f"self-loop at vertex {j}")
-        e = (j - first, k - first) if j < k else (k - first, j - first)
-        if e in edges:
-            raise DomainError(f"repeated edge ({j}, {k})")
-        edges.add(e)
-        deg[j - first] += 1
-        deg[k - first] += 1
-    g = Graph.__new__(Graph)
-    g.n, g.edges = n, frozenset(edges)
-    del edges  # before the degree tuple: the two sets dominate the peak
-    g.degrees = tuple(deg)
-    return g
-
-
 def _graph_from_labels(n, pairs, max_edges: int | None = None) -> Graph:
     """Graph on n vertices from 1-based label pairs, after the vertex cap."""
-    if not _is_int(n):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise DomainError(f"vertex count is not an integer: {n!r}")
     if n > GRAPH_FILE_MAX_N:
         raise SizeLimitError(f"graph files are capped at {GRAPH_FILE_MAX_N} vertices")
-    return _checked_graph(n, pairs, 1, max_edges)
+    return Graph(n, pairs, 1, max_edges)
 
 
 def _ints(tokens: list[str]) -> list[int]:

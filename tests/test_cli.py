@@ -297,7 +297,14 @@ def test_exact_eo_stops_reading_at_the_first_edge_past_the_cap(
     as_json = tmp_path / "garbled.json"
     as_json.write_text(json.dumps(
         {"n": 41, "edges": graph_to_json(over)["edges"] + [[1, "x"]]}))
-    monkeypatch.setattr("eocount.graphs.Graph", fail_if_called("the graph"))
+    from eocount.graphs import Graph
+
+    def refused(*args):
+        # Graph reads and checks the pairs, so it is called; it must refuse
+        Graph(*args)
+        raise AssertionError("a graph was built past the edge cap")
+
+    monkeypatch.setattr("eocount.graphs.Graph", refused)
     for path in (garbled, as_json):
         assert main(["exact", "eo", "--graph", str(path)]) == 3
         assert_one_error_line(capsys.readouterr(), "size-limit")
@@ -312,23 +319,20 @@ def test_estimate_stops_reading_at_the_first_edge_past_the_caps(
     n = 10**6
     p = tmp_path / "c1000000.edges"
     p.write_text(f"{n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1)))
-    checked, read = graphs._checked_graph, []
+    ints, drawn = graphs._ints, []
 
-    def counting(n, pairs, first, max_edges=None):
-        read.append(0)
+    def counting(tokens):
+        drawn.append(len(tokens))
+        return ints(tokens)
 
-        def counted():
-            for pair in pairs:
-                read[-1] += 1
-                yield pair
-        return checked(n, counted(), first, max_edges)
-
-    monkeypatch.setattr(graphs, "_checked_graph", counting)
+    monkeypatch.setattr(graphs, "_ints", counting)
     for M, cap in ((2, isqrt(KAPPA2_MAX_EDGE_PAIRS)), (1, comb(DENSE_MAX_N, 2)),
                    (0, comb(DENSE_MAX_N, 2))):
+        drawn.clear()
         assert main(["estimate", "--graph", str(p), "--M", str(M)]) == 3
         assert_one_error_line(capsys.readouterr(), "size-limit")
-        assert read[-1] == cap + 1, (M, read)
+        # the vertex count's line, then exactly cap + 1 pairs
+        assert drawn == [1] + [2] * (cap + 1), (M, len(drawn))
 
 
 def test_undecodable_file_is_one_json_line(capsys, tmp_path):

@@ -384,17 +384,16 @@ def test_all_degrees_even():
     assert all_degrees_even(complete_graph(5))
 
 
-def test_checked_graphs_count_the_degrees_of_a_direct_graph():
-    # the file and from_edges path counts degrees while it checks the pairs
+def test_graphs_count_their_degrees_as_they_check_the_pairs():
+    # the edge rule counts the degrees in the pass that checks the pairs
     rng = random.Random(5)
     for n in (0, 1, 2, 7, 30):
         pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.4]
-        g = Graph.from_edges(n, [(v, u) if rng.random() < 0.5 else (u, v)
-                                 for u, v in pairs])
-        direct = Graph(n, frozenset(pairs))
-        assert g == direct and g.degrees == direct.degrees
+        recount = [sum(v in e for e in pairs) for v in range(n)]
+        g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+        assert g.edges == frozenset(pairs) and list(g.degrees) == recount
         text = "\n".join([str(n)] + [f"{u + 1} {v + 1}" for u, v in pairs])
-        assert parse_edge_list(text).degrees == direct.degrees
+        assert list(parse_edge_list(text).degrees) == recount
 
 
 def test_graph_validation():
@@ -408,7 +407,7 @@ def test_graph_validation():
             Graph.from_edges(3, pairs)
     assert Graph.from_edges(3, [(1, 0), (2, 1)]).edges == {(0, 1), (1, 2)}
     # the edge rule of the graph files: a pair is two ints, never a bool
-    for pair in ((0, 1, 2), (0.0, 1.0), (True, 2), "ab"):
+    for pair in ((0, 1, 2), (0.0, 1.0), (True, 2), "ab", {0, 1}):
         with pytest.raises(DomainError, match="bad edge"):
             Graph.from_edges(3, [pair])
     with pytest.raises(DomainError, match="nonnegative"):
@@ -416,10 +415,11 @@ def test_graph_validation():
     for pairs in ([], [(0, 1)]):
         with pytest.raises(DomainError, match="nonnegative"):
             Graph.from_edges(-1, pairs)
-    # a direct Graph still checks each edge itself
-    for edges in ({(0, 3)}, {(1, 0)}, {(-1, 1)}):
-        with pytest.raises(DomainError, match="bad edge"):
-            Graph(3, frozenset(edges))
+    # a direct Graph follows the same rule: either order, labels 0..n-1
+    assert Graph(3, {(1, 0)}).edges == {(0, 1)}
+    for edges in ({(0, 3)}, {(-1, 1)}):
+        with pytest.raises(DomainError, match=r"out of range 0\.\.2"):
+            Graph(3, edges)
     with pytest.raises(DomainError, match="n >= 3"):
         cycle_graph(2)
     with pytest.raises(DomainError, match="self-loop"):
@@ -427,6 +427,38 @@ def test_graph_validation():
     for n in (0, -3):  # not a ZeroDivisionError from the offset's residue
         with pytest.raises(DomainError, match="n >= 1"):
             circulant_graph(n, [1])
+
+
+# bad pairs on labels 0..2, and the refusal that names them from label base b
+BAD_PAIRS = [
+    ([[1, 1]], lambda b: f"self-loop at vertex {1 + b}"),
+    ([[0, 1], [0, 1]], lambda b: f"repeated edge ({b}, {1 + b})"),
+    ([[0, 2], [2, 0]], lambda b: f"repeated edge ({2 + b}, {b})"),
+    ([[0, 3]], lambda b: f"edge ({b}, {3 + b}) out of range {b}..{2 + b}"),
+    ([[-1, 1]], lambda b: f"edge ({b - 1}, {1 + b}) out of range {b}..{2 + b}"),
+    ([[True, 1]], lambda b: f"bad edge: [True, {1 + b}]"),
+    ([[0.0, 1]], lambda b: f"bad edge: [0.0, {1 + b}]"),
+    ([[0, 1, 2]], lambda b: f"bad edge: [{b}, {1 + b}, {2 + b}]"),
+]
+
+
+@pytest.mark.parametrize("pairs, refusal", BAD_PAIRS)
+def test_every_entry_point_refuses_a_bad_pair_alike(pairs, refusal):
+    # one edge rule behind Graph, from_edges and both file formats; the
+    # files' labels are 1-based, so their refusals name labels one higher
+    one_based = [[x + 1 if type(x) is int else x for x in pair] for pair in pairs]
+    text = "3\n" + "".join(" ".join(map(str, pair)) + "\n" for pair in one_based)
+    # a bool or a float is no pair in a text file: its token is refused first
+    in_text = all(type(x) is int for pair in pairs for x in pair)
+    for build, message in (
+            (lambda: Graph(3, pairs), refusal(0)),
+            (lambda: Graph.from_edges(3, pairs), refusal(0)),
+            (lambda: parse_graph_json({"n": 3, "edges": one_based}), refusal(1)),
+            (lambda: parse_edge_list(text), refusal(1) if in_text else
+             "graph file has a token that is not an integer")):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_parse_edge_list():

@@ -123,6 +123,24 @@ def test_circulants_are_found_in_one_def():
     _called_from_one_def("_classes", "covariance_sigma")
 
 
+def test_graphs_have_one_edge_rule():
+    # Graph(n, pairs) checks every pair: no def builds a Graph past it, and
+    # no other def refuses a repeated edge
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
+    assert not [node for t in trees for node in ast.walk(t)
+                if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                and isinstance(node.value, ast.Name) and node.value.id == "Graph"]
+    graph, = [node for t in trees for node in t.body
+              if isinstance(node, ast.ClassDef) and node.name == "Graph"]
+    init, = [item for item in graph.body
+             if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+
+    def repeats(node):
+        return sum(isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                   and "repeated edge" in sub.value for sub in ast.walk(node))
+    assert sum(map(repeats, trees)) == repeats(init) > 0
+
+
 def test_no_module_imports_mpmath():
     # the floats run on the standard library's decimal (numeric); mpmath is
     # the tests' independent route only
