@@ -31,7 +31,7 @@ from .estimator import (edge_cap, eo_estimate, require_orders, schrijver_lower,
 from .expansion import DEFAULT_BITS, require_digits, require_exponent, to_text
 from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
-from .numeric import context, working
+from .numeric import context, ln, working
 from .taillab import check_tail_bound, instance_from_json
 
 EXIT_OK = 0
@@ -95,7 +95,7 @@ def _cmd_expand(args):
     known = exact.RT_KNOWN_COUNTS.get(args.eval) if res.family == "RT" else None
     if known is not None:
         with working(DEFAULT_BITS):
-            payload["eval"]["log_ratio_to_exact"] = to_text(Decimal(known).ln() - logv, 10)
+            payload["eval"]["log_ratio_to_exact"] = to_text(ln(known) - logv, 10)
     return inputs, payload, DEFAULT_BITS
 
 

@@ -36,7 +36,7 @@ from .graphs import (DENSE_MAX_N, Graph, _adjugate_row, all_degrees_even,
                      cheeger_constant, l_plus_j_adjugate, require_dense,
                      spanning_tree_count)
 from .cumulants import double_factorial
-from .numeric import Real, as_decimal, exp, working
+from .numeric import Real, as_decimal, exp, ln, working
 
 # Bounds kappa_2's time alone, counting m^2 edge pairs on either route.  At
 # the cap, m = 1000 on C250(1,2,3,4), eo_estimate at M = 2, K = 4 took
@@ -180,7 +180,7 @@ def _closed_form_logs(g: Graph, tau: int, bits: int):
     the exact degree-sum exponent rounded once, the closed form at that
     exponent bit for bit."""
     with working(bits):
-        base = log_closed_form(_LOG_COS, g.n, g.edge_count, Decimal(tau).ln(), 0, bits)
+        base = log_closed_form(_LOG_COS, g.n, g.edge_count, ln(tau), 0, bits)
         return base, Real(base + as_decimal(degree_sum_reference(g)))
 
 
@@ -336,8 +336,8 @@ class EstimateReport(NamedTuple):
         report's bits."""
         with working(self.bits):
             lower = self.schrijver_lower
-            lo = Decimal(lower.numerator).ln() - Decimal(lower.denominator).ln()
-            hi = Decimal(self.schrijver_upper_sq).ln() / 2
+            lo = ln(lower.numerator) - ln(lower.denominator)
+            hi = ln(self.schrijver_upper_sq) / 2
             return {M: lo <= v <= hi for M, v in self.logs().items()}
 
     def to_json(self) -> dict:

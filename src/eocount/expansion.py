@@ -45,7 +45,6 @@ O(n^-e), so the cancellation that the record's fill checks is real.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, lcm, log10, prod
 from operator import mul
@@ -53,7 +52,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
 from .cumulants import moments_to_cumulants
-from .numeric import (MAX_EXPONENT_DIGITS, Real, as_decimal, exp, ln_constant,
+from .numeric import (MAX_EXPONENT_DIGITS, Real, as_decimal, exp, ln, ln_constant,
                       nearest_binary, pi, text, working)
 from .powersums import FIELD_MASK, encode, monomial_order_bound, mu_moment_dict
 
@@ -63,9 +62,8 @@ MAX_ORDER = 12
 MAX_K = 64
 MIN_BITS = 128
 DEFAULT_BITS = 256
-# Highest working precision, checked with the floor before any work: one
-# Decimal ln, the costliest step, takes 1.3-1.5 s at 2^14 bits (4,943
-# digits) and 2.2-2.4 s at 20,000 bits on CPython 3.11 (libmpdec).
+# Highest working precision, checked with the floor before any work: one exp (libmpdec),
+# the costliest step, takes 0.5 s at 2^14 bits and 3.8-4.9 s at 2^15 (CPython 3.11).
 MAX_BITS = 2**14
 # Longest decimal integer a result may print, under CPython's 4300-digit limit
 # on int -> str (which is quadratic in the length).
@@ -408,7 +406,7 @@ def log_closed_form(w: WeightSpec, n: int, edges: int, log_tau, exponent,
     q, p = w.leading_factor(n, edges)
     with working(bits):
         log_2_pi_b = ln_constant(2 * pi() * as_decimal(w.b), bits)
-        return Real(p * ln_constant(Decimal(q), bits)
+        return Real(p * ln_constant(q, bits)
                     - log_tau / 2 - (n - 1) * log_2_pi_b / 2 + as_decimal(exponent))
 
 
@@ -436,6 +434,6 @@ def evaluate_expansion(result: ExpansionResult, n: int, bits: int = DEFAULT_BITS
     exponent = sum((c / n**p for p, c in result.coeffs.items()), Fraction(0))
     with working(bits):
         log_val = log_closed_form(WeightSpec.for_family(result.family), n,
-                                  n * (n - 1) // 2, (n - 2) * Decimal(n).ln(),
+                                  n * (n - 1) // 2, (n - 2) * ln(n),
                                   exponent, bits)
         return Real(exp(log_val)), log_val

@@ -68,6 +68,12 @@ tests check it against, and the combinatorics only they use:
 * the tail lab: the averaging operator ``conditional_expectation``, and
   ``tail_enclosures_iv``, the delta check in mpmath's interval arithmetic
   at 400 bits (against the package's one-ulp-widened Decimal enclosures);
+* the floats on libmpdec: ``pi_decimal``, Chudnovsky's series summed term
+  by term in ``decimal`` with guard digits and rounded once (against
+  ``numeric.pi`` on ints), and ``nearest_binary_by_ln``, a Decimal's binary
+  exponent guessed from two libmpdec logs (against ``numeric.nearest_binary``,
+  which takes it from the coefficient's bits and a fixed-point log2 10);
+  libmpdec's own ``Context.ln`` is the oracle of ``numeric.ln``;
 * the exact counters: ``balanced_count_backtracking``, the pruned
   depth-first search over vertex pairs (against the edge transfer
   ``exact._balanced_count`` on graphs, and against the K_n elimination
@@ -77,6 +83,7 @@ tests check it against, and the combinatorics only they use:
   (against both counters for n <= 4).
 """
 
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
@@ -1143,6 +1150,40 @@ def tail_enclosures_iv(space, table, m: int, prec: int = 400):
         return (*mids, bool(abs(delta).b <= bound.a))
     finally:
         iv.prec = old
+
+
+# ---------------------------------------------------------------------------
+# the floats on libmpdec
+
+def pi_decimal(prec: int) -> Decimal:
+    """pi to ``prec`` digits, half-even: Chudnovsky's series, 14 digits a
+    term, summed term by term at prec + 10 digits, then rounded once."""
+    ctx = Context(prec=prec + 10)
+    total, term, k = Decimal(0), Decimal(1), 0  # term = (6k)!/((3k)! k!^3 (-640320^3)^k)
+    while True:
+        total = ctx.add(total, ctx.multiply(term, 13591409 + 545140134 * k))
+        k += 1
+        term = ctx.divide(ctx.multiply(term, 24 * (6 * k - 5) * (2 * k - 1) * (6 * k - 1)),
+                          -k**3 * 640320**3)
+        if not term or term.adjusted() < total.adjusted() - prec - 12:
+            break
+    value = ctx.divide(ctx.multiply(426880, ctx.sqrt(10005)), total)
+    return Context(prec=prec).plus(value)
+
+
+def nearest_binary_by_ln(x: Decimal, bits: int) -> tuple[int, int]:
+    """(m, s) of ``numeric.nearest_binary`` for a Decimal x != 0, its binary
+    exponent guessed from ln |x| / ln 2 in libmpdec, then one step."""
+    ctx = Context(prec=len(x.as_tuple().digits) + 2 * bits + 10,
+                  Emin=MIN_EMIN, Emax=MAX_EMAX)
+    s = int(ctx.divide(ctx.ln(x.copy_abs()), ctx.ln(2)).to_integral_value(ROUND_FLOOR))
+    s -= bits - 1
+    y = ctx.multiply(x.copy_abs(), ctx.power(2, -s))
+    if step := (y >= 1 << bits) - (y < 1 << bits - 1):
+        s += step
+        y = ctx.multiply(x.copy_abs(), ctx.power(2, -s))
+    m = int(y.to_integral_value(ROUND_HALF_EVEN))
+    return (m if x > 0 else -m), s
 
 
 # ---------------------------------------------------------------------------

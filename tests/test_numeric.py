@@ -1,30 +1,34 @@
-"""The package's floats on ``decimal`` against mpmath, the independent route.
+"""The package's floats against mpmath and libmpdec, the independent routes.
 
 The printer must print what mpmath.nstr prints for the same binary float:
 exact rationals rounded to 256 bits (exact decimal ties included, where a
 printer that skipped the binary rounding would round the other way), logs
 and exps of rationals, and 53-bit midpoints at 15 digits.  The tail lab's
 one-ulp-widened enclosures must hold the midpoints of mpmath's interval
-enclosures at a higher precision, and its verdict must agree.
+enclosures at a higher precision, and its verdict must agree.  ln and pi,
+on ints, must be libmpdec's ln and a Decimal pi bit for bit, in any rounding
+mode, and ``nearest_binary`` must find the binary exponent that two
+libmpdec logs find, past exponents of 10^15 too.
 """
 
 import time
-from decimal import Decimal
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN,
+                     Context, Decimal)
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath.libmp import from_rational, round_nearest, to_rational
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eocount.errors import SizeLimitError
 from eocount.expansion import MAX_BITS, require_precision, to_text
 from eocount.numeric import (MAX_EXPONENT_DIGITS, Real, as_decimal, context,
-                             exp, nearest_binary, pi, working)
+                             exp, ln, nearest_binary, pi, working)
 from eocount.taillab import DiscreteProductSpace, check_tail_bound
 
-from oracles import tail_enclosures_iv
+from oracles import nearest_binary_by_ln, pi_decimal, tail_enclosures_iv
 
 nonzero = st.fractions().filter(bool)
 
@@ -57,12 +61,12 @@ def test_exact_values_print_as_mpmath_prints_their_256_bit_float(x):
 @given(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6))
 def test_logs_and_exps_print_as_mpmath_prints_them(x):
     with working(256):
-        ln, e = Real(as_decimal(x).ln()), Real(exp(as_decimal(x)))
+        ln_x, e = Real(ln(as_decimal(x))), Real(exp(as_decimal(x)))
     with mpmath.workprec(256):
         xf = mpmath.mpf(x.numerator) / x.denominator
         want_ln, want_e = mpmath.log(xf), mpmath.exp(xf)
     for digits in (30, 40):
-        assert to_text(ln, digits) == mpmath.nstr(want_ln, digits)
+        assert to_text(ln_x, digits) == mpmath.nstr(want_ln, digits)
         assert to_text(e, digits) == mpmath.nstr(want_e, digits)
 
 
@@ -81,6 +85,68 @@ def test_53_bit_midpoints_print_as_mpmath_prints_them(coefficient, exponent, ulp
     got = nearest_binary(mid, 53)
     assert got[0] * Fraction(2) ** got[1] == Fraction(*to_rational(want._mpf_))
     assert to_text(got, 15) == mpmath.nstr(want, 15)
+
+
+EXACT = Context(prec=200, Emin=MIN_EMIN, Emax=MAX_EMAX)
+PRECISIONS = (128, 256, 1024, 4096)
+
+
+@st.composite
+def ln_arguments(draw):
+    """(x, x as an exact Decimal): an int up to 2,000 digits (tau's size), a
+    Fraction with a terminating decimal expansion, a Decimal 1 + j 10^-d near
+    1 (|j| <= 10^6, d = 7..90), or a Decimal with an exponent past 10^15."""
+    kind = draw(st.sampled_from(("int", "fraction", "near 1", "far")))
+    if kind == "int":
+        x = draw(st.one_of(st.integers(2, 10**40), st.integers(10**1999, 10**2000)))
+        return x, Decimal(x)
+    if kind == "fraction":
+        x = Fraction(draw(st.integers(1, 10**60)),
+                     2 ** draw(st.integers(0, 80)) * 5 ** draw(st.integers(0, 80)))
+        return x, EXACT.divide(x.numerator, x.denominator)
+    if kind == "near 1":
+        digits = draw(st.integers(7, 90))
+        x = EXACT.scaleb(10**digits + draw(st.integers(-10**6, 10**6)), -digits)
+        return x, x
+    exponent = draw(st.integers(10**15, 10**18 - 100)) * draw(st.sampled_from((1, -1)))
+    x = EXACT.scaleb(draw(st.integers(1, 10**60)), exponent)
+    return x, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(ln_arguments(), st.sampled_from(PRECISIONS),
+       st.sampled_from((ROUND_HALF_EVEN, ROUND_FLOOR, ROUND_CEILING)))
+@example((Decimal("1.000"), Decimal("1.000")), 256, ROUND_FLOOR)
+@example((10**1999 + 12345, Decimal(10**1999 + 12345)), 1024, ROUND_HALF_EVEN)
+def test_ln_is_libmpdecs_ln_bit_for_bit(arg, bits, rounding):
+    # libmpdec rounds its ln half-even in any context, and so does ln
+    x, exact = arg
+    ctx = context(bits, rounding)
+    assert str(ln(x, ctx)) == str(ctx.ln(exact))
+
+
+def test_ln_refuses_what_has_no_real_log():
+    for x in (0, -3, Fraction(-1, 2), Decimal(0), Decimal("-1e-5")):
+        with pytest.raises(ValueError):
+            ln(x, context(256))
+
+
+@pytest.mark.parametrize("bits", (*PRECISIONS, MAX_BITS))
+def test_pi_is_a_decimal_pi_bit_for_bit(bits):
+    with working(bits):
+        assert str(pi()) == str(pi_decimal(context(bits).prec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**88, 10**88).filter(bool),
+       st.one_of(st.integers(-400, 400), st.integers(10**15, 10**17),
+                 st.integers(-10**17, -10**15)),
+       st.sampled_from((53, 256)))
+@example(1, 10**17, 53)
+@example(-(10**88 - 1), -10**17, 53)
+def test_nearest_binary_finds_the_exponent_of_two_logs(coefficient, exponent, bits):
+    x = EXACT.scaleb(coefficient, exponent)
+    assert nearest_binary(x, bits) == nearest_binary_by_ln(x, bits)
 
 
 def test_pi_matches_mpmath_to_6000_digits():
@@ -105,13 +171,15 @@ def test_exp_refuses_an_exponent_past_eighteen_digits_before_computing():
 
 
 def test_max_bits_is_where_one_ln_stays_cheap():
-    # the cap, 2^14 bits, is where one Decimal ln, the costliest step, still
-    # takes 1.3-1.5 s (2.2-2.4 s at 20,000 bits); the cap itself is accepted
+    # the cap, 2^14 bits, is where one exp, now the costliest step, still
+    # takes about 0.5 s (about 4-5 s at 2^15 bits), and one ln 0.04 s; the
+    # cap itself is accepted
     require_precision(MAX_BITS)
     with pytest.raises(SizeLimitError):
         require_precision(MAX_BITS + 1)
+    ctx = context(MAX_BITS)
     t0 = time.perf_counter()
-    context(MAX_BITS).ln(3)
+    exp(ctx.multiply(ln(3, ctx), 100), ctx)
     assert time.perf_counter() - t0 < 8
 
 

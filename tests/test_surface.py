@@ -116,6 +116,16 @@ def test_pi_is_read_in_one_def():
     _called_from_one_def("pi", "log_closed_form")
 
 
+def test_no_decimal_ln_runs_in_the_package():
+    # every log is numeric.ln, the AGM on ints: an attribute call named ln
+    # is a Decimal's or a Context's, libmpdec's ln, 60-130 us at 256 bits
+    # and 1.3-1.5 s at 2^14 bits where numeric.ln takes 0.04 s
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not [node for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "ln"], path.name
+
+
 def test_circulants_are_found_in_one_def():
     # the estimator's label symmetry lives in the covariance's edge blocks
     # alone: the contractions read the blocks, so no other def asks whether
