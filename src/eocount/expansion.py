@@ -20,9 +20,9 @@ of the T_l in the power-sum basis, where the exponent 0 stands for the
 factor mu_0 = n.  So D^r kappa_r is one linear form in the rows with the
 ints D c_l (D the common denominator of the c_l).  Every series in 1/n
 inside the engine is a {p: int} map of the nonzero coefficients of n^-p, as
-``mu_moment_dict`` returns it; kappa_r is divided by D^r once into a plain
-{p: Fraction} map, the series is summed over one denominator, and the
-closed-form prefactors are attached symbolically.  The e_{2l} come from a
+``mu_moment_dict`` returns it; the series sum_r D^r kappa_r / r! is
+summed over one denominator, only its coefficients become Fractions, and
+the closed-form prefactors are attached symbolically.  The e_{2l} come from a
 moment-to-cumulant recursion on ints.  T_l sees only differences, so its
 moments are those of the power sums of the centered x - xbar 1, where
 p_1 = 0: T_l's monomials with an exponent 1 drop out.  A product monomial
@@ -62,9 +62,10 @@ MAX_ORDER = 12
 MAX_K = 64
 MIN_BITS = 128
 DEFAULT_BITS = 256
-# Highest working precision, checked with the floor before any work: one exp (libmpdec),
-# the costliest step, takes 0.5 s at 2^14 bits and 3.8-4.9 s at 2^15 (CPython 3.11).
-MAX_BITS = 2**14
+# Highest working precision, checked with the floor before any work: one exp, the
+# costliest step, takes 0.8 s warm and 1.2 s cold at 2^16 bits, one ln 0.5 and 0.9 s,
+# and at 2^17 bits each takes 1.7-3.5 s (numeric, on ints; CPython 3.11).
+MAX_BITS = 2**16
 # Longest decimal integer a result may print, under CPython's 4300-digit limit
 # on int -> str (which is quadratic in the length).
 MAX_DIGITS = 4000
@@ -225,7 +226,6 @@ class ExpansionResult(NamedTuple):
     K: int
     prefactor: str                  # formula tag, see log_closed_form()
     coeffs: dict[int, Fraction]     # p -> coefficient of n^-p, p in 0..order-1
-    cumulants: tuple[dict[int, Fraction], ...] = ()  # kappa_r as {p: coeff}
 
     def to_json(self) -> dict:
         return {
@@ -350,9 +350,8 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     sum_{|L|=r} (r!/prod mult!) prod (D c_l) kappa(T_L): a linear form in
     the rows of the weight-free ``_T_CUMULANTS`` record, filled once per
     cut, and the singletons kappa(T_l) = E[T_l] with multinomial 1, read
-    through ``mu_moment_dict`` on every call.  Each kappa_r is divided by
-    D^r once, and the series sum_r kappa_r / r! is summed on ints over the
-    one denominator D^M M!.
+    through ``mu_moment_dict`` on every call.  The series sum_r kappa_r / r!
+    is summed on ints over the one denominator D^M M!.
     """
     if c > MAX_ORDER:
         raise SizeLimitError(f"expansion order capped at c={MAX_ORDER}")
@@ -378,8 +377,6 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
             acc = sums[len(L) - 1]
             for p, v in values.items():
                 acc[p] += w_L * v
-    kappas = tuple({p: Fraction(v, D**r) for p, v in enumerate(acc) if v}
-                   for r, acc in enumerate(sums, start=1))
     # sum_r kappa_r / r! over the one denominator D^M M!
     scale = [D ** (M - r) * factorial(M) // factorial(r) for r in range(1, M + 1)]
     totals = [sum(map(mul, column, scale)) for column in zip(*sums)]
@@ -388,7 +385,6 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
         family=w.family, order=c, M=M, K=K,
         prefactor=FAMILIES[w.family][1] if w.family in FAMILIES else "",
         coeffs=coeffs,
-        cumulants=kappas,
     )
 
 
@@ -431,7 +427,9 @@ def evaluate_expansion(result: ExpansionResult, n: int, bits: int = DEFAULT_BITS
     Reals: ``log_closed_form`` on K_n with the exact series rounded once."""
     require_precision(bits)
     require_eval_point(result.family, n)
-    exponent = sum((c / n**p for p, c in result.coeffs.items()), Fraction(0))
+    P, den = max(result.coeffs, default=0), lcm(*(c.denominator for c in result.coeffs.values()))
+    exponent = Fraction(sum(c.numerator * (den // c.denominator) * n ** (P - p)  # one denominator
+                            for p, c in result.coeffs.items()), den * n**P)
     with working(bits):
         log_val = log_closed_form(WeightSpec.for_family(result.family), n,
                                   n * (n - 1) // 2, (n - 2) * ln(n),

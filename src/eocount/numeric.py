@@ -1,14 +1,14 @@
 """The package's floats, on ints and ``decimal``: the last log, exp, sqrt or pi of an
 exact value is correctly rounded to a ``context`` of ceil(bits log10 2) + GUARD_DIGITS
-digits.  ln (the AGM) and pi (Chudnovsky) run on ints and round by Ziv's rule, half-even
-as libmpdec rounds its ln: 35-45 us and 6 us at 256 bits, against 60-130 us for
-libmpdec's ln; exp and sqrt are libmpdec's.  ``text`` prints by mpmath.nstr's rules, an
-exact value after one rounding to a binary float.  Rigorous bounds widen each exp or ln
-by one ulp, in ROUND_FLOOR and ROUND_CEILING contexts."""
+digits.  exp (x = E ln 10 + r, Taylor's series, squarings), ln (the AGM) and pi
+(Chudnovsky) run on ints, rounded by Ziv's rule half-even as libmpdec rounds: 9-16, 35-45
+and 6 us warm at 256 bits, exp and ln 0.8 and 0.5 s at 2^16; sqrt is libmpdec's.  ``text``
+prints by mpmath.nstr's rules, an exact value after one rounding to a binary float.
+Rigorous bounds widen each exp or ln by one ulp, in ROUND_FLOOR and ROUND_CEILING contexts."""
 
 from __future__ import annotations
 
-from decimal import (MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_EVEN,
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, ROUND_HALF_EVEN,
                      Context, Decimal, DivisionByZero, InvalidOperation,
                      Overflow, Underflow, getcontext, localcontext)
 from fractions import Fraction
@@ -24,6 +24,8 @@ GUARD_DIGITS = 10
 # decimal.MAX_EMAX = 10^18 - 1 (64-bit builds).
 MAX_EXPONENT_DIGITS = 18
 _LOG2_10 = log(10, 2)  # the float mpmath's printer computes with
+_EXACT = Context(prec=MAX_PREC, Emin=MIN_EMIN, Emax=MAX_EMAX)
+_ten = lru_cache(maxsize=64)(lambda k: 10**k)  # the powers Ziv's rule scales by
 
 
 class Real(Decimal):
@@ -60,10 +62,36 @@ def ln_constant(x: int | Decimal, bits: int) -> Decimal:
 
 
 def exp(x: Decimal, ctx: Context | None = None) -> Decimal:
-    """e^x in ``ctx`` (by default the current context); SizeLimitError,
-    before any work, for a decimal exponent past MAX_EXPONENT_DIGITS."""
+    """e^x in ``ctx`` (by default the current context), rounded half-even in
+    any rounding mode, as libmpdec rounds its exp; SizeLimitError, before
+    any work, for a decimal exponent past MAX_EXPONENT_DIGITS.  x = E ln 10 +
+    r, 0 <= r < ln 10, so the exponent is E and 10^E is never built."""
+    ctx = ctx or getcontext()
+    if not x:  # e^0, exact: Ziv's rule never ends on a rounding boundary
+        return Decimal(1)
+    if x.adjusted() < -ctx.prec - 1:  # e^x rounds to 1, at full precision
+        return ctx.scaleb(10 ** (ctx.prec - 1), 1 - ctx.prec)
+    def approx(g: int) -> tuple[int, int, int]:
+        # x 2^g truncated, r within 2|E| + 1 units (ln 10 within 2); e^r = (e^(r/2^s))^(2^s),
+        # r/2^s < 2^-sqrt(g): Taylor's terms at 2^(g+s+8) within 2 units each, the tail
+        # within 4, then s squarings, each doubling the relative error and adding a unit
+        if x.adjusted() > MAX_EXPONENT_DIGITS:  # |E| > 10^18
+            raise Overflow
+        E, r = divmod(int(_EXACT.multiply(x, 1 << g)), _constants(g)[2])
+        if not ctx.Emin - 1 <= E <= ctx.Emax + 1:
+            raise Overflow
+        s = max(r.bit_length() - g + isqrt(g), 0)
+        v, j = g + s, 1
+        y = term = 1 << v + 8
+        while term:  # r 2^-v = r/2^s
+            term, j = (term * r >> v) // j, j + 1
+            y += term
+        for _ in range(s):
+            y = y * y >> v + 8
+        y >>= s + 8  # within (3|E| + 2 + j/64) e^r + 1 units, e^r < 2^(len y - g + 1)
+        return y, (8 * abs(E) + j + 4 << y.bit_length() - g) + 1, E
     try:
-        return x.exp(ctx)
+        return _correctly_rounded(approx, ctx)
     except (Overflow, Underflow):
         raise SizeLimitError("a result's decimal exponent would pass "
                              f"{MAX_EXPONENT_DIGITS} digits") from None
@@ -79,50 +107,69 @@ def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, q2 * r1 + p1 * r2
 
 
+def _atanh(p: int, q: int, h: int) -> tuple[int, int]:
+    """(atanh(p/q) 2^h, j), 0 <= p/q <= 1/31, floored term by term, j the odd index
+    past the last term: within j + 1 units (within (j + 1)/2, exact floors, for p = 1)."""
+    total, term, j, pp, qq = 0, (p << h) // q, 1, p * p, q * q
+    while term:
+        total, term, j = total + term // j, term * pp // qq, j + 2
+    return total, j
+
+
 @lru_cache(maxsize=8)
 def _constants(g: int) -> tuple[int, int, int]:
-    """(pi, ln 2, ln 10) 2^g within 2 units each, at g + 32 bits: Chudnovsky's
-    series, and 2 atanh(1/3) and 3 ln 2 + 2 atanh(1/9) floored term by term."""
-    h, atanh = g + 32, []
-    for d in (3, 9):
-        total, term, j = 0, (1 << h) // d, 1
-        while term:
-            total, term, j = total + term // j, term // (d * d), j + 2
-        atanh.append(2 * total)
+    """(pi, ln 2, ln 10) 2^g within 2 units each, at g + 32 bits: Chudnovsky's series,
+    and ln 2 = 14A + 10B + 6C, ln 10 = 46A + 34B + 20C for A, B, C = atanh(1/31),
+    atanh(1/49), atanh(1/161), each within its term count of units (weights <= 100)."""
+    h = g + 32
+    a, b, c = (_atanh(1, d, h)[0] for d in (31, 49, 161))
     _, q, r = _chudnovsky(1, h // 47 + 2)
     return (426880 * isqrt(10005 << 2 * h) * q // (13591409 * q + r) >> 32,
-            atanh[0] >> 32, 3 * atanh[0] + atanh[1] >> 32)
+            14 * a + 10 * b + 6 * c >> 32, 46 * a + 34 * b + 20 * c >> 32)
 
 
-def _correctly_rounded(approx, ctx: Context) -> Decimal:
-    """Ziv's rule: the Decimal of ctx.prec digits nearest a value, never a
-    tie, within err of y 2^-g for (y, err) = approx(g), g doubling from
-    ctx.prec digits and 32 bits until |y| +- err round alike (half up)."""
-    g, top = ctx.prec * 10 // 3 + 32, 10**ctx.prec
+def _correctly_rounded(approx, ctx: Context, extra: int = 0) -> Decimal:
+    """Ziv's rule: the Decimal of ctx.prec digits nearest a value, never a tie,
+    within err 2^-g 10^e of y 2^-g 10^e for (y, err, e) = approx(g), g doubling from
+    ctx.prec digits, 32 bits and ``extra`` until |y| +- err round alike (half up)."""
+    g, top = ctx.prec * 10 // 3 + 32 + extra, _ten(ctx.prec)
     while True:
-        y, err = approx(g)
-        lo, hi = abs(y) - err, abs(y) + err
-        t = ctx.prec - floor((hi.bit_length() - g) / _LOG2_10)  # or one less
-        while (scaled := [v * 10**t if t >= 0 else v // 10**-t for v in (lo, hi)])[1] >> g >= top:
+        y, err, e = approx(g)
+        a = abs(y)
+        t = ctx.prec - floor(((a + err).bit_length() - g) / _LOG2_10)  # or one less
+        while (lo := (a - err) * (p := _ten(t)) if t >= 0 else (a - err) // (p := _ten(-t)),
+               hi := (a + err) * p if t >= 0 else (a + err) // p)[1] >> g >= top:
             t -= 1
-        n, m = (w + (1 << g - 1) >> g for w in scaled)
-        if lo > 0 and scaled[0] >> g >= top // 10 and n == m:  # scaleb rounds n = top
-            return ctx.scaleb(Decimal(-n if y < 0 else n), -t)
+        n = lo + (1 << g - 1) >> g
+        if lo > 0 and lo >> g >= _ten(ctx.prec - 1) and n == hi + (1 << g - 1) >> g:
+            return ctx.scaleb(Decimal(-n if y < 0 else n), e - t)  # rounds n = top
         g *= 2
 
 
 def ln(x: int | Fraction | Decimal, ctx: Context | None = None) -> Decimal:
     """ln x > 0 in ``ctx`` (by default the current context), rounded
     half-even in any rounding mode, as libmpdec rounds its ln; a Decimal
-    is read as c 10^e, never as a ratio (e reaches 10^18)."""
+    is read as c 10^e (e reaches 10^18), or in [0.1, 10) as c / 10^-e."""
     if x <= 0:
         raise ValueError("ln needs x > 0")
     if x == 1:  # ln's one rational value
         return Decimal(0)
+    ctx = ctx or getcontext()
     _, digits, e = x.as_tuple() if isinstance(x, Decimal) else (0, None, 0)
     a, b = x.as_integer_ratio() if digits is None else (int(Decimal((0, digits, 0))), 1)
+    if e < 0 and x.adjusted() >= -1:  # a/b near 1, b = 10^-e as big as c
+        b, e = 10**-e, 0
+    if a & a - 1 == 0 == b & b - 1 and not e:  # x = 2^t: t ln 2
+        t = a.bit_length() - b.bit_length()
+        return _correctly_rounded(lambda g: (t * _constants(g)[1], 2 * abs(t), 0), ctx)
+    if (k := b.bit_length() - abs(a - b).bit_length()) > 8 and not e:
+        # ln x = 2 atanh((x - 1)/(x + 1)), no cancellation: k more bits for |x - 1| < 2^(1-k)
+        def approx(g: int) -> tuple[int, int, int]:
+            y, j = _atanh(abs(a - b), a + b, g)
+            return (2 * y if a > b else -2 * y), 2 * j + 2, 0
+        return _correctly_rounded(approx, ctx, k)
 
-    def approx(g: int) -> tuple[int, int]:
+    def approx(g: int) -> tuple[int, int, int]:
         # ln x = ln s - k ln 2 + e ln 10, s = 2^k a / b: for s >= 2^(g/2 + len g),
         # ln s = pi s / (2 M(s, 4)) within 2^-g (Borwein and Borwein, Pi and the
         # AGM, Thm 7.2); M runs on ints at scale 2^g, a step within 2^-(g+2) relative
@@ -133,13 +180,13 @@ def ln(x: int | Fraction | Decimal, ctx: Context | None = None) -> Decimal:
         while u - v > 1:
             u, v, steps = (u + v) >> 1, isqrt(u * v), steps + 1
         err = (s.bit_length() - g) * (steps + 4) // 4 + 2 * (abs(k) + abs(e)) + 8
-        return pi_ * s // (2 * v) - k * ln2 + e * ln10, err
-    return _correctly_rounded(approx, ctx or getcontext())
+        return pi_ * s // (2 * v) - k * ln2 + e * ln10, err, 0
+    return _correctly_rounded(approx, ctx)
 
 
 def pi() -> Decimal:
     """pi in the current context, rounded half-even from Chudnovsky's ints."""
-    return _correctly_rounded(lambda g: (_constants(g)[0], 2), getcontext())
+    return _correctly_rounded(lambda g: (_constants(g)[0], 2, 0), getcontext())
 
 
 def nearest_binary(x: Fraction | Decimal, bits: int) -> tuple[int, int]:

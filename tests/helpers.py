@@ -2,13 +2,14 @@
 tests' series type.
 
 The package keeps each computation in the form its callers need: the moment
-recurrence on packed int codes, the exponent series and its cumulants as
-plain {p: coefficient} maps, Sigma_w as integer rows over one denominator,
-reports and instances as the CLI reads and prints them.  These helpers give
-the tests the friendlier forms: ``LaurentSeries``, a truncated series in
-1/n with its arithmetic, for the oracles' independent routes; a power-sum
-moment of a sequence of exponents as a LaurentSeries (the uncentered one,
-rebuilt from the recurrence's centered moments), Sigma_w as Fractions,
+recurrence on packed int codes, the exponent series as a plain {p:
+coefficient} map (its cumulants only inside one int sum), Sigma_w as
+integer rows over one denominator, reports and instances as the CLI reads
+and prints them.  These helpers give the tests the friendlier forms:
+``LaurentSeries``, a truncated series in 1/n with its arithmetic, for the
+oracles' independent routes; a power-sum moment of a sequence of exponents
+as a LaurentSeries (the uncentered one, rebuilt from the recurrence's
+centered moments), the series' kappa_r as {p: Fraction} maps, Sigma_w as Fractions,
 a log estimate by order, the small named graphs, the Laplacian as a dense
 matrix, fair-bit product spaces and tables built from a Python function,
 and graph and instance objects in their file formats.
@@ -17,9 +18,10 @@ and graph and instance objects in their file formats.
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm, prod
 from typing import Mapping
 
+from eocount import expansion
 from eocount.cumulants import double_factorial
 from eocount.errors import SizeLimitError
 from eocount.graphs import Graph, complete_multipartite, l_plus_j_adjugate
@@ -221,6 +223,32 @@ def mu_moment(mono, p_max: int | None = None) -> LaurentSeries:
             if p <= cut:
                 out[p] = out.get(p, 0) + w * c
     return LaurentSeries(out, p_max)
+
+
+# ---------------------------------------------------------------------------
+# the exponent series' cumulants
+
+def series_cumulants(w, c: int) -> tuple[dict[int, Fraction], ...]:
+    """kappa_1..kappa_c of f_K in the series of order c, K = c + 1, each a
+    {p: Fraction} map of its nonzero coefficients of n^-p, p <= c - 1:
+    ``expansion_series``'s linear form, D^r kappa_r = sum over the rows of
+    ``expansion._T_CUMULANTS[c - 1]`` and the singletons kappa(T_l) = E[T_l]
+    of (r!/prod mult!) prod (D c_l) kappa(T_L), divided by D^r."""
+    expansion.expansion_series(w, c)  # fills the record of the cut
+    w = expansion.WeightSpec.for_family(w) if isinstance(w, str) else w
+    f = expansion.f_as_mu_polynomial(w, c + 1)
+    D = lcm(*(e.denominator for e in f.values()))
+    dc = {l: e.numerator * (D // e.denominator) for l, e in f.items()}
+    items, rows = expansion._T_CUMULANTS[c - 1]
+    singles = [((l,), 1, expansion._expect([(code, k) for code, k, b in items[l]
+                                            if b < c], c - 1)) for l in dc]
+    sums = [{} for _ in range(c)]
+    for L, ways, values in singles + rows:
+        acc = sums[len(L) - 1]
+        for p, v in values.items():
+            acc[p] = acc.get(p, 0) + ways * prod(dc.get(l, 0) for l in L) * v
+    return tuple({p: Fraction(v, D**r) for p, v in sorted(acc.items()) if v}
+                 for r, acc in enumerate(sums, start=1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,15 @@ exact rationals rounded to 256 bits (exact decimal ties included, where a
 printer that skipped the binary rounding would round the other way), logs
 and exps of rationals, and 53-bit midpoints at 15 digits.  The tail lab's
 one-ulp-widened enclosures must hold the midpoints of mpmath's interval
-enclosures at a higher precision, and its verdict must agree.  ln and pi,
-on ints, must be libmpdec's ln and a Decimal pi bit for bit, in any rounding
-mode, and ``nearest_binary`` must find the binary exponent that two
-libmpdec logs find, past exponents of 10^15 too.
+enclosures at a higher precision, and its verdict must agree.  exp, ln and
+pi, on ints, must be libmpdec's exp and ln and a Decimal pi bit for bit, in
+any rounding mode, and ``nearest_binary`` must find the binary exponent
+that two libmpdec logs find, past exponents of 10^15 too.
 """
 
 import time
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN,
-                     Context, Decimal)
+                     Context, Decimal, Overflow, Underflow)
 from fractions import Fraction
 
 import mpmath
@@ -95,8 +95,9 @@ PRECISIONS = (128, 256, 1024, 4096)
 def ln_arguments(draw):
     """(x, x as an exact Decimal): an int up to 2,000 digits (tau's size), a
     Fraction with a terminating decimal expansion, a Decimal 1 + j 10^-d near
-    1 (|j| <= 10^6, d = 7..90), or a Decimal with an exponent past 10^15."""
-    kind = draw(st.sampled_from(("int", "fraction", "near 1", "far")))
+    1 (|j| <= 10^6, d = 7..90), 1 +- 10^-k as a Fraction or a Decimal (k =
+    1..2000), or a Decimal with an exponent past 10^15."""
+    kind = draw(st.sampled_from(("int", "fraction", "near 1", "one plus", "far")))
     if kind == "int":
         x = draw(st.one_of(st.integers(2, 10**40), st.integers(10**1999, 10**2000)))
         return x, Decimal(x)
@@ -108,6 +109,10 @@ def ln_arguments(draw):
         digits = draw(st.integers(7, 90))
         x = EXACT.scaleb(10**digits + draw(st.integers(-10**6, 10**6)), -digits)
         return x, x
+    if kind == "one plus":
+        k, sign = draw(st.integers(1, 2000)), draw(st.sampled_from((1, -1)))
+        exact = Decimal((0, tuple(map(int, str(10**k + sign))), -k))
+        return draw(st.sampled_from((Fraction(10**k + sign, 10**k), exact))), exact
     exponent = draw(st.integers(10**15, 10**18 - 100)) * draw(st.sampled_from((1, -1)))
     x = EXACT.scaleb(draw(st.integers(1, 10**60)), exponent)
     return x, x
@@ -118,11 +123,59 @@ def ln_arguments(draw):
        st.sampled_from((ROUND_HALF_EVEN, ROUND_FLOOR, ROUND_CEILING)))
 @example((Decimal("1.000"), Decimal("1.000")), 256, ROUND_FLOOR)
 @example((10**1999 + 12345, Decimal(10**1999 + 12345)), 1024, ROUND_HALF_EVEN)
+@example((Fraction(10**1000 + 1, 10**1000), Decimal("1." + "0" * 999 + "1")), 256, ROUND_CEILING)
+@example((Decimal("0.999"), Decimal("0.999")), 128, ROUND_FLOOR)
+@example((Fraction(1, 2**70), EXACT.divide(1, 2**70)), 4096, ROUND_HALF_EVEN)
 def test_ln_is_libmpdecs_ln_bit_for_bit(arg, bits, rounding):
     # libmpdec rounds its ln half-even in any context, and so does ln
     x, exact = arg
     ctx = context(bits, rounding)
     assert str(ln(x, ctx)) == str(ctx.ln(exact))
+
+
+CAP = 10**MAX_EXPONENT_DIGITS
+
+
+@st.composite
+def exp_arguments(draw):
+    """x for e^x: |x| from 10^-300 to 10^-3, a rational of size up to 10^3,
+    an int +-1..+-400, or +-ln 10 (cap + d/10), d = -30..30, on both sides
+    of the exponent cap, where e^x passes 10^(10^18) or 10^-(10^18)."""
+    kind = draw(st.sampled_from(("small", "moderate", "int", "cap")))
+    sign = draw(st.sampled_from((1, -1)))
+    if kind == "small":
+        return EXACT.scaleb(sign * draw(st.integers(10**39, 10**40 - 1)),
+                            draw(st.integers(-339, -43)))
+    if kind == "moderate":
+        return EXACT.divide(draw(st.integers(-10**30, 10**30)),
+                            draw(st.integers(10**27, 10**28)))
+    if kind == "int":
+        return Decimal(sign * draw(st.integers(1, 400)))
+    return EXACT.multiply(sign * EXACT.ln(10), CAP + Decimal(draw(st.integers(-30, 30))) / 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exp_arguments(), st.sampled_from(PRECISIONS),
+       st.sampled_from((ROUND_HALF_EVEN, ROUND_FLOOR, ROUND_CEILING)))
+@example(Decimal(0), 256, ROUND_FLOOR)
+@example(Decimal("-0E-7"), 128, ROUND_CEILING)
+@example(Decimal("1e-95"), 256, ROUND_HALF_EVEN)
+@example(Decimal("-1e-95"), 256, ROUND_HALF_EVEN)
+@example(context(256).divide(12345, 700 * 2**16), 256, ROUND_FLOOR)
+@example(Decimal(400), 4096, ROUND_CEILING)
+@example(Decimal(-400), 1024, ROUND_HALF_EVEN)
+def test_exp_is_libmpdecs_exp_bit_for_bit(x, bits, rounding):
+    # libmpdec rounds its exp half-even in any context, and so does exp,
+    # digit for digit and exponent for exponent (e^0 is Decimal('1')); both
+    # refuse a result past the exponent range
+    ctx = context(bits, rounding)
+    try:
+        want = ctx.exp(x).as_tuple()
+    except (Overflow, Underflow):
+        with pytest.raises(SizeLimitError, match="18 digits"):
+            exp(x, ctx)
+    else:
+        assert exp(x, ctx).as_tuple() == want
 
 
 def test_ln_refuses_what_has_no_real_log():
@@ -131,7 +184,8 @@ def test_ln_refuses_what_has_no_real_log():
             ln(x, context(256))
 
 
-@pytest.mark.parametrize("bits", (*PRECISIONS, MAX_BITS))
+# 2^14 bits: the cap until exp ran on ints
+@pytest.mark.parametrize("bits", (*PRECISIONS, 2**14, MAX_BITS))
 def test_pi_is_a_decimal_pi_bit_for_bit(bits):
     with working(bits):
         assert str(pi()) == str(pi_decimal(context(bits).prec))
@@ -171,9 +225,9 @@ def test_exp_refuses_an_exponent_past_eighteen_digits_before_computing():
 
 
 def test_max_bits_is_where_one_ln_stays_cheap():
-    # the cap, 2^14 bits, is where one exp, now the costliest step, still
-    # takes about 0.5 s (about 4-5 s at 2^15 bits), and one ln 0.04 s; the
-    # cap itself is accepted
+    # the cap, 2^16 bits, is where one exp, the costliest step, takes 0.8 s
+    # warm and 1.2 s cold, and one ln 0.5 and 0.9 s (both 1.7-3.5 s at 2^17
+    # bits); the cap itself is accepted
     require_precision(MAX_BITS)
     with pytest.raises(SizeLimitError):
         require_precision(MAX_BITS + 1)
