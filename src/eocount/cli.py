@@ -3,14 +3,14 @@
 Every command prints one JSON envelope on stdout, and nothing else: command,
 echoed inputs, result payload, timing and precision metadata.  Big integers
 are decimal strings, rationals are "p/q", floats carry an explicit precision
-field.  Numeric work runs at the fixed DEFAULT_BITS = 256 bits, reported as
-precision.bits: Decimal floats of ceil(256 log10 2) plus guard digits, on
-the standard library alone.  They print 30 significant digits (40 for
-expand --eval).
+field.  Numeric work runs at the fixed ``numeric.DEFAULT_BITS`` = 256 bits,
+reported as precision.bits: Decimal floats of ceil(256 log10 2) plus guard
+digits, on the standard library alone, and the Schrijver upper bound as an
+isqrt.  They print 30 significant digits (40 for expand --eval).
 Each exact subject takes only its own flag: rt, ed and eog --n, eo --graph.
 Exit codes: 0 success, 2 usage or domain error, 3 size cap, 4 I/O error;
 every failure prints one JSON line on stderr.  Every result number is
-printed by ``expansion.to_text``, which refuses an oversized one with a size
+printed by ``numeric.to_text``, which refuses an oversized one with a size
 cap.
 """
 
@@ -21,17 +21,16 @@ import json
 import os
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 
 from . import exact, expansion
 from .errors import DomainError, SizeLimitError
 from .estimator import (edge_cap, eo_estimate, require_orders, schrijver_lower,
                         schrijver_upper_squared)
-from .expansion import DEFAULT_BITS, require_digits, require_exponent, to_text
 from .graphs import (all_degrees_even, cheeger_constant, load_graph,
                      spanning_tree_count)
-from .numeric import context, ln, working
+from .numeric import (DEFAULT_BITS, ln, require_digits, require_exponent,
+                      sqrt_floor, to_text, working)
 from .taillab import check_tail_bound, instance_from_json
 
 EXIT_OK = 0
@@ -128,12 +127,13 @@ def _cmd_bounds(args):
     upper_sq = schrijver_upper_squared(g)
     require_digits("the bounds", upper_sq, 1 << g.edge_count)
     lower = schrijver_lower(g, upper_sq)
+    exact_lower = to_text(lower)
     result = {
-        "lower": to_text(lower),
+        "lower": exact_lower,
         "lower_decimal": to_text(lower, 30),
         "upper_squared": to_text(upper_sq),
-        "upper_decimal": to_text(Decimal(upper_sq).sqrt(context(DEFAULT_BITS)), 30),
-        "pauling": to_text(lower),
+        "upper_decimal": to_text(sqrt_floor(upper_sq, DEFAULT_BITS), 30),
+        "pauling": exact_lower,
     }
     return {"graph": args.graph}, result, DEFAULT_BITS
 

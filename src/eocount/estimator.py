@@ -16,13 +16,12 @@ kappa_1 the sum of A_0 times the block sizes, from M's diagonal alone;
 kappa_2 a short sum of Hadamard-power contractions of A_j, j >= 2, over one
 row of M per block streamed from adj, so no m x m matrix is held: O(b m K)
 for b blocks.  Each exact result enters the log estimates rounded once, at a
-working precision of at least ``expansion.MIN_BITS`` = 128 bits (``numeric``).
+working precision of at least ``numeric.MIN_BITS`` = 128 bits.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from decimal import Decimal
 from fractions import Fraction
 from itertools import islice, repeat
 from math import comb, factorial, isqrt, lcm, prod
@@ -30,13 +29,13 @@ from operator import floordiv, mod, mul, sub
 from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
-from .expansion import (DEFAULT_BITS, MAX_K, WeightSpec, f_as_mu_polynomial,
-                        log_closed_form, require_precision, to_text)
+from .expansion import MAX_K, WeightSpec, f_as_mu_polynomial, log_closed_form
 from .graphs import (DENSE_MAX_N, Graph, _adjugate_row, all_degrees_even,
                      cheeger_constant, l_plus_j_adjugate, require_dense,
                      spanning_tree_count)
 from .cumulants import double_factorial
-from .numeric import Real, as_decimal, exp, ln, working
+from .numeric import (DEFAULT_BITS, Real, as_decimal, exp, ln, require_precision,
+                      sqrt_floor, to_text, working)
 
 # Bounds kappa_2's time alone, counting m^2 edge pairs on either route.  At
 # the cap, m = 1000 on C250(1,2,3,4), eo_estimate at M = 2, K = 4 took
@@ -361,7 +360,7 @@ class EstimateReport(NamedTuple):
                 "corrected": {str(r): to_text(exp(v), 30)
                               for r, v in self.log_corrected.items()},
                 "schrijver_lower": lower,
-                "schrijver_upper": to_text(Decimal(self.schrijver_upper_sq).sqrt(), 30),
+                "schrijver_upper": to_text(sqrt_floor(self.schrijver_upper_sq, bits), 30),
                 "pauling": lower,
                 "within_sandwich": {str(M): inside for M, inside
                                     in self.within_sandwich().items()},

@@ -30,7 +30,8 @@ of the T_l is one int, its exponents' multiplicities in fixed-width bit
 fields, so a product is an int addition; the centered recurrence and its
 memo take the same codes.  ``FAMILIES`` holds each family's weight (a, b)
 and prefactor text, ``log_closed_form`` the Gaussian term of every count, a
-Decimal float (``numeric``); every result becomes text in ``to_text``.
+Decimal float; ``numeric`` holds the floats, the precision and digit caps and
+``to_text``, the printer of every result.
 
 Why the cumulants decay: a joint cumulant kappa(T_{l_1}, ..., T_{l_r}) of
 excess e = sum (l_i - 2) vanishes unless the r pairs form a connected
@@ -52,23 +53,14 @@ from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
 from .cumulants import moments_to_cumulants
-from .numeric import (MAX_EXPONENT_DIGITS, Real, as_decimal, exp, ln, ln_constant,
-                      nearest_binary, pi, text, working)
+from .numeric import (DEFAULT_BITS, MAX_EXPONENT_DIGITS, Real, as_decimal, exp, ln,
+                      ln_constant, pi, require_precision, to_text, working)
 from .powersums import FIELD_MASK, encode, monomial_order_bound, mu_moment_dict
 
 MAX_ORDER = 12
 # Largest Taylor order K of f_K, for the series and the estimator alike:
 # kappa_2's ints grow as tau^(2K).
 MAX_K = 64
-MIN_BITS = 128
-DEFAULT_BITS = 256
-# Highest working precision, checked with the floor before any work: one exp, the
-# costliest step, takes 0.8 s warm and 1.2 s cold at 2^16 bits, one ln 0.5 and 0.9 s,
-# and at 2^17 bits each takes 1.7-3.5 s (numeric, on ints; CPython 3.11).
-MAX_BITS = 2**16
-# Longest decimal integer a result may print, under CPython's 4300-digit limit
-# on int -> str (which is quadratic in the length).
-MAX_DIGITS = 4000
 
 # family -> ((a, b), prefactor): the weight a + b cos and the text of its
 # K_n prefactor, which ``log_closed_form`` evaluates
@@ -119,46 +111,6 @@ class WeightSpec:
         key = family.upper()
         (a, b), _ = family_facts(key)
         return cls(a, b, key)
-
-
-def require_precision(bits: int) -> None:
-    """Reject a working precision below the 128-bit floor or above the
-    ``MAX_BITS`` ceiling."""
-    if bits < MIN_BITS:
-        raise DomainError(f"precision must be at least {MIN_BITS} bits, got {bits}")
-    if bits > MAX_BITS:
-        raise SizeLimitError(f"precision is capped at {MAX_BITS} bits, got {bits}")
-
-
-def require_digits(what: str, *values: int) -> None:
-    """SizeLimitError if an integer has more than MAX_DIGITS decimal digits,
-    counted from its bit length (possibly one too many)."""
-    if any(abs(x).bit_length() * 30103 // 100000 >= MAX_DIGITS for x in values):
-        raise SizeLimitError(f"{what} would print more than {MAX_DIGITS} "
-                             "decimal digits")
-
-
-def require_exponent(text: str) -> None:
-    """SizeLimitError for a decimal exponent past MAX_DIGITS, before
-    Fraction(text) builds 10^exponent."""
-    exp = text.lower().partition("e")[2].strip().lstrip("+-")
-    exp = exp.replace("_", "").lstrip("0")
-    if exp.isdecimal() and (len(exp) > len(str(MAX_DIGITS)) or int(exp) > MAX_DIGITS):
-        raise SizeLimitError(f"an exponent past {MAX_DIGITS} in {text[:40]!r}")
-
-
-def to_text(x, digits: int | None = None, bits: int = DEFAULT_BITS) -> str:
-    """x as result text: an int or a Fraction exactly, or with ``digits`` to
-    that many significant digits, an exact value rounded first to the
-    nearest ``bits``-bit binary float, or a Decimal or a binary float (m, s)
-    as it is.  SizeLimitError for an integer past MAX_DIGITS before any
-    conversion."""
-    if digits is None:
-        require_digits("a result", *x.as_integer_ratio())
-        return str(x)
-    if isinstance(x, (int, Fraction)):
-        x = nearest_binary(Fraction(x), bits)
-    return text(x, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +174,6 @@ def _folded_t(l: int) -> dict[tuple[int, int], int]:
 class ExpansionResult(NamedTuple):
     family: str
     order: int                      # series exact through n^-(order-1)
-    M: int
-    K: int
     prefactor: str                  # formula tag, see log_closed_form()
     coeffs: dict[int, Fraction]     # p -> coefficient of n^-p, p in 0..order-1
 
@@ -382,7 +332,7 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     totals = [sum(map(mul, column, scale)) for column in zip(*sums)]
     coeffs = {p: Fraction(v, D**M * factorial(M)) for p, v in enumerate(totals) if v}
     return ExpansionResult(
-        family=w.family, order=c, M=M, K=K,
+        family=w.family, order=c,
         prefactor=FAMILIES[w.family][1] if w.family in FAMILIES else "",
         coeffs=coeffs,
     )

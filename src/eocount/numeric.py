@@ -1,10 +1,11 @@
-"""The package's floats, on ints and ``decimal``: the last log, exp, sqrt or pi of an
-exact value is correctly rounded to a ``context`` of ceil(bits log10 2) + GUARD_DIGITS
-digits.  exp (x = E ln 10 + r, Taylor's series, squarings), ln (the AGM) and pi
-(Chudnovsky) run on ints, rounded by Ziv's rule half-even as libmpdec rounds: 9-16, 35-45
-and 6 us warm at 256 bits, exp and ln 0.8 and 0.5 s at 2^16; sqrt is libmpdec's.  ``text``
-prints by mpmath.nstr's rules, an exact value after one rounding to a binary float.
-Rigorous bounds widen each exp or ln by one ulp, in ROUND_FLOOR and ROUND_CEILING contexts."""
+"""The package's number layer: floats on ints and ``decimal``, the precision and digit
+caps, and ``to_text``, the one printer.  The last log, exp or pi of an exact value is
+correctly rounded to a ``context`` of ceil(bits log10 2) + GUARD_DIGITS digits.  exp (x
+= E ln 10 + r, Taylor's series, squarings), ln (the AGM) and pi (Chudnovsky) run on ints,
+rounded by Ziv's rule half-even as libmpdec rounds: 9-16, 35-45 and 6 us warm at 256
+bits, exp and ln 0.8 and 0.5 s at 2^16; a square root is an isqrt.  ``to_text`` prints by
+mpmath.nstr's rules, an exact value after one rounding to a binary float.  Rigorous
+bounds widen each exp or ln by one ulp, in ROUND_FLOOR and ROUND_CEILING contexts."""
 
 from __future__ import annotations
 
@@ -15,8 +16,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, isqrt, log
 
-from .errors import SizeLimitError
+from .errors import DomainError, SizeLimitError
 
+MIN_BITS = 128
+DEFAULT_BITS = 256
+# Highest working precision, checked before any work: one exp, the costliest step,
+# takes 0.8 s warm and 1.2 s cold at 2^16 bits, and 1.7-3.5 s at 2^17 (CPython 3.11).
+MAX_BITS = 2**16
+# Longest decimal integer a result may print, under CPython's 4300-digit limit
+# on int -> str (which is quadratic in the length).
+MAX_DIGITS = 4000
 # Digits past ceil(bits log10 2), so that a closed form's few roundings stay
 # below the last printed digit.
 GUARD_DIGITS = 10
@@ -45,6 +54,31 @@ def context(bits: int, rounding: str = ROUND_HALF_EVEN) -> Context:
                    traps=[InvalidOperation, DivisionByZero, Overflow, Underflow])
 
 
+def require_precision(bits: int) -> None:
+    """Reject a working precision below the 128-bit floor or above the
+    ``MAX_BITS`` ceiling."""
+    if bits < MIN_BITS:
+        raise DomainError(f"precision must be at least {MIN_BITS} bits, got {bits}")
+    if bits > MAX_BITS:
+        raise SizeLimitError(f"precision is capped at {MAX_BITS} bits, got {bits}")
+
+
+def require_digits(what: str, *values: int) -> None:
+    """SizeLimitError if an integer has more than MAX_DIGITS decimal digits,
+    counted from its bit length (possibly one too many)."""
+    if any(abs(x).bit_length() * 30103 // 100000 >= MAX_DIGITS for x in values):
+        raise SizeLimitError(f"{what} would print more than {MAX_DIGITS} "
+                             "decimal digits")
+
+
+def require_exponent(text: str) -> None:
+    """SizeLimitError for a decimal exponent past MAX_DIGITS, before
+    Fraction(text) builds 10^exponent."""
+    power = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if power.isdecimal() and (len(power) > len(str(MAX_DIGITS)) or int(power) > MAX_DIGITS):
+        raise SizeLimitError(f"an exponent past {MAX_DIGITS} in {text[:40]!r}")
+
+
 def working(bits: int):
     """``context(bits)`` as the current context of a with block."""
     return localcontext(context(bits))
@@ -63,9 +97,9 @@ def ln_constant(x: int | Decimal, bits: int) -> Decimal:
 
 def exp(x: Decimal, ctx: Context | None = None) -> Decimal:
     """e^x in ``ctx`` (by default the current context), rounded half-even in
-    any rounding mode, as libmpdec rounds its exp; SizeLimitError, before
-    any work, for a decimal exponent past MAX_EXPONENT_DIGITS.  x = E ln 10 +
-    r, 0 <= r < ln 10, so the exponent is E and 10^E is never built."""
+    any rounding mode, as libmpdec rounds its exp; SizeLimitError for a
+    subnormal result, and before any work for a decimal exponent past
+    MAX_EXPONENT_DIGITS.  x = E ln 10 + r, 0 <= r < ln 10: the exponent is E."""
     ctx = ctx or getcontext()
     if not x:  # e^0, exact: Ziv's rule never ends on a rounding boundary
         return Decimal(1)
@@ -91,7 +125,9 @@ def exp(x: Decimal, ctx: Context | None = None) -> Decimal:
         y >>= s + 8  # within (3|E| + 2 + j/64) e^r + 1 units, e^r < 2^(len y - g + 1)
         return y, (8 * abs(E) + j + 4 << y.bit_length() - g) + 1, E
     try:
-        return _correctly_rounded(approx, ctx)
+        if (y := _correctly_rounded(approx, ctx)).adjusted() < ctx.Emin:
+            raise Underflow  # subnormal: scaleb signals Underflow only if inexact
+        return y
     except (Overflow, Underflow):
         raise SizeLimitError("a result's decimal exponent would pass "
                              f"{MAX_EXPONENT_DIGITS} digits") from None
@@ -236,12 +272,19 @@ def _floored_digits(x: Decimal | tuple[int, int], dps: int) -> tuple[str, str, i
     return "-" * x.is_signed(), "".join(map(str, x.as_tuple().digits)), x.adjusted()
 
 
-def text(x: Decimal | tuple[int, int], digits: int) -> str:
-    """A Decimal or a binary float (m, s) to ``digits`` significant digits
-    as mpmath.nstr prints it: floored to ``digits`` + 3 digits and rounded
-    half up, in fixed notation when the leading digit's position lies
-    strictly between min(-(digits // 3), -5) and ``digits``, trailing zeros
+def to_text(x, digits: int | None = None, bits: int = DEFAULT_BITS) -> str:
+    """x as result text: an int or a Fraction exactly, SizeLimitError past MAX_DIGITS
+    before any conversion; with ``digits``, to that many significant digits as
+    mpmath.nstr prints (an exact value rounded first to the nearest ``bits``-bit
+    binary float, a Decimal or a binary float (m, s) as it is): floored to ``digits``
+    + 3 digits and rounded half up, fixed notation when the leading digit's position
+    lies strictly between min(-(digits // 3), -5) and ``digits``, trailing zeros
     stripped to one after the point."""
+    if digits is None:
+        require_digits("a result", *x.as_integer_ratio())
+        return str(x)
+    if isinstance(x, (int, Fraction)):
+        x = nearest_binary(Fraction(x), bits)
     if not (x[0] if isinstance(x, tuple) else x):
         return "0.0"
     sign, ds, point = _floored_digits(x, digits + 3)
@@ -254,6 +297,13 @@ def text(x: Decimal | tuple[int, int], digits: int) -> str:
         ds, split, point = "0" * -point + ds, max(point, 0) + 1, 0
     ds = (ds[:split] + "." + ds[split:]).rstrip("0")
     return sign + ds + "0" * ds.endswith(".") + (f"e{point:+d}" if point else "")
+
+
+def sqrt_floor(x: int, bits: int) -> tuple[int, int]:
+    """(m, s), m 2^s = sqrt(x) floored to ``bits`` + 8 bits, for an int x >= 0:
+    the isqrt of x shifted by 2s, a binary float that ``to_text`` prints."""
+    s = (x.bit_length() + 1) // 2 - bits - 8
+    return isqrt(x >> 2 * s if s >= 0 else x << -2 * s), s
 
 
 def exp_enclosure(lo: Decimal, hi: Decimal, down: Context,

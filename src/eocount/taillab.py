@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 from .cumulants import moments_to_cumulants
 from .errors import DomainError, SizeLimitError
-from .expansion import require_digits, require_exponent, to_text
-from .numeric import context, exp_enclosure, ln_enclosure, nearest_binary
+from .numeric import (context, exp_enclosure, ln_enclosure, nearest_binary,
+                      require_digits, require_exponent, to_text)
 
 SPACE_MAX_POINTS = 10**6
 # Cap on the entries read by the one walk of alpha and Delta_V (alpha_reads),

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import eocount
 from eocount.cli import build_parser, main
-from eocount.estimator import DEFAULT_BITS, KAPPA2_MAX_EDGE_PAIRS
+from eocount.estimator import KAPPA2_MAX_EDGE_PAIRS
 from eocount.expansion import require_eval_point
 from eocount.graphs import DENSE_MAX_N, circulant_graph, complete_graph, cycle_graph
+from eocount.numeric import DEFAULT_BITS
 from eocount.taillab import (TAIL_MAX_M, DiscreteProductSpace, alpha,
                              exact_cumulants_discrete)
 

@@ -16,14 +16,14 @@ from eocount.estimator import (_closed_form_logs, _row, covariance_sigma,
                                default_w, degree_sum_reference, eo_estimate,
                                eo_hat_log, kappa1_f, kappa2_f, schrijver_lower,
                                schrijver_upper_squared)
-from eocount.expansion import (MAX_BITS, MAX_K, MIN_BITS, WeightSpec,
-                               evaluate_expansion, expansion_series,
-                               f_as_mu_polynomial)
+from eocount.expansion import (MAX_K, WeightSpec, evaluate_expansion,
+                               expansion_series, f_as_mu_polynomial)
 from eocount.exact import eo_count_bruteforce, rt_count
 from eocount.graphs import (DENSE_MAX_N, Graph, all_degrees_even,
                             circulant_graph, complete_graph,
                             complete_multipartite, cycle_graph,
                             l_plus_j_adjugate, spanning_tree_count)
+from eocount.numeric import MAX_BITS, MIN_BITS
 from helpers import laplacian, log_estimate, octahedron_graph, shuffled, sigma_w
 from oracles import (bivariate_even_moment, edge_matrix, exact_inverse,
                      kappa12_per_order, kappa2_pairwise, kn_kappas,
@@ -221,6 +221,16 @@ def test_circulant_kappa2_at_the_dense_cap_is_fast():
     eo_estimate(g, M=2)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.5, f"{elapsed:.2f}s"
+
+
+def test_kappa2_edge_cap_checked_before_the_elimination(monkeypatch):
+    # C_251(1,2,3,4,5): 1,255 edges, past kappa_2's isqrt(10^6) = 1,000, on
+    # n <= DENSE_MAX_N with even degrees, so only the edge-pair cap refuses it
+    monkeypatch.setattr("eocount.graphs._eliminated", fail_if_called("the elimination"))
+    g = circulant_graph(251, (1, 2, 3, 4, 5))
+    assert g.edge_count == 1255 and g.n <= DENSE_MAX_N and all_degrees_even(g)
+    with pytest.raises(SizeLimitError, match="edge-pair cap"):
+        eo_estimate(g, M=2)
 
 
 def test_covariance_complete_graph_symmetry():

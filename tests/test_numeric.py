@@ -23,9 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eocount.errors import SizeLimitError
-from eocount.expansion import MAX_BITS, require_precision, to_text
-from eocount.numeric import (MAX_EXPONENT_DIGITS, Real, as_decimal, context,
-                             exp, ln, nearest_binary, pi, working)
+from eocount.numeric import (MAX_BITS, MAX_EXPONENT_DIGITS, Real, as_decimal,
+                             context, exp, ln, nearest_binary, pi,
+                             require_precision, to_text, working)
 from eocount.taillab import DiscreteProductSpace, check_tail_bound
 
 from oracles import nearest_binary_by_ln, pi_decimal, tail_enclosures_iv
@@ -164,6 +164,11 @@ def exp_arguments(draw):
 @example(context(256).divide(12345, 700 * 2**16), 256, ROUND_FLOOR)
 @example(Decimal(400), 4096, ROUND_CEILING)
 @example(Decimal(-400), 1024, ROUND_HALF_EVEN)
+# -ln 10 (10^18 - 1/10): E = Emin - 1 with no carry, a subnormal whose last
+# digit rounds away exactly, which scaleb lets pass without Underflow
+@example(Decimal("-2302585092994045683.7877329457005954315982008545"), 1024, ROUND_HALF_EVEN)
+@example(Decimal("-2302585092994045683.7877329457005954315982008545"), 1024, ROUND_FLOOR)
+@example(Decimal("-2302585092994045683.7877329457005954315982008545"), 1024, ROUND_CEILING)
 def test_exp_is_libmpdecs_exp_bit_for_bit(x, bits, rounding):
     # libmpdec rounds its exp half-even in any context, and so does exp,
     # digit for digit and exponent for exponent (e^0 is Decimal('1')); both

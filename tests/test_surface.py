@@ -19,8 +19,9 @@ import mpmath
 
 import eocount
 from eocount.estimator import eo_estimate
-from eocount.expansion import evaluate_expansion, expansion_series, to_text
+from eocount.expansion import evaluate_expansion, expansion_series
 from eocount.graphs import complete_graph
+from eocount.numeric import to_text
 
 PACKAGE = Path(eocount.__file__).parent
 
@@ -117,14 +118,30 @@ def test_pi_is_read_in_one_def():
 
 
 def test_no_decimal_ln_runs_in_the_package():
-    # every log is numeric.ln and every exp numeric.exp, both on ints: an
-    # attribute call named ln or exp is a Decimal's or a Context's, libmpdec's
-    # ln (60-130 us at 256 bits, 1.3-1.5 s at 2^14 bits where numeric.ln takes
-    # 0.04 s) or exp (45-64 us for a log count near 390, 0.54 s at 2^14 bits)
+    # every log is numeric.ln, every exp numeric.exp and every square root
+    # numeric.sqrt_floor, all on ints: an attribute call named ln, exp or
+    # sqrt is a Decimal's or a Context's, libmpdec's ln (60-130 us at 256
+    # bits, 1.3-1.5 s at 2^14 bits where numeric.ln takes 0.04 s), exp
+    # (45-64 us for a log count near 390, 0.54 s at 2^14 bits) or sqrt (9 us
+    # at 129 bits and 0.3 ms at 13,000 bits, where the isqrt takes 2.4 us;
+    # 2 shared cores, CPython 3.11.7)
     for path in sorted(PACKAGE.glob("*.py")):
         assert not [node for node in ast.walk(ast.parse(path.read_text()))
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("ln", "exp")], path.name
+                    and node.func.attr in ("ln", "exp", "sqrt")], path.name
+
+
+def test_numeric_alone_holds_the_printer_and_the_caps():
+    # how a number is rounded, how large it may be and how it becomes text
+    # is one layer: no other module defines these, and the tail lab, which
+    # prints but sums no series, does not import the series module
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    for name in ("to_text", "require_digits", "require_exponent", "require_precision"):
+        assert [stem for stem, t in trees.items() for node in t.body
+                if isinstance(node, ast.FunctionDef) and node.name == name] == ["numeric"]
+    imported = {name for node in ast.walk(trees["taillab"]) if isinstance(node, ast.ImportFrom)
+                for name in (node.module, *(alias.name for alias in node.names))}
+    assert "expansion" not in imported
 
 
 def test_circulants_are_found_in_one_def():
