@@ -11,7 +11,9 @@ Each exact subject takes only its own flag: rt, ed and eog --n, eo --graph.
 Exit codes: 0 success, 2 usage or domain error, 3 size cap, 4 I/O error;
 every failure prints one JSON line on stderr.  Every result number is
 printed by ``numeric.to_text``, which refuses an oversized one with a size
-cap.
+cap.  Importing this module runs only errors and numeric: exact, expansion,
+estimator, graphs and taillab compile and run when a command first reads
+them (importlib's LazyLoader), so `exact rt` runs no graphs or estimator.
 """
 
 from __future__ import annotations
@@ -22,16 +24,42 @@ import os
 import sys
 import time
 from fractions import Fraction
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from . import exact, expansion
 from .errors import DomainError, SizeLimitError
-from .estimator import (edge_cap, eo_estimate, require_orders, schrijver_lower,
-                        schrijver_upper_squared)
-from .graphs import (all_degrees_even, cheeger_constant, load_graph,
-                     spanning_tree_count)
 from .numeric import (DEFAULT_BITS, ln, require_digits, require_exponent,
                       sqrt_floor, to_text, working)
-from .taillab import check_tail_bound, instance_from_json
+
+
+def _lazy(name: str):
+    """The package's module ``name``; one not yet imported is registered to
+    compile and run on its first attribute access."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = find_spec(full)
+        spec.loader = LazyLoader(spec.loader)
+        sys.modules[full] = module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+exact, expansion, estimator, graphs, taillab = map(
+    _lazy, ("exact", "expansion", "estimator", "graphs", "taillab"))
+_cli = sys.modules[__name__]
+
+# names the benchmark's tracer wraps on eocount.cli (PEP 562).  Handlers call
+# the last three through `_cli`, so a wrapper or patch there runs, and call
+# eo_estimate in estimator, where the tracer wraps it too: one span, not two
+_SERVED = {"eo_estimate": estimator, "cheeger_constant": graphs,
+           "spanning_tree_count": graphs, "check_tail_bound": taillab}
+
+
+def __getattr__(name: str):
+    if name in _SERVED:
+        return getattr(_SERVED[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,8 +97,8 @@ def _cmd_exact(args):
     flag, counter, method = EXACT_SUBJECTS[args.subject]
     arg = getattr(args, flag)
     # a graph file is read no further than the counter's edge cap
-    subject = (load_graph(arg, max_edges=exact.EO_MAX_EDGES) if flag == "graph"
-               else arg)
+    subject = (graphs.load_graph(arg, max_edges=exact.EO_MAX_EDGES)
+               if flag == "graph" else arg)
     value = getattr(exact, counter)(subject)
     return ({"subject": args.subject, flag: arg},
             {"value": to_text(value), "method": method}, None)
@@ -110,23 +138,23 @@ def rational(text: str) -> str:
 
 
 def _cmd_estimate(args):
-    require_orders(args.M, args.K)  # refused before the graph is read
+    estimator.require_orders(args.M, args.K)  # refused before the graph is read
     w = Fraction(args.w) if args.w else None
     if w is not None:  # printed exactly, so refused before the graph and the work
         require_digits("w", *w.as_integer_ratio())
     # no graph past the cap is estimated, so the file is read no further
-    g = load_graph(args.graph, max_edges=edge_cap(args.M))
-    rep = eo_estimate(g, M=args.M, K=args.K, w=w, graph_id=args.graph)
+    g = graphs.load_graph(args.graph, max_edges=estimator.edge_cap(args.M))
+    rep = estimator.eo_estimate(g, M=args.M, K=args.K, w=w, graph_id=args.graph)
     inputs = {"graph": args.graph, "M": args.M, "K": args.K, "w": args.w}
     return inputs, rep.to_json(), rep.bits
 
 
 def _cmd_bounds(args):
-    g = load_graph(args.graph)
+    g = graphs.load_graph(args.graph)
     # lower = B / 2^|E| in lowest terms: no part is longer than B or 2^|E|
-    upper_sq = schrijver_upper_squared(g)
+    upper_sq = estimator.schrijver_upper_squared(g)
     require_digits("the bounds", upper_sq, 1 << g.edge_count)
-    lower = schrijver_lower(g, upper_sq)
+    lower = estimator.schrijver_lower(g, upper_sq)
     exact_lower = to_text(lower)
     result = {
         "lower": exact_lower,
@@ -140,28 +168,28 @@ def _cmd_bounds(args):
 
 def _cmd_taillab(args):
     with open(args.instance) as fh:
-        space, table = instance_from_json(fh.read(), args.m)
-    rep = check_tail_bound(space, table, args.m)
+        space, table = taillab.instance_from_json(fh.read(), args.m)
+    rep = _cli.check_tail_bound(space, table, args.m)
     return {"instance": args.instance, "m": args.m}, rep.to_json(), None
 
 
 def _cmd_graphinfo(args):
-    g = load_graph(args.graph)
+    g = graphs.load_graph(args.graph)
     try:
-        tau, tau_skipped = to_text(spanning_tree_count(g)), None
+        tau, tau_skipped = to_text(_cli.spanning_tree_count(g)), None
     except SizeLimitError as exc:  # above graphs.DENSE_MAX_N
         tau, tau_skipped = None, str(exc)
     result = {
         "n": g.n,
         "edges": g.edge_count,
         "degrees": list(g.degrees),
-        "all_degrees_even": all_degrees_even(g),
+        "all_degrees_even": graphs.all_degrees_even(g),
         "connected": g.is_connected(),
         "tau": tau,
         "tau_skipped": tau_skipped,
     }
     try:
-        h, cheeger_skipped = cheeger_constant(g), None
+        h, cheeger_skipped = _cli.cheeger_constant(g), None
     except (DomainError, SizeLimitError) as exc:  # n < 2, or above CHEEGER_MAX_N
         h, cheeger_skipped = None, str(exc)
     d = g.max_degree()

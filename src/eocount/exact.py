@@ -10,9 +10,12 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, SizeLimitError
-from .graphs import Graph, all_degrees_even
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 EO_MAX_EDGES = 40
 RT_MAX_N = 21
@@ -81,6 +84,7 @@ def eo_count_bruteforce(g: Graph) -> int:
     """Exact number of Eulerian orientations by the transfer over the edges
     in sorted order, so all edges at the smallest vertex come first and its
     balance closes early."""
+    from .graphs import all_degrees_even  # graphs loads for this counter alone
     if g.edge_count > EO_MAX_EDGES:
         raise SizeLimitError(f"eo_count_bruteforce capped at {EO_MAX_EDGES} edges")
     if not all_degrees_even(g):

@@ -7,6 +7,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -157,8 +158,7 @@ def test_bounds_compute_b_once(capsys, k5_file, monkeypatch):
         calls.append(g)
         return inner(g)
 
-    for module in ("cli", "estimator"):
-        monkeypatch.setattr(f"eocount.{module}.schrijver_upper_squared", counted)
+    monkeypatch.setattr("eocount.estimator.schrijver_upper_squared", counted)
     code, env = run_json(capsys, ["bounds", "--graph", k5_file])
     assert code == 0 and env["result"]["upper_squared"] == str(6**5)
     assert len(calls) == 1
@@ -468,8 +468,8 @@ def test_estimate_w_digit_cap_checked_before_the_graph(capsys, tmp_path, monkeyp
     # it is refused before the graph is read or the estimate runs; so are an
     # M out of 0..2 and a K out of 2..64 at M >= 1, which need no graph
     c3 = write_edges(tmp_path / "c3.edges", cycle_graph(3))
-    monkeypatch.setattr("eocount.cli.load_graph", fail_if_called("the graph"))
-    monkeypatch.setattr("eocount.cli.eo_estimate", fail_if_called("the estimate"))
+    monkeypatch.setattr("eocount.graphs.load_graph", fail_if_called("the graph"))
+    monkeypatch.setattr("eocount.estimator.eo_estimate", fail_if_called("the estimate"))
     cases = [([c3, "--M", "2", "--w", w], 3, "size-limit")
              for w in ("1e-4000", str(10**4100))] + [
         ([k5_file, "--M", "3"], 2, "domain"), ([k5_file, "--K", "1"], 2, "domain"),
@@ -484,7 +484,7 @@ def test_bounds_digit_cap_on_a_large_cycle(capsys, tmp_path, monkeypatch):
     # digits, past CPython's 4300-digit limit on int -> str
     c20000 = write_edges(tmp_path / "c20000.edges", cycle_graph(20000))
     with monkeypatch.context() as patch:
-        patch.setattr("eocount.cli.schrijver_lower",
+        patch.setattr("eocount.estimator.schrijver_lower",
                       fail_if_called("the lower bound"))
         assert main(["bounds", "--graph", c20000]) == 3
         assert_one_error_line(capsys.readouterr(), "size-limit")
@@ -515,6 +515,59 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     proc = fresh_python(["-c", script, json.dumps(runs)])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0] * len(runs), []]
+
+
+def modules_run(runs, cwd=None):
+    """(exit codes, the eocount modules whose code ran) after ``import
+    eocount`` and main(argv) for each argv of runs in a new interpreter.  A
+    module registered but not yet run is a LazyLoader module, whose type is
+    not ModuleType; the type check does not load it."""
+    script = ("import io, json, sys, types\n"
+              "import eocount\n"
+              "runs = json.loads(sys.argv[1])\n"
+              "out, sys.stdout = sys.stdout, io.StringIO()\n"
+              "if runs:\n"
+              "    from eocount.cli import main\n"
+              "codes = [main(argv) for argv in runs]\n"
+              "ran = {name for name, m in sys.modules.items()\n"
+              "       if name.startswith('eocount') and type(m) is types.ModuleType}\n"
+              "out.write(json.dumps([codes, sorted(ran)]))\n")
+    proc = fresh_python(["-c", script, json.dumps(runs)], cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    codes, ran = json.loads(proc.stdout)
+    return codes, {name.partition(".")[2] or name for name in ran}
+
+
+def test_each_command_runs_only_the_modules_it_calls(tmp_path):
+    """``import eocount`` leaves graphs unloaded, and the CLI compiles and
+    runs a module only when a command first reads it."""
+    assert modules_run([]) == ([], {"eocount", "errors"})
+    cli = {"eocount", "cli", "errors", "numeric"}
+    codes, ran = modules_run([["exact", s, "--n", "5"] for s in ("rt", "ed", "eog")])
+    assert codes == [0, 0, 0] and ran == cli | {"exact"}
+    write_edges(tmp_path / "k5.edges", complete_graph(5))
+    codes, ran = modules_run([["graphinfo", "--graph", "k5.edges"]], tmp_path)
+    assert codes == [0] and ran == cli | {"graphs"}
+    quad5 = str(write_quad5(tmp_path))
+    codes, ran = modules_run([["taillab", "--instance", quad5, "--m", "2"]])
+    assert codes == [0] and ran == cli | {"taillab", "cumulants"}
+
+
+def test_cli_import_registers_every_traced_module():
+    """Right after ``import eocount.cli``, every module that the benchmark's
+    tracer wraps is in sys.modules and every name it wraps resolves, so the
+    tracer finds them all whatever else ran first."""
+    perfbench = Path(eocount.__file__).resolve().parents[2] / "perfbench"
+    script = ("import json, sys\n"
+              "import eocount.cli\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "from tracing import BOUNDARIES\n"
+              "print(json.dumps([f'{m}.{a}' for m, a, _s, _c in BOUNDARIES\n"
+              "                  if m not in sys.modules\n"
+              "                  or not callable(getattr(sys.modules[m], a, None))]))\n")
+    proc = fresh_python(["-c", script, str(perfbench)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_closed_stdout_is_an_io_error():
@@ -826,7 +879,7 @@ def test_dropped_and_foreign_flags_are_usage_errors(capsys, k5_file,
                                                     monkeypatch):
     # numeric work runs at the fixed DEFAULT_BITS; each exact subject takes
     # only its own flag
-    monkeypatch.setattr("eocount.cli.load_graph", fail_if_called("the graph"))
+    monkeypatch.setattr("eocount.graphs.load_graph", fail_if_called("the graph"))
     for argv in (["expand", "rt", "--order", "3", "--eval", "21",
                   "--bits", "256"],
                  ["expand", "rt", "--order", "3", "--bits", "5"],

@@ -2,12 +2,13 @@
 
 A module-level def or class in ``src/eocount`` must be referenced somewhere
 in the package outside its own body, or be exported by ``eocount.__all__``,
-or be on the short allowlist below.  A method must be referenced somewhere
-in the package outside its own body, whether or not ``__all__`` exports its
-class; dunders, overrides and the conversion hook in HOOKS, which their
-base class, the interpreter or another library calls, are exempt.  A
-string constant counts as a reference, since the CLI looks counters up by
-name.
+or be on the short allowlist below; a module's ``__getattr__``, which the
+import system calls (PEP 562), is exempt.  A method must be referenced
+somewhere in the package outside its own body, whether or not ``__all__``
+exports its class; dunders, overrides and the conversion hook in HOOKS,
+which their base class, the interpreter or another library calls, are
+exempt.  A string constant counts as a reference, since the CLI looks
+counters up by name.
 """
 
 import ast
@@ -66,7 +67,7 @@ def unreferenced() -> list[str]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name not in exported | set(ALLOWED) \
+            if node.name not in exported | set(ALLOWED) | {"__getattr__"} \
                     and refs[node.name] == _references(node)[node.name]:
                 out.append(f"{stem}.{node.name}")
             if not isinstance(node, ast.ClassDef):
