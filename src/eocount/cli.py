@@ -152,9 +152,9 @@ def _cmd_estimate(args):
 def _cmd_bounds(args):
     g = graphs.load_graph(args.graph)
     # lower = B / 2^|E| in lowest terms: no part is longer than B or 2^|E|
-    upper_sq = estimator.schrijver_upper_squared(g)
+    upper_sq = graphs.schrijver_upper_squared(g)
     require_digits("the bounds", upper_sq, 1 << g.edge_count)
-    lower = estimator.schrijver_lower(g, upper_sq)
+    lower = graphs.schrijver_lower(g, upper_sq)
     exact_lower = to_text(lower)
     result = {
         "lower": exact_lower,

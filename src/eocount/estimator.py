@@ -1,6 +1,6 @@
 """General-graph estimates of the Eulerian orientation count: the spanning
 -tree/Gaussian closed form, cumulant corrections of order one and two, and the
-classical sandwich bounds from central binomial coefficients.
+classical sandwich bounds from central binomial coefficients (``graphs``).
 
 One banded elimination (``graphs.l_plus_j_adjugate``: of the grounded
 Laplacian on sparse graphs, of L + J on dense ones) gives tau and the integer
@@ -24,14 +24,15 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, repeat
-from math import comb, factorial, isqrt, lcm, prod
+from math import comb, factorial, isqrt, lcm
 from operator import floordiv, mod, mul, sub
 from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError
 from .expansion import MAX_K, WeightSpec, f_as_mu_polynomial, log_closed_form
 from .graphs import (DENSE_MAX_N, Graph, _adjugate_row, all_degrees_even,
-                     cheeger_constant, l_plus_j_adjugate, require_dense,
+                     cheeger_constant, circulant_classes, l_plus_j_adjugate,
+                     require_dense, schrijver_lower, schrijver_upper_squared,
                      spanning_tree_count)
 from .cumulants import double_factorial
 from .numeric import (DEFAULT_BITS, Real, as_decimal, exp, ln, require_precision,
@@ -109,24 +110,13 @@ def _exact_over_n2(values: list[int], n2: int) -> list[int]:
     return list(map(floordiv, values, repeat(n2)))
 
 
-def _classes(g: Graph) -> dict[int, int]:
-    """{s: edge count} over the offset classes s = min(v - u, n - v + u) of
-    the edges when v -> v + 1 mod n maps the edge set onto itself (a
-    circulant in these labels), else {}; O(m)."""
-    n, edges = g.n, g.edges
-    if any(((u + 1, v + 1) if v + 1 < n else (0, u + 1)) not in edges
-           for u, v in edges):
-        return {}
-    return dict(sorted(Counter(min(v - u, n - v + u) for u, v in edges).items()))
-
-
 def covariance_sigma(g: Graph) -> Covariance:
     """Sigma_w for every w, tau and the diagonal of M from one banded
     elimination; DomainError unless the graph is connected.  On a circulant
     one row of adj(L + J) (``graphs._adjugate_row``), no n x n sweep, and one
     block per offset class."""
     _require_vertices(g)
-    n, classes = g.n, _classes(g)
+    n, classes = g.n, circulant_classes(g)
     if classes:
         tau, r, row = _adjugate_row(g)
         adj = [row[r:] + row[:r]] if tau else None
@@ -140,26 +130,6 @@ def covariance_sigma(g: Graph) -> Covariance:
     var = ([2 * (adj[0][0] - adj[0][s]) for s in classes] if classes else
            [adj[j][j] + adj[k][k] - 2 * adj[j][k] for j, k in edges])
     return Covariance(n, tau, adj, edges, blocks, _exact_over_n2(var, n * n))
-
-
-# ---------------------------------------------------------------------------
-# sandwich bounds
-
-def schrijver_upper_squared(g: Graph) -> int:
-    """B = prod C(d_i, d_i/2), the square of the upper bound, as one power
-    per distinct degree."""
-    if not all_degrees_even(g):
-        raise DomainError("bounds need all degrees even")
-    return prod(comb(d, d // 2) ** k for d, k in Counter(g.degrees).items())
-
-
-def schrijver_lower(g: Graph, B: int) -> Fraction:
-    """lower = B / 2^|E| (also the Pauling estimate) for B =
-    ``schrijver_upper_squared(g)``.  B holds 2 to the sum of popcount(d_i/2)
-    (Kummer's theorem), shifted out before the Fraction's gcd, which is
-    quadratic in the length of B."""
-    v = sum((d // 2).bit_count() for d in g.degrees)
-    return Fraction(B >> v, 1 << (g.edge_count - v))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ the spanning-tree count and the adjugate of L + J from one banded
 elimination (a symmetric fraction-free forward pass over the band rows of
 the grounded Laplacian on sparse graphs, or of L + J ordered by the
 complement on dense ones, and a back sweep from those rows), Cheeger
-constant, degree predicates.
+constant, the circulant test, degree predicates and the sandwich bounds.
 
 Vertices are 0-based contiguous integers internally; the text/JSON formats use
 1-based labels.
@@ -15,15 +15,17 @@ import io
 import json
 import struct
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb
+from math import comb, prod
 from operator import mul
 
 from .errors import DomainError, SizeLimitError
 
-# The exhaustive Cheeger scan visits all 2^(n-1) subsets; at n = 22 it takes
-# 8-10 ms on K22, C22 and C22(1,3,8) (2 shared cores, CPython 3.11).
+# The exhaustive Cheeger scan visits 2^(n-1) subsets, 2^(n-2) on a circulant
+# in its own labels; at n = 22 it takes 8-10 ms in general and 4.7-4.9 ms on
+# K22, C22 and C22(1,3,8) in their own labels (2 shared cores, CPython 3.11).
 CHEEGER_MAX_N = 22
 # Vertices whose subsets the scan handles at once, one 16-bit lane each.  A
 # walked step costs a few big-int operations over 2^LANE_BITS lanes, and the
@@ -163,6 +165,19 @@ def circulant_graph(n: int, offsets) -> Graph:
         for i in range(n):
             edges.add((min(i, (i + d) % n), max(i, (i + d) % n)))
     return Graph.from_edges(n, edges)
+
+
+def circulant_classes(g: Graph) -> dict[int, int]:
+    """{s: edge count} over the offset classes s = min(v - u, n - v + u) of
+    the edges when v -> v + 1 mod n maps the edge set onto itself (a
+    circulant in these labels), else {}; one O(m) count.  Class s has at
+    most n edges {x, x + s} (n/2 at 2s = n), and the rotation keeps the
+    edge set exactly when every class holds all of them."""
+    n = g.n
+    classes = Counter(min(v - u, n - v + u) for u, v in g.edges)
+    if any(count != (n // 2 if 2 * s == n else n) for s, count in classes.items()):
+        return {}
+    return dict(sorted(classes.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -425,30 +440,41 @@ def spanning_tree_count(g: Graph) -> int:
 def cheeger_constant(g: Graph) -> Fraction:
     """min over nonempty U with |U| <= n/2 of |boundary(U)| / |U|, exact.
 
-    Exhaustive over the subsets S of {0..n-2}: the candidate for S is
-    whichever of S and its complement has at most n/2 vertices, and ratios
-    are compared as integer pairs by cross-multiplication.  S splits into
-    A, its part among the k = min(n - 1, LANE_BITS) lowest vertices, and B,
-    the rest.  Every A owns one 16-bit lane of a single int, the lanes
-    ordered by |A| so that each size class is one contiguous slice.  B runs
-    over the other vertices in Gray-code order; flipping b into or out of B
-    subtracts or adds the packed vector of 2 |N(b) & A|, one big-int step
-    per walked subset.  At each B one C-level ``min`` per size class gives
-    the smallest cut for every |S| at once.
+    Exhaustive over the subsets S of {0..n-2} that hold a fixed set F: the
+    candidate for S is whichever of S and its complement has at most n/2
+    vertices, and ratios are compared as integer pairs by
+    cross-multiplication.  F = {0} when v -> v + 1 mod n maps the edge set
+    onto itself (``circulant_classes``): a rotation keeps cut and size and
+    takes any nonempty proper S to one that holds 0 and leaves out n - 1
+    (pick v in S with v - 1 not in S, and rotate by -v).  Otherwise F is
+    empty, and the same code runs with nothing fixed.
 
-    A lane holds cut(S) - cut(B) + m (m edges).  cut(S) and cut(B) both lie
-    in [0, m], so a lane lies in [0, 2m]; with n <= CHEEGER_MAX_N = 22,
-    m <= 231 and 2m < 2^16, so no step carries or borrows across lanes.
+    S splits into F, A, its part among the k = min(n - 1 - |F|, LANE_BITS)
+    vertices just above F, and B, the rest.  Every A owns one 16-bit lane of
+    a single int, the lanes ordered by |A| so that each size class is one
+    contiguous slice.  B runs over the vertices from |F| + k to n - 2 in
+    Gray-code order, 2^(n - 1 - |F| - k) steps, half as many on a circulant;
+    flipping b into or out of B subtracts or adds the packed vector of
+    2 |N(b) & A|, one big-int step per walked subset.  At each B one C-level
+    ``min`` per size class gives the smallest cut for every |S| at once.
+
+    The lanes start at cut(F | A) + m (m edges), and cut_b = cut(F | B) -
+    cut(F), the part shared by every lane, is counted with F in the walked
+    mask.  A lane then holds cut(S) - cut(F | B) + cut(F) + m, and lane +
+    cut_b = cut(S) + m.  cut(S) and cut(F | B) lie in [0, m] and cut(F) <=
+    deg(0), so a lane lies in [0, 2m + deg(0)]; with n <= CHEEGER_MAX_N =
+    22, m <= 231 and 2m + deg(0) <= 483 < 2^15, so no step carries or
+    borrows across lanes.
 
     Each walked B is first screened by one packed comparison.  S of size
-    |S| = a + |B| beats the best ratio exactly when cut(S) best_size <
+    |S| = |F| + a + |B| beats the best ratio exactly when cut(S) best_size <
     best_cut small, that is, cut(S) + m < U_a with U_a = ceil(best_cut small /
-    best_size) + m, for the integer cut(S).  Adding cut(B) to every lane and
+    best_size) + m, for the integer cut(S).  Adding cut_b to every lane and
     then 2^15 - U_a to the lanes of class a leaves cut(S) + m + 2^15 - U_a,
     whose bit 15 (the guard) is set exactly when S cannot beat the best; a B
     whose guards are all set is skipped.  The first B (the empty one) is
-    never screened and sets a finite best, since the singleton {0} is a lane:
-    the best ratio is then at most deg(0) <= n - 1, so U_a <= (n - 1) n/2 + m
+    never screened and sets a finite best, since S = {0} is at a lane: the
+    best ratio is then at most deg(0) <= n - 1, so U_a <= (n - 1) n/2 + m
     <= 462 and a screened lane lies in [2^15 - 462, 2^15 + 462], inside
     [0, 2^16), so the screen carries or borrows across no lane either.  The
     vectors 2^15 - U, one per |B|, are rebuilt only after the best improves.
@@ -464,19 +490,23 @@ def cheeger_constant(g: Graph) -> Fraction:
     for u, v in g.edges:
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
-    k = min(n - 1, LANE_BITS)
+    fixed = 1 if circulant_classes(g) else 0  # the bitmask of F, and |F|
+    k = min(n - 1 - fixed, LANE_BITS)
+    top = fixed + k  # the lowest walked vertex
 
     def table(u, start, step, below):
         """start + step |N(u) & A| for every subset A (a bitmask) of the
-        vertices below ``below``, by doubling over those vertices."""
+        vertices fixed..below - 1, by doubling over those vertices."""
         t = [start]
-        for v in range(below):
+        for v in range(fixed, below):
             t += [x + step for x in t] if nbr[u] >> v & 1 else t
         return t
 
-    cuts = [m]  # cut(A) + m; v joining A adds deg(v) - 2 |N(v) & A|
-    for v in range(k):
-        cuts += [c + x for c, x in zip(cuts, table(v, deg[v], -2, v))]
+    # cut(F | A) + m; v joining F | A adds deg(v) - 2 |N(v) & (F | A)|
+    cuts = [fixed * deg[0] + m]
+    for v in range(fixed, top):
+        start = deg[v] - 2 * (nbr[v] & fixed)
+        cuts += [c + x for c, x in zip(cuts, table(v, start, -2, v))]
     order = sorted(range(1 << k), key=int.bit_count)
 
     def pack(values) -> int:
@@ -487,7 +517,7 @@ def cheeger_constant(g: Graph) -> Fraction:
 
     lanes = pack([cuts[A] for A in order])
     flips = [pack([t[A] for A in order])
-             for t in (table(b, 0, 2, k) for b in range(k, n - 1))]
+             for t in (table(b, 0, 2, top) for b in range(top, n - 1))]
     classes, lo = [], 0
     for a in range(k + 1):
         classes.append((a, slice(lo, lo + comb(k, a))))
@@ -505,19 +535,19 @@ def cheeger_constant(g: Graph) -> Fraction:
     def screens(best_cut, best_size):
         """For each |B|, the lanes 2^15 - U_a over the classes a, where
         U_a = ceil(best_cut small / best_size) + m for the small side of
-        |S| = a + |B|."""
+        |S| = |F| + a + |B|."""
         # x // -y is -ceil(x / y)
         room = [(1 << 15) - m + best_cut * small // -best_size for small in smalls]
-        return [runs(room[size_b:size_b + k + 1]) for size_b in range(n - k)]
+        return [runs(room[fixed + size_b:top + size_b + 1]) for size_b in range(n - top)]
 
     nbytes = 2 << k
     best_cut, best_size = 1, 0  # the ratio 1/0 stands for +infinity
     screen = None  # rebuilt at the first step after the best improves
-    mask = cut_b = size_b = 0
-    for step in range(1 << (n - 1 - k)):
+    mask, cut_b, size_b = fixed, 0, 0
+    for step in range(1 << (n - 1 - top)):
         if step:  # Gray code: flip the walked vertex of step's lowest set bit
             i = (step & -step).bit_length() - 1
-            b = k + i
+            b = top + i
             mask ^= 1 << b
             delta = deg[b] - 2 * (nbr[b] & mask).bit_count()
             if mask >> b & 1:
@@ -535,7 +565,7 @@ def cheeger_constant(g: Graph) -> Fraction:
         view = memoryview(lanes.to_bytes(nbytes, sys.byteorder)).cast("H")
         for a, lanes_of_size in classes:
             # the empty S (size 0, cut 0) never passes the strict test
-            small = smalls[a + size_b]
+            small = smalls[fixed + a + size_b]
             cut = min(view[lanes_of_size]) + cut_b - m
             if cut * best_size < best_cut * small:
                 best_cut, best_size = cut, small
@@ -545,3 +575,23 @@ def cheeger_constant(g: Graph) -> Fraction:
 
 def all_degrees_even(g: Graph) -> bool:
     return all(d % 2 == 0 for d in g.degrees)
+
+
+# ---------------------------------------------------------------------------
+# sandwich bounds
+
+def schrijver_upper_squared(g: Graph) -> int:
+    """B = prod C(d_i, d_i/2), the square of the upper bound, as one power
+    per distinct degree."""
+    if not all_degrees_even(g):
+        raise DomainError("bounds need all degrees even")
+    return prod(comb(d, d // 2) ** k for d, k in Counter(g.degrees).items())
+
+
+def schrijver_lower(g: Graph, B: int) -> Fraction:
+    """lower = B / 2^|E| (also the Pauling estimate) for B =
+    ``schrijver_upper_squared(g)``.  B holds 2 to the sum of popcount(d_i/2)
+    (Kummer's theorem), shifted out before the Fraction's gcd, which is
+    quadratic in the length of B."""
+    v = sum((d // 2).bit_count() for d in g.degrees)
+    return Fraction(B >> v, 1 << (g.edge_count - v))

@@ -154,11 +154,11 @@ def test_bounds_compute_b_once(capsys, k5_file, monkeypatch):
     # bound; on C_10^6(1,2) it takes about a tenth of the command
     calls = []
 
-    def counted(g, inner=eocount.estimator.schrijver_upper_squared):
+    def counted(g, inner=eocount.graphs.schrijver_upper_squared):
         calls.append(g)
         return inner(g)
 
-    monkeypatch.setattr("eocount.estimator.schrijver_upper_squared", counted)
+    monkeypatch.setattr("eocount.graphs.schrijver_upper_squared", counted)
     code, env = run_json(capsys, ["bounds", "--graph", k5_file])
     assert code == 0 and env["result"]["upper_squared"] == str(6**5)
     assert len(calls) == 1
@@ -484,7 +484,7 @@ def test_bounds_digit_cap_on_a_large_cycle(capsys, tmp_path, monkeypatch):
     # digits, past CPython's 4300-digit limit on int -> str
     c20000 = write_edges(tmp_path / "c20000.edges", cycle_graph(20000))
     with monkeypatch.context() as patch:
-        patch.setattr("eocount.estimator.schrijver_lower",
+        patch.setattr("eocount.graphs.schrijver_lower",
                       fail_if_called("the lower bound"))
         assert main(["bounds", "--graph", c20000]) == 3
         assert_one_error_line(capsys.readouterr(), "size-limit")
@@ -546,8 +546,9 @@ def test_each_command_runs_only_the_modules_it_calls(tmp_path):
     codes, ran = modules_run([["exact", s, "--n", "5"] for s in ("rt", "ed", "eog")])
     assert codes == [0, 0, 0] and ran == cli | {"exact"}
     write_edges(tmp_path / "k5.edges", complete_graph(5))
-    codes, ran = modules_run([["graphinfo", "--graph", "k5.edges"]], tmp_path)
-    assert codes == [0] and ran == cli | {"graphs"}
+    for command in ("graphinfo", "bounds"):
+        codes, ran = modules_run([[command, "--graph", "k5.edges"]], tmp_path)
+        assert codes == [0] and ran == cli | {"graphs"}, command
     quad5 = str(write_quad5(tmp_path))
     codes, ran = modules_run([["taillab", "--instance", quad5, "--m", "2"]])
     assert codes == [0] and ran == cli | {"taillab", "cumulants"}

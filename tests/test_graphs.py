@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from eocount.errors import DomainError, SizeLimitError
 from eocount.graphs import (DENSE_MAX_N, GRAPH_FILE_MAX_N, LANE_BITS, Graph,
                             _adjugate_row, _eliminated, all_degrees_even, cheeger_constant,
-                            circulant_graph, complete_graph,
+                            circulant_classes, circulant_graph, complete_graph,
                             complete_multipartite, cycle_graph,
                             l_plus_j_adjugate, load_graph,
                             parse_edge_list, parse_graph_json,
                             spanning_tree_count)
-from helpers import graph_to_json, laplacian, octahedron_graph, path_graph
+from helpers import graph_to_json, laplacian, octahedron_graph, path_graph, shuffled
 from oracles import cheeger_gray_code, gauss_jordan_adjugate
 
 
@@ -236,6 +236,7 @@ def test_cheeger_examples():
 
 
 def test_cheeger_complete_graphs():
+    # vertex 0 is fixed: K2 has no lane above it, K3 one lane and no walk
     for n in range(2, 11):
         expected = Fraction((n + 1) // 2)
         assert cheeger_constant(complete_graph(n)) == expected
@@ -270,7 +271,7 @@ def test_cheeger_matches_gray_code_scan_on_random_graphs(g):
 
 
 def test_cheeger_fixed_cases():
-    for n in (2, 5, LANE_BITS + 1, LANE_BITS + 3, 16):
+    for n in (2, 3, 5, LANE_BITS + 1, LANE_BITS + 3, 16):
         assert cheeger_constant(Graph(n, frozenset())) == 0  # edgeless
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
                                          (3, 4), (4, 5), (3, 5)])
@@ -331,6 +332,46 @@ def test_cheeger_sparsest_cut_among_the_walked_vertices(data):
     g = _two_cliques(n, small)
     with patch("eocount.graphs.LANE_BITS", lane_bits):
         assert cheeger_constant(g) == Fraction(1, small) == cheeger_gray_code(g)
+
+
+@st.composite
+def circulants(draw, max_n):
+    # gcd(n, S) > 1 gives a disconnected graph, and S empty an edgeless one
+    n = draw(st.integers(2, max_n), label="n")
+    return circulant_graph(n, sorted(draw(st.sets(st.integers(1, n // 2)), label="S")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circulants(16), st.integers(0, 2**32))
+def test_cheeger_on_circulants_fixes_vertex_0(g, seed):
+    # in its own labels the scan keeps vertex 0 in S; relabelled, it runs
+    # the general path over every S
+    h = cheeger_constant(g)
+    assert h == cheeger_gray_code(g) == cheeger_constant(shuffled(g, seed))
+    if g.n <= 10:
+        assert h == cheeger_bruteforce(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circulants(16), st.integers(1, LANE_BITS), st.integers(0, 2**32))
+def test_cheeger_on_circulants_with_fewer_lanes(g, lane_bits, seed):
+    # fewer lanes walk more vertices above vertex 0 and the lanes
+    with patch("eocount.graphs.LANE_BITS", lane_bits):
+        assert cheeger_constant(g) == cheeger_gray_code(g) \
+            == cheeger_constant(shuffled(g, seed))
+
+
+def test_circulant_classes_find_the_rotation():
+    for n in range(2, 13):
+        for r in range(1, n // 2 + 1):
+            for offsets in combinations(range(1, n // 2 + 1), r):
+                g = circulant_graph(n, offsets)
+                assert circulant_classes(g) == {s: n // 2 if 2 * s == n else n
+                                                for s in offsets}
+    c18 = circulant_graph(18, (1, 3, 8))
+    assert circulant_classes(Graph(18, sorted(c18.edges)[1:])) == {}
+    assert circulant_classes(shuffled(c18, 1)) == {}
+    assert cheeger_constant(shuffled(c18, 1)) == Fraction(20, 9)
 
 
 @pytest.mark.parametrize("g", [complete_graph(22), circulant_graph(22, (1, 3, 8))],

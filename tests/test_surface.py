@@ -146,10 +146,17 @@ def test_numeric_alone_holds_the_printer_and_the_caps():
 
 
 def test_circulants_are_found_in_one_def():
-    # the estimator's label symmetry lives in the covariance's edge blocks
-    # alone: the contractions read the blocks, so no other def asks whether
-    # a graph is a circulant
-    _called_from_one_def("_classes", "covariance_sigma")
+    # one def in graphs asks whether a graph is a circulant in its labels,
+    # and only the covariance's edge blocks and the Cheeger scan's fixed
+    # vertex call it, once each: the contractions read the blocks
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert [stem for stem, t in trees.items() for node in t.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "circulant_classes"] == ["graphs"]
+    calls = {node.name: _calls(node, "circulant_classes") for t in trees.values()
+             for node in t.body if isinstance(node, ast.FunctionDef)}
+    assert {name: c for name, c in calls.items() if c} == {
+        "covariance_sigma": 1, "cheeger_constant": 1}
 
 
 def test_graphs_have_one_edge_rule():
