@@ -106,10 +106,11 @@ def _cmd_exact(args):
 
 def _cmd_expand(args):
     inputs = {"family": args.family, "order": args.order}
+    w = expansion.WeightSpec.for_family(args.family)
     if args.eval is not None:
-        expansion.require_eval_point(args.family.upper(), args.eval)
+        expansion.require_eval_point(w, args.eval)
         inputs["eval"] = args.eval
-    res = expansion.expansion_series(args.family, args.order)
+    res = expansion.expansion_series(w, args.order)
     payload = res.to_json()
     if args.eval is None:
         return inputs, payload, None
@@ -170,7 +171,7 @@ def _cmd_taillab(args):
     with open(args.instance) as fh:
         space, table = taillab.instance_from_json(fh.read(), args.m)
     rep = _cli.check_tail_bound(space, table, args.m)
-    return {"instance": args.instance, "m": args.m}, rep.to_json(), None
+    return {"instance": args.instance, "m": args.m}, rep.to_json(), DEFAULT_BITS
 
 
 def _cmd_graphinfo(args):

@@ -214,7 +214,7 @@ def _edge_terms(cov: Covariance, coeffs: dict[int, Fraction]):
         yield den, A
 
 
-def kappa1_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction:
+def kappa1_f(cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction:
     """The exact first cumulant of f_K = sum_e sum_l c_l X_e^(2l),
     sum_{l=2}^K c_l (2l-1)!! sum_{jk} S_{jk,jk}^l = sum_c |block c| A_0[c],
     with S = M/tau: the j = 0 term of kappa_2's sum.  ``coeffs`` is f_K's
@@ -226,7 +226,7 @@ def kappa1_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction
     return Fraction(sum(map(mul, cov.blocks, A)), den * cov.tau ** K)
 
 
-def kappa2_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction:
+def kappa2_f(cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction:
     """Second cumulant of f_K: the sum over ordered edge pairs (e, f) and
     orders l1, l2 of c_{l1} c_{l2} Cov(X_e^{2l1}, X_f^{2l2}), with
     ``coeffs`` the map {l: c_l} as in ``kappa1_f``.
@@ -252,7 +252,7 @@ def kappa2_f(g: Graph, cov: Covariance, coeffs: dict[int, Fraction]) -> Fraction
     u >= c and dropped after; O(b m K) time for b blocks, O(m K) ints.
     """
     K = max(coeffs, default=0)
-    require_orders(2, K, g.edge_count)
+    require_orders(2, K, len(cov.edges))
     (den, _), *terms = _edge_terms(cov, coeffs)  # h = 0 is kappa_1's term
     edges, blocks, total, start = cov.edges, cov.blocks, 0, 0
     for c, count in enumerate(blocks):
@@ -367,7 +367,7 @@ def eo_estimate(g: Graph, M: int = 2, K: int = 4, w=None,
     norm = cov.norm_inf(wf)
     base, log_eo_hat = _closed_form_logs(g, cov.tau, bits)
     coeffs = f_as_mu_polynomial(_LOG_COS, K) if M else {}
-    kappa = {r: f(g, cov, coeffs) for r, f in ((1, kappa1_f), (2, kappa2_f))[:M]}
+    kappa = {r: f(cov, coeffs) for r, f in ((1, kappa1_f), (2, kappa2_f))[:M]}
     log_corr: dict[int, Real] = {}
     exponent = Fraction(0)
     with working(bits):

@@ -72,30 +72,26 @@ FAMILIES = {
 }
 
 
-def family_facts(name: str) -> tuple:
-    """The table entry of RT, ED or EOG; DomainError for any other name,
-    "custom" included."""
-    if name not in FAMILIES:
-        raise DomainError(f"unknown family {name!r} (RT, ED or EOG)")
-    return FAMILIES[name]
-
-
 class WeightSpec:
-    """Per-edge factor a + b cos(theta_j - theta_k); a + b = 1, b > 0."""
+    """Per-edge factor a + b cos(theta_j - theta_k); a + b = 1, b > 0.  Its
+    family is the name ``FAMILIES`` gives (a, b), else "custom"."""
 
-    __slots__ = ("a", "b", "family")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a, b, family: str = "custom"):
-        self.a, self.b, self.family = Fraction(a), Fraction(b), family
+    def __init__(self, a, b):
+        self.a, self.b = Fraction(a), Fraction(b)
         if self.a + self.b != 1 or self.b <= 0 or self.a < 0:
             raise DomainError("need a + b = 1, b > 0, a >= 0")
 
     def __eq__(self, other):
-        return (type(other) is WeightSpec
-                and (self.a, self.b, self.family) == (other.a, other.b, other.family))
+        return type(other) is WeightSpec and (self.a, self.b) == (other.a, other.b)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.family))
+        return hash((self.a, self.b))
+
+    @property
+    def family(self) -> str:
+        return next((f for f, (ab, _) in FAMILIES.items() if ab == (self.a, self.b)), "custom")
 
     def leading_factor(self, n: int, edges: int) -> tuple[int, int]:
         """(q, p) of the count's leading factor q^p on n vertices and |E| =
@@ -108,9 +104,10 @@ class WeightSpec:
 
     @classmethod
     def for_family(cls, family: str) -> "WeightSpec":
-        key = family.upper()
-        (a, b), _ = family_facts(key)
-        return cls(a, b, key)
+        """RT, ED or EOG's weight, in any case; DomainError for any other name."""
+        if family.upper() not in FAMILIES:
+            raise DomainError(f"unknown family {family!r} (RT, ED or EOG)")
+        return cls(*FAMILIES[family.upper()][0])
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +169,17 @@ def _folded_t(l: int) -> dict[tuple[int, int], int]:
 # the expansion itself
 
 class ExpansionResult(NamedTuple):
-    family: str
+    weight: WeightSpec
     order: int                      # series exact through n^-(order-1)
-    prefactor: str                  # formula tag, see log_closed_form()
     coeffs: dict[int, Fraction]     # p -> coefficient of n^-p, p in 0..order-1
+
+    @property
+    def family(self) -> str:
+        return self.weight.family
+
+    @property
+    def prefactor(self) -> str:  # the K_n closed form as text; "" if custom
+        return FAMILIES.get(self.family, (None, ""))[1]
 
     def to_json(self) -> dict:
         return {
@@ -331,11 +335,7 @@ def expansion_series(family: str | WeightSpec, c: int = 12) -> ExpansionResult:
     scale = [D ** (M - r) * factorial(M) // factorial(r) for r in range(1, M + 1)]
     totals = [sum(map(mul, column, scale)) for column in zip(*sums)]
     coeffs = {p: Fraction(v, D**M * factorial(M)) for p, v in enumerate(totals) if v}
-    return ExpansionResult(
-        family=w.family, order=c,
-        prefactor=FAMILIES[w.family][1] if w.family in FAMILIES else "",
-        coeffs=coeffs,
-    )
+    return ExpansionResult(w, c, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +356,19 @@ def log_closed_form(w: WeightSpec, n: int, edges: int, log_tau, exponent,
                     - log_tau / 2 - (n - 1) * log_2_pi_b / 2 + as_decimal(exponent))
 
 
-def require_eval_point(family: str, n: int) -> None:
-    """Reject an evaluation point outside the family's domain: n >= 1, n odd
-    for regular tournaments, and a family with a closed-form prefactor; and,
-    before the series, an n whose leading factor q^p on K_n
+def require_eval_point(w: WeightSpec, n: int) -> None:
+    """Reject an evaluation point outside the weight's domain: n >= 1, n odd
+    for a = 0 (regular tournaments), and a family with a closed-form
+    prefactor; and, before the series, an n whose leading factor q^p on K_n
     (``WeightSpec.leading_factor``) passes 10^(10^18) by 1%: the others move
     its log by under 10^-7 there, so nearer it ``numeric.exp`` decides."""
     if n < 1:
         raise DomainError("evaluation needs n >= 1")
-    if family == "RT" and n % 2 == 0:
+    if not w.a and n % 2 == 0:
         raise DomainError("regular tournaments need odd n")
-    (a, b), _ = family_facts(family)
-    q, lead = WeightSpec(a, b).leading_factor(n, n * (n - 1) // 2)
+    if w.family not in FAMILIES:
+        raise DomainError("a custom weight has no closed-form prefactor (RT, ED or EOG)")
+    q, lead = w.leading_factor(n, n * (n - 1) // 2)
     if lead and log10(lead) + log10(log10(q)) > MAX_EXPONENT_DIGITS + log10(1.01):
         raise SizeLimitError(f"the value would pass 10^(10^{MAX_EXPONENT_DIGITS})")
 
@@ -376,12 +377,11 @@ def evaluate_expansion(result: ExpansionResult, n: int, bits: int = DEFAULT_BITS
     """(value, log_value) of prefactor * exp(truncated series) at this n, two
     Reals: ``log_closed_form`` on K_n with the exact series rounded once."""
     require_precision(bits)
-    require_eval_point(result.family, n)
+    require_eval_point(result.weight, n)
     P, den = max(result.coeffs, default=0), lcm(*(c.denominator for c in result.coeffs.values()))
     exponent = Fraction(sum(c.numerator * (den // c.denominator) * n ** (P - p)  # one denominator
                             for p, c in result.coeffs.items()), den * n**P)
     with working(bits):
-        log_val = log_closed_form(WeightSpec.for_family(result.family), n,
-                                  n * (n - 1) // 2, (n - 2) * ln(n),
-                                  exponent, bits)
+        log_val = log_closed_form(result.weight, n, n * (n - 1) // 2,
+                                  (n - 2) * ln(n), exponent, bits)
         return Real(exp(log_val)), log_val

@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 from .cumulants import moments_to_cumulants
 from .errors import DomainError, SizeLimitError
-from .numeric import (context, exp_enclosure, ln_enclosure, nearest_binary,
-                      require_digits, require_exponent, to_text)
+from .numeric import (DEFAULT_BITS, context, exp_enclosure, ln_enclosure,
+                      nearest_binary, require_digits, require_exponent, to_text)
 
 SPACE_MAX_POINTS = 10**6
 # Cap on the entries read by the one walk of alpha and Delta_V (alpha_reads),
@@ -45,7 +45,6 @@ ALPHA_MAX_READS = 10**8
 # grow with m: on a one-coordinate instance m = 100 takes 0.2 s, m = 400
 # 3 s, and at m = 1000 the kappa bounds pass 4300 decimal digits.
 TAIL_MAX_M = 100
-DELTA_BITS = 256
 
 
 class DiscreteProductSpace:
@@ -92,8 +91,8 @@ class DiscreteProductSpace:
 
 
 def _rationals(items, what: str) -> tuple[Fraction, ...]:
-    """A list of rationals (numbers or "p/q" strings, not bools) as
-    Fractions; a string's decimal exponent is checked before it is read."""
+    """A list of rationals (numbers or "p/q" strings, not bools) as Fractions,
+    a Fraction kept as it is; a string's decimal exponent is checked first."""
     if not isinstance(items, (list, tuple)):
         raise DomainError(f"{what} must be a list")
     out = []
@@ -101,7 +100,7 @@ def _rationals(items, what: str) -> tuple[Fraction, ...]:
         if isinstance(v, str):
             require_exponent(v)
         try:  # Fraction(True) would be 1
-            out.append(Fraction(None if isinstance(v, bool) else v))
+            out.append(v if type(v) is Fraction else Fraction(None if isinstance(v, bool) else v))
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise DomainError(f"{what} has a non-rational entry {v!r}") from None
     return tuple(out)
@@ -342,7 +341,7 @@ class TailReport(NamedTuple):
     def to_json(self) -> dict:
         # each enclosure prints its midpoint, rounded to 53 bits, to 15 digits
         def mid(bounds):
-            ctx = context(DELTA_BITS)
+            ctx = context(DEFAULT_BITS)
             return to_text(nearest_binary(ctx.divide(ctx.add(*bounds), 2), 53), 15)
 
         return {
@@ -365,7 +364,7 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int) -> TailReport:
 
     delta is extracted as exp((log E e^f - sum kappa_r/r!)/n) - 1 from the
     exps of f - s, s = min f, so large values never cancel; its inequality is
-    checked on two-sided enclosures at DELTA_BITS, the cumulant inequalities
+    checked on two-sided enclosures at DEFAULT_BITS, the cumulant inequalities
     exactly.  No coordinates (n = 0, no n-th root) is a DomainError before
     any work.
     """
@@ -384,7 +383,7 @@ def check_tail_bound(space: DiscreteProductSpace, table, m: int) -> TailReport:
         kappa_bounds.append(bound)
 
     # lower ends round toward -inf, upper ends toward +inf
-    down, up = context(DELTA_BITS, ROUND_FLOOR), context(DELTA_BITS, ROUND_CEILING)
+    down, up = context(DEFAULT_BITS, ROUND_FLOOR), context(DEFAULT_BITS, ROUND_CEILING)
 
     def enclose(q: Fraction):
         return down.divide(q.numerator, q.denominator), up.divide(q.numerator, q.denominator)

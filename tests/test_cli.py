@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import eocount
 from eocount.cli import build_parser, main
 from eocount.estimator import KAPPA2_MAX_EDGE_PAIRS
-from eocount.expansion import require_eval_point
+from eocount.expansion import WeightSpec, require_eval_point
 from eocount.graphs import DENSE_MAX_N, circulant_graph, complete_graph, cycle_graph
 from eocount.numeric import DEFAULT_BITS
 from eocount.taillab import (TAIL_MAX_M, DiscreteProductSpace, alpha,
@@ -191,6 +191,8 @@ def test_taillab_command(capsys, tmp_path):
     inst = write_quad5(tmp_path)
     code, env = run_json(capsys, ["taillab", "--instance", str(inst), "--m", "2"])
     assert code == 0
+    # the enclosures run at the one working precision, which the envelope reports
+    assert env["precision"]["bits"] == DEFAULT_BITS == 256
     assert env["result"]["holds"] is True
     assert env["result"]["delta_holds"] is True
 
@@ -457,7 +459,7 @@ def test_eval_exponent_cap_checked_before_the_series(capsys, monkeypatch):
         for family, n in (("ed", 2500000001), ("eog", 1000000000001)):
             assert main(["expand", family, "--order", "12", "--eval", str(n)]) == 3
             assert_one_error_line(capsys.readouterr(), "size-limit")
-    require_eval_point("ED", 1825000000)
+    require_eval_point(WeightSpec.for_family("ED"), 1825000000)
     assert main(["expand", "ed", "--order", "2", "--eval", "1825000000"]) == 3
     assert_one_error_line(capsys.readouterr(), "size-limit")
 

@@ -146,7 +146,7 @@ def test_kappa2_holds_no_edge_matrix():
         cov, coeffs = covariance_sigma(h), log_cos_map(4)
         # natural labels: row 0 and one block per offset class
         assert (len(cov.adj), len(cov.blocks)) == ((1, 3) if h is g else (h.n, 240))
-        peak = traced_peak(kappa2_f, h, cov, coeffs)
+        peak = traced_peak(kappa2_f, cov, coeffs)
         assert peak < adj_bytes, (peak, adj_bytes)
 
 
@@ -156,7 +156,7 @@ def test_circulant_route_holds_one_adjugate_row():
     # holds on this graph
     g = circulant_graph(DENSE_MAX_N, (1, 2, 3))
     adj_bytes = list_bytes(l_plus_j_adjugate(g)[1])
-    peak = traced_peak(lambda: kappa2_f(g, covariance_sigma(g), log_cos_map(4)))
+    peak = traced_peak(lambda: kappa2_f(covariance_sigma(g), log_cos_map(4)))
     assert peak < adj_bytes / 4, (peak, adj_bytes)
 
 
@@ -274,7 +274,7 @@ def test_kappa1_single_edge_formula():
     g = Graph.from_edges(2, [(0, 1)])
     cov = covariance_sigma(g)
     see = edge_cov(sigma_w(g, Fraction(1)), (0, 1), (0, 1))
-    assert kappa1_f(g, cov, log_cos_map(2)) == Fraction(-1, 12) * 3 * see**2
+    assert kappa1_f(cov, log_cos_map(2)) == Fraction(-1, 12) * 3 * see**2
     assert degree_sum_reference(g) == -Fraction(1)
 
 
@@ -313,7 +313,7 @@ def test_kappa1_w_invariance():
         sigma = sigma_w(g, w)
         direct = sum(cs[l] * double_factorial(2 * l - 1) * edge_cov(sigma, e, e) ** l
                      for e in g.edges for l in range(2, 5))
-        assert kappa1_f(g, cov, cs) == direct
+        assert kappa1_f(cov, cs) == direct
 
 
 def test_kappa1_consistency_envelope():
@@ -324,7 +324,7 @@ def test_kappa1_consistency_envelope():
         cov = covariance_sigma(g)
         norm = cov.norm_inf(default_w(g))
         K = max(2, min(4, min(g.degrees) // 2))
-        k1 = kappa1_f(g, cov, log_cos_map(K))
+        k1 = kappa1_f(cov, log_cos_map(K))
         ref = degree_sum_reference(g)
         d, delta = g.max_degree(), min(g.degrees)
         envelope = (Fraction(n, delta) * norm
@@ -354,7 +354,7 @@ def test_kappa2_within_second_order_bound():
         g = complete_graph(n)
         cov = covariance_sigma(g)
         norm = cov.norm_inf(default_w(g))
-        k2 = kappa2_f(g, cov, log_cos_map(4))
+        k2 = kappa2_f(cov, log_cos_map(4))
         d, delta, r = g.max_degree(), min(g.degrees), 2
         bound = (Fraction(n, 2 * delta) * Fraction(5 * d, delta) ** r
                  * norm ** (r - 1) * double_factorial(4 * r - 1))
@@ -376,7 +376,7 @@ def test_kappa2_matches_pairwise_oracle():
         sigma = sigma_w(g, default_w(g))
         # K = 8 only where the per-pair oracle stays cheap
         for K in (2, 4) + ((8,) if g.edge_count <= 16 else ()):
-            assert kappa2_f(g, cov, log_cos_map(K)) == kappa2_pairwise(
+            assert kappa2_f(cov, log_cos_map(K)) == kappa2_pairwise(
                 g, sigma, K), (g, K)
 
 
@@ -388,7 +388,7 @@ def test_kappas_match_the_per_order_fraction_route():
     for g, K in cases:
         cov = covariance_sigma(g)
         coeffs = log_cos_map(K)
-        got = kappa1_f(g, cov, coeffs), kappa2_f(g, cov, coeffs)
+        got = kappa1_f(cov, coeffs), kappa2_f(cov, coeffs)
         assert all(type(k) is Fraction for k in got)
         assert got == kappa12_per_order(g, K), (g.n, g.edge_count, K)
 
@@ -440,8 +440,8 @@ def test_circulant_route_matches_a_relabelled_copy(n, offsets, seed):
                for (u, v), x in mine.items())
     for K in (2, 4, 8):
         coeffs = log_cos_map(K)
-        assert kappa1_f(g, cov, coeffs) == kappa1_f(h, ref, coeffs), K
-        assert kappa2_f(g, cov, coeffs) == kappa2_f(h, ref, coeffs), K
+        assert kappa1_f(cov, coeffs) == kappa1_f(ref, coeffs), K
+        assert kappa2_f(cov, coeffs) == kappa2_f(ref, coeffs), K
 
 
 @settings(max_examples=24, deadline=None)
@@ -454,7 +454,7 @@ def test_kappas_on_kn_equal_the_series_record(K, n):
     c = f_as_mu_polynomial(RT, K)
     g = complete_graph(n)
     cov = covariance_sigma(g)
-    got = kappa1_f(g, cov, c), kappa2_f(g, cov, c)
+    got = kappa1_f(cov, c), kappa2_f(cov, c)
     assert got == kn_kappas(c, n, 3 * K + 2), (K, n)
 
 
@@ -479,19 +479,19 @@ def test_estimate_uses_K_for_kappa2():
     g = complete_graph(5)
     rep = eo_estimate(g, M=2, K=8)
     cov = covariance_sigma(g)
-    assert rep.kappa[2] == kappa2_f(g, cov, log_cos_map(8))
-    assert rep.kappa[2] != kappa2_f(g, cov, log_cos_map(6))
+    assert rep.kappa[2] == kappa2_f(cov, log_cos_map(8))
+    assert rep.kappa[2] != kappa2_f(cov, log_cos_map(6))
 
 
 def test_cumulant_order_cap():
     g = complete_graph(5)
     cov = covariance_sigma(g)
-    assert isinstance(kappa1_f(g, cov, log_cos_map(MAX_K)), Fraction)
+    assert isinstance(kappa1_f(cov, log_cos_map(MAX_K)), Fraction)
     for fn in (kappa1_f, kappa2_f):
         with pytest.raises(SizeLimitError):  # K is the map's largest l
-            fn(g, cov, {MAX_K + 1: Fraction(-1)})
+            fn(cov, {MAX_K + 1: Fraction(-1)})
         with pytest.raises(DomainError):  # K = 0: no Taylor term at all
-            fn(g, cov, {})
+            fn(cov, {})
     with pytest.raises(SizeLimitError):
         eo_estimate(g, M=1, K=MAX_K + 1)
     assert eo_estimate(g, M=0, K=MAX_K + 1).kappa == {}

@@ -12,6 +12,7 @@ from eocount.exact import (BALANCED_MAX_N, RT_KNOWN_COUNTS, _balanced_count,
                            _kn_count, eo_count_bruteforce,
                            eulerian_digraph_count_bruteforce,
                            eulerian_oriented_count_bruteforce, rt_count)
+from eocount.expansion import WeightSpec
 from eocount.graphs import (Graph, circulant_graph, complete_graph,
                             complete_multipartite, cycle_graph)
 
@@ -93,6 +94,20 @@ def test_kn_count_matches_backtracking():
         for (w0, w1), moves in KN_FAMILIES:
             assert _kn_count(n, w0, w1) == balanced_count_backtracking(n, pairs, moves)
     # the backtracker takes seconds at n = 7; its values are pinned in golden.py
+
+
+def test_each_family_counter_counts_its_weight():
+    # a pair of K_n weighs q (a + b cos): "no arc" q a and each arc q b/2,
+    # with q the base of the series' leading factor, which makes both ints;
+    # the exact counters hold these ints as literals
+    for family, counter in (("RT", rt_count), ("ED", eulerian_digraph_count_bruteforce),
+                            ("EOG", eulerian_oriented_count_bruteforce)):
+        w = WeightSpec.for_family(family)
+        for n in range(1, 10, 1 if w.a else 2):
+            q, _ = w.leading_factor(n, comb(n, 2))
+            w0, w1 = q * w.a, q * w.b / 2
+            assert w0.denominator == w1.denominator == 1, family
+            assert counter(n) == _kn_count(n, w0.numerator, w1.numerator), (family, n)
 
 
 def test_eo_k2_2k_is_central_binomial():

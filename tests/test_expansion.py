@@ -13,8 +13,7 @@ from eocount import expansion, powersums
 from eocount.errors import DomainError, SizeLimitError
 from eocount.expansion import (MAX_K, MAX_ORDER, WeightSpec, evaluate_expansion,
                                expansion_series, f_as_mu_polynomial,
-                               family_facts, log_closed_form,
-                               weight_log_coeffs)
+                               log_closed_form, weight_log_coeffs)
 from eocount.numeric import MAX_BITS, MIN_BITS, context
 from eocount.powersums import monomial_order_bound
 
@@ -97,7 +96,6 @@ def test_weight_spec_validation():
     # strings are read as Fractions; equal specs hash alike
     w, v = WeightSpec(Fraction(1, 4), Fraction(3, 4)), WeightSpec("1/4", "3/4")
     assert v == w and hash(v) == hash(w) and type(v.a) is Fraction
-    assert WeightSpec(Fraction(1, 4), Fraction(3, 4), "other") != w
 
 
 def test_f_polynomial_matches_direct_definition():
@@ -132,9 +130,9 @@ def test_log_prefactor_matches_the_printed_formulas():
                 log_tau = ctx.multiply(ctx.ln(n), n - 2)
                 got = log_closed_form(w, n, n * (n - 1) // 2, log_tau, Fraction(0), 256)
                 assert abs(got - printed_log_prefactor(fam, n)) < mpmath.mpf(2) ** -240
-    for name in ("custom", "rt", "XYZ"):
+    for name in ("custom", "XYZ", ""):
         with pytest.raises(DomainError):
-            family_facts(name)
+            WeightSpec.for_family(name)
 
 
 def test_closed_form_edge_factor_is_the_least_integer_weight():
@@ -527,10 +525,30 @@ def test_exp_log_round_trip():
 def test_custom_family_exposes_series_only():
     w = WeightSpec(Fraction(1, 4), Fraction(3, 4))
     r = expansion_series(w, 3)
-    assert r.family == "custom" and r.prefactor == ""
+    assert r.family == "custom" and r.prefactor == "" and r.weight == w
     assert r.coeffs[0] != 0
     with pytest.raises(DomainError):
         evaluate_expansion(r, 11)
+
+
+def test_a_family_is_read_from_its_weight():
+    # (a, b) alone names the family: the weight (0, 1) built by hand is RT,
+    # with RT's prefactor, series and closed form, in any case of its name;
+    # the a = 1/4 weight is custom and has no closed form to evaluate
+    assert WeightSpec(0, 1).family == "RT" and WeightSpec("1/3", "2/3").family == "EOG"
+    assert WeightSpec.for_family("rt") == WeightSpec.for_family("RT") == WeightSpec(0, 1)
+    for c in (1, 4, 7):
+        hand, named = expansion_series(WeightSpec(0, 1), c), expansion_series("RT", c)
+        assert (hand.family, hand.prefactor) == ("RT", named.prefactor)
+        assert hand.coeffs == {p: v for p, v in enumerate(RT_SERIES[:c]) if v}
+        assert hand == named and hand.to_json() == named.to_json()
+        assert evaluate_expansion(hand, 21) == evaluate_expansion(named, 21)
+    with pytest.raises(DomainError, match="odd"):
+        evaluate_expansion(expansion_series(WeightSpec(0, 1), 3), 20)
+    quarter = expansion_series(WeightSpec("1/4", "3/4"), 6)
+    assert quarter.family == "custom" and quarter.coeffs != expansion_series("RT", 6).coeffs
+    with pytest.raises(DomainError, match="custom"):
+        evaluate_expansion(quarter, 21)
 
 
 def test_evaluate_rejects_points_outside_the_domain():

@@ -8,7 +8,8 @@ somewhere in the package outside its own body, whether or not ``__all__``
 exports its class; dunders, overrides and the conversion hook in HOOKS,
 which their base class, the interpreter or another library calls, are
 exempt.  A string constant counts as a reference, since the CLI looks
-counters up by name.
+counters up by name.  Every def, nested ones included, reads each of its
+parameters, the conversion hook in HOOKS aside.
 """
 
 import ast
@@ -84,6 +85,24 @@ def unreferenced() -> list[str]:
 
 def test_every_shipped_def_has_a_caller_in_the_package():
     assert unreferenced() == []
+
+
+def test_every_parameter_is_read():
+    # a parameter that a def's body never reads is an input that does
+    # nothing; the conversion hook in HOOKS has the signature its caller
+    # passes, whatever the body needs
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef) or node.name in HOOKS:
+                continue
+            a = node.args
+            params = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if x}
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.stem}.{node.name}({name})" for name in sorted(params - read)]
+    assert unread == []
 
 
 def test_allowlist_names_exist_and_have_no_caller():

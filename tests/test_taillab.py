@@ -267,6 +267,16 @@ def test_delta_work_cap_comes_before_any_work(monkeypatch):
         delta_V(space, (Fraction(0),) * 10**5, range(4))
 
 
+def test_a_fraction_is_kept_not_rebuilt():
+    # a table of Fractions is read as it is, each entry the object handed
+    # in; strings, ints and floats still become Fractions, a bool does not
+    table = tuple(Fraction(k, 7) for k in range(8))
+    assert all(a is b for a, b in zip(taillab._rationals(table, "f"), table, strict=True))
+    assert taillab._rationals(["1/2", 3, 0.25], "f") == (Fraction(1, 2), 3, Fraction(1, 4))
+    with pytest.raises(DomainError, match="non-rational"):
+        taillab._rationals([Fraction(1), True], "f")
+
+
 def test_alpha_m1_is_max_oscillation():
     sp = bits(3)
     f = tabulate(sp, lambda a, b, c: a * b + 5 * c)
